@@ -13,17 +13,19 @@ import (
 	"repro/internal/topology"
 )
 
-// This file pins the extracted Centralized control plane to the pre-refactor
-// engine behaviour: refEngineControl below is a faithful transcription of the
-// controller section of the old sim.processFrame (deadlock counting, change
-// detection, energy accounting, pool serving, recompute, snapshot adoption),
-// and the equivalence test asserts both produce identical frame reports and
-// identical routing tables over randomized snapshot sequences — including the
-// finite-battery death path of Sec 7.3.
+// This file pins the default control plane — the one-region Sharded plane
+// that New builds for the zero Config — to the pre-refactor engine behaviour:
+// refEngineControl below is a faithful transcription of the controller
+// section of the old sim.processFrame (deadlock counting, change detection,
+// energy accounting, pool serving, recompute, snapshot adoption), and the
+// equivalence tests assert both produce identical frame reports and identical
+// routing tables over randomized snapshot sequences — including the
+// finite-battery death path of Sec 7.3 and a kill window.
 
 // refEngineControl is the pre-refactor engine's controller logic, kept
 // verbatim (the engine held pool/ws/tables/lastSnapshot as its own fields and
-// ran this sequence inline in processFrame).
+// ran this sequence inline in processFrame). It keeps a pointer to the last
+// recomputed snapshot, so callers hand it a snapshot they never modify again.
 type refEngineControl struct {
 	deps   Deps
 	pool   *tdma.Pool
@@ -67,7 +69,6 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 		plan := routing.ComputeInto(r.ws, r.deps.Algorithm, snapshot, r.deps.Destinations, r.tables)
 		r.tables = plan.Tables
 		r.last = snapshot
-		rep.RetainedSnapshot = true
 		rep.Recomputed = true
 		rep.ShardRecomputes = 1
 	}
@@ -128,11 +129,21 @@ func compareTables(t *testing.T, frame int64, deps Deps, cp ControlPlane, tables
 	}
 }
 
+// newDefaultPlane builds the plane New selects for the zero Config.
+func newDefaultPlane(t *testing.T, deps Deps) ControlPlane {
+	t.Helper()
+	cp, err := New(Config{}, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 // driveSequence evolves a master status vector like the engine's upload phase
 // would: battery drift, occasional deaths and deadlock flags, reported into
-// double-buffered snapshots exactly as sim.processFrame hands them to the
-// plane (the buffer flips only on adopted frames).
-func driveSequence(t *testing.T, deps Deps, cp *Centralized, ref *refEngineControl, frames int, seed int64) {
+// one reused snapshot buffer exactly as sim.processFrame hands it to the
+// plane. The reference gets a clone, since it keeps a pointer to it.
+func driveSequence(t *testing.T, deps Deps, cp ControlPlane, ref *refEngineControl, frames int, seed int64) {
 	t.Helper()
 	const levels = 8
 	k := deps.Graph.NodeCount()
@@ -141,15 +152,13 @@ func driveSequence(t *testing.T, deps Deps, cp *Centralized, ref *refEngineContr
 	for i := range master {
 		master[i] = routing.NodeStatus{Alive: true, BatteryLevel: levels - 1}
 	}
-	snaps := [2]*routing.SystemState{fullState(deps.Graph, levels), fullState(deps.Graph, levels)}
-	flip := 0
+	cur := fullState(deps.Graph, levels)
 	for frame := int64(1); frame <= int64(frames); frame++ {
-		cur := snaps[flip]
 		copy(cur.Status, master)
 		alive := aliveCount(cur)
 
 		rep := cp.Frame(frame, alive, cur)
-		refRep := ref.frame(alive, cur)
+		refRep := ref.frame(alive, cur.Clone())
 		compareReports(t, frame, rep, refRep)
 		if rep.ControllersDead {
 			if cp.AliveShards() != 0 {
@@ -160,9 +169,6 @@ func driveSequence(t *testing.T, deps Deps, cp *Centralized, ref *refEngineContr
 		compareTables(t, frame, deps, cp, ref.tables)
 		if cp.RecomputeCount(0) != 0 && cp.ShardConsumedPJ(0) <= 0 {
 			t.Fatalf("frame %d: recomputed but ShardConsumedPJ = %g", frame, cp.ShardConsumedPJ(0))
-		}
-		if rep.RetainedSnapshot {
-			flip ^= 1
 		}
 
 		// Evolve the master state: drift some batteries, occasionally kill a
@@ -186,8 +192,8 @@ func driveSequence(t *testing.T, deps Deps, cp *Centralized, ref *refEngineContr
 }
 
 // TestCentralizedMatchesEngineReference is the extraction pin: over meshes
-// 4-8, both algorithms and both controller-battery regimes, the Centralized
-// plane must reproduce the pre-refactor engine logic frame by frame.
+// 4-8, both algorithms and both controller-battery regimes, the default plane
+// must reproduce the pre-refactor engine logic frame by frame.
 func TestCentralizedMatchesEngineReference(t *testing.T) {
 	for _, meshSize := range []int{4, 6, 8} {
 		for _, alg := range []routing.Algorithm{routing.SDR{}, routing.NewEAR()} {
@@ -201,14 +207,81 @@ func TestCentralizedMatchesEngineReference(t *testing.T) {
 						// so the ControllersDead path is compared too.
 						deps.ControllerBattery = battery.IdealFactory(40 * float64(meshSize*meshSize))
 					}
-					cp, err := NewCentralized(deps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					driveSequence(t, deps, cp, newRefEngineControl(t, deps), 40, int64(meshSize)*17+int64(len(alg.Name())))
+					driveSequence(t, deps, newDefaultPlane(t, deps), newRefEngineControl(t, deps), 40, int64(meshSize)*17+int64(len(alg.Name())))
 				})
 			}
 		}
+	}
+}
+
+// TestCentralizedKillWindow pins the default plane through a FaultRegion(0)
+// window. Inside the window it reports nothing and keeps serving the
+// pre-window tables; after the restore it matches the reference driven only
+// on the served frames, so the first served frame catches up in one recompute
+// and reports the deadlock a node raised mid-window. With finite controllers
+// the pool rests through the window: it spends no energy and its batteries
+// recover, ending above the reference's, which never saw the window frames.
+func TestCentralizedKillWindow(t *testing.T) {
+	const winOpen, winClose, frames = 6, 12, 20
+	for _, finite := range []bool{false, true} {
+		t.Run(fmt.Sprintf("finite=%v", finite), func(t *testing.T) {
+			deps := testDeps(4, routing.NewEAR())
+			deps.Controllers = 2
+			if finite {
+				// Thin-film cells show the rest as a voltage recovery; on the
+				// 4x4 mesh they outlive the sequence.
+				deps.ControllerBattery = battery.DefaultThinFilmFactory()
+			}
+			cp := newDefaultPlane(t, deps)
+			ref := newRefEngineControl(t, deps)
+			snap := fullState(deps.Graph, 8)
+			stuck := topology.NodeID(7)
+			for frame := int64(1); frame <= frames; frame++ {
+				st := &snap.Status[int(frame*5)%len(snap.Status)]
+				if st.BatteryLevel > 0 {
+					st.BatteryLevel--
+				}
+				switch frame {
+				case winOpen:
+					cp.FaultRegion(0, true)
+				case winOpen + 2:
+					snap.Status[stuck].Deadlocked = true
+				case winClose:
+					cp.FaultRegion(0, false)
+				}
+				consumed := cp.ShardConsumedPJ(0)
+				rep := cp.Frame(frame, aliveCount(snap), snap)
+				if frame >= winOpen && frame < winClose {
+					compareReports(t, frame, rep, FrameReport{})
+					compareTables(t, frame, deps, cp, ref.tables)
+					if got := cp.ShardConsumedPJ(0); got != consumed {
+						t.Fatalf("frame %d: pool consumed %g pJ inside the kill window", frame, got-consumed)
+					}
+					continue
+				}
+				compareReports(t, frame, rep, ref.frame(aliveCount(snap), snap.Clone()))
+				if rep.ControllersDead {
+					t.Fatalf("frame %d: controller pool died inside the sequence", frame)
+				}
+				compareTables(t, frame, deps, cp, ref.tables)
+				if frame == winClose && rep.NewDeadlockReports != 1 {
+					t.Fatalf("restore frame reported %d deadlocks, want the 1 raised mid-window", rep.NewDeadlockReports)
+				}
+			}
+			if got, want := cp.ShardConsumedPJ(0), ref.pool.ConsumedPJ(); got != want {
+				t.Fatalf("pool consumed %g pJ, reference %g", got, want)
+			}
+			if !finite {
+				return
+			}
+			planeCtrls := cp.(*Sharded).Regions().Pool(0).Controllers()
+			for i, refCtrl := range ref.pool.Controllers() {
+				got, want := planeCtrls[i].Battery, refCtrl.Battery
+				if got.Voltage() <= want.Voltage() {
+					t.Fatalf("controller %d at %.9f V did not rest through the window (reference %.9f V)", i, got.Voltage(), want.Voltage())
+				}
+			}
+		})
 	}
 }
 
@@ -217,23 +290,12 @@ func TestCentralizedMatchesEngineReference(t *testing.T) {
 // the pool error path does.
 func TestCentralizedInfinitePoolNeverDies(t *testing.T) {
 	deps := testDeps(4, routing.NewEAR())
-	cp, err := NewCentralized(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Double-buffered snapshots, per the FrameReport.RetainedSnapshot contract.
-	master := fullState(deps.Graph, 8)
-	snaps := [2]*routing.SystemState{fullState(deps.Graph, 8), fullState(deps.Graph, 8)}
-	flip := 0
+	cp := newDefaultPlane(t, deps)
+	snap := fullState(deps.Graph, 8)
 	for frame := int64(1); frame <= 200; frame++ {
 		// Force a recompute (and its higher energy draw) every frame.
-		master.Status[int(frame)%len(master.Status)].BatteryLevel ^= 1
-		cur := snaps[flip]
-		copy(cur.Status, master.Status)
-		rep := cp.Frame(frame, aliveCount(cur), cur)
-		if rep.RetainedSnapshot {
-			flip ^= 1
-		}
+		snap.Status[int(frame)%len(snap.Status)].BatteryLevel ^= 1
+		rep := cp.Frame(frame, aliveCount(snap), snap)
 		if rep.ControllersDead {
 			t.Fatalf("frame %d: infinite-energy pool reported dead", frame)
 		}

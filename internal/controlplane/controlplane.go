@@ -7,20 +7,19 @@
 // tables each node downloads, and accounts the controller-side energy and
 // liveness (finite controller batteries, Sec 7.3).
 //
-// Two implementations ship:
+// One implementation ships: Sharded partitions the mesh into contiguous
+// regions, each owned by a regional controller with its own workspace,
+// redundant-controller pool and finite batteries. A region recomputes only
+// when the state it can see changed: its own shard's reports are fresh every
+// frame, while the other regions' battery summaries arrive only every
+// StalenessFrames frames. Individual regions can exhaust their batteries and
+// die while the rest of the fabric keeps routing on the survivors' tables.
 //
-//   - Centralized is the paper's single (optionally redundant) central
-//     controller: one global snapshot, one recompute decision, one table set.
-//     It is a behaviour-preserving extraction of the pre-refactor engine
-//     logic and is pinned to it by an equivalence suite.
-//
-//   - Sharded partitions the mesh into contiguous regions, each owned by a
-//     regional controller with its own workspace, redundant-controller pool
-//     and finite batteries. A region recomputes only when the state it can
-//     see changed: its own shard's reports are fresh every frame, while the
-//     other regions' battery summaries arrive only every StalenessFrames
-//     frames. Individual regions can exhaust their batteries and die while
-//     the rest of the fabric keeps routing on the survivors' tables.
+// The paper's single (optionally redundant) central controller is the
+// one-region, exchange-every-frame configuration of that plane: one global
+// snapshot, one recompute decision, one table set. New builds it for
+// KindCentralized under the name "centralized", and an equivalence suite pins
+// it to a transcription of the original in-engine controller logic.
 //
 // Determinism contract: a ControlPlane must be a pure function of the frame
 // index and the reported state — no clocks, no randomness, no dependence on
@@ -98,7 +97,7 @@ func ParseRecompute(name string) (routing.RecomputeMode, error) {
 // Config selects and parameterises a control-plane implementation. The zero
 // value selects the centralized controller of the paper.
 type Config struct {
-	// Kind is the implementation ("" = KindCentralized).
+	// Kind is the controller architecture ("" = KindCentralized).
 	Kind Kind
 	// Shards is the number of regional controllers (KindSharded only;
 	// 0 = DefaultShards).
@@ -132,36 +131,39 @@ func (c Config) ShardCount() int {
 
 // Validate checks the configuration against a k-node platform.
 func (c Config) Validate(k int) error {
+	_, err := c.validate(k)
+	return err
+}
+
+// validate is Validate returning the parsed recompute strategy.
+func (c Config) validate(k int) (routing.RecomputeMode, error) {
 	if _, err := ParseKind(string(c.Kind)); err != nil {
-		return err
+		return 0, err
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("controlplane: shard count must be non-negative, got %d", c.Shards)
+		return 0, fmt.Errorf("controlplane: shard count must be non-negative, got %d", c.Shards)
 	}
 	if c.StalenessFrames < 0 {
-		return fmt.Errorf("controlplane: staleness bound must be non-negative, got %d frames", c.StalenessFrames)
+		return 0, fmt.Errorf("controlplane: staleness bound must be non-negative, got %d frames", c.StalenessFrames)
 	}
-	if _, err := ParseRecompute(c.Recompute); err != nil {
-		return err
+	mode, err := ParseRecompute(c.Recompute)
+	if err != nil {
+		return 0, err
 	}
 	switch c.Kind {
 	case "", KindCentralized:
 		if c.Shards > 1 {
-			return fmt.Errorf("controlplane: %d shards require the sharded control plane", c.Shards)
+			return 0, fmt.Errorf("controlplane: %d shards require the sharded control plane", c.Shards)
 		}
 		if c.StalenessFrames > 1 {
-			return fmt.Errorf("controlplane: a staleness bound of %d frames requires the sharded control plane", c.StalenessFrames)
+			return 0, fmt.Errorf("controlplane: a staleness bound of %d frames requires the sharded control plane", c.StalenessFrames)
 		}
 	case KindSharded:
-		shards := c.Shards
-		if shards == 0 {
-			shards = DefaultShards
-		}
-		if k > 0 && shards > k {
-			return fmt.Errorf("controlplane: %d shards exceed the %d-node platform", shards, k)
+		if shards := c.ShardCount(); k > 0 && shards > k {
+			return 0, fmt.Errorf("controlplane: %d shards exceed the %d-node platform", shards, k)
 		}
 	}
-	return nil
+	return mode, nil
 }
 
 // Deps carries everything a control plane needs from the platform: the
@@ -172,8 +174,8 @@ type Deps struct {
 	Algorithm    routing.Algorithm
 	Destinations map[app.ModuleID][]topology.NodeID
 	TDMA         tdma.Params
-	// Controllers is the number of redundant controllers per pool: the whole
-	// pool for Centralized, per regional pool for Sharded.
+	// Controllers is the number of redundant controllers per regional pool
+	// (the whole pool for the one-region centralized plane).
 	Controllers int
 	// ControllerPower characterises each controller's dynamic/leakage power.
 	ControllerPower energy.Controller
@@ -200,11 +202,6 @@ type FrameReport struct {
 	// ShardRecomputes is the number of regional recomputations this frame
 	// (1 for a centralized recompute).
 	ShardRecomputes int
-	// RetainedSnapshot is true when the control plane retained the snapshot
-	// pointer as its new reference state; the engine must hand a different
-	// buffer to the next Frame call and keep this one intact until the next
-	// retaining frame.
-	RetainedSnapshot bool
 	// Adopted is the number of nodes currently served by a region other than
 	// their home region — orphans adopted after a fault killed their
 	// controller (sharded plane only; always 0 while no region is
@@ -243,23 +240,24 @@ type Failover struct {
 // Implementations must be deterministic: Frame must be a pure function of
 // (frame index, reported state) and the plane's own prior decisions.
 type ControlPlane interface {
-	// Name identifies the implementation ("centralized", "sharded").
+	// Name identifies the configured kind ("centralized", "sharded").
 	Name() string
 
 	// Frame runs the controller side of one TDMA frame: adopt the snapshot,
 	// decide recompute, rebuild tables, account energy and liveness.
 	// aliveNodes is the number of nodes that survived the upload phase;
-	// snapshot is the engine-owned status report (see
-	// FrameReport.RetainedSnapshot for the buffer-retention contract).
+	// snapshot is the engine-owned status report, which the plane reads
+	// during the call and never retains, so the engine may refill the same
+	// buffer every frame.
 	Frame(frame int64, aliveNodes int, snapshot *routing.SystemState) FrameReport
 
 	// FaultRegion opens (down = true) or closes (down = false) a runtime
 	// fault window on region `shard`, injected by the engine's fault
-	// schedule. A fault-down region stops serving frames: the centralized
-	// plane (shard 0) freezes its last-known-good tables for the whole mesh,
-	// while the sharded plane hands the region's nodes to the nearest
-	// in-service region until the window closes. Distinct from battery
-	// death, which is permanent and never fails over.
+	// schedule. A fault-down region stops serving frames and its pool rests;
+	// its nodes are handed to the nearest in-service region until the window
+	// closes, or, when no region is in service (always, for the one-region
+	// centralized plane), keep routing on its last-known-good tables.
+	// Distinct from battery death, which is permanent and never fails over.
 	FaultRegion(shard int, down bool)
 
 	// Table returns the view of node's current routing table; ok is false
@@ -288,28 +286,22 @@ type ControlPlane interface {
 	RecomputeSplit() (full, incremental int)
 }
 
-// New builds the control plane selected by cfg.
+// New builds the control plane selected by cfg. Every kind is a Sharded
+// plane; KindCentralized is its one-region configuration (ShardCount is 1 and
+// the staleness bound defaults to one frame) and keeps the name
+// "centralized".
 func New(cfg Config, deps Deps) (ControlPlane, error) {
-	if err := cfg.Validate(deps.Graph.NodeCount()); err != nil {
-		return nil, err
-	}
-	mode, err := ParseRecompute(cfg.Recompute)
+	mode, err := cfg.validate(deps.Graph.NodeCount())
 	if err != nil {
 		return nil, err
 	}
 	deps.Recompute = mode
-	switch cfg.Kind {
-	case "", KindCentralized:
-		return NewCentralized(deps)
-	case KindSharded:
-		shards := cfg.ShardCount()
-		staleness := cfg.StalenessFrames
-		if staleness == 0 {
-			staleness = 1
-		}
-		return NewSharded(deps, shards, staleness)
-	default:
-		_, err := ParseKind(string(cfg.Kind))
+	s, err := NewSharded(deps, cfg.ShardCount(), max(cfg.StalenessFrames, 1))
+	if err != nil {
 		return nil, err
 	}
+	if cfg.Kind != KindSharded {
+		s.kind = KindCentralized
+	}
+	return s, nil
 }

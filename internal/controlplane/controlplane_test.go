@@ -111,16 +111,16 @@ func TestNewDispatchesAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cp.(*Centralized); !ok || cp.Name() != string(KindCentralized) || cp.Shards() != 1 {
-		t.Fatalf("zero config built %T (%s, %d shards), want Centralized", cp, cp.Name(), cp.Shards())
+	if cp.Name() != string(KindCentralized) || cp.Shards() != 1 {
+		t.Fatalf("zero config built %s with %d shards, want centralized with 1", cp.Name(), cp.Shards())
 	}
 	cp, err = New(Config{Kind: KindSharded}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh, ok := cp.(*Sharded)
-	if !ok || cp.Shards() != DefaultShards {
-		t.Fatalf("sharded zero config built %T with %d shards, want Sharded with %d", cp, cp.Shards(), DefaultShards)
+	if !ok || cp.Name() != string(KindSharded) || cp.Shards() != DefaultShards {
+		t.Fatalf("sharded zero config built %T (%s, %d shards), want sharded with %d", cp, cp.Name(), cp.Shards(), DefaultShards)
 	}
 	if sh.StalenessFrames() != 1 {
 		t.Fatalf("default staleness = %d frames, want 1", sh.StalenessFrames())

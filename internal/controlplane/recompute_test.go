@@ -57,14 +57,10 @@ func driveTrajectory(t *testing.T, cp ControlPlane, meshSize, frames int) ([]Fra
 	t.Helper()
 	deps := testDeps(meshSize, routing.NewEAR())
 	k := deps.Graph.NodeCount()
-	// Two snapshot buffers so adopted frames can retain one per the
-	// FrameReport.RetainedSnapshot contract.
-	snaps := [2]*routing.SystemState{fullState(deps.Graph, 8), fullState(deps.Graph, 8)}
-	cur := 0
+	snap := fullState(deps.Graph, 8)
 	reports := make([]FrameReport, 0, frames)
 	var hops []topology.NodeID
 	for f := 1; f <= frames; f++ {
-		snap := snaps[cur]
 		// Deterministic churn: drain a walking node every frame, kill one
 		// node a third of the way in, flip a deadlock bit periodically.
 		n := (f * 7) % k
@@ -79,11 +75,6 @@ func driveTrajectory(t *testing.T, cp ControlPlane, meshSize, frames int) ([]Fra
 		}
 		rep := cp.Frame(int64(f), aliveCount(snap), snap)
 		reports = append(reports, rep)
-		if rep.RetainedSnapshot {
-			next := cur ^ 1
-			copy(snaps[next].Status, snap.Status)
-			cur = next
-		}
 		for from := 0; from < k; from++ {
 			for dest := 0; dest < k; dest++ {
 				hops = append(hops, cp.NextHop(topology.NodeID(from), topology.NodeID(dest)))

@@ -43,10 +43,16 @@ type regionState struct {
 // dies freezes its tables: its nodes keep routing on the last downloaded
 // generation while the surviving regions continue to adapt.
 //
+// With one region and a staleness bound of one frame this is the paper's
+// central controller: the region hears every upload slot each frame, so it
+// recomputes exactly when the reported state changed, and a kill window
+// freezes the whole mesh on its last-known-good tables.
+//
 // The whole schedule is a pure function of (frame index, reported state), so
 // sharded sweeps remain byte-identical at every worker count.
 type Sharded struct {
 	deps      Deps
+	kind      Kind // reported by Name; New sets KindCentralized
 	staleness int
 	finite    bool
 
@@ -95,6 +101,7 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 	}
 	s := &Sharded{
 		deps:            deps,
+		kind:            KindSharded,
 		staleness:       staleness,
 		finite:          deps.ControllerBattery != nil,
 		regions:         regions,
@@ -126,7 +133,7 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 }
 
 // Name implements ControlPlane.
-func (s *Sharded) Name() string { return string(KindSharded) }
+func (s *Sharded) Name() string { return string(s.kind) }
 
 // Frame implements ControlPlane: one controller frame for every living
 // region, in shard order for determinism.
@@ -324,9 +331,8 @@ func (s *Sharded) regionChanged(sh *regionState, needLevels bool) bool {
 }
 
 // adoptView records the region's current view as its last-recomputed
-// reference, reusing the region-owned buffer. The sharded plane never retains
-// the engine's snapshot buffer, so it never sets
-// FrameReport.RetainedSnapshot.
+// reference, reusing the region-owned buffer; the engine's snapshot buffer is
+// never retained.
 func (s *Sharded) adoptView(sh *regionState) {
 	if sh.last.Status == nil {
 		sh.last = routing.SystemState{Graph: sh.view.Graph, Levels: sh.view.Levels}

@@ -44,64 +44,6 @@ func TestShardedPartitionCoversMesh(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardMatchesCentralized: with one shard and summary
-// exchange every frame, the sharded plane sees exactly what the centralized
-// one sees, so its frame reports and recompute schedule must coincide (only
-// RetainedSnapshot differs: the sharded plane copies instead of retaining the
-// engine buffer).
-func TestShardedSingleShardMatchesCentralized(t *testing.T) {
-	deps := testDeps(4, routing.NewEAR())
-	central, err := NewCentralized(deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewSharded(deps, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const levels = 8
-	snaps := [2]*routing.SystemState{fullState(deps.Graph, levels), fullState(deps.Graph, levels)}
-	master := fullState(deps.Graph, levels)
-	flip := 0
-	for frame := int64(1); frame <= 60; frame++ {
-		cur := snaps[flip]
-		copy(cur.Status, master.Status)
-		alive := aliveCount(cur)
-		cRep := central.Frame(frame, alive, cur)
-		sRep := sharded.Frame(frame, alive, cur)
-		if cRep.RetainedSnapshot {
-			flip ^= 1
-		}
-		cRep.RetainedSnapshot, sRep.RetainedSnapshot = false, false
-		if !reflect.DeepEqual(cRep, sRep) {
-			t.Fatalf("frame %d: sharded(1) report %+v, centralized %+v", frame, sRep, cRep)
-		}
-		k := deps.Graph.NodeCount()
-		for n := 0; n < k; n++ {
-			for d := 0; d < k; d++ {
-				from, dest := topology.NodeID(n), topology.NodeID(d)
-				if got, want := sharded.NextHop(from, dest), central.NextHop(from, dest); got != want {
-					t.Fatalf("frame %d: NextHop(%d,%d) = %d, want %d", frame, n, d, got, want)
-				}
-			}
-		}
-		// Drift one battery every third frame, kill a node every tenth.
-		if frame%3 == 0 {
-			st := &master.Status[int(frame)%len(master.Status)]
-			if st.BatteryLevel > 0 {
-				st.BatteryLevel--
-			}
-		}
-		if frame%10 == 0 {
-			master.Status[int(frame/2)%len(master.Status)].Alive = false
-		}
-	}
-	if central.RecomputeCount(0) != sharded.RecomputeCount(0) {
-		t.Fatalf("recompute counts diverged: centralized %d, sharded(1) %d",
-			central.RecomputeCount(0), sharded.RecomputeCount(0))
-	}
-}
-
 // TestShardedStalenessDefersRemoteVisibility: a change inside one shard is
 // acted on by its own region immediately, but by the other regions only at
 // the next summary-exchange frame.

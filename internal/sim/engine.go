@@ -89,14 +89,11 @@ type Simulator struct {
 	// plane is the control plane: everything between the upload and download
 	// phases of a TDMA frame (snapshot adoption, the recompute decision, table
 	// production, controller energy and liveness) lives behind this interface.
-	// The two snapshot buffers are alternated by buildSnapshot: when the plane
-	// reports FrameReport.RetainedSnapshot it kept the buffer it was just
-	// handed as its reference state, so the next frame's report goes into the
-	// other one and steady-state frames allocate nothing.
-	plane    controlplane.ControlPlane
-	snaps    [2]routing.SystemState
-	snapFlip int
-	blocked  []bool // per-node deadlock scratch for buildSnapshot
+	// buildSnapshot refills the one snapshot buffer every frame (the plane
+	// never retains it), so steady-state frames allocate nothing.
+	plane   controlplane.ControlPlane
+	snap    routing.SystemState
+	blocked []bool // per-node deadlock scratch for buildSnapshot
 
 	pipeline *aes.Pipeline
 	cipher   *aes.Cipher

@@ -106,11 +106,6 @@ func (s *Simulator) processFrame() {
 			From: f.From, To: f.To, Home: f.Home, Nodes: f.Nodes,
 		})
 	}
-	if rep.RetainedSnapshot {
-		// The plane retained the snapshot buffer just handed over as its
-		// reference state; the next frame's report goes into the other buffer.
-		s.snapFlip ^= 1
-	}
 	if rep.ControllersDead {
 		s.emitFrameProcessed(frame)
 		s.finish(DeathControllersDead)
@@ -135,12 +130,10 @@ func (s *Simulator) processFrame() {
 
 // buildSnapshot collects the per-node status reported during this frame's
 // upload phase, emitting one BatterySampled event per living node when
-// external observers are attached. The snapshot is written into the
-// simulator-owned buffer the control plane is not currently holding as its
-// reference state (processFrame flips the two when the plane reports the
-// snapshot adopted), so steady-state frames allocate nothing.
+// external observers are attached. The snapshot is written into the one
+// simulator-owned buffer, so steady-state frames allocate nothing.
 func (s *Simulator) buildSnapshot() *routing.SystemState {
-	snapshot := &s.snaps[s.snapFlip]
+	snapshot := &s.snap
 	snapshot.Graph = s.graph
 	snapshot.Levels = s.cfg.BatteryLevels
 	snapshot.TopologyEpoch = s.topoEpoch
