@@ -68,7 +68,7 @@ func main() {
 		return
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
@@ -80,6 +80,27 @@ func main() {
 	fmt.Fprintf(os.Stderr, "etserve: listening on %s\n", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
+	}
+}
+
+// Connection bounds for every server etserve starts. A client that opens a
+// connection must send its request headers within readHeaderTimeout, and a
+// keep-alive connection with no request in flight is closed after
+// idleTimeout. There is deliberately no write timeout: /simulate/stream
+// writes NDJSON progress for as long as the run takes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns an http.Server for h on addr with the connection
+// bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -124,7 +145,7 @@ func runLoadTest(srv *serve.Server, requests, clients int, outPath string) error
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer("", srv.Handler())
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

@@ -49,13 +49,17 @@ type DeltaStats struct {
 // Crossover fractions above which the incremental repair loses to the full
 // pass. An incremental repair costs roughly (diff + marking + adjacency +
 // rebuild) ≈ 4·K² plus one O(K²) pivot pass per dirty vertex plus the
-// affected re-labelling, while the full pass costs K pivot passes. Measured
-// with BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR,
-// single-CPU container): repair beats the 23.1 ms full pass at 3.5 ms for
-// one drained node (dirty 0.02·K, affected 0.11·K²) and breaks even around
-// sixteen simultaneously drained nodes — dirty ≈ 0.21·K, affected ≈
-// 0.73·K². The defaults sit just under that break-even; they are policy,
-// not correctness — any threshold yields byte-identical tables.
+// affected re-labelling (a heap-ordered Dijkstra per destination), while
+// the full pass costs K pivot passes. Measured with BenchmarkDeltaCrossover
+// on the 16x16 mesh (256 nodes, EAR, shared 2-CPU VM; median over eight
+// interleaved rounds of the repair's time over the full pass's, which took
+// 22-35 ms): one drained node repairs at 0.16x (dirty 0.02·K, affected
+// 0.14·K²), sixteen at 0.77x (dirty 0.21·K, affected 0.69·K²), and the
+// repair breaks even around thirty-two simultaneously drained nodes —
+// dirty ≈ 0.40·K, affected ≈ 0.88·K². The defaults sit below that
+// break-even. Raising them would move the full/incremental split that
+// sim.Result reports, so they stay; they are policy, not correctness — any
+// threshold yields byte-identical tables.
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60
@@ -120,11 +124,10 @@ type DeltaWorkspace struct {
 	mark      []uint64          // per vertex: epoch<<1 | affected bit
 	epoch     uint64            // current marking epoch
 	walk      []int             // successor-tree walk stack
-	aff       []int             // ascending affected sources, current dest
-	work      []int             // unsettled Dijkstra worklist
+	aff       []int             // affected sources, then their settle heap
+	pos       []int32           // per vertex: slot in the settle heap, or -1
 	label     []float64         // tentative clean-restricted distances
 	hop       []topology.NodeID // tentative canonical first hops
-	settled   []bool            // per vertex: popped for the current dest
 	adjOut    []int32           // concatenated out-neighbour lists
 	adjOutOff []int32           // k+1 offsets into adjOut
 	adjIn     []int32           // concatenated in-neighbour lists
@@ -288,9 +291,9 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 func (dw *DeltaWorkspace) grow(k int) {
 	if cap(dw.mark) >= k {
 		dw.mark = dw.mark[:k]
+		dw.pos = dw.pos[:k]
 		dw.label = dw.label[:k]
 		dw.hop = dw.hop[:k]
-		dw.settled = dw.settled[:k]
 		dw.adjOutOff = dw.adjOutOff[:k+1]
 		dw.adjInOff = dw.adjInOff[:k+1]
 		return
@@ -299,11 +302,14 @@ func (dw *DeltaWorkspace) grow(k int) {
 	dw.epoch = 0
 	dw.walk = make([]int, 0, k)
 	dw.aff = make([]int, 0, k)
-	dw.work = make([]int, 0, k)
 	dw.dirty = make([]int, 0, k)
+	// Every repairColumn drains its heap, so pos is all -1 between calls.
+	dw.pos = make([]int32, k)
+	for i := range dw.pos {
+		dw.pos[i] = -1
+	}
 	dw.label = make([]float64, k)
 	dw.hop = make([]topology.NodeID, k)
-	dw.settled = make([]bool, k)
 	dw.adjOutOff = make([]int32, k+1)
 	dw.adjInOff = make([]int32, k+1)
 }
@@ -336,8 +342,8 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	}
 	dw.adjOut = dw.adjOut[:edges]
 	dw.adjIn = dw.adjIn[:edges]
-	// In-cursor per vertex; dw.work is free at this point.
-	cur := dw.work[:0]
+	// In-cursor per vertex; dw.aff is free at this point.
+	cur := dw.aff[:0]
 	for j := 0; j < k; j++ {
 		cur = append(cur, int(dw.adjInOff[j]))
 	}
@@ -447,19 +453,21 @@ func (dw *DeltaWorkspace) markAffected(j, k int) int {
 // vertex once that vertex settles. Dirty vertices may start or end a path
 // but never extend one — the subsequent pivot passes own every route
 // through them. Settling order is smallest label, ties to the smallest
-// vertex id, so the first hops written are the canonical minima.
-// markAffected must have run for j in the current epoch.
+// vertex id, so the first hops written are the canonical minima. The
+// unsettled sources sit in an indexed binary min-heap on that same strict
+// (label, id) order; labels only decrease, so each pop is the (label, id)
+// minimum of the unsettled set. markAffected must have run for j in the
+// current epoch.
 func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
-	mark, label, hop := dw.mark, dw.label, dw.hop
-	aff := dw.aff[:0]
+	mark, pos, label, hop := dw.mark, dw.pos, dw.label, dw.hop
+	heap := dw.aff[:0]
 	for i := 0; i < k; i++ {
 		if i != j && mark[i]&1 == 1 {
-			aff = append(aff, i)
+			heap = append(heap, i)
 		}
 	}
 	dist, succ := &dw.sp.dist, dw.sp.succ
-	for _, i := range aff {
-		dw.settled[i] = false
+	for _, i := range heap {
 		row := w.Row(i)
 		best, bh := Inf, topology.Invalid
 		for _, h32 := range dw.adjOut[dw.adjOutOff[i]:dw.adjOutOff[i+1]] {
@@ -484,19 +492,10 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 		}
 		label[i], hop[i] = best, bh
 	}
-	work := append(dw.work[:0], aff...)
-	for len(work) > 0 {
-		bi := 0
-		for x := 1; x < len(work); x++ {
-			u, b := work[x], work[bi]
-			if label[u] < label[b] || (label[u] == label[b] && u < b) {
-				bi = x
-			}
-		}
-		v := work[bi]
-		work[bi] = work[len(work)-1]
-		work = work[:len(work)-1]
-		dw.settled[v] = true
+	heapInit(heap, pos, label)
+	for len(heap) > 0 {
+		var v int
+		v, heap = heapPop(heap, pos, label)
 		lv := label[v]
 		if lv == Inf {
 			// No clean-restricted route: reset to unreachable and let
@@ -511,19 +510,86 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 			continue
 		}
 		for _, u32 := range dw.adjIn[dw.adjInOff[v]:dw.adjInOff[v+1]] {
-			u := int(u32)
-			// Only unsettled affected sources carry labels; mark[j] and
-			// settled[j] can be stale, so the destination is skipped
-			// explicitly.
-			if u == j || mark[u]&1 == 0 || dw.settled[u] {
+			// Only unsettled affected sources carry labels, and exactly
+			// those are in the heap.
+			x := pos[u32]
+			if x < 0 {
 				continue
 			}
+			u := int(u32)
 			cand := w.At(u, v) + lv
 			if cand < label[u] {
 				label[u], hop[u] = cand, topology.NodeID(v)
+				siftUp(heap, pos, label, int(x))
 			} else if cand == label[u] && topology.NodeID(v) < hop[u] {
 				hop[u] = topology.NodeID(v)
 			}
 		}
 	}
+}
+
+// heapLess is the settle order: smaller label first, ties to the smaller
+// vertex id. It is strict and total, so the heap's minimum is unique.
+func heapLess(label []float64, a, b int) bool {
+	return label[a] < label[b] || (label[a] == label[b] && a < b)
+}
+
+// heapInit records every vertex's slot in pos and heap-orders the slice.
+func heapInit(heap []int, pos []int32, label []float64) {
+	for x, v := range heap {
+		pos[v] = int32(x)
+	}
+	for x := len(heap)/2 - 1; x >= 0; x-- {
+		siftDown(heap, pos, label, x)
+	}
+}
+
+// heapPop removes the minimum, marks it absent in pos, and returns it with
+// the shrunk heap.
+func heapPop(heap []int, pos []int32, label []float64) (int, []int) {
+	v := heap[0]
+	pos[v] = -1
+	last := len(heap) - 1
+	heap[0] = heap[last]
+	heap = heap[:last]
+	if last > 0 {
+		siftDown(heap, pos, label, 0)
+	}
+	return v, heap
+}
+
+// siftUp restores the heap order after the label of heap[x] decreased.
+func siftUp(heap []int, pos []int32, label []float64, x int) {
+	v := heap[x]
+	for x > 0 {
+		p := (x - 1) / 2
+		u := heap[p]
+		if !heapLess(label, v, u) {
+			break
+		}
+		heap[x], pos[u] = u, int32(x)
+		x = p
+	}
+	heap[x], pos[v] = v, int32(x)
+}
+
+// siftDown restores the heap order below slot x.
+func siftDown(heap []int, pos []int32, label []float64, x int) {
+	v := heap[x]
+	for {
+		c := 2*x + 1
+		if c >= len(heap) {
+			break
+		}
+		if r := c + 1; r < len(heap) && heapLess(label, heap[r], heap[c]) {
+			c = r
+		}
+		u := heap[c]
+		if !heapLess(label, u, v) {
+			break
+		}
+		heap[x], pos[u] = u, int32(x)
+		x = c
+	}
+	heap[x], pos[v] = v, int32(x)
 }

@@ -249,6 +249,136 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 	}
 }
 
+// TestDeltaRepairTieHeavy drives the repair where equal labels are
+// everywhere: a mesh whose links all weigh 1.0, with 1-8 edges per step
+// moved by ±1/8 (dyadic, so path sums stay exact), often around one vertex
+// and its neighbours so that settling vertices keep lowering the labels of
+// their unsettled in-neighbours. Every step must match the full pass byte
+// for byte, and every step after the first must be repaired.
+func TestDeltaRepairTieHeavy(t *testing.T) {
+	for _, tc := range []struct{ meshSize, steps int }{{12, 32}, {16, 12}} {
+		t.Run(fmt.Sprintf("%dx%d", tc.meshSize, tc.meshSize), func(t *testing.T) {
+			mesh := topology.MustMesh(tc.meshSize, tc.meshSize, topology.DefaultSpacingCM)
+			g := mesh.Graph
+			k := g.NodeCount()
+			w := NewMatrix(k)
+			links := g.Links()
+			for _, l := range links {
+				w.Set(int(l.From), int(l.To), 1)
+			}
+			rng := rand.New(rand.NewSource(int64(k)))
+			nudge := func(from, to topology.NodeID) {
+				v := w.At(int(from), int(to))
+				if v <= 0.75 || (v < 1.25 && rng.Intn(2) == 0) {
+					v += 0.125
+				} else {
+					v -= 0.125
+				}
+				w.Set(int(from), int(to), v)
+			}
+			var alg Algorithm = matrixAlg{m: &w}
+			state := fullState(g, 8)
+			dests := checkerboardDests(g)
+
+			dw := NewDeltaWorkspace()
+			dw.SetCrossover(1, 1)
+			ws := NewWorkspace()
+			var dPrev, fPrev *Tables
+			for step := 0; step < tc.steps; step++ {
+				if step > 0 {
+					moves := 1 + rng.Intn(8)
+					if step%2 == 0 {
+						// Adjacent vertices: a walk, each moved link
+						// leaving the vertex the previous one entered.
+						v := topology.NodeID(rng.Intn(k))
+						for m := 0; m < moves; m++ {
+							out := g.OutLinks(v)
+							l := out[rng.Intn(len(out))]
+							nudge(l.From, l.To)
+							v = l.To
+						}
+					} else {
+						for m := 0; m < moves; m++ {
+							l := links[rng.Intn(len(links))]
+							nudge(l.From, l.To)
+						}
+					}
+				}
+				before := dw.Stats().Incremental
+				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
+				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+				assertPlansIdentical(t, dPlan, fPlan)
+				dPrev, fPrev = dPlan.Tables, fPlan.Tables
+				if step > 0 && dw.Stats().Incremental != before+1 {
+					t.Fatalf("step %d was not repaired: %+v", step, dw.Stats())
+				}
+			}
+			if s := dw.Stats(); s.DirtyVertices == 0 || s.AffectedPairs == 0 {
+				t.Fatalf("repairs never touched a dirty vertex: %+v", s)
+			}
+		})
+	}
+}
+
+// TestSettleHeapPopOrder pins the settle heap to the linear scan it
+// replaced: with heavily tied labels and random decrease-keys between pops,
+// every pop must be the (label, id) minimum of the unsettled set. With
+// strictly positive weights, equal-label vertices never relax each other,
+// so the repaired matrices cannot show the order among ties; this test is
+// what holds the id tie-break.
+func TestSettleHeapPopOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const k = 64
+	label := make([]float64, k)
+	pos := make([]int32, k)
+	for round := 0; round < 200; round++ {
+		for i := range pos {
+			pos[i] = -1
+		}
+		var heap, scan []int
+		for v := 0; v < k; v++ {
+			if rng.Intn(3) > 0 {
+				label[v] = float64(rng.Intn(6))
+				if rng.Intn(8) == 0 {
+					label[v] = Inf
+				}
+				heap = append(heap, v)
+				scan = append(scan, v)
+			}
+		}
+		heapInit(heap, pos, label)
+		for len(heap) > 0 {
+			bi := 0
+			for x := 1; x < len(scan); x++ {
+				u, b := scan[x], scan[bi]
+				if label[u] < label[b] || (label[u] == label[b] && u < b) {
+					bi = x
+				}
+			}
+			want := scan[bi]
+			scan[bi] = scan[len(scan)-1]
+			scan = scan[:len(scan)-1]
+
+			var v int
+			v, heap = heapPop(heap, pos, label)
+			if v != want {
+				t.Fatalf("round %d: heap popped %d (label %g), scan picks %d (label %g)", round, v, label[v], want, label[want])
+			}
+			if pos[v] != -1 {
+				t.Fatalf("round %d: popped vertex %d still has slot %d", round, v, pos[v])
+			}
+			// Lower a few remaining labels, often onto an existing tie.
+			for d := 0; d < rng.Intn(4) && len(scan) > 0; d++ {
+				u := scan[rng.Intn(len(scan))]
+				if nl := label[v] + float64(rng.Intn(3)); nl < label[u] {
+					label[u] = nl
+					siftUp(heap, pos, label, int(pos[u]))
+				}
+			}
+		}
+	}
+}
+
 // TestDeltaCrossoverPolicy pins the fallback triggers: an unchanged
 // snapshot repairs for free, a forced-full mode never repairs, a tiny
 // crossover rejects even a single dirty vertex, and a permissive crossover
@@ -406,7 +536,7 @@ func BenchmarkDeltaCrossover(b *testing.B) {
 		}
 	}
 	b.Run("full", func(b *testing.B) { run(b, 1, RecomputeFull) })
-	for _, drained := range []int{1, 2, 4, 8, 16, 32, 51} {
+	for _, drained := range []int{1, 2, 4, 8, 16, 24, 32, 51} {
 		b.Run(fmt.Sprintf("repair/drained-%d", drained), func(b *testing.B) {
 			run(b, drained, RecomputeIncremental)
 		})

@@ -69,29 +69,32 @@ func (sp *ShortestPaths) pivotPass(n int) {
 	k := sp.n
 	// Row n is never written while pivoting on n (the j == n and i == n
 	// cases are skipped), so hoisting the row slices out of the inner
-	// loop preserves the exact reference arithmetic.
-	distN := sp.dist.Row(n)
+	// loop preserves the exact reference arithmetic. Every row is resliced
+	// to length k and the inner loop ranges over distI, which lets the
+	// compiler drop the bounds checks inside it.
+	distN := sp.dist.Row(n)[:k]
 	for i := 0; i < k; i++ {
 		if i == n {
 			continue
 		}
-		distI := sp.dist.Row(i)
+		distI := sp.dist.Row(i)[:k]
 		din := distI[n]
 		if din == Inf {
 			continue
 		}
-		succI := sp.succ[i*k : (i+1)*k]
+		succI := sp.succ[i*k : (i+1)*k][:k]
 		sin := succI[n]
-		for j := 0; j < k; j++ {
-			if j == n || j == i || distN[j] == Inf {
+		for j, dij := range distI {
+			dnj := distN[j]
+			if j == n || j == i || dnj == Inf {
 				continue
 			}
-			through := din + distN[j]
+			through := din + dnj
 			switch {
-			case through < distI[j]:
+			case through < dij:
 				distI[j] = through
 				succI[j] = sin
-			case through == distI[j] && sin != topology.Invalid &&
+			case through == dij && sin != topology.Invalid &&
 				(succI[j] == topology.Invalid || sin < succI[j]):
 				succI[j] = sin
 			}
