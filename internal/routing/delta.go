@@ -38,28 +38,34 @@ type DeltaStats struct {
 	Full int
 	// Incremental counts recomputations repaired from the dirty set.
 	Incremental int
-	// DirtyVertices is the cumulative number of dirty vertices across all
-	// incremental repairs.
+	// DirtyVertices is the cumulative size of the policy set (both
+	// endpoints of every changed edge) across all incremental repairs.
 	DirtyVertices int
 	// AffectedPairs is the cumulative number of (source, destination)
-	// pairs whose labels were recomputed across all incremental repairs.
+	// pairs whose previous path touched the policy set, across all
+	// incremental repairs; it is the volume the crossover judges.
 	AffectedPairs int
+	// Pivots is the cumulative number of Floyd–Warshall pivot passes the
+	// incremental repairs ran: one per head of a changed edge.
+	Pivots int
 }
 
-// Crossover fractions above which the incremental repair loses to the full
-// pass. An incremental repair costs roughly (diff + marking + adjacency +
-// rebuild) ≈ 4·K² plus one O(K²) pivot pass per dirty vertex plus the
+// Crossover fractions of the policy set above which the workspace takes the
+// full pass. An incremental repair costs roughly (diff + marking +
+// adjacency + rebuild) ≈ 4·K² plus one O(K²) pivot pass per head plus the
 // affected re-labelling (a heap-ordered Dijkstra per destination), while
 // the full pass costs K pivot passes. Measured with BenchmarkDeltaCrossover
 // on the 16x16 mesh (256 nodes, EAR, shared 2-CPU VM; median over eight
 // interleaved rounds of the repair's time over the full pass's, which took
-// 22-35 ms): one drained node repairs at 0.16x (dirty 0.02·K, affected
-// 0.14·K²), sixteen at 0.77x (dirty 0.21·K, affected 0.69·K²), and the
-// repair breaks even around thirty-two simultaneously drained nodes —
-// dirty ≈ 0.40·K, affected ≈ 0.88·K². The defaults sit below that
-// break-even. Raising them would move the full/incremental split that
-// sim.Result reports, so they stay; they are policy, not correctness — any
-// threshold yields byte-identical tables.
+// 18-28 ms): one drained node repairs at 0.14x (dirty 0.02·K, affected
+// 0.11·K²), sixteen at 0.65x (dirty 0.21·K, affected 0.70·K²), fifty-one
+// at 0.82x (dirty 0.59·K, affected 0.99·K²), and the repair breaks even
+// between eighty drained nodes (0.91x, dirty 0.71·K) and ninety-six
+// (1.08x, dirty 0.77·K) — dirty ≈ 0.74·K, with affected ≈ 0.99·K², where
+// the affected threshold can no longer tell the cases apart. The defaults
+// sit far below that break-even. Raising them would move the
+// full/incremental split that sim.Result reports, so they stay; they are
+// policy, not correctness — any threshold yields byte-identical tables.
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60
@@ -67,20 +73,32 @@ const (
 
 // DeltaWorkspace is a Workspace variant whose phase 2 is a dynamic all-pairs
 // shortest-path computation: it keeps the previous weight matrix, diffs the
-// new weights against it into a dirty vertex set (a vertex is dirty when any
-// edge incident to it changed weight, appeared, or disappeared), and when
-// the dirty set is small repairs the flat dist/succ arrays in place —
-// Ramalingam–Reps-style, specialized to the dense representation — instead
-// of rerunning the full O(K³) Floyd–Warshall pass:
+// new weights against it, and when the change is small repairs the flat
+// dist/succ arrays in place — Ramalingam–Reps-style, specialized to the
+// dense representation — instead of rerunning the full O(K³)
+// Floyd–Warshall pass. The diff yields two vertex sets:
+//
+//   - the policy set, both endpoints of every edge that changed weight,
+//     appeared or disappeared. It alone decides whether to repair (the
+//     crossover thresholds below) and feeds DirtyVertices/AffectedPairs, so
+//     the full/incremental split does not depend on how the repair works;
+//   - the pivot set, only the head j of every changed edge w[i][j]. It is a
+//     vertex cover of the changed edges, so a path none of whose vertices
+//     after the source is in it uses only unchanged edges. EAR weighs an
+//     edge by its destination's battery, so one battery crossing puts just
+//     the crossing node here, against ~5 vertices in the policy set.
+//
+// The repair then runs:
 //
 //  1. Mark, per destination j, every source i whose previous canonical path
-//     to j touches a dirty vertex (one memoized walk of the old successor
+//     to j touches the pivot set (one memoized walk of the old successor
 //     tree per destination, O(K) amortized).
 //  2. Re-label the affected pairs of each destination with a Dijkstra pass
-//     restricted to clean intermediates, seeded from still-exact clean-pair
-//     distances (deterministic smallest-label/smallest-id settling order).
-//  3. Run the shared Floyd–Warshall pivot pass once per dirty vertex, in
-//     ascending vertex order, over the whole matrix.
+//     whose intermediates avoid the pivot set, seeded from still-exact
+//     clean-pair distances (deterministic smallest-label/smallest-id
+//     settling order).
+//  3. Run the shared Floyd–Warshall pivot pass once per pivot-set vertex,
+//     in ascending vertex order, over the whole matrix.
 //
 // Because the repaired matrices reach the same canonical fixpoint as the
 // full pass — true shortest distances, and for every pair the minimum first
@@ -88,12 +106,13 @@ const (
 // Workspace.ComputeInto whenever edge-weight sums carry no rounding (the
 // repo's calibrations use dyadic lengths and penalties, so they are exact;
 // see DESIGN.md, "Performance architecture"). The repair costs
-// O(K² + |dirty|·K² + Σ|affected|·K) against the full pass's O(K³).
+// O(K² + |heads|·K² + Σ|affected|·K) against the full pass's O(K³).
 //
 // The workspace falls back to the full pass automatically when there is no
 // previous computation, the node count changed, any node's liveness flag
 // changed (death and revival invalidate reachability wholesale), or the
-// dirty/affected volume exceeds the measured crossover thresholds.
+// policy set's dirty/affected volume exceeds the measured crossover
+// thresholds.
 //
 // The ComputeInto contract — ping-ponged table buffers, Plan lifetimes, and
 // zero steady-state heap allocations — is identical to Workspace; a
@@ -119,8 +138,10 @@ type DeltaWorkspace struct {
 	// Repair scratch, sized once per dimension and reused (zero-alloc for
 	// a fixed topology; the adjacency arrays regrow only when the edge
 	// count does).
-	dirtyMark []bool            // per vertex: incident edge changed
-	dirty     []int             // ascending dirty vertex list
+	dirtyMark []bool            // per vertex: incident edge changed (policy set)
+	dirty     []int             // ascending policy set
+	headMark  []bool            // per vertex: an in-edge changed (pivot set)
+	heads     []int             // ascending pivot set
 	mark      []uint64          // per vertex: epoch<<1 | affected bit
 	epoch     uint64            // current marking epoch
 	walk      []int             // successor-tree walk stack
@@ -260,7 +281,7 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	budget := int(dw.affectedCrossover * float64(k) * float64(k))
 	total := 0
 	for j := 0; j < k; j++ {
-		total += dw.markAffected(j, k)
+		total += dw.markAffected(j, k, dw.dirtyMark)
 		if total > budget {
 			return false
 		}
@@ -273,17 +294,18 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	// of scanning whole matrix rows.
 	dw.buildAdjacency(newW, k)
 
-	// Second pass: re-mark (the memo is epoch-scoped) and re-label each
-	// destination column, then restore the fixpoint with one pivot pass
-	// per dirty vertex in ascending order.
+	// Second pass: re-mark against the pivot set (the memo is
+	// epoch-scoped) and re-label each destination column, then restore the
+	// fixpoint with one pivot pass per head in ascending order.
 	for j := 0; j < k; j++ {
-		if dw.markAffected(j, k) > 0 {
+		if dw.markAffected(j, k, dw.headMark) > 0 {
 			dw.repairColumn(j, k, newW)
 		}
 	}
-	for _, v := range dw.dirty {
+	for _, v := range dw.heads {
 		dw.sp.pivotPass(v)
 	}
+	dw.stats.Pivots += len(dw.heads)
 	return true
 }
 
@@ -303,6 +325,7 @@ func (dw *DeltaWorkspace) grow(k int) {
 	dw.walk = make([]int, 0, k)
 	dw.aff = make([]int, 0, k)
 	dw.dirty = make([]int, 0, k)
+	dw.heads = make([]int, 0, k)
 	// Every repairColumn drains its heap, so pos is all -1 between calls.
 	dw.pos = make([]int32, k)
 	for i := range dw.pos {
@@ -363,22 +386,28 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	dw.adjOutOff[k] = int32(n)
 }
 
-// diffDirty compares the new and previous weight matrices and collects the
-// dirty vertices — both endpoints of every changed edge — in ascending
-// order. It returns false when the dirty fraction exceeds the crossover.
+// diffDirty compares the new and previous weight matrices and collects, in
+// ascending order, the policy set — both endpoints of every changed edge —
+// and the pivot set — the head j of every changed edge w[i][j]. It returns
+// false when the policy set's fraction exceeds the crossover.
 func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 	dw.dirtyMark = resizeBools(dw.dirtyMark, k)
+	dw.headMark = resizeBools(dw.headMark, k)
 	for i := 0; i < k; i++ {
 		a, b := newW.Row(i), oldW.Row(i)
 		for j := 0; j < k; j++ {
 			if a[j] != b[j] {
 				dw.dirtyMark[i] = true
-				dw.dirtyMark[j] = true
+				dw.headMark[j] = true
 			}
 		}
 	}
-	dw.dirty = dw.dirty[:0]
+	dw.dirty, dw.heads = dw.dirty[:0], dw.heads[:0]
 	for i := 0; i < k; i++ {
+		if dw.headMark[i] {
+			dw.heads = append(dw.heads, i)
+			dw.dirtyMark[i] = true
+		}
 		if dw.dirtyMark[i] {
 			dw.dirty = append(dw.dirty, i)
 		}
@@ -387,16 +416,17 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 }
 
 // markAffected walks the old successor trees towards destination j and
-// labels every source whose previous canonical path to j touches a dirty
-// vertex (endpoints included). It returns the number of affected sources.
-// The labels live in dw.mark, scoped to a fresh epoch per call; every
-// vertex other than j is labelled on return.
-func (dw *DeltaWorkspace) markAffected(j, k int) int {
+// labels every source whose previous canonical path to j touches a vertex
+// of set (endpoints included): the policy set when measuring the
+// affected volume, the pivot set when repairing. It returns the number of
+// affected sources. The labels live in dw.mark, scoped to a fresh epoch per
+// call; every vertex other than j is labelled on return.
+func (dw *DeltaWorkspace) markAffected(j, k int, set []bool) int {
 	dw.epoch++
 	e := dw.epoch << 1
 	mark := dw.mark
-	if dw.dirtyMark[j] {
-		// Every path into a dirty destination touches it.
+	if set[j] {
+		// Every path into a marked destination touches it.
 		for i := 0; i < k; i++ {
 			mark[i] = e | 1
 		}
@@ -415,15 +445,16 @@ func (dw *DeltaWorkspace) markAffected(j, k int) int {
 				verdict = mark[v] & 1
 				break
 			}
-			if dw.dirtyMark[v] {
+			if set[v] {
 				mark[v] = e | 1
 				verdict = 1
 				break
 			}
 			s := succ[v*k+j]
-			// Unreachable pairs stay clean: with strictly positive
-			// weights any newly appearing path must cross a dirty
-			// vertex, which the pivot passes discover.
+			// Unreachable pairs stay clean: any newly appearing path
+			// uses a changed edge and so runs into its head — the
+			// destination (all marked above) or an intermediate the
+			// pivot passes discover.
 			if s == topology.Invalid || int(s) == j {
 				mark[v] = e
 				verdict = 0
@@ -449,15 +480,17 @@ func (dw *DeltaWorkspace) markAffected(j, k int) int {
 // repairColumn re-labels the affected sources of destination j with a
 // Dijkstra pass restricted to clean intermediates: a source may leave
 // through the destination itself, through a clean pair (whose stored
-// distance is still exact), or through another affected-but-not-dirty
-// vertex once that vertex settles. Dirty vertices may start or end a path
-// but never extend one — the subsequent pivot passes own every route
-// through them. Settling order is smallest label, ties to the smallest
-// vertex id, so the first hops written are the canonical minima. The
-// unsettled sources sit in an indexed binary min-heap on that same strict
-// (label, id) order; labels only decrease, so each pop is the (label, id)
-// minimum of the unsettled set. markAffected must have run for j in the
-// current epoch.
+// distance is still exact), or through another affected vertex outside the
+// pivot set once that vertex settles. Heads of changed edges (the pivot
+// set) may start or end a path but never extend one — the subsequent pivot
+// passes own every route through them. That rule saves relaxations: letting
+// them extend would add only real paths under the new weights, and the
+// pivots would reach the same fixpoint. Settling order is smallest label,
+// ties to the smallest vertex id, so the first hops written are the
+// canonical minima. The unsettled sources sit in an indexed binary min-heap
+// on that same strict (label, id) order; labels only decrease, so each pop
+// is the (label, id) minimum of the unsettled set. markAffected must have
+// run for j in the current epoch.
 func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 	mark, pos, label, hop := dw.mark, dw.pos, dw.label, dw.hop
 	heap := dw.aff[:0]
@@ -499,14 +532,14 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 		lv := label[v]
 		if lv == Inf {
 			// No clean-restricted route: reset to unreachable and let
-			// the pivot passes rediscover any path through the dirty set.
+			// the pivot passes rediscover any path through the pivot set.
 			dist.Set(v, j, Inf)
 			succ[v*k+j] = topology.Invalid
 			continue
 		}
 		dist.Set(v, j, lv)
 		succ[v*k+j] = hop[v]
-		if dw.dirtyMark[v] {
+		if dw.headMark[v] {
 			continue
 		}
 		for _, u32 := range dw.adjIn[dw.adjInOff[v]:dw.adjInOff[v+1]] {

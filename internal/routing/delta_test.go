@@ -320,6 +320,100 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 	}
 }
 
+// TestDeltaPivotsOnChangedHeads pins the pivot set to the heads of the
+// changed edges. On all-1.0 12x12 and 16x16 meshes the steps rotate through
+// three asymmetric changes: only the out-edges of one vertex move by ±1/8
+// (the heads are its neighbours), only its in-edges move (one head), and a
+// few links fail while earlier failures heal. Every step after the first
+// must be repaired, match the full pass byte for byte, and run exactly one
+// pivot pass per distinct head.
+func TestDeltaPivotsOnChangedHeads(t *testing.T) {
+	for _, tc := range []struct{ meshSize, steps int }{{12, 31}, {16, 13}} {
+		t.Run(fmt.Sprintf("%dx%d", tc.meshSize, tc.meshSize), func(t *testing.T) {
+			mesh := topology.MustMesh(tc.meshSize, tc.meshSize, topology.DefaultSpacingCM)
+			g := mesh.Graph
+			k := g.NodeCount()
+			w := NewMatrix(k)
+			links := g.Links()
+			for _, l := range links {
+				w.Set(int(l.From), int(l.To), 1)
+			}
+			rng := rand.New(rand.NewSource(int64(k) + 3))
+			heads := map[topology.NodeID]bool{}
+			set := func(l topology.Link, v float64) {
+				w.Set(int(l.From), int(l.To), v)
+				heads[l.To] = true
+			}
+			// nudge moves a live link by ±1/8 and heals a failed one.
+			nudge := func(l topology.Link) {
+				switch v := w.At(int(l.From), int(l.To)); {
+				case v == Inf:
+					set(l, 1)
+				case v <= 0.75 || (v < 1.25 && rng.Intn(2) == 0):
+					set(l, v+0.125)
+				default:
+					set(l, v-0.125)
+				}
+			}
+			var failed []topology.Link
+			var alg Algorithm = matrixAlg{m: &w}
+			state := fullState(g, 8)
+			dests := checkerboardDests(g)
+
+			dw := NewDeltaWorkspace()
+			dw.SetCrossover(1, 1)
+			ws := NewWorkspace()
+			var dPrev, fPrev *Tables
+			for step := 0; step < tc.steps; step++ {
+				clear(heads)
+				v := topology.NodeID(rng.Intn(k))
+				switch {
+				case step == 0:
+				case step%3 == 1:
+					for _, l := range g.OutLinks(v) {
+						nudge(l)
+					}
+				case step%3 == 2:
+					for _, l := range g.InLinks(v) {
+						nudge(l)
+					}
+				default:
+					healed := map[topology.Link]bool{}
+					for len(failed) > 0 && len(healed) < 2 {
+						healed[failed[0]] = true
+						nudge(failed[0])
+						failed = failed[1:]
+					}
+					for n := 1 + rng.Intn(3); n > 0; {
+						l := links[rng.Intn(len(links))]
+						if w.At(int(l.From), int(l.To)) == Inf || healed[l] {
+							continue
+						}
+						set(l, Inf)
+						failed = append(failed, l)
+						n--
+					}
+				}
+				before := dw.Stats()
+				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
+				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+				assertPlansIdentical(t, dPlan, fPlan)
+				dPrev, fPrev = dPlan.Tables, fPlan.Tables
+				if step == 0 {
+					continue
+				}
+				after := dw.Stats()
+				if after.Incremental != before.Incremental+1 {
+					t.Fatalf("step %d was not repaired: %+v", step, after)
+				}
+				if got := after.Pivots - before.Pivots; got != len(heads) {
+					t.Fatalf("step %d ran %d pivot passes, want one per head (%d)", step, got, len(heads))
+				}
+			}
+		})
+	}
+}
+
 // TestSettleHeapPopOrder pins the settle heap to the linear scan it
 // replaced: with heavily tied labels and random decrease-keys between pops,
 // every pop must be the (label, id) minimum of the unsettled set. With
@@ -508,8 +602,10 @@ func BenchmarkIncrementalRecompute(b *testing.B) {
 
 // BenchmarkDeltaCrossover measures where the repair loses to the full pass
 // on the 16x16 mesh: each sub-benchmark drains a fixed number of nodes per
-// recompute (each drained node dirties itself and its in-neighbours). The
-// measured break-even backs the default crossover constants in delta.go.
+// recompute. Each drained node puts itself and its in-neighbours in the
+// policy set, which the crossover judges, but only itself in the pivot set,
+// which the repair pivots on. The measured break-even backs the default
+// crossover constants in delta.go.
 func BenchmarkDeltaCrossover(b *testing.B) {
 	const meshSize = 16
 	run := func(b *testing.B, drained int, mode RecomputeMode) {
@@ -536,7 +632,7 @@ func BenchmarkDeltaCrossover(b *testing.B) {
 		}
 	}
 	b.Run("full", func(b *testing.B) { run(b, 1, RecomputeFull) })
-	for _, drained := range []int{1, 2, 4, 8, 16, 24, 32, 51} {
+	for _, drained := range []int{1, 2, 4, 8, 16, 24, 32, 51, 64, 80, 96, 128} {
 		b.Run(fmt.Sprintf("repair/drained-%d", drained), func(b *testing.B) {
 			run(b, drained, RecomputeIncremental)
 		})

@@ -61,9 +61,9 @@ func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 // pivotPass relaxes every ordered pair through the single pivot n, with the
 // smaller-successor tie-breaking of Fig 5. It is the Floyd–Warshall inner
 // iteration, shared verbatim between the full pass (ComputeFrom) and the
-// dirty-vertex repair (DeltaWorkspace) so both produce bit-identical
-// matrices: after pivoting on any vertex set that includes every vertex a
-// changed edge touches, the canonical fixpoint (true distances, minimum
+// incremental repair (DeltaWorkspace) so both produce bit-identical
+// matrices: after pivoting on any vertex set that contains the head of
+// every changed edge, the canonical fixpoint (true distances, minimum
 // first hop among all shortest paths) is restored.
 func (sp *ShortestPaths) pivotPass(n int) {
 	k := sp.n

@@ -201,20 +201,21 @@ func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *
 	k := state.Graph.NodeCount()
 	out.reset(k, dests.modules)
 	copy(out.known, dests.known)
+	// One liveness pass: has doubles as the alive mask of every lookup below.
 	for n := 0; n < k; n++ {
-		node := topology.NodeID(n)
-		if !state.Alive(node) {
+		out.has[n] = state.Alive(topology.NodeID(n))
+	}
+	for n := 0; n < k; n++ {
+		if !out.has[n] {
 			continue
 		}
-		out.has[n] = true
+		node := topology.NodeID(n)
+		distRow := sp.dist.Row(n)[:k]
+		succRow := sp.succ[n*sp.n:][:k]
 		hopRow := out.nextHop[n*k : (n+1)*k]
-		for d := 0; d < k; d++ {
-			dest := topology.NodeID(d)
-			if dest == node || !state.Alive(dest) {
-				continue
-			}
-			if sp.Reachable(node, dest) {
-				hopRow[d] = sp.Succ(node, dest)
+		for d, dd := range distRow {
+			if d != n && dd < Inf && out.has[d] {
+				hopRow[d] = succRow[d]
 			}
 		}
 		deadlocked := state.StatusOf(node).Deadlocked
@@ -233,11 +234,11 @@ func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *
 			best := invalidRoute
 			fallback := best
 			for _, dup := range dests.dups[m] {
-				if !state.Alive(dup) || !sp.Reachable(node, dup) {
+				if !out.Has(dup) || distRow[dup] == Inf {
 					continue
 				}
-				hop := sp.Succ(node, dup)
-				candidate := Route{Dest: dup, NextHop: hop, Distance: sp.Dist(node, dup)}
+				hop := succRow[dup]
+				candidate := Route{Dest: dup, NextHop: hop, Distance: distRow[dup]}
 				if better(candidate, fallback) {
 					fallback = candidate
 				}
