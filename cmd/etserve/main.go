@@ -18,7 +18,7 @@
 //	etserve -addr :8321 -cache-dir /var/cache/etserve
 //	curl -s localhost:8321/scenarios | jq '.[].name'
 //	curl -s -XPOST localhost:8321/simulate -d '{"Mesh":5}'
-//	etserve -loadtest            # self-contained benchmark -> BENCH_serve.json
+//	etserve -loadtest            # self-contained load test -> BENCH_serve.json
 package main
 
 import (

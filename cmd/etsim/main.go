@@ -2,7 +2,9 @@
 // statistics. It is the command-line front end for the sim package.
 //
 // A run can be described either ad hoc with the individual flags, or by
-// naming a registered scenario:
+// naming a registered scenario. The ad-hoc flags build a scenario.Spec, so
+// both take the same path (etsim -mesh 4 runs exactly -scenario
+// paper-default):
 //
 //	etsim -mesh 4 -alg EAR -battery thinfilm -controllers 1 -v
 //	etsim -list-scenarios
@@ -44,10 +46,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/battery"
 	"repro/internal/campaign"
-	"repro/internal/controlplane"
-	"repro/internal/faults"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -55,43 +54,154 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		scenarioName  = flag.String("scenario", "", "run a registered scenario by name (see -list-scenarios); conflicts with the ad-hoc configuration flags, combines with -trace/-verify/-v/-max-cycles")
-		listScenarios = flag.Bool("list-scenarios", false, "list the registered scenarios and exit")
-		asJSON        = flag.Bool("json", false, "with -list-scenarios: emit the machine-readable registry (name, description, group, mesh, algorithm, canonical fingerprint) instead of tables")
-		traceFile     = flag.String("trace", "", "write the per-frame battery/throughput time-series to this file as CSV")
-		spansFile     = flag.String("spans", "", "record the flight recorder's frame/phase spans and write them to this file as Chrome trace-event JSON (open in chrome://tracing or Perfetto); the run's stdout is unaffected")
-		meshSize      = flag.Int("mesh", 4, "square mesh size (4..8 in the paper)")
-		algName       = flag.String("alg", "EAR", "routing algorithm: EAR or SDR")
-		batteryKind   = flag.String("battery", "thinfilm", "node battery model: thinfilm or ideal")
-		controllers   = flag.Int("controllers", 1, "number of central controllers")
-		ctrlBattery   = flag.Bool("controller-battery", false, "give controllers finite thin-film batteries (Sec 7.3)")
-		concurrent    = flag.Int("jobs", 1, "number of concurrent jobs in flight")
-		earQ          = flag.Float64("ear-q", routing.DefaultEARParams().Q, "EAR battery-weighting base Q")
-		verify        = flag.Bool("verify", false, "carry a real AES payload and verify every completed job (mismatches exit non-zero)")
-		maxCycles     = flag.Int64("max-cycles", 0, "stop after this many cycles (0 = run to system death)")
-		perNode       = flag.Bool("v", false, "print per-node statistics")
-		mappingName   = flag.String("mapping", "", "with -scenario: override the scenario's module mapping (checkerboard, proportional, row-major, random or explicit:<assignment>)")
-		planeName     = flag.String("controlplane", "", "control-plane architecture: centralized (default) or sharded; overrides the scenario's when combined with -scenario")
-		shards        = flag.Int("shards", 0, "number of regional controllers under -controlplane sharded (0 = default)")
-		staleness     = flag.Int("staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
-		recompute     = flag.String("recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical either way; overrides the scenario's when combined with -scenario")
-		faultSpec     = flag.String("faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
-		seed          = flag.Uint64("seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed (single run) or seed the campaign stream (-replications > 1)")
-		replications  = flag.Int("replications", 1, "with -scenario: run this many seed-stream replicates as a Monte-Carlo campaign and print aggregate statistics")
-	)
-	flag.Parse()
+// options holds etsim's flags, parsed into one flag set so the flag →
+// scenario.Spec translation can run on any argument list.
+type options struct {
+	fs  *flag.FlagSet
+	set map[string]bool // flags passed explicitly
 
-	seedSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedSet = true
+	scenarioName, traceFile, spansFile           string
+	listScenarios, asJSON                        bool
+	meshSize                                     int
+	algName, batteryKind                         string
+	controllers, concurrent                      int
+	ctrlBattery, verify, perNode                 bool
+	earQ                                         float64
+	maxCycles                                    int64
+	mappingName, planeName, recompute, faultSpec string
+	shards, staleness, replications              int
+	seed                                         uint64
+}
+
+// newOptions defines every etsim flag on a fresh flag set.
+func newOptions() *options {
+	o := &options{fs: flag.NewFlagSet("etsim", flag.ExitOnError)}
+	fs := o.fs
+	fs.StringVar(&o.scenarioName, "scenario", "", "run a registered scenario by name (see -list-scenarios); conflicts with the ad-hoc configuration flags, combines with -trace/-verify/-v/-max-cycles")
+	fs.BoolVar(&o.listScenarios, "list-scenarios", false, "list the registered scenarios and exit")
+	fs.BoolVar(&o.asJSON, "json", false, "with -list-scenarios: emit the machine-readable registry (name, description, group, mesh, algorithm, canonical fingerprint) instead of tables")
+	fs.StringVar(&o.traceFile, "trace", "", "write the per-frame battery/throughput time-series to this file as CSV")
+	fs.StringVar(&o.spansFile, "spans", "", "record the flight recorder's frame/phase spans and write them to this file as Chrome trace-event JSON (open in chrome://tracing or Perfetto); the run's stdout is unaffected")
+	fs.IntVar(&o.meshSize, "mesh", 4, "square mesh size (4..8 in the paper)")
+	fs.StringVar(&o.algName, "alg", scenario.AlgorithmEAR, "routing algorithm: EAR or SDR")
+	fs.StringVar(&o.batteryKind, "battery", scenario.BatteryThinFilm, "node battery model: thinfilm or ideal")
+	fs.IntVar(&o.controllers, "controllers", 1, "number of central controllers (0 = 1)")
+	fs.BoolVar(&o.ctrlBattery, "controller-battery", false, "give controllers finite thin-film batteries (Sec 7.3)")
+	fs.IntVar(&o.concurrent, "jobs", 1, "number of concurrent jobs in flight (0 = 1)")
+	fs.Float64Var(&o.earQ, "ear-q", routing.DefaultEARParams().Q, "EAR battery-weighting base Q (0 = the paper's; must keep max(Q, 1/Q)^(levels-1) <= 2^32)")
+	fs.BoolVar(&o.verify, "verify", false, "carry a real AES payload and verify every completed job (mismatches exit non-zero)")
+	fs.Int64Var(&o.maxCycles, "max-cycles", 0, "stop after this many cycles (0 = run to system death)")
+	fs.BoolVar(&o.perNode, "v", false, "print per-node statistics")
+	fs.StringVar(&o.mappingName, "mapping", "", "with -scenario: override the scenario's module mapping (checkerboard, proportional, row-major, random or explicit:<assignment>)")
+	fs.StringVar(&o.planeName, "controlplane", "", "control-plane architecture: centralized (default) or sharded; overrides the scenario's when combined with -scenario")
+	fs.IntVar(&o.shards, "shards", 0, "number of regional controllers under -controlplane sharded (0 = default)")
+	fs.IntVar(&o.staleness, "staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
+	fs.StringVar(&o.recompute, "recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical either way; overrides the scenario's when combined with -scenario")
+	fs.StringVar(&o.faultSpec, "faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
+	fs.Uint64Var(&o.seed, "seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed (single run) or seed the campaign stream (-replications > 1)")
+	fs.IntVar(&o.replications, "replications", 1, "with -scenario: run this many seed-stream replicates as a Monte-Carlo campaign and print aggregate statistics")
+	return o
+}
+
+// parse parses args and records which flags were passed explicitly.
+func (o *options) parse(args []string) error {
+	if err := o.fs.Parse(args); err != nil {
+		return err
+	}
+	o.set = map[string]bool{}
+	o.fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	return nil
+}
+
+// spec translates the parsed flags into the scenario to run: the named
+// scenario, or one built from the ad-hoc flags, with the run-shaping and
+// override flags applied on top. Values are validated later, by
+// Spec.Strategy, exactly as for any other spec.
+func (o *options) spec() (scenario.Spec, error) {
+	var spec scenario.Spec
+	if o.scenarioName != "" {
+		// A named scenario fully describes the configuration; silently
+		// ignoring an explicitly passed ad-hoc flag would run something other
+		// than what the user asked for, so it is an error instead. The
+		// run-shaping flags (-trace, -verify, -v, -max-cycles) still combine.
+		var conflicting []string
+		for _, name := range []string{"alg", "battery", "controller-battery", "controllers", "ear-q", "jobs", "mesh"} {
+			if o.set[name] {
+				conflicting = append(conflicting, "-"+name)
+			}
 		}
-	})
+		if len(conflicting) > 0 {
+			return spec, fmt.Errorf("-scenario %s already determines the configuration; drop the conflicting flag(s) %v",
+				o.scenarioName, conflicting)
+		}
+		var ok bool
+		if spec, ok = scenario.Lookup(o.scenarioName); !ok {
+			return spec, fmt.Errorf("unknown scenario %q; -list-scenarios shows the %d registered ones",
+				o.scenarioName, len(scenario.Names()))
+		}
+	} else {
+		// The seed-stream knobs only exist on declarative scenarios; the ad
+		// hoc flags describe a deterministic configuration.
+		if o.set["seed"] || o.replications > 1 || o.mappingName != "" {
+			return spec, fmt.Errorf("-seed, -replications and -mapping require -scenario; register a scenario (or use cmd/etcampaign) to replicate it")
+		}
+		spec = scenario.Spec{
+			Mesh:              o.meshSize,
+			Algorithm:         strings.ToUpper(o.algName), // -alg ear and -alg sdr are accepted too
+			EARQ:              o.earQ,
+			Battery:           o.batteryKind,
+			Controllers:       o.controllers,
+			FiniteControllers: o.ctrlBattery,
+			ConcurrentJobs:    o.concurrent,
+		}
+	}
+	if o.verify {
+		spec.VerifyPayload = true
+	}
+	if o.perNode {
+		spec.CollectNodeStats = true
+	}
+	if o.maxCycles > 0 {
+		spec.MaxCycles = o.maxCycles
+	}
+	if o.mappingName != "" {
+		if err := applyMappingOverride(&spec, o.mappingName); err != nil {
+			return spec, err
+		}
+	}
+	if o.planeName != "" {
+		// Overriding the architecture resets the sharding knobs to the new
+		// plane's defaults; -shards/-staleness re-set them explicitly.
+		spec.ControlPlane, spec.Shards, spec.StalenessFrames = o.planeName, 0, 0
+	}
+	if o.shards > 0 {
+		spec.Shards = o.shards
+	}
+	if o.staleness > 0 {
+		spec.StalenessFrames = o.staleness
+	}
+	if o.recompute != "" {
+		spec.Recompute = o.recompute
+	}
+	if o.faultSpec != "" {
+		spec.Faults = o.faultSpec
+	}
+	if o.set["seed"] {
+		// Re-draw the scenario's stochastic knobs without editing the
+		// registry: one ad-hoc draw for a single run, the campaign base
+		// seed when replicating.
+		spec.MappingSeed = o.seed
+		spec.FailedLinkSeed = o.seed
+	}
+	return spec, nil
+}
 
-	if *listScenarios {
-		if *asJSON {
+func main() {
+	o := newOptions()
+	_ = o.parse(os.Args[1:]) // ExitOnError: a bad flag exits with usage
+
+	if o.listScenarios {
+		if o.asJSON {
 			// The same registry document etserve's GET /scenarios serves, so
 			// scripts can discover scenarios and their cache keys without a
 			// running daemon.
@@ -107,105 +217,52 @@ func main() {
 		}
 		return
 	}
-	if *asJSON {
+	if o.asJSON {
 		fatal(fmt.Errorf("-json currently only applies to -list-scenarios"))
 	}
 
-	var cfg sim.Config
-	if *scenarioName != "" {
-		// A named scenario fully describes the configuration; silently
-		// ignoring an explicitly passed ad-hoc flag would run something other
-		// than what the user asked for, so it is an error instead. The
-		// run-shaping flags (-trace, -verify, -v, -max-cycles) still combine.
-		if set := conflictingFlags(); len(set) > 0 {
-			fatal(fmt.Errorf("-scenario %s already determines the configuration; drop the conflicting flag(s) %v",
-				*scenarioName, set))
+	spec, err := o.spec()
+	if err != nil {
+		fatal(err)
+	}
+	if o.replications > 1 {
+		// A campaign aggregates across replicates; the per-run outputs
+		// (frame traces, per-node tables) have no aggregate form here.
+		if o.traceFile != "" || o.perNode || o.spansFile != "" {
+			fatal(fmt.Errorf("-replications %d aggregates across runs; drop -trace/-spans/-v", o.replications))
 		}
-		spec, ok := scenario.Lookup(*scenarioName)
-		if !ok {
-			fatal(fmt.Errorf("unknown scenario %q; -list-scenarios shows the %d registered ones",
-				*scenarioName, len(scenario.Names())))
-		}
-		// The run-shaping flags still apply on top of a named scenario.
-		if *verify {
-			spec.VerifyPayload = true
-		}
-		if *perNode {
-			spec.CollectNodeStats = true
-		}
-		if *maxCycles > 0 {
-			spec.MaxCycles = *maxCycles
-		}
-		if *mappingName != "" {
-			if err := applyMappingOverride(&spec, *mappingName); err != nil {
-				fatal(err)
-			}
-		}
-		if err := applyControlPlaneOverride(&spec, *planeName, *shards, *staleness, *recompute); err != nil {
-			fatal(err)
-		}
-		if *faultSpec != "" {
-			spec.Faults = *faultSpec
-		}
-		if seedSet {
-			// Re-draw the scenario's stochastic knobs without editing the
-			// registry: one ad-hoc draw for a single run, the campaign base
-			// seed when replicating.
-			spec.MappingSeed = *seed
-			spec.FailedLinkSeed = *seed
-		}
-		if *replications > 1 {
-			// A campaign aggregates across replicates; the per-run outputs
-			// (frame traces, per-node tables) have no aggregate form here.
-			if *traceFile != "" || *perNode || *spansFile != "" {
-				fatal(fmt.Errorf("-replications %d aggregates across runs; drop -trace/-spans/-v", *replications))
-			}
-			res, err := campaign.Run(campaign.Spec{
-				Scenario:     spec,
-				Replications: *replications,
-				Seed:         *seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(res.Table().Render())
-			// A mismatch in any replicate is as hard a failure as in a
-			// single run.
-			if err := res.MismatchError(); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		strategy, err := spec.Strategy()
+		res, err := campaign.Run(campaign.Spec{
+			Scenario:     spec,
+			Replications: o.replications,
+			Seed:         o.seed,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		cfg, err = strategy.Config()
-		if err != nil {
+		fmt.Print(res.Table().Render())
+		// A mismatch in any replicate is as hard a failure as in a single
+		// run.
+		if err := res.MismatchError(); err != nil {
 			fatal(err)
 		}
-	} else {
-		// The seed-stream knobs only exist on declarative scenarios; the ad
-		// hoc flags describe a deterministic configuration.
-		if seedSet || *replications > 1 || *mappingName != "" {
-			fatal(fmt.Errorf("-seed, -replications and -mapping require -scenario; register a scenario (or use cmd/etcampaign) to replicate it"))
-		}
-		var err error
-		cfg, err = adHocConfig(*meshSize, *algName, *batteryKind, *earQ,
-			*controllers, *ctrlBattery, *planeName, *shards, *staleness, *recompute,
-			*faultSpec, *concurrent, *maxCycles, *verify, *perNode)
-		if err != nil {
-			fatal(err)
-		}
+		return
+	}
+	strategy, err := spec.Strategy()
+	if err != nil {
+		fatal(err)
+	}
+	cfg, err := strategy.Config()
+	if err != nil {
+		fatal(err)
 	}
 
 	var timeline *trace.Timeline
-	if *traceFile != "" {
+	if o.traceFile != "" {
 		timeline = &trace.Timeline{}
 		cfg.Observers = append(cfg.Observers, timeline)
 	}
 	var spanLog *trace.Spans
-	if *spansFile != "" {
+	if o.spansFile != "" {
 		// The flight recorder implements sim.PhaseObserver, so attaching it
 		// turns the engine's span clock on. It is observational only: stdout
 		// stays byte-identical to a run without it (guarded in CI).
@@ -256,7 +313,7 @@ func main() {
 	}
 	fmt.Print(summary.Render())
 
-	if *perNode {
+	if o.perNode {
 		nodes := stats.NewTable("per-node statistics", "node", "module", "ops", "relayed", "comp pJ", "comm pJ", "ctrl pJ", "dead")
 		for _, n := range res.Nodes {
 			nodes.AddRow(int(n.Node), n.Module, n.Operations, n.PacketsRelayed, n.ComputationPJ, n.CommunicationPJ, n.ControlPJ, n.Dead)
@@ -265,17 +322,17 @@ func main() {
 	}
 
 	if timeline != nil {
-		if err := os.WriteFile(*traceFile, []byte(timeline.CSV()), 0o644); err != nil {
+		if err := os.WriteFile(o.traceFile, []byte(timeline.CSV()), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace: %d frames written to %s\n", len(timeline.Rows()), *traceFile)
+		fmt.Printf("trace: %d frames written to %s\n", len(timeline.Rows()), o.traceFile)
 	}
 
 	if spanLog != nil {
-		if err := spanLog.WriteFile(*spansFile); err != nil {
+		if err := spanLog.WriteFile(o.spansFile); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "spans: %d recorded, written to %s\n", spanLog.Len(), *spansFile)
+		fmt.Fprintf(os.Stderr, "spans: %d recorded, written to %s\n", spanLog.Len(), o.spansFile)
 	}
 
 	// Wall-clock timing goes to stderr: it differs run to run, and stdout is
@@ -325,110 +382,6 @@ func applyMappingOverride(spec *scenario.Spec, value string) error {
 	// carried.
 	spec.Assignment = ""
 	return nil
-}
-
-// applyControlPlaneOverride rewrites the spec's control-plane fields from the
-// -controlplane/-shards/-staleness flags. A -controlplane typo lists the valid
-// names instead of running something other than what the user asked for;
-// inconsistent combinations (e.g. -shards with the centralized plane) are
-// rejected by the spec's eager validation in Strategy.
-func applyControlPlaneOverride(spec *scenario.Spec, plane string, shards, staleness int, recompute string) error {
-	if plane != "" {
-		kind, err := controlplane.ParseKind(plane)
-		if err != nil {
-			return err
-		}
-		spec.ControlPlane = string(kind)
-		// Overriding the architecture resets the sharding knobs to the new
-		// plane's defaults; the flags below re-set them explicitly.
-		spec.Shards = 0
-		spec.StalenessFrames = 0
-	}
-	if shards > 0 {
-		spec.Shards = shards
-	}
-	if staleness > 0 {
-		spec.StalenessFrames = staleness
-	}
-	if recompute != "" {
-		if _, err := controlplane.ParseRecompute(recompute); err != nil {
-			return err
-		}
-		spec.Recompute = recompute
-	}
-	return nil
-}
-
-// conflictingFlags returns the names of the explicitly set flags that
-// describe a configuration of their own and therefore cannot be combined
-// with -scenario.
-func conflictingFlags() []string {
-	adHoc := map[string]bool{
-		"mesh": true, "alg": true, "battery": true, "controllers": true,
-		"controller-battery": true, "jobs": true, "ear-q": true,
-	}
-	var set []string
-	flag.Visit(func(f *flag.Flag) {
-		if adHoc[f.Name] {
-			set = append(set, "-"+f.Name)
-		}
-	})
-	return set
-}
-
-// adHocConfig builds a simulator configuration from the individual flags,
-// preserving etsim's original flag-driven interface.
-func adHocConfig(meshSize int, algName, batteryKind string, earQ float64,
-	controllers int, ctrlBattery bool, plane string, shards, staleness int,
-	recompute, faultSpec string, concurrent int, maxCycles int64, verify, perNode bool) (sim.Config, error) {
-	cfg, err := sim.Default(meshSize)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	switch algName {
-	case "EAR", "ear":
-		params := routing.DefaultEARParams()
-		params.Q = earQ
-		cfg.Algorithm = routing.EAR{Params: params}
-	case "SDR", "sdr":
-		cfg.Algorithm = routing.SDR{}
-	default:
-		return sim.Config{}, fmt.Errorf("unknown algorithm %q (want EAR or SDR)", algName)
-	}
-	switch batteryKind {
-	case "thinfilm":
-		cfg.NodeBattery = battery.DefaultThinFilmFactory()
-	case "ideal":
-		cfg.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
-	default:
-		return sim.Config{}, fmt.Errorf("unknown battery model %q (want thinfilm or ideal)", batteryKind)
-	}
-	cfg.Controllers = controllers
-	if ctrlBattery {
-		cfg.ControllerBattery = battery.DefaultThinFilmFactory()
-	}
-	kind, err := controlplane.ParseKind(plane)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if _, err := controlplane.ParseRecompute(recompute); err != nil {
-		return sim.Config{}, err
-	}
-	cfg.Control = controlplane.Config{Kind: kind, Shards: shards, StalenessFrames: staleness, Recompute: recompute}
-	if faultSpec != "" {
-		fsp, err := faults.ParseSpec(faultSpec)
-		if err != nil {
-			return sim.Config{}, err
-		}
-		cfg.Faults = fsp
-	}
-	cfg.ConcurrentJobs = concurrent
-	cfg.MaxCycles = maxCycles
-	cfg.CollectNodeStats = perNode
-	if verify {
-		cfg.Key = scenario.PaperKey()
-	}
-	return cfg, nil
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the full system
 // inventory); command-line tools live under cmd/, runnable examples under
-// examples/, and the benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation section (documented in EXPERIMENTS.md).
+// examples/. cmd/etbench regenerates every table and figure of the paper's
+// evaluation section (documented in EXPERIMENTS.md), and the bench/ module
+// times it and the other workloads of the repository benchmark.
 package repro

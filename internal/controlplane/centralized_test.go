@@ -26,12 +26,15 @@ import (
 // verbatim (the engine held pool/ws/tables/lastSnapshot as its own fields and
 // ran this sequence inline in processFrame). It keeps a pointer to the last
 // recomputed snapshot, so callers hand it a snapshot they never modify again.
+// Its workspace is pinned to the full Floyd–Warshall pass, so the plane's
+// incremental repairs are compared against full recomputes.
 type refEngineControl struct {
+	t      *testing.T
 	deps   Deps
 	pool   *tdma.Pool
 	finite bool
 
-	ws     *routing.Workspace
+	ws     *routing.DeltaWorkspace
 	tables *routing.Tables
 	last   *routing.SystemState
 }
@@ -42,7 +45,9 @@ func newRefEngineControl(t *testing.T, deps Deps) *refEngineControl {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &refEngineControl{deps: deps, pool: pool, finite: deps.ControllerBattery != nil, ws: routing.NewWorkspace()}
+	ws := routing.NewDeltaWorkspace()
+	ws.SetMode(routing.RecomputeFull)
+	return &refEngineControl{t: t, deps: deps, pool: pool, finite: deps.ControllerBattery != nil, ws: ws}
 }
 
 func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) FrameReport {
@@ -66,7 +71,10 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 	}
 	r.pool.RestAll(r.deps.TDMA.FramePeriodCycles)
 	if changed || r.tables == nil {
-		plan := routing.ComputeInto(r.ws, r.deps.Algorithm, snapshot, r.deps.Destinations, r.tables)
+		plan := r.ws.ComputeInto(r.deps.Algorithm, snapshot, r.deps.Destinations, r.tables)
+		if s := r.ws.Stats(); s.Incremental != 0 {
+			r.t.Fatalf("reference workspace repaired %d recomputes, want full passes only", s.Incremental)
+		}
 		r.tables = plan.Tables
 		r.last = snapshot
 		rep.Recomputed = true
@@ -103,7 +111,7 @@ func compareReports(t *testing.T, frame int64, got, want FrameReport) {
 
 // compareTables asserts the control plane serves exactly the reference's
 // tables: same per-node presence, next hops and module routes.
-func compareTables(t *testing.T, frame int64, deps Deps, cp ControlPlane, tables *routing.Tables) {
+func compareTables(t *testing.T, frame int64, deps Deps, cp *Sharded, tables *routing.Tables) {
 	t.Helper()
 	k := deps.Graph.NodeCount()
 	for n := 0; n < k; n++ {
@@ -130,7 +138,7 @@ func compareTables(t *testing.T, frame int64, deps Deps, cp ControlPlane, tables
 }
 
 // newDefaultPlane builds the plane New selects for the zero Config.
-func newDefaultPlane(t *testing.T, deps Deps) ControlPlane {
+func newDefaultPlane(t *testing.T, deps Deps) *Sharded {
 	t.Helper()
 	cp, err := New(Config{}, deps)
 	if err != nil {
@@ -143,7 +151,7 @@ func newDefaultPlane(t *testing.T, deps Deps) ControlPlane {
 // would: battery drift, occasional deaths and deadlock flags, reported into
 // one reused snapshot buffer exactly as sim.processFrame hands it to the
 // plane. The reference gets a clone, since it keeps a pointer to it.
-func driveSequence(t *testing.T, deps Deps, cp ControlPlane, ref *refEngineControl, frames int, seed int64) {
+func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, frames int, seed int64) {
 	t.Helper()
 	const levels = 8
 	k := deps.Graph.NodeCount()
@@ -274,7 +282,7 @@ func TestCentralizedKillWindow(t *testing.T) {
 			if !finite {
 				return
 			}
-			planeCtrls := cp.(*Sharded).Regions().Pool(0).Controllers()
+			planeCtrls := cp.Regions().Pool(0).Controllers()
 			for i, refCtrl := range ref.pool.Controllers() {
 				got, want := planeCtrls[i].Battery, refCtrl.Battery
 				if got.Voltage() <= want.Voltage() {

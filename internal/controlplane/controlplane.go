@@ -1,14 +1,14 @@
 // Package controlplane is the controller side of the TDMA control mechanism,
 // extracted from the simulation engine so that alternative controller
-// architectures are components instead of engine rewrites. A ControlPlane
-// owns everything the paper's Sec 5.3/6 controller does between the upload
-// and download phases of a frame: it adopts the reported system snapshot,
+// architectures are components instead of engine rewrites. The plane owns
+// everything the paper's Sec 5.3/6 controller does between the upload and
+// download phases of a frame: it adopts the reported system snapshot,
 // decides whether the routing algorithm must re-run, produces the routing
 // tables each node downloads, and accounts the controller-side energy and
 // liveness (finite controller batteries, Sec 7.3).
 //
-// One implementation ships: Sharded partitions the mesh into contiguous
-// regions, each owned by a regional controller with its own workspace,
+// The plane is Sharded: it partitions the mesh into contiguous regions,
+// each owned by a regional controller with its own workspace,
 // redundant-controller pool and finite batteries. A region recomputes only
 // when the state it can see changed: its own shard's reports are fresh every
 // frame, while the other regions' battery summaries arrive only every
@@ -21,8 +21,8 @@
 // KindCentralized under the name "centralized", and an equivalence suite pins
 // it to a transcription of the original in-engine controller logic.
 //
-// Determinism contract: a ControlPlane must be a pure function of the frame
-// index and the reported state — no clocks, no randomness, no dependence on
+// Determinism contract: the plane is a pure function of the frame index
+// and the reported state — no clocks, no randomness, no dependence on
 // goroutine scheduling — so that every sweep built on top remains
 // byte-identical at any worker count.
 package controlplane
@@ -232,65 +232,11 @@ type Failover struct {
 	Nodes int
 }
 
-// ControlPlane is the engine's interface to the controller architecture. The
-// engine calls Frame once per TDMA control frame (after the upload phase) and
-// routes every packet through the table accessors, which reflect the tables
-// most recently downloaded to each node.
-//
-// Implementations must be deterministic: Frame must be a pure function of
-// (frame index, reported state) and the plane's own prior decisions.
-type ControlPlane interface {
-	// Name identifies the configured kind ("centralized", "sharded").
-	Name() string
-
-	// Frame runs the controller side of one TDMA frame: adopt the snapshot,
-	// decide recompute, rebuild tables, account energy and liveness.
-	// aliveNodes is the number of nodes that survived the upload phase;
-	// snapshot is the engine-owned status report, which the plane reads
-	// during the call and never retains, so the engine may refill the same
-	// buffer every frame.
-	Frame(frame int64, aliveNodes int, snapshot *routing.SystemState) FrameReport
-
-	// FaultRegion opens (down = true) or closes (down = false) a runtime
-	// fault window on region `shard`, injected by the engine's fault
-	// schedule. A fault-down region stops serving frames and its pool rests;
-	// its nodes are handed to the nearest in-service region until the window
-	// closes, or, when no region is in service (always, for the one-region
-	// centralized plane), keep routing on its last-known-good tables.
-	// Distinct from battery death, which is permanent and never fails over.
-	FaultRegion(shard int, down bool)
-
-	// Table returns the view of node's current routing table; ok is false
-	// when the node has none (dead when its tables were built, or its region
-	// never produced tables).
-	Table(node topology.NodeID) (routing.Table, bool)
-	// NextHop returns the next hop from `from` towards `dest`, or
-	// topology.Invalid if unknown.
-	NextHop(from, dest topology.NodeID) topology.NodeID
-	// RouteTo returns the route downloaded to node for the given module.
-	RouteTo(node topology.NodeID, id app.ModuleID) (routing.Route, bool)
-
-	// Shards returns the number of regional controllers (1 for centralized).
-	Shards() int
-	// AliveShards returns how many regions can still serve frames.
-	AliveShards() int
-	// RecomputeCount returns how many times region `shard` re-ran the routing
-	// algorithm so far.
-	RecomputeCount(shard int) int
-	// ShardConsumedPJ returns the controller energy drained by region
-	// `shard`'s pool so far.
-	ShardConsumedPJ(shard int) float64
-	// RecomputeSplit reports how the plane's recomputations executed so
-	// far: full Floyd–Warshall passes vs incremental dirty-set repairs
-	// (summed across regions for the sharded plane).
-	RecomputeSplit() (full, incremental int)
-}
-
 // New builds the control plane selected by cfg. Every kind is a Sharded
 // plane; KindCentralized is its one-region configuration (ShardCount is 1 and
 // the staleness bound defaults to one frame) and keeps the name
 // "centralized".
-func New(cfg Config, deps Deps) (ControlPlane, error) {
+func New(cfg Config, deps Deps) (*Sharded, error) {
 	mode, err := cfg.validate(deps.Graph.NodeCount())
 	if err != nil {
 		return nil, err

@@ -118,12 +118,11 @@ func TestNewDispatchesAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, ok := cp.(*Sharded)
-	if !ok || cp.Name() != string(KindSharded) || cp.Shards() != DefaultShards {
-		t.Fatalf("sharded zero config built %T (%s, %d shards), want sharded with %d", cp, cp.Name(), cp.Shards(), DefaultShards)
+	if cp.Name() != string(KindSharded) || cp.Shards() != DefaultShards {
+		t.Fatalf("sharded zero config built %s with %d shards, want sharded with %d", cp.Name(), cp.Shards(), DefaultShards)
 	}
-	if sh.StalenessFrames() != 1 {
-		t.Fatalf("default staleness = %d frames, want 1", sh.StalenessFrames())
+	if cp.StalenessFrames() != 1 {
+		t.Fatalf("default staleness = %d frames, want 1", cp.StalenessFrames())
 	}
 	if _, err := New(Config{Kind: KindSharded, Shards: 64}, deps); err == nil {
 		t.Fatal("New accepted more shards than nodes")

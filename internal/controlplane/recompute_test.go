@@ -53,7 +53,7 @@ func TestConfigValidateRecompute(t *testing.T) {
 // driveTrajectory runs the same deterministic battery-drain / death /
 // deadlock trajectory against a control plane and records every per-frame
 // report plus the full next-hop matrix after each frame.
-func driveTrajectory(t *testing.T, cp ControlPlane, meshSize, frames int) ([]FrameReport, []topology.NodeID) {
+func driveTrajectory(t *testing.T, cp *Sharded, meshSize, frames int) ([]FrameReport, []topology.NodeID) {
 	t.Helper()
 	deps := testDeps(meshSize, routing.NewEAR())
 	k := deps.Graph.NodeCount()

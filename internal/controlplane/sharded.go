@@ -132,11 +132,17 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 	return s, nil
 }
 
-// Name implements ControlPlane.
+// Name identifies the configured kind ("centralized", "sharded").
 func (s *Sharded) Name() string { return string(s.kind) }
 
-// Frame implements ControlPlane: one controller frame for every living
-// region, in shard order for determinism.
+// Frame runs the controller side of one TDMA frame, called once per frame
+// after the upload phase: adopt the snapshot, decide recompute, rebuild
+// tables, account energy and liveness, for every living region in shard
+// order for determinism. aliveNodes is the number of nodes that survived
+// the upload phase; snapshot is the engine-owned status report, which the
+// plane reads during the call and never retains, so the engine may refill
+// the same buffer every frame. The report is a pure function of (frame
+// index, reported state) and the plane's own prior decisions.
 func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemState) FrameReport {
 	var rep FrameReport
 	s.reassignOwners(&rep)
@@ -353,8 +359,9 @@ func (s *Sharded) ownerOf(node topology.NodeID) *regionState {
 	return &s.shards[s.owner[node]]
 }
 
-// Table implements ControlPlane: each node uses the tables its own region last
-// downloaded (nil-safe before a region's first recompute).
+// Table returns the view of node's current routing table: the tables its
+// serving region last downloaded. ok is false when the node has none (dead
+// when its tables were built, or its region never produced tables).
 func (s *Sharded) Table(node topology.NodeID) (routing.Table, bool) {
 	sh := s.ownerOf(node)
 	if sh == nil {
@@ -363,7 +370,8 @@ func (s *Sharded) Table(node topology.NodeID) (routing.Table, bool) {
 	return sh.tables.Table(node)
 }
 
-// NextHop implements ControlPlane. The relay decision at `from` is made by
+// NextHop returns the next hop from `from` towards `dest`, or
+// topology.Invalid if unknown. The relay decision at `from` is made by
 // from's own region's tables.
 func (s *Sharded) NextHop(from, dest topology.NodeID) topology.NodeID {
 	sh := s.ownerOf(from)
@@ -373,7 +381,7 @@ func (s *Sharded) NextHop(from, dest topology.NodeID) topology.NodeID {
 	return sh.tables.NextHop(from, dest)
 }
 
-// RouteTo implements ControlPlane.
+// RouteTo returns the route downloaded to node for the given module.
 func (s *Sharded) RouteTo(node topology.NodeID, id app.ModuleID) (routing.Route, bool) {
 	sh := s.ownerOf(node)
 	if sh == nil {
@@ -382,19 +390,23 @@ func (s *Sharded) RouteTo(node topology.NodeID, id app.ModuleID) (routing.Route,
 	return sh.tables.RouteTo(node, id)
 }
 
-// Shards implements ControlPlane.
+// Shards returns the number of regional controllers (1 for centralized).
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// AliveShards implements ControlPlane.
+// AliveShards returns how many regions can still serve frames.
 func (s *Sharded) AliveShards() int { return s.regions.AliveShards() }
 
-// RecomputeCount implements ControlPlane.
+// RecomputeCount returns how many times region `shard` re-ran the routing
+// algorithm so far.
 func (s *Sharded) RecomputeCount(shard int) int { return s.shards[shard].recomputes }
 
-// ShardConsumedPJ implements ControlPlane.
+// ShardConsumedPJ returns the controller energy drained by region `shard`'s
+// pool so far.
 func (s *Sharded) ShardConsumedPJ(shard int) float64 { return s.regions.ConsumedPJ(shard) }
 
-// RecomputeSplit implements ControlPlane, summed across regions.
+// RecomputeSplit reports how the plane's recomputations executed so far:
+// full Floyd–Warshall passes vs incremental dirty-set repairs, summed across
+// regions.
 func (s *Sharded) RecomputeSplit() (full, incremental int) {
 	for b := range s.shards {
 		stats := s.shards[b].ws.Stats()
@@ -404,9 +416,13 @@ func (s *Sharded) RecomputeSplit() (full, incremental int) {
 	return full, incremental
 }
 
-// FaultRegion implements ControlPlane: it opens or closes a runtime kill
-// window on one region. The next Frame call reassigns the region's nodes to
-// the nearest in-service region (down) or back home (up).
+// FaultRegion opens (down = true) or closes (down = false) a runtime fault
+// window on region `shard`, injected by the engine's fault schedule. A
+// fault-down region stops serving frames and its pool rests. The next Frame
+// call hands its nodes to the nearest in-service region until the window
+// closes; when no region is in service (always, for the one-region
+// centralized plane), they keep routing on its last-known-good tables.
+// Distinct from battery death, which is permanent and never fails over.
 func (s *Sharded) FaultRegion(shard int, down bool) {
 	if shard >= 0 && shard < len(s.shards) {
 		s.shards[shard].faultDown = down

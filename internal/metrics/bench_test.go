@@ -9,13 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkMetrics pins the instrumentation costs (BENCH_metrics.json in CI):
+// BenchmarkMetrics measures the instrumentation costs:
 //
 //   - counter/gauge/histogram: the per-update cost of the three value types
 //     (must report 0 allocs/op — guarded by TestUpdatesAllocFree);
 //   - sim4x4/disabled: the 4×4 full-run benchmark with the metrics subsystem
-//     linked in but no phase observer attached. Compare against the committed
-//     BenchmarkMicro_Simulate4x4 baseline (BENCH_routing.json): the engine's
+//     linked in but no phase observer attached. Compare against
+//     sim.BenchmarkSimulate4x4EAR run on the same machine: the engine's
 //     disabled path is one slice-length check per frame, so the delta must
 //     stay within noise (≤1%);
 //   - sim4x4/instrumented: the same run with trace.EngineMetrics attached

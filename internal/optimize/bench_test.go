@@ -7,10 +7,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// BenchmarkOptimize pins the cost of the search building blocks. The
-// analytic-eval numbers are the committed baseline (BENCH_opt.json): the
-// surrogate must stay allocation-free, because the hill-climb inner loop
-// runs it once per cache-missing proposal.
+// BenchmarkOptimize measures the cost of the search building blocks. The
+// analytic-eval surrogate must stay allocation-free (guarded by
+// TestHillClimbInnerLoopAllocFree), because the hill-climb inner loop runs
+// it once per cache-missing proposal.
 func BenchmarkOptimize(b *testing.B) {
 	sp := scenario.Spec{Mesh: 8}
 	obj, err := NewAnalytic(sp)

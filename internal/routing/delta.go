@@ -14,9 +14,10 @@ const (
 	// when that set is small, falling back to the full Floyd–Warshall pass
 	// automatically (see DeltaWorkspace).
 	RecomputeIncremental RecomputeMode = iota
-	// RecomputeFull always reruns the full O(K³) pass, byte-identical to
-	// what a plain Workspace computes. It exists as a baseline for the
-	// equivalence tests, the scaling experiment and the CI byte-diff smoke.
+	// RecomputeFull always reruns the full O(K³) pass: phase 1, then
+	// ShortestPaths.ComputeFrom, then phase 3. It is the reference the
+	// equivalence tests, the scaling experiment and the CI byte-diff smoke
+	// hold the repair to.
 	RecomputeFull
 )
 
@@ -71,12 +72,28 @@ const (
 	defaultAffectedCrossover = 0.60
 )
 
-// DeltaWorkspace is a Workspace variant whose phase 2 is a dynamic all-pairs
-// shortest-path computation: it keeps the previous weight matrix, diffs the
-// new weights against it, and when the change is small repairs the flat
-// dist/succ arrays in place — Ramalingam–Reps-style, specialized to the
-// dense representation — instead of rerunning the full O(K³)
-// Floyd–Warshall pass. The diff yields two vertex sets:
+// DeltaWorkspace owns every buffer the three routing phases need — the
+// phase-1 weight matrices, the phase-2 distance/successor storage, the dense
+// duplicate lists and two phase-3 table buffers — so that repeated
+// ComputeInto calls reuse them and steady-state recomputation performs no
+// heap allocations.
+//
+// The two table buffers are ping-ponged: each ComputeInto writes into the
+// buffer that is not the caller's prev, so the controller can keep the
+// previous frame's tables (needed for deadlock avoidance, and by nodes still
+// forwarding on them) while the next generation is being built. Lifetimes: a
+// returned Plan and its Paths are recomputed in place by the NEXT
+// ComputeInto on the same workspace; only the Plan's Tables live on — for
+// exactly one more call, provided they are passed back as prev (a Tables
+// not handed back as prev may be overwritten immediately). A DeltaWorkspace
+// is not safe for concurrent use; give each goroutine its own.
+//
+// Its phase 2 is a dynamic all-pairs shortest-path computation: it keeps
+// the previous weight matrix, diffs the new weights against it, and when
+// the change is small repairs the flat dist/succ arrays in place —
+// Ramalingam–Reps-style, specialized to the dense representation — instead
+// of rerunning the full O(K³) Floyd–Warshall pass. The diff yields two
+// vertex sets:
 //
 //   - the policy set, both endpoints of every edge that changed weight,
 //     appeared or disappeared. It alone decides whether to repair (the
@@ -102,8 +119,8 @@ const (
 //
 // Because the repaired matrices reach the same canonical fixpoint as the
 // full pass — true shortest distances, and for every pair the minimum first
-// hop among all shortest paths — the repair is byte-identical to
-// Workspace.ComputeInto whenever edge-weight sums carry no rounding (the
+// hop among all shortest paths — the repair is byte-identical to the
+// RecomputeFull pass whenever edge-weight sums carry no rounding (the
 // repo's calibrations use dyadic lengths and penalties, so they are exact;
 // see DESIGN.md, "Performance architecture"). The repair costs
 // O(K² + |heads|·K² + Σ|affected|·K) against the full pass's O(K³).
@@ -113,10 +130,6 @@ const (
 // changed (death and revival invalidate reachability wholesale), or the
 // policy set's dirty/affected volume exceeds the measured crossover
 // thresholds.
-//
-// The ComputeInto contract — ping-ponged table buffers, Plan lifetimes, and
-// zero steady-state heap allocations — is identical to Workspace; a
-// DeltaWorkspace is likewise not safe for concurrent use.
 type DeltaWorkspace struct {
 	mode              RecomputeMode
 	dirtyCrossover    float64
@@ -197,12 +210,11 @@ func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 
 // ComputeInto runs all three phases of the given algorithm on a system
 // snapshot, reusing the workspace's buffers, with phase 2 executed
-// incrementally when possible. The contract is identical to the package
-// function ComputeInto on a plain Workspace: destinations lists the
-// duplicates of every module, prev is the previously downloaded tables (nil
-// on the first computation), and when prev came from an earlier ComputeInto
-// on the same workspace the new tables are written into the other internal
-// buffer so prev stays intact.
+// incrementally when possible. destinations lists the duplicates S_i of
+// every module; prev is the previously downloaded tables (nil on the first
+// computation), consulted for deadlock avoidance. When prev came from an
+// earlier ComputeInto on the same workspace the new tables are written into
+// the other internal buffer, so prev stays intact.
 func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
 	next := dw.cur ^ 1
 	alg.WeightsInto(&dw.w[next], state)

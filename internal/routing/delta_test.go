@@ -15,8 +15,25 @@ import (
 // plans over meshes 4-16 × algorithms × battery-drain trajectories × dead
 // nodes × link faults, a randomized long-run soak, a property test over
 // random single-weight perturbations (including the crossover boundary), the
-// zero-alloc steady-state guard, and the benchmarks behind
-// BENCH_incremental.json.
+// zero-alloc steady-state guard, and the repair-vs-full benchmarks.
+
+// newFullWorkspace returns the reference every repair is compared against:
+// a DeltaWorkspace pinned to the full Floyd–Warshall pass.
+func newFullWorkspace() *DeltaWorkspace {
+	ws := NewDeltaWorkspace()
+	ws.SetMode(RecomputeFull)
+	return ws
+}
+
+// assertNeverRepaired fails when a reference workspace took the incremental
+// path, which would make a delta-vs-full comparison compare the repair with
+// itself.
+func assertNeverRepaired(t *testing.T, ref *DeltaWorkspace) {
+	t.Helper()
+	if s := ref.Stats(); s.Incremental != 0 {
+		t.Fatalf("reference workspace repaired %d recomputes, want full passes only: %+v", s.Incremental, s)
+	}
+}
 
 // assertPlansIdentical asserts two dense plans are byte-identical: every
 // distance bit pattern, every successor, and every phase-3 table entry.
@@ -75,8 +92,8 @@ func checkerboardDests(g *topology.Graph) map[app.ModuleID][]topology.NodeID {
 	return dests
 }
 
-// TestDeltaMatchesFullRecompute drives a DeltaWorkspace and a plain
-// Workspace in lockstep — each chaining its own prev tables, exactly like a
+// TestDeltaMatchesFullRecompute drives an incremental and a full-mode
+// DeltaWorkspace in lockstep — each chaining its own prev tables, exactly like a
 // controller — over meshes 4-16 with battery-drain trajectories, node
 // deaths (which must trigger the full fallback), deadlock churn and
 // setup-time link faults, asserting byte-identical plans on every round.
@@ -93,7 +110,7 @@ func TestDeltaMatchesFullRecompute(t *testing.T) {
 				state := fullState(mesh.Graph, 8)
 
 				dw := NewDeltaWorkspace()
-				ws := NewWorkspace()
+				ws := newFullWorkspace()
 				var dPrev, fPrev *Tables
 				rounds := 24
 				if meshSize >= 12 {
@@ -118,10 +135,11 @@ func TestDeltaMatchesFullRecompute(t *testing.T) {
 						st.Deadlocked = !st.Deadlocked
 					}
 					dPlan := dw.ComputeInto(alg, state, dests, dPrev)
-					fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+					fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 					assertPlansIdentical(t, dPlan, fPlan)
 					dPrev, fPrev = dPlan.Tables, fPlan.Tables
 				}
+				assertNeverRepaired(t, ws)
 				stats := dw.Stats()
 				if stats.Full+stats.Incremental != rounds {
 					t.Fatalf("stats count %d recomputes, want %d", stats.Full+stats.Incremental, rounds)
@@ -148,7 +166,7 @@ func TestDeltaLongRunSoak(t *testing.T) {
 	var alg Algorithm = NewEAR()
 
 	dw := NewDeltaWorkspace()
-	ws := NewWorkspace()
+	ws := newFullWorkspace()
 	var dPrev, fPrev *Tables
 	for round := 0; round < 300; round++ {
 		st := &state.Status[rng.Intn(len(state.Status))]
@@ -163,10 +181,11 @@ func TestDeltaLongRunSoak(t *testing.T) {
 			st.Alive = true // revival must also force the full fallback
 		}
 		dPlan := dw.ComputeInto(alg, state, dests, dPrev)
-		fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+		fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 		assertPlansIdentical(t, dPlan, fPlan)
 		dPrev, fPrev = dPlan.Tables, fPlan.Tables
 	}
+	assertNeverRepaired(t, ws)
 	stats := dw.Stats()
 	if stats.Incremental == 0 || stats.Full == 0 {
 		t.Fatalf("soak did not exercise both paths: %+v", stats)
@@ -216,7 +235,7 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 			dests := checkerboardDests(mesh.Graph)
 
 			dw := NewDeltaWorkspace()
-			ws := NewWorkspace()
+			ws := newFullWorkspace()
 			var dPrev, fPrev *Tables
 			crossovers := [][2]float64{{0, 0}, {0.05, 0.02}, {0.3, 0.1}, {1, 1}}
 			for step := 0; step < 400; step++ {
@@ -237,10 +256,11 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 					}
 				}
 				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
-				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+				fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 				assertPlansIdentical(t, dPlan, fPlan)
 				dPrev, fPrev = dPlan.Tables, fPlan.Tables
 			}
+			assertNeverRepaired(t, ws)
 			stats := dw.Stats()
 			if stats.Incremental == 0 || stats.Full == 0 {
 				t.Fatalf("perturbations did not exercise both sides of the crossover: %+v", stats)
@@ -282,7 +302,7 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 
 			dw := NewDeltaWorkspace()
 			dw.SetCrossover(1, 1)
-			ws := NewWorkspace()
+			ws := newFullWorkspace()
 			var dPrev, fPrev *Tables
 			for step := 0; step < tc.steps; step++ {
 				if step > 0 {
@@ -306,13 +326,14 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 				}
 				before := dw.Stats().Incremental
 				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
-				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+				fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 				assertPlansIdentical(t, dPlan, fPlan)
 				dPrev, fPrev = dPlan.Tables, fPlan.Tables
 				if step > 0 && dw.Stats().Incremental != before+1 {
 					t.Fatalf("step %d was not repaired: %+v", step, dw.Stats())
 				}
 			}
+			assertNeverRepaired(t, ws)
 			if s := dw.Stats(); s.DirtyVertices == 0 || s.AffectedPairs == 0 {
 				t.Fatalf("repairs never touched a dirty vertex: %+v", s)
 			}
@@ -362,7 +383,7 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 
 			dw := NewDeltaWorkspace()
 			dw.SetCrossover(1, 1)
-			ws := NewWorkspace()
+			ws := newFullWorkspace()
 			var dPrev, fPrev *Tables
 			for step := 0; step < tc.steps; step++ {
 				clear(heads)
@@ -396,7 +417,7 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 				}
 				before := dw.Stats()
 				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
-				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
+				fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 				assertPlansIdentical(t, dPlan, fPlan)
 				dPrev, fPrev = dPlan.Tables, fPlan.Tables
 				if step == 0 {
@@ -410,6 +431,7 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 					t.Fatalf("step %d ran %d pivot passes, want one per head (%d)", step, got, len(heads))
 				}
 			}
+			assertNeverRepaired(t, ws)
 		})
 	}
 }
@@ -484,12 +506,13 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 	var alg Algorithm = NewEAR()
 
 	dw := NewDeltaWorkspace()
-	ws := NewWorkspace()
+	ws := newFullWorkspace()
 	check := func(wantFull, wantIncr int) {
 		t.Helper()
 		dPlan := dw.ComputeInto(alg, state, dests, nil)
-		fPlan := ComputeInto(ws, alg, state, dests, nil)
+		fPlan := ws.ComputeInto(alg, state, dests, nil)
 		assertPlansIdentical(t, dPlan, fPlan)
+		assertNeverRepaired(t, ws)
 		if s := dw.Stats(); s.Full != wantFull || s.Incremental != wantIncr {
 			t.Fatalf("stats = %+v, want Full %d Incremental %d", s, wantFull, wantIncr)
 		}
@@ -527,34 +550,46 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 	check(3, 4)
 }
 
-// TestDeltaComputeSteadyStateZeroAllocs extends the PR 3 zero-alloc
-// contract to the incremental path: once the workspace (including the
-// repair scratch) is warm, battery-drain recomputes must not allocate.
+// TestDeltaComputeSteadyStateZeroAllocs is the perf regression guard for the
+// controller hot path, in both modes: once the workspace buffers (including
+// both ping-pong table buffers, both weight matrices and the repair scratch)
+// are warm, recomputing the three-phase plan with changing battery levels
+// and chained prev tables, exactly like the simulator's frame loop, must
+// not allocate.
 func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
-	mesh := topology.MustMesh(8, 8, 1)
-	state := fullState(mesh.Graph, 8)
-	dests := checkerboardDests(mesh.Graph)
-	dw := NewDeltaWorkspace()
-	var alg Algorithm = NewEAR()
-	var prev *Tables
-	// Warm-ups: size both ping-pong table buffers, both weight matrices and
-	// the repair scratch (the third call takes the incremental path).
-	for i := 0; i < 3; i++ {
-		state.Status[i].BatteryLevel = 6
-		prev = dw.ComputeInto(alg, state, dests, prev).Tables
-	}
-	if dw.Stats().Incremental == 0 {
-		t.Fatal("warm-up never exercised the incremental path")
-	}
-	step := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		st := &state.Status[step%len(state.Status)]
-		st.BatteryLevel = (st.BatteryLevel + 1) % 8
-		step++
-		prev = dw.ComputeInto(alg, state, dests, prev).Tables
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state DeltaWorkspace.ComputeInto allocated %.1f times per run, want 0", allocs)
+	for _, mode := range []RecomputeMode{RecomputeIncremental, RecomputeFull} {
+		t.Run(mode.String(), func(t *testing.T) {
+			mesh := topology.MustMesh(8, 8, 1)
+			state := fullState(mesh.Graph, 8)
+			dests := checkerboardDests(mesh.Graph)
+			dw := NewDeltaWorkspace()
+			dw.SetMode(mode)
+			// Hoisted interface value: converting the EAR struct to the
+			// Algorithm interface allocates, and the simulator holds its
+			// algorithm as an interface field for the same reason.
+			var alg Algorithm = NewEAR()
+			var prev *Tables
+			// Warm-ups; in incremental mode the third call takes the repair.
+			for i := 0; i < 3; i++ {
+				state.Status[i].BatteryLevel = 6
+				prev = dw.ComputeInto(alg, state, dests, prev).Tables
+			}
+			if mode == RecomputeFull {
+				assertNeverRepaired(t, dw)
+			} else if dw.Stats().Incremental == 0 {
+				t.Fatal("warm-up never exercised the incremental path")
+			}
+			step := 0
+			allocs := testing.AllocsPerRun(64, func() {
+				st := &state.Status[step%len(state.Status)]
+				st.BatteryLevel = (st.BatteryLevel + 1) % 8
+				step++
+				prev = dw.ComputeInto(alg, state, dests, prev).Tables
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state ComputeInto allocated %.1f times per run, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -582,8 +617,7 @@ func benchDrain(b *testing.B, meshSize int, mode RecomputeMode) {
 	}
 }
 
-// BenchmarkIncrementalRecompute is the BENCH_incremental.json source: the
-// per-threshold-crossing recompute cost for the full pass vs the
+// BenchmarkIncrementalRecompute measures the per-threshold-crossing recompute cost for the full pass vs the
 // incremental repair as the mesh grows. The full pass is capped at 32x32
 // (1024 nodes, ~1 s/op); 64x64 (4096 nodes) appears only under the
 // incremental column — that sweep was simply infeasible at O(K³).

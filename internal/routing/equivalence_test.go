@@ -13,10 +13,10 @@ import (
 // This file pins the dense, slice-backed control plane to the semantics of
 // the original map-backed implementation: refCompute below is a faithful
 // transcription of the pre-refactor phases 1-3 (map snapshot, [][]float64
-// matrices, map tables), and the equivalence test asserts both produce
-// identical plans on meshes 4-8 with dead nodes, deadlock flags and link
-// faults. It also holds the AllocsPerRun regression guard for the
-// steady-state ComputeInto path.
+// matrices, map tables), and the equivalence test asserts that the
+// DeltaWorkspace, in both its full and its incremental mode, produces the
+// reference's plans on meshes 4-8 with dead nodes, deadlock flags and link
+// faults.
 
 // refTable mirrors the old map-backed Table.
 type refTable struct {
@@ -206,10 +206,13 @@ func comparePlan(t *testing.T, state *SystemState, destinations map[app.ModuleID
 	}
 }
 
-// TestDenseComputeMatchesMapReference drives both implementations over
-// meshes 4-8 with randomized battery levels, dead nodes, deadlock flags and
-// link faults, chaining each computation's tables into the next as prev so
-// the deadlock-avoidance path is exercised against real previous tables.
+// TestDenseComputeMatchesMapReference drives the reference and two
+// DeltaWorkspaces, one per recompute mode, over meshes 4-8 with randomized
+// battery levels, dead nodes, deadlock flags and link faults, chaining each
+// computation's tables into the next as prev so the deadlock-avoidance path
+// is exercised against real previous tables. Each randomized round is
+// followed by drain-only steps that keep liveness fixed, which the
+// incremental workspace repairs instead of recomputing.
 func TestDenseComputeMatchesMapReference(t *testing.T) {
 	for _, meshSize := range []int{4, 5, 6, 7, 8} {
 		for _, alg := range []Algorithm{SDR{}, NewEAR()} {
@@ -221,16 +224,23 @@ func TestDenseComputeMatchesMapReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				k := mesh.Graph.NodeCount()
-				dests := map[app.ModuleID][]topology.NodeID{}
-				for _, n := range mesh.Nodes() {
-					m := app.ModuleID(int(n.ID)%3 + 1)
-					dests[m] = append(dests[m], n.ID)
-				}
+				dests := checkerboardDests(mesh.Graph)
 
 				state := fullState(mesh.Graph, 8)
-				ws := NewWorkspace()
-				var prev *Tables
+				full := newFullWorkspace()
+				incr := NewDeltaWorkspace()
+				incr.SetCrossover(1, 1) // repair every drain step, whatever the mesh size
+				var fullPrev, incrPrev *Tables
 				var refPrev map[topology.NodeID]refTable
+				check := func() {
+					t.Helper()
+					dist, succ, refTables := refCompute(alg, state, dests, refPrev)
+					fPlan := full.ComputeInto(alg, state, dests, fullPrev)
+					comparePlan(t, state, dests, fPlan, dist, succ, refTables)
+					iPlan := incr.ComputeInto(alg, state, dests, incrPrev)
+					comparePlan(t, state, dests, iPlan, dist, succ, refTables)
+					fullPrev, incrPrev, refPrev = fPlan.Tables, iPlan.Tables, refTables
+				}
 				for round := 0; round < 6; round++ {
 					for i := 0; i < k; i++ {
 						state.Status[i] = NodeStatus{
@@ -239,45 +249,19 @@ func TestDenseComputeMatchesMapReference(t *testing.T) {
 							Deadlocked:   rng.Float64() < 0.2,
 						}
 					}
-					plan := ComputeInto(ws, alg, state, dests, prev)
-					dist, succ, refTables := refCompute(alg, state, dests, refPrev)
-					comparePlan(t, state, dests, plan, dist, succ, refTables)
-					prev, refPrev = plan.Tables, refTables
+					check()
+					for step := 0; step < 3; step++ {
+						st := &state.Status[rng.Intn(k)]
+						st.BatteryLevel = rng.Intn(8)
+						st.Deadlocked = rng.Float64() < 0.2
+						check()
+					}
+				}
+				assertNeverRepaired(t, full)
+				if s := incr.Stats(); s.Incremental == 0 || (alg.NeedsBatteryInfo() && s.Pivots == 0) {
+					t.Fatalf("drain steps never exercised the repair: %+v", s)
 				}
 			})
 		}
-	}
-}
-
-// TestComputeIntoSteadyStateZeroAllocs is the perf regression guard for the
-// controller hot path: once the workspace buffers are warm, recomputing the
-// full three-phase plan — with changing battery levels and ping-ponged prev
-// tables, exactly like the simulator's frame loop — must not allocate.
-func TestComputeIntoSteadyStateZeroAllocs(t *testing.T) {
-	mesh := topology.MustMesh(8, 8, 1)
-	state := fullState(mesh.Graph, 8)
-	dests := map[app.ModuleID][]topology.NodeID{}
-	for _, n := range mesh.Nodes() {
-		m := app.ModuleID(int(n.ID)%3 + 1)
-		dests[m] = append(dests[m], n.ID)
-	}
-	ws := NewWorkspace()
-	// Hoisted interface value: converting the 16-byte EAR struct to the
-	// Algorithm interface allocates, and the simulator holds its algorithm as
-	// an interface field for the same reason.
-	var alg Algorithm = NewEAR()
-	var prev *Tables
-	// Two warm-up computes size both ping-pong table buffers.
-	prev = ComputeInto(ws, alg, state, dests, prev).Tables
-	prev = ComputeInto(ws, alg, state, dests, prev).Tables
-	step := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		st := &state.Status[step%len(state.Status)]
-		st.BatteryLevel = (st.BatteryLevel + 1) % 8
-		step++
-		prev = ComputeInto(ws, alg, state, dests, prev).Tables
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state ComputeInto allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -16,19 +16,11 @@ type ShortestPaths struct {
 	succ []topology.NodeID // row-major, n*n
 }
 
-// AllPairs runs the Floyd–Warshall variant of Fig 5 on the weight matrix W,
-// computing shortest distances and successors for every ordered node pair.
-// Ties are broken towards the successor with the smaller node ID so the
-// result is deterministic regardless of iteration order. Hot paths should
-// reuse a ShortestPaths via ComputeFrom instead.
-func AllPairs(w Matrix) *ShortestPaths {
-	sp := &ShortestPaths{}
-	sp.ComputeFrom(&w)
-	return sp
-}
-
-// ComputeFrom recomputes the all-pairs shortest paths for the weight matrix
-// W, reusing the receiver's backing storage. W is not modified.
+// ComputeFrom runs the Floyd–Warshall variant of Fig 5 on the weight matrix
+// W, computing shortest distances and successors for every ordered node
+// pair into the receiver's reused storage. Ties are broken towards the
+// successor with the smaller node ID, so the result is deterministic
+// regardless of iteration order. W is not modified.
 func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 	k := w.Dim()
 	sp.n = k

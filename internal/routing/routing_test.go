@@ -22,7 +22,7 @@ func fullState(g *topology.Graph, levels int) *SystemState {
 func TestSDRWeightsMatchLinkLengths(t *testing.T) {
 	mesh := topology.MustMesh(3, 3, 2.5)
 	state := fullState(mesh.Graph, 8)
-	w := Weights(SDR{}, state)
+	w := weights(SDR{}, state)
 	if w.Dim() != 9 {
 		t.Fatalf("weight matrix dimension = %d, want 9", w.Dim())
 	}
@@ -47,7 +47,7 @@ func TestWeightsExcludeDeadNodes(t *testing.T) {
 	b, _ := mesh.IDAt(2, 1)
 	state.Status[b] = NodeStatus{Alive: false}
 	for _, alg := range []Algorithm{SDR{}, NewEAR()} {
-		w := Weights(alg, state)
+		w := weights(alg, state)
 		if !math.IsInf(w.At(int(a), int(b)), 1) {
 			t.Errorf("%s: edge into dead node has weight %g, want +Inf", alg.Name(), w.At(int(a), int(b)))
 		}
@@ -75,11 +75,26 @@ func TestEARPenaltyFunction(t *testing.T) {
 	if p.Penalty(-3) != p.Penalty(0) || p.Penalty(99) != p.Penalty(7) {
 		t.Error("penalty did not clamp out-of-range levels")
 	}
-	if (EARParams{Q: 0, Levels: 8}).Validate() == nil {
-		t.Error("Q=0 accepted")
-	}
 	if (EARParams{Q: 2, Levels: 1}).Validate() == nil {
 		t.Error("single level accepted")
+	}
+	// Q must be finite and positive, and max(Q, 1/Q)^(Levels-1) at most
+	// 2^32: past that the incremental repair is no longer exact.
+	for _, bad := range []EARParams{
+		{Q: 0, Levels: 8}, {Q: -2, Levels: 8}, {Q: math.NaN(), Levels: 8}, {Q: math.Inf(1), Levels: 8},
+		{Q: 1e-20, Levels: 8}, {Q: 1e10, Levels: 8}, {Q: 23.8, Levels: 8}, {Q: 2, Levels: 34}, {Q: 0.5, Levels: 34},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	for _, good := range []EARParams{
+		{Q: 1, Levels: 8}, {Q: 1.5, Levels: 8}, {Q: 4, Levels: 8}, {Q: 16, Levels: 8}, {Q: 23.7, Levels: 8},
+		{Q: 1.0 / 16, Levels: 8}, {Q: 2, Levels: 33}, {Q: 0.5, Levels: 33}, {Q: 1, Levels: 1000},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", good, err)
+		}
 	}
 }
 
@@ -92,7 +107,7 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	// Node b is nearly depleted.
 	state.Status[b] = NodeStatus{Alive: true, BatteryLevel: 1}
 	ear := NewEAR()
-	w := Weights(ear, state)
+	w := weights(ear, state)
 	if w.At(int(a), int(b)) <= w.At(int(b), int(c)) {
 		t.Errorf("edge into depleted node (%g) should weigh more than edge into full node (%g)",
 			w.At(int(a), int(b)), w.At(int(b), int(c)))
@@ -103,7 +118,7 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	}
 	// Zero-value EAR falls back to default parameters rather than dividing by zero.
 	var zeroEAR EAR
-	wz := Weights(zeroEAR, state)
+	wz := weights(zeroEAR, state)
 	if math.IsNaN(wz.At(int(a), int(b))) || wz.At(int(a), int(b)) <= 0 {
 		t.Errorf("zero-value EAR produced weight %g", wz.At(int(a), int(b)))
 	}
@@ -143,7 +158,7 @@ func TestMatrixResetReusesStorage(t *testing.T) {
 func TestAllPairsOnLineGraph(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := allPairs(weights(SDR{}, state))
 	a, _ := mesh.IDAt(1, 1)
 	d, _ := mesh.IDAt(4, 1)
 	if sp.Dist(a, d) != 3 {
@@ -167,7 +182,7 @@ func TestAllPairsOnLineGraph(t *testing.T) {
 func TestHopCountDoesNotAllocate(t *testing.T) {
 	mesh := topology.MustMesh(6, 6, 1)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := allPairs(weights(SDR{}, state))
 	a, _ := mesh.IDAt(1, 1)
 	d, _ := mesh.IDAt(6, 6)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -183,7 +198,7 @@ func TestHopCountDoesNotAllocate(t *testing.T) {
 func TestAllPairsMatchesManhattanOnMesh(t *testing.T) {
 	mesh := topology.MustMesh(5, 4, 2)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := allPairs(weights(SDR{}, state))
 	for _, from := range mesh.Nodes() {
 		for _, to := range mesh.Nodes() {
 			want := float64(from.Pos.Manhattan(to.Pos)) * 2
@@ -202,7 +217,7 @@ func TestAllPairsUnreachableAndDeadNodes(t *testing.T) {
 	c, _ := mesh.IDAt(3, 1)
 	// Killing the middle node of a line disconnects the endpoints.
 	state.Status[b] = NodeStatus{Alive: false}
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := allPairs(weights(SDR{}, state))
 	if sp.Reachable(a, c) {
 		t.Error("endpoints should be unreachable with the middle node dead")
 	}
@@ -228,7 +243,7 @@ func TestAllPairsTriangleInequalityProperty(t *testing.T) {
 		state.Status[id] = NodeStatus{Alive: true, BatteryLevel: id % 8}
 	}
 	for _, alg := range []Algorithm{SDR{}, NewEAR()} {
-		sp := AllPairs(Weights(alg, state))
+		sp := allPairs(weights(alg, state))
 		k := mesh.Size()
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
@@ -249,7 +264,7 @@ func TestAllPairsPathDistanceConsistencyProperty(t *testing.T) {
 		h := int(heightRaw%5) + 2
 		mesh := topology.MustMesh(w, h, 1)
 		state := fullState(mesh.Graph, 8)
-		sp := AllPairs(Weights(SDR{}, state))
+		sp := allPairs(weights(SDR{}, state))
 		// The reconstructed path length must equal the reported distance.
 		for _, from := range mesh.Nodes() {
 			for _, to := range mesh.Nodes() {
@@ -285,7 +300,7 @@ func TestBuildTablesPicksNearestDuplicate(t *testing.T) {
 	n3, _ := mesh.IDAt(3, 1)
 	n4, _ := mesh.IDAt(4, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {n1, n4}}
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := allPairs(weights(SDR{}, state))
 	tables := BuildTables(state, sp, dests, nil)
 	r, ok := tables.RouteTo(n2, 1)
 	if !ok || r.Dest != n1 {
@@ -319,13 +334,13 @@ func TestBuildTablesEARPrefersChargedDuplicate(t *testing.T) {
 	state.Status[right] = NodeStatus{Alive: true, BatteryLevel: 7}
 	dests := map[app.ModuleID][]topology.NodeID{2: {left, right}}
 
-	sdrPlan := Compute(SDR{}, state, dests, nil)
+	sdrPlan := compute(SDR{}, state, dests, nil)
 	rSDR, _ := sdrPlan.Tables.RouteTo(mid, 2)
 	if rSDR.Dest != left {
 		t.Errorf("SDR picked %d, want the smaller-ID duplicate %d on a distance tie", rSDR.Dest, left)
 	}
 
-	earPlan := Compute(NewEAR(), state, dests, nil)
+	earPlan := compute(NewEAR(), state, dests, nil)
 	rEAR, _ := earPlan.Tables.RouteTo(mid, 2)
 	if rEAR.Dest != right {
 		t.Errorf("EAR picked %d, want the well-charged duplicate %d", rEAR.Dest, right)
@@ -340,14 +355,14 @@ func TestBuildTablesSkipsDeadDuplicates(t *testing.T) {
 	right, _ := mesh.IDAt(3, 1)
 	state.Status[left] = NodeStatus{Alive: false}
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
-	plan := Compute(SDR{}, state, dests, nil)
+	plan := compute(SDR{}, state, dests, nil)
 	r, _ := plan.Tables.RouteTo(mid, 1)
 	if r.Dest != right {
 		t.Errorf("route destination = %d, want the surviving duplicate %d", r.Dest, right)
 	}
 	// With every duplicate dead the route must be invalid.
 	state.Status[right] = NodeStatus{Alive: false}
-	plan = Compute(SDR{}, state, dests, nil)
+	plan = compute(SDR{}, state, dests, nil)
 	r, _ = plan.Tables.RouteTo(mid, 1)
 	if r.Valid() {
 		t.Errorf("route to a fully-dead module reported valid: %+v", r)
@@ -365,14 +380,14 @@ func TestBuildTablesDeadlockAvoidance(t *testing.T) {
 	right, _ := mesh.IDAt(3, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
 
-	first := Compute(SDR{}, state, dests, nil)
+	first := compute(SDR{}, state, dests, nil)
 	r0, _ := first.Tables.RouteTo(mid, 1)
 	if r0.Dest != left {
 		t.Fatalf("initial route = %+v, want left duplicate", r0)
 	}
 
 	state.Status[mid] = NodeStatus{Alive: true, BatteryLevel: 7, Deadlocked: true}
-	second := Compute(SDR{}, state, dests, first.Tables)
+	second := compute(SDR{}, state, dests, first.Tables)
 	r1, _ := second.Tables.RouteTo(mid, 1)
 	if r1.Dest != right || r1.NextHop == r0.NextHop {
 		t.Fatalf("deadlocked node not redirected: before %+v, after %+v", r0, r1)
@@ -388,9 +403,9 @@ func TestBuildTablesDeadlockFallbackWhenNoAlternative(t *testing.T) {
 	a, _ := mesh.IDAt(1, 1)
 	b, _ := mesh.IDAt(2, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {b}}
-	first := Compute(SDR{}, state, dests, nil)
+	first := compute(SDR{}, state, dests, nil)
 	state.Status[a] = NodeStatus{Alive: true, BatteryLevel: 7, Deadlocked: true}
-	second := Compute(SDR{}, state, dests, first.Tables)
+	second := compute(SDR{}, state, dests, first.Tables)
 	r, _ := second.Tables.RouteTo(a, 1)
 	if !r.Valid() || r.Dest != b {
 		t.Fatalf("fallback route = %+v, want destination %d", r, b)
@@ -400,7 +415,7 @@ func TestBuildTablesDeadlockFallbackWhenNoAlternative(t *testing.T) {
 func TestTablesNextHopRelay(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	plan := Compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	a, _ := mesh.IDAt(1, 1)
 	b, _ := mesh.IDAt(2, 1)
 	d, _ := mesh.IDAt(4, 1)
@@ -430,7 +445,7 @@ func TestBuildTablesSkipsDeadSources(t *testing.T) {
 	state := fullState(mesh.Graph, 8)
 	dead, _ := mesh.IDAt(1, 1)
 	state.Status[dead] = NodeStatus{Alive: false}
-	plan := Compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Tables.Has(dead) {
 		t.Error("dead node received a routing table")
 	}
@@ -474,7 +489,7 @@ func TestSystemStateEqualAndClone(t *testing.T) {
 func TestComputePlanMetadata(t *testing.T) {
 	mesh := topology.MustMesh(2, 2, 1)
 	state := fullState(mesh.Graph, 8)
-	plan := Compute(NewEAR(), state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := compute(NewEAR(), state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Algorithm != "EAR" {
 		t.Errorf("plan algorithm = %q, want EAR", plan.Algorithm)
 	}
@@ -483,42 +498,50 @@ func TestComputePlanMetadata(t *testing.T) {
 	}
 }
 
+// weights runs phase 1 alone into a fresh matrix.
+func weights(alg Algorithm, state *SystemState) Matrix {
+	var w Matrix
+	alg.WeightsInto(&w, state)
+	return w
+}
+
+// allPairs runs phase 2 alone on a weight matrix.
+func allPairs(w Matrix) *ShortestPaths {
+	sp := &ShortestPaths{}
+	sp.ComputeFrom(&w)
+	return sp
+}
+
+// compute runs all three phases on a fresh workspace, which the returned
+// plan owns.
+func compute(alg Algorithm, state *SystemState, dests map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
+	return newFullWorkspace().ComputeInto(alg, state, dests, prev)
+}
+
 func BenchmarkAllPairs8x8(b *testing.B) {
 	mesh := topology.MustMesh(8, 8, 1)
 	state := fullState(mesh.Graph, 8)
-	w := Weights(SDR{}, state)
+	w := weights(SDR{}, state)
+	var sp ShortestPaths
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AllPairs(w)
+		sp.ComputeFrom(&w)
 	}
 }
 
-func BenchmarkComputeEAR8x8(b *testing.B) {
-	mesh := topology.MustMesh(8, 8, 1)
-	state := fullState(mesh.Graph, 8)
-	dests := map[app.ModuleID][]topology.NodeID{
-		1: {0, 2, 4}, 2: {10, 20, 30}, 3: {40, 50, 60},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compute(NewEAR(), state, dests, nil)
-	}
-}
-
-// BenchmarkComputeIntoEAR8x8 is the steady-state controller path: the same
-// computation as BenchmarkComputeEAR8x8 but through a reused Workspace. It
-// must report 0 allocs/op.
+// BenchmarkComputeIntoEAR8x8 is the steady-state controller path: all three
+// phases through a reused full-mode workspace. It must report 0 allocs/op.
 func BenchmarkComputeIntoEAR8x8(b *testing.B) {
 	mesh := topology.MustMesh(8, 8, 1)
 	state := fullState(mesh.Graph, 8)
 	dests := map[app.ModuleID][]topology.NodeID{
 		1: {0, 2, 4}, 2: {10, 20, 30}, 3: {40, 50, 60},
 	}
-	ws := NewWorkspace()
+	ws := newFullWorkspace()
 	var alg Algorithm = NewEAR()
 	var prev *Tables
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prev = ComputeInto(ws, alg, state, dests, prev).Tables
+		prev = ws.ComputeInto(alg, state, dests, prev).Tables
 	}
 }

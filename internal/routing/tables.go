@@ -186,7 +186,7 @@ func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
 // previous routing table so the stuck job is redirected along an unlocked
 // path. destinations lists the duplicates S_i of every module; dead
 // duplicates are ignored. prev may be nil on the first invocation. Hot paths
-// should use ComputeInto with a reused Workspace instead.
+// should use DeltaWorkspace.ComputeInto, which reuses the table buffers.
 func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Tables {
 	var ds destSet
 	ds.fill(destinations)

@@ -99,6 +99,9 @@ type Spec struct {
 	// AlgorithmSDR.
 	Algorithm string
 	// EARQ overrides the EAR battery-weighting base Q (0 = paper default).
+	// Strategy rejects values routing.EARParams.Validate does not accept:
+	// negative or non-finite ones, and those that spread the penalties past
+	// 2^32.
 	EARQ float64
 	// BatteryLevels overrides the battery quantisation level count
 	// (0 = algorithm default).
@@ -142,7 +145,8 @@ type Spec struct {
 	// FiniteControllers attaches thin-film batteries to the controllers
 	// (the Sec 7.3 scenario); false models the infinite-energy controller.
 	FiniteControllers bool
-	// ConcurrentJobs is the number of jobs kept in flight (0 = 1).
+	// ConcurrentJobs is the number of jobs kept in flight (0 = 1; negative
+	// values are rejected eagerly by Strategy).
 	ConcurrentJobs int
 	// FailedLinkFraction removes that fraction of the interconnects before
 	// the run (wear-and-tear); FailedLinkSeed selects the deterministic
@@ -183,11 +187,14 @@ func (sp Spec) algorithm() (routing.Algorithm, error) {
 	switch sp.Algorithm {
 	case "", AlgorithmEAR:
 		params := routing.DefaultEARParams()
-		if sp.EARQ > 0 {
+		if sp.EARQ != 0 {
 			params.Q = sp.EARQ
 		}
 		if sp.BatteryLevels > 0 {
 			params.Levels = sp.BatteryLevels
+		}
+		if err := params.Validate(); err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		return routing.EAR{Params: params}, nil
 	case AlgorithmSDR:
@@ -254,6 +261,10 @@ func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		opts = append(opts, core.WithFaults(fsp))
+	}
+	if sp.ConcurrentJobs < 0 {
+		return nil, fmt.Errorf("scenario %s: concurrent job count must be non-negative (0 defaults to 1), got %d",
+			sp.Label(), sp.ConcurrentJobs)
 	}
 	if sp.ConcurrentJobs > 1 {
 		opts = append(opts, core.WithConcurrentJobs(sp.ConcurrentJobs))

@@ -167,6 +167,11 @@ func TestSpecRejectsBadValues(t *testing.T) {
 		{Mesh: 4, ControlPlane: "sharded", Shards: 17},          // more shards than nodes
 		{Mesh: 4, ControlPlane: "sharded", StalenessFrames: -1}, // negative staleness, sharded
 		{Mesh: 4, Recompute: "eager"},                           // unknown recompute strategy
+		{Mesh: 4, ConcurrentJobs: -1},                           // negative job count
+		{Mesh: 4, EARQ: -1},                                     // negative Q
+		{Mesh: 4, EARQ: 1e-20},                                  // penalty spread past 2^32
+		{Mesh: 4, EARQ: 1e10},                                   // penalty spread past 2^32
+		{Mesh: 4, EARQ: 2, BatteryLevels: 34},                   // penalty spread 2^33
 	}
 	for _, sp := range cases {
 		if _, err := sp.Strategy(); err == nil {

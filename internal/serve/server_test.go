@@ -198,6 +198,10 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 		{`{"Mesh":4} trailing`, http.StatusBadRequest},
 		{`{"Mesh":0}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"Algorithm":"wavefront"}`, http.StatusUnprocessableEntity},
+		// EAR Q values the incremental repair cannot route exactly.
+		{`{"Mesh":4,"EARQ":1e-20}`, http.StatusUnprocessableEntity},
+		{`{"Mesh":4,"EARQ":-1}`, http.StatusUnprocessableEntity},
+		{`{"Mesh":4,"EARQ":1e10}`, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts.URL+"/simulate", c.body)

@@ -88,10 +88,10 @@ type Simulator struct {
 
 	// plane is the control plane: everything between the upload and download
 	// phases of a TDMA frame (snapshot adoption, the recompute decision, table
-	// production, controller energy and liveness) lives behind this interface.
+	// production, controller energy and liveness) lives in it.
 	// buildSnapshot refills the one snapshot buffer every frame (the plane
 	// never retains it), so steady-state frames allocate nothing.
-	plane   controlplane.ControlPlane
+	plane   *controlplane.Sharded
 	snap    routing.SystemState
 	blocked []bool // per-node deadlock scratch for buildSnapshot
 
