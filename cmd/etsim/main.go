@@ -11,7 +11,6 @@
 //	etsim -scenario stress-burst
 //	etsim -scenario smartshirt-verified -trace shirt.csv
 //	etsim -scenario random-mapping-sweep -seed 7
-//	etsim -scenario degraded-fabric-mc -replications 50
 //	etsim -scenario paper-default -mapping explicit:1,2,3,1,3,1,3,2,3,1,3,3,2,3,2,1
 //	etsim -scenario optimized-4x4 -mapping checkerboard
 //	etsim -mesh 8 -controlplane sharded -shards 4 -staleness 8
@@ -24,9 +23,9 @@
 //
 // The stochastic knobs of a named scenario can be re-drawn without editing
 // the registry: -seed N overrides the scenario's MappingSeed and
-// FailedLinkSeed for a single run, and -replications M (M > 1) runs a full
-// Monte-Carlo campaign over the scenario — M seed-stream replicates folded
-// into mean ± CI / quantile aggregates, exactly as cmd/etcampaign does.
+// FailedLinkSeed for a single run. Monte-Carlo replication of a scenario
+// (seed-stream replicates folded into mean ± CI / quantile aggregates) is
+// cmd/etcampaign's job.
 // -mapping overrides the scenario's module placement by strategy name, or
 // replays an exact placement with explicit:<assignment> (the form cmd/etopt
 // prints for its optimized placements). -controlplane/-shards/-staleness
@@ -46,7 +45,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -69,7 +67,7 @@ type options struct {
 	earQ                                         float64
 	maxCycles                                    int64
 	mappingName, planeName, recompute, faultSpec string
-	shards, staleness, replications              int
+	shards, staleness                            int
 	seed                                         uint64
 }
 
@@ -98,8 +96,7 @@ func newOptions() *options {
 	fs.IntVar(&o.staleness, "staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
 	fs.StringVar(&o.recompute, "recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical either way; overrides the scenario's when combined with -scenario")
 	fs.StringVar(&o.faultSpec, "faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
-	fs.Uint64Var(&o.seed, "seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed (single run) or seed the campaign stream (-replications > 1)")
-	fs.IntVar(&o.replications, "replications", 1, "with -scenario: run this many seed-stream replicates as a Monte-Carlo campaign and print aggregate statistics")
+	fs.Uint64Var(&o.seed, "seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed for this run (cmd/etcampaign replicates a scenario over a seed stream)")
 	return o
 }
 
@@ -140,10 +137,10 @@ func (o *options) spec() (scenario.Spec, error) {
 				o.scenarioName, len(scenario.Names()))
 		}
 	} else {
-		// The seed-stream knobs only exist on declarative scenarios; the ad
-		// hoc flags describe a deterministic configuration.
-		if o.set["seed"] || o.replications > 1 || o.mappingName != "" {
-			return spec, fmt.Errorf("-seed, -replications and -mapping require -scenario; register a scenario (or use cmd/etcampaign) to replicate it")
+		// The seed and mapping overrides only exist on declarative
+		// scenarios; the ad hoc flags describe a deterministic configuration.
+		if o.set["seed"] || o.mappingName != "" {
+			return spec, fmt.Errorf("-seed and -mapping require -scenario; use cmd/etcampaign to replicate a scenario")
 		}
 		spec = scenario.Spec{
 			Mesh:              o.meshSize,
@@ -188,8 +185,7 @@ func (o *options) spec() (scenario.Spec, error) {
 	}
 	if o.set["seed"] {
 		// Re-draw the scenario's stochastic knobs without editing the
-		// registry: one ad-hoc draw for a single run, the campaign base
-		// seed when replicating.
+		// registry.
 		spec.MappingSeed = o.seed
 		spec.FailedLinkSeed = o.seed
 	}
@@ -224,28 +220,6 @@ func main() {
 	spec, err := o.spec()
 	if err != nil {
 		fatal(err)
-	}
-	if o.replications > 1 {
-		// A campaign aggregates across replicates; the per-run outputs
-		// (frame traces, per-node tables) have no aggregate form here.
-		if o.traceFile != "" || o.perNode || o.spansFile != "" {
-			fatal(fmt.Errorf("-replications %d aggregates across runs; drop -trace/-spans/-v", o.replications))
-		}
-		res, err := campaign.Run(campaign.Spec{
-			Scenario:     spec,
-			Replications: o.replications,
-			Seed:         o.seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(res.Table().Render())
-		// A mismatch in any replicate is as hard a failure as in a single
-		// run.
-		if err := res.MismatchError(); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	strategy, err := spec.Strategy()
 	if err != nil {

@@ -16,10 +16,9 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/app"
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/mapping"
-	"repro/internal/routing"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -61,20 +60,20 @@ func main() {
 	// Simulate EAR and SDR with the proportional mapping derived from H_i.
 	results := stats.NewTable("Simulated jobs completed (6x6 mesh, thin-film batteries)",
 		"routing algorithm", "jobs completed", "achieved vs bound", "died because")
-	for _, alg := range []routing.Algorithm{routing.NewEAR(), routing.SDR{}} {
-		strategy, err := core.New(6,
-			core.WithApplication(application),
-			core.WithAlgorithm(alg),
-			core.WithMapping(mapping.Proportional{Weights: bound.NormalizedEnergies}),
-		)
+	for _, alg := range []string{scenario.AlgorithmEAR, scenario.AlgorithmSDR} {
+		// Start from the paper's 6x6 platform and swap in the custom
+		// application and its proportional mapping.
+		strategy, err := scenario.Spec{Mesh: 6, Algorithm: alg}.Strategy()
 		if err != nil {
 			log.Fatal(err)
 		}
+		strategy.App = application
+		strategy.Mapper = mapping.Proportional{Weights: bound.NormalizedEnergies}
 		res, err := strategy.Simulate()
 		if err != nil {
 			log.Fatal(err)
 		}
-		results.AddRow(alg.Name(), res.JobsCompleted,
+		results.AddRow(alg, res.JobsCompleted,
 			fmt.Sprintf("%.0f%%", 100*bound.Achieved(float64(res.JobsCompleted))),
 			string(res.Reason))
 	}

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 )
 
@@ -20,7 +20,7 @@ func main() {
 	table := stats.NewTable("Theorem 1 vs simulated EAR",
 		"mesh", "J* (Theorem 1)", "EAR, ideal battery", "achieved", "EAR, thin-film battery")
 	for _, n := range []int{4, 5, 6, 7, 8} {
-		ideal, err := core.EAR(n, core.WithIdealBatteries())
+		ideal, err := scenario.Spec{Mesh: n, Battery: scenario.BatteryIdeal}.Strategy()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,11 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		thin, err := core.EAR(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		thinRes, err := thin.Simulate()
+		thinRes, err := scenario.Spec{Mesh: n}.Simulate()
 		if err != nil {
 			log.Fatal(err)
 		}

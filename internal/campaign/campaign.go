@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/runner"
 	"repro/internal/scenario"
@@ -242,24 +241,21 @@ func Run(sp Spec, opts ...Option) (*Result, error) {
 	if _, err := sp.Replicate(0).Strategy(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	var cfg config
+	cfg := config{ctx: context.Background()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// runner.WithContext ignores a nil context, so the uncancellable default
-	// costs nothing.
 	pool := runner.New(runner.WithWorkers(cfg.workers), runner.WithContext(cfg.ctx))
 
 	// simulate runs one replicate, threading the campaign context into the
-	// engine's scheduling loop when one is configured.
+	// engine's scheduling loop (the background context's nil Done channel
+	// leaves the run uncancellable).
 	simulate := func(rep scenario.Spec) (sim.Result, error) {
-		if cfg.ctx == nil {
-			return rep.Simulate()
-		}
-		s, err := rep.Strategy(core.WithContext(cfg.ctx))
+		s, err := rep.Strategy()
 		if err != nil {
 			return sim.Result{}, err
 		}
+		s.Cancel = cfg.ctx.Done()
 		return s.Simulate()
 	}
 
@@ -289,8 +285,8 @@ func Run(sp Spec, opts ...Option) (*Result, error) {
 				// A truncated replicate must never be folded: abort the campaign
 				// with the context's error so callers cannot mistake a partial
 				// aggregate for a real one.
-				if cfg.ctx != nil && cfg.ctx.Err() != nil {
-					return cfg.ctx.Err()
+				if err := cfg.ctx.Err(); err != nil {
+					return err
 				}
 				return fmt.Errorf("replicate %d: cancelled", start+j)
 			}

@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/scenario"
@@ -291,6 +294,22 @@ func TestCampaignErrors(t *testing.T) {
 		Replications: 2,
 	}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestCampaignContextCancelsRunningReplicate: cancelling the campaign's
+// context aborts a replicate that is already simulating (through the
+// strategy's Cancel channel) instead of letting it run to system death, and
+// Run returns the context's error, not an aggregate.
+func TestCampaignContextCancelsRunningReplicate(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// One 12x12 replicate simulates for seconds; the cancellation lands
+	// mid-run.
+	time.AfterFunc(20*time.Millisecond, cancel)
+	res, err := Run(Spec{Scenario: scenario.Spec{Mesh: 12}, Replications: 1, Seed: 1}, WithContext(ctx))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, %v; want context.Canceled", res, err)
 	}
 }
 

@@ -4,18 +4,15 @@
 // Strategy value that can be simulated with et_sim and compared against the
 // Theorem-1 upper bound.
 //
-// Typical use:
+// Strategies are built from declarative scenario specs:
 //
-//	strategy, _ := core.EAR(4)                 // 4x4 mesh, paper defaults
-//	result, _ := strategy.Simulate()           // run et_sim to system death
-//	bound, _ := strategy.UpperBound()          // Theorem 1 for the same setup
+//	strategy, _ := scenario.Spec{Mesh: 4}.Strategy() // 4x4 mesh, paper defaults
+//	result, _ := strategy.Simulate()                 // run et_sim to system death
+//	bound, _ := strategy.UpperBound()                // Theorem 1 for the same setup
 //	fmt.Println(result.JobsCompleted, bound.Jobs)
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/analytic"
 	"repro/internal/app"
 	"repro/internal/battery"
@@ -30,10 +27,11 @@ import (
 )
 
 // Strategy is one fully specified routing strategy plus the platform it runs
-// on. Construct it with New, EAR or SDR and refine it with Options.
+// on. scenario.Spec.Strategy builds it; callers that need a custom platform
+// override App or Mapper on the built value, and runtime attachments
+// (Observers, Cancel) are plain field writes. Every strategy uses the paper's
+// transmission line and TDMA control mechanism.
 type Strategy struct {
-	// Label names the strategy in experiment output.
-	Label string
 	// Mesh is the platform topology.
 	Mesh *topology.Mesh
 	// App is the target application.
@@ -44,10 +42,6 @@ type Strategy struct {
 	Algorithm routing.Algorithm
 	// NodeBattery builds each node's battery.
 	NodeBattery battery.Factory
-	// Line is the transmission-line energy model.
-	Line *energy.TransmissionLine
-	// TDMA is the control-mechanism configuration.
-	TDMA tdma.Params
 	// Controllers is the number of redundant controllers (whole central pool,
 	// or per regional pool under the sharded control plane).
 	Controllers int
@@ -68,8 +62,8 @@ type Strategy struct {
 	// time-series, throughput traces, ...; see internal/trace).
 	Observers []sim.Observer
 	// Cancel, when non-nil, aborts the simulation at the next scheduling
-	// boundary once closed (see sim.Config.Cancel). WithContext derives it
-	// from a context's Done channel.
+	// boundary once closed (see sim.Config.Cancel); request-scoped callers set
+	// it to their context's Done channel.
 	Cancel <-chan struct{}
 	// FailedLinkFraction removes that fraction of the mesh interconnects
 	// (wear-and-tear) before the simulation starts; FailedLinkSeed selects
@@ -80,143 +74,6 @@ type Strategy struct {
 	// simulation (transient link faults, wear breaks, node crashes,
 	// controller-region kill windows); the zero value injects nothing.
 	Faults faults.Spec
-}
-
-// Option mutates a Strategy during construction.
-type Option func(*Strategy)
-
-// WithAlgorithm overrides the routing algorithm.
-func WithAlgorithm(alg routing.Algorithm) Option { return func(s *Strategy) { s.Algorithm = alg } }
-
-// WithMapping overrides the module-mapping strategy.
-func WithMapping(m mapping.Strategy) Option { return func(s *Strategy) { s.Mapper = m } }
-
-// WithNodeBattery overrides the node battery model.
-func WithNodeBattery(f battery.Factory) Option { return func(s *Strategy) { s.NodeBattery = f } }
-
-// WithIdealBatteries switches every node to the ideal battery model used for
-// the Table 2 comparison.
-func WithIdealBatteries() Option {
-	return func(s *Strategy) { s.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ) }
-}
-
-// WithControllers sets the number of controllers and, when finite is true,
-// attaches a thin-film battery to each of them (the Sec 7.3 scenario).
-func WithControllers(n int, finite bool) Option {
-	return func(s *Strategy) {
-		s.Controllers = n
-		if finite {
-			s.ControllerBattery = battery.DefaultThinFilmFactory()
-		} else {
-			s.ControllerBattery = nil
-		}
-	}
-}
-
-// WithControlPlane selects the control-plane architecture (see
-// controlplane.Config; the default is the paper's centralized controller).
-func WithControlPlane(cfg controlplane.Config) Option {
-	return func(s *Strategy) { s.Control = cfg }
-}
-
-// WithConcurrentJobs sets the number of jobs kept in flight simultaneously.
-func WithConcurrentJobs(n int) Option { return func(s *Strategy) { s.ConcurrentJobs = n } }
-
-// WithApplication overrides the target application.
-func WithApplication(a *app.Application) Option { return func(s *Strategy) { s.App = a } }
-
-// WithTDMA overrides the control-mechanism parameters.
-func WithTDMA(p tdma.Params) Option { return func(s *Strategy) { s.TDMA = p } }
-
-// WithPayloadVerification makes every simulated job carry a real AES state
-// encrypted with the given key and verified against the reference cipher.
-func WithPayloadVerification(key []byte) Option { return func(s *Strategy) { s.Key = key } }
-
-// WithNodeStats enables per-node statistics collection.
-func WithNodeStats() Option { return func(s *Strategy) { s.CollectNodeStats = true } }
-
-// WithMaxCycles bounds the simulated time.
-func WithMaxCycles(c int64) Option { return func(s *Strategy) { s.MaxCycles = c } }
-
-// WithObservers attaches observers to the simulator's event stream. Repeated
-// uses accumulate.
-func WithObservers(obs ...sim.Observer) Option {
-	return func(s *Strategy) { s.Observers = append(s.Observers, obs...) }
-}
-
-// WithContext ties the simulation's lifetime to a context: once the context
-// is cancelled the run aborts at its next scheduling boundary, finishing with
-// sim.DeathCancelled. A nil context leaves the strategy uncancellable (the
-// default). This is how request-scoped callers — the etserve daemon, whose
-// clients may disconnect mid-run — keep abandoned simulations from burning
-// CPU.
-func WithContext(ctx context.Context) Option {
-	return func(s *Strategy) {
-		if ctx != nil {
-			s.Cancel = ctx.Done()
-		}
-	}
-}
-
-// WithFailedLinks removes the given fraction of the platform's interconnects
-// before the simulation starts, modelling wear-and-tear damage to the woven
-// wires. The pattern is deterministic for a given seed and never partitions
-// the fabric.
-func WithFailedLinks(fraction float64, seed uint64) Option {
-	return func(s *Strategy) {
-		s.FailedLinkFraction = fraction
-		s.FailedLinkSeed = seed
-	}
-}
-
-// WithFaults attaches a deterministic runtime fault schedule: the simulation
-// injects (and recovers) link, node and controller-region faults mid-run, at
-// TDMA frame boundaries, as a pure function of the schedule and its seed.
-func WithFaults(spec faults.Spec) Option {
-	return func(s *Strategy) { s.Faults = spec }
-}
-
-// New builds a strategy for an n x n mesh with the paper's defaults: AES-128,
-// checkerboard mapping, EAR routing, thin-film node batteries and a single
-// infinite-energy controller, then applies the options.
-func New(meshSize int, opts ...Option) (*Strategy, error) {
-	mesh, err := topology.NewSquareMesh(meshSize)
-	if err != nil {
-		return nil, err
-	}
-	s := &Strategy{
-		Label:          fmt.Sprintf("EAR-%dx%d", meshSize, meshSize),
-		Mesh:           mesh,
-		App:            app.AES128(),
-		Mapper:         mapping.Checkerboard{},
-		Algorithm:      routing.NewEAR(),
-		NodeBattery:    battery.DefaultThinFilmFactory(),
-		Line:           energy.PaperTransmissionLine(),
-		TDMA:           tdma.DefaultParams(),
-		Controllers:    1,
-		ConcurrentJobs: 1,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s, nil
-}
-
-// EAR returns the paper's energy-aware routing strategy on an n x n mesh.
-func EAR(meshSize int, opts ...Option) (*Strategy, error) {
-	return New(meshSize, opts...)
-}
-
-// SDR returns the non-energy-aware shortest-distance counterpart on an n x n
-// mesh (everything identical to EAR except the routing algorithm, as required
-// for the paper's fair comparison).
-func SDR(meshSize int, opts ...Option) (*Strategy, error) {
-	s, err := New(meshSize, append([]Option{WithAlgorithm(routing.SDR{})}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	s.Label = fmt.Sprintf("SDR-%dx%d", meshSize, meshSize)
-	return s, nil
 }
 
 // Config materialises the strategy into a simulator configuration. It never
@@ -244,8 +101,8 @@ func (s *Strategy) Config() (sim.Config, error) {
 		Mapping:            m,
 		Algorithm:          s.Algorithm,
 		NodeBattery:        s.NodeBattery,
-		Line:               s.Line,
-		TDMA:               s.TDMA,
+		Line:               energy.PaperTransmissionLine(),
+		TDMA:               tdma.DefaultParams(),
 		Controllers:        s.Controllers,
 		Control:            s.Control,
 		ControllerBattery:  s.ControllerBattery,
@@ -286,5 +143,5 @@ func (s *Strategy) Simulate() (sim.Result, error) {
 // battery budget (the nominal capacity of one node battery).
 func (s *Strategy) UpperBound() (analytic.Bound, error) {
 	budget := s.NodeBattery().NominalPJ()
-	return analytic.MeshUpperBound(s.App, s.Line, s.Mesh.SpacingCM(), budget, s.Mesh.Size())
+	return analytic.MeshUpperBound(s.App, energy.PaperTransmissionLine(), s.Mesh.SpacingCM(), budget, s.Mesh.Size())
 }

@@ -1,29 +1,32 @@
-package core
+package core_test
 
 import (
 	"testing"
 
-	"repro/internal/aes"
 	"repro/internal/app"
-	"repro/internal/battery"
-	"repro/internal/mapping"
-	"repro/internal/routing"
+	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/tdma"
 )
 
-func TestEARStrategyDefaults(t *testing.T) {
-	s, err := EAR(4)
+// strategy builds the strategy a spec describes.
+func strategy(t *testing.T, sp scenario.Spec) *core.Strategy {
+	t.Helper()
+	s, err := sp.Strategy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Label != "EAR-4x4" {
-		t.Errorf("Label = %q", s.Label)
-	}
+	return s
+}
+
+// TestEARStrategyDefaults: the zero spec builds the paper's setup.
+func TestEARStrategyDefaults(t *testing.T) {
+	s := strategy(t, scenario.Spec{Mesh: 4})
 	if s.Algorithm.Name() != "EAR" {
 		t.Errorf("algorithm = %s", s.Algorithm.Name())
 	}
-	if s.Mesh.Size() != 16 || s.App.Name != "AES-128" || s.Controllers != 1 {
+	if s.Mesh.Size() != 16 || s.App.Name != "AES-128" || s.Mapper.Name() != "checkerboard" ||
+		s.Controllers != 1 || s.ControllerBattery != nil || s.ConcurrentJobs != 1 {
 		t.Errorf("unexpected defaults: %+v", s)
 	}
 	cfg, err := s.Config()
@@ -36,15 +39,9 @@ func TestEARStrategyDefaults(t *testing.T) {
 }
 
 func TestSDRStrategyDiffersOnlyInAlgorithm(t *testing.T) {
-	ear, err := EAR(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdr, err := SDR(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sdr.Algorithm.Name() != "SDR" || sdr.Label != "SDR-5x5" {
+	ear := strategy(t, scenario.Spec{Mesh: 5})
+	sdr := strategy(t, scenario.Spec{Mesh: 5, Algorithm: scenario.AlgorithmSDR})
+	if sdr.Algorithm.Name() != "SDR" {
 		t.Errorf("SDR strategy = %+v", sdr)
 	}
 	if ear.Mesh.Size() != sdr.Mesh.Size() || ear.App.Name != sdr.App.Name ||
@@ -53,85 +50,8 @@ func TestSDRStrategyDiffersOnlyInAlgorithm(t *testing.T) {
 	}
 }
 
-func TestStrategyConstructionErrors(t *testing.T) {
-	if _, err := New(0); err == nil {
-		t.Error("New(0) should fail")
-	}
-	if _, err := SDR(-3); err == nil {
-		t.Error("SDR(-3) should fail")
-	}
-}
-
-func TestOptionsAreApplied(t *testing.T) {
-	customTDMA := tdma.DefaultParams()
-	customTDMA.FramePeriodCycles = 2048
-	key := make([]byte, 16)
-	customApp, err := app.AES(aes.Key192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(6,
-		WithAlgorithm(routing.SDR{}),
-		WithMapping(mapping.RowMajor{}),
-		WithIdealBatteries(),
-		WithControllers(7, true),
-		WithConcurrentJobs(2),
-		WithApplication(customApp),
-		WithTDMA(customTDMA),
-		WithPayloadVerification(key),
-		WithNodeStats(),
-		WithMaxCycles(12345),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Algorithm.Name() != "SDR" {
-		t.Error("WithAlgorithm not applied")
-	}
-	if s.Mapper.Name() != "row-major-blocks" {
-		t.Error("WithMapping not applied")
-	}
-	if s.NodeBattery().NominalPJ() != battery.DefaultNominalPJ {
-		t.Error("WithIdealBatteries produced unexpected capacity")
-	}
-	if _, ok := s.NodeBattery().(*battery.Ideal); !ok {
-		t.Error("WithIdealBatteries did not produce ideal batteries")
-	}
-	if s.Controllers != 7 || s.ControllerBattery == nil {
-		t.Error("WithControllers not applied")
-	}
-	if s.ConcurrentJobs != 2 {
-		t.Error("WithConcurrentJobs not applied")
-	}
-	if s.App.Name != "AES-192" {
-		t.Error("WithApplication not applied")
-	}
-	if s.TDMA.FramePeriodCycles != 2048 {
-		t.Error("WithTDMA not applied")
-	}
-	if len(s.Key) != 16 || !s.CollectNodeStats || s.MaxCycles != 12345 {
-		t.Error("payload/stats/max-cycles options not applied")
-	}
-	if _, err := s.Config(); err != nil {
-		t.Fatalf("Config() with options: %v", err)
-	}
-}
-
-func TestWithControllersInfinite(t *testing.T) {
-	s, err := EAR(4, WithControllers(3, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Controllers != 3 || s.ControllerBattery != nil {
-		t.Errorf("WithControllers(3, false) = %d controllers, battery %v", s.Controllers, s.ControllerBattery)
-	}
-}
-
 func TestSimulateAndUpperBound(t *testing.T) {
-	s, err := EAR(4, WithMaxCycles(200000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := strategy(t, scenario.Spec{Mesh: 4, MaxCycles: 200000})
 	res, err := s.Simulate()
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +72,7 @@ func TestSimulateAndUpperBound(t *testing.T) {
 }
 
 func TestEARLevelsPropagateToConfig(t *testing.T) {
-	params := routing.EARParams{Q: 3, Levels: 16}
-	s, err := EAR(4, WithAlgorithm(routing.EAR{Params: params}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := s.Config()
+	cfg, err := strategy(t, scenario.Spec{Mesh: 4, EARQ: 3, BatteryLevels: 16}).Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +82,8 @@ func TestEARLevelsPropagateToConfig(t *testing.T) {
 }
 
 func TestConfigErrorsOnImpossibleMapping(t *testing.T) {
-	// A two-module application cannot be mapped with the checkerboard rule;
-	// Config must surface the mapping error.
+	// A two-module application set on the strategy cannot be mapped with the
+	// checkerboard rule; Config must surface the mapping error.
 	b := app.NewBuilder("two")
 	m1 := b.AddModule("a", 10)
 	m2 := b.AddModule("b", 10)
@@ -176,10 +91,8 @@ func TestConfigErrorsOnImpossibleMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := EAR(4, WithApplication(twoMod))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := strategy(t, scenario.Spec{Mesh: 4})
+	s.App = twoMod
 	if _, err := s.Config(); err == nil {
 		t.Fatal("Config should fail when the mapping strategy rejects the application")
 	}
@@ -189,10 +102,7 @@ func TestConfigErrorsOnImpossibleMapping(t *testing.T) {
 }
 
 func TestWithFailedLinksIsIdempotent(t *testing.T) {
-	s, err := EAR(5, WithFailedLinks(0.2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := strategy(t, scenario.Spec{Mesh: 5, FailedLinkFraction: 0.2, FailedLinkSeed: 3})
 	intact := 2 * (2*5*5 - 5 - 5)
 	cfg, err := s.Config()
 	if err != nil {
@@ -242,21 +152,16 @@ func TestWithFailedLinksIsIdempotent(t *testing.T) {
 		t.Fatalf("repeated simulation of a damaged strategy diverged: %d/%d jobs",
 			res.JobsCompleted, res2.JobsCompleted)
 	}
-	// An invalid fraction must surface as an error.
-	bad, err := EAR(4, WithFailedLinks(1.2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Config(); err == nil {
+	// An invalid fraction written on the strategy must surface as an error
+	// (scenario.Spec rejects it before a strategy exists).
+	s.FailedLinkFraction = 1.2
+	if _, err := s.Config(); err == nil {
 		t.Fatal("invalid failure fraction accepted")
 	}
 }
 
 func TestStrategySimulateMatchesDirectSimUse(t *testing.T) {
-	s, err := EAR(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := strategy(t, scenario.Spec{Mesh: 4})
 	viaStrategy, err := s.Simulate()
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,8 @@ package metrics_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -49,11 +49,7 @@ func BenchmarkMetrics(b *testing.B) {
 	sim4x4 := func(b *testing.B, obs ...sim.Observer) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s, err := core.EAR(4, core.WithObservers(obs...))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := s.Simulate()
+			res, err := scenario.Spec{Mesh: 4}.Simulate(obs...)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -3,7 +3,8 @@
 // one simulation run from another — mesh size, routing algorithm, module
 // mapping, battery model, controller configuration, offered load, link
 // faults, payload verification — as plain values, and materialises into a
-// runnable core.Strategy with Spec.Strategy().
+// runnable core.Strategy with Spec.Strategy(), the one way every front end
+// builds a run.
 //
 // The package also keeps a registry of named scenarios: every figure/table
 // scenario of the paper plus additional stress and degradation workloads.
@@ -16,12 +17,15 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/app"
+	"repro/internal/battery"
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // Values for Spec.Algorithm.
@@ -104,7 +108,7 @@ type Spec struct {
 	// 2^32.
 	EARQ float64
 	// BatteryLevels overrides the battery quantisation level count
-	// (0 = algorithm default).
+	// (0 = algorithm default; negative values are rejected by Strategy).
 	BatteryLevels int
 	// Battery is the node battery model: BatteryThinFilm (default) or
 	// BatteryIdeal.
@@ -149,8 +153,8 @@ type Spec struct {
 	// values are rejected eagerly by Strategy).
 	ConcurrentJobs int
 	// FailedLinkFraction removes that fraction of the interconnects before
-	// the run (wear-and-tear); FailedLinkSeed selects the deterministic
-	// fault pattern.
+	// the run (wear-and-tear); it must lie in [0,1). FailedLinkSeed selects
+	// the deterministic fault pattern.
 	FailedLinkFraction float64
 	FailedLinkSeed     uint64
 	// Faults is a runtime fault schedule in the compact clause form of
@@ -165,7 +169,8 @@ type Spec struct {
 	VerifyPayload bool
 	// CollectNodeStats enables per-node statistics in the result.
 	CollectNodeStats bool
-	// MaxCycles bounds the simulated time (0 = run to system death).
+	// MaxCycles bounds the simulated time (0 = run to system death;
+	// negative values are rejected by Strategy).
 	MaxCycles int64
 }
 
@@ -205,10 +210,11 @@ func (sp Spec) algorithm() (routing.Algorithm, error) {
 	}
 }
 
-// Strategy materialises the spec into a runnable core.Strategy; extra
-// options are applied last, so callers can refine a registered scenario
-// (attach observers, cap cycles) without redefining it.
-func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
+// Strategy materialises the spec into a runnable core.Strategy, rejecting
+// out-of-range values up front. Callers attach observers or a cancel channel,
+// or swap the platform's App or Mapper, by writing the returned strategy's
+// fields.
+func (sp Spec) Strategy() (*core.Strategy, error) {
 	if sp.Mesh < 1 {
 		return nil, fmt.Errorf("scenario %s: mesh size must be at least 1, got %d", sp.Label(), sp.Mesh)
 	}
@@ -216,13 +222,13 @@ func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []core.Option{core.WithAlgorithm(alg)}
 
+	var nodeBattery battery.Factory
 	switch sp.Battery {
 	case "", BatteryThinFilm:
-		// core's default.
+		nodeBattery = battery.DefaultThinFilmFactory()
 	case BatteryIdeal:
-		opts = append(opts, core.WithIdealBatteries())
+		nodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown battery model %q (want %s or %s)",
 			sp.Label(), sp.Battery, BatteryThinFilm, BatteryIdeal)
@@ -232,11 +238,23 @@ func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
 		return nil, fmt.Errorf("scenario %s: controller count must be non-negative (0 defaults to 1), got %d",
 			sp.Label(), sp.Controllers)
 	}
-	controllers := sp.Controllers
-	if controllers == 0 {
-		controllers = 1
+	if sp.ConcurrentJobs < 0 {
+		return nil, fmt.Errorf("scenario %s: concurrent job count must be non-negative (0 defaults to 1), got %d",
+			sp.Label(), sp.ConcurrentJobs)
 	}
-	opts = append(opts, core.WithControllers(controllers, sp.FiniteControllers))
+	if sp.BatteryLevels < 0 {
+		return nil, fmt.Errorf("scenario %s: battery level count must be non-negative (0 = algorithm default), got %d",
+			sp.Label(), sp.BatteryLevels)
+	}
+	if sp.MaxCycles < 0 {
+		return nil, fmt.Errorf("scenario %s: max cycles must be non-negative (0 = run to system death), got %d",
+			sp.Label(), sp.MaxCycles)
+	}
+	// The negated range test also rejects NaN.
+	if !(sp.FailedLinkFraction >= 0 && sp.FailedLinkFraction < 1) {
+		return nil, fmt.Errorf("scenario %s: failed link fraction must be in [0,1), got %g",
+			sp.Label(), sp.FailedLinkFraction)
+	}
 
 	kind, err := controlplane.ParseKind(sp.ControlPlane)
 	if err != nil {
@@ -248,50 +266,48 @@ func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
 	if err := control.Validate(sp.Mesh * sp.Mesh); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 	}
-	opts = append(opts, core.WithControlPlane(control))
+	var schedule faults.Spec
 	if sp.Faults != "" {
-		fsp, err := faults.ParseSpec(sp.Faults)
-		if err != nil {
+		if schedule, err = faults.ParseSpec(sp.Faults); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		// Validate the schedule against the control plane's shard count
 		// eagerly, like every other spec error, instead of at materialisation
 		// time inside a worker.
-		if err := fsp.Validate(control.ShardCount()); err != nil {
+		if err := schedule.Validate(control.ShardCount()); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
-		opts = append(opts, core.WithFaults(fsp))
 	}
-	if sp.ConcurrentJobs < 0 {
-		return nil, fmt.Errorf("scenario %s: concurrent job count must be non-negative (0 defaults to 1), got %d",
-			sp.Label(), sp.ConcurrentJobs)
-	}
-	if sp.ConcurrentJobs > 1 {
-		opts = append(opts, core.WithConcurrentJobs(sp.ConcurrentJobs))
-	}
-	if sp.FailedLinkFraction > 0 {
-		opts = append(opts, core.WithFailedLinks(sp.FailedLinkFraction, sp.FailedLinkSeed))
-	}
-	if sp.VerifyPayload {
-		opts = append(opts, core.WithPayloadVerification(PaperKey()))
-	}
-	if sp.CollectNodeStats {
-		opts = append(opts, core.WithNodeStats())
-	}
-	if sp.MaxCycles > 0 {
-		opts = append(opts, core.WithMaxCycles(sp.MaxCycles))
-	}
-	opts = append(opts, extra...)
 
-	s, err := core.New(sp.Mesh, opts...)
+	mesh, err := topology.NewSquareMesh(sp.Mesh)
 	if err != nil {
 		return nil, err
 	}
-	s.Label = sp.Label()
+	s := &core.Strategy{
+		Mesh:               mesh,
+		App:                app.AES128(),
+		Mapper:             mapping.Checkerboard{},
+		Algorithm:          alg,
+		NodeBattery:        nodeBattery,
+		Controllers:        max(sp.Controllers, 1),
+		Control:            control,
+		ConcurrentJobs:     max(sp.ConcurrentJobs, 1),
+		CollectNodeStats:   sp.CollectNodeStats,
+		MaxCycles:          sp.MaxCycles,
+		FailedLinkFraction: sp.FailedLinkFraction,
+		FailedLinkSeed:     sp.FailedLinkSeed,
+		Faults:             schedule,
+	}
+	if sp.FiniteControllers {
+		s.ControllerBattery = battery.DefaultThinFilmFactory()
+	}
+	if sp.VerifyPayload {
+		s.Key = PaperKey()
+	}
 
 	switch sp.Mapping {
 	case "", MappingCheckerboard:
-		// core's default.
+		// The paper's mapping, set above.
 	case MappingProportional:
 		bound, err := s.UpperBound()
 		if err != nil {
@@ -324,9 +340,10 @@ func (sp Spec) Strategy(extra ...core.Option) (*core.Strategy, error) {
 // Simulate materialises the spec and runs it to completion, attaching the
 // given observers to the simulator's event stream.
 func (sp Spec) Simulate(obs ...sim.Observer) (sim.Result, error) {
-	s, err := sp.Strategy(core.WithObservers(obs...))
+	s, err := sp.Strategy()
 	if err != nil {
 		return sim.Result{}, err
 	}
+	s.Observers = obs
 	return s.Simulate()
 }

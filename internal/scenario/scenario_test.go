@@ -1,13 +1,12 @@
 package scenario
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
-	"repro/internal/core"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -69,9 +68,6 @@ func TestEveryRegisteredScenarioMaterialises(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Strategy: %v", err)
 			}
-			if s.Label != sp.Name {
-				t.Errorf("label %q, want %q", s.Label, sp.Name)
-			}
 			cfg, err := s.Config()
 			if err != nil {
 				t.Fatalf("Config: %v", err)
@@ -87,48 +83,34 @@ func TestEveryRegisteredScenarioMaterialises(t *testing.T) {
 }
 
 // TestSpecMatchesCoreConstructors pins the contract the experiments layer
-// depends on: a Spec materialises into exactly the strategy the former
-// hand-rolled core constructors produced, so moving the sweeps onto specs
-// cannot change any figure or table.
+// depends on: each spec runs exactly the simulation the hand-rolled core
+// constructors (core.EAR, core.SDR and their options) produced before specs
+// became the only way to build a run, so no figure or table can move. The
+// pinned values were recorded from those constructors.
 func TestSpecMatchesCoreConstructors(t *testing.T) {
 	cases := []struct {
-		name string
-		spec Spec
-		core func() (*core.Strategy, error)
+		name             string
+		spec             Spec
+		jobs             int
+		lifetime, frames int64
 	}{
-		{"ear-default", Spec{Mesh: 4}, func() (*core.Strategy, error) { return core.EAR(4) }},
-		{"sdr", Spec{Mesh: 4, Algorithm: AlgorithmSDR}, func() (*core.Strategy, error) { return core.SDR(4) }},
-		{"ideal-battery", Spec{Mesh: 4, Battery: BatteryIdeal},
-			func() (*core.Strategy, error) { return core.EAR(4, core.WithIdealBatteries()) }},
-		{"finite-controllers", Spec{Mesh: 4, Controllers: 2, FiniteControllers: true},
-			func() (*core.Strategy, error) { return core.EAR(4, core.WithControllers(2, true)) }},
-		{"ear-q", Spec{Mesh: 4, EARQ: 3},
-			func() (*core.Strategy, error) {
-				params := routing.DefaultEARParams()
-				params.Q = 3
-				return core.EAR(4, core.WithAlgorithm(routing.EAR{Params: params}))
-			}},
-		{"concurrency", Spec{Mesh: 4, ConcurrentJobs: 3},
-			func() (*core.Strategy, error) { return core.EAR(4, core.WithConcurrentJobs(3)) }},
-		{"degraded", Spec{Mesh: 5, FailedLinkFraction: 0.2, FailedLinkSeed: 1},
-			func() (*core.Strategy, error) { return core.EAR(5, core.WithFailedLinks(0.2, 1)) }},
+		{"ear-default", Spec{Mesh: 4}, 71, 102201, 100},
+		{"sdr", Spec{Mesh: 4, Algorithm: AlgorithmSDR}, 10, 14145, 14},
+		{"ideal-battery", Spec{Mesh: 4, Battery: BatteryIdeal}, 99, 140001, 137},
+		{"finite-controllers", Spec{Mesh: 4, Controllers: 2, FiniteControllers: true}, 16, 22528, 23},
+		{"ear-q", Spec{Mesh: 4, EARQ: 3}, 75, 107866, 106},
+		{"concurrency", Spec{Mesh: 4, ConcurrentJobs: 3}, 2, 173056, 170},
+		{"degraded", Spec{Mesh: 5, FailedLinkFraction: 0.2, FailedLinkSeed: 1}, 98, 134903, 132},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fromSpec, err := tc.spec.Simulate()
+			res, err := tc.spec.Simulate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := tc.core()
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := s.Simulate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameResult(fromSpec, direct) {
-				t.Errorf("spec result differs from core constructor result:\nspec: %+v\ncore: %+v", fromSpec, direct)
+			if res.JobsCompleted != tc.jobs || res.LifetimeCycles != tc.lifetime || res.Frames != tc.frames {
+				t.Errorf("%+v: %d jobs, %d cycles, %d frames; want %d, %d, %d",
+					tc.spec, res.JobsCompleted, res.LifetimeCycles, res.Frames, tc.jobs, tc.lifetime, tc.frames)
 			}
 		})
 	}
@@ -172,6 +154,13 @@ func TestSpecRejectsBadValues(t *testing.T) {
 		{Mesh: 4, EARQ: 1e-20},                                  // penalty spread past 2^32
 		{Mesh: 4, EARQ: 1e10},                                   // penalty spread past 2^32
 		{Mesh: 4, EARQ: 2, BatteryLevels: 34},                   // penalty spread 2^33
+		{Mesh: 4, FailedLinkFraction: 1.5},                      // fraction past 1
+		{Mesh: 4, FailedLinkFraction: 1},                        // every link failed
+		{Mesh: 4, FailedLinkFraction: -0.2},                     // negative fraction
+		{Mesh: 4, FailedLinkFraction: math.NaN()},               // NaN fraction
+		{Mesh: 4, MaxCycles: -5},                                // negative cycle bound
+		{Mesh: 4, BatteryLevels: -3},                            // negative level count
+		{Mesh: 4, Algorithm: AlgorithmSDR, BatteryLevels: -3},   // negative level count, SDR
 	}
 	for _, sp := range cases {
 		if _, err := sp.Strategy(); err == nil {

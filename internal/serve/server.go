@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/serve/store"
@@ -45,6 +44,24 @@ import (
 // MaxSpecBytes bounds request bodies: specs are small declarative documents;
 // anything past this is a client error, not a simulation.
 const MaxSpecBytes = 1 << 20
+
+// MaxMesh bounds the mesh size the service admits. The controller's dense
+// all-pairs matrices grow with the fourth power of the mesh size, and
+// validating a spec already builds its mesh, so an unbounded request could
+// exhaust memory before it is even queued. 64 is the largest registered
+// scenario (big-mesh-64); the CLIs keep unbounded meshes.
+const MaxMesh = 64
+
+// admit validates a spec eagerly: a bad spec must fail now with a 4xx, not
+// after queueing behind admitted work. The mesh bound is checked before
+// Strategy builds the mesh.
+func admit(sp scenario.Spec) error {
+	if sp.Mesh > MaxMesh {
+		return fmt.Errorf("scenario %s: mesh size %d exceeds the service bound of %d", sp.Label(), sp.Mesh, MaxMesh)
+	}
+	_, err := sp.Strategy()
+	return err
+}
 
 // Config configures a Server.
 type Config struct {
@@ -135,9 +152,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Validate eagerly: a bad spec must fail now with a 4xx, not after
-	// queueing behind admitted work.
-	if _, err := sp.Strategy(); err != nil {
+	if err := admit(sp); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -173,7 +188,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("campaign: replications must be >= 1, got %d", sp.Replications))
 		return
 	}
-	if _, err := sp.Replicate(0).Strategy(); err != nil {
+	if err := admit(sp.Replicate(0)); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -249,10 +264,12 @@ func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.O
 	// byte-identical to an uninstrumented run.
 	obs = append(obs, trace.EngineMetrics{})
 	err := s.queue.Do(ctx, func(ctx context.Context) error {
-		st, err := sp.Strategy(core.WithContext(ctx), core.WithObservers(obs...))
+		st, err := sp.Strategy()
 		if err != nil {
 			return err
 		}
+		st.Cancel = ctx.Done()
+		st.Observers = obs
 		res, err := st.Simulate()
 		if err != nil {
 			return err
@@ -288,7 +305,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, err := sp.Strategy(); err != nil {
+	if err := admit(sp); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -202,6 +204,12 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 		{`{"Mesh":4,"EARQ":1e-20}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"EARQ":-1}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"EARQ":1e10}`, http.StatusUnprocessableEntity},
+		// Out-of-range values Strategy rejects before anything is queued; a
+		// run that fails inside the worker would answer 500.
+		{`{"Mesh":4,"FailedLinkFraction":1.5}`, http.StatusUnprocessableEntity},
+		{`{"Mesh":4,"FailedLinkFraction":-0.2}`, http.StatusUnprocessableEntity},
+		{`{"Mesh":4,"MaxCycles":-5}`, http.StatusUnprocessableEntity},
+		{`{"Mesh":4,"BatteryLevels":-3}`, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		resp, body := post(t, ts.URL+"/simulate", c.body)
@@ -215,6 +223,34 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 	}
 	if st := s.Store().Stats(); st.Puts != 0 {
 		t.Fatalf("a rejected spec ran anyway: %+v", st)
+	}
+}
+
+// TestMeshBoundOnEveryEndpoint: a mesh past MaxMesh gets a 422 on every
+// endpoint that accepts a spec, before Strategy builds the mesh, while every
+// registered scenario is still admitted.
+func TestMeshBoundOnEveryEndpoint(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, spec := range []string{`{"Mesh":65}`, `{"Mesh":100000}`} {
+		for _, req := range []struct{ path, body string }{
+			{"/simulate", spec},
+			{"/simulate/stream", spec},
+			{"/campaign", `{"Scenario":` + spec + `,"Replications":2}`},
+		} {
+			resp, body := post(t, ts.URL+req.path, req.body)
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s %s: status %d (%s), want %d",
+					req.path, req.body, resp.StatusCode, body, http.StatusUnprocessableEntity)
+			}
+		}
+	}
+	if st := s.Store().Stats(); st.Puts != 0 {
+		t.Fatalf("an oversized spec ran anyway: %+v", st)
+	}
+	for _, sp := range scenario.All() {
+		if err := admit(sp); err != nil {
+			t.Errorf("registered scenario %s rejected: %v", sp.Name, err)
+		}
 	}
 }
 

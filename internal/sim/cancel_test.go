@@ -11,10 +11,7 @@ func TestCancelStopsRun(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatalf("Default(4): %v", err)
-	}
+	cfg := defaultConfig(t, 4)
 	cfg.Cancel = done
 	s, err := New(cfg)
 	if err != nil {
@@ -27,10 +24,7 @@ func TestCancelStopsRun(t *testing.T) {
 
 	// The uncancelled baseline runs to module extinction and completes jobs;
 	// the cancelled run must have stopped essentially immediately.
-	base, err := Default(4)
-	if err != nil {
-		t.Fatalf("Default(4): %v", err)
-	}
+	base := defaultConfig(t, 4)
 	bs, err := New(base)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -52,10 +46,7 @@ func TestCancelMidRunIsPrompt(t *testing.T) {
 	stopAfter := int64(3)
 	obs := &cancelAtFrame{frame: stopAfter, done: done}
 
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatalf("Default(4): %v", err)
-	}
+	cfg := defaultConfig(t, 4)
 	cfg.Cancel = done
 	cfg.Observers = []Observer{obs}
 	s, err := New(cfg)

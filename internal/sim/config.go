@@ -101,40 +101,6 @@ type Config struct {
 	Observers []Observer
 }
 
-// Default returns a configuration for the paper's default scenario on the
-// given square mesh size: AES-128, checkerboard mapping, EAR routing,
-// thin-film batteries on the nodes and a single infinite-energy controller.
-func Default(meshSize int) (Config, error) {
-	mesh, err := topology.NewSquareMesh(meshSize)
-	if err != nil {
-		return Config{}, err
-	}
-	application := app.AES128()
-	m, err := mapping.Checkerboard{}.Map(mesh.Graph, application)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{
-		Graph:              mesh.Graph,
-		App:                application,
-		Mapping:            m,
-		Algorithm:          routing.NewEAR(),
-		NodeBattery:        battery.DefaultThinFilmFactory(),
-		Line:               energy.PaperTransmissionLine(),
-		TDMA:               tdma.DefaultParams(),
-		Controllers:        1,
-		ControllerBattery:  nil,
-		ControllerPower:    energy.PaperController4x4(),
-		BatteryLevels:      routing.DefaultEARParams().Levels,
-		ComputeCyclesPerOp: 4,
-		LinkWidthBits:      8,
-		ConcurrentJobs:     1,
-		NodeBufferJobs:     1,
-		Source:             mesh.Corner(),
-		MaxCycles:          0,
-	}, nil
-}
-
 // Validate checks the configuration and fills defaulted fields in place.
 func (c *Config) Validate() error {
 	if c.Graph == nil || c.Graph.NodeCount() == 0 {

@@ -12,10 +12,7 @@ import (
 // must leave the simulator on the exact trajectory it had before the fault
 // subsystem existed — every Result field identical, not statistically close.
 func TestFaultFreeScheduleIsByteIdentical(t *testing.T) {
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 4)
 	ref, err := runOnce(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +78,7 @@ func runOnce(cfg Config) (Result, error) {
 // chaoticConfig is a 6x6 mesh with every stochastic fault channel enabled at
 // rates high enough to fire within the run's lifetime.
 func chaoticConfig(tb testing.TB) Config {
-	cfg, err := Default(6)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	cfg := defaultConfig(tb, 6)
 	cfg.Faults = faults.Spec{
 		Seed:               7,
 		LinkRate:           0.1,

@@ -82,10 +82,7 @@ func TestShardedFiniteControllersDie(t *testing.T) {
 // buffers are warm, a full control frame — including regional recomputes —
 // must not heap-allocate.
 func TestShardedProcessFrameZeroAllocSteadyState(t *testing.T) {
-	cfg, err := Default(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 6)
 	cfg.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
 	sharded(3, 2)(&cfg)
 	s, err := New(cfg)

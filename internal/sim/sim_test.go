@@ -9,16 +9,48 @@ import (
 	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/routing"
+	"repro/internal/tdma"
 	"repro/internal/topology"
 )
+
+// defaultConfig is the paper's default scenario on a meshSize x meshSize
+// mesh: AES-128, checkerboard mapping, EAR routing, thin-film node batteries
+// and a single infinite-energy controller. Outside this package the same
+// configuration comes from scenario.Spec{Mesh: meshSize}.Strategy().Config().
+func defaultConfig(tb testing.TB, meshSize int) Config {
+	tb.Helper()
+	mesh, err := topology.NewSquareMesh(meshSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	application := app.AES128()
+	m, err := mapping.Checkerboard{}.Map(mesh.Graph, application)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{
+		Graph:              mesh.Graph,
+		App:                application,
+		Mapping:            m,
+		Algorithm:          routing.NewEAR(),
+		NodeBattery:        battery.DefaultThinFilmFactory(),
+		Line:               energy.PaperTransmissionLine(),
+		TDMA:               tdma.DefaultParams(),
+		Controllers:        1,
+		ControllerPower:    energy.PaperController4x4(),
+		BatteryLevels:      routing.DefaultEARParams().Levels,
+		ComputeCyclesPerOp: 4,
+		LinkWidthBits:      8,
+		ConcurrentJobs:     1,
+		NodeBufferJobs:     1,
+		Source:             mesh.Corner(),
+	}
+}
 
 // run builds and runs a simulator for a default configuration mutated by fn.
 func run(t *testing.T, meshSize int, fn func(*Config)) Result {
 	t.Helper()
-	cfg, err := Default(meshSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, meshSize)
 	if fn != nil {
 		fn(&cfg)
 	}
@@ -30,10 +62,7 @@ func run(t *testing.T, meshSize int, fn func(*Config)) Result {
 }
 
 func TestDefaultConfigIsValid(t *testing.T) {
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 4)
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -43,16 +72,10 @@ func TestDefaultConfigIsValid(t *testing.T) {
 	if cfg.Algorithm.Name() != "EAR" {
 		t.Errorf("default algorithm = %s, want EAR", cfg.Algorithm.Name())
 	}
-	if _, err := Default(0); err == nil {
-		t.Error("Default(0) should fail")
-	}
 }
 
 func TestConfigValidationCatchesBadFields(t *testing.T) {
-	base, err := Default(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := defaultConfig(t, 4)
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -88,10 +111,7 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 }
 
 func TestConfigHopCycles(t *testing.T) {
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 4)
 	// 261-bit packets over an 8-bit-wide link take ceil(261/8) = 33 cycles.
 	if got := cfg.HopCycles(); got != 33 {
 		t.Errorf("HopCycles = %d, want 33", got)
@@ -276,10 +296,7 @@ func TestPayloadVerification(t *testing.T) {
 }
 
 func TestPayloadRequiresAESApplication(t *testing.T) {
-	cfg, err := Default(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 4)
 	b := app.NewBuilder("custom")
 	m1 := b.AddModule("a", 100)
 	m2 := b.AddModule("b", 100)
@@ -482,10 +499,7 @@ func TestObserverEventStreamMatchesResult(t *testing.T) {
 // steady-state run must not allocate per event. Compare the "bare" and
 // "noop-observer" lines to see the cost of attaching an external observer.
 func BenchmarkSimulatorRun(b *testing.B) {
-	cfg, err := Default(4)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := defaultConfig(b, 4)
 	variants := []struct {
 		name      string
 		observers []Observer
@@ -519,10 +533,7 @@ func BenchmarkSimulatorRun(b *testing.B) {
 // levels drift every frame under EAR, so most frames do recompute) — must
 // not heap-allocate.
 func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
-	cfg, err := Default(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := defaultConfig(t, 6)
 	// Ideal batteries report their level linearly in the remaining charge,
 	// which makes the forced level drift below deterministic.
 	cfg.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
@@ -568,10 +579,7 @@ func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
 }
 
 func BenchmarkSimulate4x4EAR(b *testing.B) {
-	cfg, err := Default(4)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := defaultConfig(b, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := New(cfg)

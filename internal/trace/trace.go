@@ -2,8 +2,8 @@
 // the simulator's event stream into time-series and distribution data,
 // rendered through internal/stats. Nothing here touches the engine's hot
 // loop: every collector is an ordinary observer attached via
-// sim.Config.Observers (or core.WithObservers / scenario specs), and several
-// can be attached to the same run.
+// sim.Config.Observers (or core.Strategy.Observers and scenario.Spec.Simulate),
+// and several can be attached to the same run.
 //
 // All collectors are deterministic: for a given configuration the rendered
 // tables and CSV output are byte-for-byte reproducible, which is what lets

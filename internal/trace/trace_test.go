@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -12,7 +13,11 @@ import (
 // attached.
 func runTraced(t *testing.T, obs ...sim.Observer) sim.Result {
 	t.Helper()
-	cfg, err := sim.Default(4)
+	st, err := scenario.Spec{Mesh: 4}.Strategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := st.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
