@@ -22,9 +22,6 @@ func NewCipher(key []byte) (*Cipher, error) {
 // KeySize returns the cipher's key size.
 func (c *Cipher) KeySize() KeySize { return c.schedule.Size() }
 
-// Schedule returns the expanded key schedule.
-func (c *Cipher) Schedule() *KeySchedule { return c.schedule }
-
 // Encrypt encrypts the 16-byte block src into dst without allocating. dst
 // and src must each be exactly BlockSize bytes and may overlap.
 func (c *Cipher) Encrypt(dst, src []byte) error {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/battery"
+	"repro/internal/energy"
 	"repro/internal/routing"
 	"repro/internal/tdma"
 	"repro/internal/topology"
@@ -31,6 +32,8 @@ import (
 type refEngineControl struct {
 	t      *testing.T
 	deps   Deps
+	tdma   tdma.Params
+	power  energy.Controller
 	pool   *tdma.Pool
 	finite bool
 
@@ -41,13 +44,17 @@ type refEngineControl struct {
 
 func newRefEngineControl(t *testing.T, deps Deps) *refEngineControl {
 	t.Helper()
-	pool, err := tdma.NewPool(deps.Controllers, deps.ControllerPower, deps.ControllerBattery)
+	power := energy.PaperController4x4()
+	pool, err := tdma.NewPool(deps.Controllers, power, deps.ControllerBattery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := routing.NewDeltaWorkspace()
 	ws.SetMode(routing.RecomputeFull)
-	return &refEngineControl{t: t, deps: deps, pool: pool, finite: deps.ControllerBattery != nil, ws: ws}
+	return &refEngineControl{
+		t: t, deps: deps, tdma: tdma.DefaultParams(), power: power,
+		pool: pool, finite: deps.ControllerBattery != nil, ws: ws,
+	}
 }
 
 func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) FrameReport {
@@ -59,9 +66,9 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 	}
 	changed := r.stateChanged(snapshot)
 	k := r.deps.Graph.NodeCount()
-	rep.ControllerPJ = r.deps.TDMA.ControllerFrameEnergyPJ(r.deps.ControllerPower, k, changed)
+	rep.ControllerPJ = r.tdma.ControllerFrameEnergyPJ(r.power, k, changed)
 	if changed {
-		rep.DownloadPJ = r.deps.TDMA.DownloadEnergyPerNodePJ() * float64(aliveNodes)
+		rep.DownloadPJ = r.tdma.DownloadEnergyPerNodePJ() * float64(aliveNodes)
 	}
 	if err := r.pool.ServeFrame(rep.ControllerPJ+rep.DownloadPJ, 0); err != nil {
 		if errors.Is(err, tdma.ErrAllControllersDead) && r.finite {
@@ -69,7 +76,7 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 			return rep
 		}
 	}
-	r.pool.RestAll(r.deps.TDMA.FramePeriodCycles)
+	r.pool.RestAll(r.tdma.FramePeriodCycles)
 	if changed || r.tables == nil {
 		plan := r.ws.ComputeInto(r.deps.Algorithm, snapshot, r.deps.Destinations, r.tables)
 		if s := r.ws.Stats(); s.Incremental != 0 {

@@ -33,9 +33,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/battery"
-	"repro/internal/energy"
 	"repro/internal/routing"
-	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -166,19 +164,17 @@ func (c Config) validate(k int) (routing.RecomputeMode, error) {
 	return mode, nil
 }
 
-// Deps carries everything a control plane needs from the platform: the
-// topology and routing algorithm, the module duplicate lists, the TDMA
-// calibration and the controller power/battery models.
+// Deps carries what a control plane needs from the run: the topology and
+// routing algorithm, the module duplicate lists and the controller pool. The
+// TDMA calibration and the controller power model are the paper's
+// (tdma.DefaultParams, energy.PaperController4x4), fixed by NewSharded.
 type Deps struct {
 	Graph        *topology.Graph
 	Algorithm    routing.Algorithm
 	Destinations map[app.ModuleID][]topology.NodeID
-	TDMA         tdma.Params
 	// Controllers is the number of redundant controllers per regional pool
 	// (the whole pool for the one-region centralized plane).
 	Controllers int
-	// ControllerPower characterises each controller's dynamic/leakage power.
-	ControllerPower energy.Controller
 	// ControllerBattery builds controller batteries; nil models the
 	// infinite-energy controller of Sec 7.1/7.2.
 	ControllerBattery battery.Factory

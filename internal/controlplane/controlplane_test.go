@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/energy"
 	"repro/internal/routing"
-	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -20,14 +18,7 @@ func testDeps(meshSize int, alg routing.Algorithm) Deps {
 		m := app.ModuleID(int(n.ID)%3 + 1)
 		dests[m] = append(dests[m], n.ID)
 	}
-	return Deps{
-		Graph:           mesh.Graph,
-		Algorithm:       alg,
-		Destinations:    dests,
-		TDMA:            tdma.DefaultParams(),
-		Controllers:     1,
-		ControllerPower: energy.PaperController4x4(),
-	}
+	return Deps{Graph: mesh.Graph, Algorithm: alg, Destinations: dests, Controllers: 1}
 }
 
 // fullState returns a snapshot in which every node is alive with a full

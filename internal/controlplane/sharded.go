@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/app"
+	"repro/internal/energy"
 	"repro/internal/routing"
 	"repro/internal/tdma"
 	"repro/internal/topology"
@@ -56,6 +57,10 @@ type Sharded struct {
 	staleness int
 	finite    bool
 
+	// The paper's control-mechanism calibration, fixed by NewSharded.
+	tdma  tdma.Params
+	power energy.Controller
+
 	regions *tdma.Regions
 	shards  []regionState
 	home    []int // NodeID -> home shard index (static partition)
@@ -95,7 +100,12 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 	if staleness < 1 {
 		return nil, fmt.Errorf("controlplane: staleness bound must be at least one frame, got %d", staleness)
 	}
-	regions, err := tdma.NewRegions(shards, deps.Controllers, deps.ControllerPower, deps.ControllerBattery)
+	// The paper characterises the 4x4 controller; the routing workload (and
+	// therefore the controller's active time per frame) already grows with
+	// the node count, which is how larger meshes end up consuming more
+	// controller energy per frame (Sec 7.3).
+	power := energy.PaperController4x4()
+	regions, err := tdma.NewRegions(shards, deps.Controllers, power, deps.ControllerBattery)
 	if err != nil {
 		return nil, err
 	}
@@ -104,6 +114,8 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 		kind:            KindSharded,
 		staleness:       staleness,
 		finite:          deps.ControllerBattery != nil,
+		tdma:            tdma.DefaultParams(),
+		power:           power,
 		regions:         regions,
 		shards:          make([]regionState, shards),
 		home:            make([]int, k),
@@ -162,7 +174,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 			// Kill window: the region serves nothing; its batteries recover
 			// while the pool is off. Its nodes were handed to an in-service
 			// region by reassignOwners above.
-			s.regions.Pool(b).RestAll(s.deps.TDMA.FramePeriodCycles)
+			s.regions.Pool(b).RestAll(s.tdma.FramePeriodCycles)
 			continue
 		}
 		// Refresh the region's view: the shards it currently serves (its own,
@@ -217,7 +229,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		// k-node computation as the centralized controller's; the saving is in
 		// how rarely the visible state changes and in downloading tables only
 		// to the region's own alive nodes.
-		framePJ := s.deps.TDMA.ControllerFrameEnergyPJ(s.deps.ControllerPower, k, changed)
+		framePJ := s.tdma.ControllerFrameEnergyPJ(s.power, k, changed)
 		downloadPJ := 0.0
 		if changed {
 			aliveInShard := 0
@@ -231,7 +243,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 					}
 				}
 			}
-			downloadPJ = s.deps.TDMA.DownloadEnergyPerNodePJ() * float64(aliveInShard)
+			downloadPJ = s.tdma.DownloadEnergyPerNodePJ() * float64(aliveInShard)
 		}
 		rep.ControllerPJ += framePJ
 		rep.DownloadPJ += downloadPJ
@@ -245,7 +257,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 				continue
 			}
 		}
-		pool.RestAll(s.deps.TDMA.FramePeriodCycles)
+		pool.RestAll(s.tdma.FramePeriodCycles)
 
 		if changed || sh.tables == nil {
 			plan := sh.ws.ComputeInto(s.deps.Algorithm, &sh.view, s.deps.Destinations, sh.tables)

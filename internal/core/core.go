@@ -22,7 +22,6 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -96,29 +95,22 @@ func (s *Strategy) Config() (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg := sim.Config{
-		Graph:              graph,
-		App:                s.App,
-		Mapping:            m,
-		Algorithm:          s.Algorithm,
-		NodeBattery:        s.NodeBattery,
-		Line:               energy.PaperTransmissionLine(),
-		TDMA:               tdma.DefaultParams(),
-		Controllers:        s.Controllers,
-		Control:            s.Control,
-		ControllerBattery:  s.ControllerBattery,
-		ControllerPower:    energy.PaperController4x4(),
-		BatteryLevels:      routing.DefaultEARParams().Levels,
-		ComputeCyclesPerOp: 4,
-		LinkWidthBits:      8,
-		ConcurrentJobs:     s.ConcurrentJobs,
-		NodeBufferJobs:     1,
-		Source:             s.Mesh.Corner(),
-		Key:                s.Key,
-		CollectNodeStats:   s.CollectNodeStats,
-		MaxCycles:          s.MaxCycles,
-		Cancel:             s.Cancel,
-		Observers:          s.Observers,
-		Faults:             s.Faults,
+		Graph:             graph,
+		App:               s.App,
+		Mapping:           m,
+		Algorithm:         s.Algorithm,
+		NodeBattery:       s.NodeBattery,
+		Controllers:       s.Controllers,
+		Control:           s.Control,
+		ControllerBattery: s.ControllerBattery,
+		BatteryLevels:     routing.DefaultEARParams().Levels,
+		ConcurrentJobs:    s.ConcurrentJobs,
+		Key:               s.Key,
+		CollectNodeStats:  s.CollectNodeStats,
+		MaxCycles:         s.MaxCycles,
+		Cancel:            s.Cancel,
+		Observers:         s.Observers,
+		Faults:            s.Faults,
 	}
 	if ear, ok := s.Algorithm.(routing.EAR); ok && ear.Params.Levels > 0 {
 		cfg.BatteryLevels = ear.Params.Levels

@@ -121,31 +121,51 @@ func (sp Spec) Enabled() bool {
 // count (1 for centralized). It is called eagerly by scenario.Spec.Strategy,
 // so a bad schedule fails at spec time, not inside a sweep worker.
 func (sp Spec) Validate(shards int) error {
-	if sp.LinkRate < 0 || sp.LinkRate >= 1 {
+	if err := sp.check(); err != nil {
+		return err
+	}
+	for i, ev := range sp.Regions {
+		if ev.Shard < 0 || ev.Shard >= shards {
+			return fmt.Errorf("faults: region event %d kills shard %d, outside the %d-shard control plane", i, ev.Shard, shards)
+		}
+	}
+	return nil
+}
+
+// check is Validate without the shard range, which needs the control plane.
+// ParseSpec applies it, so every schedule ParseSpec returns renders through
+// String and parses back unchanged: String omits a channel whose rate or mean
+// is zero, so a recovery time or shape set without one is rejected here.
+// NaN fails every range check.
+func (sp Spec) check() error {
+	if !(sp.LinkRate >= 0 && sp.LinkRate < 1) {
 		return fmt.Errorf("faults: link fault rate must be in [0,1), got %g", sp.LinkRate)
 	}
-	if sp.NodeRate < 0 || sp.NodeRate >= 1 {
+	if !(sp.NodeRate >= 0 && sp.NodeRate < 1) {
 		return fmt.Errorf("faults: node crash rate must be in [0,1), got %g", sp.NodeRate)
 	}
 	if sp.LinkRate > 0 && sp.LinkRecoveryFrames < 1 {
 		return fmt.Errorf("faults: transient link faults need a recovery time of at least one frame, got %d", sp.LinkRecoveryFrames)
 	}
+	if sp.LinkRate == 0 && sp.LinkRecoveryFrames != 0 {
+		return fmt.Errorf("faults: link recovery time %d is set but link faults are disabled (rate 0)", sp.LinkRecoveryFrames)
+	}
 	if sp.NodeRate > 0 && sp.NodeRecoveryFrames < 1 {
 		return fmt.Errorf("faults: node crashes need a recovery time of at least one frame, got %d", sp.NodeRecoveryFrames)
 	}
-	if sp.WearMeanTraversals < 0 {
+	if sp.NodeRate == 0 && sp.NodeRecoveryFrames != 0 {
+		return fmt.Errorf("faults: node recovery time %d is set but node crashes are disabled (rate 0)", sp.NodeRecoveryFrames)
+	}
+	if !(sp.WearMeanTraversals >= 0) {
 		return fmt.Errorf("faults: wear mean traversals must be non-negative, got %g", sp.WearMeanTraversals)
 	}
-	if sp.WearShape < 0 {
+	if !(sp.WearShape >= 0) {
 		return fmt.Errorf("faults: wear shape must be non-negative, got %g", sp.WearShape)
 	}
 	if sp.WearShape > 0 && sp.WearMeanTraversals == 0 {
 		return fmt.Errorf("faults: wear shape %g is set but the wear model is disabled (mean traversals 0)", sp.WearShape)
 	}
 	for i, ev := range sp.Regions {
-		if ev.Shard < 0 || ev.Shard >= shards {
-			return fmt.Errorf("faults: region event %d kills shard %d, outside the %d-shard control plane", i, ev.Shard, shards)
-		}
 		if ev.KillFrame < 1 {
 			return fmt.Errorf("faults: region event %d must kill at frame >= 1, got %d", i, ev.KillFrame)
 		}
@@ -195,7 +215,8 @@ func (sp Spec) String() string {
 //	seed=N               schedule seed
 //
 // clauses separated by commas, e.g. "link=0.05:8,kill=1@40:80,seed=7". The
-// empty string is the empty schedule.
+// empty string is the empty schedule. Values out of range are rejected here,
+// except region shards, which Validate checks against the control plane.
 func ParseSpec(s string) (Spec, error) {
 	var sp Spec
 	if strings.TrimSpace(s) == "" {
@@ -272,6 +293,9 @@ func ParseSpec(s string) (Spec, error) {
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown clause key %q (want link, crash, wear, kill or seed)", key)
 		}
+	}
+	if err := sp.check(); err != nil {
+		return Spec{}, err
 	}
 	return sp, nil
 }

@@ -58,6 +58,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"seed=-1",             // negative seed
 		"flux=1",              // unknown key
 		"link=0.05:8,,wear=x", // bad clause after empties
+		"link=0:8",            // recovery without a rate (String would drop it)
+		"crash=NaN:3",         // NaN rate
+		"wear=NaN",            // NaN mean
+		"wear=0:2",            // shape without the wear model
+		"kill=0@10:5",         // restore before kill
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {
@@ -80,6 +85,9 @@ func TestValidate(t *testing.T) {
 		{"link rate 1", Spec{LinkRate: 1, LinkRecoveryFrames: 4}, 1, "link fault rate"},
 		{"link no recovery", Spec{LinkRate: 0.1}, 1, "recovery time"},
 		{"crash no recovery", Spec{NodeRate: 0.1}, 1, "recovery time"},
+		{"NaN link rate", Spec{LinkRate: math.NaN(), LinkRecoveryFrames: 4}, 1, "link fault rate"},
+		{"recovery without link rate", Spec{LinkRecoveryFrames: 4}, 1, "link faults are disabled"},
+		{"recovery without crash rate", Spec{NodeRecoveryFrames: 4}, 1, "node crashes are disabled"},
 		{"negative wear", Spec{WearMeanTraversals: -1}, 1, "wear mean"},
 		{"shape without wear", Spec{WearShape: 2}, 1, "wear model is disabled"},
 		{"shard out of range", Spec{Regions: []RegionEvent{{Shard: 4, KillFrame: 10}}}, 4, "outside"},

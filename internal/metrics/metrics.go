@@ -12,10 +12,9 @@
 //     allocates; bucket bounds are frozen at registration.
 //
 // Metrics are registered once — typically in package var blocks — against a
-// Registry keyed by name, and rendered on demand in either Prometheus text
-// exposition format (WritePrometheus) or the repo's indented JSON style
-// (WriteJSON). The process-global registry (Default) is what etserve's
-// GET /metrics serves.
+// Registry keyed by name, and rendered on demand in Prometheus text
+// exposition format (WritePrometheus). The process-global registry (Default)
+// is what etserve's GET /metrics serves.
 //
 // Determinism contract: metrics are write-only from the simulation's point
 // of view. Nothing in this package is ever read back into scheduling,

@@ -2,9 +2,7 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -154,44 +152,6 @@ zz_requests_total 3
 `
 	if got := buf.String(); got != want {
 		t.Errorf("WritePrometheus mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("hits_total", "Cache hits.")
-	h := r.Histogram("lat_seconds", "", []float64{1})
-	c.Add(7)
-	h.Observe(0.5)
-	h.Observe(3)
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var docs []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &docs); err != nil {
-		t.Fatalf("WriteJSON produced invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(docs) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(docs))
-	}
-	if docs[0]["name"] != "hits_total" || docs[0]["count"] != float64(7) {
-		t.Errorf("counter doc = %v", docs[0])
-	}
-	if docs[1]["name"] != "lat_seconds" || docs[1]["sum"] != float64(3.5) {
-		t.Errorf("histogram doc = %v", docs[1])
-	}
-	buckets := docs[1]["buckets"].([]any)
-	if len(buckets) != 2 {
-		t.Fatalf("got %d buckets, want 2 (le=1, +Inf)", len(buckets))
-	}
-	inf := buckets[1].(map[string]any)
-	if inf["le"] != "+Inf" || inf["count"] != float64(2) {
-		t.Errorf("+Inf bucket = %v (cumulative count should be 2)", inf)
-	}
-	if !strings.Contains(buf.String(), "  ") {
-		t.Error("WriteJSON output is not indented")
 	}
 }
 

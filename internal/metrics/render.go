@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"math"
 	"strconv"
@@ -68,55 +67,4 @@ func formatFloat(v float64) string {
 		return "+Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// jsonMetric is the WriteJSON document shape for one metric.
-type jsonMetric struct {
-	Name    string       `json:"name"`
-	Type    string       `json:"type"`
-	Help    string       `json:"help,omitempty"`
-	Value   *int64       `json:"value,omitempty"`   // gauge
-	Count   *uint64      `json:"count,omitempty"`   // counter, histogram
-	Sum     *float64     `json:"sum,omitempty"`     // histogram
-	Buckets []jsonBucket `json:"buckets,omitempty"` // histogram
-}
-
-type jsonBucket struct {
-	LE    string `json:"le"`
-	Count uint64 `json:"count"` // cumulative, Prometheus-style
-}
-
-// WriteJSON renders every registered metric as an indented JSON array in
-// the same style as etserve's /stats document, sorted by name.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	entries := r.sorted()
-	out := make([]jsonMetric, 0, len(entries))
-	for _, e := range entries {
-		m := jsonMetric{Name: e.name, Type: e.kind.String(), Help: e.help}
-		switch e.kind {
-		case kindCounter:
-			v := e.counter.Value()
-			m.Count = &v
-		case kindGauge:
-			v := e.gauge.Value()
-			m.Value = &v
-		case kindHistogram:
-			counts, sum, total := e.hist.snapshot()
-			m.Sum = &sum
-			m.Count = &total
-			var cum uint64
-			for i, c := range counts {
-				cum += c
-				le := "+Inf"
-				if i < len(e.hist.bounds) {
-					le = formatFloat(e.hist.bounds[i])
-				}
-				m.Buckets = append(m.Buckets, jsonBucket{LE: le, Count: cum})
-			}
-		}
-		out = append(out, m)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -44,17 +44,6 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Short returns the first 16 hex digits, for logs and labels.
 func (f Fingerprint) Short() string { return f.String()[:16] }
 
-// ParseFingerprint parses the hex form produced by String.
-func ParseFingerprint(s string) (Fingerprint, error) {
-	var f Fingerprint
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(f) {
-		return f, fmt.Errorf("scenario: malformed fingerprint %q", s)
-	}
-	copy(f[:], b)
-	return f, nil
-}
-
 // canonicalSpec is the fixed-shape encoding target: every simulation-relevant
 // field of Spec, always present, in declaration order. encoding/json marshals
 // struct fields in exactly this order with deterministic number formatting,

@@ -18,12 +18,18 @@
 //     evicting an entry from memory leaves its file behind, and a later Get
 //     re-admits it. Disk reads happen outside the lock (the file is immutable
 //     once renamed into place), so a slow disk never blocks the hot path.
+//   - Disk entries are checked. Each file holds the value's SHA-256 followed
+//     by the value; a file that is short or fails the check (truncated by a
+//     crash, damaged on disk) is a miss and is deleted, so the server
+//     recomputes the value instead of serving broken bytes.
 //
 // All methods are safe for concurrent use.
 package store
 
 import (
+	"bytes"
 	"container/list"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -139,10 +145,17 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	// Disk read outside the lock: files are immutable once renamed into
 	// place, so concurrent readers need no coordination. If two goroutines
 	// race here, both read the same bytes and admit twice — harmless.
-	v, err := os.ReadFile(s.path(k))
+	data, err := os.ReadFile(s.path(k))
+	v, ok := unframe(data)
+	if err == nil && !ok {
+		// A damaged entry can never become valid; drop it so the recomputed
+		// value's Put persists afresh. If the removal fails, the next Get
+		// finds the same damage and misses again.
+		_ = os.Remove(s.path(k))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
+	if err != nil || !ok {
 		s.misses++
 		missesTotal.Inc()
 		return nil, false
@@ -206,10 +219,12 @@ func (s *Store) admit(k Key, v []byte) {
 	}
 }
 
-// persist writes the value to the disk layer atomically: a temp file in the
-// same directory, fsync-free (the cache tolerates losing a crash-window
-// entry — it just recomputes), then rename into place. Readers therefore see
-// either nothing or the complete value, never a torn write.
+// persist writes the value, framed by its SHA-256, to the disk layer
+// atomically: a temp file in the same directory, fsync-free (the cache
+// tolerates losing a crash-window entry — it just recomputes), then rename
+// into place. Readers therefore see either nothing or the complete value,
+// never a torn write; what a crash or the disk itself damages later, Get's
+// check catches.
 func (s *Store) persist(k Key, v []byte) error {
 	final := s.path(k)
 	if _, err := os.Stat(final); err == nil {
@@ -219,7 +234,8 @@ func (s *Store) persist(k Key, v []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: persisting %s: %w", k, err)
 	}
-	_, werr := tmp.Write(v)
+	sum := sha256.Sum256(v)
+	_, werr := tmp.Write(append(sum[:], v...))
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -233,6 +249,17 @@ func (s *Store) persist(k Key, v []byte) error {
 }
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.String()) }
+
+// unframe returns the value held in a disk entry (its SHA-256, then the
+// value), or false when the entry is too short or the digest does not match.
+func unframe(data []byte) ([]byte, bool) {
+	if len(data) < sha256.Size {
+		return nil, false
+	}
+	v := data[sha256.Size:]
+	sum := sha256.Sum256(v)
+	return v, bytes.Equal(data[:sha256.Size], sum[:])
+}
 
 // Stats returns a consistent snapshot of the counters.
 func (s *Store) Stats() Stats {

@@ -188,6 +188,65 @@ func TestStoreDiskCorruptionFallsBackToMiss(t *testing.T) {
 	}
 }
 
+func TestStoreDiskDamagedEntryIsMiss(t *testing.T) {
+	// A disk entry a crash truncated, or the disk corrupted, must never be
+	// served: Get counts a miss and deletes the file, and the next Put
+	// persists the value afresh.
+	for _, tc := range []struct {
+		name   string
+		damage func(entry []byte) []byte
+	}{
+		{"empty file", func([]byte) []byte { return nil }},
+		{"truncated digest", func(e []byte) []byte { return e[:sha256.Size/2] }},
+		{"truncated value", func(e []byte) []byte { return e[:len(e)-1] }},
+		{"flipped byte", func(e []byte) []byte { e[len(e)-1] ^= 1; return e }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, err := New(1<<20, WithDisk(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, want := keyOf(5), valOf(5, 40)
+			if err := s1.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, k.String())
+			entry, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, err := New(1<<20, WithDisk(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s2.Get(k); ok {
+				t.Fatal("damaged disk entry reported as hit")
+			}
+			if st := s2.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+				t.Fatalf("damaged entry not counted as a miss: %+v", st)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged entry left on disk (stat err %v)", err)
+			}
+			if err := s2.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := New(1<<20, WithDisk(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s3.Get(k); !ok || !bytes.Equal(got, want) {
+				t.Fatal("re-persisted entry unreadable")
+			}
+		})
+	}
+}
+
 // TestStoreConcurrentHammer drives many goroutines through overlapping
 // Put/Get traffic under -race: the assertions are (a) no data race, (b) every
 // successful Get returns exactly the bytes content addressing promises.

@@ -5,6 +5,12 @@
 // the EAR/SDR routing algorithms — and simulates encryption jobs flowing
 // through the mesh until the target system dies, reporting the number of
 // completed jobs and a full energy breakdown.
+//
+// The platform calibration is fixed, not configured: every run uses the
+// paper's measured woven transmission line (energy.PaperTransmissionLine),
+// the Sec 5.3 TDMA scheme (tdma.DefaultParams), the 4x4 controller
+// (energy.PaperController4x4, read by the control plane) and the constants
+// below.
 package sim
 
 import (
@@ -14,17 +20,31 @@ import (
 	"repro/internal/app"
 	"repro/internal/battery"
 	"repro/internal/controlplane"
-	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/routing"
-	"repro/internal/tdma"
 	"repro/internal/topology"
+)
+
+// The data-path calibration of the paper's platform.
+const (
+	// computeCyclesPerOp is the latency of one act of computation.
+	computeCyclesPerOp = 4
+	// linkWidthBits is the parallel width of the data interconnects; one hop
+	// takes ceil(PacketBits / linkWidthBits) cycles.
+	linkWidthBits = 8
+	// nodeBufferJobs is the number of jobs that may reside at a node at once
+	// (being processed or waiting); additional arrivals block at their
+	// current node, which is what makes deadlock possible under concurrent
+	// load.
+	nodeBufferJobs = 1
 )
 
 // Config describes one simulation run.
 type Config struct {
-	// Graph is the network topology (normally a 2D mesh).
+	// Graph is the network topology (normally a 2D mesh). Jobs are injected
+	// at node (1,1), the attachment point of the sensor/actuator block in
+	// Fig 3a, or at the first node of a graph without one.
 	Graph *topology.Graph
 	// App is the target application (normally AES-128).
 	App *app.Application
@@ -34,10 +54,6 @@ type Config struct {
 	Algorithm routing.Algorithm
 	// NodeBattery constructs the battery attached to every node.
 	NodeBattery battery.Factory
-	// Line is the textile transmission-line energy model.
-	Line *energy.TransmissionLine
-	// TDMA configures the control mechanism.
-	TDMA tdma.Params
 	// Controllers is the number of redundant controllers (>= 1): the whole
 	// central pool for the centralized control plane, or per regional pool for
 	// the sharded one.
@@ -53,31 +69,13 @@ type Config struct {
 	// zero value disables fault injection entirely and reproduces the
 	// fault-free engine byte for byte.
 	Faults faults.Spec
-	// ControllerPower characterises controller power draw; the zero value is
-	// replaced by the paper's measured 4x4 controller (its per-frame active
-	// time, and therefore its energy, grows with the node count).
-	ControllerPower energy.Controller
 	// BatteryLevels is the number of quantisation levels used when nodes
 	// report their remaining capacity.
 	BatteryLevels int
-	// ComputeCyclesPerOp is the latency of one act of computation.
-	ComputeCyclesPerOp int
-	// LinkWidthBits is the parallel width of the data interconnects; one hop
-	// takes ceil(PacketBits / LinkWidthBits) cycles.
-	LinkWidthBits int
 	// ConcurrentJobs is the number of jobs kept in flight simultaneously.
 	// The paper's Fig 7 / Table 2 experiments use 1 (a new job is launched
 	// only when the previous one completes).
 	ConcurrentJobs int
-	// NodeBufferJobs is the number of jobs that may reside at a node at once
-	// (being processed or waiting); additional arrivals block at their
-	// current node, which is what makes deadlock possible under concurrent
-	// load.
-	NodeBufferJobs int
-	// Source is the node at which jobs are injected (the attachment point of
-	// the sensor/actuator block in Fig 3a). Use topology.Invalid to default
-	// to node (1,1).
-	Source topology.NodeID
 	// MaxCycles stops the simulation even if the system has not died, as a
 	// safety net; 0 means no limit.
 	MaxCycles int64
@@ -101,8 +99,8 @@ type Config struct {
 	Observers []Observer
 }
 
-// Validate checks the configuration and fills defaulted fields in place.
-func (c *Config) Validate() error {
+// Validate checks the configuration; it never modifies it.
+func (c Config) Validate() error {
 	if c.Graph == nil || c.Graph.NodeCount() == 0 {
 		return fmt.Errorf("sim: configuration needs a non-empty graph")
 	}
@@ -130,12 +128,6 @@ func (c *Config) Validate() error {
 	if c.NodeBattery == nil {
 		return fmt.Errorf("sim: configuration needs a node battery factory")
 	}
-	if c.Line == nil {
-		return fmt.Errorf("sim: configuration needs a transmission-line model")
-	}
-	if err := c.TDMA.Validate(); err != nil {
-		return err
-	}
 	if c.Controllers < 1 {
 		return fmt.Errorf("sim: at least one controller is required, got %d", c.Controllers)
 	}
@@ -148,34 +140,8 @@ func (c *Config) Validate() error {
 	if c.BatteryLevels < 2 {
 		return fmt.Errorf("sim: battery reporting needs at least 2 levels, got %d", c.BatteryLevels)
 	}
-	if c.ComputeCyclesPerOp < 1 {
-		return fmt.Errorf("sim: computation latency must be at least one cycle")
-	}
-	if c.LinkWidthBits < 1 {
-		return fmt.Errorf("sim: link width must be at least one bit")
-	}
 	if c.ConcurrentJobs < 1 {
 		return fmt.Errorf("sim: at least one concurrent job is required")
-	}
-	if c.NodeBufferJobs < 1 {
-		return fmt.Errorf("sim: node buffers must hold at least one job")
-	}
-	if c.Source == topology.Invalid {
-		if id, ok := c.Graph.NodeAt(topology.Coord{X: 1, Y: 1}); ok {
-			c.Source = id
-		} else {
-			c.Source = c.Graph.Nodes()[0].ID
-		}
-	}
-	if !c.Graph.Has(c.Source) {
-		return fmt.Errorf("sim: source node %d does not exist", c.Source)
-	}
-	if (c.ControllerPower == energy.Controller{}) {
-		// The paper characterises the 4x4 controller; the routing workload
-		// (and therefore the controller's active time per frame) already
-		// grows with the node count, which is how larger meshes end up
-		// consuming more controller energy per frame (Sec 7.3).
-		c.ControllerPower = energy.PaperController4x4()
 	}
 	if c.MaxCycles < 0 {
 		return fmt.Errorf("sim: MaxCycles must be non-negative")
@@ -188,9 +154,17 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// HopCycles returns the latency of one packet hop in cycles.
-func (c *Config) HopCycles() int64 {
-	bits := c.App.PacketBits
-	width := c.LinkWidthBits
-	return int64((bits + width - 1) / width)
+// source returns the node at which jobs are injected: node (1,1), the
+// attachment point of the sensor/actuator block in Fig 3a, or the first node
+// of a graph without one.
+func source(g *topology.Graph) topology.NodeID {
+	if id, ok := g.NodeAt(topology.Coord{X: 1, Y: 1}); ok {
+		return id
+	}
+	return g.Nodes()[0].ID
+}
+
+// hopCycles returns the latency of one hop of a packetBits-bit packet.
+func hopCycles(packetBits int) int64 {
+	return int64((packetBits + linkWidthBits - 1) / linkWidthBits)
 }

@@ -9,8 +9,10 @@ import (
 	"repro/internal/app"
 	"repro/internal/battery"
 	"repro/internal/controlplane"
+	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/routing"
+	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -81,6 +83,12 @@ type jobState struct {
 type Simulator struct {
 	cfg   Config
 	graph *topology.Graph
+
+	// The paper's platform calibration (see the package comment) and the
+	// job source, fixed at construction.
+	line   *energy.TransmissionLine
+	tdma   tdma.Params
+	source topology.NodeID
 
 	nodes        []*nodeState
 	jobs         []*jobState
@@ -156,6 +164,9 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:            cfg,
 		graph:          cfg.Graph,
+		line:           energy.PaperTransmissionLine(),
+		tdma:           tdma.DefaultParams(),
+		source:         source(cfg.Graph),
 		destinations:   make(map[app.ModuleID][]topology.NodeID),
 		lastCompletion: topology.Invalid,
 		cancel:         cfg.Cancel,
@@ -196,9 +207,7 @@ func New(cfg Config) (*Simulator, error) {
 		Graph:             s.graph,
 		Algorithm:         cfg.Algorithm,
 		Destinations:      s.destinations,
-		TDMA:              cfg.TDMA,
 		Controllers:       cfg.Controllers,
-		ControllerPower:   cfg.ControllerPower,
 		ControllerBattery: cfg.ControllerBattery,
 	})
 	if err != nil {
@@ -234,7 +243,7 @@ func New(cfg Config) (*Simulator, error) {
 func (s *Simulator) Run() Result {
 	// Frame 0 establishes the initial routing tables before any job moves.
 	s.processFrame()
-	s.nextFrame = s.cfg.TDMA.FramePeriodCycles
+	s.nextFrame = s.tdma.FramePeriodCycles
 	for len(s.jobs) < s.cfg.ConcurrentJobs {
 		s.injectJob()
 	}
@@ -270,7 +279,7 @@ func (s *Simulator) Run() Result {
 		}
 		for !s.dead && s.now >= s.nextFrame {
 			s.processFrame()
-			s.nextFrame += s.cfg.TDMA.FramePeriodCycles
+			s.nextFrame += s.tdma.FramePeriodCycles
 			if s.frameCount-s.stalledSince > stalledFrameLimit {
 				s.finish(DeathStalled)
 			}
@@ -422,7 +431,7 @@ func (s *Simulator) moduleExtinct() bool {
 }
 
 // injectionPoint returns the node at which new jobs enter the system. The
-// first job enters at the configured source (the sensor/actuator attachment
+// first job enters at the source (the sensor/actuator attachment
 // point of Fig 3a); each subsequent job enters at the node where the previous
 // job completed, matching the paper's "a new job is launched when the
 // previous one is completed". If that node has died, the job enters at the
@@ -431,10 +440,10 @@ func (s *Simulator) injectionPoint() topology.NodeID {
 	if s.lastCompletion != topology.Invalid && !s.nodes[s.lastCompletion].down() {
 		return s.lastCompletion
 	}
-	if !s.nodes[s.cfg.Source].down() {
-		return s.cfg.Source
+	if !s.nodes[s.source].down() {
+		return s.source
 	}
-	srcPos := s.graph.Coordinate(s.cfg.Source)
+	srcPos := s.graph.Coordinate(s.source)
 	best := topology.Invalid
 	bestDist := int(^uint(0) >> 1)
 	for _, n := range s.nodes {
@@ -679,7 +688,7 @@ func (s *Simulator) startHop(j *jobState) bool {
 	if nextNode.down() {
 		return s.block(j, phaseWaitingRoute)
 	}
-	if nextNode.resident >= s.cfg.NodeBufferJobs {
+	if nextNode.resident >= nodeBufferJobs {
 		return s.block(j, phaseWaitingBuffer)
 	}
 	link, ok := s.graph.Link(j.at, next)
@@ -695,7 +704,7 @@ func (s *Simulator) startHop(j *jobState) bool {
 		s.finish(DeathUnreachable)
 		return false
 	}
-	cost := s.cfg.Line.PacketEnergyPJ(link.LengthCM, s.cfg.App.PacketBits)
+	cost := s.line.PacketEnergyPJ(link.LengthCM, s.cfg.App.PacketBits)
 	if !s.drawNode(cur, cost) {
 		return false // node died mid-transmission; killNode already handled the job
 	}
@@ -712,7 +721,7 @@ func (s *Simulator) startHop(j *jobState) bool {
 	nextNode.resident++
 	j.pendingNext = next
 	j.phase = phaseMoving
-	j.readyAt = s.now + s.cfg.HopCycles()
+	j.readyAt = s.now + hopCycles(s.cfg.App.PacketBits)
 	j.blockedAt = -1
 	return true
 }
@@ -742,7 +751,7 @@ func (s *Simulator) startCompute(j *jobState) bool {
 		Now: s.now, Job: j.id, Node: n.id, Module: module.ID, OpIndex: j.opIdx, EnergyPJ: module.EnergyPerOpPJ,
 	})
 	j.phase = phaseComputing
-	j.readyAt = s.now + int64(s.cfg.ComputeCyclesPerOp)
+	j.readyAt = s.now + computeCyclesPerOp
 	n.busyUntil = j.readyAt
 	j.blockedAt = -1
 	return true
@@ -753,10 +762,8 @@ func (s *Simulator) completeTimed(j *jobState) {
 	switch j.phase {
 	case phaseMoving:
 		s.nodes[j.at].resident--
-		from := j.at
 		j.at = j.pendingNext
 		j.pendingNext = topology.Invalid
-		s.emitHopFinished(HopEvent{Now: s.now, Job: j.id, From: from, To: j.at})
 		s.progress()
 		if s.nodes[j.at].dead {
 			s.loseJob(j)

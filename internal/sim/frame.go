@@ -47,7 +47,7 @@ func (s *Simulator) processFrame() {
 		}
 	}
 
-	uploadPJ := s.cfg.TDMA.UploadEnergyPerNodePJ()
+	uploadPJ := s.tdma.UploadEnergyPerNodePJ()
 	for _, n := range s.nodes {
 		if n.down() {
 			continue
@@ -148,7 +148,7 @@ func (s *Simulator) buildSnapshot() *routing.SystemState {
 	for i := range s.blocked {
 		s.blocked[i] = false
 	}
-	threshold := int64(s.cfg.TDMA.DeadlockThresholdFrames) * s.cfg.TDMA.FramePeriodCycles
+	threshold := int64(s.tdma.DeadlockThresholdFrames) * s.tdma.FramePeriodCycles
 	for _, j := range s.jobs {
 		if j.blockedAt >= 0 && s.now-j.blockedAt >= threshold {
 			s.blocked[j.at] = true

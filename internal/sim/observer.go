@@ -26,8 +26,6 @@ type Observer interface {
 	JobLost(e JobEvent)
 	// HopStarted fires when a packet begins a hop on a data link.
 	HopStarted(e HopEvent)
-	// HopFinished fires when a packet arrives at the next node.
-	HopFinished(e HopEvent)
 	// OperationStarted fires when a node begins one act of computation.
 	OperationStarted(e OperationEvent)
 	// NodeDied fires when a node's battery reaches its cutoff condition.
@@ -91,8 +89,7 @@ type HopEvent struct {
 	Job  int
 	From topology.NodeID
 	To   topology.NodeID
-	// EnergyPJ is the transmission energy drawn at the sender (HopStarted
-	// only).
+	// EnergyPJ is the transmission energy drawn at the sender.
 	EnergyPJ float64
 	// Relayed is true when the sender forwarded a packet it did not
 	// originate on this leg (hops beyond the first).
@@ -225,9 +222,6 @@ func (BaseObserver) JobLost(JobEvent) {}
 // HopStarted implements Observer.
 func (BaseObserver) HopStarted(HopEvent) {}
 
-// HopFinished implements Observer.
-func (BaseObserver) HopFinished(HopEvent) {}
-
 // OperationStarted implements Observer.
 func (BaseObserver) OperationStarted(OperationEvent) {}
 
@@ -280,8 +274,6 @@ func (o resultObserver) JobCompleted(e JobEvent) {
 func (o resultObserver) JobLost(JobEvent) { o.res.JobsLost++ }
 
 func (o resultObserver) HopStarted(e HopEvent) { o.res.Energy.CommunicationPJ += e.EnergyPJ }
-
-func (o resultObserver) HopFinished(HopEvent) {}
 
 func (o resultObserver) OperationStarted(e OperationEvent) {
 	o.res.Energy.ComputationPJ += e.EnergyPJ
@@ -356,13 +348,6 @@ func (s *Simulator) emitHopStarted(e HopEvent) {
 	s.acct.HopStarted(e)
 	for _, o := range s.observers {
 		o.HopStarted(e)
-	}
-}
-
-func (s *Simulator) emitHopFinished(e HopEvent) {
-	s.acct.HopFinished(e)
-	for _, o := range s.observers {
-		o.HopFinished(e)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestShardedProcessFrameZeroAllocSteadyState(t *testing.T) {
 	}
 	for i := 0; !warm() && i < 100; i++ {
 		drain()
-		s.now += cfg.TDMA.FramePeriodCycles
+		s.now += s.tdma.FramePeriodCycles
 		s.processFrame()
 	}
 	if s.dead || !warm() {
@@ -116,7 +116,7 @@ func TestShardedProcessFrameZeroAllocSteadyState(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(64, func() {
 		drain()
-		s.now += cfg.TDMA.FramePeriodCycles
+		s.now += s.tdma.FramePeriodCycles
 		s.processFrame()
 	})
 	if allocs != 0 {

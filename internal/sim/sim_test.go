@@ -9,7 +9,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/routing"
-	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -29,21 +28,14 @@ func defaultConfig(tb testing.TB, meshSize int) Config {
 		tb.Fatal(err)
 	}
 	return Config{
-		Graph:              mesh.Graph,
-		App:                application,
-		Mapping:            m,
-		Algorithm:          routing.NewEAR(),
-		NodeBattery:        battery.DefaultThinFilmFactory(),
-		Line:               energy.PaperTransmissionLine(),
-		TDMA:               tdma.DefaultParams(),
-		Controllers:        1,
-		ControllerPower:    energy.PaperController4x4(),
-		BatteryLevels:      routing.DefaultEARParams().Levels,
-		ComputeCyclesPerOp: 4,
-		LinkWidthBits:      8,
-		ConcurrentJobs:     1,
-		NodeBufferJobs:     1,
-		Source:             mesh.Corner(),
+		Graph:          mesh.Graph,
+		App:            application,
+		Mapping:        m,
+		Algorithm:      routing.NewEAR(),
+		NodeBattery:    battery.DefaultThinFilmFactory(),
+		Controllers:    1,
+		BatteryLevels:  routing.DefaultEARParams().Levels,
+		ConcurrentJobs: 1,
 	}
 }
 
@@ -87,17 +79,11 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 		{"zero EAR Q", func(c *Config) { c.Algorithm = routing.EAR{Params: routing.EARParams{Q: 0, Levels: 8}} }},
 		{"EAR Q past the penalty bound", func(c *Config) { c.Algorithm = routing.EAR{Params: routing.EARParams{Q: 1e-20, Levels: 8}} }},
 		{"nil battery", func(c *Config) { c.NodeBattery = nil }},
-		{"nil line", func(c *Config) { c.Line = nil }},
 		{"zero controllers", func(c *Config) { c.Controllers = 0 }},
 		{"one battery level", func(c *Config) { c.BatteryLevels = 1 }},
-		{"zero compute cycles", func(c *Config) { c.ComputeCyclesPerOp = 0 }},
-		{"zero link width", func(c *Config) { c.LinkWidthBits = 0 }},
 		{"zero concurrent jobs", func(c *Config) { c.ConcurrentJobs = 0 }},
-		{"zero buffer", func(c *Config) { c.NodeBufferJobs = 0 }},
 		{"negative max cycles", func(c *Config) { c.MaxCycles = -1 }},
-		{"bad frame period", func(c *Config) { c.TDMA.FramePeriodCycles = 0 }},
 		{"bad key length", func(c *Config) { c.Key = []byte("short") }},
-		{"missing source", func(c *Config) { c.Source = 999 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,12 +99,32 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 func TestConfigHopCycles(t *testing.T) {
 	cfg := defaultConfig(t, 4)
 	// 261-bit packets over an 8-bit-wide link take ceil(261/8) = 33 cycles.
-	if got := cfg.HopCycles(); got != 33 {
-		t.Errorf("HopCycles = %d, want 33", got)
+	if got := hopCycles(cfg.App.PacketBits); got != 33 {
+		t.Errorf("hopCycles = %d, want 33", got)
 	}
-	cfg.LinkWidthBits = 1
-	if got := cfg.HopCycles(); got != 261 {
-		t.Errorf("HopCycles with serial link = %d, want 261", got)
+}
+
+func TestSourceIsNodeOneOne(t *testing.T) {
+	add := func(g *topology.Graph, x, y int) topology.NodeID {
+		t.Helper()
+		id, err := g.AddNode(topology.Coord{X: x, Y: y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	g := topology.New()
+	add(g, 2, 1)
+	oneOne := add(g, 1, 1)
+	if got := source(g); got != oneOne {
+		t.Errorf("source = %d, want node (1,1) = %d", got, oneOne)
+	}
+	// A graph without node (1,1) injects at its first node.
+	g = topology.New()
+	first := add(g, 5, 5)
+	add(g, 6, 5)
+	if got := source(g); got != first {
+		t.Errorf("source = %d, want the first node %d", got, first)
 	}
 }
 
@@ -384,7 +390,6 @@ func TestSDRConcentratesLoadEARSpreadsIt(t *testing.T) {
 func TestConcurrentJobsWithDeadlockRecovery(t *testing.T) {
 	res := run(t, 5, func(c *Config) {
 		c.ConcurrentJobs = 3
-		c.NodeBufferJobs = 1
 	})
 	if res.JobsCompleted == 0 {
 		t.Fatal("no jobs completed under concurrent load")
@@ -555,7 +560,7 @@ func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
 	// before the measurement starts.
 	for i := 0; s.res.RoutingRecomputes < 3 && i < 100; i++ {
 		drain()
-		s.now += cfg.TDMA.FramePeriodCycles
+		s.now += s.tdma.FramePeriodCycles
 		s.processFrame()
 	}
 	if s.dead || s.res.RoutingRecomputes < 3 {
@@ -564,7 +569,7 @@ func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
 	recomputesBefore := s.res.RoutingRecomputes
 	allocs := testing.AllocsPerRun(64, func() {
 		drain()
-		s.now += cfg.TDMA.FramePeriodCycles
+		s.now += s.tdma.FramePeriodCycles
 		s.processFrame()
 	})
 	if allocs != 0 {

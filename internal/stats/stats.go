@@ -1,5 +1,5 @@
 // Package stats provides small table/series containers and text renderers
-// (aligned tables, CSV, Markdown) used by the experiment harness and the
+// (aligned tables, CSV) used by the experiment harness and the
 // command-line tools to print paper-style tables and figure data.
 package stats
 
@@ -129,29 +129,6 @@ func csvEscape(s string) string {
 		return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 	}
 	return s
-}
-
-// Markdown returns the table as a GitHub-flavoured Markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString("### ")
-		b.WriteString(t.Title)
-		b.WriteString("\n\n")
-	}
-	b.WriteString("| ")
-	b.WriteString(strings.Join(t.Columns, " | "))
-	b.WriteString(" |\n|")
-	for range t.Columns {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, row := range t.Rows {
-		b.WriteString("| ")
-		b.WriteString(strings.Join(row, " | "))
-		b.WriteString(" |\n")
-	}
-	return b.String()
 }
 
 // Series is a named sequence of (x, y) points, the unit of data behind each

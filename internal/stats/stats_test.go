@@ -73,17 +73,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tbl := NewTable("Fig 7", "mesh", "jobs")
-	tbl.AddRow("4x4", 60)
-	md := tbl.Markdown()
-	for _, want := range []string{"### Fig 7", "| mesh | jobs |", "|---|---|", "| 4x4 | 60 |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "EAR"}
 	if s.MinY() != 0 || s.MaxY() != 0 {
@@ -167,27 +156,6 @@ func TestTableCSVEscaping(t *testing.T) {
 	// An empty cell stays an empty field, not a quoted empty string.
 	if !strings.Contains(csv, ",trailing") {
 		t.Errorf("empty cell mangled: %q", csv)
-	}
-}
-
-func TestTableMarkdownNoTitle(t *testing.T) {
-	tbl := NewTable("", "a", "b")
-	tbl.AddRow(1, 2)
-	md := tbl.Markdown()
-	if strings.Contains(md, "###") {
-		t.Errorf("untitled table emitted a heading: %q", md)
-	}
-	if !strings.HasPrefix(md, "| a | b |") {
-		t.Errorf("markdown table must start at the header row: %q", md)
-	}
-}
-
-func TestTableMarkdownColumnCount(t *testing.T) {
-	tbl := NewTable("t", "a", "b", "c")
-	tbl.AddRow("x", "y", "z")
-	md := tbl.Markdown()
-	if !strings.Contains(md, "|---|---|---|") {
-		t.Errorf("separator must have one segment per column: %q", md)
 	}
 }
 

@@ -60,26 +60,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate checks the parameters for consistency.
-func (p Params) Validate() error {
-	if p.StatusBits <= 0 || p.RouteBits <= 0 {
-		return fmt.Errorf("tdma: slot payloads must be positive (status %d, route %d)", p.StatusBits, p.RouteBits)
-	}
-	if p.Medium.WidthBits <= 0 || p.Medium.PJPerBit < 0 {
-		return fmt.Errorf("tdma: invalid shared medium %+v", p.Medium)
-	}
-	if p.FramePeriodCycles <= 0 {
-		return fmt.Errorf("tdma: frame period must be positive, got %d", p.FramePeriodCycles)
-	}
-	if p.ControllerActiveCyclesPerFrame < 0 || p.ControllerComputeCyclesPerNode < 0 {
-		return fmt.Errorf("tdma: controller cycle counts must be non-negative")
-	}
-	if p.DeadlockThresholdFrames < 1 {
-		return fmt.Errorf("tdma: deadlock threshold must be at least one frame, got %d", p.DeadlockThresholdFrames)
-	}
-	return nil
-}
-
 // UploadEnergyPerNodePJ returns the shared-medium energy charged to one node
 // for its upload slot in one frame.
 func (p Params) UploadEnergyPerNodePJ() float64 { return p.Medium.SlotEnergyPJ(p.StatusBits) }

@@ -85,21 +85,6 @@ func (m *Mesh) Size() int { return m.width * m.height }
 // IDAt returns the node ID at mesh coordinate (x, y), both 1-based.
 func (m *Mesh) IDAt(x, y int) (NodeID, bool) { return m.NodeAt(Coord{X: x, Y: y}) }
 
-// Center returns the node closest to the geometric centre of the mesh. It is
-// used as the default job source/sink when no explicit attachment point is
-// configured.
-func (m *Mesh) Center() NodeID {
-	id, _ := m.NodeAt(Coord{X: (m.width + 1) / 2, Y: (m.height + 1) / 2})
-	return id
-}
-
-// Corner returns the node at coordinate (1,1), the conventional attachment
-// point of the sensor/actuator block in the smart-shirt sketch (Fig 3a).
-func (m *Mesh) Corner() NodeID {
-	id, _ := m.NodeAt(Coord{X: 1, Y: 1})
-	return id
-}
-
 // String describes the mesh briefly, e.g. "4x4 mesh (1 cm spacing)".
 func (m *Mesh) String() string {
 	return fmt.Sprintf("%dx%d mesh (%g cm spacing)", m.width, m.height, m.spacingCM)

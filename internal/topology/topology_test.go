@@ -220,14 +220,6 @@ func TestMeshAccessors(t *testing.T) {
 	if got := m.String(); got != "5x3 mesh (2 cm spacing)" {
 		t.Fatalf("String = %q", got)
 	}
-	center := m.Center()
-	if m.Coordinate(center) != (Coord{X: 3, Y: 2}) {
-		t.Fatalf("Center at %v, want (3,2)", m.Coordinate(center))
-	}
-	corner := m.Corner()
-	if m.Coordinate(corner) != (Coord{X: 1, Y: 1}) {
-		t.Fatalf("Corner at %v, want (1,1)", m.Coordinate(corner))
-	}
 }
 
 func TestSquareMeshMatchesPaperSizes(t *testing.T) {

@@ -168,13 +168,9 @@ func (d *Degradation) FrameProcessed(e sim.FrameEvent) {
 	}
 }
 
-// JobsDegraded and JobsHealthy return jobs completed while at least one
-// fault window was open, and while none was.
+// JobsDegraded returns jobs completed while at least one fault window was
+// open.
 func (d *Degradation) JobsDegraded() int { return d.jobsDegraded }
-func (d *Degradation) JobsHealthy() int  { return d.jobsHealthy }
-
-// LostDegraded returns jobs lost while at least one fault window was open.
-func (d *Degradation) LostDegraded() int { return d.lostDegraded }
 
 // FramesDegraded and FramesHealthy return the frame counts spent in each
 // state.

@@ -41,8 +41,9 @@ type WireEvent struct {
 // event stream to a sink — the bridge between the engine's synchronous
 // observer hooks and internal/serve's NDJSON progress stream. It forwards
 // the low-rate structural events (node deaths, faults, failovers, the finish)
-// verbatim and thins the per-frame heartbeat to every FrameEvery-th frame, so
-// a long run streams progress without drowning the client in frame records.
+// verbatim and thins the per-frame heartbeat to every 16th frame
+// (wireFrameEvery), so a long run streams progress without drowning the
+// client in frame records.
 //
 // The sink is called synchronously from the simulation goroutine; a sink that
 // blocks (a slow client) backpressures the simulation rather than buffering
@@ -51,26 +52,16 @@ type Wire struct {
 	sim.BaseObserver
 	// Sink receives each flattened event. Must be non-nil.
 	Sink func(WireEvent)
-	// FrameEvery thins the frame heartbeat: frames where Frame%FrameEvery != 0
-	// are dropped (deaths, faults and the finish are never dropped). Values
-	// below 1 default to DefaultFrameEvery.
-	FrameEvery int64
 }
 
-// DefaultFrameEvery is the frame-heartbeat sampling interval when
-// Wire.FrameEvery is unset.
-const DefaultFrameEvery = 16
-
-func (w *Wire) every() int64 {
-	if w.FrameEvery < 1 {
-		return DefaultFrameEvery
-	}
-	return w.FrameEvery
-}
+// wireFrameEvery is Wire's frame-heartbeat sampling interval: frames where
+// Frame%wireFrameEvery != 0 are dropped (deaths, faults and the finish are
+// never dropped).
+const wireFrameEvery = 16
 
 // FrameProcessed implements sim.Observer.
 func (w *Wire) FrameProcessed(e sim.FrameEvent) {
-	if e.Frame%w.every() != 0 {
+	if e.Frame%wireFrameEvery != 0 {
 		return
 	}
 	w.Sink(WireEvent{
