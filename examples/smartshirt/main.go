@@ -7,9 +7,9 @@
 //
 // The configuration is the registered "smartshirt-verified" scenario, run
 // with two trace observers attached: a job-latency histogram and the
-// fleet-wide battery discharge curve, both fed by the simulator's event
-// stream (the same data `etsim -scenario smartshirt-verified -trace` writes
-// as CSV).
+// per-frame timeline whose battery columns are the fleet-wide discharge
+// curve, both fed by the simulator's event stream (the timeline is the CSV
+// `etsim -scenario smartshirt-verified -trace` writes).
 //
 // Run with:
 //
@@ -32,8 +32,8 @@ func main() {
 	}
 
 	latency := &trace.LatencyHistogram{}
-	batteries := &trace.BatterySeries{}
-	res, err := spec.Simulate(latency, batteries)
+	timeline := &trace.Timeline{}
+	res, err := spec.Simulate(latency, timeline)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func main() {
 	fmt.Printf("Dead nodes at end of life: %d of %d\n\n", res.DeadNodes, res.MeshNodes)
 
 	fmt.Print(latency.Table(8).Render())
-	if frames := batteries.Frames(); len(frames) > 0 {
-		first, last := frames[0], frames[len(frames)-1]
+	if rows := timeline.Rows(); len(rows) > 0 {
+		first, last := rows[0], rows[len(rows)-1]
 		fmt.Printf("\nFleet battery: mean %.0f pJ at frame %d, mean %.0f pJ at frame %d (min %.0f pJ)\n\n",
 			first.MeanRemainingPJ, first.Frame, last.MeanRemainingPJ, last.Frame, last.MinRemainingPJ)
 	}

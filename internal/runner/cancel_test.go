@@ -53,58 +53,6 @@ func TestCancelledGridStartsNoNewCells(t *testing.T) {
 	}
 }
 
-// TestRunContextMergesCancellation checks the per-call context path: a
-// cancellation of the call context (not the pool's) stops dispatch, and cells
-// receive a context that reports it.
-func TestRunContextMergesCancellation(t *testing.T) {
-	p := New(WithWorkers(2))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var started atomic.Int32
-	running := make(chan struct{}, 16)
-	release := make(chan struct{})
-	var sawDone atomic.Bool
-
-	errRun := make(chan error, 1)
-	go func() {
-		errRun <- p.RunContext(ctx, 16, func(cellCtx context.Context, i int) error {
-			started.Add(1)
-			running <- struct{}{}
-			<-release
-			// Propagation into the merged context is asynchronous; the
-			// contract is that an in-flight cell can block on Done and will
-			// be woken, not that Err flips in the same instant.
-			select {
-			case <-cellCtx.Done():
-				sawDone.Store(true)
-			case <-time.After(5 * time.Second):
-			}
-			return nil
-		})
-	}()
-	for range 2 {
-		select {
-		case <-running:
-		case <-time.After(5 * time.Second):
-			t.Fatal("workers never started their first cells")
-		}
-	}
-	cancel()
-	close(release)
-
-	err := <-errRun
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext returned %v, want context.Canceled", err)
-	}
-	if got := started.Load(); got != 2 {
-		t.Fatalf("%d cells started after cancellation, want 2", got)
-	}
-	if !sawDone.Load() {
-		t.Fatal("in-flight cells did not observe the cancellation through their context")
-	}
-}
-
 // TestQueueBoundsConcurrency parks more tasks than the queue has slots and
 // checks admission never exceeds the budget.
 func TestQueueBoundsConcurrency(t *testing.T) {

@@ -41,23 +41,6 @@ func TestCellObserverSeesEveryCell(t *testing.T) {
 	}
 }
 
-func TestCellObserverSurvivesRunContext(t *testing.T) {
-	var calls int
-	var mu sync.Mutex
-	p := New(WithWorkers(2), WithCellObserver(func(index, worker int, start time.Time, d time.Duration) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-	}))
-	err := p.RunContext(context.Background(), 4, func(ctx context.Context, i int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 4 {
-		t.Fatalf("observer saw %d cells through RunContext, want 4", calls)
-	}
-}
-
 func TestQueueDepth(t *testing.T) {
 	q := NewQueue(1)
 	if q.Depth() != 0 {

@@ -89,33 +89,3 @@ func runTask(ctx context.Context, fn func(ctx context.Context) error) (err error
 	}()
 	return fn(ctx)
 }
-
-// RunContext is Pool.Run with a per-call context: the run aborts (between
-// cells) once either the pool's context or ctx is cancelled, and every cell
-// receives the merged context so long-running cells can stop early too. It is
-// the submission path for request-scoped batches — a campaign whose client
-// may disconnect — onto a pool that is itself shared and long-lived.
-func (p *Pool) RunContext(ctx context.Context, n int, cell func(ctx context.Context, i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Merge the pool's context with the call's: cancelling either cancels the
-	// run. context.WithCancel only links the chain through its parent, so the
-	// second source is watched via AfterFunc — but AfterFunc fires on its own
-	// goroutine, which would let a worker dispatch one more queued cell in the
-	// window before the merge propagates. The synchronous ctx.Err() check in
-	// the cell wrapper closes that window: a cancelled call never starts
-	// another cell, it fails the cell slot instead (which cancels the run with
-	// the usual lowest-index-wins selection).
-	runCtx, cancel := context.WithCancel(p.ctx)
-	defer cancel()
-	stop := context.AfterFunc(ctx, cancel)
-	defer stop()
-	view := &Pool{workers: p.workers, ctx: runCtx, obs: p.obs}
-	return view.Run(n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return cell(runCtx, i)
-	})
-}

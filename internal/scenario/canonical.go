@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/controlplane"
 	"repro/internal/faults"
+	"repro/internal/mapping"
 	"repro/internal/routing"
 )
 
@@ -76,7 +77,8 @@ type canonicalSpec struct {
 // every field its configuration ignores cleared, so that semantically
 // identical specs become structurally identical. The identity fields are
 // preserved untouched. Normalizing does not validate: a spec whose values are
-// out of range normalizes fine and still fails in Strategy.
+// out of range normalizes fine and still fails in Strategy. Only text fields
+// with a canonical spelling (Faults, an explicit Assignment) must parse.
 func (sp Spec) Normalized() (Spec, error) {
 	n := sp
 	if n.Algorithm == "" {
@@ -109,6 +111,14 @@ func (sp Spec) Normalized() (Spec, error) {
 	}
 	if n.Mapping != MappingExplicit {
 		n.Assignment = ""
+	} else {
+		ex, err := mapping.ParseExplicit(n.Assignment)
+		if err != nil {
+			return Spec{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+		}
+		// String() drops the spaces, signs and leading zeros ParseExplicit
+		// accepts, so two spellings of one placement agree.
+		n.Assignment = ex.String()
 	}
 	if n.Controllers == 0 {
 		n.Controllers = 1

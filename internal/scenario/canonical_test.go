@@ -209,4 +209,19 @@ func TestNormalizedClearsInertFields(t *testing.T) {
 	if f1 != f2 {
 		t.Error("equivalent fault clause spellings split the cache")
 	}
+	// So is an explicit placement: spaces, a plus sign and leading zeros
+	// spell the same assignment.
+	p1 := Spec{Mesh: 4, Mapping: MappingExplicit, Assignment: "1,2,3,1,3,1,3,2,3,1,3,3,2,3,2,1"}
+	p2 := Spec{Mesh: 4, Mapping: MappingExplicit, Assignment: " 1,2,3,1,3,1,3,2,3,1,3,3,2,3,2,+01"}
+	f1, e1 = p1.Fingerprint()
+	f2, e2 = p2.Fingerprint()
+	if e1 != nil || e2 != nil {
+		t.Fatalf("assignment canonicalisation errored: %v %v", e1, e2)
+	}
+	if f1 != f2 {
+		t.Error("equivalent explicit assignment spellings split the cache")
+	}
+	if _, err := (Spec{Mesh: 4, Mapping: MappingExplicit, Assignment: "1,x"}).Fingerprint(); err == nil {
+		t.Error("a malformed explicit assignment canonicalised")
+	}
 }

@@ -253,16 +253,17 @@ func TestGroupedTablesCoverTheRegistry(t *testing.T) {
 }
 
 func TestSpecSimulateAttachesObservers(t *testing.T) {
-	tp := &trace.Throughput{}
-	res, err := Spec{Mesh: 4}.Simulate(tp)
+	tl := &trace.Timeline{}
+	res, err := Spec{Mesh: 4}.Simulate(tl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.Completed() != res.JobsCompleted {
-		t.Errorf("observer saw %d completions, result says %d", tp.Completed(), res.JobsCompleted)
+	rows := tl.Rows()
+	if int64(len(rows)) != res.Frames+1 {
+		t.Fatalf("observer recorded %d rows, want %d frames + the end-of-run row", len(rows), res.Frames)
 	}
-	if len(tp.Frames()) == 0 {
-		t.Error("observer recorded no frames")
+	if got := rows[len(rows)-1].JobsCompleted; got != res.JobsCompleted {
+		t.Errorf("observer saw %d completions, result says %d", got, res.JobsCompleted)
 	}
 }
 

@@ -103,8 +103,8 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Store exposes the underlying cache (read-mostly: tests and the loadtest
-// assert on its counters).
+// Store exposes the underlying cache (read-mostly: tests assert on its
+// counters).
 func (s *Server) Store() *store.Store { return s.store }
 
 // Handler returns the service's HTTP routes.
@@ -227,7 +227,14 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key store.K
 		writeCached(w, "hit", v)
 		return
 	}
+	stored := false
 	v, shared, err := s.flights.do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		// A flight for key that finished between the Get above and this one
+		// has already stored its result: serve it rather than compute again.
+		if v, ok := s.store.Get(key); ok {
+			stored = true
+			return v, nil
+		}
 		v, err := compute(ctx)
 		if err != nil {
 			return nil, err
@@ -249,6 +256,9 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key store.K
 	case shared:
 		cacheJoinsTotal.Inc()
 		writeCached(w, "join", v)
+	case stored:
+		cacheHitsTotal.Inc()
+		writeCached(w, "hit", v)
 	default:
 		cacheMissesTotal.Inc()
 		writeCached(w, "miss", v)

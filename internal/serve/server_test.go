@@ -99,47 +99,75 @@ func TestSimulateMatchesAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSimulateSingleFlight: N concurrent identical submissions run ONE
-// simulation; everyone gets the same bytes.
+// TestSimulateSingleFlight: a herd of concurrent submissions over a few
+// distinct specs runs ONE simulation per spec, and every client of a spec
+// gets the same bytes. The eight specs are the hot set of the benchmark's
+// serve-mixed workload (mesh 4/5 x EAR/SDR x 1/2 jobs), each submitted by 16
+// clients at once.
 func TestSimulateSingleFlight(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	const n = 8
-	bodies := make([][]byte, n)
-	statuses := make([]string, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/simulate", "application/json",
-				strings.NewReader(`{"Mesh":5,"ConcurrentJobs":2}`))
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
+	var specs []string
+	for _, mesh := range []int{4, 5} {
+		for _, alg := range []string{"EAR", "SDR"} {
+			for _, jobs := range []int{1, 2} {
+				specs = append(specs, fmt.Sprintf(`{"Mesh":%d,"Algorithm":%q,"ConcurrentJobs":%d}`, mesh, alg, jobs))
 			}
-			defer resp.Body.Close()
-			bodies[i], _ = io.ReadAll(resp.Body)
-			statuses[i] = resp.Header.Get(HeaderCache)
-		}(i)
+		}
 	}
+	const clients = 16
+	type reply struct {
+		code  int
+		cache string
+		body  []byte
+	}
+	replies := make([][clients]reply, len(specs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, spec := range specs {
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resp, err := http.Post(ts.URL+"/simulate", "application/json", strings.NewReader(spec))
+				if err != nil {
+					t.Errorf("spec %d client %d: %v", i, c, err)
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Errorf("spec %d client %d: %v", i, c, err)
+				}
+				replies[i][c] = reply{resp.StatusCode, resp.Header.Get(HeaderCache), body}
+			}()
+		}
+	}
+	close(start)
 	wg.Wait()
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("submission %d got different bytes", i)
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, rs := range replies {
+		misses := 0
+		for c, r := range rs {
+			if r.code != http.StatusOK {
+				t.Fatalf("spec %s client %d: status %d %s", specs[i], c, r.code, r.body)
+			}
+			if !bytes.Equal(r.body, rs[0].body) {
+				t.Fatalf("spec %s: client %d got different bytes", specs[i], c)
+			}
+			if r.cache == "miss" {
+				misses++
+			}
+		}
+		if misses > 1 {
+			t.Errorf("spec %s: %d submissions led a flight, want at most 1", specs[i], misses)
 		}
 	}
-	st := s.Store().Stats()
-	if st.Puts != 1 {
-		t.Fatalf("%d identical concurrent submissions ran %d simulations, want 1", n, st.Puts)
-	}
-	var misses int
-	for _, c := range statuses {
-		if c == "miss" {
-			misses++
-		}
-	}
-	if misses > 1 {
-		t.Fatalf("more than one submission led the flight: %v", statuses)
+	if st := s.Store().Stats(); st.Puts != uint64(len(specs)) {
+		t.Fatalf("%d concurrent submissions over %d specs ran %d simulations, want %d",
+			len(specs)*clients, len(specs), st.Puts, len(specs))
 	}
 }
 

@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -35,10 +34,6 @@ func TestDegradationKillWindowAtFrameZero(t *testing.T) {
 	}
 	if got := d.Recovery().Max(); got != 4 {
 		t.Errorf("recovery time = %g frames, want 4 (injected at 0, recovered at 4)", got)
-	}
-	// Staleness ages 1,2,3,4 while down, then resets to 0.
-	if got := d.Staleness().Max(); got != 4 {
-		t.Errorf("staleness max = %g, want 4", got)
 	}
 	if d.OpenWindows() != 0 {
 		t.Errorf("OpenWindows = %d after recovery, want 0", d.OpenWindows())
@@ -135,10 +130,6 @@ func TestDegradationUnrecoveredWindows(t *testing.T) {
 	if got := d.Retention(); got != 0 {
 		t.Errorf("Retention = %g, want 0 (no healthy throughput observed)", got)
 	}
-	table := d.Table().Render()
-	if !strings.Contains(table, "windows still open at death") {
-		t.Errorf("Table() must surface unrecovered windows:\n%s", table)
-	}
 }
 
 func TestDegradationRecoveryWithoutInjection(t *testing.T) {
@@ -151,5 +142,32 @@ func TestDegradationRecoveryWithoutInjection(t *testing.T) {
 	}
 	if d.OpenWindows() != 0 {
 		t.Errorf("OpenWindows = %d, want 0", d.OpenWindows())
+	}
+}
+
+func TestDegradationRetention(t *testing.T) {
+	d := &trace.Degradation{}
+	// Two healthy frames deliver 4 jobs (2/frame); four frames under a node
+	// crash deliver 2 (0.5/frame): a quarter of the healthy rate is kept.
+	for f := int64(1); f <= 2; f++ {
+		d.JobCompleted(sim.JobEvent{})
+		d.JobCompleted(sim.JobEvent{})
+		d.FrameProcessed(sim.FrameEvent{Frame: f})
+	}
+	if got := d.Retention(); got != 0 {
+		t.Errorf("Retention = %g before any fault, want 0", got)
+	}
+	d.FaultInjected(sim.FaultEvent{Frame: 3, Kind: faults.NodeCrash, Node: 2})
+	for f := int64(3); f <= 6; f++ {
+		if f%2 == 0 {
+			d.JobCompleted(sim.JobEvent{})
+		}
+		d.FrameProcessed(sim.FrameEvent{Frame: f})
+	}
+	if got := d.JobsDegraded(); got != 2 {
+		t.Errorf("JobsDegraded = %d, want 2", got)
+	}
+	if got := d.Retention(); got != 0.25 {
+		t.Errorf("Retention = %g, want 0.25", got)
 	}
 }

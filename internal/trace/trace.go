@@ -1,6 +1,8 @@
 // Package trace provides composable sim.Observer implementations that turn
-// the simulator's event stream into time-series and distribution data,
-// rendered through internal/stats. Nothing here touches the engine's hot
+// the simulator's event stream into data sim.Result does not already hold:
+// the per-frame Timeline, the job LatencyHistogram, the fault-window
+// Degradation split, the Spans flight recorder, the Wire progress stream and
+// the EngineMetrics phase histograms. Nothing here touches the engine's hot
 // loop: every collector is an ordinary observer attached via
 // sim.Config.Observers (or core.Strategy.Observers and scenario.Spec.Simulate),
 // and several can be attached to the same run.
@@ -16,172 +18,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
-
-// ---------------------------------------------------------------------------
-// Battery time-series
-// ---------------------------------------------------------------------------
-
-// BatteryFrame is the aggregate battery state reported during one TDMA frame.
-type BatteryFrame struct {
-	Frame int64
-	Now   int64
-	// Sampled is the number of living nodes that reported this frame.
-	Sampled int
-	// MeanRemainingPJ and MinRemainingPJ aggregate the energy still stored
-	// in the reporting nodes' batteries.
-	MeanRemainingPJ float64
-	MinRemainingPJ  float64
-	// MeanFraction is the mean usable-charge estimate in [0,1].
-	MeanFraction float64
-	// MinLevel is the lowest quantised level any node reported.
-	MinLevel int
-}
-
-// BatterySeries records one aggregate battery sample per TDMA frame — the
-// fleet-wide discharge curve of a run. The zero value is ready to use.
-type BatterySeries struct {
-	sim.BaseObserver
-	frames []BatteryFrame
-	cur    BatteryFrame
-	sumPJ  float64
-	sumFr  float64
-}
-
-// BatterySampled implements sim.Observer.
-func (b *BatterySeries) BatterySampled(e sim.BatteryEvent) {
-	if b.cur.Sampled == 0 {
-		b.cur.Frame, b.cur.Now = e.Frame, e.Now
-		b.cur.MinRemainingPJ = e.RemainingPJ
-		b.cur.MinLevel = e.Level
-		b.sumPJ, b.sumFr = 0, 0
-	}
-	b.cur.Sampled++
-	b.sumPJ += e.RemainingPJ
-	b.sumFr += e.Fraction
-	if e.RemainingPJ < b.cur.MinRemainingPJ {
-		b.cur.MinRemainingPJ = e.RemainingPJ
-	}
-	if e.Level < b.cur.MinLevel {
-		b.cur.MinLevel = e.Level
-	}
-}
-
-// FrameProcessed implements sim.Observer: it closes the frame's aggregate.
-// Frames during which no node reported (the system died in the upload phase)
-// produce no sample.
-func (b *BatterySeries) FrameProcessed(sim.FrameEvent) {
-	if b.cur.Sampled == 0 {
-		return
-	}
-	n := float64(b.cur.Sampled)
-	b.cur.MeanRemainingPJ = b.sumPJ / n
-	b.cur.MeanFraction = b.sumFr / n
-	b.frames = append(b.frames, b.cur)
-	b.cur = BatteryFrame{}
-}
-
-// Frames returns the recorded per-frame aggregates in frame order.
-func (b *BatterySeries) Frames() []BatteryFrame { return b.frames }
-
-// Table renders the series as a stats table.
-func (b *BatterySeries) Table() *stats.Table {
-	t := stats.NewTable("Battery time-series (per TDMA frame)",
-		"frame", "cycle", "nodes reporting", "mean remaining [pJ]", "min remaining [pJ]", "mean level fraction", "min level")
-	for _, f := range b.frames {
-		t.AddRow(f.Frame, f.Now, f.Sampled,
-			fmt.Sprintf("%.1f", f.MeanRemainingPJ), fmt.Sprintf("%.1f", f.MinRemainingPJ),
-			fmt.Sprintf("%.3f", f.MeanFraction), f.MinLevel)
-	}
-	return t
-}
-
-// Series returns the mean-remaining-energy curve as a stats series (x =
-// frame, y = mean remaining pJ), ready for charting.
-func (b *BatterySeries) Series() *stats.Series {
-	s := &stats.Series{Name: "mean remaining [pJ]"}
-	for _, f := range b.frames {
-		s.Add(float64(f.Frame), f.MeanRemainingPJ)
-	}
-	return s
-}
-
-// ---------------------------------------------------------------------------
-// Per-frame throughput
-// ---------------------------------------------------------------------------
-
-// ThroughputFrame is the job-flow state at the end of one TDMA frame.
-type ThroughputFrame struct {
-	Frame int64
-	Now   int64
-	// Completed and Lost are cumulative counts at frame end.
-	Completed int
-	Lost      int
-	// CompletedDelta is the number of jobs that finished during this frame.
-	CompletedDelta int
-	// JobsInFlight is the number of active jobs at frame end.
-	JobsInFlight int
-}
-
-// Throughput records one job-flow sample per TDMA frame. The zero value is
-// ready to use.
-type Throughput struct {
-	sim.BaseObserver
-	completed int
-	lost      int
-	frames    []ThroughputFrame
-}
-
-// JobCompleted implements sim.Observer.
-func (t *Throughput) JobCompleted(sim.JobEvent) { t.completed++ }
-
-// JobLost implements sim.Observer.
-func (t *Throughput) JobLost(sim.JobEvent) { t.lost++ }
-
-// FrameProcessed implements sim.Observer.
-func (t *Throughput) FrameProcessed(e sim.FrameEvent) {
-	delta := t.completed
-	if n := len(t.frames); n > 0 {
-		delta -= t.frames[n-1].Completed
-	}
-	t.frames = append(t.frames, ThroughputFrame{
-		Frame: e.Frame, Now: e.Now,
-		Completed: t.completed, Lost: t.lost,
-		CompletedDelta: delta, JobsInFlight: e.JobsInFlight,
-	})
-}
-
-// RunFinished implements sim.Observer: jobs can complete or get lost between
-// the last control frame and system death, so the series closes with one
-// final sample carrying the true end-of-run counts.
-func (t *Throughput) RunFinished(e sim.FinishEvent) {
-	delta := t.completed
-	if n := len(t.frames); n > 0 {
-		delta -= t.frames[n-1].Completed
-	}
-	t.frames = append(t.frames, ThroughputFrame{
-		Frame: e.Frame, Now: e.Now,
-		Completed: t.completed, Lost: t.lost, CompletedDelta: delta,
-	})
-}
-
-// Frames returns the recorded per-frame samples in frame order, closed by
-// the end-of-run sample.
-func (t *Throughput) Frames() []ThroughputFrame { return t.frames }
-
-// Completed returns the cumulative completed-job count seen so far.
-func (t *Throughput) Completed() int { return t.completed }
-
-// Table renders the throughput series as a stats table.
-func (t *Throughput) Table() *stats.Table {
-	tbl := stats.NewTable("Per-frame throughput",
-		"frame", "cycle", "jobs completed", "completed this frame", "jobs lost", "in flight")
-	for _, f := range t.frames {
-		tbl.AddRow(f.Frame, f.Now, f.Completed, f.CompletedDelta, f.Lost, f.JobsInFlight)
-	}
-	return tbl
-}
 
 // ---------------------------------------------------------------------------
 // Job latency histogram
@@ -311,10 +148,10 @@ func (h *LatencyHistogram) Table(buckets int) *stats.Table {
 }
 
 // ---------------------------------------------------------------------------
-// Timeline: the combined per-frame CSV behind `etsim -trace`
+// Timeline: the per-frame CSV behind `etsim -trace`
 // ---------------------------------------------------------------------------
 
-// TimelineRow is one frame of the combined battery/throughput time-series.
+// TimelineRow is one frame of the per-frame job and battery time-series.
 type TimelineRow struct {
 	Frame           int64
 	Now             int64
@@ -327,73 +164,72 @@ type TimelineRow struct {
 	MeanFraction    float64
 }
 
-// Timeline merges the battery and throughput series into one row per TDMA
-// frame — the deterministic CSV written by `etsim -trace <file>`. It is a
-// composition of the two collectors above: the events are forwarded to an
-// inner BatterySeries and Throughput, and each frame's row is assembled from
-// their state. The zero value is ready to use.
+// Timeline records one row per TDMA frame: cumulative job and node-death
+// counts plus the fleet's battery aggregate over the nodes that reported
+// that frame. It is the deterministic CSV written by `etsim -trace <file>`.
+// The zero value is ready to use.
 type Timeline struct {
 	sim.BaseObserver
-	battery BatterySeries
-	jobs    Throughput
-	dead    int
+	completed, lost, dead int
+
+	// Battery reports of the frame in progress.
+	sampled                          int
+	frameSumPJ, frameSumFr, frameMin float64
+	// Battery columns of the last frame any node reported in.
+	meanPJ, minPJ, meanFr float64
 
 	rows []TimelineRow
 }
 
 // JobCompleted implements sim.Observer.
-func (t *Timeline) JobCompleted(e sim.JobEvent) { t.jobs.JobCompleted(e) }
+func (t *Timeline) JobCompleted(sim.JobEvent) { t.completed++ }
 
 // JobLost implements sim.Observer.
-func (t *Timeline) JobLost(e sim.JobEvent) { t.jobs.JobLost(e) }
+func (t *Timeline) JobLost(sim.JobEvent) { t.lost++ }
 
 // NodeDied implements sim.Observer.
 func (t *Timeline) NodeDied(sim.NodeEvent) { t.dead++ }
 
 // BatterySampled implements sim.Observer.
-func (t *Timeline) BatterySampled(e sim.BatteryEvent) { t.battery.BatterySampled(e) }
-
-// batteryColumns fills the row's battery columns from the latest closed
-// battery frame, if any. Rows after the fleet's final report (a partial
-// death frame, the end-of-run row) carry the last reported values: nodes
-// report only during frames, and stored energy cannot recover afterwards.
-func (t *Timeline) batteryColumns(row *TimelineRow) {
-	frames := t.battery.Frames()
-	if len(frames) == 0 {
-		return
+func (t *Timeline) BatterySampled(e sim.BatteryEvent) {
+	if t.sampled == 0 {
+		t.frameSumPJ, t.frameSumFr, t.frameMin = 0, 0, e.RemainingPJ
 	}
-	last := frames[len(frames)-1]
-	row.MeanRemainingPJ = last.MeanRemainingPJ
-	row.MinRemainingPJ = last.MinRemainingPJ
-	row.MeanFraction = last.MeanFraction
+	t.sampled++
+	t.frameSumPJ += e.RemainingPJ
+	t.frameSumFr += e.Fraction
+	if e.RemainingPJ < t.frameMin {
+		t.frameMin = e.RemainingPJ
+	}
 }
 
-// FrameProcessed implements sim.Observer: it closes one timeline row.
+// FrameProcessed implements sim.Observer: it closes the frame's battery
+// aggregate, if any node reported, and appends the frame's row. A frame in
+// which no node reported (the system died in the upload phase) carries the
+// last reported battery values: stored energy cannot recover.
 func (t *Timeline) FrameProcessed(e sim.FrameEvent) {
-	t.battery.FrameProcessed(e)
-	t.jobs.FrameProcessed(e)
-	row := TimelineRow{
-		Frame: e.Frame, Now: e.Now,
-		JobsCompleted: t.jobs.completed, JobsLost: t.jobs.lost,
-		JobsInFlight: e.JobsInFlight, DeadNodes: t.dead,
+	if t.sampled > 0 {
+		n := float64(t.sampled)
+		t.meanPJ, t.minPJ, t.meanFr = t.frameSumPJ/n, t.frameMin, t.frameSumFr/n
+		t.sampled = 0
 	}
-	t.batteryColumns(&row)
-	t.rows = append(t.rows, row)
+	t.addRow(e.Frame, e.Now, e.JobsInFlight)
 }
 
 // RunFinished implements sim.Observer: it closes the timeline with the true
 // end-of-run state — jobs can complete or get lost between the last control
 // frame and system death, and jobs still in flight at death stay stranded
-// rather than vanishing from the series.
-func (t *Timeline) RunFinished(e sim.FinishEvent) {
-	t.jobs.RunFinished(e)
-	row := TimelineRow{
-		Frame: e.Frame, Now: e.Now,
-		JobsCompleted: t.jobs.completed, JobsLost: t.jobs.lost,
-		JobsInFlight: e.JobsInFlight, DeadNodes: t.dead,
-	}
-	t.batteryColumns(&row)
-	t.rows = append(t.rows, row)
+// rather than vanishing from the series. Battery reports after the last
+// closed frame are not folded in; the row carries the last frame's values.
+func (t *Timeline) RunFinished(e sim.FinishEvent) { t.addRow(e.Frame, e.Now, e.JobsInFlight) }
+
+func (t *Timeline) addRow(frame, now int64, inFlight int) {
+	t.rows = append(t.rows, TimelineRow{
+		Frame: frame, Now: now,
+		JobsCompleted: t.completed, JobsLost: t.lost,
+		JobsInFlight: inFlight, DeadNodes: t.dead,
+		MeanRemainingPJ: t.meanPJ, MinRemainingPJ: t.minPJ, MeanFraction: t.meanFr,
+	})
 }
 
 // Rows returns the recorded timeline in frame order, closed by the
@@ -415,57 +251,3 @@ func (t *Timeline) Table() *stats.Table {
 
 // CSV renders the timeline as a CSV document (header + one row per frame).
 func (t *Timeline) CSV() string { return t.Table().CSV() }
-
-// ---------------------------------------------------------------------------
-// Per-node wear
-// ---------------------------------------------------------------------------
-
-// NodeWear tallies per-node activity (operations, relays, deaths) from the
-// event stream alone — the observer-side counterpart of
-// Config.CollectNodeStats. The zero value is ready to use.
-type NodeWear struct {
-	sim.BaseObserver
-	ops    map[topology.NodeID]int
-	relays map[topology.NodeID]int
-	died   map[topology.NodeID]int64 // death cycle
-}
-
-func (w *NodeWear) init() {
-	if w.ops == nil {
-		w.ops = make(map[topology.NodeID]int)
-		w.relays = make(map[topology.NodeID]int)
-		w.died = make(map[topology.NodeID]int64)
-	}
-}
-
-// OperationStarted implements sim.Observer.
-func (w *NodeWear) OperationStarted(e sim.OperationEvent) {
-	w.init()
-	w.ops[e.Node]++
-}
-
-// HopStarted implements sim.Observer.
-func (w *NodeWear) HopStarted(e sim.HopEvent) {
-	if e.Relayed {
-		w.init()
-		w.relays[e.From]++
-	}
-}
-
-// NodeDied implements sim.Observer.
-func (w *NodeWear) NodeDied(e sim.NodeEvent) {
-	w.init()
-	w.died[e.Node] = e.Now
-}
-
-// Operations returns the operation count tallied for a node.
-func (w *NodeWear) Operations(id topology.NodeID) int { return w.ops[id] }
-
-// Relays returns the relayed-packet count tallied for a node.
-func (w *NodeWear) Relays(id topology.NodeID) int { return w.relays[id] }
-
-// DiedAt returns the cycle at which a node died and whether it died at all.
-func (w *NodeWear) DiedAt(id topology.NodeID) (int64, bool) {
-	t, ok := w.died[id]
-	return t, ok
-}

@@ -32,74 +32,87 @@ func runTraced(t *testing.T, obs ...sim.Observer) sim.Result {
 
 func TestObserversDoNotPerturbTheSimulation(t *testing.T) {
 	bare := runTraced(t)
-	traced := runTraced(t, &trace.BatterySeries{}, &trace.Throughput{}, &trace.LatencyHistogram{}, &trace.Timeline{})
+	traced := runTraced(t, &trace.LatencyHistogram{}, &trace.Timeline{}, &trace.Degradation{})
 	if bare.JobsCompleted != traced.JobsCompleted || bare.LifetimeCycles != traced.LifetimeCycles ||
 		bare.Energy != traced.Energy || bare.Reason != traced.Reason || bare.Frames != traced.Frames {
 		t.Errorf("attaching observers changed the result:\nbare:   %+v\ntraced: %+v", bare, traced)
 	}
 }
 
-func TestThroughputMatchesResult(t *testing.T) {
-	tp := &trace.Throughput{}
-	res := runTraced(t, tp)
-	if tp.Completed() != res.JobsCompleted {
-		t.Errorf("throughput counted %d completions, result says %d", tp.Completed(), res.JobsCompleted)
+func TestTimelineMatchesResult(t *testing.T) {
+	tl := &trace.Timeline{}
+	res := runTraced(t, tl)
+	rows := tl.Rows()
+	if int64(len(rows)) != res.Frames+1 { // one per frame plus the end-of-run row
+		t.Fatalf("timeline recorded %d rows, result says %d frames", len(rows), res.Frames)
 	}
-	frames := tp.Frames()
-	if int64(len(frames)) != res.Frames+1 { // one per frame plus the end-of-run sample
-		t.Errorf("throughput recorded %d samples, result says %d frames", len(frames), res.Frames)
-	}
-	last := frames[len(frames)-1]
-	if last.Completed != res.JobsCompleted || last.Lost != res.JobsLost {
-		t.Errorf("final frame (%+v) disagrees with result (%d completed, %d lost)",
+	last := rows[len(rows)-1]
+	if last.JobsCompleted != res.JobsCompleted || last.JobsLost != res.JobsLost {
+		t.Errorf("final row (%+v) disagrees with result (%d completed, %d lost)",
 			last, res.JobsCompleted, res.JobsLost)
 	}
-	deltaSum := 0
-	for i, f := range frames {
-		deltaSum += f.CompletedDelta
-		if f.Completed < 0 || f.CompletedDelta < 0 {
-			t.Fatalf("negative counts in frame %d: %+v", i, f)
+	for i, r := range rows {
+		if i == 0 {
+			continue
 		}
-		if i > 0 && i < len(frames)-1 && f.Frame != frames[i-1].Frame+1 {
-			t.Fatalf("frame numbering not contiguous at %d", i)
+		prev := rows[i-1]
+		if r.JobsCompleted < prev.JobsCompleted || r.JobsLost < prev.JobsLost || r.DeadNodes < prev.DeadNodes {
+			t.Fatalf("cumulative counts fell at row %d: %+v after %+v", i, r, prev)
+		}
+		if i < len(rows)-1 && r.Frame != prev.Frame+1 {
+			t.Fatalf("frame numbering not contiguous at row %d", i)
 		}
 	}
-	if deltaSum != res.JobsCompleted {
-		t.Errorf("per-frame deltas sum to %d, want %d", deltaSum, res.JobsCompleted)
-	}
-	if tp.Table().NumRows() != len(frames) {
+	if tl.Table().NumRows() != len(rows) {
 		t.Error("Table row count mismatch")
 	}
 }
 
-func TestBatterySeriesDischarges(t *testing.T) {
-	bs := &trace.BatterySeries{}
-	res := runTraced(t, bs)
-	frames := bs.Frames()
-	if len(frames) == 0 {
-		t.Fatal("no battery samples recorded")
-	}
-	first, last := frames[0], frames[len(frames)-1]
-	if first.Sampled != res.MeshNodes {
-		t.Errorf("first frame sampled %d nodes, want %d", first.Sampled, res.MeshNodes)
+func TestTimelineBatteryDischarges(t *testing.T) {
+	tl := &trace.Timeline{}
+	runTraced(t, tl)
+	rows := tl.Rows()
+	first, last := rows[0], rows[len(rows)-1]
+	if first.MeanRemainingPJ <= 0 {
+		t.Fatalf("first row carries no battery aggregate: %+v", first)
 	}
 	if last.MeanRemainingPJ >= first.MeanRemainingPJ {
 		t.Errorf("fleet did not discharge: first mean %.1f pJ, last mean %.1f pJ",
 			first.MeanRemainingPJ, last.MeanRemainingPJ)
 	}
-	for i, f := range frames {
-		if f.MinRemainingPJ > f.MeanRemainingPJ+1e-9 {
-			t.Fatalf("frame %d: min %.1f above mean %.1f", i, f.MinRemainingPJ, f.MeanRemainingPJ)
+	for i, r := range rows {
+		if r.MinRemainingPJ > r.MeanRemainingPJ+1e-9 {
+			t.Fatalf("row %d: min %.1f above mean %.1f", i, r.MinRemainingPJ, r.MeanRemainingPJ)
 		}
-		if f.MeanFraction < 0 || f.MeanFraction > 1 {
-			t.Fatalf("frame %d: fraction %.3f out of range", i, f.MeanFraction)
+		if r.MeanFraction < 0 || r.MeanFraction > 1 {
+			t.Fatalf("row %d: fraction %.3f out of range", i, r.MeanFraction)
 		}
 	}
-	if bs.Table().NumRows() != len(frames) {
-		t.Error("Table row count mismatch")
+}
+
+// TestTimelineCarriesBatteryForward drives the collector with synthetic
+// events: a frame in which no node reports, and the end-of-run row, carry the
+// last reported aggregate, and reports after the last closed frame are not
+// folded in.
+func TestTimelineCarriesBatteryForward(t *testing.T) {
+	tl := &trace.Timeline{}
+	tl.BatterySampled(sim.BatteryEvent{Frame: 0, RemainingPJ: 30, Fraction: 0.5})
+	tl.BatterySampled(sim.BatteryEvent{Frame: 0, RemainingPJ: 10, Fraction: 0.25})
+	tl.FrameProcessed(sim.FrameEvent{Frame: 0})
+	tl.FrameProcessed(sim.FrameEvent{Frame: 1})
+	tl.BatterySampled(sim.BatteryEvent{Frame: 2, RemainingPJ: 1, Fraction: 0})
+	tl.RunFinished(sim.FinishEvent{Frame: 2})
+
+	want := trace.TimelineRow{MeanRemainingPJ: 20, MinRemainingPJ: 10, MeanFraction: 0.375}
+	rows := tl.Rows()
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
-	if pts := bs.Series().Points; len(pts) != len(frames) {
-		t.Error("Series point count mismatch")
+	for i, r := range rows {
+		if r.MeanRemainingPJ != want.MeanRemainingPJ || r.MinRemainingPJ != want.MinRemainingPJ ||
+			r.MeanFraction != want.MeanFraction {
+			t.Errorf("row %d battery columns = %+v, want frame 0's %+v", i, r, want)
+		}
 	}
 }
 
@@ -155,21 +168,5 @@ func TestTimelineCSVIsDeterministic(t *testing.T) {
 	}
 	if last.DeadNodes > res.DeadNodes {
 		t.Errorf("timeline counted %d dead nodes, result says %d", last.DeadNodes, res.DeadNodes)
-	}
-}
-
-func TestNodeWearMatchesCollectedStats(t *testing.T) {
-	w := &trace.NodeWear{}
-	res := runTraced(t, w)
-	for _, n := range res.Nodes {
-		if got := w.Operations(n.Node); got != n.Operations {
-			t.Errorf("node %d: observer counted %d ops, stats say %d", n.Node, got, n.Operations)
-		}
-		if got := w.Relays(n.Node); got != n.PacketsRelayed {
-			t.Errorf("node %d: observer counted %d relays, stats say %d", n.Node, got, n.PacketsRelayed)
-		}
-		if _, died := w.DiedAt(n.Node); died != n.Dead {
-			t.Errorf("node %d: observer death %v, stats say %v", n.Node, died, n.Dead)
-		}
 	}
 }
