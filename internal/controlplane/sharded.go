@@ -164,6 +164,13 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 	exchange := (frame-1)%int64(s.staleness) == 0
 	k := s.deps.Graph.NodeCount()
 	needLevels := s.deps.Algorithm.NeedsBatteryInfo()
+	// donor is the last region this frame whose recompute was a full pass.
+	// On an exchange frame every in-service region copies the whole
+	// snapshot, so their weights are usually bit-identical and the next
+	// region the policy sends to a full pass copies the donor's phase 2
+	// instead of rerunning it (DeltaWorkspace.ComputeShared checks the
+	// weights bit for bit).
+	var donor *routing.DeltaWorkspace
 
 	for b := range s.shards {
 		sh := &s.shards[b]
@@ -224,11 +231,12 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		// this region's tables immediately.
 		changed := s.regionChanged(sh, needLevels) || s.ownedChanged[b]
 
-		// The regional controller still runs the routing phases over the full
-		// mesh (routes cross shard boundaries), so a recompute costs the same
-		// k-node computation as the centralized controller's; the saving is in
-		// how rarely the visible state changes and in downloading tables only
-		// to the region's own alive nodes.
+		// The modeled regional controller still runs the routing phases over
+		// the full mesh (routes cross shard boundaries), so every recompute
+		// is charged the same k-node computation as the centralized
+		// controller's, even when the host copies another region's phase 2;
+		// the modeled saving is in how rarely the visible state changes and
+		// in downloading tables only to the region's own alive nodes.
 		framePJ := s.tdma.ControllerFrameEnergyPJ(s.power, k, changed)
 		downloadPJ := 0.0
 		if changed {
@@ -260,7 +268,11 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		pool.RestAll(s.tdma.FramePeriodCycles)
 
 		if changed || sh.tables == nil {
-			plan := sh.ws.ComputeInto(s.deps.Algorithm, &sh.view, s.deps.Destinations, sh.tables)
+			full := sh.ws.Stats().Full
+			plan := sh.ws.ComputeShared(s.deps.Algorithm, &sh.view, s.deps.Destinations, sh.tables, donor)
+			if sh.ws.Stats().Full > full {
+				donor = sh.ws
+			}
 			sh.tables = plan.Tables
 			s.adoptView(sh)
 			sh.recomputes++
@@ -416,9 +428,10 @@ func (s *Sharded) RecomputeCount(shard int) int { return s.shards[shard].recompu
 // pool so far.
 func (s *Sharded) ShardConsumedPJ(shard int) float64 { return s.regions.ConsumedPJ(shard) }
 
-// RecomputeSplit reports how the plane's recomputations executed so far:
-// full Floyd–Warshall passes vs incremental dirty-set repairs, summed across
-// regions.
+// RecomputeSplit reports the recompute policy's decisions so far, summed
+// across regions: recomputes sent to the full pass vs incremental
+// dirty-set repairs. A full decision counts once per region even when its
+// phase 2 was copied from another region (see SharedPasses).
 func (s *Sharded) RecomputeSplit() (full, incremental int) {
 	for b := range s.shards {
 		stats := s.shards[b].ws.Stats()
@@ -426,6 +439,19 @@ func (s *Sharded) RecomputeSplit() (full, incremental int) {
 		incremental += stats.Incremental
 	}
 	return full, incremental
+}
+
+// SharedPasses returns how many of the full decisions RecomputeSplit counts
+// took their phase 2 from another region's bit-identical full pass in the
+// same frame instead of running Floyd–Warshall, summed across regions. It
+// is host-side telemetry: the modeled controller energy charges every
+// recompute in full either way.
+func (s *Sharded) SharedPasses() int {
+	shared := 0
+	for b := range s.shards {
+		shared += s.shards[b].ws.Stats().Shared
+	}
+	return shared
 }
 
 // FaultRegion opens (down = true) or closes (down = false) a runtime fault

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+
 	"repro/internal/app"
 	"repro/internal/topology"
 )
@@ -14,8 +16,9 @@ const (
 	// when that set is small, falling back to the full Floyd–Warshall pass
 	// automatically (see DeltaWorkspace).
 	RecomputeIncremental RecomputeMode = iota
-	// RecomputeFull always reruns the full O(K³) pass: phase 1, then
-	// ShortestPaths.ComputeFrom, then phase 3. It is the reference the
+	// RecomputeFull always takes the full O(K³) pass: phase 1, then
+	// ShortestPaths.ComputeFrom (or a copy of a donor's bit-identical full
+	// pass, see ComputeShared), then phase 3. It is the reference the
 	// equivalence tests, the scaling experiment and the CI byte-diff smoke
 	// hold the repair to.
 	RecomputeFull
@@ -29,14 +32,20 @@ func (m RecomputeMode) String() string {
 	return "incremental"
 }
 
-// DeltaStats counts how a DeltaWorkspace executed its recomputations. All
-// counters are pure functions of the snapshot sequence, so they are
-// deterministic and may appear in experiment tables.
+// DeltaStats counts how a DeltaWorkspace executed its recomputations. Full
+// and Incremental count policy decisions and, like the volume counters, are
+// pure functions of the snapshot sequence, so they are deterministic and may
+// appear in experiment tables. Shared also depends on which donors the
+// caller offered; it is host-side telemetry only.
 type DeltaStats struct {
-	// Full counts recomputations that ran the full Floyd–Warshall pass
-	// (first computation, forced mode, liveness change, or dirty set past
-	// the crossover).
+	// Full counts recomputations the policy sent to the full pass (first
+	// computation, forced mode, liveness change, or dirty set past the
+	// crossover), whether it ran Floyd–Warshall or copied a donor's result.
 	Full int
+	// Shared counts the Full decisions whose phase-2 result was copied
+	// from a donor's bit-identical full pass instead of recomputed; it is a
+	// subset of Full.
+	Shared int
 	// Incremental counts recomputations repaired from the dirty set.
 	Incremental int
 	// DirtyVertices is the cumulative size of the policy set (both
@@ -143,6 +152,7 @@ type DeltaWorkspace struct {
 	havePrev bool
 
 	sp        ShortestPaths
+	spFull    bool // sp holds a full pass over w[cur] (a valid donor)
 	dests     destSet
 	tbl       [2]Tables
 	plan      Plan
@@ -216,15 +226,35 @@ func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 // earlier ComputeInto on the same workspace the new tables are written into
 // the other internal buffer, so prev stays intact.
 func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
+	return dw.ComputeShared(alg, state, destinations, prev, nil)
+}
+
+// ComputeShared is ComputeInto with a phase-2 donor. The recompute policy
+// is unchanged: the workspace builds its own weights and decides between
+// the repair and the full pass exactly as ComputeInto does. Only when it
+// decides on the full pass, and donor's last phase 2 was a full pass over
+// weights bit-identical to the new ones, does it copy donor's
+// distance/successor matrices (O(K²)) instead of rerunning Floyd–Warshall.
+// The full pass is a function of the weights alone, so the copy is exactly
+// what the pass would compute. Phase 3 always runs here, against this
+// workspace's own prev. donor may be nil; it is only read.
+func (dw *DeltaWorkspace) ComputeShared(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables, donor *DeltaWorkspace) *Plan {
 	next := dw.cur ^ 1
 	alg.WeightsInto(&dw.w[next], state)
 	k := dw.w[next].Dim()
 
 	if dw.repair(k, state) {
 		dw.stats.Incremental++
+		dw.spFull = false
 	} else {
-		dw.sp.ComputeFrom(&dw.w[next])
+		if donor.fullPassOver(&dw.w[next]) {
+			dw.sp.copyFrom(&donor.sp)
+			dw.stats.Shared++
+		} else {
+			dw.sp.ComputeFrom(&dw.w[next])
+		}
 		dw.stats.Full++
+		dw.spFull = true
 	}
 	dw.cur = next
 	dw.havePrev = true
@@ -238,6 +268,24 @@ func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destina
 	buildTablesInto(out, state, &dw.sp, &dw.dests, prev)
 	dw.plan = Plan{Algorithm: alg.Name(), Paths: &dw.sp, Tables: out}
 	return &dw.plan
+}
+
+// fullPassOver reports whether the workspace's current phase-2 result is a
+// full pass over weights bit-identical to w. A nil workspace never is.
+func (dw *DeltaWorkspace) fullPassOver(w *Matrix) bool {
+	if dw == nil || !dw.spFull {
+		return false
+	}
+	own := &dw.w[dw.cur]
+	if own.Dim() != w.Dim() {
+		return false
+	}
+	for i, v := range own.cells {
+		if math.Float64bits(v) != math.Float64bits(w.cells[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // noteAlive records the snapshot's liveness flags for the next diff.

@@ -495,6 +495,57 @@ func TestSettleHeapPopOrder(t *testing.T) {
 	}
 }
 
+// TestComputeSharedCopiesOnlyFullPasses pins the donor rule: a full
+// decision copies the donor's phase 2 only when the donor's last phase 2
+// was a full pass over bit-identical weights. At EAR Q = 21.3 weight sums
+// round, so a repaired donor would be detectable. Every plan must equal a
+// donor-free full pass over the same state.
+func TestComputeSharedCopiesOnlyFullPasses(t *testing.T) {
+	mesh := topology.MustMesh(8, 8, topology.DefaultSpacingCM)
+	dests := checkerboardDests(mesh.Graph)
+	var alg Algorithm = EAR{Params: EARParams{Q: 21.3, Levels: 8}}
+	state := fullState(mesh.Graph, 8)
+	for i := range state.Status {
+		state.Status[i].BatteryLevel = i % 8
+	}
+	donor := NewDeltaWorkspace()
+	recv := newFullWorkspace() // every recompute is a full decision
+	ref := newFullWorkspace()
+	var donorPrev, recvPrev, refPrev *Tables
+	runDonor := func() { donorPrev = donor.ComputeInto(alg, state, dests, donorPrev).Tables }
+	step := func(what string, offer *DeltaWorkspace, wantShared int) {
+		t.Helper()
+		got := recv.ComputeShared(alg, state, dests, recvPrev, offer)
+		want := ref.ComputeInto(alg, state, dests, refPrev)
+		recvPrev, refPrev = got.Tables, want.Tables
+		assertPlansIdentical(t, got, want)
+		if st := recv.Stats(); st.Shared != wantShared || st.Full != ref.Stats().Full {
+			t.Fatalf("%s: stats %+v, want Shared %d and Full %d", what, st, wantShared, ref.Stats().Full)
+		}
+	}
+
+	runDonor() // first computation: a full pass
+	step("full donor, same weights", donor, 1)
+
+	state.Status[9].BatteryLevel--
+	runDonor()
+	if donor.Stats().Incremental != 1 {
+		t.Fatalf("donor did not repair the battery change: %+v", donor.Stats())
+	}
+	step("repaired donor, same weights", donor, 1)
+
+	state.Status[10].Alive = false
+	runDonor() // liveness change: a full pass
+	state.Status[11].BatteryLevel--
+	step("full donor, other weights", donor, 1)
+
+	state.Status[10].Alive = true
+	state.Status[11].BatteryLevel++
+	runDonor()
+	step("no donor", nil, 1)
+	step("full donor, same weights again", donor, 2)
+}
+
 // TestDeltaCrossoverPolicy pins the fallback triggers: an unchanged
 // snapshot repairs for free, a forced-full mode never repairs, a tiny
 // crossover rejects even a single dirty vertex, and a permissive crossover

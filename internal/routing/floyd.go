@@ -50,6 +50,14 @@ func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 	}
 }
 
+// copyFrom makes sp a copy of src's distance and successor matrices,
+// reusing sp's storage.
+func (sp *ShortestPaths) copyFrom(src *ShortestPaths) {
+	sp.n, sp.dist.n = src.n, src.dist.n
+	sp.dist.cells = append(sp.dist.cells[:0], src.dist.cells...)
+	sp.succ = append(sp.succ[:0], src.succ...)
+}
+
 // pivotPass relaxes every ordered pair through the single pivot n, with the
 // smaller-successor tie-breaking of Fig 5. It is the Floyd–Warshall inner
 // iteration, shared verbatim between the full pass (ComputeFrom) and the
