@@ -85,7 +85,6 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 		r.tables = plan.Tables
 		r.last = snapshot
 		rep.Recomputed = true
-		rep.ShardRecomputes = 1
 	}
 	return rep
 }
@@ -314,8 +313,8 @@ func TestCentralizedInfinitePoolNeverDies(t *testing.T) {
 		if rep.ControllersDead {
 			t.Fatalf("frame %d: infinite-energy pool reported dead", frame)
 		}
-		if !rep.Recomputed || rep.ShardRecomputes != 1 {
-			t.Fatalf("frame %d: forced change did not recompute (%+v)", frame, rep)
+		if !rep.Recomputed || cp.RecomputeCount(0) != int(frame) {
+			t.Fatalf("frame %d: forced change did not recompute (%+v, %d recomputes)", frame, rep, cp.RecomputeCount(0))
 		}
 	}
 	if got := cp.RecomputeCount(0); got != 200 {

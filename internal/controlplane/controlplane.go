@@ -195,9 +195,6 @@ type FrameReport struct {
 	NewDeadlockReports int
 	// Recomputed is true when any controller re-ran the routing algorithm.
 	Recomputed bool
-	// ShardRecomputes is the number of regional recomputations this frame
-	// (1 for a centralized recompute).
-	ShardRecomputes int
 	// Adopted is the number of nodes currently served by a region other than
 	// their home region — orphans adopted after a fault killed their
 	// controller (sharded plane only; always 0 while no region is

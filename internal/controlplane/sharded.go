@@ -277,7 +277,6 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 			s.adoptView(sh)
 			sh.recomputes++
 			rep.Recomputed = true
-			rep.ShardRecomputes++
 		}
 	}
 

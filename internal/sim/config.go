@@ -93,9 +93,10 @@ type Config struct {
 	// has gone away; nil (the default) runs to system death as before.
 	Cancel <-chan struct{}
 	// Observers are attached to the simulator's event stream (see Observer).
-	// The engine's own result accounting is always active and costs nothing
-	// extra; nil entries are ignored. Observers receive events synchronously
-	// on the simulation goroutine and must not call back into the Simulator.
+	// They only receive events: the engine writes Result itself whether or
+	// not any are attached; nil entries are ignored. Observers receive
+	// events synchronously on the simulation goroutine and must not call
+	// back into the Simulator.
 	Observers []Observer
 }
 

@@ -124,14 +124,11 @@ type Simulator struct {
 	// previous one is completed", Sec 7.1).
 	lastCompletion topology.NodeID
 
-	res          Result
-	dead         bool
-	finishReason DeathReason
-	cancel       <-chan struct{}
+	res    Result
+	dead   bool
+	cancel <-chan struct{}
 
-	// acct is the built-in result observer; observers holds the externally
-	// attached ones from Config.Observers (nil in the common case).
-	acct      resultObserver
+	// observers holds the non-nil Config.Observers (nil in the common case).
 	observers []Observer
 
 	// phaseObs holds the Config.Observers entries that also implement
@@ -179,7 +176,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.res.Algorithm = cfg.Algorithm.Name()
 	s.res.MeshNodes = cfg.Graph.NodeCount()
-	s.acct = resultObserver{res: &s.res}
 	for _, o := range cfg.Observers {
 		if o != nil {
 			s.observers = append(s.observers, o)
@@ -294,11 +290,9 @@ func (s *Simulator) Run() Result {
 	// RunFinished is emitted here, not inside finish: death can strike in
 	// the middle of a frame or of a cascade of job losses, and deferring the
 	// terminal event until the engine has fully unwound guarantees observers
-	// see it strictly after every other event. Neither the clock nor the
-	// frame counter advances once s.dead is set, so the values match the
-	// moment of death.
+	// see it strictly after every other event.
 	s.emitRunFinished(FinishEvent{
-		Now: s.now, Frame: s.frameCount, Reason: s.finishReason, JobsInFlight: len(s.jobs),
+		Now: s.now, Frame: s.frameCount, Reason: s.res.Reason, JobsInFlight: len(s.jobs),
 	})
 	return s.res
 }
@@ -319,17 +313,19 @@ func (s *Simulator) cancelled() bool {
 	}
 }
 
-// finish marks the run as terminated. The termination reason, lifetime and
-// frame count land in the result through the built-in observer's RunFinished
-// hook, emitted at the end of Run; only the end-of-life battery autopsy
-// (stranded energy, per-node statistics) is computed here, because it needs
-// the engine's internal node state.
+// finish marks the run as terminated and closes the result: the termination
+// reason, lifetime and frame count, the recompute counters and the
+// end-of-life battery autopsy (stranded energy, per-node statistics).
+// Neither the clock nor the frame counter advances once s.dead is set, so the
+// values written here are those Run returns.
 func (s *Simulator) finish(reason DeathReason) {
 	if s.dead {
 		return
 	}
 	s.dead = true
-	s.finishReason = reason
+	s.res.Reason = reason
+	s.res.LifetimeCycles = s.now
+	s.res.Frames = s.frameCount
 	if s.plane != nil && s.plane.Shards() > 1 {
 		s.res.ShardRecomputes = make([]int, s.plane.Shards())
 		for i := range s.res.ShardRecomputes {
@@ -386,7 +382,7 @@ func (s *Simulator) drawNode(n *nodeState, amountPJ float64) bool {
 	if err := n.battery.Draw(amountPJ); err != nil {
 		// Whatever the battery delivered before browning out was consumed but
 		// produced no useful work.
-		s.emitEnergyAborted(EnergyEvent{Now: s.now, Node: n.id, EnergyPJ: n.battery.DeliveredPJ() - before})
+		s.res.Energy.AbortedPJ += n.battery.DeliveredPJ() - before
 		s.killNode(n)
 		return false
 	}
@@ -400,6 +396,7 @@ func (s *Simulator) killNode(n *nodeState) {
 		return
 	}
 	n.dead = true
+	s.res.DeadNodes++
 	s.emitNodeDied(NodeEvent{Now: s.now, Node: n.id})
 	s.killScratch = append(s.killScratch[:0], s.jobs...)
 	for _, j := range s.killScratch {
@@ -486,7 +483,7 @@ func (s *Simulator) injectJob() {
 	}
 	s.nodes[j.at].resident++
 	s.jobs = append(s.jobs, j)
-	s.emitJobInjected(JobEvent{Now: s.now, Job: j.id, Node: j.at})
+	s.emitJobInjected(JobEvent{Now: s.now, Job: j.id})
 }
 
 // removeJob drops a job from the active list and releases its buffer slots.
@@ -506,9 +503,9 @@ func (s *Simulator) removeJob(j *jobState) {
 // loseJob abandons a job (its packet was stranded on a dead node) and injects
 // a replacement so the offered load stays constant.
 func (s *Simulator) loseJob(j *jobState) {
-	at := j.at
 	s.removeJob(j)
-	s.emitJobLost(JobEvent{Now: s.now, Job: j.id, Node: at})
+	s.res.JobsLost++
+	s.emitJobLost(JobEvent{Now: s.now, Job: j.id})
 	if !s.dead {
 		s.injectJob()
 	}
@@ -518,18 +515,18 @@ func (s *Simulator) loseJob(j *jobState) {
 func (s *Simulator) completeJob(j *jobState) {
 	s.lastCompletion = j.at
 	s.removeJob(j)
-	payload := PayloadNone
+	s.res.JobsCompleted++
 	if j.hasPayload && s.cipher != nil {
 		var want [aes.BlockSize]byte
 		if err := s.cipher.Encrypt(want[:], j.plaintext[:]); err == nil {
 			if j.state.Bytes() == want {
-				payload = PayloadVerified
+				s.res.PayloadJobsVerified++
 			} else {
-				payload = PayloadMismatch
+				s.res.PayloadMismatches++
 			}
 		}
 	}
-	s.emitJobCompleted(JobEvent{Now: s.now, Job: j.id, Node: j.at, Payload: payload})
+	s.emitJobCompleted(JobEvent{Now: s.now, Job: j.id})
 	s.progress()
 	if !s.dead {
 		s.injectJob()
@@ -709,12 +706,11 @@ func (s *Simulator) startHop(j *jobState) bool {
 		return false // node died mid-transmission; killNode already handled the job
 	}
 	cur.commPJ += cost
+	s.res.Energy.CommunicationPJ += cost
 	if s.faultRuntime != nil {
 		s.faultRuntime.RecordHop(j.at, next)
 	}
-	relayed := j.hopsThisLeg > 0
-	s.emitHopStarted(HopEvent{Now: s.now, Job: j.id, From: j.at, To: next, EnergyPJ: cost, Relayed: relayed})
-	if relayed {
+	if j.hopsThisLeg > 0 {
 		cur.relayed++
 	}
 	j.hopsThisLeg++
@@ -746,10 +742,8 @@ func (s *Simulator) startCompute(j *jobState) bool {
 		return false
 	}
 	n.compPJ += module.EnergyPerOpPJ
+	s.res.Energy.ComputationPJ += module.EnergyPerOpPJ
 	n.ops++
-	s.emitOperationStarted(OperationEvent{
-		Now: s.now, Job: j.id, Node: n.id, Module: module.ID, OpIndex: j.opIdx, EnergyPJ: module.EnergyPerOpPJ,
-	})
 	j.phase = phaseComputing
 	j.readyAt = s.now + computeCyclesPerOp
 	n.busyUntil = j.readyAt

@@ -5,8 +5,8 @@ import "repro/internal/faults"
 // applyFaults runs the fault schedule's frame-boundary transitions: the
 // Runtime has already applied link mutations to the engine's private graph
 // clone when FrameStart returns; node and region transitions are applied here,
-// where the batteries and the control plane live. Every transition is emitted
-// on the observer stream.
+// where the batteries and the control plane live. Every transition is counted
+// in the result and emitted on the observer stream.
 func (s *Simulator) applyFaults() {
 	for _, ev := range s.faultRuntime.FrameStart(s.frameCount) {
 		switch ev.Kind {
@@ -29,8 +29,13 @@ func (s *Simulator) applyFaults() {
 			Shard: ev.Shard, RecoverAt: ev.RecoverAt,
 		}
 		if ev.Kind.Recovery() {
+			s.res.FaultsRecovered++
 			s.emitFaultRecovered(fe)
 		} else {
+			s.res.FaultsInjected++
+			if ev.Kind == faults.LinkBreak {
+				s.res.LinksBroken++
+			}
 			s.emitFaultInjected(fe)
 		}
 	}

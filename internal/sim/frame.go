@@ -9,10 +9,9 @@ import (
 // upload their status, then the control plane adopts the snapshot, re-runs
 // the routing algorithm where the reported information changed, and downloads
 // new routing tables.
-// All accounting flows through the observer event stream: every return path
-// emits a FrameProcessed event carrying whatever energy was actually charged
-// up to that point, so partial frames (the system dying mid-frame) are
-// accounted exactly like the former inline counters did.
+// The frame's energy and control counters are written to the result as they
+// are charged, so a partial frame (the system dying mid-frame) is accounted
+// up to the point of death; every return path still emits FrameProcessed.
 func (s *Simulator) processFrame() {
 	if s.dead {
 		return
@@ -47,7 +46,10 @@ func (s *Simulator) processFrame() {
 		}
 	}
 
+	// Upload energy is summed over the frame and added to the result once,
+	// so the result's float grouping is one term per frame.
 	uploadPJ := s.tdma.UploadEnergyPerNodePJ()
+	uploaded := 0.0
 	for _, n := range s.nodes {
 		if n.down() {
 			continue
@@ -58,9 +60,10 @@ func (s *Simulator) processFrame() {
 				continue
 			}
 			n.ctrlPJ += uploadPJ
-			frame.UploadPJ += uploadPJ
+			uploaded += uploadPJ
 		}
 	}
+	s.res.Energy.ControlUploadPJ += uploaded
 	if s.dead {
 		if timing {
 			s.emitPhaseSpan(PhaseSnapshot, mark, s.spanNow())
@@ -94,13 +97,18 @@ func (s *Simulator) processFrame() {
 		fullAfter, incrAfter := s.plane.RecomputeSplit()
 		s.emitPhaseSpan(controlPhase(fullBefore, incrBefore, fullAfter, incrAfter), mark, end)
 	}
-	frame.ControllerPJ = rep.ControllerPJ
-	frame.DownloadPJ = rep.DownloadPJ
-	frame.NewDeadlockReports = rep.NewDeadlockReports
+	s.res.Energy.ControlDownloadPJ += rep.DownloadPJ
+	s.res.Energy.ControllerPJ += rep.ControllerPJ
+	s.res.DeadlockReports += rep.NewDeadlockReports
+	if rep.Adopted > s.res.PeakAdoptedNodes {
+		s.res.PeakAdoptedNodes = rep.Adopted
+	}
+	if rep.Recomputed {
+		s.res.RoutingRecomputes++
+	}
 	frame.Recomputed = rep.Recomputed
-	frame.ShardRecomputes = rep.ShardRecomputes
-	frame.AdoptedNodes = rep.Adopted
 	for _, f := range rep.Failovers {
+		s.res.RegionFailovers++
 		s.emitRegionFailedOver(FailoverEvent{
 			Now: s.now, Frame: s.frameCount,
 			From: f.From, To: f.To, Home: f.Home, Nodes: f.Nodes,
@@ -130,7 +138,7 @@ func (s *Simulator) processFrame() {
 
 // buildSnapshot collects the per-node status reported during this frame's
 // upload phase, emitting one BatterySampled event per living node when
-// external observers are attached. The snapshot is written into the one
+// observers are attached. The snapshot is written into the one
 // simulator-owned buffer, so steady-state frames allocate nothing.
 func (s *Simulator) buildSnapshot() *routing.SystemState {
 	snapshot := &s.snap

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -29,6 +30,10 @@ type WireEvent struct {
 	Kind string `json:"kind,omitempty"`
 	From int    `json:"from,omitempty"`
 	To   int    `json:"to,omitempty"`
+	// Region is the controller region of a region fault ("region-down",
+	// "region-up"), nil otherwise. It is a pointer so region 0 is still
+	// encoded.
+	Region *int `json:"region,omitempty"`
 
 	// Failover fields (Type == "failover"): From/To above are the regions.
 	Nodes int `json:"nodes,omitempty"`
@@ -84,6 +89,9 @@ func (w *Wire) FaultRecovered(e sim.FaultEvent) { w.fault("fault_recovered", e) 
 func (w *Wire) fault(typ string, e sim.FaultEvent) {
 	ev := WireEvent{Type: typ, Now: e.Now, Frame: e.Frame, Kind: e.Kind.String()}
 	switch {
+	case e.Kind == faults.RegionDown || e.Kind == faults.RegionUp:
+		region := e.Shard
+		ev.Region = &region
 	case e.To != e.From: // link fault: the undirected pair
 		ev.From, ev.To = int(e.From), int(e.To)
 	default:
