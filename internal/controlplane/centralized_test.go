@@ -122,10 +122,10 @@ func compareTables(t *testing.T, frame int64, deps Deps, cp *Sharded, tables *ro
 	k := deps.Graph.NodeCount()
 	for n := 0; n < k; n++ {
 		node := topology.NodeID(n)
-		_, gotOK := cp.Table(node)
-		_, wantOK := tables.Table(node)
+		gotOK := cp.ownerOf(node).tables.Has(node)
+		wantOK := tables.Has(node)
 		if gotOK != wantOK {
-			t.Fatalf("frame %d: Table(%d) present = %v, want %v", frame, n, gotOK, wantOK)
+			t.Fatalf("frame %d: table of %d present = %v, want %v", frame, n, gotOK, wantOK)
 		}
 		for d := 0; d < k; d++ {
 			dest := topology.NodeID(d)
@@ -175,14 +175,14 @@ func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, 
 		refRep := ref.frame(alive, cur.Clone())
 		compareReports(t, frame, rep, refRep)
 		if rep.ControllersDead {
-			if cp.AliveShards() != 0 {
-				t.Fatalf("frame %d: dead plane reports %d alive shards", frame, cp.AliveShards())
+			if cp.regions.AliveShards() != 0 {
+				t.Fatalf("frame %d: dead plane reports %d alive shards", frame, cp.regions.AliveShards())
 			}
 			return
 		}
 		compareTables(t, frame, deps, cp, ref.tables)
-		if cp.RecomputeCount(0) != 0 && cp.ShardConsumedPJ(0) <= 0 {
-			t.Fatalf("frame %d: recomputed but ShardConsumedPJ = %g", frame, cp.ShardConsumedPJ(0))
+		if cp.RecomputeCount(0) != 0 && cp.regions.ConsumedPJ(0) <= 0 {
+			t.Fatalf("frame %d: recomputed but ShardConsumedPJ = %g", frame, cp.regions.ConsumedPJ(0))
 		}
 
 		// Evolve the master state: drift some batteries, occasionally kill a
@@ -263,12 +263,12 @@ func TestCentralizedKillWindow(t *testing.T) {
 				case winClose:
 					cp.FaultRegion(0, false)
 				}
-				consumed := cp.ShardConsumedPJ(0)
+				consumed := cp.regions.ConsumedPJ(0)
 				rep := cp.Frame(frame, aliveCount(snap), snap)
 				if frame >= winOpen && frame < winClose {
 					compareReports(t, frame, rep, FrameReport{})
 					compareTables(t, frame, deps, cp, ref.tables)
-					if got := cp.ShardConsumedPJ(0); got != consumed {
+					if got := cp.regions.ConsumedPJ(0); got != consumed {
 						t.Fatalf("frame %d: pool consumed %g pJ inside the kill window", frame, got-consumed)
 					}
 					continue
@@ -282,13 +282,13 @@ func TestCentralizedKillWindow(t *testing.T) {
 					t.Fatalf("restore frame reported %d deadlocks, want the 1 raised mid-window", rep.NewDeadlockReports)
 				}
 			}
-			if got, want := cp.ShardConsumedPJ(0), ref.pool.ConsumedPJ(); got != want {
+			if got, want := cp.regions.ConsumedPJ(0), ref.pool.ConsumedPJ(); got != want {
 				t.Fatalf("pool consumed %g pJ, reference %g", got, want)
 			}
 			if !finite {
 				return
 			}
-			planeCtrls := cp.Regions().Pool(0).Controllers()
+			planeCtrls := cp.regions.Pool(0).Controllers()
 			for i, refCtrl := range ref.pool.Controllers() {
 				got, want := planeCtrls[i].Battery, refCtrl.Battery
 				if got.Voltage() <= want.Voltage() {

@@ -112,8 +112,8 @@ func TestNewDispatchesAndDefaults(t *testing.T) {
 	if cp.Name() != string(KindSharded) || cp.Shards() != DefaultShards {
 		t.Fatalf("sharded zero config built %s with %d shards, want sharded with %d", cp.Name(), cp.Shards(), DefaultShards)
 	}
-	if cp.StalenessFrames() != 1 {
-		t.Fatalf("default staleness = %d frames, want 1", cp.StalenessFrames())
+	if cp.staleness != 1 {
+		t.Fatalf("default staleness = %d frames, want 1", cp.staleness)
 	}
 	if _, err := New(Config{Kind: KindSharded, Shards: 64}, deps); err == nil {
 		t.Fatal("New accepted more shards than nodes")

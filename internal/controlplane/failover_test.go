@@ -29,7 +29,7 @@ func TestShardedFailoverAdoptionAndHandback(t *testing.T) {
 	if rep := frameOn(s, 1, snap); len(rep.Failovers) != 0 || rep.Adopted != 0 {
 		t.Fatalf("bootstrap frame reported failovers: %+v", rep)
 	}
-	lo, hi := s.OwnedRange(1)
+	lo, hi := s.shards[1].lo, s.shards[1].hi
 	orphan := topology.NodeID(lo)
 
 	s.FaultRegion(1, true)
@@ -42,10 +42,10 @@ func TestShardedFailoverAdoptionAndHandback(t *testing.T) {
 	if rep.Adopted != hi-lo {
 		t.Fatalf("adopted gauge = %d, want %d", rep.Adopted, hi-lo)
 	}
-	if got := s.ServingRegion(orphan); got != 0 {
+	if got := s.owner[orphan]; got != 0 {
 		t.Fatalf("orphan served by region %d, want 0", got)
 	}
-	if _, ok := s.Table(orphan); !ok {
+	if !s.ownerOf(orphan).tables.Has(orphan) {
 		t.Fatal("orphan node has no routing table during the kill window")
 	}
 	// The assignment is stable while the window stays open.
@@ -63,7 +63,7 @@ func TestShardedFailoverAdoptionAndHandback(t *testing.T) {
 	if rep.Adopted != 0 {
 		t.Fatalf("adopted gauge = %d after hand-back, want 0", rep.Adopted)
 	}
-	if got := s.ServingRegion(orphan); got != 1 {
+	if got := s.owner[orphan]; got != 1 {
 		t.Fatalf("node served by region %d after hand-back, want its home 1", got)
 	}
 }
@@ -86,8 +86,7 @@ func TestShardedLastRegionDownOrdering(t *testing.T) {
 	serving := func() [4]int {
 		var out [4]int
 		for b := 0; b < 4; b++ {
-			lo, _ := s.OwnedRange(b)
-			out[b] = s.ServingRegion(topology.NodeID(lo))
+			out[b] = s.owner[s.shards[b].lo]
 		}
 		return out
 	}
@@ -129,7 +128,7 @@ func TestShardedLastRegionDownOrdering(t *testing.T) {
 		t.Fatalf("all-down frame still did controller work: %+v, %d recomputes", rep, recomputes()-before)
 	}
 	for n := 0; n < 64; n++ {
-		if _, ok := s.Table(topology.NodeID(n)); !ok {
+		if node := topology.NodeID(n); !s.ownerOf(node).tables.Has(node) {
 			t.Fatalf("node %d lost its frozen table with all regions down", n)
 		}
 	}
@@ -174,7 +173,7 @@ func TestShardedOrphanDeadlockMidAdoption(t *testing.T) {
 	frameOn(s, 1, snap)
 
 	s.FaultRegion(1, true)
-	lo, _ := s.OwnedRange(1)
+	lo := s.shards[1].lo
 	snap.Status[lo].Deadlocked = true
 	rep := frameOn(s, 2, snap) // not an exchange frame (staleness 8)
 	if rep.NewDeadlockReports != 1 {

@@ -382,17 +382,6 @@ func (s *Sharded) ownerOf(node topology.NodeID) *regionState {
 	return &s.shards[s.owner[node]]
 }
 
-// Table returns the view of node's current routing table: the tables its
-// serving region last downloaded. ok is false when the node has none (dead
-// when its tables were built, or its region never produced tables).
-func (s *Sharded) Table(node topology.NodeID) (routing.Table, bool) {
-	sh := s.ownerOf(node)
-	if sh == nil {
-		return routing.Table{}, false
-	}
-	return sh.tables.Table(node)
-}
-
 // NextHop returns the next hop from `from` towards `dest`, or
 // topology.Invalid if unknown. The relay decision at `from` is made by
 // from's own region's tables.
@@ -416,21 +405,14 @@ func (s *Sharded) RouteTo(node topology.NodeID, id app.ModuleID) (routing.Route,
 // Shards returns the number of regional controllers (1 for centralized).
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// AliveShards returns how many regions can still serve frames.
-func (s *Sharded) AliveShards() int { return s.regions.AliveShards() }
-
 // RecomputeCount returns how many times region `shard` re-ran the routing
 // algorithm so far.
 func (s *Sharded) RecomputeCount(shard int) int { return s.shards[shard].recomputes }
 
-// ShardConsumedPJ returns the controller energy drained by region `shard`'s
-// pool so far.
-func (s *Sharded) ShardConsumedPJ(shard int) float64 { return s.regions.ConsumedPJ(shard) }
-
 // RecomputeSplit reports the recompute policy's decisions so far, summed
 // across regions: recomputes sent to the full pass vs incremental
 // dirty-set repairs. A full decision counts once per region even when its
-// phase 2 was copied from another region (see SharedPasses).
+// phase 2 was copied from another region (see routing.DeltaStats.Shared).
 func (s *Sharded) RecomputeSplit() (full, incremental int) {
 	for b := range s.shards {
 		stats := s.shards[b].ws.Stats()
@@ -438,19 +420,6 @@ func (s *Sharded) RecomputeSplit() (full, incremental int) {
 		incremental += stats.Incremental
 	}
 	return full, incremental
-}
-
-// SharedPasses returns how many of the full decisions RecomputeSplit counts
-// took their phase 2 from another region's bit-identical full pass in the
-// same frame instead of running Floyd–Warshall, summed across regions. It
-// is host-side telemetry: the modeled controller energy charges every
-// recompute in full either way.
-func (s *Sharded) SharedPasses() int {
-	shared := 0
-	for b := range s.shards {
-		shared += s.shards[b].ws.Stats().Shared
-	}
-	return shared
 }
 
 // FaultRegion opens (down = true) or closes (down = false) a runtime fault
@@ -465,25 +434,3 @@ func (s *Sharded) FaultRegion(shard int, down bool) {
 		s.shards[shard].faultDown = down
 	}
 }
-
-// ServingRegion returns the index of the region currently serving node
-// (exposed for tests and the degradation metrics).
-func (s *Sharded) ServingRegion(node topology.NodeID) int {
-	if int(node) < 0 || int(node) >= len(s.owner) {
-		return -1
-	}
-	return s.owner[node]
-}
-
-// Regions exposes the per-shard controller pools for tests and statistics.
-func (s *Sharded) Regions() *tdma.Regions { return s.regions }
-
-// OwnedRange returns the contiguous home node range [lo, hi) of shard (the
-// static partition; runtime failover may temporarily serve it from another
-// region).
-func (s *Sharded) OwnedRange(shard int) (lo, hi int) {
-	return s.shards[shard].lo, s.shards[shard].hi
-}
-
-// StalenessFrames returns the summary-exchange period.
-func (s *Sharded) StalenessFrames() int { return s.staleness }

@@ -19,7 +19,7 @@ func TestShardedPartitionCoversMesh(t *testing.T) {
 		k := tc.mesh * tc.mesh
 		next := 0
 		for b := 0; b < s.Shards(); b++ {
-			lo, hi := s.OwnedRange(b)
+			lo, hi := s.shards[b].lo, s.shards[b].hi
 			if lo != next || hi <= lo {
 				t.Fatalf("%dx%d/%d shards: shard %d owns [%d,%d), want contiguous from %d", tc.mesh, tc.mesh, tc.shards, b, lo, hi, next)
 			}
@@ -63,7 +63,7 @@ func TestShardedStalenessDefersRemoteVisibility(t *testing.T) {
 	}
 
 	// Frame 2: change a node owned by shard 1 (range [8,16) on the 4x4 mesh).
-	lo1, _ := s.OwnedRange(1)
+	lo1 := s.shards[1].lo
 	snap.Status[lo1+2].BatteryLevel = 3
 	s.Frame(2, aliveCount(snap), snap)
 	if s.RecomputeCount(1) != 2 {
@@ -103,18 +103,18 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	}
 	snap := fullState(deps.Graph, 8)
 	s.Frame(1, aliveCount(snap), snap)
-	lo0, _ := s.OwnedRange(0)
+	lo0 := s.shards[0].lo
 	preDeath := s.NextHop(topology.NodeID(lo0), topology.NodeID(lo0+1))
 
 	// Exhaust region 0's only controller.
-	_ = s.Regions().Pool(0).Controllers()[0].Drain(2e12)
+	_ = s.regions.Pool(0).Controllers()[0].Drain(2e12)
 	snap.Status[5].BatteryLevel = 2 // visible change for every region
 	rep := s.Frame(2, aliveCount(snap), snap)
 	if rep.ControllersDead {
 		t.Fatal("plane reported all-dead with one surviving region")
 	}
-	if s.AliveShards() != 1 {
-		t.Fatalf("AliveShards = %d, want 1", s.AliveShards())
+	if s.regions.AliveShards() != 1 {
+		t.Fatalf("AliveShards = %d, want 1", s.regions.AliveShards())
 	}
 	if s.RecomputeCount(0) != 1 {
 		t.Fatalf("dead region recomputed: %d, want frozen at 1", s.RecomputeCount(0))
@@ -128,13 +128,13 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	}
 
 	// Exhaust region 1 as well: the next frame is the Sec 7.3 system death.
-	_ = s.Regions().Pool(1).Controllers()[0].Drain(2e12)
+	_ = s.regions.Pool(1).Controllers()[0].Drain(2e12)
 	rep = s.Frame(3, aliveCount(snap), snap)
 	if !rep.ControllersDead {
 		t.Fatal("plane did not report ControllersDead with every region exhausted")
 	}
-	if s.AliveShards() != 0 {
-		t.Fatalf("AliveShards = %d, want 0", s.AliveShards())
+	if s.regions.AliveShards() != 0 {
+		t.Fatalf("AliveShards = %d, want 0", s.regions.AliveShards())
 	}
 }
 
@@ -168,7 +168,7 @@ func TestShardedDeterminism(t *testing.T) {
 		if a.RecomputeCount(shard) != b.RecomputeCount(shard) {
 			t.Fatalf("shard %d recompute counts diverged: %d vs %d", shard, a.RecomputeCount(shard), b.RecomputeCount(shard))
 		}
-		if a.ShardConsumedPJ(shard) != b.ShardConsumedPJ(shard) {
+		if a.regions.ConsumedPJ(shard) != b.regions.ConsumedPJ(shard) {
 			t.Fatalf("shard %d consumed energy diverged", shard)
 		}
 	}

@@ -15,12 +15,22 @@ import (
 // per-region recomputation: every region's tables must equal those of a
 // private workspace that sees the same views and is never offered a donor.
 
+// sharedPasses sums, across regions, the full decisions whose phase 2 was
+// copied from another region's bit-identical full pass (DeltaStats.Shared).
+func sharedPasses(s *Sharded) int {
+	shared := 0
+	for b := range s.shards {
+		shared += s.shards[b].ws.Stats().Shared
+	}
+	return shared
+}
+
 // sharedTrajectory drives a sharded plane from random battery levels
 // through drains, liveness flips (deaths and revivals), one link removal
 // announced through TopologyEpoch and one region kill window. After every
 // frame, each region that recomputed is checked against its own donor-free
 // reference workspace. It returns the plane, so callers can inspect
-// SharedPasses, and the number of reference recomputes whose tables differ
+// sharedPasses, and the number of reference recomputes whose tables differ
 // from a full pass over the same view: nonzero only where the repair is
 // inexact, and only there can copying a repaired donor change a table.
 func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing.Algorithm, seed uint64, frames int) (*Sharded, int) {
@@ -120,7 +130,7 @@ func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing
 	if full != refFull || incremental != refIncremental {
 		t.Fatalf("split = %d/%d, references %d/%d", full, incremental, refFull, refIncremental)
 	}
-	if shared := s.SharedPasses(); shared > full {
+	if shared := sharedPasses(s); shared > full {
 		t.Fatalf("%d shared passes exceed %d full decisions", shared, full)
 	}
 	return s, inexact
@@ -168,7 +178,7 @@ func TestShardedSharedPhase2MatchesUnshared(t *testing.T) {
 				t.Run(fmt.Sprintf("Q=%g/staleness=%d/seed=%d", q, staleness, seed), func(t *testing.T) {
 					alg := routing.EAR{Params: routing.EARParams{Q: q, Levels: 8}}
 					s, inexact := sharedTrajectory(t, 8, 4, staleness, alg, seed, 48)
-					if s.SharedPasses() == 0 {
+					if sharedPasses(s) == 0 {
 						t.Fatal("no region ever copied another region's full pass")
 					}
 					if q == 2 && inexact != 0 {
@@ -222,14 +232,14 @@ func BenchmarkShardedExchangeFullPass(b *testing.B) {
 	for f := int64(1); f <= 3; f++ {
 		frame(f)
 	}
-	before := s.SharedPasses()
+	before := sharedPasses(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frame(int64(i) + 4)
 	}
 	b.StopTimer()
-	if got, want := s.SharedPasses()-before, 3*b.N; got != want {
+	if got, want := sharedPasses(s)-before, 3*b.N; got != want {
 		b.Fatalf("shared passes = %d over %d frames, want %d", got, b.N, want)
 	}
 }

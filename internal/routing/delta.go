@@ -88,14 +88,22 @@ const (
 // heap allocations.
 //
 // The two table buffers are ping-ponged: each ComputeInto writes into the
-// buffer that is not the caller's prev, so the controller can keep the
-// previous frame's tables (needed for deadlock avoidance, and by nodes still
-// forwarding on them) while the next generation is being built. Lifetimes: a
-// returned Plan and its Paths are recomputed in place by the NEXT
-// ComputeInto on the same workspace; only the Plan's Tables live on — for
-// exactly one more call, provided they are passed back as prev (a Tables
-// not handed back as prev may be overwritten immediately). A DeltaWorkspace
-// is not safe for concurrent use; give each goroutine its own.
+// buffer that is not the caller's prev, so the previous generation's routes
+// stay intact while the next generation reads them for deadlock avoidance.
+// Lifetimes:
+//
+//   - next hops always read the workspace's current phase 2: a returned
+//     Plan, its Paths and its Tables' NextHop answers are recomputed in
+//     place by the NEXT ComputeInto on the same workspace;
+//   - prev is read only for its routes, which the ping-pong keeps intact
+//     for exactly one more call, provided the Tables are passed back as
+//     prev (a Tables not handed back as prev may be overwritten at once);
+//   - so every consumer must hold the latest generation. The control plane
+//     does: a region replaces its tables in the same call that rewrites its
+//     workspace, and a dead or fault-down region rewrites neither.
+//
+// A DeltaWorkspace is not safe for concurrent use; give each goroutine its
+// own.
 //
 // Its phase 2 is a dynamic all-pairs shortest-path computation: it keeps
 // the previous weight matrix, diffs the new weights against it, and when
@@ -193,28 +201,6 @@ func NewDeltaWorkspace() *DeltaWorkspace {
 // SetMode switches between incremental repair and the always-full baseline.
 func (dw *DeltaWorkspace) SetMode(m RecomputeMode) { dw.mode = m }
 
-// Mode returns the current recompute mode.
-func (dw *DeltaWorkspace) Mode() RecomputeMode { return dw.mode }
-
-// SetCrossover overrides the dirty-vertex and affected-pair fractions above
-// which the workspace falls back to the full pass (both in (0, 1]; values
-// outside the range are clamped). Intended for tests and experiments; the
-// defaults are measured, see the package constants.
-func (dw *DeltaWorkspace) SetCrossover(dirtyFrac, affectedFrac float64) {
-	dw.dirtyCrossover = clamp01(dirtyFrac)
-	dw.affectedCrossover = clamp01(affectedFrac)
-}
-
-func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // Stats returns the cumulative execution counters.
 func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 
@@ -222,9 +208,9 @@ func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 // snapshot, reusing the workspace's buffers, with phase 2 executed
 // incrementally when possible. destinations lists the duplicates S_i of
 // every module; prev is the previously downloaded tables (nil on the first
-// computation), consulted for deadlock avoidance. When prev came from an
-// earlier ComputeInto on the same workspace the new tables are written into
-// the other internal buffer, so prev stays intact.
+// computation), whose routes are consulted for deadlock avoidance. When prev
+// came from an earlier ComputeInto on the same workspace the new tables are
+// written into the other internal buffer, so prev's routes stay intact.
 func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
 	return dw.ComputeShared(alg, state, destinations, prev, nil)
 }

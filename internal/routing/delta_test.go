@@ -73,13 +73,34 @@ func assertPlansIdentical(t *testing.T, got, want *Plan) {
 			t.Fatalf("routes[%d] = %+v, want %+v", i, r, w)
 		}
 	}
-	for i := range gt.nextHop {
-		if gt.nextHop[i] != wt.nextHop[i] {
-			t.Fatalf("nextHop[%d][%d] = %d, want %d", i/gt.nodes, i%gt.nodes, gt.nextHop[i], wt.nextHop[i])
+	for from := 0; from < k; from++ {
+		for dest := 0; dest < k; dest++ {
+			f, d := topology.NodeID(from), topology.NodeID(dest)
+			if g, w := gt.NextHop(f, d), wt.NextHop(f, d); g != w {
+				t.Fatalf("NextHop(%d, %d) = %d, want %d", from, dest, g, w)
+			}
 		}
 	}
+	assertSuccMatchesReachability(t, gp)
+	assertSuccMatchesReachability(t, wp)
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatal("fingerprints diverged despite identical contents")
+	}
+}
+
+// assertSuccMatchesReachability asserts that every off-diagonal successor
+// is topology.Invalid exactly when its distance is Inf: the invariant that
+// lets Tables.NextHop answer from the successor matrix.
+func assertSuccMatchesReachability(t *testing.T, sp *ShortestPaths) {
+	t.Helper()
+	k := sp.n
+	for i := 0; i < k*k; i++ {
+		if i/k == i%k {
+			continue
+		}
+		if unreachable := sp.dist.cells[i] == Inf; unreachable != (sp.succ[i] == topology.Invalid) {
+			t.Fatalf("succ[%d][%d] = %d with dist %g", i/k, i%k, sp.succ[i], sp.dist.cells[i])
+		}
 	}
 }
 
@@ -192,6 +213,70 @@ func TestDeltaLongRunSoak(t *testing.T) {
 	}
 }
 
+// TestRoutesAgreeWithNextHops pins the property the engine relies on when it
+// forwards a job by NextHop alone: every valid route of node n towards
+// another node names the hop NextHop(n, route.Dest) returns, including the
+// routes deadlock avoidance diverted to a duplicate other than the nearest.
+// Random EAR states on 4x4 to 8x8 meshes with dead and deadlocked nodes
+// chain each plan's tables as the next prev, in both recompute modes; the
+// incremental workspace repairs every recompute that keeps liveness.
+func TestRoutesAgreeWithNextHops(t *testing.T) {
+	for meshSize := 4; meshSize <= 8; meshSize++ {
+		for _, mode := range []RecomputeMode{RecomputeIncremental, RecomputeFull} {
+			t.Run(fmt.Sprintf("%dx%d/%s", meshSize, meshSize, mode), func(t *testing.T) {
+				mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
+				k := mesh.Graph.NodeCount()
+				rng := rand.New(rand.NewSource(int64(k)*7 + int64(mode)))
+				dests := checkerboardDests(mesh.Graph)
+				state := fullState(mesh.Graph, 8)
+				var alg Algorithm = NewEAR()
+
+				dw := NewDeltaWorkspace()
+				dw.SetMode(mode)
+				dw.dirtyCrossover, dw.affectedCrossover = 1, 1
+				var prev *Tables
+				diverted := 0
+				for round := 0; round < 40; round++ {
+					for hit := 0; hit < 1+rng.Intn(3); hit++ {
+						state.Status[rng.Intn(k)].BatteryLevel = rng.Intn(8)
+					}
+					for n := range state.Status {
+						state.Status[n].Deadlocked = rng.Float64() < 0.3
+					}
+					if round%8 == 7 {
+						st := &state.Status[rng.Intn(k)]
+						st.Alive = !st.Alive
+					}
+					plan := dw.ComputeInto(alg, state, dests, prev)
+					nearest := BuildTables(state, plan.Paths, dests, nil)
+					for n := 0; n < k; n++ {
+						node := topology.NodeID(n)
+						for m := range dests {
+							r, ok := plan.Tables.RouteTo(node, m)
+							if !ok || !r.Valid() || r.Dest == node {
+								continue
+							}
+							if hop := plan.Tables.NextHop(node, r.Dest); hop != r.NextHop {
+								t.Fatalf("round %d: node %d module %d: route %+v, NextHop = %d", round, n, m, r, hop)
+							}
+							if near, _ := nearest.RouteTo(node, m); near.Dest != r.Dest {
+								diverted++
+							}
+						}
+					}
+					prev = plan.Tables
+				}
+				if diverted == 0 {
+					t.Fatal("deadlock avoidance never diverted a route away from the nearest duplicate")
+				}
+				if s := dw.Stats(); mode == RecomputeIncremental && s.Incremental == 0 {
+					t.Fatalf("no recompute was repaired: %+v", s)
+				}
+			})
+		}
+	}
+}
+
 // matrixAlg exposes phase 1 directly: its weights are an arbitrary matrix
 // the test mutates between recomputes, so perturbations are not limited to
 // what battery quantisation can express.
@@ -241,7 +326,7 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 			for step := 0; step < 400; step++ {
 				if step%25 == 0 {
 					c := crossovers[(step/25)%len(crossovers)]
-					dw.SetCrossover(c[0], c[1])
+					dw.dirtyCrossover, dw.affectedCrossover = c[0], c[1]
 				}
 				for hit := 0; hit < 1+rng.Intn(3); hit++ {
 					i, j := rng.Intn(k), rng.Intn(k)
@@ -301,7 +386,7 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 			dests := checkerboardDests(g)
 
 			dw := NewDeltaWorkspace()
-			dw.SetCrossover(1, 1)
+			dw.dirtyCrossover, dw.affectedCrossover = 1, 1
 			ws := newFullWorkspace()
 			var dPrev, fPrev *Tables
 			for step := 0; step < tc.steps; step++ {
@@ -382,7 +467,7 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 			dests := checkerboardDests(g)
 
 			dw := NewDeltaWorkspace()
-			dw.SetCrossover(1, 1)
+			dw.dirtyCrossover, dw.affectedCrossover = 1, 1
 			ws := newFullWorkspace()
 			var dPrev, fPrev *Tables
 			for step := 0; step < tc.steps; step++ {
@@ -572,7 +657,7 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 	check(1, 0) // first computation: full
 	check(1, 1) // unchanged snapshot: free repair (empty dirty set)
 
-	dw.SetCrossover(1, 1) // everything repairs
+	dw.dirtyCrossover, dw.affectedCrossover = 1, 1 // everything repairs
 	before := dw.Stats().DirtyVertices
 	state.Status[14].BatteryLevel = 3
 	check(1, 2) // one drained node: incremental
@@ -584,16 +669,16 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 	}
 	check(1, 3) // broad change, permissive crossover: still incremental
 
-	dw.SetCrossover(0, 0) // any dirty vertex is past the boundary
+	dw.dirtyCrossover, dw.affectedCrossover = 0, 0 // any dirty vertex is past the boundary
 	state.Status[15].BatteryLevel = 3
 	check(2, 3)
 
 	dw.SetMode(RecomputeFull)
-	dw.SetCrossover(1, 1)
+	dw.dirtyCrossover, dw.affectedCrossover = 1, 1
 	state.Status[16].BatteryLevel = 0
 	check(3, 3)
-	if dw.Mode() != RecomputeFull {
-		t.Fatalf("mode = %v, want full", dw.Mode())
+	if dw.mode != RecomputeFull {
+		t.Fatalf("mode = %v, want full", dw.mode)
 	}
 
 	dw.SetMode(RecomputeIncremental)
@@ -699,7 +784,7 @@ func BenchmarkDeltaCrossover(b *testing.B) {
 		dests := checkerboardDests(mesh.Graph)
 		dw := NewDeltaWorkspace()
 		dw.SetMode(mode)
-		dw.SetCrossover(1, 1) // measure the repair itself, not the policy
+		dw.dirtyCrossover, dw.affectedCrossover = 1, 1 // measure the repair itself, not the policy
 		var alg Algorithm = NewEAR()
 		var prev *Tables
 		for i := 0; i < 3; i++ {

@@ -229,7 +229,7 @@ func TestDenseComputeMatchesMapReference(t *testing.T) {
 				state := fullState(mesh.Graph, 8)
 				full := newFullWorkspace()
 				incr := NewDeltaWorkspace()
-				incr.SetCrossover(1, 1) // repair every drain step, whatever the mesh size
+				incr.dirtyCrossover, incr.affectedCrossover = 1, 1 // repair every drain step, whatever the mesh size
 				var fullPrev, incrPrev *Tables
 				var refPrev map[topology.NodeID]refTable
 				check := func() {

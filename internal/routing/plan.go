@@ -13,7 +13,9 @@ type Plan struct {
 
 // Fingerprint returns a deterministic FNV-1a hash over the plan's complete
 // routing state: every distance, every successor, and every phase-3 table
-// entry. Two plans fingerprint equal iff their matrices and tables are
+// entry (alive mask, module mask and routes). The tables' next hops are the
+// successors hashed above, so they are covered without a hash of their own.
+// Two plans fingerprint equal iff their matrices and tables are
 // byte-identical, so the incremental-vs-full equivalence checks (tests, the
 // scaling experiment, the CI smoke) can compare whole plans in O(K²)
 // without allocating.
@@ -50,9 +52,6 @@ func (p *Plan) Fingerprint() uint64 {
 		mix(uint64(int64(r.Dest)))
 		mix(uint64(int64(r.NextHop)))
 		mix(math.Float64bits(r.Distance))
-	}
-	for _, n := range ts.nextHop {
-		mix(uint64(int64(n)))
 	}
 	return h
 }

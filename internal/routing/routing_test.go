@@ -431,12 +431,25 @@ func TestTablesNextHopRelay(t *testing.T) {
 	if got := plan.Tables.NextHop(a, topology.NodeID(77)); got != topology.Invalid {
 		t.Errorf("NextHop to unknown destination = %d, want Invalid", got)
 	}
-	table, ok := plan.Tables.Table(a)
-	if !ok {
-		t.Fatal("alive node has no table view")
+
+	// Killing c leaves c dead and d alive but cut off from a.
+	c, _ := mesh.IDAt(3, 1)
+	state.Status[c] = NodeStatus{Alive: false}
+	plan = compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
+	if got := plan.Tables.NextHop(a, b); got != b {
+		t.Errorf("NextHop(a, b) = %d, want %d", got, b)
 	}
-	if got := table.NextHopTo(d); got != b {
-		t.Errorf("Table.NextHopTo(d) = %d, want %d", got, b)
+	if got := plan.Tables.NextHop(a, c); got != topology.Invalid {
+		t.Errorf("NextHop to dead destination = %d, want Invalid", got)
+	}
+	if got := plan.Tables.NextHop(a, d); got != topology.Invalid {
+		t.Errorf("NextHop to partitioned destination = %d, want Invalid", got)
+	}
+	if got := plan.Tables.NextHop(c, c); got != topology.Invalid {
+		t.Errorf("NextHop from dead node = %d, want Invalid", got)
+	}
+	if got := plan.Tables.NextHop(d, d); got != d {
+		t.Errorf("NextHop(d, d) = %d, want %d", got, d)
 	}
 }
 
@@ -448,9 +461,6 @@ func TestBuildTablesSkipsDeadSources(t *testing.T) {
 	plan := compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Tables.Has(dead) {
 		t.Error("dead node received a routing table")
-	}
-	if _, ok := plan.Tables.Table(dead); ok {
-		t.Error("dead node has a table view")
 	}
 	if plan.Tables.Len() != 3 {
 		t.Errorf("tables built for %d nodes, want 3", plan.Tables.Len())

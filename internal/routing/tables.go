@@ -22,22 +22,25 @@ func (r Route) Valid() bool { return r.Dest != topology.Invalid && r.NextHop != 
 var invalidRoute = Route{Dest: topology.Invalid, NextHop: topology.Invalid, Distance: Inf}
 
 // Tables holds the routing tables of every alive node as dense slice-backed
-// storage: per-(node, module) routes and a per-(node, destination) successor
-// matrix, both flat and index-addressed, so the controller can rebuild them
-// every frame without allocating.
+// storage: the per-(node, module) routes phase 3 chose, flat and
+// index-addressed, so the controller can rebuild them every frame without
+// allocating. Next hops are not copied: NextHop reads the successor matrix
+// of the phase-2 result the tables were built from, so the tables answer
+// relay queries only while that result is unchanged (see DeltaWorkspace
+// for the lifetime contract).
 type Tables struct {
 	nodes   int
 	modules int // exclusive upper bound on ModuleID (IDs are 1-based)
 
-	has     []bool            // per node: the node was alive and got a table
-	known   []bool            // per module: the module had a duplicate list
-	routes  []Route           // nodes*modules, row-major by node
-	nextHop []topology.NodeID // nodes*nodes, row-major by source node
+	has    []bool         // per node: the node was alive and got a table
+	known  []bool         // per module: the module had a duplicate list
+	routes []Route        // nodes*modules, row-major by node
+	sp     *ShortestPaths // the phase 2 the routes were chosen from
 }
 
 // reset re-dimensions the tables and clears them, reusing backing storage.
-func (ts *Tables) reset(nodes, modules int) {
-	ts.nodes, ts.modules = nodes, modules
+func (ts *Tables) reset(nodes, modules int, sp *ShortestPaths) {
+	ts.nodes, ts.modules, ts.sp = nodes, modules, sp
 	ts.has = resizeBools(ts.has, nodes)
 	ts.known = resizeBools(ts.known, modules)
 	if cap(ts.routes) < nodes*modules {
@@ -46,13 +49,6 @@ func (ts *Tables) reset(nodes, modules int) {
 	ts.routes = ts.routes[:nodes*modules]
 	for i := range ts.routes {
 		ts.routes[i] = invalidRoute
-	}
-	if cap(ts.nextHop) < nodes*nodes {
-		ts.nextHop = make([]topology.NodeID, nodes*nodes)
-	}
-	ts.nextHop = ts.nextHop[:nodes*nodes]
-	for i := range ts.nextHop {
-		ts.nextHop[i] = topology.Invalid
 	}
 }
 
@@ -96,8 +92,9 @@ func (ts *Tables) RouteTo(node topology.NodeID, id app.ModuleID) (Route, bool) {
 	return ts.routes[int(node)*ts.modules+int(id)], true
 }
 
-// NextHop returns the next hop from node `from` towards destination `dest`,
-// or topology.Invalid if unknown.
+// NextHop returns the next hop from node `from` towards destination `dest`:
+// dest itself when from == dest, and topology.Invalid when either end has no
+// table or dest is unreachable; otherwise the phase-2 successor.
 func (ts *Tables) NextHop(from, dest topology.NodeID) topology.NodeID {
 	if !ts.Has(from) {
 		return topology.Invalid
@@ -105,44 +102,10 @@ func (ts *Tables) NextHop(from, dest topology.NodeID) topology.NodeID {
 	if from == dest {
 		return dest
 	}
-	if int(dest) < 0 || int(dest) >= ts.nodes {
+	if !ts.Has(dest) || ts.sp.Dist(from, dest) == Inf {
 		return topology.Invalid
 	}
-	return ts.nextHop[int(from)*ts.nodes+int(dest)]
-}
-
-// Table is a view of one node's routing information within Tables: the chosen
-// destination per module plus the successor towards every reachable node,
-// which the node uses to relay packets that are merely passing through.
-type Table struct {
-	ts   *Tables
-	node topology.NodeID
-}
-
-// Table returns the view of node's routing table; ok is false when the node
-// has none (it was dead when the tables were built).
-func (ts *Tables) Table(node topology.NodeID) (Table, bool) {
-	if !ts.Has(node) {
-		return Table{}, false
-	}
-	return Table{ts: ts, node: node}, true
-}
-
-// RouteTo returns the route for the given module, if any.
-func (t Table) RouteTo(id app.ModuleID) (Route, bool) {
-	if t.ts == nil {
-		return Route{}, false
-	}
-	return t.ts.RouteTo(t.node, id)
-}
-
-// NextHopTo returns the successor from this node towards dest, or
-// topology.Invalid if dest is unknown or unreachable.
-func (t Table) NextHopTo(dest topology.NodeID) topology.NodeID {
-	if t.ts == nil {
-		return topology.Invalid
-	}
-	return t.ts.NextHop(t.node, dest)
+	return ts.sp.Succ(from, dest)
 }
 
 // destSet is the dense, index-addressed form of the module duplicate lists
@@ -185,8 +148,10 @@ func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
 // the node currently reports a deadlock — the next hop recorded in its
 // previous routing table so the stuck job is redirected along an unlocked
 // path. destinations lists the duplicates S_i of every module; dead
-// duplicates are ignored. prev may be nil on the first invocation. Hot paths
-// should use DeltaWorkspace.ComputeInto, which reuses the table buffers.
+// duplicates are ignored. prev may be nil on the first invocation; only its
+// routes are read. The returned tables read their next hops from sp, so they
+// answer NextHop only while sp is unchanged. Hot paths should use
+// DeltaWorkspace.ComputeInto, which reuses the table buffers.
 func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Tables {
 	var ds destSet
 	ds.fill(destinations)
@@ -196,10 +161,10 @@ func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.Mod
 }
 
 // buildTablesInto is the allocation-free phase-3 core shared by BuildTables
-// and ComputeInto. out must not alias prev.
+// and ComputeInto. out must not alias prev; out keeps sp for NextHop.
 func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *destSet, prev *Tables) {
 	k := state.Graph.NodeCount()
-	out.reset(k, dests.modules)
+	out.reset(k, dests.modules, sp)
 	copy(out.known, dests.known)
 	// One liveness pass: has doubles as the alive mask of every lookup below.
 	for n := 0; n < k; n++ {
@@ -212,12 +177,6 @@ func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *
 		node := topology.NodeID(n)
 		distRow := sp.dist.Row(n)[:k]
 		succRow := sp.succ[n*sp.n:][:k]
-		hopRow := out.nextHop[n*k : (n+1)*k]
-		for d, dd := range distRow {
-			if d != n && dd < Inf && out.has[d] {
-				hopRow[d] = succRow[d]
-			}
-		}
 		deadlocked := state.StatusOf(node).Deadlocked
 		routeRow := out.routes[n*out.modules : (n+1)*out.modules]
 		for m := 0; m < dests.modules; m++ {

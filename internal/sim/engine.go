@@ -565,12 +565,13 @@ func (s *Simulator) settle() {
 // begins moving or computing. It returns true if the job changed state.
 func (s *Simulator) resolveRoute(j *jobState) bool {
 	module := s.cfg.App.Flow[j.opIdx]
-	table, ok := s.plane.Table(j.at)
+	// Every flow module has a duplicate list, so ok is false exactly when
+	// the node has no table (it was dead when its tables were built).
+	route, ok := s.plane.RouteTo(j.at, module)
 	if !ok {
 		return s.block(j, phaseWaitingRoute)
 	}
-	route, ok := table.RouteTo(module)
-	if !ok || !route.Valid() || s.nodes[route.Dest].down() {
+	if !route.Valid() || s.nodes[route.Dest].down() {
 		// The tables may be stale; if no living duplicate is physically
 		// reachable any more the system is partitioned and dies.
 		if s.moduleExtinct() {
@@ -673,11 +674,7 @@ func (s *Simulator) startHop(j *jobState) bool {
 	}
 	next := j.dest
 	if next != j.at {
-		if hop := s.plane.NextHop(j.at, j.dest); hop != topology.Invalid {
-			next = hop
-		} else if route, ok := s.plane.RouteTo(j.at, s.cfg.App.Flow[j.opIdx]); ok && route.Valid() && route.Dest == j.dest {
-			next = route.NextHop
-		} else {
+		if next = s.plane.NextHop(j.at, j.dest); next == topology.Invalid {
 			return s.block(j, phaseWaitingRoute)
 		}
 	}
