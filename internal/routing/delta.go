@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/app"
 	"repro/internal/topology"
@@ -61,7 +62,7 @@ type DeltaStats struct {
 }
 
 // Crossover fractions of the policy set above which the workspace takes the
-// full pass. An incremental repair costs roughly (diff + marking +
+// full pass. An incremental repair costs roughly (diff + one marking walk +
 // adjacency + rebuild) ≈ 4·K² plus one O(K²) pivot pass per head plus the
 // affected re-labelling (a heap-ordered Dijkstra per destination), while
 // the full pass costs K pivot passes. Measured with BenchmarkDeltaCrossover
@@ -124,13 +125,16 @@ const (
 //
 // The repair then runs:
 //
-//  1. Mark, per destination j, every source i whose previous canonical path
-//     to j touches the pivot set (one memoized walk of the old successor
-//     tree per destination, O(K) amortized).
-//  2. Re-label the affected pairs of each destination with a Dijkstra pass
-//     whose intermediates avoid the pivot set, seeded from still-exact
-//     clean-pair distances (deterministic smallest-label/smallest-id
-//     settling order).
+//  1. Mark, per destination j, every source i with two bits: whether its
+//     previous canonical path to j touches the policy set, and whether it
+//     touches the pivot set (one memoized walk of the old successor tree
+//     per destination labels both, O(K) amortized). The policy count
+//     decides, destination by destination, whether the repair goes on; the
+//     pivot bits are kept as one K-bit column per destination.
+//  2. Once every destination is marked within the budget, re-label the
+//     pivot-affected pairs of each destination with a Dijkstra pass whose
+//     intermediates avoid the pivot set, seeded from still-exact clean-pair
+//     distances (deterministic smallest-label/smallest-id settling order).
 //  3. Run the shared Floyd–Warshall pivot pass once per pivot-set vertex,
 //     in ascending vertex order, over the whole matrix.
 //
@@ -169,12 +173,11 @@ type DeltaWorkspace struct {
 	// Repair scratch, sized once per dimension and reused (zero-alloc for
 	// a fixed topology; the adjacency arrays regrow only when the edge
 	// count does).
-	dirtyMark []bool            // per vertex: incident edge changed (policy set)
-	dirty     []int             // ascending policy set
-	headMark  []bool            // per vertex: an in-edge changed (pivot set)
+	member    []uint8           // per vertex: policyBit | pivotBit set membership
 	heads     []int             // ascending pivot set
-	mark      []uint64          // per vertex: epoch<<1 | affected bit
+	mark      []uint64          // per vertex: epoch<<2 | policyBit | pivotBit
 	epoch     uint64            // current marking epoch
+	cols      []uint64          // per destination: ⌈k/64⌉ words of pivot-affected sources
 	walk      []int             // successor-tree walk stack
 	aff       []int             // affected sources, then their settle heap
 	pos       []int32           // per vertex: slot in the settle heap, or -1
@@ -314,25 +317,30 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	}
 	dw.grow(k)
 	newW := &dw.w[dw.cur^1]
-	if !dw.diffDirty(newW, &dw.w[dw.cur], k) {
+	dirty := dw.diffDirty(newW, &dw.w[dw.cur], k)
+	if float64(dirty) > dw.dirtyCrossover*float64(k) {
 		return false // dirty fraction past the crossover
 	}
-	if len(dw.dirty) == 0 {
+	if dirty == 0 {
 		return true // weights unchanged: dist/succ are already the fixpoint
 	}
 
-	// First marking pass: total affected volume, with early bailout. The
-	// walk is O(K) amortized per destination, so a bailout costs at most
-	// one O(K²) sweep before the full pass runs — noise against its K³.
+	// Mark every destination before repairing any: the policy volume
+	// decides with an early bailout, and the walk is O(K) amortized per
+	// destination, so a bailout costs at most one O(K²) sweep before the
+	// full pass runs — noise against its K³ — and leaves dist/succ
+	// untouched. The same walk keeps each destination's pivot bits for the
+	// re-labelling.
 	budget := int(dw.affectedCrossover * float64(k) * float64(k))
 	total := 0
 	for j := 0; j < k; j++ {
-		total += dw.markAffected(j, k, dw.dirtyMark)
+		policy, _ := dw.markAffected(j, k, dw.col(j, k))
+		total += policy
 		if total > budget {
 			return false
 		}
 	}
-	dw.stats.DirtyVertices += len(dw.dirty)
+	dw.stats.DirtyVertices += dirty
 	dw.stats.AffectedPairs += total
 
 	// The re-labelling touches only existing edges, so one O(K²) sweep
@@ -340,13 +348,10 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	// of scanning whole matrix rows.
 	dw.buildAdjacency(newW, k)
 
-	// Second pass: re-mark against the pivot set (the memo is
-	// epoch-scoped) and re-label each destination column, then restore the
-	// fixpoint with one pivot pass per head in ascending order.
+	// Re-label each destination column, then restore the fixpoint with one
+	// pivot pass per head in ascending order.
 	for j := 0; j < k; j++ {
-		if dw.markAffected(j, k, dw.headMark) > 0 {
-			dw.repairColumn(j, k, newW)
-		}
+		dw.repairColumn(j, k, newW, dw.col(j, k))
 	}
 	for _, v := range dw.heads {
 		dw.sp.pivotPass(v)
@@ -355,10 +360,22 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	return true
 }
 
+// colWords is the length in words of one destination's pivot-bit column.
+func colWords(k int) int { return (k + 63) / 64 }
+
+// col returns destination j's pivot-bit column: bit i is set when source
+// i's previous canonical path to j touches the pivot set.
+func (dw *DeltaWorkspace) col(j, k int) []uint64 {
+	w := colWords(k)
+	return dw.cols[j*w : (j+1)*w]
+}
+
 // grow sizes the repair scratch for dimension k.
 func (dw *DeltaWorkspace) grow(k int) {
 	if cap(dw.mark) >= k {
+		dw.member = dw.member[:k]
 		dw.mark = dw.mark[:k]
+		dw.cols = dw.cols[:k*colWords(k)]
 		dw.pos = dw.pos[:k]
 		dw.label = dw.label[:k]
 		dw.hop = dw.hop[:k]
@@ -366,11 +383,12 @@ func (dw *DeltaWorkspace) grow(k int) {
 		dw.adjInOff = dw.adjInOff[:k+1]
 		return
 	}
+	dw.member = make([]uint8, k)
 	dw.mark = make([]uint64, k)
 	dw.epoch = 0
+	dw.cols = make([]uint64, k*colWords(k))
 	dw.walk = make([]int, 0, k)
 	dw.aff = make([]int, 0, k)
-	dw.dirty = make([]int, 0, k)
 	dw.heads = make([]int, 0, k)
 	// Every repairColumn drains its heap, so pos is all -1 between calls.
 	dw.pos = make([]int32, k)
@@ -432,95 +450,117 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	dw.adjOutOff[k] = int32(n)
 }
 
-// diffDirty compares the new and previous weight matrices and collects, in
-// ascending order, the policy set — both endpoints of every changed edge —
-// and the pivot set — the head j of every changed edge w[i][j]. It returns
-// false when the policy set's fraction exceeds the crossover.
-func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
-	dw.dirtyMark = resizeBools(dw.dirtyMark, k)
-	dw.headMark = resizeBools(dw.headMark, k)
+// Set-membership and marking labels: the low bits of dw.member (the vertex
+// is in the set) and of dw.mark (the vertex's previous canonical path to the
+// destination touches the set). The pivot set is a subset of the policy set,
+// so pivotBit never appears without policyBit in dw.member. pivotBit is bit
+// 0 and policyBit bit 1, which markAffected relies on when it shifts the
+// labels into column words and counts.
+const (
+	pivotBit  = 1 << iota // the head of a changed edge
+	policyBit             // an endpoint of a changed edge
+)
+
+// diffDirty compares the new and previous weight matrices and records in
+// dw.member the policy set — both endpoints of every changed edge — and the
+// pivot set — the head j of every changed edge w[i][j] — and lists the
+// pivot set in ascending order in dw.heads. It returns the policy set's
+// size.
+func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) int {
+	member := dw.member
+	clear(member)
 	for i := 0; i < k; i++ {
 		a, b := newW.Row(i), oldW.Row(i)
 		for j := 0; j < k; j++ {
 			if a[j] != b[j] {
-				dw.dirtyMark[i] = true
-				dw.headMark[j] = true
+				member[i] |= policyBit
+				member[j] |= policyBit | pivotBit
 			}
 		}
 	}
-	dw.dirty, dw.heads = dw.dirty[:0], dw.heads[:0]
-	for i := 0; i < k; i++ {
-		if dw.headMark[i] {
+	dw.heads = dw.heads[:0]
+	dirty := 0
+	for i, m := range member {
+		if m&pivotBit != 0 {
 			dw.heads = append(dw.heads, i)
-			dw.dirtyMark[i] = true
 		}
-		if dw.dirtyMark[i] {
-			dw.dirty = append(dw.dirty, i)
+		if m != 0 {
+			dirty++
 		}
 	}
-	return float64(len(dw.dirty)) <= dw.dirtyCrossover*float64(k)
+	return dirty
 }
 
-// markAffected walks the old successor trees towards destination j and
-// labels every source whose previous canonical path to j touches a vertex
-// of set (endpoints included): the policy set when measuring the
-// affected volume, the pivot set when repairing. It returns the number of
-// affected sources. The labels live in dw.mark, scoped to a fresh epoch per
-// call; every vertex other than j is labelled on return.
-func (dw *DeltaWorkspace) markAffected(j, k int, set []bool) int {
+// markAffected walks the old successor trees towards destination j once and
+// labels every source with policyBit when its previous canonical path to j
+// touches the policy set and with pivotBit when it touches the pivot set
+// (endpoints included). A vertex's label is its own membership OR'd with
+// its successor's, so the walk stops only at a memo hit, a pivot-set vertex
+// (which carries both bits) or the end of the path; it passes policy-only
+// vertices, since a pivot bit may lie further down. A destination in a set
+// passes that set's bit to every source, unreachable ones included: all of
+// a pivot-set destination's sources get both bits, and all of a policy-set
+// destination's the policy bit. The labels live in dw.mark, scoped to a
+// fresh epoch per call; every vertex is labelled on return, j as clean.
+// col receives the pivot bits (bit i for source i), and the two counts are
+// returned.
+func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64) (policy, pivot int) {
 	dw.epoch++
-	e := dw.epoch << 1
-	mark := dw.mark
-	if set[j] {
-		// Every path into a marked destination touches it.
-		for i := 0; i < k; i++ {
-			mark[i] = e | 1
-		}
-		return k - 1
-	}
+	e := dw.epoch << 2
+	mark, member := dw.mark, dw.member
+	// j is not its own source, so it is labelled clean and never walked.
+	mark[j] = e
+	// Every path into a destination in a set touches that set, and so do
+	// the paths that do not exist: every source inherits j's membership.
+	base := e | uint64(member[j])
 	succ := dw.sp.succ
 	walk := dw.walk[:0]
 	for i := 0; i < k; i++ {
-		if i == j || mark[i] >= e {
+		if mark[i] >= e {
 			continue
 		}
 		v := i
-		var verdict uint64
+		var lab uint64
 		for {
 			if mark[v] >= e {
-				verdict = mark[v] & 1
+				lab = mark[v] & (policyBit | pivotBit)
 				break
 			}
-			if set[v] {
-				mark[v] = e | 1
-				verdict = 1
+			lab = uint64(member[v])
+			if lab&pivotBit != 0 {
+				mark[v] = base | lab
 				break
 			}
 			s := succ[v*k+j]
-			// Unreachable pairs stay clean: any newly appearing path
-			// uses a changed edge and so runs into its head — the
-			// destination (all marked above) or an intermediate the
-			// pivot passes discover.
+			// Unreachable pairs stay pivot-clean: any newly appearing
+			// path uses a changed edge and so runs into its head — the
+			// destination (which labels every source) or an intermediate
+			// the pivot passes discover.
 			if s == topology.Invalid || int(s) == j {
-				mark[v] = e
-				verdict = 0
+				mark[v] = base | lab
 				break
 			}
 			walk = append(walk, v)
 			v = int(s)
 		}
-		for _, u := range walk {
-			mark[u] = e | verdict
+		for x := len(walk) - 1; x >= 0; x-- {
+			u := walk[x]
+			lab |= uint64(member[u])
+			mark[u] = base | lab
 		}
 		walk = walk[:0]
 	}
-	affected := 0
-	for i := 0; i < k; i++ {
-		if i != j && mark[i]&1 == 1 {
-			affected++
+	for x := range col {
+		lo := x << 6
+		var word uint64
+		for b, m := range mark[lo:min(lo+64, k)] {
+			word |= (m & pivotBit) << b
+			policy += int(m >> 1 & 1)
 		}
+		col[x] = word
+		pivot += bits.OnesCount64(word)
 	}
-	return affected
+	return policy, pivot
 }
 
 // repairColumn re-labels the affected sources of destination j with a
@@ -535,15 +575,19 @@ func (dw *DeltaWorkspace) markAffected(j, k int, set []bool) int {
 // ties to the smallest vertex id, so the first hops written are the
 // canonical minima. The unsettled sources sit in an indexed binary min-heap
 // on that same strict (label, id) order; labels only decrease, so each pop
-// is the (label, id) minimum of the unsettled set. markAffected must have
-// run for j in the current epoch.
-func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
-	mark, pos, label, hop := dw.mark, dw.pos, dw.label, dw.hop
+// is the (label, id) minimum of the unsettled set. col is j's pivot-bit
+// column as markAffected left it: its set bits are the affected sources,
+// and every other source is clean.
+func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64) {
+	pos, label, hop := dw.pos, dw.label, dw.hop
 	heap := dw.aff[:0]
-	for i := 0; i < k; i++ {
-		if i != j && mark[i]&1 == 1 {
-			heap = append(heap, i)
+	for x, word := range col {
+		for ; word != 0; word &= word - 1 {
+			heap = append(heap, x<<6|bits.TrailingZeros64(word))
 		}
+	}
+	if len(heap) == 0 {
+		return
 	}
 	dist, succ := &dw.sp.dist, dw.sp.succ
 	for _, i := range heap {
@@ -554,7 +598,7 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 			var cand float64
 			if h == j {
 				cand = row[h]
-			} else if mark[h]&1 == 0 {
+			} else if col[h>>6]>>(h&63)&1 == 0 {
 				dhj := dist.At(h, j)
 				if dhj == Inf {
 					continue
@@ -585,7 +629,7 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
 		}
 		dist.Set(v, j, lv)
 		succ[v*k+j] = hop[v]
-		if dw.headMark[v] {
+		if dw.member[v]&pivotBit != 0 {
 			continue
 		}
 		for _, u32 := range dw.adjIn[dw.adjInOff[v]:dw.adjInOff[v+1]] {
