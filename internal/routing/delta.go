@@ -63,18 +63,19 @@ type DeltaStats struct {
 
 // Crossover fractions of the policy set above which the workspace takes the
 // full pass. An incremental repair costs roughly (diff + one marking walk +
-// adjacency + rebuild) ≈ 4·K² plus one O(K²) pivot pass per head plus the
-// affected re-labelling (a heap-ordered Dijkstra per destination), while
-// the full pass costs K pivot passes. Measured with BenchmarkDeltaCrossover
-// on the 16x16 mesh (256 nodes, EAR, shared 2-CPU VM; median over eight
-// interleaved rounds of the repair's time over the full pass's, which took
-// 18-28 ms): one drained node repairs at 0.14x (dirty 0.02·K, affected
-// 0.11·K²), sixteen at 0.65x (dirty 0.21·K, affected 0.70·K²), fifty-one
-// at 0.82x (dirty 0.59·K, affected 0.99·K²), and the repair breaks even
-// between eighty drained nodes (0.91x, dirty 0.71·K) and ninety-six
-// (1.08x, dirty 0.77·K) — dirty ≈ 0.74·K, with affected ≈ 0.99·K², where
-// the affected threshold can no longer tell the cases apart. The defaults
-// sit far below that break-even. Raising them would move the
+// adjacency) ≈ 3·K² plus one O(K²) pivot pass per head plus the affected
+// re-labelling (a heap-ordered Dijkstra per destination), while the full
+// pass costs K pivot passes. Phase 3 (K·Σ|S_i| distance reads) follows
+// either path, so it sits on both sides of the measured ratios. Measured
+// with BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared
+// 2-CPU VM; median over eight interleaved rounds of the repair's time over
+// the full pass's, which took 18-28 ms): one drained node repairs at 0.14x
+// (dirty 0.02·K, affected 0.11·K²), sixteen at 0.65x (dirty 0.21·K,
+// affected 0.70·K²), fifty-one at 0.82x (dirty 0.59·K, affected 0.99·K²),
+// and the repair breaks even between eighty drained nodes (0.91x, dirty
+// 0.71·K) and ninety-six (1.08x, dirty 0.77·K) — dirty ≈ 0.74·K, with
+// affected ≈ 0.99·K², where the affected threshold can no longer tell the
+// cases apart. The defaults sit far below that break-even. Raising them would move the
 // full/incremental split that sim.Result reports, so they stay; they are
 // policy, not correctness — any threshold yields byte-identical tables.
 const (
@@ -249,12 +250,11 @@ func (dw *DeltaWorkspace) ComputeShared(alg Algorithm, state *SystemState, desti
 	dw.havePrev = true
 	dw.noteAlive(state, k)
 
-	dw.dests.fill(destinations)
 	out := &dw.tbl[0]
 	if prev == out {
 		out = &dw.tbl[1]
 	}
-	buildTablesInto(out, state, &dw.sp, &dw.dests, prev)
+	buildTablesInto(out, state, &dw.sp, destinations, &dw.dests, prev)
 	dw.plan = Plan{Algorithm: alg.Name(), Paths: &dw.sp, Tables: out}
 	return &dw.plan
 }

@@ -715,10 +715,15 @@ func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
 			} else if dw.Stats().Incremental == 0 {
 				t.Fatal("warm-up never exercised the incremental path")
 			}
+			// Every few steps node 9 enters or leaves a deadlock, so the
+			// deadlocked-row path of phase 3 runs inside the guard too.
 			step := 0
 			allocs := testing.AllocsPerRun(64, func() {
 				st := &state.Status[step%len(state.Status)]
 				st.BatteryLevel = (st.BatteryLevel + 1) % 8
+				if step%4 == 0 {
+					state.Status[9].Deadlocked = !state.Status[9].Deadlocked
+				}
 				step++
 				prev = dw.ComputeInto(alg, state, dests, prev).Tables
 			})

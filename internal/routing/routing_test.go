@@ -321,6 +321,50 @@ func TestBuildTablesPicksNearestDuplicate(t *testing.T) {
 	}
 }
 
+// TestBuildTablesTieBreakIgnoresDuplicateOrder feeds BuildTables the same
+// duplicates in several orders (mapping.New sorts its lists, but the map
+// form need not be sorted): an equidistant tie must go to the smaller ID, a
+// dead duplicate must be skipped however close it is, and a source hosting
+// the module must route to itself at distance 0.
+func TestBuildTablesTieBreakIgnoresDuplicateOrder(t *testing.T) {
+	mesh := topology.MustMesh(5, 5, 1)
+	state := fullState(mesh.Graph, 8)
+	at := func(x, y int) topology.NodeID {
+		id, ok := mesh.IDAt(x, y)
+		if !ok {
+			t.Fatalf("no node at (%d,%d)", x, y)
+		}
+		return id
+	}
+	src := at(3, 3)
+	west, east, far, dead := at(1, 3), at(5, 3), at(5, 5), at(3, 2)
+	// Phase 2 still sees the dead duplicate alive and one hop away, so only
+	// phase 3's liveness filter keeps it from winning.
+	sp := allPairs(weights(SDR{}, state))
+	state.Status[dead] = NodeStatus{Alive: false}
+	if sp.Dist(src, west) != sp.Dist(src, east) || sp.Dist(src, far) <= sp.Dist(src, west) {
+		t.Fatalf("setup: dist west %g, east %g, far %g", sp.Dist(src, west), sp.Dist(src, east), sp.Dist(src, far))
+	}
+	tie := min(west, east)
+	for _, dups := range [][]topology.NodeID{
+		{west, east, far, dead},
+		{dead, far, east, west},
+		{far, east, dead, west},
+		{east, dead, west, far},
+	} {
+		// Module 2 lists the source itself among the same duplicates.
+		self := append([]topology.NodeID{dups[0], dups[1]}, src)
+		self = append(self, dups[2:]...)
+		tables := BuildTables(state, sp, map[app.ModuleID][]topology.NodeID{1: dups, 2: self}, nil)
+		if r, _ := tables.RouteTo(src, 1); r.Dest != tie || r.Distance != sp.Dist(src, tie) || r.NextHop != sp.Succ(src, tie) {
+			t.Errorf("order %v: route = %+v, want the smaller tied duplicate %d", dups, r, tie)
+		}
+		if r, _ := tables.RouteTo(src, 2); r.Dest != src || r.NextHop != src || r.Distance != 0 {
+			t.Errorf("order %v: self-hosting route = %+v, want %d at distance 0", self, r, src)
+		}
+	}
+}
+
 func TestBuildTablesEARPrefersChargedDuplicate(t *testing.T) {
 	// Node in the middle of a 3-node line with duplicates at both ends at
 	// equal physical distance: EAR must pick the better-charged end, SDR the
@@ -553,5 +597,26 @@ func BenchmarkComputeIntoEAR8x8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prev = ws.ComputeInto(alg, state, dests, prev).Tables
+	}
+}
+
+// BenchmarkBuildTables16x16 times phase 3 alone: route selection over a
+// fixed 16x16 EAR phase 2 with checkerboard duplicates (Σ|S_i| = K), into a
+// reused table buffer. It must report 0 allocs/op.
+func BenchmarkBuildTables16x16(b *testing.B) {
+	mesh := topology.MustMesh(16, 16, 1)
+	state := fullState(mesh.Graph, 8)
+	for n := range state.Status {
+		state.Status[n].BatteryLevel = 1 + n%7
+	}
+	sp := allPairs(weights(NewEAR(), state))
+	dests := checkerboardDests(mesh.Graph)
+	var ds destSet
+	var out Tables
+	buildTablesInto(&out, state, sp, dests, &ds, nil) // size the buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildTablesInto(&out, state, sp, dests, &ds, nil)
 	}
 }

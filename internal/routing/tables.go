@@ -109,38 +109,45 @@ func (ts *Tables) NextHop(from, dest topology.NodeID) topology.NodeID {
 }
 
 // destSet is the dense, index-addressed form of the module duplicate lists
-// (S_i). It aliases the caller's duplicate slices and is reused across
-// recomputes.
+// (S_i), restricted to the duplicates alive in the current recompute and
+// refilled into reused buffers each time: known marks the modules that have
+// a list, and module m's alive duplicates, in list order, are
+// alive[off[m]:off[m+1]].
 type destSet struct {
-	modules int
-	known   []bool
-	dups    [][]topology.NodeID
+	known []bool
+	alive []topology.NodeID
+	off   []int32 // len(known)+1 offsets into alive
 }
 
-// fill re-populates the set from the map form, reusing backing storage.
-func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
-	maxID := -1
+// fill re-populates the set from the map form, dropping duplicates outside
+// [0, nodes) and duplicates dead in state, in O(Σ|S_i|).
+func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID, state *SystemState, nodes int) {
+	modules := 0
 	for id := range destinations {
-		if int(id) > maxID {
-			maxID = int(id)
+		modules = max(modules, int(id)+1)
+	}
+	d.known = resizeBools(d.known, modules)
+	if cap(d.off) < modules+1 {
+		d.off = make([]int32, modules+1)
+	}
+	d.off = d.off[:modules+1]
+	d.alive = d.alive[:0]
+	for m := 0; m < modules; m++ {
+		d.off[m] = int32(len(d.alive))
+		dups, ok := destinations[app.ModuleID(m)]
+		d.known[m] = ok
+		for _, dup := range dups {
+			if int(dup) < nodes && state.Alive(dup) {
+				d.alive = append(d.alive, dup)
+			}
 		}
 	}
-	d.modules = maxID + 1
-	d.known = resizeBools(d.known, d.modules)
-	if cap(d.dups) < d.modules {
-		d.dups = make([][]topology.NodeID, d.modules)
-	}
-	d.dups = d.dups[:d.modules]
-	for i := range d.dups {
-		d.dups[i] = nil
-	}
-	for id, dups := range destinations {
-		if int(id) < 0 {
-			continue
-		}
-		d.known[id] = true
-		d.dups[id] = dups
-	}
+	d.off[modules] = int32(len(d.alive))
+}
+
+// aliveDups returns module m's alive duplicates.
+func (d *destSet) aliveDups(m int) []topology.NodeID {
+	return d.alive[d.off[m]:d.off[m+1]]
 }
 
 // BuildTables runs phase 3 (Fig 6): for every alive node and every module it
@@ -153,20 +160,26 @@ func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
 // answer NextHop only while sp is unchanged. Hot paths should use
 // DeltaWorkspace.ComputeInto, which reuses the table buffers.
 func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Tables {
-	var ds destSet
-	ds.fill(destinations)
 	ts := &Tables{}
-	buildTablesInto(ts, state, sp, &ds, prev)
+	buildTablesInto(ts, state, sp, destinations, &destSet{}, prev)
 	return ts
 }
 
 // buildTablesInto is the allocation-free phase-3 core shared by BuildTables
-// and ComputeInto. out must not alias prev; out keeps sp for NextHop.
-func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *destSet, prev *Tables) {
+// and ComputeInto; dests is its reused scratch. out must not alias prev;
+// out keeps sp for NextHop.
+//
+// Every row but a deadlocked one is one argmin per module over the module's
+// alive duplicates, reading only the distance row: the smallest distance
+// wins, ties go to the smaller duplicate ID (better's order, whatever the
+// list order), and an unreachable duplicate never wins. The successor is
+// read once, for the winner. A deadlocked row with a previous table goes
+// through deadlockedRoute instead.
+func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, dests *destSet, prev *Tables) {
 	k := state.Graph.NodeCount()
-	out.reset(k, dests.modules, sp)
+	dests.fill(destinations, state, k)
+	out.reset(k, len(dests.known), sp)
 	copy(out.known, dests.known)
-	// One liveness pass: has doubles as the alive mask of every lookup below.
 	for n := 0; n < k; n++ {
 		out.has[n] = state.Alive(topology.NodeID(n))
 	}
@@ -177,46 +190,59 @@ func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *
 		node := topology.NodeID(n)
 		distRow := sp.dist.Row(n)[:k]
 		succRow := sp.succ[n*sp.n:][:k]
-		deadlocked := state.StatusOf(node).Deadlocked
 		routeRow := out.routes[n*out.modules : (n+1)*out.modules]
-		for m := 0; m < dests.modules; m++ {
-			if !dests.known[m] {
-				continue
+		if prev != nil && state.StatusOf(node).Deadlocked {
+			for m := range routeRow {
+				routeRow[m] = deadlockedRoute(node, prev, app.ModuleID(m), dests.aliveDups(m), distRow, succRow)
 			}
-			moduleID := app.ModuleID(m)
-			blockedHop := topology.Invalid
-			if deadlocked && prev != nil {
-				if prevRoute, ok := prev.RouteTo(node, moduleID); ok {
-					blockedHop = prevRoute.NextHop
-				}
-			}
-			best := invalidRoute
-			fallback := best
-			for _, dup := range dests.dups[m] {
-				if !out.Has(dup) || distRow[dup] == Inf {
-					continue
-				}
-				hop := succRow[dup]
-				candidate := Route{Dest: dup, NextHop: hop, Distance: distRow[dup]}
-				if better(candidate, fallback) {
-					fallback = candidate
-				}
-				if blockedHop != topology.Invalid && hop == blockedHop && dup != node {
-					continue
-				}
-				if better(candidate, best) {
-					best = candidate
+			continue
+		}
+		for m := range routeRow {
+			best, bestD := topology.Invalid, Inf
+			for _, dup := range dests.aliveDups(m) {
+				if d := distRow[dup]; d < bestD || (d == bestD && d < Inf && dup < best) {
+					best, bestD = dup, d
 				}
 			}
-			// If every alternative went through the blocked port, fall back to
-			// the unconstrained optimum rather than leaving the module
-			// unreachable (the deadlock will be reported again next frame).
-			if !best.Valid() {
-				best = fallback
+			if best != topology.Invalid {
+				routeRow[m] = Route{Dest: best, NextHop: succRow[best], Distance: bestD}
 			}
-			routeRow[m] = best
 		}
 	}
+}
+
+// deadlockedRoute selects node's route to module m while node reports a
+// deadlock: the nearest alive duplicate whose first hop is not the next hop
+// of node's previous route to m, so the stuck job is redirected along an
+// unlocked path. If every alternative goes through the blocked hop it falls
+// back to the unconstrained optimum rather than leaving the module
+// unreachable (the deadlock will be reported again next frame).
+func deadlockedRoute(node topology.NodeID, prev *Tables, m app.ModuleID, dups []topology.NodeID, distRow []float64, succRow []topology.NodeID) Route {
+	blockedHop := topology.Invalid
+	if prevRoute, ok := prev.RouteTo(node, m); ok {
+		blockedHop = prevRoute.NextHop
+	}
+	best := invalidRoute
+	fallback := best
+	for _, dup := range dups {
+		if distRow[dup] == Inf {
+			continue
+		}
+		candidate := Route{Dest: dup, NextHop: succRow[dup], Distance: distRow[dup]}
+		if better(candidate, fallback) {
+			fallback = candidate
+		}
+		if blockedHop != topology.Invalid && candidate.NextHop == blockedHop && dup != node {
+			continue
+		}
+		if better(candidate, best) {
+			best = candidate
+		}
+	}
+	if !best.Valid() {
+		best = fallback
+	}
+	return best
 }
 
 // better reports whether candidate is preferable to current: strictly smaller
