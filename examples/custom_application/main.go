@@ -67,7 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		strategy.App = application
+		strategy.Run.App = application
 		strategy.Mapper = mapping.Proportional{Weights: bound.NormalizedEnergies}
 		res, err := strategy.Simulate()
 		if err != nil {

@@ -255,7 +255,7 @@ func Run(sp Spec, opts ...Option) (*Result, error) {
 		if err != nil {
 			return sim.Result{}, err
 		}
-		s.Cancel = cfg.ctx.Done()
+		s.Run.Cancel = cfg.ctx.Done()
 		return s.Simulate()
 	}
 

@@ -175,14 +175,14 @@ func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, 
 		refRep := ref.frame(alive, cur.Clone())
 		compareReports(t, frame, rep, refRep)
 		if rep.ControllersDead {
-			if cp.regions.AliveShards() != 0 {
-				t.Fatalf("frame %d: dead plane reports %d alive shards", frame, cp.regions.AliveShards())
+			if !cp.shards[0].dead || !cp.shards[0].pool.AllDead() {
+				t.Fatalf("frame %d: dead plane's region is not battery-dead", frame)
 			}
 			return
 		}
 		compareTables(t, frame, deps, cp, ref.tables)
-		if cp.RecomputeCount(0) != 0 && cp.regions.ConsumedPJ(0) <= 0 {
-			t.Fatalf("frame %d: recomputed but ShardConsumedPJ = %g", frame, cp.regions.ConsumedPJ(0))
+		if cp.RecomputeCount(0) != 0 && cp.shards[0].pool.ConsumedPJ() <= 0 {
+			t.Fatalf("frame %d: recomputed but the pool consumed %g pJ", frame, cp.shards[0].pool.ConsumedPJ())
 		}
 
 		// Evolve the master state: drift some batteries, occasionally kill a
@@ -263,12 +263,12 @@ func TestCentralizedKillWindow(t *testing.T) {
 				case winClose:
 					cp.FaultRegion(0, false)
 				}
-				consumed := cp.regions.ConsumedPJ(0)
+				consumed := cp.shards[0].pool.ConsumedPJ()
 				rep := cp.Frame(frame, aliveCount(snap), snap)
 				if frame >= winOpen && frame < winClose {
 					compareReports(t, frame, rep, FrameReport{})
 					compareTables(t, frame, deps, cp, ref.tables)
-					if got := cp.regions.ConsumedPJ(0); got != consumed {
+					if got := cp.shards[0].pool.ConsumedPJ(); got != consumed {
 						t.Fatalf("frame %d: pool consumed %g pJ inside the kill window", frame, got-consumed)
 					}
 					continue
@@ -282,13 +282,13 @@ func TestCentralizedKillWindow(t *testing.T) {
 					t.Fatalf("restore frame reported %d deadlocks, want the 1 raised mid-window", rep.NewDeadlockReports)
 				}
 			}
-			if got, want := cp.regions.ConsumedPJ(0), ref.pool.ConsumedPJ(); got != want {
+			if got, want := cp.shards[0].pool.ConsumedPJ(), ref.pool.ConsumedPJ(); got != want {
 				t.Fatalf("pool consumed %g pJ, reference %g", got, want)
 			}
 			if !finite {
 				return
 			}
-			planeCtrls := cp.regions.Pool(0).Controllers()
+			planeCtrls := cp.shards[0].pool.Controllers()
 			for i, refCtrl := range ref.pool.Controllers() {
 				got, want := planeCtrls[i].Battery, refCtrl.Battery
 				if got.Voltage() <= want.Voltage() {

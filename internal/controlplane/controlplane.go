@@ -167,7 +167,7 @@ func (c Config) validate(k int) (routing.RecomputeMode, error) {
 // Deps carries what a control plane needs from the run: the topology and
 // routing algorithm, the module duplicate lists and the controller pool. The
 // TDMA calibration and the controller power model are the paper's
-// (tdma.DefaultParams, energy.PaperController4x4), fixed by NewSharded.
+// (tdma.DefaultParams, energy.PaperController4x4), fixed by New.
 type Deps struct {
 	Graph        *topology.Graph
 	Algorithm    routing.Algorithm
@@ -178,9 +178,6 @@ type Deps struct {
 	// ControllerBattery builds controller batteries; nil models the
 	// infinite-energy controller of Sec 7.1/7.2.
 	ControllerBattery battery.Factory
-	// Recompute is the phase-2 strategy every workspace runs with; the zero
-	// value is the incremental repair (see routing.RecomputeMode).
-	Recompute routing.RecomputeMode
 }
 
 // FrameReport is what a control plane hands back to the engine for one frame.
@@ -223,24 +220,4 @@ type Failover struct {
 	Home int
 	// Nodes is the number of nodes handed over.
 	Nodes int
-}
-
-// New builds the control plane selected by cfg. Every kind is a Sharded
-// plane; KindCentralized is its one-region configuration (ShardCount is 1 and
-// the staleness bound defaults to one frame) and keeps the name
-// "centralized".
-func New(cfg Config, deps Deps) (*Sharded, error) {
-	mode, err := cfg.validate(deps.Graph.NodeCount())
-	if err != nil {
-		return nil, err
-	}
-	deps.Recompute = mode
-	s, err := NewSharded(deps, cfg.ShardCount(), max(cfg.StalenessFrames, 1))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Kind != KindSharded {
-		s.kind = KindCentralized
-	}
-	return s, nil
 }

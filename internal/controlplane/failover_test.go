@@ -21,7 +21,7 @@ func frameOn(s *Sharded, frame int64, snap *routing.SystemState) FrameReport {
 // report both times.
 func TestShardedFailoverAdoptionAndHandback(t *testing.T) {
 	deps := testDeps(8, routing.NewEAR())
-	s, err := NewSharded(deps, 4, 1)
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestShardedFailoverAdoptionAndHandback(t *testing.T) {
 // re-adopts in the same deterministic way.
 func TestShardedLastRegionDownOrdering(t *testing.T) {
 	deps := testDeps(8, routing.NewEAR())
-	s, err := NewSharded(deps, 4, 1)
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestShardedOrphanDeadlockMidAdoption(t *testing.T) {
 	// Staleness 8: outside exchange frames a region only sees the blocks it
 	// serves, so the orphan's report is visible to region 0 only because of
 	// the adoption.
-	s, err := NewSharded(deps, 2, 8)
+	s, err := New(Config{Kind: KindSharded, Shards: 2, StalenessFrames: 8}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package controlplane
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/app"
 	"repro/internal/energy"
 	"repro/internal/routing"
@@ -14,7 +11,8 @@ import (
 // regionState is one regional controller's private world: the contiguous node
 // range it owns, its (possibly stale) full-mesh view of the reported status,
 // the view it adopted at its last recompute, and its own routing workspace and
-// table generation.
+// table generation. Each region owns its controller pool, so one region can
+// exhaust its batteries and die while the others keep serving frames.
 type regionState struct {
 	lo, hi int // home node range [lo, hi)
 
@@ -22,6 +20,7 @@ type regionState struct {
 	last    routing.SystemState // view adopted at the last recompute
 	hasLast bool
 
+	pool       *tdma.Pool // the region's redundant controllers
 	ws         *routing.DeltaWorkspace
 	tables     *routing.Tables
 	dead       bool // battery death: permanent, tables frozen, no failover
@@ -53,18 +52,16 @@ type regionState struct {
 // sharded sweeps remain byte-identical at every worker count.
 type Sharded struct {
 	deps      Deps
-	kind      Kind // reported by Name; New sets KindCentralized
+	kind      Kind // reported by Name
 	staleness int
-	finite    bool
 
-	// The paper's control-mechanism calibration, fixed by NewSharded.
+	// The paper's control-mechanism calibration, fixed by New.
 	tdma  tdma.Params
 	power energy.Controller
 
-	regions *tdma.Regions
-	shards  []regionState
-	home    []int // NodeID -> home shard index (static partition)
-	owner   []int // NodeID -> serving shard index (== home unless failed over)
+	shards []regionState
+	home   []int // NodeID -> home shard index (static partition)
+	owner  []int // NodeID -> serving shard index (== home unless failed over)
 
 	// Failover bookkeeping: adopt[h] is the region currently serving home
 	// block h; prevAdopt is last frame's assignment (the diff is the
@@ -87,36 +84,32 @@ type Sharded struct {
 	deadlockCounted []bool
 }
 
-// NewSharded builds a sharded control plane with the given region count and
-// summary-exchange period (in frames; 1 = exchange every frame).
-func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
+// New builds the control plane selected by cfg, validated against deps'
+// graph. Every kind is a Sharded plane: KindCentralized is its one-region
+// configuration (ShardCount is 1 and the staleness bound defaults to one
+// frame) and keeps the name "centralized".
+func New(cfg Config, deps Deps) (*Sharded, error) {
 	k := deps.Graph.NodeCount()
-	if shards < 1 {
-		return nil, fmt.Errorf("controlplane: sharded plane needs at least one shard, got %d", shards)
+	mode, err := cfg.validate(k)
+	if err != nil {
+		return nil, err
 	}
-	if shards > k {
-		return nil, fmt.Errorf("controlplane: %d shards exceed the %d-node platform", shards, k)
-	}
-	if staleness < 1 {
-		return nil, fmt.Errorf("controlplane: staleness bound must be at least one frame, got %d", staleness)
+	shards := cfg.ShardCount()
+	kind := KindCentralized
+	if cfg.Kind == KindSharded {
+		kind = KindSharded
 	}
 	// The paper characterises the 4x4 controller; the routing workload (and
 	// therefore the controller's active time per frame) already grows with
 	// the node count, which is how larger meshes end up consuming more
 	// controller energy per frame (Sec 7.3).
 	power := energy.PaperController4x4()
-	regions, err := tdma.NewRegions(shards, deps.Controllers, power, deps.ControllerBattery)
-	if err != nil {
-		return nil, err
-	}
 	s := &Sharded{
 		deps:            deps,
-		kind:            KindSharded,
-		staleness:       staleness,
-		finite:          deps.ControllerBattery != nil,
+		kind:            kind,
+		staleness:       max(cfg.StalenessFrames, 1),
 		tdma:            tdma.DefaultParams(),
 		power:           power,
-		regions:         regions,
 		shards:          make([]regionState, shards),
 		home:            make([]int, k),
 		owner:           make([]int, k),
@@ -126,6 +119,10 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 		deadlockCounted: make([]bool, k),
 	}
 	for b := range s.shards {
+		pool, err := tdma.NewPool(deps.Controllers, power, deps.ControllerBattery)
+		if err != nil {
+			return nil, err
+		}
 		lo, hi := b*k/shards, (b+1)*k/shards
 		// Per-region delta workspaces: each region diffs against its own
 		// previous weight matrix, so between exchange frames a region's
@@ -133,8 +130,8 @@ func NewSharded(deps Deps, shards, staleness int) (*Sharded, error) {
 		// actually moved, and an exchange frame dirties only the remote
 		// vertices whose summaries changed.
 		ws := routing.NewDeltaWorkspace()
-		ws.SetMode(deps.Recompute)
-		s.shards[b] = regionState{lo: lo, hi: hi, ws: ws}
+		ws.SetMode(mode)
+		s.shards[b] = regionState{lo: lo, hi: hi, pool: pool, ws: ws}
 		s.adopt[b], s.prevAdopt[b] = b, b
 		for n := lo; n < hi; n++ {
 			s.home[n] = b
@@ -181,7 +178,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 			// Kill window: the region serves nothing; its batteries recover
 			// while the pool is off. Its nodes were handed to an in-service
 			// region by reassignOwners above.
-			s.regions.Pool(b).RestAll(s.tdma.FramePeriodCycles)
+			sh.pool.RestAll(s.tdma.FramePeriodCycles)
 			continue
 		}
 		// Refresh the region's view: the shards it currently serves (its own,
@@ -256,16 +253,14 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		rep.ControllerPJ += framePJ
 		rep.DownloadPJ += downloadPJ
 
-		pool := s.regions.Pool(b)
-		if err := pool.ServeFrame(framePJ+downloadPJ, 0); err != nil {
-			if errors.Is(err, tdma.ErrAllControllersDead) && s.finite {
-				// The region dies with its tables frozen: its nodes route on
-				// the last downloaded generation from here on.
-				sh.dead = true
-				continue
-			}
+		if err := sh.pool.ServeFrame(framePJ+downloadPJ, 0); err != nil {
+			// Every controller of the region is dead (only finite batteries
+			// die). The region dies with its tables frozen: its nodes route
+			// on the last downloaded generation from here on.
+			sh.dead = true
+			continue
 		}
-		pool.RestAll(s.tdma.FramePeriodCycles)
+		sh.pool.RestAll(s.tdma.FramePeriodCycles)
 
 		if changed || sh.tables == nil {
 			full := sh.ws.Stats().Full
@@ -280,8 +275,13 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		}
 	}
 
-	if s.finite && s.regions.AllDead() {
-		rep.ControllersDead = true
+	// The Sec 7.3 system death: every region is battery-dead.
+	rep.ControllersDead = true
+	for b := range s.shards {
+		if !s.shards[b].dead {
+			rep.ControllersDead = false
+			break
+		}
 	}
 	return rep
 }

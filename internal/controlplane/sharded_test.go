@@ -12,7 +12,7 @@ import (
 func TestShardedPartitionCoversMesh(t *testing.T) {
 	for _, tc := range []struct{ mesh, shards int }{{4, 2}, {4, 3}, {8, 4}, {8, 7}, {5, 25}} {
 		deps := testDeps(tc.mesh, routing.NewEAR())
-		s, err := NewSharded(deps, tc.shards, 1)
+		s, err := New(Config{Kind: KindSharded, Shards: tc.shards, StalenessFrames: 1}, deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,14 +33,22 @@ func TestShardedPartitionCoversMesh(t *testing.T) {
 			t.Fatalf("partition covers [0,%d), want [0,%d)", next, k)
 		}
 	}
-	if _, err := NewSharded(testDeps(4, routing.NewEAR()), 17, 1); err == nil {
-		t.Fatal("accepted more shards than nodes")
-	}
-	if _, err := NewSharded(testDeps(4, routing.NewEAR()), 0, 1); err == nil {
-		t.Fatal("accepted zero shards")
-	}
-	if _, err := NewSharded(testDeps(4, routing.NewEAR()), 2, 0); err == nil {
-		t.Fatal("accepted zero staleness")
+}
+
+// TestNewRejectsBadConfig: New validates once, through Config.validate,
+// before it builds anything. Zero shards and zero staleness are not errors:
+// they select DefaultShards and one frame.
+func TestNewRejectsBadConfig(t *testing.T) {
+	deps := testDeps(4, routing.NewEAR())
+	for _, cfg := range []Config{
+		{Kind: KindSharded, Shards: 17},
+		{Kind: KindSharded, Shards: -1},
+		{Kind: KindSharded, StalenessFrames: -1},
+		{Kind: KindCentralized, Shards: 2},
+	} {
+		if _, err := New(cfg, deps); err == nil {
+			t.Errorf("New(%+v) on 16 nodes accepted an invalid configuration", cfg)
+		}
 	}
 }
 
@@ -50,7 +58,7 @@ func TestShardedPartitionCoversMesh(t *testing.T) {
 func TestShardedStalenessDefersRemoteVisibility(t *testing.T) {
 	deps := testDeps(4, routing.NewEAR())
 	const staleness = 4
-	s, err := NewSharded(deps, 2, staleness)
+	s, err := New(Config{Kind: KindSharded, Shards: 2, StalenessFrames: staleness}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	deps.Controllers = 1
 	// Finite but effectively inexhaustible: death is injected per region below.
 	deps.ControllerBattery = battery.IdealFactory(1e12)
-	s, err := NewSharded(deps, 2, 1)
+	s, err := New(Config{Kind: KindSharded, Shards: 2, StalenessFrames: 1}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +115,14 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	preDeath := s.NextHop(topology.NodeID(lo0), topology.NodeID(lo0+1))
 
 	// Exhaust region 0's only controller.
-	_ = s.regions.Pool(0).Controllers()[0].Drain(2e12)
+	_ = s.shards[0].pool.Controllers()[0].Drain(2e12)
 	snap.Status[5].BatteryLevel = 2 // visible change for every region
 	rep := s.Frame(2, aliveCount(snap), snap)
 	if rep.ControllersDead {
 		t.Fatal("plane reported all-dead with one surviving region")
 	}
-	if s.regions.AliveShards() != 1 {
-		t.Fatalf("AliveShards = %d, want 1", s.regions.AliveShards())
+	if !s.shards[0].dead || s.shards[1].dead {
+		t.Fatalf("region deaths = %v, %v, want true, false", s.shards[0].dead, s.shards[1].dead)
 	}
 	if s.RecomputeCount(0) != 1 {
 		t.Fatalf("dead region recomputed: %d, want frozen at 1", s.RecomputeCount(0))
@@ -128,13 +136,13 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	}
 
 	// Exhaust region 1 as well: the next frame is the Sec 7.3 system death.
-	_ = s.regions.Pool(1).Controllers()[0].Drain(2e12)
+	_ = s.shards[1].pool.Controllers()[0].Drain(2e12)
 	rep = s.Frame(3, aliveCount(snap), snap)
 	if !rep.ControllersDead {
 		t.Fatal("plane did not report ControllersDead with every region exhausted")
 	}
-	if s.regions.AliveShards() != 0 {
-		t.Fatalf("AliveShards = %d, want 0", s.regions.AliveShards())
+	if !s.shards[1].dead {
+		t.Fatal("region 1 survived its exhausted pool")
 	}
 }
 
@@ -143,7 +151,7 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 // of (frame index, reported state).
 func TestShardedDeterminism(t *testing.T) {
 	build := func() *Sharded {
-		s, err := NewSharded(testDeps(6, routing.NewEAR()), 3, 4)
+		s, err := New(Config{Kind: KindSharded, Shards: 3, StalenessFrames: 4}, testDeps(6, routing.NewEAR()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +176,7 @@ func TestShardedDeterminism(t *testing.T) {
 		if a.RecomputeCount(shard) != b.RecomputeCount(shard) {
 			t.Fatalf("shard %d recompute counts diverged: %d vs %d", shard, a.RecomputeCount(shard), b.RecomputeCount(shard))
 		}
-		if a.regions.ConsumedPJ(shard) != b.regions.ConsumedPJ(shard) {
+		if a.shards[shard].pool.ConsumedPJ() != b.shards[shard].pool.ConsumedPJ() {
 			t.Fatalf("shard %d consumed energy diverged", shard)
 		}
 	}
@@ -180,7 +188,7 @@ func TestShardedDeterminism(t *testing.T) {
 // centralized controller hot path guarded in internal/routing.
 func BenchmarkShardedRecompute(b *testing.B) {
 	deps := testDeps(8, routing.NewEAR())
-	s, err := NewSharded(deps, 4, 1)
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func sharedPasses(s *Sharded) int {
 func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing.Algorithm, seed uint64, frames int) (*Sharded, int) {
 	t.Helper()
 	deps := testDeps(meshSize, alg)
-	s, err := NewSharded(deps, shards, staleness)
+	s, err := New(Config{Kind: KindSharded, Shards: shards, StalenessFrames: staleness}, deps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func FuzzShardedSharedPhase2(f *testing.F) {
 // shared path's steady state at 0 allocs/op.
 func BenchmarkShardedExchangeFullPass(b *testing.B) {
 	deps := testDeps(8, routing.NewEAR())
-	s, err := NewSharded(deps, 4, 1)
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,68 +14,36 @@ package core
 
 import (
 	"repro/internal/analytic"
-	"repro/internal/app"
-	"repro/internal/battery"
-	"repro/internal/controlplane"
 	"repro/internal/energy"
-	"repro/internal/faults"
 	"repro/internal/mapping"
-	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 // Strategy is one fully specified routing strategy plus the platform it runs
 // on. scenario.Spec.Strategy builds it; callers that need a custom platform
-// override App or Mapper on the built value, and runtime attachments
-// (Observers, Cancel) are plain field writes. Every strategy uses the paper's
-// transmission line and TDMA control mechanism.
+// override Run.App or Mapper on the built value, and runtime attachments
+// (Run.Observers, Run.Cancel) are plain field writes. Every strategy uses the
+// paper's transmission line and TDMA control mechanism.
 type Strategy struct {
 	// Mesh is the platform topology.
 	Mesh *topology.Mesh
-	// App is the target application.
-	App *app.Application
 	// Mapper produces the module-to-node mapping.
 	Mapper mapping.Strategy
-	// Algorithm is the online routing algorithm.
-	Algorithm routing.Algorithm
-	// NodeBattery builds each node's battery.
-	NodeBattery battery.Factory
-	// Controllers is the number of redundant controllers (whole central pool,
-	// or per regional pool under the sharded control plane).
-	Controllers int
-	// Control selects the control-plane architecture; the zero value is the
-	// paper's centralized controller.
-	Control controlplane.Config
-	// ControllerBattery builds controller batteries; nil means infinite.
-	ControllerBattery battery.Factory
-	// ConcurrentJobs is the number of jobs kept in flight.
-	ConcurrentJobs int
-	// Key optionally enables end-to-end AES payload verification.
-	Key []byte
-	// CollectNodeStats enables per-node statistics.
-	CollectNodeStats bool
-	// MaxCycles optionally bounds the simulated time.
-	MaxCycles int64
-	// Observers are attached to the simulator's event stream (battery
-	// time-series, throughput traces, ...; see internal/trace).
-	Observers []sim.Observer
-	// Cancel, when non-nil, aborts the simulation at the next scheduling
-	// boundary once closed (see sim.Config.Cancel); request-scoped callers set
-	// it to their context's Done channel.
-	Cancel <-chan struct{}
 	// FailedLinkFraction removes that fraction of the mesh interconnects
 	// (wear-and-tear) before the simulation starts; FailedLinkSeed selects
 	// the deterministic fault pattern.
 	FailedLinkFraction float64
 	FailedLinkSeed     uint64
-	// Faults is the deterministic runtime fault schedule applied during the
-	// simulation (transient link faults, wear breaks, node crashes,
-	// controller-region kill windows); the zero value injects nothing.
-	Faults faults.Spec
+	// Run is the rest of the simulator configuration: application,
+	// algorithm, batteries, control plane, load, faults and runtime
+	// attachments. Its Graph and Mapping are overwritten by Config.
+	Run sim.Config
 }
 
-// Config materialises the strategy into a simulator configuration. It never
+// Config materialises the strategy into a simulator configuration: a copy
+// of Run whose Graph is the mesh (with FailedLinkFraction of its links
+// removed) and whose Mapping is Mapper's placement of Run.App on it. It never
 // mutates the strategy: fault injection runs on a clone of the platform
 // graph, so materialising the same strategy twice yields identical
 // (independently damaged) topologies.
@@ -90,31 +58,13 @@ func (s *Strategy) Config() (sim.Config, error) {
 			return sim.Config{}, err
 		}
 	}
-	m, err := s.Mapper.Map(graph, s.App)
+	m, err := s.Mapper.Map(graph, s.Run.App)
 	if err != nil {
 		return sim.Config{}, err
 	}
-	cfg := sim.Config{
-		Graph:             graph,
-		App:               s.App,
-		Mapping:           m,
-		Algorithm:         s.Algorithm,
-		NodeBattery:       s.NodeBattery,
-		Controllers:       s.Controllers,
-		Control:           s.Control,
-		ControllerBattery: s.ControllerBattery,
-		BatteryLevels:     routing.DefaultEARParams().Levels,
-		ConcurrentJobs:    s.ConcurrentJobs,
-		Key:               s.Key,
-		CollectNodeStats:  s.CollectNodeStats,
-		MaxCycles:         s.MaxCycles,
-		Cancel:            s.Cancel,
-		Observers:         s.Observers,
-		Faults:            s.Faults,
-	}
-	if ear, ok := s.Algorithm.(routing.EAR); ok && ear.Params.Levels > 0 {
-		cfg.BatteryLevels = ear.Params.Levels
-	}
+	cfg := s.Run
+	cfg.Graph = graph
+	cfg.Mapping = m
 	return cfg, nil
 }
 
@@ -134,6 +84,6 @@ func (s *Strategy) Simulate() (sim.Result, error) {
 // UpperBound evaluates Theorem 1 for this strategy's application, mesh and
 // battery budget (the nominal capacity of one node battery).
 func (s *Strategy) UpperBound() (analytic.Bound, error) {
-	budget := s.NodeBattery().NominalPJ()
-	return analytic.MeshUpperBound(s.App, energy.PaperTransmissionLine(), s.Mesh.SpacingCM(), budget, s.Mesh.Size())
+	budget := s.Run.NodeBattery().NominalPJ()
+	return analytic.MeshUpperBound(s.Run.App, energy.PaperTransmissionLine(), s.Mesh.SpacingCM(), budget, s.Mesh.Size())
 }

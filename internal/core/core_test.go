@@ -22,11 +22,11 @@ func strategy(t *testing.T, sp scenario.Spec) *core.Strategy {
 // TestEARStrategyDefaults: the zero spec builds the paper's setup.
 func TestEARStrategyDefaults(t *testing.T) {
 	s := strategy(t, scenario.Spec{Mesh: 4})
-	if s.Algorithm.Name() != "EAR" {
-		t.Errorf("algorithm = %s", s.Algorithm.Name())
+	if s.Run.Algorithm.Name() != "EAR" {
+		t.Errorf("algorithm = %s", s.Run.Algorithm.Name())
 	}
-	if s.Mesh.Size() != 16 || s.App.Name != "AES-128" || s.Mapper.Name() != "checkerboard" ||
-		s.Controllers != 1 || s.ControllerBattery != nil || s.ConcurrentJobs != 1 {
+	if s.Mesh.Size() != 16 || s.Run.App.Name != "AES-128" || s.Mapper.Name() != "checkerboard" ||
+		s.Run.Controllers != 1 || s.Run.ControllerBattery != nil || s.Run.ConcurrentJobs != 1 {
 		t.Errorf("unexpected defaults: %+v", s)
 	}
 	cfg, err := s.Config()
@@ -41,11 +41,11 @@ func TestEARStrategyDefaults(t *testing.T) {
 func TestSDRStrategyDiffersOnlyInAlgorithm(t *testing.T) {
 	ear := strategy(t, scenario.Spec{Mesh: 5})
 	sdr := strategy(t, scenario.Spec{Mesh: 5, Algorithm: scenario.AlgorithmSDR})
-	if sdr.Algorithm.Name() != "SDR" {
+	if sdr.Run.Algorithm.Name() != "SDR" {
 		t.Errorf("SDR strategy = %+v", sdr)
 	}
-	if ear.Mesh.Size() != sdr.Mesh.Size() || ear.App.Name != sdr.App.Name ||
-		ear.Controllers != sdr.Controllers || ear.ConcurrentJobs != sdr.ConcurrentJobs {
+	if ear.Mesh.Size() != sdr.Mesh.Size() || ear.Run.App.Name != sdr.Run.App.Name ||
+		ear.Run.Controllers != sdr.Run.Controllers || ear.Run.ConcurrentJobs != sdr.Run.ConcurrentJobs {
 		t.Error("EAR and SDR strategies differ in more than the routing algorithm")
 	}
 }
@@ -92,7 +92,7 @@ func TestConfigErrorsOnImpossibleMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := strategy(t, scenario.Spec{Mesh: 4})
-	s.App = twoMod
+	s.Run.App = twoMod
 	if _, err := s.Config(); err == nil {
 		t.Fatal("Config should fail when the mapping strategy rejects the application")
 	}

@@ -64,7 +64,7 @@ func NewAnalytic(sp scenario.Spec) (*Analytic, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := s.App
+	a := s.Run.App
 	p := a.NumModules()
 	nodes := s.Mesh.Graph.Nodes()
 	o := &Analytic{
@@ -73,7 +73,7 @@ func NewAnalytic(sp scenario.Spec) (*Analytic, error) {
 		compPJ:    make([]float64, p+1),
 		trans:     make([]float64, (p+1)*(p+1)),
 		commPJ:    analytic.CommunicationEnergyPerOp(a, energy.PaperTransmissionLine(), s.Mesh.SpacingCM()),
-		batteryPJ: s.NodeBattery().NominalPJ(),
+		batteryPJ: s.Run.NodeBattery().NominalPJ(),
 	}
 	for _, n := range nodes {
 		o.pos[n.ID] = n.Pos

@@ -42,11 +42,11 @@ func (p *Problem) start() (*Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	pMods := s.App.NumModules()
+	pMods := s.Run.App.NumModules()
 	if pMods > 255 {
 		return nil, fmt.Errorf("optimize: %d modules exceed the 255 the candidate encoding supports", pMods)
 	}
-	m, err := s.Mapper.Map(s.Mesh.Graph, s.App)
+	m, err := s.Mapper.Map(s.Mesh.Graph, s.Run.App)
 	if err != nil {
 		return nil, err
 	}

@@ -82,21 +82,6 @@ func (s *SystemState) StatusOf(id topology.NodeID) NodeStatus {
 // Alive reports whether node id is alive in this snapshot.
 func (s *SystemState) Alive(id topology.NodeID) bool { return s.StatusOf(id).Alive }
 
-// Equal reports whether two snapshots would lead the controller to the same
-// routing decision; the controller only re-runs the routing algorithm when
-// the reported information changed (Sec 6).
-func (s *SystemState) Equal(o *SystemState) bool {
-	if o == nil || s.Levels != o.Levels || s.TopologyEpoch != o.TopologyEpoch || len(s.Status) != len(o.Status) {
-		return false
-	}
-	for i, st := range s.Status {
-		if o.Status[i] != st {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy of the snapshot.
 func (s *SystemState) Clone() *SystemState {
 	c := &SystemState{Graph: s.Graph, Levels: s.Levels, TopologyEpoch: s.TopologyEpoch, Status: make([]NodeStatus, len(s.Status))}
@@ -255,16 +240,12 @@ func (EAR) NeedsBatteryInfo() bool { return true }
 
 // WeightsInto implements Algorithm.
 func (e EAR) WeightsInto(w *Matrix, state *SystemState) {
-	params := e.Params
-	if params.Levels == 0 {
-		params = DefaultEARParams()
-	}
 	w.Reset(state.Graph.NodeCount())
 	for _, l := range state.Graph.Links() {
 		if !state.Alive(l.From) || !state.Alive(l.To) {
 			continue
 		}
 		level := state.StatusOf(l.To).BatteryLevel
-		w.Set(int(l.From), int(l.To), params.Penalty(level)*l.LengthCM)
+		w.Set(int(l.From), int(l.To), e.Params.Penalty(level)*l.LengthCM)
 	}
 }

@@ -52,7 +52,7 @@ func (q *Queue) Depth() int { return int(q.waiting.Load()) }
 // returns the context's error without ever starting fn — a departed client
 // costs nothing. A cancellation after fn starts is fn's own business: the
 // context is handed to it precisely so it can stop early (the simulator
-// does, via core.Strategy.Cancel).
+// does, via core.Strategy.Run.Cancel).
 //
 // Panics inside fn are recovered and returned as a *PanicError (index -1, as
 // queue tasks have no batch position), so one bad request cannot take down

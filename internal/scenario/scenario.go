@@ -187,17 +187,11 @@ func (sp Spec) Label() string {
 	return fmt.Sprintf("%s-%dx%d", alg, sp.Mesh, sp.Mesh)
 }
 
-// algorithm materialises the routing algorithm described by the spec.
+// algorithm materialises the routing algorithm of a normalized spec.
 func (sp Spec) algorithm() (routing.Algorithm, error) {
 	switch sp.Algorithm {
-	case "", AlgorithmEAR:
-		params := routing.DefaultEARParams()
-		if sp.EARQ != 0 {
-			params.Q = sp.EARQ
-		}
-		if sp.BatteryLevels > 0 {
-			params.Levels = sp.BatteryLevels
-		}
+	case AlgorithmEAR:
+		params := routing.EARParams{Q: sp.EARQ, Levels: sp.BatteryLevels}
 		if err := params.Validate(); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
@@ -211,29 +205,14 @@ func (sp Spec) algorithm() (routing.Algorithm, error) {
 }
 
 // Strategy materialises the spec into a runnable core.Strategy, rejecting
-// out-of-range values up front. Callers attach observers or a cancel channel,
-// or swap the platform's App or Mapper, by writing the returned strategy's
-// fields.
+// out-of-range values up front. Every value is read from the normalized
+// spec, so a run is by construction the one its fingerprint names. Callers
+// attach observers or a cancel channel, or swap the platform's App or
+// Mapper, by writing the returned strategy's fields.
 func (sp Spec) Strategy() (*core.Strategy, error) {
 	if sp.Mesh < 1 {
 		return nil, fmt.Errorf("scenario %s: mesh size must be at least 1, got %d", sp.Label(), sp.Mesh)
 	}
-	alg, err := sp.algorithm()
-	if err != nil {
-		return nil, err
-	}
-
-	var nodeBattery battery.Factory
-	switch sp.Battery {
-	case "", BatteryThinFilm:
-		nodeBattery = battery.DefaultThinFilmFactory()
-	case BatteryIdeal:
-		nodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown battery model %q (want %s or %s)",
-			sp.Label(), sp.Battery, BatteryThinFilm, BatteryIdeal)
-	}
-
 	if sp.Controllers < 0 {
 		return nil, fmt.Errorf("scenario %s: controller count must be non-negative (0 defaults to 1), got %d",
 			sp.Label(), sp.Controllers)
@@ -256,19 +235,42 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 			sp.Label(), sp.FailedLinkFraction)
 	}
 
-	kind, err := controlplane.ParseKind(sp.ControlPlane)
+	n, err := sp.Normalized()
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+		return nil, err
 	}
-	control := controlplane.Config{Kind: kind, Shards: sp.Shards, StalenessFrames: sp.StalenessFrames, Recompute: sp.Recompute}
+	alg, err := n.algorithm()
+	if err != nil {
+		return nil, err
+	}
+	// Nodes quantise their battery reports to EAR's levels; SDR reads no
+	// levels, and its runs report at the EAR default.
+	levels := n.BatteryLevels
+	if n.Algorithm == AlgorithmSDR {
+		levels = routing.DefaultEARParams().Levels
+	}
+
+	var nodeBattery battery.Factory
+	switch n.Battery {
+	case BatteryThinFilm:
+		nodeBattery = battery.DefaultThinFilmFactory()
+	case BatteryIdeal:
+		nodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
+	default:
+		return nil, fmt.Errorf("scenario %s: unknown battery model %q (want %s or %s)",
+			sp.Label(), n.Battery, BatteryThinFilm, BatteryIdeal)
+	}
+
+	control := controlplane.Config{Kind: controlplane.Kind(n.ControlPlane), Shards: n.Shards,
+		StalenessFrames: n.StalenessFrames, Recompute: n.Recompute}
 	// Validate the control-plane configuration eagerly, like every other spec
 	// error, instead of at materialisation time inside a worker.
-	if err := control.Validate(sp.Mesh * sp.Mesh); err != nil {
+	if err := control.Validate(n.Mesh * n.Mesh); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 	}
 	var schedule faults.Spec
-	if sp.Faults != "" {
-		if schedule, err = faults.ParseSpec(sp.Faults); err != nil {
+	if n.Faults != "" {
+		if schedule, err = faults.ParseSpec(n.Faults); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		// Validate the schedule against the control plane's shard count
@@ -279,34 +281,37 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 		}
 	}
 
-	mesh, err := topology.NewSquareMesh(sp.Mesh)
+	mesh, err := topology.NewSquareMesh(n.Mesh)
 	if err != nil {
 		return nil, err
 	}
 	s := &core.Strategy{
 		Mesh:               mesh,
-		App:                app.AES128(),
 		Mapper:             mapping.Checkerboard{},
-		Algorithm:          alg,
-		NodeBattery:        nodeBattery,
-		Controllers:        max(sp.Controllers, 1),
-		Control:            control,
-		ConcurrentJobs:     max(sp.ConcurrentJobs, 1),
-		CollectNodeStats:   sp.CollectNodeStats,
-		MaxCycles:          sp.MaxCycles,
-		FailedLinkFraction: sp.FailedLinkFraction,
-		FailedLinkSeed:     sp.FailedLinkSeed,
-		Faults:             schedule,
+		FailedLinkFraction: n.FailedLinkFraction,
+		FailedLinkSeed:     n.FailedLinkSeed,
+		Run: sim.Config{
+			App:              app.AES128(),
+			Algorithm:        alg,
+			NodeBattery:      nodeBattery,
+			Controllers:      n.Controllers,
+			Control:          control,
+			Faults:           schedule,
+			BatteryLevels:    levels,
+			ConcurrentJobs:   n.ConcurrentJobs,
+			MaxCycles:        n.MaxCycles,
+			CollectNodeStats: n.CollectNodeStats,
+		},
 	}
-	if sp.FiniteControllers {
-		s.ControllerBattery = battery.DefaultThinFilmFactory()
+	if n.FiniteControllers {
+		s.Run.ControllerBattery = battery.DefaultThinFilmFactory()
 	}
-	if sp.VerifyPayload {
-		s.Key = PaperKey()
+	if n.VerifyPayload {
+		s.Run.Key = PaperKey()
 	}
 
-	switch sp.Mapping {
-	case "", MappingCheckerboard:
+	switch n.Mapping {
+	case MappingCheckerboard:
 		// The paper's mapping, set above.
 	case MappingProportional:
 		bound, err := s.UpperBound()
@@ -317,22 +322,22 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 	case MappingRowMajor:
 		s.Mapper = mapping.RowMajor{}
 	case MappingRandom:
-		s.Mapper = mapping.Random{Seed: sp.MappingSeed}
+		s.Mapper = mapping.Random{Seed: n.MappingSeed}
 	case MappingExplicit:
-		ex, err := mapping.ParseExplicit(sp.Assignment)
+		ex, err := mapping.ParseExplicit(n.Assignment)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		// Validate the assignment against the platform eagerly so a bad
 		// placement fails here, like every other spec error, instead of at
 		// materialisation time inside a worker.
-		if _, err := ex.Map(s.Mesh.Graph, s.App); err != nil {
+		if _, err := ex.Map(s.Mesh.Graph, s.Run.App); err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
 		}
 		s.Mapper = ex
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown mapping %q (want one of: %s)",
-			sp.Label(), sp.Mapping, strings.Join(MappingNames(), ", "))
+			sp.Label(), n.Mapping, strings.Join(MappingNames(), ", "))
 	}
 	return s, nil
 }
@@ -344,6 +349,6 @@ func (sp Spec) Simulate(obs ...sim.Observer) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	s.Observers = obs
+	s.Run.Observers = obs
 	return s.Simulate()
 }

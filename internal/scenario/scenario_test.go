@@ -1,12 +1,17 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/controlplane"
+	"repro/internal/faults"
+	"repro/internal/mapping"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -79,6 +84,89 @@ func TestEveryRegisteredScenarioMaterialises(t *testing.T) {
 				t.Errorf("graph has %d nodes, want %d", cfg.Graph.NodeCount(), sp.Mesh*sp.Mesh)
 			}
 		})
+	}
+}
+
+// runSettings is what Strategy materialises from a spec, in a comparable
+// form: the battery factories are functions, so they are compared by the
+// battery they build.
+type runSettings struct {
+	Algorithm          routing.Algorithm
+	NodeBattery        string
+	Controllers        int
+	Control            controlplane.Config
+	ControllerBattery  bool
+	Faults             faults.Spec
+	BatteryLevels      int
+	ConcurrentJobs     int
+	MaxCycles          int64
+	Key                []byte
+	CollectNodeStats   bool
+	Mapper             mapping.Strategy
+	FailedLinkFraction float64
+	FailedLinkSeed     uint64
+}
+
+func settingsOf(t *testing.T, sp Spec) runSettings {
+	t.Helper()
+	s, err := sp.Strategy()
+	if err != nil {
+		t.Fatalf("%+v: Strategy: %v", sp, err)
+	}
+	return runSettings{
+		Algorithm:          s.Run.Algorithm,
+		NodeBattery:        fmt.Sprintf("%T %g", s.Run.NodeBattery(), s.Run.NodeBattery().NominalPJ()),
+		Controllers:        s.Run.Controllers,
+		Control:            s.Run.Control,
+		ControllerBattery:  s.Run.ControllerBattery != nil,
+		Faults:             s.Run.Faults,
+		BatteryLevels:      s.Run.BatteryLevels,
+		ConcurrentJobs:     s.Run.ConcurrentJobs,
+		MaxCycles:          s.Run.MaxCycles,
+		Key:                s.Run.Key,
+		CollectNodeStats:   s.Run.CollectNodeStats,
+		Mapper:             s.Mapper,
+		FailedLinkFraction: s.FailedLinkFraction,
+		FailedLinkSeed:     s.FailedLinkSeed,
+	}
+}
+
+// TestStrategyBuildsFromNormalizedSpec: Strategy reads every value from the
+// normalized spec, so a spec and its normalized form run the same settings,
+// and so do a zero field and the default it stands for.
+func TestStrategyBuildsFromNormalizedSpec(t *testing.T) {
+	const sharded = "sharded"
+	pairs := []struct {
+		name       string
+		zero, full Spec
+	}{
+		{"controllers", Spec{Mesh: 4}, Spec{Mesh: 4, Controllers: 1}},
+		{"jobs", Spec{Mesh: 4}, Spec{Mesh: 4, ConcurrentJobs: 1}},
+		{"shards", Spec{Mesh: 8, ControlPlane: sharded}, Spec{Mesh: 8, ControlPlane: sharded, Shards: 4}},
+		{"staleness", Spec{Mesh: 8, ControlPlane: sharded}, Spec{Mesh: 8, ControlPlane: sharded, StalenessFrames: 1}},
+		{"ear-q", Spec{Mesh: 4}, Spec{Mesh: 4, EARQ: 2}},
+		{"battery-levels", Spec{Mesh: 4}, Spec{Mesh: 4, BatteryLevels: 8}},
+		{"recompute", Spec{Mesh: 4}, Spec{Mesh: 4, Recompute: "incremental"}},
+		{"battery", Spec{Mesh: 4}, Spec{Mesh: 4, Battery: BatteryThinFilm}},
+		{"mapping", Spec{Mesh: 4}, Spec{Mesh: 4, Mapping: MappingCheckerboard}},
+	}
+	for _, p := range pairs {
+		if got, want := settingsOf(t, p.zero), settingsOf(t, p.full); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the zero spec runs\n%+v\nthe spelled-out default runs\n%+v", p.name, got, want)
+		}
+	}
+	specs := All()
+	for _, p := range pairs {
+		specs = append(specs, p.zero, p.full)
+	}
+	for _, sp := range specs {
+		n, err := sp.Normalized()
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Label(), err)
+		}
+		if got, want := settingsOf(t, sp), settingsOf(t, n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the spec runs\n%+v\nits normalized form runs\n%+v", sp.Label(), got, want)
+		}
 	}
 }
 
@@ -196,8 +284,8 @@ func TestShardedScenariosRegistered(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scenario %q: %v", name, err)
 		}
-		if strategy.Control.Kind != controlplane.KindSharded || strategy.Control.Shards < 2 {
-			t.Errorf("scenario %q materialised control %+v, want sharded with >=2 shards", name, strategy.Control)
+		if strategy.Run.Control.Kind != controlplane.KindSharded || strategy.Run.Control.Shards < 2 {
+			t.Errorf("scenario %q materialised control %+v, want sharded with >=2 shards", name, strategy.Run.Control)
 		}
 	}
 }

@@ -278,8 +278,8 @@ func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.O
 		if err != nil {
 			return err
 		}
-		st.Cancel = ctx.Done()
-		st.Observers = obs
+		st.Run.Cancel = ctx.Done()
+		st.Run.Observers = obs
 		res, err := st.Simulate()
 		if err != nil {
 			return err

@@ -120,8 +120,7 @@ func (c Config) Validate() error {
 	if c.Algorithm == nil {
 		return fmt.Errorf("sim: configuration needs a routing algorithm")
 	}
-	// The zero EAR runs the default parameters (see EAR.WeightsInto).
-	if ear, ok := c.Algorithm.(routing.EAR); ok && ear.Params != (routing.EARParams{}) {
+	if ear, ok := c.Algorithm.(routing.EAR); ok {
 		if err := ear.Params.Validate(); err != nil {
 			return err
 		}

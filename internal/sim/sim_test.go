@@ -76,6 +76,7 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 		{"nil app", func(c *Config) { c.App = nil }},
 		{"nil mapping", func(c *Config) { c.Mapping = nil }},
 		{"nil algorithm", func(c *Config) { c.Algorithm = nil }},
+		{"zero EAR", func(c *Config) { c.Algorithm = routing.EAR{} }},
 		{"zero EAR Q", func(c *Config) { c.Algorithm = routing.EAR{Params: routing.EARParams{Q: 0, Levels: 8}} }},
 		{"EAR Q past the penalty bound", func(c *Config) { c.Algorithm = routing.EAR{Params: routing.EARParams{Q: 1e-20, Levels: 8}} }},
 		{"nil battery", func(c *Config) { c.NodeBattery = nil }},

@@ -211,3 +211,49 @@ func TestPoolAccessors(t *testing.T) {
 	}
 	pool.RestAll(1000) // must not panic with nil batteries
 }
+
+// TestPoolPartialDeathOrdering pins the failover order of a partially dead
+// pool: controllers die lowest-budget-first under round-robin rotation, the
+// active role skips the dead, and ErrAllControllersDead surfaces exactly on
+// the frame the last controller browns out.
+func TestPoolPartialDeathOrdering(t *testing.T) {
+	// Three controllers, 250 pJ each, 100 pJ per active frame, no idle cost:
+	// each controller serves 2 full frames and browns out on its 3rd.
+	pool, err := NewPool(3, energy.PaperController4x4(), battery.IdealFactory(250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aliveAfter []int
+	var fatalFrame int
+	for frame := 1; frame <= 30; frame++ {
+		err := pool.ServeFrame(100, 0)
+		aliveAfter = append(aliveAfter, pool.AliveCount())
+		if err != nil {
+			if !errors.Is(err, ErrAllControllersDead) {
+				t.Fatalf("frame %d: err = %v, want ErrAllControllersDead", frame, err)
+			}
+			fatalFrame = frame
+			break
+		}
+	}
+	// Frames 1-6: two full rounds, all alive. Frames 7-9: the third 100 pJ
+	// draw browns out controllers 0, 1, 2 in rotation order; the death of the
+	// last one is the frame that returns the error.
+	want := []int{3, 3, 3, 3, 3, 3, 2, 1, 0}
+	if len(aliveAfter) != len(want) {
+		t.Fatalf("pool served %d frames (alive trace %v), want %d", len(aliveAfter), aliveAfter, len(want))
+	}
+	for i := range want {
+		if aliveAfter[i] != want[i] {
+			t.Fatalf("alive trace = %v, want %v", aliveAfter, want)
+		}
+	}
+	if fatalFrame != 9 {
+		t.Fatalf("ErrAllControllersDead on frame %d, want 9", fatalFrame)
+	}
+	// Mid-death, the survivors must have kept the rotation going: frames 7-8
+	// were served by living controllers even though the pool was partial.
+	if pool.ConsumedPJ() != 9*100 {
+		t.Errorf("ConsumedPJ = %g, want %g", pool.ConsumedPJ(), 9*100.0)
+	}
+}

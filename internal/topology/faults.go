@@ -100,45 +100,3 @@ func FailLinks(g *Graph, fraction float64, seed uint64) ([]Link, int, error) {
 	}
 	return removed, target - len(removed), nil
 }
-
-// Torus is a 2D mesh with wrap-around links in both dimensions, an
-// alternative e-textile topology (e.g. a sleeve or a tubular garment) with a
-// smaller network diameter than the open mesh.
-type Torus struct {
-	*Mesh
-}
-
-// NewTorus builds a width x height torus with the given inter-node spacing.
-// The wrap-around links are physically longer than the regular ones: they
-// have to span the whole row or column, so their length is (width-1) or
-// (height-1) times the spacing.
-func NewTorus(width, height int, spacingCM float64) (*Torus, error) {
-	m, err := NewMesh(width, height, spacingCM)
-	if err != nil {
-		return nil, err
-	}
-	if width > 2 {
-		for y := 1; y <= height; y++ {
-			first, _ := m.IDAt(1, y)
-			last, _ := m.IDAt(width, y)
-			if err := m.AddBiLink(first, last, float64(width-1)*spacingCM); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if height > 2 {
-		for x := 1; x <= width; x++ {
-			first, _ := m.IDAt(x, 1)
-			last, _ := m.IDAt(x, height)
-			if err := m.AddBiLink(first, last, float64(height-1)*spacingCM); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return &Torus{Mesh: m}, nil
-}
-
-// String describes the torus briefly.
-func (t *Torus) String() string {
-	return fmt.Sprintf("%dx%d torus (%g cm spacing)", t.Width(), t.Height(), t.SpacingCM())
-}

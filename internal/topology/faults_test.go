@@ -185,89 +185,3 @@ func TestFailLinksConnectivityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTorusConstruction(t *testing.T) {
-	torus, err := NewTorus(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 4x4 torus is 4-regular: every node has exactly four neighbours.
-	for _, n := range torus.Nodes() {
-		if d := torus.Degree(n.ID); d != 4 {
-			t.Errorf("node %v degree = %d, want 4", n.Pos, d)
-		}
-	}
-	if !torus.Connected() {
-		t.Error("torus not connected")
-	}
-	if err := torus.Validate(); err != nil {
-		t.Error(err)
-	}
-	// Wrap-around links span the whole row: length 3 cm on a 4-wide torus.
-	a, _ := torus.IDAt(1, 1)
-	b, _ := torus.IDAt(4, 1)
-	l, ok := torus.Link(a, b)
-	if !ok || l.LengthCM != 3 {
-		t.Errorf("wrap-around link = %+v, want length 3", l)
-	}
-	if torus.String() != "4x4 torus (1 cm spacing)" {
-		t.Errorf("String = %q", torus.String())
-	}
-}
-
-func TestTorusSmallDimensionsSkipWrapAround(t *testing.T) {
-	// With width or height <= 2 a wrap-around link would duplicate an
-	// existing neighbour link; the constructor must skip it.
-	torus, err := NewTorus(2, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := torus.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := torus.IDAt(1, 1)
-	if d := torus.Degree(a); d != 3 {
-		t.Errorf("corner degree on a 2x3 torus = %d, want 3 (right, down, wrap-down)", d)
-	}
-	if _, err := NewTorus(0, 3, 1); err == nil {
-		t.Error("invalid torus dimensions accepted")
-	}
-}
-
-func TestTorusShortensWorstCaseDistance(t *testing.T) {
-	mesh := MustMesh(6, 6, 1)
-	torus, err := NewTorus(6, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hop-count diameter of the open mesh is 10; the torus halves it.
-	meshCorner1, _ := mesh.IDAt(1, 1)
-	meshCorner2, _ := mesh.IDAt(6, 6)
-	torusCorner1, _ := torus.IDAt(1, 1)
-	torusCorner2, _ := torus.IDAt(6, 6)
-	meshHops := bfsHops(mesh.Graph, meshCorner1, meshCorner2)
-	torusHops := bfsHops(torus.Graph, torusCorner1, torusCorner2)
-	if torusHops >= meshHops {
-		t.Errorf("torus corner distance %d not shorter than mesh %d", torusHops, meshHops)
-	}
-}
-
-// bfsHops returns the hop count of the shortest path between two nodes.
-func bfsHops(g *Graph, from, to NodeID) int {
-	dist := map[NodeID]int{from: 0}
-	queue := []NodeID{from}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == to {
-			return dist[cur]
-		}
-		for _, nb := range g.Neighbors(cur) {
-			if _, seen := dist[nb]; !seen {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return -1
-}

@@ -4,8 +4,8 @@
 // Degradation split, the Spans flight recorder, the Wire progress stream and
 // the EngineMetrics phase histograms. Nothing here touches the engine's hot
 // loop: every collector is an ordinary observer attached via
-// sim.Config.Observers (or core.Strategy.Observers and scenario.Spec.Simulate),
-// and several can be attached to the same run.
+// sim.Config.Observers (or core.Strategy.Run.Observers and
+// scenario.Spec.Simulate), and several can be attached to the same run.
 //
 // All collectors are deterministic: for a given configuration the rendered
 // tables and CSV output are byte-for-byte reproducible, which is what lets
