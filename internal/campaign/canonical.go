@@ -12,8 +12,9 @@ import (
 // campaignDomain versions the campaign canonical encoding, separating its
 // fingerprint space from scenario fingerprints: a campaign of one replicate
 // never aliases the bare scenario's cache entry (their results have different
-// shapes). Bump on any change to canonicalCampaign or to what it includes.
-const campaignDomain = "repro/campaign/v1\n"
+// shapes). Bump on any change to canonicalCampaign or to what it includes,
+// and with the scenario domain whenever a scenario's result changes.
+const campaignDomain = "repro/campaign/v2\n"
 
 // canonicalCampaign is the fixed-shape encoding target for campaign specs.
 // The embedded scenario is its canonical encoding, so every scenario-level

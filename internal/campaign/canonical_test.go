@@ -88,7 +88,7 @@ func TestCampaignGoldenFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
-	const want = "9ffee4875e0ff9339f90569f3700ce42e75baaa865bc1046fb42d221d004a2a2"
+	const want = "db64e9e05cb8a2dc004a67c9119d494ba2e90e9229c3647932f81d91f6e74ed6"
 	if f.String() != want {
 		t.Errorf("campaign fingerprint drifted:\n got  %s\n want %s", f, want)
 	}

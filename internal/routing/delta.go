@@ -65,17 +65,18 @@ type DeltaStats struct {
 // full pass. An incremental repair costs roughly (diff + one marking walk +
 // adjacency) ≈ 3·K² plus one O(K²) pivot pass per head plus the affected
 // re-labelling (a heap-ordered Dijkstra per destination), while the full
-// pass costs K pivot passes. Phase 3 (K·Σ|S_i| distance reads) follows
-// either path, so it sits on both sides of the measured ratios. Measured
-// with BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared
-// 2-CPU VM; median over eight interleaved rounds of the repair's time over
-// the full pass's, which took 18-28 ms): one drained node repairs at 0.14x
-// (dirty 0.02·K, affected 0.11·K²), sixteen at 0.65x (dirty 0.21·K,
-// affected 0.70·K²), fifty-one at 0.82x (dirty 0.59·K, affected 0.99·K²),
-// and the repair breaks even between eighty drained nodes (0.91x, dirty
-// 0.71·K) and ninety-six (1.08x, dirty 0.77·K) — dirty ≈ 0.74·K, with
-// affected ≈ 0.99·K², where the affected threshold can no longer tell the
-// cases apart. The defaults sit far below that break-even. Raising them would move the
+// pass costs K min-plus sweeps of the distance matrix plus an O(K²·deg)
+// first-hop argmin. Phase 3 (K·Σ|S_i| distance reads) follows either path,
+// so it sits on both sides of the measured ratios. Measured with
+// BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared 2-CPU
+// VM; median over four rounds of the repair's time over the full pass's,
+// which took 11-16 ms): one drained node repairs at 0.18x (dirty 0.02·K,
+// affected 0.11·K²), sixteen at 0.65x (dirty 0.21·K, affected 0.66·K²),
+// twenty-four at 0.87x (dirty 0.30·K, affected 0.79·K²), and the repair
+// breaks even at about thirty-two (1.03x, dirty 0.39·K, affected 0.88·K²);
+// fifty-one take 1.27x (dirty 0.59·K). Against the older full pass, which
+// relaxed successors in the same loop (18-28 ms), break-even sat at dirty
+// ≈ 0.74·K. The defaults still sit below the break-even. Raising them would move the
 // full/incremental split that sim.Result reports, so they stay; they are
 // policy, not correctness — any threshold yields byte-identical tables.
 const (
@@ -136,8 +137,9 @@ const (
 //     pivot-affected pairs of each destination with a Dijkstra pass whose
 //     intermediates avoid the pivot set, seeded from still-exact clean-pair
 //     distances (deterministic smallest-label/smallest-id settling order).
-//  3. Run the shared Floyd–Warshall pivot pass once per pivot-set vertex,
-//     in ascending vertex order, over the whole matrix.
+//  3. Run Fig 5's tie-breaking Floyd–Warshall pivot pass (pivotPass) once
+//     per pivot-set vertex, in ascending vertex order, over the whole
+//     matrix.
 //
 // Because the repaired matrices reach the same canonical fixpoint as the
 // full pass — true shortest distances, and for every pair the minimum first

@@ -60,44 +60,7 @@ func refCompute(alg Algorithm, state *SystemState, destinations map[app.ModuleID
 	}
 
 	// Phase 2: Floyd-Warshall with successor matrix.
-	dist = make([][]float64, k)
-	succ = make([][]topology.NodeID, k)
-	for i := 0; i < k; i++ {
-		dist[i] = make([]float64, k)
-		succ[i] = make([]topology.NodeID, k)
-		for j := 0; j < k; j++ {
-			dist[i][j] = w[i][j]
-			switch {
-			case i == j:
-				succ[i][j] = topology.NodeID(i)
-			case w[i][j] < Inf:
-				succ[i][j] = topology.NodeID(j)
-			default:
-				succ[i][j] = topology.Invalid
-			}
-		}
-	}
-	for n := 0; n < k; n++ {
-		for i := 0; i < k; i++ {
-			if i == n || dist[i][n] == Inf {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if j == n || j == i || dist[n][j] == Inf {
-					continue
-				}
-				through := dist[i][n] + dist[n][j]
-				switch {
-				case through < dist[i][j]:
-					dist[i][j] = through
-					succ[i][j] = succ[i][n]
-				case through == dist[i][j] && succ[i][n] != topology.Invalid &&
-					(succ[i][j] == topology.Invalid || succ[i][n] < succ[i][j]):
-					succ[i][j] = succ[i][n]
-				}
-			}
-		}
-	}
+	dist, succ = refFloyd(w)
 
 	// Phase 3: routing tables.
 	tables = make(map[topology.NodeID]refTable, k)
@@ -153,6 +116,145 @@ func refCompute(alg Algorithm, state *SystemState, destinations map[app.ModuleID
 		tables[node] = table
 	}
 	return dist, succ, tables
+}
+
+// refFloyd is the Floyd–Warshall of Fig 5 with its smaller-successor
+// tie-break, one loop relaxing distances and successors together, as the
+// full pass ran before ComputeFrom split them into min-plus distances and
+// argmin first hops. W's diagonal must be 0.
+func refFloyd(w [][]float64) (dist [][]float64, succ [][]topology.NodeID) {
+	k := len(w)
+	dist = make([][]float64, k)
+	succ = make([][]topology.NodeID, k)
+	for i := 0; i < k; i++ {
+		dist[i] = make([]float64, k)
+		succ[i] = make([]topology.NodeID, k)
+		for j := 0; j < k; j++ {
+			dist[i][j] = w[i][j]
+			switch {
+			case i == j:
+				succ[i][j] = topology.NodeID(i)
+			case w[i][j] < Inf:
+				succ[i][j] = topology.NodeID(j)
+			default:
+				succ[i][j] = topology.Invalid
+			}
+		}
+	}
+	for n := 0; n < k; n++ {
+		for i := 0; i < k; i++ {
+			if i == n || dist[i][n] == Inf {
+				continue
+			}
+			for j := 0; j < k; j++ {
+				if j == n || j == i || dist[n][j] == Inf {
+					continue
+				}
+				through := dist[i][n] + dist[n][j]
+				switch {
+				case through < dist[i][j]:
+					dist[i][j] = through
+					succ[i][j] = succ[i][n]
+				case through == dist[i][j] && succ[i][n] != topology.Invalid &&
+					(succ[i][j] == topology.Invalid || succ[i][n] < succ[i][j]):
+					succ[i][j] = succ[i][n]
+				}
+			}
+		}
+	}
+	return dist, succ
+}
+
+// assertMatchesFloyd asserts that sp, computed from w, holds refFloyd's
+// distances and successors bit for bit.
+func assertMatchesFloyd(t *testing.T, w *Matrix, sp *ShortestPaths) {
+	t.Helper()
+	k := w.Dim()
+	rows := make([][]float64, k)
+	for i := range rows {
+		rows[i] = w.Row(i)
+	}
+	dist, succ := refFloyd(rows)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			from, to := topology.NodeID(i), topology.NodeID(j)
+			if got, want := sp.Dist(from, to), dist[i][j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Dist(%d,%d) = %v, want %v", i, j, got, want)
+			}
+			if got, want := sp.Succ(from, to), succ[i][j]; got != want {
+				t.Fatalf("Succ(%d,%d) = %d, want %d (dist %v)", i, j, got, want, dist[i][j])
+			}
+		}
+	}
+}
+
+// TestComputeFromMatchesFloydReference holds the full pass to refFloyd on
+// meshes 4-16 under SDR and EAR (Q 2 and 0.5, 8 and 33 levels), with random
+// battery levels, dead nodes and dropped links. The EAR penalties are
+// powers of two and the lengths integers, so every path sum is exact and
+// the canonical fixpoint (true distances, minimum first hop among all
+// shortest paths) is unique: both computations must reach it.
+func TestComputeFromMatchesFloydReference(t *testing.T) {
+	algs := []Algorithm{SDR{}}
+	for _, q := range []float64{2, 0.5} {
+		for _, levels := range []int{8, 33} {
+			algs = append(algs, EAR{Params: EARParams{Q: q, Levels: levels}})
+		}
+	}
+	for _, meshSize := range []int{4, 5, 6, 8, 12, 16} {
+		for a, alg := range algs {
+			levels, name := 8, alg.Name()
+			if e, ok := alg.(EAR); ok {
+				levels = e.Params.Levels
+				name = fmt.Sprintf("EAR-Q%g-%dlevels", e.Params.Q, levels)
+			}
+			t.Run(fmt.Sprintf("%dx%d/%s", meshSize, meshSize, name), func(t *testing.T) {
+				mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
+				if _, _, err := topology.FailLinks(mesh.Graph, 0.1, uint64(meshSize*8+a)); err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(meshSize*8 + a)))
+				state := fullState(mesh.Graph, levels)
+				var w Matrix
+				var sp ShortestPaths
+				for round := 0; round < 2; round++ {
+					for i := range state.Status {
+						state.Status[i] = NodeStatus{
+							Alive:        round == 0 || rng.Float64() > 0.1,
+							BatteryLevel: rng.Intn(levels),
+						}
+					}
+					alg.WeightsInto(&w, state)
+					sp.ComputeFrom(&w)
+					assertMatchesFloyd(t, &w, &sp)
+				}
+			})
+		}
+	}
+}
+
+// FuzzComputeFromMatchesFloyd holds the full pass to refFloyd on random
+// directed graphs of up to 24 vertices whose weights are small dyadic
+// rationals (so sums are exact and ties are common), with a share of the
+// edges missing. The seed corpus is in
+// testdata/fuzz/FuzzComputeFromMatchesFloyd.
+func FuzzComputeFromMatchesFloyd(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size, missing uint8, seed uint64) {
+		k := 1 + int(size)%24
+		rng := rand.New(rand.NewSource(int64(seed)))
+		w := NewMatrix(k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				if i != j && rng.Intn(256) >= int(missing) {
+					// 1..8 times 2^-2..2^2.
+					w.Set(i, j, math.Ldexp(float64(1+rng.Intn(8)), rng.Intn(5)-2))
+				}
+			}
+		}
+		var sp ShortestPaths
+		sp.ComputeFrom(&w)
+		assertMatchesFloyd(t, &w, &sp)
+	})
 }
 
 // comparePlan asserts a dense plan matches the reference output exactly.

@@ -14,39 +14,77 @@ type ShortestPaths struct {
 	n    int
 	dist Matrix
 	succ []topology.NodeID // row-major, n*n
+	best []float64         // ComputeFrom's first-hop scratch row, length n
 }
 
-// ComputeFrom runs the Floyd–Warshall variant of Fig 5 on the weight matrix
-// W, computing shortest distances and successors for every ordered node
-// pair into the receiver's reused storage. Ties are broken towards the
-// successor with the smaller node ID, so the result is deterministic
-// regardless of iteration order. W is not modified.
+// ComputeFrom runs phase 2 (Fig 5) on the weight matrix W into the
+// receiver's reused storage, in two steps:
+//
+//  1. Floyd–Warshall over distances only: for each pivot n in ascending
+//     order, every row i that reaches n relaxes d(i,j) to
+//     min(d(i,j), d(i,n)+d(n,j)). It compares the same sums in the same
+//     order as Fig 5's loop with successors, so the distances are
+//     bit-identical to it; the j == n and j == i cases need no branch
+//     (d(n,n) = d(i,i) = 0 and weights are positive) and neither does an
+//     unreachable pivot column (min(x, Inf) = x).
+//  2. First hops: Succ(i, j) is the smallest out-neighbour u of i that
+//     minimises w(i,u)+d(u,j), Succ(i, i) = i, and Invalid when no
+//     out-neighbour reaches j. With exact sums this is Fig 5's tie-break,
+//     the minimum first hop among all shortest paths; an argmin rather
+//     than an equality test with d(i,j) gives every reachable pair a hop
+//     even where the sums round. It costs O(K²·deg) against step 1's
+//     O(K³).
+//
+// W is not modified.
 func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 	k := w.Dim()
 	sp.n = k
-	sp.dist.Reset(k)
+	sp.dist.n = k
+	sp.dist.cells = append(sp.dist.cells[:0], w.cells[:k*k]...)
+	for n := 0; n < k; n++ {
+		// Row n is not written while pivoting on n, so it is hoisted.
+		// Every row is resliced to its length, which lets the compiler
+		// drop the bounds checks inside the inner loop.
+		distN := sp.dist.Row(n)
+		for i := 0; i < k; i++ {
+			distI := sp.dist.Row(i)[:len(distN)]
+			din := distI[n]
+			if i == n || din == Inf {
+				continue
+			}
+			for j, dnj := range distN {
+				distI[j] = min(distI[j], din+dnj)
+			}
+		}
+	}
+
 	if cap(sp.succ) < k*k {
 		sp.succ = make([]topology.NodeID, k*k)
 	}
 	sp.succ = sp.succ[:k*k]
+	if cap(sp.best) < k {
+		sp.best = make([]float64, k)
+	}
+	best := sp.best[:k]
 	for i := 0; i < k; i++ {
-		distI := sp.dist.Row(i)
-		succI := sp.succ[i*k : (i+1)*k]
-		wI := w.Row(i)
-		for j := 0; j < k; j++ {
-			distI[j] = wI[j]
-			switch {
-			case i == j:
-				succI[j] = topology.NodeID(i)
-			case wI[j] < Inf:
-				succI[j] = topology.NodeID(j)
-			default:
-				succI[j] = topology.Invalid
+		succI := sp.succ[i*k : (i+1)*k][:len(best)]
+		for j := range best {
+			best[j], succI[j] = Inf, topology.Invalid
+		}
+		// Out-neighbours in ascending order with a strict <, so a tie
+		// keeps the smaller hop.
+		for u, wiu := range w.Row(i) {
+			if u == i || wiu == Inf {
+				continue
+			}
+			hop := topology.NodeID(u)
+			for j, duj := range sp.dist.Row(u)[:len(best)] {
+				if c := wiu + duj; c < best[j] {
+					best[j], succI[j] = c, hop
+				}
 			}
 		}
-	}
-	for n := 0; n < k; n++ {
-		sp.pivotPass(n)
+		succI[i] = topology.NodeID(i)
 	}
 }
 
@@ -59,12 +97,11 @@ func (sp *ShortestPaths) copyFrom(src *ShortestPaths) {
 }
 
 // pivotPass relaxes every ordered pair through the single pivot n, with the
-// smaller-successor tie-breaking of Fig 5. It is the Floyd–Warshall inner
-// iteration, shared verbatim between the full pass (ComputeFrom) and the
-// incremental repair (DeltaWorkspace) so both produce bit-identical
-// matrices: after pivoting on any vertex set that contains the head of
-// every changed edge, the canonical fixpoint (true distances, minimum
-// first hop among all shortest paths) is restored.
+// smaller-successor tie-breaking of Fig 5. It is the incremental repair's
+// last step (DeltaWorkspace runs it once per head of a changed edge):
+// after pivoting on any vertex set that contains the head of every changed
+// edge, the canonical fixpoint (true distances, minimum first hop among all
+// shortest paths) is restored, so the repair meets ComputeFrom's result.
 func (sp *ShortestPaths) pivotPass(n int) {
 	k := sp.n
 	// Row n is never written while pivoting on n (the j == n and i == n

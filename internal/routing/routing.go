@@ -212,15 +212,15 @@ func (p EARParams) Validate() error {
 	return nil
 }
 
-// Penalty returns f(level) for a battery level in 0..Levels-1.
+// Penalty returns f(level) for a battery level in 0..Levels-1; a level
+// outside that range is clamped to it first.
 func (p EARParams) Penalty(level int) float64 {
-	if level < 0 {
-		level = 0
-	}
-	if level > p.Levels-1 {
-		level = p.Levels - 1
-	}
-	return math.Pow(p.Q, float64(p.Levels-1-level))
+	return math.Pow(p.Q, float64(p.Levels-1-p.clamp(level)))
+}
+
+// clamp limits a reported battery level to 0..Levels-1.
+func (p EARParams) clamp(level int) int {
+	return min(max(level, 0), p.Levels-1)
 }
 
 // EAR is the energy-aware routing algorithm.
@@ -238,14 +238,27 @@ func (EAR) Name() string { return "EAR" }
 // battery level of the receiving node.
 func (EAR) NeedsBatteryInfo() bool { return true }
 
-// WeightsInto implements Algorithm.
+// WeightsInto implements Algorithm. Each battery level's penalty is
+// computed once per call rather than once per link: the first
+// len(penalty) levels are memoized on the stack, and deeper levels call
+// Penalty per link.
 func (e EAR) WeightsInto(w *Matrix, state *SystemState) {
 	w.Reset(state.Graph.NodeCount())
+	var penalty [64]float64 // f(level), or 0 before its first use
 	for _, l := range state.Graph.Links() {
 		if !state.Alive(l.From) || !state.Alive(l.To) {
 			continue
 		}
-		level := state.StatusOf(l.To).BatteryLevel
-		w.Set(int(l.From), int(l.To), e.Params.Penalty(level)*l.LengthCM)
+		level := e.Params.clamp(state.StatusOf(l.To).BatteryLevel)
+		var f float64
+		if 0 <= level && level < len(penalty) {
+			if penalty[level] == 0 {
+				penalty[level] = e.Params.Penalty(level)
+			}
+			f = penalty[level]
+		} else {
+			f = e.Params.Penalty(level)
+		}
+		w.Set(int(l.From), int(l.To), f*l.LengthCM)
 	}
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -125,6 +126,31 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	}
 }
 
+// TestEARWeightsMemoMatchesPenalty checks that the per-call penalty memo
+// of EAR.WeightsInto writes Penalty(level)*length bit for bit, for level
+// counts inside and past the memo and for out-of-range reported levels,
+// and that a reused matrix takes no allocation.
+func TestEARWeightsMemoMatchesPenalty(t *testing.T) {
+	mesh := topology.MustMesh(6, 6, 1.5)
+	for _, params := range []EARParams{{Q: 2, Levels: 8}, {Q: 0.5, Levels: 33}, {Q: 1.25, Levels: 100}} {
+		state := fullState(mesh.Graph, params.Levels)
+		for n := range state.Status {
+			state.Status[n].BatteryLevel = n*7%(params.Levels+4) - 2
+		}
+		ear := EAR{Params: params}
+		w := weights(ear, state)
+		for _, l := range mesh.Graph.Links() {
+			want := params.Penalty(state.Status[l.To].BatteryLevel) * l.LengthCM
+			if got := w.At(int(l.From), int(l.To)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: w(%d,%d) = %v, want %v", params, l.From, l.To, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ear.WeightsInto(&w, state) }); allocs != 0 {
+			t.Errorf("%+v: WeightsInto allocated %.1f times per call, want 0", params, allocs)
+		}
+	}
+}
+
 func TestAlgorithmNames(t *testing.T) {
 	if (SDR{}).Name() != "SDR" || (EAR{}).Name() != "EAR" {
 		t.Error("algorithm names wrong")
@@ -193,6 +219,22 @@ func TestHopCountDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("HopCount allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestComputeFromSteadyStateZeroAllocs guards the full pass's reuse of its
+// distance, successor and first-hop scratch storage.
+func TestComputeFromSteadyStateZeroAllocs(t *testing.T) {
+	mesh := topology.MustMesh(8, 8, 1)
+	state := fullState(mesh.Graph, 8)
+	for n := range state.Status {
+		state.Status[n].BatteryLevel = n % 8
+	}
+	w := weights(NewEAR(), state)
+	var sp ShortestPaths
+	sp.ComputeFrom(&w) // size the buffers
+	if allocs := testing.AllocsPerRun(10, func() { sp.ComputeFrom(&w) }); allocs != 0 {
+		t.Errorf("steady-state ComputeFrom allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -563,14 +605,26 @@ func compute(alg Algorithm, state *SystemState, dests map[app.ModuleID][]topolog
 	return newFullWorkspace().ComputeInto(alg, state, dests, prev)
 }
 
-func BenchmarkAllPairs8x8(b *testing.B) {
-	mesh := topology.MustMesh(8, 8, 1)
-	state := fullState(mesh.Graph, 8)
-	w := weights(SDR{}, state)
-	var sp ShortestPaths
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.ComputeFrom(&w)
+// BenchmarkAllPairs times phase 2's full pass alone (ShortestPaths.ComputeFrom)
+// on EAR weights with mixed battery levels, into reused storage. It must
+// report 0 allocs/op.
+func BenchmarkAllPairs(b *testing.B) {
+	for _, size := range []int{4, 6, 8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
+			mesh := topology.MustMesh(size, size, 1)
+			state := fullState(mesh.Graph, 8)
+			for n := range state.Status {
+				state.Status[n].BatteryLevel = 1 + n%7
+			}
+			w := weights(NewEAR(), state)
+			var sp ShortestPaths
+			sp.ComputeFrom(&w) // size the buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.ComputeFrom(&w)
+			}
+		})
 	}
 }
 

@@ -32,8 +32,10 @@ import (
 // refactor that silently changes cache keys fails there, not in production.
 
 // fingerprintDomain versions the canonical encoding. Bump on any change to
-// canonicalSpec or the normalization rules.
-const fingerprintDomain = "repro/scenario/v1\n"
+// canonicalSpec or the normalization rules, and whenever the result a spec
+// produces changes: v2 marks the full pass picking first hops by argmin,
+// which moves some incremental runs at an inexact EAR Q.
+const fingerprintDomain = "repro/scenario/v2\n"
 
 // Fingerprint is the content address of a spec: a SHA-256 over the canonical
 // byte encoding, domain-separated per spec kind.

@@ -94,12 +94,12 @@ func TestCanonicalDistinguishesConfigurations(t *testing.T) {
 // update the constants without doing that.
 func TestCanonicalGoldenFingerprints(t *testing.T) {
 	golden := map[string]string{
-		"paper-default":       "d4c065d1d2e7f9393add0ab3337bac8ffb42f8a8e989c017e945f0262ab87cae",
-		"paper-sdr":           "294db9cf2730ef5f543d6c92ec83e865f2138d138d51d8a2c2140281a29156ea",
-		"smartshirt-verified": "6f7bb3ac66aa58213a389b419d850aed7e35b00fecb6de31a6f46c3b85229be0",
-		"sharded-8x8":         "4cbc7bc472ba0e3a22110829d7e3b5b9de18b88fcfd9e7677ae9510f4d008fc8",
-		"chaos-storm":         "6c2fcb4c15bbcf41f3a6fcbe81eb82c08442acc35835cac885dffbf082da0102",
-		"big-mesh-16":         "2aa663ac8b3437d9407ae4b6020e53c1fea11313bcc28c6a9c026ac9e0214af0",
+		"paper-default":       "ee2b830a6e9ac740621e70e9fa19acbf5752d3c9e55d65b9dac7bdb117692842",
+		"paper-sdr":           "db3e95040bccc9bc8e362dbc64b3a358c4a6e4125626fac0ea166cc280082bc4",
+		"smartshirt-verified": "0e546773b846e407a64a4be3ccf60ecc97d0904650511d42ffea24479be53bc5",
+		"sharded-8x8":         "6b12732666961f665cc4bfe1acfb27a92740a35430d78823e82c491e1c6903dd",
+		"chaos-storm":         "03b8982c6400dbb0e2f4ab9f15e3db5946322fef2bf327a3c5391db4a0710237",
+		"big-mesh-16":         "207b562dc72090b628b118d04c81a5cc151db5b25d8bba18d88fdaeab2ae7eb9",
 	}
 	for name, want := range golden {
 		sp, ok := Lookup(name)
