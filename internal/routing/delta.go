@@ -69,16 +69,19 @@ type DeltaStats struct {
 // first-hop argmin. Phase 3 (K·Σ|S_i| distance reads) follows either path,
 // so it sits on both sides of the measured ratios. Measured with
 // BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared 2-CPU
-// VM; median over four rounds of the repair's time over the full pass's,
-// which took 11-16 ms): one drained node repairs at 0.18x (dirty 0.02·K,
-// affected 0.11·K²), sixteen at 0.65x (dirty 0.21·K, affected 0.66·K²),
-// twenty-four at 0.87x (dirty 0.30·K, affected 0.79·K²), and the repair
-// breaks even at about thirty-two (1.03x, dirty 0.39·K, affected 0.88·K²);
-// fifty-one take 1.27x (dirty 0.59·K). Against the older full pass, which
-// relaxed successors in the same loop (18-28 ms), break-even sat at dirty
-// ≈ 0.74·K. The defaults still sit below the break-even. Raising them would move the
-// full/incremental split that sim.Result reports, so they stay; they are
-// policy, not correctness — any threshold yields byte-identical tables.
+// VM with AVX2; median over four rounds of the repair's time over the full
+// pass's, which took 3.0-3.1 ms with the AVX2 min-plus kernel): one drained
+// node repairs at 0.98x (dirty 0.02·K, affected 0.11·K²), two at 1.34x,
+// eight at 2.2x, sixteen at 3.6x (dirty 0.21·K, affected 0.66·K²) and
+// fifty-one at 5.6x (dirty 0.59·K), so at this size the repair now breaks
+// even at one drained node. Against the scalar min-plus loop, which a host
+// without AVX2 still runs (11-16 ms), break-even sat at about thirty-two
+// drained nodes (dirty 0.39·K, affected 0.88·K²), and against the older
+// full pass that relaxed successors in the same loop (18-28 ms) at dirty
+// ≈ 0.74·K. The defaults were set against those passes. Moving them would
+// move the full/incremental split that sim.Result reports, so they stay;
+// they are policy, not correctness — any threshold yields byte-identical
+// tables.
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60

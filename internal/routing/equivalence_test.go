@@ -193,7 +193,8 @@ func assertMatchesFloyd(t *testing.T, w *Matrix, sp *ShortestPaths) {
 // battery levels, dead nodes and dropped links. The EAR penalties are
 // powers of two and the lengths integers, so every path sum is exact and
 // the canonical fixpoint (true distances, minimum first hop among all
-// shortest paths) is unique: both computations must reach it.
+// shortest paths) is unique: both computations must reach it. Each case
+// runs once per minPlusRow path the host has (go, avx2).
 func TestComputeFromMatchesFloydReference(t *testing.T) {
 	algs := []Algorithm{SDR{}}
 	for _, q := range []float64{2, 0.5} {
@@ -213,20 +214,25 @@ func TestComputeFromMatchesFloydReference(t *testing.T) {
 				if _, _, err := topology.FailLinks(mesh.Graph, 0.1, uint64(meshSize*8+a)); err != nil {
 					t.Fatal(err)
 				}
-				rng := rand.New(rand.NewSource(int64(meshSize*8 + a)))
-				state := fullState(mesh.Graph, levels)
-				var w Matrix
-				var sp ShortestPaths
-				for round := 0; round < 2; round++ {
-					for i := range state.Status {
-						state.Status[i] = NodeStatus{
-							Alive:        round == 0 || rng.Float64() > 0.1,
-							BatteryLevel: rng.Intn(levels),
+				for _, avx2 := range kernelPaths() {
+					t.Run(kernelName(avx2), func(t *testing.T) {
+						useKernel(t, avx2)
+						rng := rand.New(rand.NewSource(int64(meshSize*8 + a)))
+						state := fullState(mesh.Graph, levels)
+						var w Matrix
+						var sp ShortestPaths
+						for round := 0; round < 2; round++ {
+							for i := range state.Status {
+								state.Status[i] = NodeStatus{
+									Alive:        round == 0 || rng.Float64() > 0.1,
+									BatteryLevel: rng.Intn(levels),
+								}
+							}
+							alg.WeightsInto(&w, state)
+							sp.ComputeFrom(&w)
+							assertMatchesFloyd(t, &w, &sp)
 						}
-					}
-					alg.WeightsInto(&w, state)
-					sp.ComputeFrom(&w)
-					assertMatchesFloyd(t, &w, &sp)
+					})
 				}
 			})
 		}
@@ -236,7 +242,7 @@ func TestComputeFromMatchesFloydReference(t *testing.T) {
 // FuzzComputeFromMatchesFloyd holds the full pass to refFloyd on random
 // directed graphs of up to 24 vertices whose weights are small dyadic
 // rationals (so sums are exact and ties are common), with a share of the
-// edges missing. The seed corpus is in
+// edges missing, on every minPlusRow path the host has. The seed corpus is in
 // testdata/fuzz/FuzzComputeFromMatchesFloyd.
 func FuzzComputeFromMatchesFloyd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, missing uint8, seed uint64) {
@@ -251,9 +257,12 @@ func FuzzComputeFromMatchesFloyd(f *testing.F) {
 				}
 			}
 		}
-		var sp ShortestPaths
-		sp.ComputeFrom(&w)
-		assertMatchesFloyd(t, &w, &sp)
+		for _, avx2 := range kernelPaths() {
+			useKernel(t, avx2)
+			var sp ShortestPaths
+			sp.ComputeFrom(&w)
+			assertMatchesFloyd(t, &w, &sp)
+		}
 	})
 }
 

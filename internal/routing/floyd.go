@@ -26,7 +26,10 @@ type ShortestPaths struct {
 //     order as Fig 5's loop with successors, so the distances are
 //     bit-identical to it; the j == n and j == i cases need no branch
 //     (d(n,n) = d(i,i) = 0 and weights are positive) and neither does an
-//     unreachable pivot column (min(x, Inf) = x).
+//     unreachable pivot column (min(x, Inf) = x). Each row update is one
+//     minPlusRow call, the AVX2 kernel where the CPU has it; it takes the
+//     same sum and the same minimum per cell as the Go loop, so every host
+//     computes the same bits.
 //  2. First hops: Succ(i, j) is the smallest out-neighbour u of i that
 //     minimises w(i,u)+d(u,j), Succ(i, i) = i, and Invalid when no
 //     out-neighbour reaches j. With exact sums this is Fig 5's tie-break,
@@ -43,18 +46,14 @@ func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 	sp.dist.cells = append(sp.dist.cells[:0], w.cells[:k*k]...)
 	for n := 0; n < k; n++ {
 		// Row n is not written while pivoting on n, so it is hoisted.
-		// Every row is resliced to its length, which lets the compiler
-		// drop the bounds checks inside the inner loop.
 		distN := sp.dist.Row(n)
 		for i := 0; i < k; i++ {
-			distI := sp.dist.Row(i)[:len(distN)]
+			distI := sp.dist.Row(i)
 			din := distI[n]
 			if i == n || din == Inf {
 				continue
 			}
-			for j, dnj := range distN {
-				distI[j] = min(distI[j], din+dnj)
-			}
+			minPlusRow(distI, distN, din)
 		}
 	}
 

@@ -118,11 +118,13 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	if w.At(int(a), int(b)) != want {
 		t.Errorf("weight into depleted node = %g, want %g", w.At(int(a), int(b)), want)
 	}
-	// Zero-value EAR falls back to default parameters rather than dividing by zero.
-	var zeroEAR EAR
-	wz := weights(zeroEAR, state)
-	if math.IsNaN(wz.At(int(a), int(b))) || wz.At(int(a), int(b)) <= 0 {
-		t.Errorf("zero-value EAR produced weight %g", wz.At(int(a), int(b)))
+	// A zero-value EAR (Q = 0, Levels = 0) clamps every level to -1, so
+	// each penalty is Pow(0, 0) = 1 and each edge weighs exactly its length.
+	wz := weights(EAR{}, state)
+	for _, l := range mesh.Graph.Links() {
+		if got := wz.At(int(l.From), int(l.To)); math.Float64bits(got) != math.Float64bits(l.LengthCM) {
+			t.Errorf("zero-value EAR: w(%d,%d) = %v, want the length %v", l.From, l.To, got, l.LengthCM)
+		}
 	}
 }
 
@@ -609,7 +611,7 @@ func compute(alg Algorithm, state *SystemState, dests map[app.ModuleID][]topolog
 // on EAR weights with mixed battery levels, into reused storage. It must
 // report 0 allocs/op.
 func BenchmarkAllPairs(b *testing.B) {
-	for _, size := range []int{4, 6, 8, 16} {
+	for _, size := range []int{4, 6, 8, 16, 32} {
 		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
 			mesh := topology.MustMesh(size, size, 1)
 			state := fullState(mesh.Graph, 8)
