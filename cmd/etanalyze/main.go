@@ -22,7 +22,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/battery"
 	"repro/internal/cli"
-	"repro/internal/energy"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -47,13 +46,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	line := energy.PaperTransmissionLine()
-
 	// Analyse every requested mesh in parallel, then print the reports in
 	// input order: the pool preserves it.
 	pool := runner.New(runner.WithWorkers(*workers))
 	reports, err := runner.Map(pool, sizes, func(_ int, n int) (string, error) {
-		return analyseMesh(application, line, *spacing, *batteryPJ, n)
+		return analyseMesh(application, *spacing, *batteryPJ, n)
 	})
 	if err != nil {
 		fatal(err)
@@ -67,9 +64,9 @@ func main() {
 }
 
 // analyseMesh renders the full Theorem-1 report for one mesh size.
-func analyseMesh(application *app.Application, line *energy.TransmissionLine, spacing, batteryPJ float64, meshSize int) (string, error) {
+func analyseMesh(application *app.Application, spacing, batteryPJ float64, meshSize int) (string, error) {
 	k := meshSize * meshSize
-	bound, err := analytic.MeshUpperBound(application, line, spacing, batteryPJ, k)
+	bound, err := analytic.MeshUpperBound(application, spacing, batteryPJ, k)
 	if err != nil {
 		return "", err
 	}
@@ -78,7 +75,7 @@ func analyseMesh(application *app.Application, line *energy.TransmissionLine, sp
 		application.Name, meshSize, meshSize, k, batteryPJ)
 	t := stats.NewTable("Per-module analysis (Theorem 1)",
 		"module", "f_i", "E_i [pJ]", "c_i [pJ]", "H_i [pJ]", "optimal duplicates n_i*")
-	c := analytic.CommunicationEnergyPerOp(application, line, spacing)
+	c := analytic.CommunicationEnergyPerOp(application, spacing)
 	for i, m := range application.Modules {
 		t.AddRow(fmt.Sprintf("%d (%s)", m.ID, m.Name), m.OpsPerJob, m.EnergyPerOpPJ,
 			fmt.Sprintf("%.2f", c),

@@ -24,10 +24,31 @@ import (
 	"repro/internal/trace"
 )
 
+// experimentNames lists every name -experiment accepts, in help order, with
+// "all" last.
+var experimentNames = []string{
+	"fig2", "fig7", "table2", "fig8", "fig7-mc", "fig8-mc", "fig8-sharded",
+	"degradation", "opt-gap", "scaling", "ablation-q", "ablation-mapping",
+	"ablation-battery", "ablation-concurrency", "ablation-links", "all",
+}
+
+// parseExperiments splits the comma-separated -experiment list and rejects
+// any name that is not an experiment, so a typo fails instead of silently
+// running the rest of the list.
+func parseExperiments(list string) ([]string, error) {
+	selected := strings.Split(list, ",")
+	for _, name := range selected {
+		if !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
+		}
+	}
+	return selected, nil
+}
+
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"which experiment to run: fig2, fig7, table2, fig8, fig7-mc, fig8-mc, fig8-sharded, degradation, opt-gap, scaling, ablation-q, ablation-mapping, ablation-battery, ablation-concurrency, ablation-links or all")
+			"which experiment to run: "+strings.Join(experimentNames[:len(experimentNames)-1], ", ")+" or all")
 		sizesFlag     = flag.String("sizes", "4,5,6,7,8", "comma-separated square mesh sizes")
 		ctrlFlag      = flag.String("controllers", "1,2,4,7,10", "comma-separated controller counts for fig8")
 		shardsFlag    = flag.String("shards", "", "comma-separated shard counts for fig8-sharded (1 = centralized baseline; default 1,2,4)")
@@ -48,6 +69,10 @@ func main() {
 		spansFile     = flag.String("spans", "", "record every sweep cell in the flight recorder and write Chrome trace-event JSON to this file (one lane per worker; open in chrome://tracing or Perfetto)")
 	)
 	flag.Parse()
+	selected, err := parseExperiments(*experiment)
+	if err != nil {
+		fatal(err)
+	}
 
 	sizesSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -134,7 +159,6 @@ func main() {
 		parallelism = experiments.Options(parallelism, experiments.WithSpans(spanLog))
 	}
 
-	selected := strings.Split(*experiment, ",")
 	// The Monte-Carlo sweeps multiply every cell by -replications, so they
 	// are opt-in: named explicitly, never part of "all".
 	wantExplicit := func(name string) bool { return slices.Contains(selected, name) }
@@ -148,12 +172,10 @@ func main() {
 			fmt.Println(t.Render())
 		}
 	}
-	ran := 0
 
 	if want("fig2") {
 		points := experiments.Fig2(20)
 		emit(experiments.Fig2Table(points))
-		ran++
 	}
 	if want("fig7") {
 		rows, err := experiments.Fig7(sizes, parallelism)
@@ -164,7 +186,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.Fig7Chart(rows).Render(60))
 		}
-		ran++
 	}
 	if want("table2") {
 		rows, err := experiments.Table2(sizes, parallelism)
@@ -172,7 +193,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.Table2Table(rows))
-		ran++
 	}
 	if want("fig8") {
 		rows, err := experiments.Fig8(sizes, controllers, parallelism)
@@ -183,7 +203,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.Fig8Chart(rows, controllers).Render(60))
 		}
-		ran++
 	}
 	if wantExplicit("fig7-mc") {
 		rows, err := experiments.Fig7MC(sizes, *replications, *seed, parallelism)
@@ -194,7 +213,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.Fig7MCChart(rows).Render(60))
 		}
-		ran++
 	}
 	if wantExplicit("fig8-mc") {
 		rows, err := experiments.Fig8MC(sizes, controllers, *replications, *seed, parallelism)
@@ -205,7 +223,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.Fig8MCChart(rows, controllers).Render(60))
 		}
-		ran++
 	}
 	// The sharded grid multiplies every mesh size by the controller, shard and
 	// staleness axes, so it is opt-in like the Monte-Carlo sweeps.
@@ -218,7 +235,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.Fig8ShardedChart(rows).Render(60))
 		}
-		ran++
 	}
 	// The degradation study multiplies its mesh axis by the algorithm,
 	// fault-rate and recovery axes, so it is opt-in like the sharded grid; it
@@ -236,7 +252,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.DegradationChart(rows).Render(60))
 		}
-		ran++
 	}
 	// The scaling study times big-mesh recomputes serially (minutes at the
 	// 64x64 point), so it is opt-in like the Monte-Carlo sweeps; it also
@@ -252,7 +267,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.ScalingTable(rows))
-		ran++
 	}
 	if wantExplicit("opt-gap") {
 		rows, err := experiments.OptGap(sizes, *budget, *restarts, *seed, parallelism)
@@ -263,7 +277,6 @@ func main() {
 		if *charts {
 			fmt.Println(experiments.OptGapChart(rows).Render(60))
 		}
-		ran++
 	}
 	if want("ablation-q") {
 		rows, err := experiments.AblationEARWeight(sizes, []float64{1, 1.5, 2, 3, 4}, parallelism)
@@ -271,7 +284,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.AblationQTable(rows))
-		ran++
 	}
 	if want("ablation-mapping") {
 		rows, err := experiments.AblationMapping(sizes, parallelism)
@@ -279,7 +291,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.AblationMappingTable(rows))
-		ran++
 	}
 	if want("ablation-battery") {
 		rows, err := experiments.AblationBattery(sizes, parallelism)
@@ -287,7 +298,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.AblationBatteryTable(rows))
-		ran++
 	}
 	if want("ablation-concurrency") {
 		rows, err := experiments.AblationConcurrency(sizes, []int{1, 2, 3, 4}, parallelism)
@@ -295,7 +305,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.AblationConcurrencyTable(rows))
-		ran++
 	}
 	if want("ablation-links") {
 		rows, err := experiments.AblationLinkFailures(sizes, []float64{0, 0.1, 0.2, 0.3}, parallelism)
@@ -303,10 +312,6 @@ func main() {
 			fatal(err)
 		}
 		emit(experiments.AblationLinkTable(rows))
-		ran++
-	}
-	if ran == 0 {
-		fatal(fmt.Errorf("unknown experiment %q", *experiment))
 	}
 	if spanLog != nil {
 		if err := spanLog.WriteFile(*spansFile); err != nil {

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/app"
-	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -42,8 +41,7 @@ func main() {
 	}
 
 	// Theorem 1 tells us how to allocate the 36 nodes across the modules.
-	line := energy.PaperTransmissionLine()
-	bound, err := analytic.MeshUpperBound(application, line, topology.DefaultSpacingCM, 60000, 36)
+	bound, err := analytic.MeshUpperBound(application, topology.DefaultSpacingCM, 60000, 36)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,9 +30,9 @@ var (
 // originated by a module, under the ideal assumption that every packet
 // travels a single hop of the given physical length. On the homogeneous
 // meshes of the paper the value is the same for every module: packet size
-// times the per-bit energy of one inter-node link.
-func CommunicationEnergyPerOp(a *app.Application, line *energy.TransmissionLine, hopLengthCM float64) float64 {
-	return line.PacketEnergyPJ(hopLengthCM, a.PacketBits)
+// times the per-bit energy of one inter-node link of the woven line.
+func CommunicationEnergyPerOp(a *app.Application, hopLengthCM float64) float64 {
+	return energy.PacketEnergyPJ(hopLengthCM, a.PacketBits)
 }
 
 // UniformCommEnergies returns a per-module slice filled with the same
@@ -114,8 +114,8 @@ func UpperBound(a *app.Application, batteryBudgetPJ float64, nodeBudget int, com
 // homogeneous mesh: every communication act is assumed to cross one link of
 // hopLengthCM centimetres (the ideal strategy's minimum), which is how the
 // paper's Table 2 column J* is obtained.
-func MeshUpperBound(a *app.Application, line *energy.TransmissionLine, hopLengthCM float64, batteryBudgetPJ float64, nodeBudget int) (Bound, error) {
-	c := CommunicationEnergyPerOp(a, line, hopLengthCM)
+func MeshUpperBound(a *app.Application, hopLengthCM float64, batteryBudgetPJ float64, nodeBudget int) (Bound, error) {
+	c := CommunicationEnergyPerOp(a, hopLengthCM)
 	return UpperBound(a, batteryBudgetPJ, nodeBudget, UniformCommEnergies(a, c))
 }
 

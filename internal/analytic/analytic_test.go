@@ -7,13 +7,11 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/battery"
-	"repro/internal/energy"
 )
 
 func TestCommunicationEnergyPerOpMatchesCalibration(t *testing.T) {
 	a := app.AES128()
-	line := energy.PaperTransmissionLine()
-	c := CommunicationEnergyPerOp(a, line, 1.0)
+	c := CommunicationEnergyPerOp(a, 1.0)
 	want := 261 * 0.4472
 	if math.Abs(c-want) > 1e-9 {
 		t.Fatalf("c = %g, want %g", c, want)
@@ -56,7 +54,6 @@ func TestNormalizedEnergiesValidation(t *testing.T) {
 // paper for all five mesh sizes.
 func TestUpperBoundReproducesTable2(t *testing.T) {
 	a := app.AES128()
-	line := energy.PaperTransmissionLine()
 	cases := []struct {
 		mesh   int
 		wantJ  float64
@@ -70,7 +67,7 @@ func TestUpperBoundReproducesTable2(t *testing.T) {
 	}
 	for _, tc := range cases {
 		k := tc.mesh * tc.mesh
-		b, err := MeshUpperBound(a, line, 1.0, battery.DefaultNominalPJ, k)
+		b, err := MeshUpperBound(a, 1.0, battery.DefaultNominalPJ, k)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", tc.mesh, tc.mesh, err)
 		}
@@ -84,8 +81,7 @@ func TestUpperBoundReproducesTable2(t *testing.T) {
 
 func TestUpperBoundOptimalDuplicates(t *testing.T) {
 	a := app.AES128()
-	line := energy.PaperTransmissionLine()
-	b, err := MeshUpperBound(a, line, 1.0, battery.DefaultNominalPJ, 16)
+	b, err := MeshUpperBound(a, 1.0, battery.DefaultNominalPJ, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +123,7 @@ func TestUpperBoundValidation(t *testing.T) {
 
 func TestBoundHelpers(t *testing.T) {
 	a := app.AES128()
-	b, err := MeshUpperBound(a, energy.PaperTransmissionLine(), 1.0, battery.DefaultNominalPJ, 16)
+	b, err := MeshUpperBound(a, 1.0, battery.DefaultNominalPJ, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +147,23 @@ func TestBoundHelpers(t *testing.T) {
 // expensive.
 func TestUpperBoundScalingProperties(t *testing.T) {
 	a := app.AES128()
-	line := energy.PaperTransmissionLine()
 	prop := func(bRaw, kRaw uint16) bool {
 		B := float64(bRaw%50000) + 1000
 		K := int(kRaw%96) + 4
-		b1, err := MeshUpperBound(a, line, 1.0, B, K)
+		b1, err := MeshUpperBound(a, 1.0, B, K)
 		if err != nil {
 			return false
 		}
-		b2, err := MeshUpperBound(a, line, 1.0, 2*B, K)
+		b2, err := MeshUpperBound(a, 1.0, 2*B, K)
 		if err != nil {
 			return false
 		}
-		b3, err := MeshUpperBound(a, line, 1.0, B, 2*K)
+		b3, err := MeshUpperBound(a, 1.0, B, 2*K)
 		if err != nil {
 			return false
 		}
 		// Longer hops -> more communication energy -> fewer jobs.
-		b4, err := MeshUpperBound(a, line, 10.0, B, K)
+		b4, err := MeshUpperBound(a, 10.0, B, K)
 		if err != nil {
 			return false
 		}
@@ -187,8 +182,7 @@ func TestUpperBoundDominatesAnyIntegerMappingSplit(t *testing.T) {
 	// min_i(n_i * B / H_i), must not exceed J*. This is the inequality chain
 	// of Eq 1.
 	a := app.AES128()
-	line := energy.PaperTransmissionLine()
-	c := CommunicationEnergyPerOp(a, line, 1.0)
+	c := CommunicationEnergyPerOp(a, 1.0)
 	h, err := NormalizedEnergies(a, UniformCommEnergies(a, c))
 	if err != nil {
 		t.Fatal(err)

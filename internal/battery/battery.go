@@ -30,6 +30,30 @@ const DefaultNominalPJ = 60000
 // dead and the remaining stored energy is wasted (Sec 5.1.3).
 const DefaultCutoffVoltage = 3.0
 
+// The thin-film two-well calibration used throughout the paper reproduction:
+// a rate-capacity behaviour strong enough to reproduce the 5-15x EAR/SDR gap
+// of Fig 7 (a continuously hammered battery delivers only a small fraction
+// of its charge before cutoff, while a duty-cycled battery delivers nearly
+// all of it).
+const (
+	// ThinFilmAvailableFraction is the share of the nominal charge held in
+	// the "available" well of the two-well discrete-time model. Only the
+	// available well can deliver energy instantaneously; the rest diffuses
+	// over from the bound well during idle periods.
+	ThinFilmAvailableFraction float64 = 0.30
+	// ThinFilmRecoveryPerCycle is the fraction of the well-height difference
+	// that diffuses from the bound to the available well per clock cycle.
+	// Larger values recover faster (weaker rate-capacity effect).
+	ThinFilmRecoveryPerCycle float64 = 8e-5
+)
+
+// The capacities of a thin-film battery's two wells, in pJ.
+const (
+	thinFilmNominalPJ float64 = DefaultNominalPJ
+	capAvailable              = ThinFilmAvailableFraction * thinFilmNominalPJ
+	capBound                  = (1 - ThinFilmAvailableFraction) * thinFilmNominalPJ
+)
+
 // ErrDead is returned by Draw when the battery can no longer supply energy.
 var ErrDead = errors.New("battery: dead")
 
@@ -173,7 +197,8 @@ type DischargeProfile []DischargePoint
 // LiFreeThinFilmProfile is a digitisation of the Li-free thin-film battery
 // discharge curve shown in Fig 2 of the paper (after Neudecker et al.): a
 // plateau slightly above 4 V for most of the discharge followed by a sharp
-// knee towards the 3.0 V cutoff.
+// knee towards the 3.0 V cutoff. It spans depth of discharge 0..1 with
+// strictly increasing depths and non-increasing voltage.
 func LiFreeThinFilmProfile() DischargeProfile {
 	return DischargeProfile{
 		{0.00, 4.18},
@@ -193,25 +218,8 @@ func LiFreeThinFilmProfile() DischargeProfile {
 	}
 }
 
-// Validate checks that the profile is non-empty, sorted by depth of
-// discharge, covers [0,1] and is monotonically non-increasing in voltage.
-func (p DischargeProfile) Validate() error {
-	if len(p) < 2 {
-		return errors.New("battery: discharge profile needs at least two points")
-	}
-	if p[0].DepthOfDischarge != 0 || p[len(p)-1].DepthOfDischarge != 1 {
-		return errors.New("battery: discharge profile must span depth of discharge 0..1")
-	}
-	for i := 1; i < len(p); i++ {
-		if p[i].DepthOfDischarge <= p[i-1].DepthOfDischarge {
-			return fmt.Errorf("battery: profile depths not strictly increasing at index %d", i)
-		}
-		if p[i].Voltage > p[i-1].Voltage {
-			return fmt.Errorf("battery: profile voltage increases at index %d", i)
-		}
-	}
-	return nil
-}
+// liFreeThinFilm is the discharge curve every thin-film battery follows.
+var liFreeThinFilm = LiFreeThinFilmProfile()
 
 // VoltageAt returns the interpolated voltage at the given depth of discharge,
 // clamped to [0,1].
@@ -235,93 +243,27 @@ func (p DischargeProfile) VoltageAt(depth float64) float64 {
 	return p[len(p)-1].Voltage
 }
 
-// ThinFilmParams configures the discrete-time thin-film battery model.
-type ThinFilmParams struct {
-	// NominalPJ is the nominal (rated) capacity.
-	NominalPJ float64
-	// CutoffVoltage is the voltage below which the node is dead.
-	CutoffVoltage float64
-	// AvailableFraction is the share of the nominal charge held in the
-	// "available" well of the two-well discrete-time model. Only the
-	// available well can deliver energy instantaneously; the rest diffuses
-	// over from the bound well during idle periods.
-	AvailableFraction float64
-	// RecoveryPerCycle is the fraction of the well-height difference that
-	// diffuses from the bound to the available well per clock cycle. Larger
-	// values recover faster (weaker rate-capacity effect).
-	RecoveryPerCycle float64
-	// Profile is the discharge voltage curve.
-	Profile DischargeProfile
-}
-
-// DefaultThinFilmParams returns the calibration used throughout the paper
-// reproduction: 60000 pJ nominal capacity, 3.0 V cutoff, and a rate-capacity
-// behaviour strong enough to reproduce the 5-15x EAR/SDR gap of Fig 7
-// (a continuously hammered battery delivers only a small fraction of its
-// charge before cutoff, while a duty-cycled battery delivers nearly all of
-// it).
-func DefaultThinFilmParams() ThinFilmParams {
-	return ThinFilmParams{
-		NominalPJ:         DefaultNominalPJ,
-		CutoffVoltage:     DefaultCutoffVoltage,
-		AvailableFraction: 0.30,
-		RecoveryPerCycle:  8e-5,
-		Profile:           LiFreeThinFilmProfile(),
-	}
-}
-
-// ThinFilm is the discrete-time thin-film battery model.
+// ThinFilm is the discrete-time thin-film battery model: DefaultNominalPJ of
+// nominal capacity split into two wells (ThinFilmAvailableFraction,
+// ThinFilmRecoveryPerCycle), the Fig 2 discharge curve and the
+// DefaultCutoffVoltage cutoff.
 type ThinFilm struct {
-	params    ThinFilmParams
 	available float64
 	bound     float64
 	delivered float64
 	dead      bool
 }
 
-// NewThinFilm constructs a thin-film battery from the given parameters.
-func NewThinFilm(p ThinFilmParams) (*ThinFilm, error) {
-	if p.NominalPJ <= 0 {
-		return nil, fmt.Errorf("battery: nominal capacity must be positive, got %g", p.NominalPJ)
-	}
-	if p.AvailableFraction <= 0 || p.AvailableFraction > 1 {
-		return nil, fmt.Errorf("battery: available fraction must be in (0,1], got %g", p.AvailableFraction)
-	}
-	if p.RecoveryPerCycle < 0 {
-		return nil, fmt.Errorf("battery: recovery rate must be non-negative, got %g", p.RecoveryPerCycle)
-	}
-	if p.CutoffVoltage < 0 {
-		return nil, fmt.Errorf("battery: cutoff voltage must be non-negative, got %g", p.CutoffVoltage)
-	}
-	if err := p.Profile.Validate(); err != nil {
-		return nil, err
-	}
-	return &ThinFilm{
-		params:    p,
-		available: p.AvailableFraction * p.NominalPJ,
-		bound:     (1 - p.AvailableFraction) * p.NominalPJ,
-	}, nil
-}
-
-// NewDefaultThinFilm returns a thin-film battery with the default paper
-// calibration.
-func NewDefaultThinFilm() *ThinFilm {
-	b, err := NewThinFilm(DefaultThinFilmParams())
-	if err != nil {
-		panic("battery: default thin-film parameters invalid: " + err.Error())
-	}
-	return b
+// NewThinFilm returns a fresh thin-film battery.
+func NewThinFilm() *ThinFilm {
+	return &ThinFilm{available: capAvailable, bound: capBound}
 }
 
 // availableDepth is the depth of discharge of the available well, which
 // drives the output voltage: a well drained faster than diffusion can refill
 // it shows a depressed voltage, reproducing the rate-capacity effect.
 func (b *ThinFilm) availableDepth() float64 {
-	capAvail := b.params.AvailableFraction * b.params.NominalPJ
-	if capAvail <= 0 {
-		return 1
-	}
-	d := 1 - b.available/capAvail
+	d := 1 - b.available/capAvailable
 	if d < 0 {
 		return 0
 	}
@@ -336,7 +278,7 @@ func (b *ThinFilm) Voltage() float64 {
 	if b.dead {
 		return 0
 	}
-	return b.params.Profile.VoltageAt(b.availableDepth())
+	return liFreeThinFilm.VoltageAt(b.availableDepth())
 }
 
 // Draw implements Battery.
@@ -356,7 +298,7 @@ func (b *ThinFilm) Draw(amountPJ float64) error {
 	}
 	b.available -= amountPJ
 	b.delivered += amountPJ
-	if b.Voltage() < b.params.CutoffVoltage {
+	if b.Voltage() < DefaultCutoffVoltage {
 		b.dead = true
 		return ErrDead
 	}
@@ -366,31 +308,26 @@ func (b *ThinFilm) Draw(amountPJ float64) error {
 // Rest implements Battery: charge diffuses from the bound well into the
 // available well, modelling the recovery effect of the discrete-time model.
 func (b *ThinFilm) Rest(cycles int64) {
-	if b.dead || cycles <= 0 || b.params.RecoveryPerCycle == 0 {
-		return
-	}
-	capAvail := b.params.AvailableFraction * b.params.NominalPJ
-	capBound := (1 - b.params.AvailableFraction) * b.params.NominalPJ
-	if capBound <= 0 {
+	if b.dead || cycles <= 0 {
 		return
 	}
 	// Exact solution of the linear two-well diffusion over `cycles` steps.
-	h1 := b.available / capAvail
+	h1 := b.available / capAvailable
 	h2 := b.bound / capBound
 	if h2 <= h1 {
 		return
 	}
-	decay := math.Exp(-b.params.RecoveryPerCycle * float64(cycles))
+	decay := math.Exp(-ThinFilmRecoveryPerCycle * float64(cycles))
 	diff := (h2 - h1) * decay
 	// Total charge is conserved; the equilibrium height is the weighted mean.
-	heq := (b.available + b.bound) / (capAvail + capBound)
-	newH1 := heq - diff*capBound/(capAvail+capBound)
-	newH2 := heq + diff*capAvail/(capAvail+capBound)
-	b.available = newH1 * capAvail
+	heq := (b.available + b.bound) / (capAvailable + capBound)
+	newH1 := heq - diff*capBound/(capAvailable+capBound)
+	newH2 := heq + diff*capAvailable/(capAvailable+capBound)
+	b.available = newH1 * capAvailable
 	b.bound = newH2 * capBound
-	if b.available > capAvail {
-		b.bound += b.available - capAvail
-		b.available = capAvail
+	if b.available > capAvailable {
+		b.bound += b.available - capAvailable
+		b.available = capAvailable
 	}
 }
 
@@ -398,7 +335,7 @@ func (b *ThinFilm) Rest(cycles int64) {
 func (b *ThinFilm) RemainingPJ() float64 { return b.available + b.bound }
 
 // NominalPJ implements Battery.
-func (b *ThinFilm) NominalPJ() float64 { return b.params.NominalPJ }
+func (b *ThinFilm) NominalPJ() float64 { return thinFilmNominalPJ }
 
 // DeliveredPJ implements Battery.
 func (b *ThinFilm) DeliveredPJ() float64 { return b.delivered }
@@ -414,11 +351,8 @@ func (b *ThinFilm) LevelFraction() float64 {
 	if b.dead {
 		return 0
 	}
-	full := b.params.Profile.VoltageAt(0)
-	if full <= b.params.CutoffVoltage {
-		return 0
-	}
-	frac := (b.Voltage() - b.params.CutoffVoltage) / (full - b.params.CutoffVoltage)
+	full := liFreeThinFilm.VoltageAt(0)
+	frac := (b.Voltage() - DefaultCutoffVoltage) / (full - DefaultCutoffVoltage)
 	if frac < 0 {
 		return 0
 	}
@@ -440,9 +374,6 @@ func (b *ThinFilm) WastedPJ() float64 {
 // Dead implements Battery.
 func (b *ThinFilm) Dead() bool { return b.dead }
 
-// Params returns the parameters the battery was built with.
-func (b *ThinFilm) Params() ThinFilmParams { return b.params }
-
 // Factory builds fresh batteries of a particular model; the simulator uses it
 // to equip every node (and controller) with an identical, independent battery
 // as required by the paper's "same initial capacity" assumption.
@@ -454,18 +385,6 @@ func IdealFactory(nominalPJ float64) Factory {
 	return func() Battery { return MustIdeal(nominalPJ) }
 }
 
-// ThinFilmFactory returns a Factory producing thin-film batteries with the
-// given parameters. It panics immediately if the parameters are invalid so
-// that misconfiguration is caught at construction time, not mid-simulation.
-func ThinFilmFactory(p ThinFilmParams) Factory {
-	if _, err := NewThinFilm(p); err != nil {
-		panic(err)
-	}
-	return func() Battery {
-		b, _ := NewThinFilm(p)
-		return b
-	}
-}
-
-// DefaultThinFilmFactory returns a Factory for the default paper calibration.
-func DefaultThinFilmFactory() Factory { return ThinFilmFactory(DefaultThinFilmParams()) }
+// DefaultThinFilmFactory returns a Factory producing fresh thin-film
+// batteries.
+func DefaultThinFilmFactory() Factory { return func() Battery { return NewThinFilm() } }

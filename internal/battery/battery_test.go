@@ -116,25 +116,6 @@ func TestLevelMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestDischargeProfileValidate(t *testing.T) {
-	if err := LiFreeThinFilmProfile().Validate(); err != nil {
-		t.Fatalf("paper profile invalid: %v", err)
-	}
-	bad := []DischargeProfile{
-		{},
-		{{0, 4}},
-		{{0.1, 4}, {1, 3}},                       // does not start at 0
-		{{0, 4}, {0.9, 3}},                       // does not end at 1
-		{{0, 4}, {0.5, 3.5}, {0.5, 3}, {1, 2.9}}, // duplicate depth
-		{{0, 4}, {0.5, 4.2}, {1, 3}},             // voltage increases
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad profile %d passed validation", i)
-		}
-	}
-}
-
 func TestDischargeProfileInterpolation(t *testing.T) {
 	p := DischargeProfile{{0, 4.0}, {0.5, 3.5}, {1, 3.0}}
 	cases := []struct{ depth, want float64 }{
@@ -151,31 +132,8 @@ func TestDischargeProfileInterpolation(t *testing.T) {
 	}
 }
 
-func TestThinFilmParameterValidation(t *testing.T) {
-	base := DefaultThinFilmParams()
-	mutations := []func(*ThinFilmParams){
-		func(p *ThinFilmParams) { p.NominalPJ = 0 },
-		func(p *ThinFilmParams) { p.NominalPJ = -1 },
-		func(p *ThinFilmParams) { p.AvailableFraction = 0 },
-		func(p *ThinFilmParams) { p.AvailableFraction = 1.5 },
-		func(p *ThinFilmParams) { p.RecoveryPerCycle = -1 },
-		func(p *ThinFilmParams) { p.CutoffVoltage = -0.1 },
-		func(p *ThinFilmParams) { p.Profile = nil },
-	}
-	for i, mutate := range mutations {
-		p := base
-		mutate(&p)
-		if _, err := NewThinFilm(p); err == nil {
-			t.Errorf("mutation %d accepted invalid parameters", i)
-		}
-	}
-	if _, err := NewThinFilm(base); err != nil {
-		t.Fatalf("default parameters rejected: %v", err)
-	}
-}
-
 func TestThinFilmFreshState(t *testing.T) {
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	if b.Dead() {
 		t.Fatal("fresh thin-film battery reported dead")
 	}
@@ -193,7 +151,7 @@ func TestThinFilmFreshState(t *testing.T) {
 func TestThinFilmContinuousHammeringDeliversSmallFraction(t *testing.T) {
 	// A node that never rests should reach cutoff after delivering roughly its
 	// available-well charge — the rate-capacity effect the EAR/SDR gap relies on.
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	var delivered float64
 	for i := 0; i < 100000; i++ {
 		if err := b.Draw(300); err != nil {
@@ -219,7 +177,7 @@ func TestThinFilmContinuousHammeringDeliversSmallFraction(t *testing.T) {
 func TestThinFilmDutyCycledDeliversMostOfNominal(t *testing.T) {
 	// A node that rests between operations (as under EAR's balanced load)
 	// should deliver the large majority of its nominal capacity.
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	var delivered float64
 	for i := 0; i < 2000; i++ {
 		if err := b.Draw(300); err != nil {
@@ -235,7 +193,7 @@ func TestThinFilmDutyCycledDeliversMostOfNominal(t *testing.T) {
 }
 
 func TestThinFilmRecoveryRaisesVoltage(t *testing.T) {
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	// Drain a good part of the available well.
 	for i := 0; i < 12; i++ {
 		if err := b.Draw(300); err != nil {
@@ -252,7 +210,7 @@ func TestThinFilmRecoveryRaisesVoltage(t *testing.T) {
 
 func TestThinFilmRestConservesCharge(t *testing.T) {
 	prop := func(draws uint8, restCycles uint32) bool {
-		b := NewDefaultThinFilm()
+		b := NewThinFilm()
 		for i := 0; i < int(draws%40); i++ {
 			if err := b.Draw(250); err != nil {
 				return true // dying early is fine; nothing to conserve after that
@@ -269,7 +227,7 @@ func TestThinFilmRestConservesCharge(t *testing.T) {
 }
 
 func TestThinFilmVoltageMonotoneUnderContinuousDraw(t *testing.T) {
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	prev := b.Voltage()
 	for {
 		if err := b.Draw(100); err != nil {
@@ -284,7 +242,7 @@ func TestThinFilmVoltageMonotoneUnderContinuousDraw(t *testing.T) {
 }
 
 func TestThinFilmDrawAccounting(t *testing.T) {
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	if err := b.Draw(1234); err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +258,7 @@ func TestThinFilmDrawAccounting(t *testing.T) {
 }
 
 func TestThinFilmDeadBatteryRejectsUse(t *testing.T) {
-	p := DefaultThinFilmParams()
-	p.NominalPJ = 1000
-	b, err := NewThinFilm(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewThinFilm()
 	for {
 		if err := b.Draw(50); err != nil {
 			break
@@ -334,7 +287,7 @@ func TestThinFilmSlowDischargeFollowsProfile(t *testing.T) {
 	// With plenty of rest between small draws the two wells stay balanced and
 	// the terminal voltage should track the published discharge curve within
 	// a small tolerance.
-	b := NewDefaultThinFilm()
+	b := NewThinFilm()
 	profile := LiFreeThinFilmProfile()
 	for {
 		if err := b.Draw(60); err != nil {
@@ -376,15 +329,6 @@ func TestFactoriesProduceIndependentBatteries(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestThinFilmFactoryPanicsOnInvalidParams(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ThinFilmFactory with invalid params did not panic")
-		}
-	}()
-	ThinFilmFactory(ThinFilmParams{NominalPJ: -1})
 }
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

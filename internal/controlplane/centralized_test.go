@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/battery"
-	"repro/internal/energy"
 	"repro/internal/routing"
 	"repro/internal/tdma"
 	"repro/internal/topology"
@@ -32,8 +31,6 @@ import (
 type refEngineControl struct {
 	t      *testing.T
 	deps   Deps
-	tdma   tdma.Params
-	power  energy.Controller
 	pool   *tdma.Pool
 	finite bool
 
@@ -44,15 +41,14 @@ type refEngineControl struct {
 
 func newRefEngineControl(t *testing.T, deps Deps) *refEngineControl {
 	t.Helper()
-	power := energy.PaperController4x4()
-	pool, err := tdma.NewPool(deps.Controllers, power, deps.ControllerBattery)
+	pool, err := tdma.NewPool(deps.Controllers, deps.ControllerBattery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := routing.NewDeltaWorkspace()
 	ws.SetMode(routing.RecomputeFull)
 	return &refEngineControl{
-		t: t, deps: deps, tdma: tdma.DefaultParams(), power: power,
+		t: t, deps: deps,
 		pool: pool, finite: deps.ControllerBattery != nil, ws: ws,
 	}
 }
@@ -66,17 +62,17 @@ func (r *refEngineControl) frame(aliveNodes int, snapshot *routing.SystemState) 
 	}
 	changed := r.stateChanged(snapshot)
 	k := r.deps.Graph.NodeCount()
-	rep.ControllerPJ = r.tdma.ControllerFrameEnergyPJ(r.power, k, changed)
+	rep.ControllerPJ = tdma.ControllerFrameEnergyPJ(k, changed)
 	if changed {
-		rep.DownloadPJ = r.tdma.DownloadEnergyPerNodePJ() * float64(aliveNodes)
+		rep.DownloadPJ = tdma.DownloadEnergyPerNodePJ() * float64(aliveNodes)
 	}
-	if err := r.pool.ServeFrame(rep.ControllerPJ+rep.DownloadPJ, 0); err != nil {
+	if err := r.pool.ServeFrame(rep.ControllerPJ + rep.DownloadPJ); err != nil {
 		if errors.Is(err, tdma.ErrAllControllersDead) && r.finite {
 			rep.ControllersDead = true
 			return rep
 		}
 	}
-	r.pool.RestAll(r.tdma.FramePeriodCycles)
+	r.pool.RestAll(tdma.FramePeriodCycles)
 	if changed || r.tables == nil {
 		plan := r.ws.ComputeInto(r.deps.Algorithm, snapshot, r.deps.Destinations, r.tables)
 		if s := r.ws.Stats(); s.Incremental != 0 {
@@ -171,7 +167,7 @@ func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, 
 		copy(cur.Status, master)
 		alive := aliveCount(cur)
 
-		rep := cp.Frame(frame, alive, cur)
+		rep := cp.Frame(frame, cur)
 		refRep := ref.frame(alive, cur.Clone())
 		compareReports(t, frame, rep, refRep)
 		if rep.ControllersDead {
@@ -264,7 +260,7 @@ func TestCentralizedKillWindow(t *testing.T) {
 					cp.FaultRegion(0, false)
 				}
 				consumed := cp.shards[0].pool.ConsumedPJ()
-				rep := cp.Frame(frame, aliveCount(snap), snap)
+				rep := cp.Frame(frame, snap)
 				if frame >= winOpen && frame < winClose {
 					compareReports(t, frame, rep, FrameReport{})
 					compareTables(t, frame, deps, cp, ref.tables)
@@ -309,7 +305,7 @@ func TestCentralizedInfinitePoolNeverDies(t *testing.T) {
 	for frame := int64(1); frame <= 200; frame++ {
 		// Force a recompute (and its higher energy draw) every frame.
 		snap.Status[int(frame)%len(snap.Status)].BatteryLevel ^= 1
-		rep := cp.Frame(frame, aliveCount(snap), snap)
+		rep := cp.Frame(frame, snap)
 		if rep.ControllersDead {
 			t.Fatalf("frame %d: infinite-energy pool reported dead", frame)
 		}

@@ -166,8 +166,8 @@ func (c Config) validate(k int) (routing.RecomputeMode, error) {
 
 // Deps carries what a control plane needs from the run: the topology and
 // routing algorithm, the module duplicate lists and the controller pool. The
-// TDMA calibration and the controller power model are the paper's
-// (tdma.DefaultParams, energy.PaperController4x4), fixed by New.
+// TDMA calibration and the controller power are the paper's, read from the
+// tdma and energy package constants.
 type Deps struct {
 	Graph        *topology.Graph
 	Algorithm    routing.Algorithm

@@ -24,7 +24,7 @@ func testDeps(meshSize int, alg routing.Algorithm) Deps {
 // fullState returns a snapshot in which every node is alive with a full
 // battery.
 func fullState(g *topology.Graph, levels int) *routing.SystemState {
-	st := &routing.SystemState{Graph: g, Levels: levels, Status: make([]routing.NodeStatus, g.NodeCount())}
+	st := &routing.SystemState{Graph: g, Status: make([]routing.NodeStatus, g.NodeCount())}
 	for i := range st.Status {
 		st.Status[i] = routing.NodeStatus{Alive: true, BatteryLevel: levels - 1}
 	}

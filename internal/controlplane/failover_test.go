@@ -11,7 +11,7 @@ import (
 // (Frame may be called with the same snapshot every frame because the
 // sharded plane copies, never retains).
 func frameOn(s *Sharded, frame int64, snap *routing.SystemState) FrameReport {
-	return s.Frame(frame, aliveCount(snap), snap)
+	return s.Frame(frame, snap)
 }
 
 // TestShardedFailoverAdoptionAndHandback follows one region through a full

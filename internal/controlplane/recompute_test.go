@@ -73,7 +73,7 @@ func driveTrajectory(t *testing.T, cp *Sharded, meshSize, frames int) ([]FrameRe
 		if f%5 == 0 {
 			snap.Status[(f*3)%k].Deadlocked = !snap.Status[(f*3)%k].Deadlocked
 		}
-		rep := cp.Frame(int64(f), aliveCount(snap), snap)
+		rep := cp.Frame(int64(f), snap)
 		reports = append(reports, rep)
 		for from := 0; from < k; from++ {
 			for dest := 0; dest < k; dest++ {

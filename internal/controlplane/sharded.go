@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"repro/internal/app"
-	"repro/internal/energy"
 	"repro/internal/routing"
 	"repro/internal/tdma"
 	"repro/internal/topology"
@@ -55,13 +54,8 @@ type Sharded struct {
 	kind      Kind // reported by Name
 	staleness int
 
-	// The paper's control-mechanism calibration, fixed by New.
-	tdma  tdma.Params
-	power energy.Controller
-
 	shards []regionState
-	home   []int // NodeID -> home shard index (static partition)
-	owner  []int // NodeID -> serving shard index (== home unless failed over)
+	owner  []int // NodeID -> serving shard index (its home shard unless failed over)
 
 	// Failover bookkeeping: adopt[h] is the region currently serving home
 	// block h; prevAdopt is last frame's assignment (the diff is the
@@ -99,19 +93,11 @@ func New(cfg Config, deps Deps) (*Sharded, error) {
 	if cfg.Kind == KindSharded {
 		kind = KindSharded
 	}
-	// The paper characterises the 4x4 controller; the routing workload (and
-	// therefore the controller's active time per frame) already grows with
-	// the node count, which is how larger meshes end up consuming more
-	// controller energy per frame (Sec 7.3).
-	power := energy.PaperController4x4()
 	s := &Sharded{
 		deps:            deps,
 		kind:            kind,
 		staleness:       max(cfg.StalenessFrames, 1),
-		tdma:            tdma.DefaultParams(),
-		power:           power,
 		shards:          make([]regionState, shards),
-		home:            make([]int, k),
 		owner:           make([]int, k),
 		adopt:           make([]int, shards),
 		prevAdopt:       make([]int, shards),
@@ -119,7 +105,7 @@ func New(cfg Config, deps Deps) (*Sharded, error) {
 		deadlockCounted: make([]bool, k),
 	}
 	for b := range s.shards {
-		pool, err := tdma.NewPool(deps.Controllers, power, deps.ControllerBattery)
+		pool, err := tdma.NewPool(deps.Controllers, deps.ControllerBattery)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +120,6 @@ func New(cfg Config, deps Deps) (*Sharded, error) {
 		s.shards[b] = regionState{lo: lo, hi: hi, pool: pool, ws: ws}
 		s.adopt[b], s.prevAdopt[b] = b, b
 		for n := lo; n < hi; n++ {
-			s.home[n] = b
 			s.owner[n] = b
 		}
 	}
@@ -147,12 +132,12 @@ func (s *Sharded) Name() string { return string(s.kind) }
 // Frame runs the controller side of one TDMA frame, called once per frame
 // after the upload phase: adopt the snapshot, decide recompute, rebuild
 // tables, account energy and liveness, for every living region in shard
-// order for determinism. aliveNodes is the number of nodes that survived
-// the upload phase; snapshot is the engine-owned status report, which the
-// plane reads during the call and never retains, so the engine may refill
-// the same buffer every frame. The report is a pure function of (frame
+// order for determinism. snapshot is the engine-owned status report, which
+// the plane reads during the call and never retains, so the engine may refill
+// the same buffer every frame; each region counts the alive nodes it serves
+// from its own view of it. The report is a pure function of (frame
 // index, reported state) and the plane's own prior decisions.
-func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemState) FrameReport {
+func (s *Sharded) Frame(frame int64, snapshot *routing.SystemState) FrameReport {
 	var rep FrameReport
 	s.reassignOwners(&rep)
 	// Summary-exchange frames: the first frame always synchronises (every
@@ -178,7 +163,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 			// Kill window: the region serves nothing; its batteries recover
 			// while the pool is off. Its nodes were handed to an in-service
 			// region by reassignOwners above.
-			sh.pool.RestAll(s.tdma.FramePeriodCycles)
+			sh.pool.RestAll(tdma.FramePeriodCycles)
 			continue
 		}
 		// Refresh the region's view: the shards it currently serves (its own,
@@ -186,7 +171,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		// the upload slots of every node it owns — and the rest of the mesh
 		// only on exchange frames.
 		if sh.view.Status == nil {
-			sh.view = routing.SystemState{Graph: snapshot.Graph, Levels: snapshot.Levels}
+			sh.view = routing.SystemState{Graph: snapshot.Graph}
 			sh.view.Status = make([]routing.NodeStatus, len(snapshot.Status))
 		}
 		// Topology changes (fault-injected link removals and heals) are
@@ -234,7 +219,7 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 		// controller's, even when the host copies another region's phase 2;
 		// the modeled saving is in how rarely the visible state changes and
 		// in downloading tables only to the region's own alive nodes.
-		framePJ := s.tdma.ControllerFrameEnergyPJ(s.power, k, changed)
+		framePJ := tdma.ControllerFrameEnergyPJ(k, changed)
 		downloadPJ := 0.0
 		if changed {
 			aliveInShard := 0
@@ -248,19 +233,19 @@ func (s *Sharded) Frame(frame int64, aliveNodes int, snapshot *routing.SystemSta
 					}
 				}
 			}
-			downloadPJ = s.tdma.DownloadEnergyPerNodePJ() * float64(aliveInShard)
+			downloadPJ = tdma.DownloadEnergyPerNodePJ() * float64(aliveInShard)
 		}
 		rep.ControllerPJ += framePJ
 		rep.DownloadPJ += downloadPJ
 
-		if err := sh.pool.ServeFrame(framePJ+downloadPJ, 0); err != nil {
+		if err := sh.pool.ServeFrame(framePJ + downloadPJ); err != nil {
 			// Every controller of the region is dead (only finite batteries
 			// die). The region dies with its tables frozen: its nodes route
 			// on the last downloaded generation from here on.
 			sh.dead = true
 			continue
 		}
-		sh.pool.RestAll(s.tdma.FramePeriodCycles)
+		sh.pool.RestAll(tdma.FramePeriodCycles)
 
 		if changed || sh.tables == nil {
 			full := sh.ws.Stats().Full
@@ -364,7 +349,7 @@ func (s *Sharded) regionChanged(sh *regionState, needLevels bool) bool {
 // never retained.
 func (s *Sharded) adoptView(sh *regionState) {
 	if sh.last.Status == nil {
-		sh.last = routing.SystemState{Graph: sh.view.Graph, Levels: sh.view.Levels}
+		sh.last = routing.SystemState{Graph: sh.view.Graph}
 		sh.last.Status = make([]routing.NodeStatus, len(sh.view.Status))
 	}
 	sh.last.TopologyEpoch = sh.view.TopologyEpoch

@@ -65,7 +65,7 @@ func TestShardedStalenessDefersRemoteVisibility(t *testing.T) {
 	snap := fullState(deps.Graph, 8)
 
 	// Frame 1 is always an exchange frame: both regions bootstrap.
-	s.Frame(1, aliveCount(snap), snap)
+	s.Frame(1, snap)
 	if s.RecomputeCount(0) != 1 || s.RecomputeCount(1) != 1 {
 		t.Fatalf("bootstrap recomputes = %d,%d, want 1,1", s.RecomputeCount(0), s.RecomputeCount(1))
 	}
@@ -73,7 +73,7 @@ func TestShardedStalenessDefersRemoteVisibility(t *testing.T) {
 	// Frame 2: change a node owned by shard 1 (range [8,16) on the 4x4 mesh).
 	lo1 := s.shards[1].lo
 	snap.Status[lo1+2].BatteryLevel = 3
-	s.Frame(2, aliveCount(snap), snap)
+	s.Frame(2, snap)
 	if s.RecomputeCount(1) != 2 {
 		t.Fatalf("owning region did not react to its own node: recomputes = %d, want 2", s.RecomputeCount(1))
 	}
@@ -82,15 +82,15 @@ func TestShardedStalenessDefersRemoteVisibility(t *testing.T) {
 	}
 
 	// Frames 3-4: nothing new anywhere; nobody recomputes.
-	s.Frame(3, aliveCount(snap), snap)
-	s.Frame(4, aliveCount(snap), snap)
+	s.Frame(3, snap)
+	s.Frame(4, snap)
 	if s.RecomputeCount(0) != 1 || s.RecomputeCount(1) != 2 {
 		t.Fatalf("quiet frames recomputed: %d,%d, want 1,2", s.RecomputeCount(0), s.RecomputeCount(1))
 	}
 
 	// Frame 5 = 1 + staleness: the exchange delivers shard 1's change to
 	// shard 0, which now recomputes; shard 1 already adopted it.
-	s.Frame(5, aliveCount(snap), snap)
+	s.Frame(5, snap)
 	if s.RecomputeCount(0) != 2 || s.RecomputeCount(1) != 2 {
 		t.Fatalf("exchange-frame recomputes = %d,%d, want 2,2", s.RecomputeCount(0), s.RecomputeCount(1))
 	}
@@ -110,14 +110,14 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := fullState(deps.Graph, 8)
-	s.Frame(1, aliveCount(snap), snap)
+	s.Frame(1, snap)
 	lo0 := s.shards[0].lo
 	preDeath := s.NextHop(topology.NodeID(lo0), topology.NodeID(lo0+1))
 
 	// Exhaust region 0's only controller.
 	_ = s.shards[0].pool.Controllers()[0].Drain(2e12)
 	snap.Status[5].BatteryLevel = 2 // visible change for every region
-	rep := s.Frame(2, aliveCount(snap), snap)
+	rep := s.Frame(2, snap)
 	if rep.ControllersDead {
 		t.Fatal("plane reported all-dead with one surviving region")
 	}
@@ -137,7 +137,7 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 
 	// Exhaust region 1 as well: the next frame is the Sec 7.3 system death.
 	_ = s.shards[1].pool.Controllers()[0].Drain(2e12)
-	rep = s.Frame(3, aliveCount(snap), snap)
+	rep = s.Frame(3, snap)
 	if !rep.ControllersDead {
 		t.Fatal("plane did not report ControllersDead with every region exhausted")
 	}
@@ -165,9 +165,8 @@ func TestShardedDeterminism(t *testing.T) {
 		if frame%13 == 0 {
 			st.Alive = false
 		}
-		alive := aliveCount(snap)
-		repA := a.Frame(frame, alive, snap)
-		repB := b.Frame(frame, alive, snap)
+		repA := a.Frame(frame, snap)
+		repB := b.Frame(frame, snap)
 		if !reflect.DeepEqual(repA, repB) {
 			t.Fatalf("frame %d: reports diverged: %+v vs %+v", frame, repA, repB)
 		}
@@ -193,7 +192,6 @@ func BenchmarkShardedRecompute(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap := fullState(deps.Graph, 8)
-	alive := aliveCount(snap)
 	// Warm the steady state before the timer starts: the first frame builds
 	// every per-region workspace, and the first *changed* frames grow the
 	// delta scratch (adjacency lists, table ping-pong buffers) on demand.
@@ -203,13 +201,13 @@ func BenchmarkShardedRecompute(b *testing.B) {
 	for w := 0; w < 3; w++ {
 		st := &snap.Status[w%len(snap.Status)]
 		st.BatteryLevel = (st.BatteryLevel + 1) % 8
-		s.Frame(int64(w)+1, alive, snap)
+		s.Frame(int64(w)+1, snap)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := &snap.Status[i%len(snap.Status)]
 		st.BatteryLevel = (st.BatteryLevel + 1) % 8
-		s.Frame(int64(i)+4, alive, snap)
+		s.Frame(int64(i)+4, snap)
 	}
 }

@@ -97,7 +97,7 @@ func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing
 		if shards > 1 && f == 2*frames/3 {
 			s.FaultRegion(killed, false)
 		}
-		s.Frame(int64(f), aliveCount(snap), snap)
+		s.Frame(int64(f), snap)
 
 		for b := range s.shards {
 			if s.RecomputeCount(b) == seen[b] {
@@ -225,7 +225,7 @@ func BenchmarkShardedExchangeFullPass(b *testing.B) {
 	toggle := &snap.Status[len(snap.Status)/2]
 	frame := func(f int64) {
 		toggle.Alive = !toggle.Alive
-		s.Frame(f, aliveCount(snap), snap)
+		s.Frame(f, snap)
 	}
 	// Warm-up: the first frames size every workspace and both table
 	// ping-pong buffers.

@@ -14,7 +14,6 @@ package core
 
 import (
 	"repro/internal/analytic"
-	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -85,5 +84,5 @@ func (s *Strategy) Simulate() (sim.Result, error) {
 // battery budget (the nominal capacity of one node battery).
 func (s *Strategy) UpperBound() (analytic.Bound, error) {
 	budget := s.Run.NodeBattery().NominalPJ()
-	return analytic.MeshUpperBound(s.Run.App, energy.PaperTransmissionLine(), s.Mesh.SpacingCM(), budget, s.Mesh.Size())
+	return analytic.MeshUpperBound(s.Run.App, s.Mesh.SpacingCM(), budget, s.Mesh.Size())
 }

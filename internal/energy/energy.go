@@ -1,18 +1,16 @@
-// Package energy provides the electrical energy models used by et_sim: the
-// textile transmission-line model (per-bit link energy as a function of wire
-// length), the shared 2-bit control medium of the TDMA scheme, and the
-// central-controller power model.
+// Package energy holds the electrical calibration of the paper's platform:
+// the woven transmission line (per-bit link energy as a function of wire
+// length, Sec 5.1.2), the shared 2-bit control medium of the TDMA scheme
+// (Sec 5.3) and the central controller's power (Sec 7.3). The calibration is
+// fixed: it is read from the constants and the anchor table below, never
+// configured.
 //
 // All energies are expressed in picojoules (pJ) and all powers in milliwatts
 // (mW), matching the units used in the paper. Conversions between the two use
 // the 100 MHz system clock the paper's modules were characterised at.
 package energy
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // ClockFrequencyHz is the clock frequency at which all paper measurements
 // were taken (Sec 5.1.1 and 7.3).
@@ -25,200 +23,111 @@ func PicojoulesPerCycle(powerMW float64) float64 {
 	return powerMW * 1e9 / ClockFrequencyHz
 }
 
-// LinePoint is one measured (length, energy-per-bit) anchor of the textile
+// linePoint is one measured (length, energy-per-bit) anchor of the textile
 // transmission-line characterisation.
-type LinePoint struct {
-	LengthCM float64
-	PJPerBit float64
+type linePoint struct {
+	lengthCM float64
+	pjPerBit float64
 }
 
-// PaperLinePoints are the SPICE-derived per-bit switching energies reported
-// in Sec 5.1.2 for textile transmission lines of 1, 10, 20 and 100 cm.
-func PaperLinePoints() []LinePoint {
-	return []LinePoint{
-		{LengthCM: 1, PJPerBit: 0.4472},
-		{LengthCM: 10, PJPerBit: 4.4472},
-		{LengthCM: 20, PJPerBit: 11.867},
-		{LengthCM: 100, PJPerBit: 53.082},
-	}
-}
-
-// TransmissionLine models the energy cost of driving bits over a textile
-// transmission line of arbitrary length. Energies between the measured anchor
-// points are interpolated linearly; lengths shorter than the first anchor are
-// scaled proportionally towards zero, and lengths beyond the last anchor are
-// extrapolated along the final segment (the measured data is close to linear
-// in that region).
-type TransmissionLine struct {
-	points []LinePoint
-}
-
-// NewTransmissionLine builds a transmission-line model from measured anchor
-// points. At least one point with positive length and non-negative energy is
-// required; points are sorted by length internally.
-func NewTransmissionLine(points []LinePoint) (*TransmissionLine, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("energy: transmission line needs at least one anchor point")
-	}
-	ps := make([]LinePoint, len(points))
-	copy(ps, points)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].LengthCM < ps[j].LengthCM })
-	for i, p := range ps {
-		if p.LengthCM <= 0 {
-			return nil, fmt.Errorf("energy: anchor %d has non-positive length %g", i, p.LengthCM)
-		}
-		if p.PJPerBit < 0 {
-			return nil, fmt.Errorf("energy: anchor %d has negative energy %g", i, p.PJPerBit)
-		}
-		if i > 0 && ps[i-1].LengthCM == p.LengthCM {
-			return nil, fmt.Errorf("energy: duplicate anchor length %g cm", p.LengthCM)
-		}
-	}
-	return &TransmissionLine{points: ps}, nil
-}
-
-// PaperTransmissionLine returns the model built from the paper's measured
-// anchor points.
-func PaperTransmissionLine() *TransmissionLine {
-	tl, err := NewTransmissionLine(PaperLinePoints())
-	if err != nil {
-		panic("energy: paper transmission line points invalid: " + err.Error())
-	}
-	return tl
+// paperLine holds the SPICE-derived per-bit switching energies reported in
+// Sec 5.1.2 for textile transmission lines of 1, 10, 20 and 100 cm, ordered
+// by length.
+var paperLine = [...]linePoint{
+	{lengthCM: 1, pjPerBit: 0.4472},
+	{lengthCM: 10, pjPerBit: 4.4472},
+	{lengthCM: 20, pjPerBit: 11.867},
+	{lengthCM: 100, pjPerBit: 53.082},
 }
 
 // PerBitPJ returns the energy in picojoules consumed per bit-switching
-// activity on a line of the given length in centimetres.
-func (t *TransmissionLine) PerBitPJ(lengthCM float64) float64 {
+// activity on a woven line of the given length in centimetres. Energies
+// between the measured anchors are interpolated linearly; lengths shorter
+// than the first anchor are scaled proportionally towards zero, and lengths
+// beyond the last anchor are extrapolated along the final segment (the
+// measured data is close to linear in that region).
+func PerBitPJ(lengthCM float64) float64 {
 	if lengthCM <= 0 {
 		return 0
 	}
-	ps := t.points
-	if lengthCM <= ps[0].LengthCM {
+	ps := &paperLine
+	if lengthCM <= ps[0].lengthCM {
 		// Scale proportionally towards the origin below the first anchor.
-		return ps[0].PJPerBit * lengthCM / ps[0].LengthCM
+		return ps[0].pjPerBit * lengthCM / ps[0].lengthCM
 	}
 	for i := 1; i < len(ps); i++ {
-		if lengthCM <= ps[i].LengthCM {
+		if lengthCM <= ps[i].lengthCM {
 			return interpolate(ps[i-1], ps[i], lengthCM)
 		}
-	}
-	if len(ps) == 1 {
-		return ps[0].PJPerBit * lengthCM / ps[0].LengthCM
 	}
 	// Extrapolate along the last segment.
 	return interpolate(ps[len(ps)-2], ps[len(ps)-1], lengthCM)
 }
 
-func interpolate(a, b LinePoint, lengthCM float64) float64 {
-	frac := (lengthCM - a.LengthCM) / (b.LengthCM - a.LengthCM)
-	return a.PJPerBit + frac*(b.PJPerBit-a.PJPerBit)
+func interpolate(a, b linePoint, lengthCM float64) float64 {
+	frac := (lengthCM - a.lengthCM) / (b.lengthCM - a.lengthCM)
+	return a.pjPerBit + frac*(b.pjPerBit-a.pjPerBit)
 }
 
 // PacketEnergyPJ returns the energy, in picojoules, consumed to transmit a
 // packet of the given size (in bits) over a line of the given length. The
 // paper multiplies the per-bit switching energy by the packet size, which
 // corresponds to a worst-case (all bits toggling) activity factor of 1.
-func (t *TransmissionLine) PacketEnergyPJ(lengthCM float64, packetBits int) float64 {
+func PacketEnergyPJ(lengthCM float64, packetBits int) float64 {
 	if packetBits <= 0 {
 		return 0
 	}
-	return t.PerBitPJ(lengthCM) * float64(packetBits)
+	return PerBitPJ(lengthCM) * float64(packetBits)
 }
 
-// Anchors returns a copy of the model's anchor points ordered by length.
-func (t *TransmissionLine) Anchors() []LinePoint {
-	out := make([]LinePoint, len(t.points))
-	copy(out, t.points)
-	return out
-}
-
-// SharedMedium models the narrow shared bus used by the TDMA control
-// mechanism (Sec 5.3). The medium is WidthBits wide; transferring a control
-// word of SlotBits bits therefore occupies ceil(SlotBits/WidthBits) cycles
-// and consumes SlotBits * PJPerBit picojoules.
-type SharedMedium struct {
-	// WidthBits is the width of the shared control bus (2 in the paper).
-	WidthBits int
-	// PJPerBit is the energy per bit transferred on the shared medium.
-	PJPerBit float64
-}
-
-// DefaultSharedMedium returns the 2-bit shared medium used by the paper with
-// a per-bit energy chosen so that the control-overhead percentages of Sec 7.1
-// (2.8 % .. 11.6 % from 4x4 to 8x8) are reproduced together with the default
-// TDMA parameters (4-bit status uploads, one frame every 1024 cycles).
-func DefaultSharedMedium() SharedMedium {
-	return SharedMedium{WidthBits: 2, PJPerBit: 0.7}
-}
+// The narrow shared bus of the TDMA control mechanism (Sec 5.3). Its per-bit
+// energy is chosen so that the control-overhead percentages of Sec 7.1
+// (2.8 % .. 11.6 % from 4x4 to 8x8) are reproduced together with the TDMA
+// calibration (4-bit status uploads, one frame every 1024 cycles).
+const (
+	// MediumWidthBits is the width of the shared control bus.
+	MediumWidthBits = 2
+	// MediumPJPerBit is the energy per bit transferred on the shared medium.
+	MediumPJPerBit float64 = 0.7
+)
 
 // SlotCycles returns the number of cycles one upload or download slot of the
-// given payload occupies on the medium.
-func (m SharedMedium) SlotCycles(slotBits int) int {
-	if slotBits <= 0 || m.WidthBits <= 0 {
-		return 0
-	}
-	return int(math.Ceil(float64(slotBits) / float64(m.WidthBits)))
-}
-
-// SlotEnergyPJ returns the energy consumed by transferring one slot of the
-// given payload size on the medium.
-func (m SharedMedium) SlotEnergyPJ(slotBits int) float64 {
+// given payload occupies on the shared medium: ceil(slotBits/MediumWidthBits).
+func SlotCycles(slotBits int) int {
 	if slotBits <= 0 {
 		return 0
 	}
-	return float64(slotBits) * m.PJPerBit
+	return int(math.Ceil(float64(slotBits) / float64(MediumWidthBits)))
 }
 
-// Controller models the power drawn by one centralized controller. The paper
-// reports 6.94 mW dynamic and 0.57 mW leakage power for the 4x4-mesh
-// controller at 100 MHz; controllers for larger meshes consume
-// proportionally more power (Sec 7.3 observes exactly this trend).
-type Controller struct {
-	// DynamicMW is the dynamic power drawn while the controller is active
-	// (executing the routing algorithm or driving the shared medium).
-	DynamicMW float64
-	// LeakageMW is the leakage power drawn whenever the controller is
-	// powered, active or not.
-	LeakageMW float64
-}
-
-// PaperController4x4 is the controller characterisation reported in Sec 7.3
-// for a 4x4 mesh at 100 MHz.
-func PaperController4x4() Controller {
-	return Controller{DynamicMW: 6.94, LeakageMW: 0.57}
-}
-
-// ControllerForMesh scales the 4x4 controller linearly with the number of
-// nodes it has to manage. The paper states that a controller for a bigger
-// mesh consumes more power; linear scaling in the node count is the simplest
-// model consistent with the reported trend.
-func ControllerForMesh(nodes int) Controller {
-	base := PaperController4x4()
-	if nodes <= 0 {
-		return Controller{}
+// SlotEnergyPJ returns the energy consumed by transferring one slot of the
+// given payload size on the shared medium.
+func SlotEnergyPJ(slotBits int) float64 {
+	if slotBits <= 0 {
+		return 0
 	}
-	scale := float64(nodes) / 16.0
-	return Controller{
-		DynamicMW: base.DynamicMW * scale,
-		LeakageMW: base.LeakageMW * scale,
-	}
+	return float64(slotBits) * MediumPJPerBit
 }
 
-// ActiveEnergyPJ returns the energy consumed by the controller while active
-// for the given number of clock cycles (dynamic plus leakage power).
-func (c Controller) ActiveEnergyPJ(cycles int) float64 {
+// The power of one centralized controller, as Sec 7.3 reports it for the
+// 4x4-mesh controller at 100 MHz. Larger meshes cost more controller energy
+// per frame through the routing workload's node count (see
+// tdma.ControllerFrameEnergyPJ), not through a different power figure.
+const (
+	// ControllerDynamicMW is the dynamic power drawn while the controller is
+	// active (executing the routing algorithm or driving the shared medium).
+	ControllerDynamicMW float64 = 6.94
+	// ControllerLeakageMW is the leakage power drawn whenever the controller
+	// is powered, active or not.
+	ControllerLeakageMW float64 = 0.57
+)
+
+// ControllerActiveEnergyPJ returns the energy consumed by the controller
+// while active for the given number of clock cycles (dynamic plus leakage
+// power).
+func ControllerActiveEnergyPJ(cycles int) float64 {
 	if cycles <= 0 {
 		return 0
 	}
-	return PicojoulesPerCycle(c.DynamicMW+c.LeakageMW) * float64(cycles)
-}
-
-// IdleEnergyPJ returns the energy consumed by a powered but idle controller
-// over the given number of clock cycles (leakage only).
-func (c Controller) IdleEnergyPJ(cycles int) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	return PicojoulesPerCycle(c.LeakageMW) * float64(cycles)
+	return PicojoulesPerCycle(ControllerDynamicMW+ControllerLeakageMW) * float64(cycles)
 }

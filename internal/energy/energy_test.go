@@ -22,7 +22,6 @@ func TestPicojoulesPerCycle(t *testing.T) {
 }
 
 func TestPaperTransmissionLineAnchorsExact(t *testing.T) {
-	tl := PaperTransmissionLine()
 	cases := []struct {
 		lengthCM float64
 		want     float64
@@ -33,43 +32,41 @@ func TestPaperTransmissionLineAnchorsExact(t *testing.T) {
 		{100, 53.082},
 	}
 	for _, tc := range cases {
-		if got := tl.PerBitPJ(tc.lengthCM); !almostEqual(got, tc.want, 1e-9) {
+		if got := PerBitPJ(tc.lengthCM); !almostEqual(got, tc.want, 1e-9) {
 			t.Errorf("PerBitPJ(%g cm) = %g, want %g", tc.lengthCM, got, tc.want)
 		}
 	}
 }
 
 func TestTransmissionLineInterpolation(t *testing.T) {
-	tl := PaperTransmissionLine()
 	// Midpoint between 10 cm and 20 cm anchors.
 	want := (4.4472 + 11.867) / 2
-	if got := tl.PerBitPJ(15); !almostEqual(got, want, 1e-9) {
+	if got := PerBitPJ(15); !almostEqual(got, want, 1e-9) {
 		t.Errorf("PerBitPJ(15 cm) = %g, want %g", got, want)
 	}
 	// Below the first anchor: proportional to length.
-	if got := tl.PerBitPJ(0.5); !almostEqual(got, 0.4472/2, 1e-9) {
+	if got := PerBitPJ(0.5); !almostEqual(got, 0.4472/2, 1e-9) {
 		t.Errorf("PerBitPJ(0.5 cm) = %g, want %g", got, 0.4472/2)
 	}
 	// Beyond the last anchor: extrapolation along the last segment slope.
 	slope := (53.082 - 11.867) / 80.0
 	want = 53.082 + 20*slope
-	if got := tl.PerBitPJ(120); !almostEqual(got, want, 1e-9) {
+	if got := PerBitPJ(120); !almostEqual(got, want, 1e-9) {
 		t.Errorf("PerBitPJ(120 cm) = %g, want %g", got, want)
 	}
-	if got := tl.PerBitPJ(0); got != 0 {
+	if got := PerBitPJ(0); got != 0 {
 		t.Errorf("PerBitPJ(0) = %g, want 0", got)
 	}
-	if got := tl.PerBitPJ(-3); got != 0 {
+	if got := PerBitPJ(-3); got != 0 {
 		t.Errorf("PerBitPJ(-3) = %g, want 0", got)
 	}
 }
 
 func TestTransmissionLineMonotonicityProperty(t *testing.T) {
-	tl := PaperTransmissionLine()
 	prop := func(a, b uint16) bool {
 		la := float64(a%20000)/100 + 0.01 // 0.01 .. 200 cm
 		lb := float64(b%20000)/100 + 0.01
-		ea, eb := tl.PerBitPJ(la), tl.PerBitPJ(lb)
+		ea, eb := PerBitPJ(la), PerBitPJ(lb)
 		if la < lb {
 			return ea <= eb
 		}
@@ -84,124 +81,42 @@ func TestTransmissionLineMonotonicityProperty(t *testing.T) {
 }
 
 func TestPacketEnergyScalesWithBits(t *testing.T) {
-	tl := PaperTransmissionLine()
-	per := tl.PerBitPJ(1)
-	if got := tl.PacketEnergyPJ(1, 261); !almostEqual(got, per*261, 1e-9) {
+	per := PerBitPJ(1)
+	if got := PacketEnergyPJ(1, 261); !almostEqual(got, per*261, 1e-9) {
 		t.Fatalf("PacketEnergyPJ(1 cm, 261 bits) = %g, want %g", got, per*261)
 	}
-	if got := tl.PacketEnergyPJ(1, 0); got != 0 {
+	if got := PacketEnergyPJ(1, 0); got != 0 {
 		t.Fatalf("PacketEnergyPJ with zero bits = %g, want 0", got)
 	}
-	if got := tl.PacketEnergyPJ(1, -5); got != 0 {
+	if got := PacketEnergyPJ(1, -5); got != 0 {
 		t.Fatalf("PacketEnergyPJ with negative bits = %g, want 0", got)
 	}
 }
 
-func TestNewTransmissionLineValidation(t *testing.T) {
-	if _, err := NewTransmissionLine(nil); err == nil {
-		t.Error("empty anchor list should be rejected")
-	}
-	if _, err := NewTransmissionLine([]LinePoint{{LengthCM: 0, PJPerBit: 1}}); err == nil {
-		t.Error("zero-length anchor should be rejected")
-	}
-	if _, err := NewTransmissionLine([]LinePoint{{LengthCM: 1, PJPerBit: -1}}); err == nil {
-		t.Error("negative-energy anchor should be rejected")
-	}
-	if _, err := NewTransmissionLine([]LinePoint{
-		{LengthCM: 5, PJPerBit: 1}, {LengthCM: 5, PJPerBit: 2},
-	}); err == nil {
-		t.Error("duplicate anchor lengths should be rejected")
-	}
-	// A single valid anchor is fine and scales linearly from the origin.
-	tl, err := NewTransmissionLine([]LinePoint{{LengthCM: 2, PJPerBit: 4}})
-	if err != nil {
-		t.Fatalf("single anchor rejected: %v", err)
-	}
-	if got := tl.PerBitPJ(4); !almostEqual(got, 8, 1e-9) {
-		t.Errorf("single-anchor extrapolation = %g, want 8", got)
-	}
-	if got := tl.PerBitPJ(1); !almostEqual(got, 2, 1e-9) {
-		t.Errorf("single-anchor interpolation = %g, want 2", got)
-	}
-}
-
-func TestAnchorsAreSortedCopies(t *testing.T) {
-	tl, err := NewTransmissionLine([]LinePoint{
-		{LengthCM: 20, PJPerBit: 11.867},
-		{LengthCM: 1, PJPerBit: 0.4472},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchors := tl.Anchors()
-	if len(anchors) != 2 || anchors[0].LengthCM != 1 || anchors[1].LengthCM != 20 {
-		t.Fatalf("Anchors() = %v, want sorted by length", anchors)
-	}
-	anchors[0].PJPerBit = 999
-	if tl.PerBitPJ(1) == 999 {
-		t.Fatal("mutating Anchors() result changed the model")
-	}
-}
-
 func TestSharedMediumSlotAccounting(t *testing.T) {
-	m := DefaultSharedMedium()
-	if m.WidthBits != 2 {
-		t.Fatalf("default medium width = %d, want 2", m.WidthBits)
-	}
-	if got := m.SlotCycles(32); got != 16 {
+	if got := SlotCycles(32); got != 16 {
 		t.Errorf("SlotCycles(32) = %d, want 16", got)
 	}
-	if got := m.SlotCycles(33); got != 17 {
+	if got := SlotCycles(33); got != 17 {
 		t.Errorf("SlotCycles(33) = %d, want 17 (ceiling)", got)
 	}
-	if got := m.SlotCycles(0); got != 0 {
+	if got := SlotCycles(0); got != 0 {
 		t.Errorf("SlotCycles(0) = %d, want 0", got)
 	}
-	if got := m.SlotEnergyPJ(10); !almostEqual(got, 10*m.PJPerBit, 1e-9) {
-		t.Errorf("SlotEnergyPJ(10) = %g, want %g", got, 10*m.PJPerBit)
+	if got := SlotEnergyPJ(10); !almostEqual(got, 10*MediumPJPerBit, 1e-9) {
+		t.Errorf("SlotEnergyPJ(10) = %g, want %g", got, 10*MediumPJPerBit)
 	}
-	if got := m.SlotEnergyPJ(-1); got != 0 {
+	if got := SlotEnergyPJ(-1); got != 0 {
 		t.Errorf("SlotEnergyPJ(-1) = %g, want 0", got)
 	}
 }
 
 func TestControllerEnergy(t *testing.T) {
-	c := PaperController4x4()
-	if c.DynamicMW != 6.94 || c.LeakageMW != 0.57 {
-		t.Fatalf("paper controller = %+v, want 6.94/0.57 mW", c)
-	}
 	// 100 cycles active: (6.94+0.57) mW -> 75.1 pJ/cycle -> 7510 pJ.
-	if got := c.ActiveEnergyPJ(100); !almostEqual(got, 7510, 1e-6) {
-		t.Errorf("ActiveEnergyPJ(100) = %g, want 7510", got)
+	if got := ControllerActiveEnergyPJ(100); !almostEqual(got, 7510, 1e-6) {
+		t.Errorf("ControllerActiveEnergyPJ(100) = %g, want 7510", got)
 	}
-	if got := c.IdleEnergyPJ(100); !almostEqual(got, 570, 1e-6) {
-		t.Errorf("IdleEnergyPJ(100) = %g, want 570", got)
-	}
-	if c.ActiveEnergyPJ(0) != 0 || c.IdleEnergyPJ(-5) != 0 {
+	if ControllerActiveEnergyPJ(0) != 0 || ControllerActiveEnergyPJ(-5) != 0 {
 		t.Error("non-positive cycle counts must consume no energy")
-	}
-}
-
-func TestControllerForMeshScalesLinearly(t *testing.T) {
-	c16 := ControllerForMesh(16)
-	base := PaperController4x4()
-	if !almostEqual(c16.DynamicMW, base.DynamicMW, 1e-12) {
-		t.Fatalf("16-node controller dynamic = %g, want %g", c16.DynamicMW, base.DynamicMW)
-	}
-	c64 := ControllerForMesh(64)
-	if !almostEqual(c64.DynamicMW, base.DynamicMW*4, 1e-9) {
-		t.Errorf("64-node controller dynamic = %g, want %g", c64.DynamicMW, base.DynamicMW*4)
-	}
-	if !almostEqual(c64.LeakageMW, base.LeakageMW*4, 1e-9) {
-		t.Errorf("64-node controller leakage = %g, want %g", c64.LeakageMW, base.LeakageMW*4)
-	}
-	zero := ControllerForMesh(0)
-	if zero.DynamicMW != 0 || zero.LeakageMW != 0 {
-		t.Errorf("ControllerForMesh(0) = %+v, want zero power", zero)
-	}
-	larger := ControllerForMesh(49)
-	smaller := ControllerForMesh(25)
-	if larger.DynamicMW <= smaller.DynamicMW {
-		t.Error("controller power must grow with mesh size")
 	}
 }

@@ -108,7 +108,7 @@ func Fig2(samples int) []Fig2Point {
 	if samples < 2 {
 		samples = 2
 	}
-	b := battery.NewDefaultThinFilm()
+	b := battery.NewThinFilm()
 	step := b.NominalPJ() / float64(samples*50)
 	points := []Fig2Point{{DepthOfDischarge: 0, Voltage: b.Voltage()}}
 	next := 1.0 / float64(samples)

@@ -105,7 +105,7 @@ func scalingRow(n, crossings int) (ScalingRow, error) {
 		m := app.ModuleID(int(node.ID)%3 + 1)
 		dests[m] = append(dests[m], node.ID)
 	}
-	state := &routing.SystemState{Graph: mesh.Graph, Levels: levels, Status: make([]routing.NodeStatus, k)}
+	state := &routing.SystemState{Graph: mesh.Graph, Status: make([]routing.NodeStatus, k)}
 	for i := range state.Status {
 		state.Status[i] = routing.NodeStatus{Alive: true, BatteryLevel: levels - 1}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/app"
 	"repro/internal/campaign"
-	"repro/internal/energy"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -72,7 +71,7 @@ func NewAnalytic(sp scenario.Spec) (*Analytic, error) {
 		p:         p,
 		compPJ:    make([]float64, p+1),
 		trans:     make([]float64, (p+1)*(p+1)),
-		commPJ:    analytic.CommunicationEnergyPerOp(a, energy.PaperTransmissionLine(), s.Mesh.SpacingCM()),
+		commPJ:    analytic.CommunicationEnergyPerOp(a, s.Mesh.SpacingCM()),
 		batteryPJ: s.Run.NodeBattery().NominalPJ(),
 	}
 	for _, n := range nodes {

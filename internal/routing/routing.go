@@ -44,7 +44,7 @@ type NodeStatus struct {
 	// neither compute nor relay and are excluded from routing.
 	Alive bool
 	// BatteryLevel is the quantised remaining-capacity level NB(j), in
-	// 0..Levels-1 (higher means more charge).
+	// 0..EARParams.Levels-1 (higher means more charge).
 	BatteryLevel int
 	// Deadlocked reports that a job has been stuck at this node longer than
 	// the deadlock threshold; phase 3 will steer the node away from its
@@ -60,8 +60,6 @@ type SystemState struct {
 	// (node IDs are dense and start at 0). Nodes beyond the end of the slice
 	// are treated as dead.
 	Status []NodeStatus
-	// Levels is the number of quantisation levels used for BatteryLevel.
-	Levels int
 	// TopologyEpoch counts runtime mutations of Graph (links removed by
 	// fault injection, links healed after a transient fault). The controller
 	// treats an epoch change like any other reported-state change and
@@ -84,7 +82,7 @@ func (s *SystemState) Alive(id topology.NodeID) bool { return s.StatusOf(id).Ali
 
 // Clone returns a deep copy of the snapshot.
 func (s *SystemState) Clone() *SystemState {
-	c := &SystemState{Graph: s.Graph, Levels: s.Levels, TopologyEpoch: s.TopologyEpoch, Status: make([]NodeStatus, len(s.Status))}
+	c := &SystemState{Graph: s.Graph, TopologyEpoch: s.TopologyEpoch, Status: make([]NodeStatus, len(s.Status))}
 	copy(c.Status, s.Status)
 	return c
 }

@@ -14,7 +14,7 @@ import (
 // fullState returns a snapshot in which every node of g is alive with a full
 // battery.
 func fullState(g *topology.Graph, levels int) *SystemState {
-	st := &SystemState{Graph: g, Levels: levels, Status: make([]NodeStatus, g.NodeCount())}
+	st := &SystemState{Graph: g, Status: make([]NodeStatus, g.NodeCount())}
 	for _, n := range g.Nodes() {
 		st.Status[n.ID] = NodeStatus{Alive: true, BatteryLevel: levels - 1}
 	}
@@ -561,7 +561,7 @@ func TestSystemStateEqualAndClone(t *testing.T) {
 	a := fullState(mesh.Graph, 8)
 	a.TopologyEpoch = 3
 	b := a.Clone()
-	if b.Graph != a.Graph || b.Levels != a.Levels || b.TopologyEpoch != a.TopologyEpoch || !slices.Equal(b.Status, a.Status) {
+	if b.Graph != a.Graph || b.TopologyEpoch != a.TopologyEpoch || !slices.Equal(b.Status, a.Status) {
 		t.Fatalf("clone %+v differs from the original %+v", b, a)
 	}
 	b.Status[0] = NodeStatus{Alive: true, BatteryLevel: 3}

@@ -47,11 +47,18 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Short returns the first 16 hex digits, for logs and labels.
 func (f Fingerprint) Short() string { return f.String()[:16] }
 
-// canonicalSpec is the fixed-shape encoding target: every simulation-relevant
-// field of Spec, always present, in declaration order. encoding/json marshals
-// struct fields in exactly this order with deterministic number formatting,
-// which is what makes the bytes canonical.
+// canonicalSpec is the fixed-shape encoding target: Spec's exact field list,
+// so a Spec converts to it, with the identity fields hidden from the
+// encoding. Every simulation-relevant field is always present, in
+// declaration order; encoding/json marshals struct fields in exactly this
+// order with deterministic number formatting, which is what makes the bytes
+// canonical. A field added to Spec but not here breaks the conversion in
+// CanonicalJSON at compile time instead of silently sharing cache keys.
 type canonicalSpec struct {
+	Name        string `json:"-"`
+	Description string `json:"-"`
+	Group       string `json:"-"`
+
 	Mesh               int
 	Algorithm          string
 	EARQ               float64
@@ -169,29 +176,7 @@ func (sp Spec) CanonicalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(canonicalSpec{
-		Mesh:               n.Mesh,
-		Algorithm:          n.Algorithm,
-		EARQ:               n.EARQ,
-		BatteryLevels:      n.BatteryLevels,
-		Battery:            n.Battery,
-		Mapping:            n.Mapping,
-		MappingSeed:        n.MappingSeed,
-		Assignment:         n.Assignment,
-		Controllers:        n.Controllers,
-		ControlPlane:       n.ControlPlane,
-		Shards:             n.Shards,
-		StalenessFrames:    n.StalenessFrames,
-		Recompute:          n.Recompute,
-		FiniteControllers:  n.FiniteControllers,
-		ConcurrentJobs:     n.ConcurrentJobs,
-		FailedLinkFraction: n.FailedLinkFraction,
-		FailedLinkSeed:     n.FailedLinkSeed,
-		Faults:             n.Faults,
-		VerifyPayload:      n.VerifyPayload,
-		CollectNodeStats:   n.CollectNodeStats,
-		MaxCycles:          n.MaxCycles,
-	})
+	return json.Marshal(canonicalSpec(n))
 }
 
 // Fingerprint returns the spec's content address: SHA-256 over the domain

@@ -7,10 +7,9 @@
 // completed jobs and a full energy breakdown.
 //
 // The platform calibration is fixed, not configured: every run uses the
-// paper's measured woven transmission line (energy.PaperTransmissionLine),
-// the Sec 5.3 TDMA scheme (tdma.DefaultParams), the 4x4 controller
-// (energy.PaperController4x4, read by the control plane) and the constants
-// below.
+// paper's measured woven transmission line and 4x4 controller power (package
+// energy, the power read by the control plane), the Sec 5.3 TDMA scheme
+// (package tdma) and the constants below.
 package sim
 
 import (

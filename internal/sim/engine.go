@@ -84,10 +84,7 @@ type Simulator struct {
 	cfg   Config
 	graph *topology.Graph
 
-	// The paper's platform calibration (see the package comment) and the
-	// job source, fixed at construction.
-	line   *energy.TransmissionLine
-	tdma   tdma.Params
+	// source is the job source, fixed at construction.
 	source topology.NodeID
 
 	nodes        []*nodeState
@@ -161,8 +158,6 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:            cfg,
 		graph:          cfg.Graph,
-		line:           energy.PaperTransmissionLine(),
-		tdma:           tdma.DefaultParams(),
 		source:         source(cfg.Graph),
 		destinations:   make(map[app.ModuleID][]topology.NodeID),
 		lastCompletion: topology.Invalid,
@@ -239,7 +234,7 @@ func New(cfg Config) (*Simulator, error) {
 func (s *Simulator) Run() Result {
 	// Frame 0 establishes the initial routing tables before any job moves.
 	s.processFrame()
-	s.nextFrame = s.tdma.FramePeriodCycles
+	s.nextFrame = tdma.FramePeriodCycles
 	for len(s.jobs) < s.cfg.ConcurrentJobs {
 		s.injectJob()
 	}
@@ -275,7 +270,7 @@ func (s *Simulator) Run() Result {
 		}
 		for !s.dead && s.now >= s.nextFrame {
 			s.processFrame()
-			s.nextFrame += s.tdma.FramePeriodCycles
+			s.nextFrame += tdma.FramePeriodCycles
 			if s.frameCount-s.stalledSince > stalledFrameLimit {
 				s.finish(DeathStalled)
 			}
@@ -698,7 +693,7 @@ func (s *Simulator) startHop(j *jobState) bool {
 		s.finish(DeathUnreachable)
 		return false
 	}
-	cost := s.line.PacketEnergyPJ(link.LengthCM, s.cfg.App.PacketBits)
+	cost := energy.PacketEnergyPJ(link.LengthCM, s.cfg.App.PacketBits)
 	if !s.drawNode(cur, cost) {
 		return false // node died mid-transmission; killNode already handled the job
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"repro/internal/battery"
 	"repro/internal/routing"
+	"repro/internal/tdma"
 )
 
 // processFrame executes one TDMA control frame at the current cycle: nodes
@@ -48,20 +49,18 @@ func (s *Simulator) processFrame() {
 
 	// Upload energy is summed over the frame and added to the result once,
 	// so the result's float grouping is one term per frame.
-	uploadPJ := s.tdma.UploadEnergyPerNodePJ()
+	uploadPJ := tdma.UploadEnergyPerNodePJ()
 	uploaded := 0.0
 	for _, n := range s.nodes {
 		if n.down() {
 			continue
 		}
 		s.restNode(n)
-		if uploadPJ > 0 {
-			if !s.drawNode(n, uploadPJ) {
-				continue
-			}
-			n.ctrlPJ += uploadPJ
-			uploaded += uploadPJ
+		if !s.drawNode(n, uploadPJ) {
+			continue
 		}
+		n.ctrlPJ += uploadPJ
+		uploaded += uploadPJ
 	}
 	s.res.Energy.ControlUploadPJ += uploaded
 	if s.dead {
@@ -91,7 +90,7 @@ func (s *Simulator) processFrame() {
 		fullBefore, incrBefore = s.plane.RecomputeSplit()
 	}
 
-	rep := s.plane.Frame(s.frameCount, aliveCount, snapshot)
+	rep := s.plane.Frame(s.frameCount, snapshot)
 	if timing {
 		end := s.spanNow()
 		fullAfter, incrAfter := s.plane.RecomputeSplit()
@@ -143,7 +142,6 @@ func (s *Simulator) processFrame() {
 func (s *Simulator) buildSnapshot() *routing.SystemState {
 	snapshot := &s.snap
 	snapshot.Graph = s.graph
-	snapshot.Levels = s.cfg.BatteryLevels
 	snapshot.TopologyEpoch = s.topoEpoch
 	k := len(s.nodes)
 	if cap(snapshot.Status) < k {
@@ -156,7 +154,7 @@ func (s *Simulator) buildSnapshot() *routing.SystemState {
 	for i := range s.blocked {
 		s.blocked[i] = false
 	}
-	threshold := int64(s.tdma.DeadlockThresholdFrames) * s.tdma.FramePeriodCycles
+	threshold := int64(tdma.DeadlockThresholdFrames) * tdma.FramePeriodCycles
 	for _, j := range s.jobs {
 		if j.blockedAt >= 0 && s.now-j.blockedAt >= threshold {
 			s.blocked[j.at] = true

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/battery"
 	"repro/internal/controlplane"
+	"repro/internal/tdma"
 )
 
 // sharded mutates a default config onto the sharded control plane.
@@ -108,7 +109,7 @@ func TestShardedProcessFrameZeroAllocSteadyState(t *testing.T) {
 	}
 	for i := 0; !warm() && i < 100; i++ {
 		drain()
-		s.now += s.tdma.FramePeriodCycles
+		s.now += tdma.FramePeriodCycles
 		s.processFrame()
 	}
 	if s.dead || !warm() {
@@ -116,7 +117,7 @@ func TestShardedProcessFrameZeroAllocSteadyState(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(64, func() {
 		drain()
-		s.now += s.tdma.FramePeriodCycles
+		s.now += tdma.FramePeriodCycles
 		s.processFrame()
 	})
 	if allocs != 0 {

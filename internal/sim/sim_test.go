@@ -6,9 +6,9 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/app"
 	"repro/internal/battery"
-	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/routing"
+	"repro/internal/tdma"
 	"repro/internal/topology"
 )
 
@@ -202,8 +202,8 @@ func TestSimulationNeverExceedsTheorem1Bound(t *testing.T) {
 						c.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
 					}
 				})
-				bound, err := analytic.MeshUpperBound(app.AES128(), energy.PaperTransmissionLine(),
-					topology.DefaultSpacingCM, battery.DefaultNominalPJ, meshSize*meshSize)
+				bound, err := analytic.MeshUpperBound(app.AES128(), topology.DefaultSpacingCM,
+					battery.DefaultNominalPJ, meshSize*meshSize)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,8 +224,7 @@ func TestIdealBatteryAchievesLargeFractionOfBound(t *testing.T) {
 	res := run(t, 4, func(c *Config) {
 		c.NodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
 	})
-	bound, err := analytic.MeshUpperBound(app.AES128(), energy.PaperTransmissionLine(),
-		topology.DefaultSpacingCM, battery.DefaultNominalPJ, 16)
+	bound, err := analytic.MeshUpperBound(app.AES128(), topology.DefaultSpacingCM, battery.DefaultNominalPJ, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +517,7 @@ func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
 	// before the measurement starts.
 	for i := 0; s.res.RoutingRecomputes < 3 && i < 100; i++ {
 		drain()
-		s.now += s.tdma.FramePeriodCycles
+		s.now += tdma.FramePeriodCycles
 		s.processFrame()
 	}
 	if s.dead || s.res.RoutingRecomputes < 3 {
@@ -527,7 +526,7 @@ func TestProcessFrameZeroAllocSteadyState(t *testing.T) {
 	recomputesBefore := s.res.RoutingRecomputes
 	allocs := testing.AllocsPerRun(64, func() {
 		drain()
-		s.now += s.tdma.FramePeriodCycles
+		s.now += tdma.FramePeriodCycles
 		s.processFrame()
 	})
 	if allocs != 0 {

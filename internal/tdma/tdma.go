@@ -18,74 +18,60 @@ import (
 	"repro/internal/energy"
 )
 
-// Params configures the TDMA control mechanism.
-type Params struct {
-	// StatusBits is the payload of one upload slot: the quantised battery
+// The TDMA calibration of the paper reproduction (see DESIGN.md): 4-bit
+// status uploads and 16-bit route downloads on the 2-bit shared medium
+// (energy.MediumWidthBits), one frame every 1024 cycles, and a deadlock
+// threshold of two frames.
+const (
+	// statusBits is the payload of one upload slot: the quantised battery
 	// level plus a deadlock flag.
-	StatusBits int
-	// RouteBits is the payload of one download slot carrying a routing-table
+	statusBits = 4
+	// routeBits is the payload of one download slot carrying a routing-table
 	// update for one node.
-	RouteBits int
-	// Medium is the shared control bus (2 bits wide in the paper).
-	Medium energy.SharedMedium
+	routeBits = 16
 	// FramePeriodCycles is the number of clock cycles between the starts of
 	// consecutive TDMA frames.
-	FramePeriodCycles int64
-	// ControllerActiveCyclesPerFrame is the number of cycles the active
-	// controller spends awake per frame for slot bookkeeping, independent of
-	// whether the routing algorithm is re-run.
-	ControllerActiveCyclesPerFrame int
-	// ControllerComputeCyclesPerNode is the number of additional active
+	FramePeriodCycles int64 = 1024
+	// controllerActiveCycles is the number of cycles the active controller
+	// spends awake per frame for slot bookkeeping, independent of whether
+	// the routing algorithm is re-run.
+	controllerActiveCycles = 16
+	// controllerComputeCyclesPerNode is the number of additional active
 	// cycles per network node spent when the controller re-runs the routing
 	// algorithm because the reported system state changed.
-	ControllerComputeCyclesPerNode int
+	controllerComputeCyclesPerNode = 1
 	// DeadlockThresholdFrames is the number of consecutive frames a job may
 	// sit at the same node before the node reports a deadlock in its next
 	// upload slot.
-	DeadlockThresholdFrames int
-}
-
-// DefaultParams returns the calibration used by the paper reproduction (see
-// DESIGN.md): 4-bit status uploads on a 2-bit shared medium, one frame every
-// 1024 cycles, and a deadlock threshold of two frames.
-func DefaultParams() Params {
-	return Params{
-		StatusBits:                     4,
-		RouteBits:                      16,
-		Medium:                         energy.DefaultSharedMedium(),
-		FramePeriodCycles:              1024,
-		ControllerActiveCyclesPerFrame: 16,
-		ControllerComputeCyclesPerNode: 1,
-		DeadlockThresholdFrames:        2,
-	}
-}
+	DeadlockThresholdFrames = 2
+)
 
 // UploadEnergyPerNodePJ returns the shared-medium energy charged to one node
 // for its upload slot in one frame.
-func (p Params) UploadEnergyPerNodePJ() float64 { return p.Medium.SlotEnergyPJ(p.StatusBits) }
+func UploadEnergyPerNodePJ() float64 { return energy.SlotEnergyPJ(statusBits) }
 
 // DownloadEnergyPerNodePJ returns the shared-medium energy spent to download
 // one node's routing update.
-func (p Params) DownloadEnergyPerNodePJ() float64 { return p.Medium.SlotEnergyPJ(p.RouteBits) }
+func DownloadEnergyPerNodePJ() float64 { return energy.SlotEnergyPJ(routeBits) }
 
 // FrameLengthCycles returns the number of cycles the upload and download
 // phases of one frame occupy on the shared medium for a network of k nodes.
 // It must not exceed the frame period for the schedule to be feasible.
-func (p Params) FrameLengthCycles(k int) int64 {
-	up := int64(p.Medium.SlotCycles(p.StatusBits)) * int64(k)
-	down := int64(p.Medium.SlotCycles(p.RouteBits)) * int64(k)
+func FrameLengthCycles(k int) int64 {
+	up := int64(energy.SlotCycles(statusBits)) * int64(k)
+	down := int64(energy.SlotCycles(routeBits)) * int64(k)
 	return up + down
 }
 
 // ControllerFrameEnergyPJ returns the energy the active controller consumes
 // during one frame: its bookkeeping activity plus, when recompute is true,
 // the routing-algorithm execution for a k-node network.
-func (p Params) ControllerFrameEnergyPJ(ctrl energy.Controller, k int, recompute bool) float64 {
-	cycles := p.ControllerActiveCyclesPerFrame
+func ControllerFrameEnergyPJ(k int, recompute bool) float64 {
+	cycles := controllerActiveCycles
 	if recompute {
-		cycles += p.ControllerComputeCyclesPerNode * k
+		cycles += controllerComputeCyclesPerNode * k
 	}
-	return ctrl.ActiveEnergyPJ(cycles)
+	return energy.ControllerActiveEnergyPJ(cycles)
 }
 
 // Errors returned by the controller pool.
@@ -99,8 +85,6 @@ var (
 type Controller struct {
 	// ID is the controller's index in the pool.
 	ID int
-	// Power characterises the controller's dynamic and leakage power.
-	Power energy.Controller
 	// Battery is the attached battery, or nil for an infinite energy source.
 	Battery battery.Battery
 
@@ -145,16 +129,16 @@ type Pool struct {
 	consumedPJ float64
 }
 
-// NewPool creates a pool of n controllers with the given power
-// characterisation. If factory is non-nil every controller receives its own
-// battery from it; otherwise the controllers have infinite energy.
-func NewPool(n int, power energy.Controller, factory battery.Factory) (*Pool, error) {
+// NewPool creates a pool of n controllers. If factory is non-nil every
+// controller receives its own battery from it; otherwise the controllers have
+// infinite energy.
+func NewPool(n int, factory battery.Factory) (*Pool, error) {
 	if n < 1 {
 		return nil, ErrNoControllers
 	}
 	p := &Pool{controllers: make([]*Controller, n)}
 	for i := 0; i < n; i++ {
-		c := &Controller{ID: i, Power: power}
+		c := &Controller{ID: i}
 		if factory != nil {
 			c.Battery = factory()
 		}
@@ -204,29 +188,20 @@ func (p *Pool) Active() (*Controller, error) {
 	return nil, ErrAllControllersDead
 }
 
-// ServeFrame charges the energy of one frame to the pool: the active
-// controller pays activePJ while every other living controller pays idlePJ
-// (leakage); afterwards the active role rotates to the next living
-// controller. It returns ErrAllControllersDead once no controller can serve.
-func (p *Pool) ServeFrame(activePJ, idlePJ float64) error {
+// ServeFrame charges the energy of one frame to the active controller and
+// rotates the active role to the next living controller. Idle controllers
+// are not charged: the model counts a controller's energy only while it
+// serves a frame. It returns ErrAllControllersDead once no controller can
+// serve.
+func (p *Pool) ServeFrame(activePJ float64) error {
 	active, err := p.Active()
 	if err != nil {
 		return err
 	}
-	for _, c := range p.controllers {
-		if c.Dead() {
-			continue
-		}
-		charge := idlePJ
-		if c == active {
-			charge = activePJ
-		}
-		p.consumedPJ += charge
-		// A controller that browns out mid-frame simply drops out; its
-		// remaining duties fail over to the next living controller at the
-		// next frame.
-		_ = c.Drain(charge)
-	}
+	p.consumedPJ += activePJ
+	// A controller that browns out mid-frame simply drops out; its remaining
+	// duties fail over to the next living controller at the next frame.
+	_ = active.Drain(activePJ)
 	p.nextActive = (active.ID + 1) % len(p.controllers)
 	if p.AllDead() {
 		return ErrAllControllersDead

@@ -9,60 +9,97 @@ import (
 	"repro/internal/energy"
 )
 
-func TestDefaultParamsValid(t *testing.T) {
-	p := DefaultParams()
-	if p.StatusBits != 4 || p.Medium.WidthBits != 2 {
-		t.Errorf("status slots of %d bits on a %d-bit medium, want 4 on 2 as in the paper", p.StatusBits, p.Medium.WidthBits)
+// TestPaperCalibration pins the paper's platform calibration, the values the
+// simulator reads as fixed constants: the woven line's anchors (Sec 5.1.2),
+// the shared medium and TDMA frame (Sec 5.3), the controller power
+// (Sec 7.3) and the thin-film battery (Sec 5.1.3, Fig 2).
+func TestPaperCalibration(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"line at 1 cm [pJ/bit]", energy.PerBitPJ(1), 0.4472},
+		{"line at 10 cm [pJ/bit]", energy.PerBitPJ(10), 4.4472},
+		{"line at 20 cm [pJ/bit]", energy.PerBitPJ(20), 11.867},
+		{"line at 100 cm [pJ/bit]", energy.PerBitPJ(100), 53.082},
+		{"medium width [bits]", energy.MediumWidthBits, 2},
+		{"medium energy [pJ/bit]", energy.MediumPJPerBit, 0.7},
+		{"status slot [bits]", statusBits, 4},
+		{"route slot [bits]", routeBits, 16},
+		{"frame period [cycles]", float64(FramePeriodCycles), 1024},
+		{"controller bookkeeping [cycles]", controllerActiveCycles, 16},
+		{"controller compute [cycles/node]", controllerComputeCyclesPerNode, 1},
+		{"deadlock threshold [frames]", DeadlockThresholdFrames, 2},
+		{"controller dynamic [mW]", energy.ControllerDynamicMW, 6.94},
+		{"controller leakage [mW]", energy.ControllerLeakageMW, 0.57},
+		{"thin-film available fraction", battery.ThinFilmAvailableFraction, 0.30},
+		{"thin-film recovery [1/cycle]", battery.ThinFilmRecoveryPerCycle, 8e-5},
+		{"thin-film nominal [pJ]", battery.NewThinFilm().NominalPJ(), 60000},
+		{"cutoff [V]", battery.DefaultCutoffVoltage, 3.0},
+	} {
+		// The line is interpolated between its anchors, so an anchor may
+		// come back one rounding step off the measured value.
+		if math.Abs(tc.got-tc.want) > 1e-9 {
+			t.Errorf("%s = %g, want %g", tc.name, tc.got, tc.want)
+		}
 	}
-	if p.RouteBits <= 0 || p.Medium.PJPerBit < 0 || p.FramePeriodCycles <= 0 || p.DeadlockThresholdFrames < 1 {
-		t.Errorf("default params out of range: %+v", p)
+
+	// The Fig 2 discharge curve spans depth of discharge 0..1 with strictly
+	// increasing depths and non-increasing voltage.
+	p := battery.LiFreeThinFilmProfile()
+	if len(p) < 2 || p[0].DepthOfDischarge != 0 || p[len(p)-1].DepthOfDischarge != 1 {
+		t.Fatalf("Fig 2 profile does not span depth of discharge 0..1: %v", p)
+	}
+	for i := 1; i < len(p); i++ {
+		if p[i].DepthOfDischarge <= p[i-1].DepthOfDischarge {
+			t.Errorf("Fig 2 profile depths not strictly increasing at index %d", i)
+		}
+		if p[i].Voltage > p[i-1].Voltage {
+			t.Errorf("Fig 2 profile voltage increases at index %d", i)
+		}
 	}
 }
 
 func TestSlotEnergyAccounting(t *testing.T) {
-	p := DefaultParams()
-	wantUp := float64(p.StatusBits) * p.Medium.PJPerBit
-	if got := p.UploadEnergyPerNodePJ(); math.Abs(got-wantUp) > 1e-9 {
+	wantUp := float64(statusBits) * energy.MediumPJPerBit
+	if got := UploadEnergyPerNodePJ(); math.Abs(got-wantUp) > 1e-9 {
 		t.Errorf("UploadEnergyPerNodePJ = %g, want %g", got, wantUp)
 	}
-	wantDown := float64(p.RouteBits) * p.Medium.PJPerBit
-	if got := p.DownloadEnergyPerNodePJ(); math.Abs(got-wantDown) > 1e-9 {
+	wantDown := float64(routeBits) * energy.MediumPJPerBit
+	if got := DownloadEnergyPerNodePJ(); math.Abs(got-wantDown) > 1e-9 {
 		t.Errorf("DownloadEnergyPerNodePJ = %g, want %g", got, wantDown)
 	}
 }
 
 func TestFrameLengthScalesWithNodesAndFitsPeriod(t *testing.T) {
-	p := DefaultParams()
-	l16 := p.FrameLengthCycles(16)
-	l64 := p.FrameLengthCycles(64)
+	l16 := FrameLengthCycles(16)
+	l64 := FrameLengthCycles(64)
 	if l64 != 4*l16 {
 		t.Errorf("frame length did not scale linearly: 16 nodes -> %d, 64 nodes -> %d", l16, l64)
 	}
-	if l64 > p.FramePeriodCycles {
+	if l64 > FramePeriodCycles {
 		t.Errorf("frame of an 8x8 mesh (%d cycles) does not fit in the frame period (%d cycles)",
-			l64, p.FramePeriodCycles)
+			l64, FramePeriodCycles)
 	}
 }
 
 func TestControllerFrameEnergy(t *testing.T) {
-	p := DefaultParams()
-	ctrl := energy.PaperController4x4()
-	idle := p.ControllerFrameEnergyPJ(ctrl, 16, false)
-	busy := p.ControllerFrameEnergyPJ(ctrl, 16, true)
+	idle := ControllerFrameEnergyPJ(16, false)
+	busy := ControllerFrameEnergyPJ(16, true)
 	if idle <= 0 {
 		t.Fatalf("bookkeeping frame energy = %g, want > 0", idle)
 	}
 	if busy <= idle {
 		t.Fatalf("recompute frame energy (%g) must exceed bookkeeping energy (%g)", busy, idle)
 	}
-	wantBusy := ctrl.ActiveEnergyPJ(p.ControllerActiveCyclesPerFrame + p.ControllerComputeCyclesPerNode*16)
+	wantBusy := energy.ControllerActiveEnergyPJ(controllerActiveCycles + controllerComputeCyclesPerNode*16)
 	if math.Abs(busy-wantBusy) > 1e-9 {
 		t.Errorf("recompute frame energy = %g, want %g", busy, wantBusy)
 	}
 }
 
 func TestControllerDrainInfiniteEnergy(t *testing.T) {
-	c := &Controller{ID: 0, Power: energy.PaperController4x4()}
+	c := &Controller{ID: 0}
 	for i := 0; i < 1000; i++ {
 		if err := c.Drain(1e6); err != nil {
 			t.Fatalf("infinite-energy controller died: %v", err)
@@ -92,13 +129,13 @@ func TestControllerDrainFiniteBattery(t *testing.T) {
 }
 
 func TestNewPoolValidation(t *testing.T) {
-	if _, err := NewPool(0, energy.PaperController4x4(), nil); !errors.Is(err, ErrNoControllers) {
+	if _, err := NewPool(0, nil); !errors.Is(err, ErrNoControllers) {
 		t.Fatalf("NewPool(0) error = %v, want ErrNoControllers", err)
 	}
 }
 
 func TestPoolRotatesActiveController(t *testing.T) {
-	pool, err := NewPool(3, energy.PaperController4x4(), nil)
+	pool, err := NewPool(3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +146,7 @@ func TestPoolRotatesActiveController(t *testing.T) {
 			t.Fatal(err)
 		}
 		order = append(order, active.ID)
-		if err := pool.ServeFrame(100, 10); err != nil {
+		if err := pool.ServeFrame(100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,8 +156,8 @@ func TestPoolRotatesActiveController(t *testing.T) {
 			t.Fatalf("rotation order = %v, want %v", order, want)
 		}
 	}
-	if pool.ConsumedPJ() != 6*(100+2*10) {
-		t.Errorf("ConsumedPJ = %g, want %g", pool.ConsumedPJ(), 6.0*(100+2*10))
+	if pool.ConsumedPJ() != 6*100 {
+		t.Errorf("ConsumedPJ = %g, want %g", pool.ConsumedPJ(), 6.0*100)
 	}
 }
 
@@ -128,13 +165,13 @@ func TestPoolFailover(t *testing.T) {
 	// Three controllers with tiny batteries: as they die one by one the
 	// active role must fail over to a living controller, and once all are
 	// dead ServeFrame must report it.
-	pool, err := NewPool(3, energy.PaperController4x4(), battery.IdealFactory(250))
+	pool, err := NewPool(3, battery.IdealFactory(250))
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := 0
 	for {
-		if err := pool.ServeFrame(100, 0); err != nil {
+		if err := pool.ServeFrame(100); err != nil {
 			if !errors.Is(err, ErrAllControllersDead) {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -160,12 +197,12 @@ func TestPoolFailover(t *testing.T) {
 
 func TestPoolLifetimeScalesWithControllerCount(t *testing.T) {
 	lifetime := func(n int) int {
-		pool, err := NewPool(n, energy.PaperController4x4(), battery.IdealFactory(1000))
+		pool, err := NewPool(n, battery.IdealFactory(1000))
 		if err != nil {
 			t.Fatal(err)
 		}
 		frames := 0
-		for pool.ServeFrame(100, 1) == nil {
+		for pool.ServeFrame(100) == nil {
 			frames++
 			if frames > 10000 {
 				break
@@ -179,27 +216,8 @@ func TestPoolLifetimeScalesWithControllerCount(t *testing.T) {
 	}
 }
 
-func TestPoolIdleLeakageAffectsAllControllers(t *testing.T) {
-	pool, err := NewPool(2, energy.PaperController4x4(), battery.IdealFactory(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Idle leakage alone (active energy 0) should eventually kill both
-	// controllers even though only one is "active" per frame.
-	frames := 0
-	for pool.ServeFrame(0, 10) == nil {
-		frames++
-		if frames > 1000 {
-			t.Fatal("pool never died from leakage")
-		}
-	}
-	if pool.AliveCount() != 0 {
-		t.Fatalf("AliveCount = %d after leakage death, want 0", pool.AliveCount())
-	}
-}
-
 func TestPoolAccessors(t *testing.T) {
-	pool, err := NewPool(5, energy.ControllerForMesh(25), nil)
+	pool, err := NewPool(5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +235,16 @@ func TestPoolAccessors(t *testing.T) {
 // active role skips the dead, and ErrAllControllersDead surfaces exactly on
 // the frame the last controller browns out.
 func TestPoolPartialDeathOrdering(t *testing.T) {
-	// Three controllers, 250 pJ each, 100 pJ per active frame, no idle cost:
-	// each controller serves 2 full frames and browns out on its 3rd.
-	pool, err := NewPool(3, energy.PaperController4x4(), battery.IdealFactory(250))
+	// Three controllers, 250 pJ each, 100 pJ per active frame: each
+	// controller serves 2 full frames and browns out on its 3rd.
+	pool, err := NewPool(3, battery.IdealFactory(250))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var aliveAfter []int
 	var fatalFrame int
 	for frame := 1; frame <= 30; frame++ {
-		err := pool.ServeFrame(100, 0)
+		err := pool.ServeFrame(100)
 		aliveAfter = append(aliveAfter, pool.AliveCount())
 		if err != nil {
 			if !errors.Is(err, ErrAllControllersDead) {
