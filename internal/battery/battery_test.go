@@ -2,6 +2,7 @@ package battery
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -113,6 +114,46 @@ func TestLevelMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkProfile reports why p is not a usable discharge curve: it must span
+// depth of discharge 0..1 with strictly increasing depths and non-increasing
+// voltage.
+func checkProfile(p DischargeProfile) error {
+	if len(p) < 2 {
+		return errors.New("fewer than two points")
+	}
+	if p[0].DepthOfDischarge != 0 || p[len(p)-1].DepthOfDischarge != 1 {
+		return errors.New("does not span depth of discharge 0..1")
+	}
+	for i := 1; i < len(p); i++ {
+		if p[i].DepthOfDischarge <= p[i-1].DepthOfDischarge {
+			return fmt.Errorf("depths not strictly increasing at index %d", i)
+		}
+		if p[i].Voltage > p[i-1].Voltage {
+			return fmt.Errorf("voltage increases at index %d", i)
+		}
+	}
+	return nil
+}
+
+func TestDischargeProfileValidate(t *testing.T) {
+	if err := checkProfile(LiFreeThinFilmProfile()); err != nil {
+		t.Fatalf("Fig 2 profile invalid: %v", err)
+	}
+	bad := []DischargeProfile{
+		{},
+		{{0, 4}},
+		{{0.1, 4}, {1, 3}},                       // does not start at 0
+		{{0, 4}, {0.9, 3}},                       // does not end at 1
+		{{0, 4}, {0.5, 3.5}, {0.5, 3}, {1, 2.9}}, // duplicate depth
+		{{0, 4}, {0.5, 4.2}, {1, 3}},             // voltage increases
+	}
+	for i, p := range bad {
+		if err := checkProfile(p); err == nil {
+			t.Errorf("bad profile %d passed the check", i)
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // TestPaperCalibration pins the paper's platform calibration, the values the
 // simulator reads as fixed constants: the woven line's anchors (Sec 5.1.2),
 // the shared medium and TDMA frame (Sec 5.3), the controller power
-// (Sec 7.3) and the thin-film battery (Sec 5.1.3, Fig 2).
+// (Sec 7.3) and the thin-film battery (Sec 5.1.3). The shape of the Fig 2
+// discharge curve is checked in the battery package.
 func TestPaperCalibration(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -44,19 +45,19 @@ func TestPaperCalibration(t *testing.T) {
 		}
 	}
 
-	// The Fig 2 discharge curve spans depth of discharge 0..1 with strictly
-	// increasing depths and non-increasing voltage.
-	p := battery.LiFreeThinFilmProfile()
-	if len(p) < 2 || p[0].DepthOfDischarge != 0 || p[len(p)-1].DepthOfDischarge != 1 {
-		t.Fatalf("Fig 2 profile does not span depth of discharge 0..1: %v", p)
+}
+
+// TestDefaultParamsValid checks the TDMA calibration is usable: 4-bit status
+// slots on the 2-bit medium as in the paper, a non-empty route slot, a
+// non-negative medium energy, a positive frame period and a deadlock
+// threshold of at least one frame.
+func TestDefaultParamsValid(t *testing.T) {
+	if statusBits != 4 || energy.MediumWidthBits != 2 {
+		t.Errorf("status slots of %d bits on a %d-bit medium, want 4 on 2 as in the paper", statusBits, energy.MediumWidthBits)
 	}
-	for i := 1; i < len(p); i++ {
-		if p[i].DepthOfDischarge <= p[i-1].DepthOfDischarge {
-			t.Errorf("Fig 2 profile depths not strictly increasing at index %d", i)
-		}
-		if p[i].Voltage > p[i-1].Voltage {
-			t.Errorf("Fig 2 profile voltage increases at index %d", i)
-		}
+	if routeBits <= 0 || energy.MediumPJPerBit < 0 || FramePeriodCycles <= 0 || DeadlockThresholdFrames < 1 {
+		t.Errorf("TDMA calibration out of range: route %d bits, medium %g pJ/bit, period %d cycles, deadlock threshold %d frames",
+			routeBits, energy.MediumPJPerBit, FramePeriodCycles, DeadlockThresholdFrames)
 	}
 }
 
