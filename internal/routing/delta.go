@@ -62,26 +62,27 @@ type DeltaStats struct {
 }
 
 // Crossover fractions of the policy set above which the workspace takes the
-// full pass. An incremental repair costs roughly (diff + one marking walk +
-// adjacency) ≈ 3·K² plus one O(K²) pivot pass per head plus the affected
-// re-labelling (a heap-ordered Dijkstra per destination), while the full
-// pass costs K min-plus sweeps of the distance matrix plus an O(K²·deg)
-// first-hop argmin. Phase 3 (K·Σ|S_i| distance reads) follows either path,
-// so it sits on both sides of the measured ratios. Measured with
+// full pass. An incremental repair costs roughly (diff + one marking walk)
+// ≈ 2·K², plus an O(K²) adjacency build when an edge appeared or vanished,
+// plus one O(K²) pivot pass per head plus the affected re-labelling (a
+// heap-ordered Dijkstra per destination), while the full pass costs K
+// min-plus sweeps of the distance matrix plus an O(K²·deg) first-hop
+// argmin. Phase 3 (K·Σ|S_i| distance reads) follows either path, so it
+// sits on both sides of the measured ratios. Measured with
 // BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared 2-CPU
 // VM with AVX2; median over four rounds of the repair's time over the full
-// pass's, which took 3.0-3.1 ms with the AVX2 min-plus kernel): one drained
-// node repairs at 0.98x (dirty 0.02·K, affected 0.11·K²), two at 1.34x,
-// eight at 2.2x, sixteen at 3.6x (dirty 0.21·K, affected 0.66·K²) and
-// fifty-one at 5.6x (dirty 0.59·K), so at this size the repair now breaks
-// even at one drained node. Against the scalar min-plus loop, which a host
-// without AVX2 still runs (11-16 ms), break-even sat at about thirty-two
-// drained nodes (dirty 0.39·K, affected 0.88·K²), and against the older
-// full pass that relaxed successors in the same loop (18-28 ms) at dirty
-// ≈ 0.74·K. The defaults were set against those passes. Moving them would
-// move the full/incremental split that sim.Result reports, so they stay;
-// they are policy, not correctness — any threshold yields byte-identical
-// tables.
+// pass's, which took 3.5-3.8 ms with the AVX2 min-plus kernel): one drained
+// node repairs at 0.64x (dirty 0.02·K, affected 0.11·K²), two at 0.75x,
+// eight at 1.45x, sixteen at 2.6x (dirty 0.21·K, affected 0.66·K²) and
+// fifty-one at 4.1x (dirty 0.59·K), so at this size the repair breaks even
+// between two and eight drained nodes. Against the scalar min-plus loop,
+// which a host without AVX2 still runs (11-16 ms), break-even sat at about
+// thirty-two drained nodes (dirty 0.39·K, affected 0.88·K²), and against
+// the older full pass that relaxed successors in the same loop (18-28 ms)
+// at dirty ≈ 0.74·K. The defaults were set against those passes. Moving
+// them would move the full/incremental split that sim.Result reports, so
+// they stay; they are policy, not correctness — any threshold yields
+// byte-identical tables.
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60
@@ -185,14 +186,19 @@ type DeltaWorkspace struct {
 	epoch     uint64            // current marking epoch
 	cols      []uint64          // per destination: ⌈k/64⌉ words of pivot-affected sources
 	walk      []int             // successor-tree walk stack
-	aff       []int             // affected sources, then their settle heap
+	heap      []settleEntry     // repairColumn's settle heap of unsettled sources
 	pos       []int32           // per vertex: slot in the settle heap, or -1
-	label     []float64         // tentative clean-restricted distances
 	hop       []topology.NodeID // tentative canonical first hops
 	adjOut    []int32           // concatenated out-neighbour lists
 	adjOutOff []int32           // k+1 offsets into adjOut
 	adjIn     []int32           // concatenated in-neighbour lists
 	adjInOff  []int32           // k+1 offsets into adjIn
+	// adjValid records that the adjacency lists hold the finite-edge
+	// pattern of w[cur]. Weight changes that keep every edge finite (a
+	// battery crossing) leave the pattern alone, so the lists are rebuilt
+	// only after the diff sees an edge appear or vanish, or after a full
+	// pass that ran without a diff.
+	adjValid bool
 
 	stats DeltaStats
 }
@@ -311,18 +317,23 @@ func (dw *DeltaWorkspace) aliveChanged(state *SystemState, k int) bool {
 // dw.w[dw.cur^1]. It returns false — leaving dist/succ untouched — when the
 // workspace must (or is configured to) run the full pass instead.
 func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
-	if dw.mode == RecomputeFull || !dw.havePrev || dw.sp.n != k || dw.w[dw.cur].Dim() != k {
-		return false
-	}
 	// Node death (or revival) invalidates reachability wholesale: every
 	// column through the node changes at once, and the old successor trees
-	// are the wrong guide. Take the full pass.
-	if dw.aliveChanged(state, k) {
+	// are the wrong guide. Take the full pass. None of these full passes
+	// diffs the weights, so the edge pattern is unknown afterwards.
+	if dw.mode == RecomputeFull || !dw.havePrev || dw.sp.n != k || dw.w[dw.cur].Dim() != k ||
+		dw.aliveChanged(state, k) {
+		dw.adjValid = false
 		return false
 	}
 	dw.grow(k)
 	newW := &dw.w[dw.cur^1]
-	dirty := dw.diffDirty(newW, &dw.w[dw.cur], k)
+	dirty, flipped := dw.diffDirty(newW, &dw.w[dw.cur], k)
+	if flipped {
+		// Whether the repair or the full pass follows, the lists no longer
+		// match the new weights.
+		dw.adjValid = false
+	}
 	if float64(dirty) > dw.dirtyCrossover*float64(k) {
 		return false // dirty fraction past the crossover
 	}
@@ -348,10 +359,13 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	dw.stats.DirtyVertices += dirty
 	dw.stats.AffectedPairs += total
 
-	// The re-labelling touches only existing edges, so one O(K²) sweep
-	// builds neighbour lists and the Dijkstra passes run over them instead
-	// of scanning whole matrix rows.
-	dw.buildAdjacency(newW, k)
+	// The re-labelling touches only existing edges, so the Dijkstra passes
+	// run over neighbour lists instead of scanning whole matrix rows. One
+	// O(K²) sweep builds them, once per finite-edge pattern.
+	if !dw.adjValid {
+		dw.buildAdjacency(newW, k)
+		dw.adjValid = true
+	}
 
 	// Re-label each destination column, then restore the fixpoint with one
 	// pivot pass per head in ascending order.
@@ -382,7 +396,6 @@ func (dw *DeltaWorkspace) grow(k int) {
 		dw.mark = dw.mark[:k]
 		dw.cols = dw.cols[:k*colWords(k)]
 		dw.pos = dw.pos[:k]
-		dw.label = dw.label[:k]
 		dw.hop = dw.hop[:k]
 		dw.adjOutOff = dw.adjOutOff[:k+1]
 		dw.adjInOff = dw.adjInOff[:k+1]
@@ -393,14 +406,13 @@ func (dw *DeltaWorkspace) grow(k int) {
 	dw.epoch = 0
 	dw.cols = make([]uint64, k*colWords(k))
 	dw.walk = make([]int, 0, k)
-	dw.aff = make([]int, 0, k)
+	dw.heap = make([]settleEntry, 0, k)
 	dw.heads = make([]int, 0, k)
 	// Every repairColumn drains its heap, so pos is all -1 between calls.
 	dw.pos = make([]int32, k)
 	for i := range dw.pos {
 		dw.pos[i] = -1
 	}
-	dw.label = make([]float64, k)
 	dw.hop = make([]topology.NodeID, k)
 	dw.adjOutOff = make([]int32, k+1)
 	dw.adjInOff = make([]int32, k+1)
@@ -434,8 +446,8 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	}
 	dw.adjOut = dw.adjOut[:edges]
 	dw.adjIn = dw.adjIn[:edges]
-	// In-cursor per vertex; dw.aff is free at this point.
-	cur := dw.aff[:0]
+	// In-cursor per vertex; dw.walk is free at this point.
+	cur := dw.walk[:0]
 	for j := 0; j < k; j++ {
 		cur = append(cur, int(dw.adjInOff[j]))
 	}
@@ -470,8 +482,9 @@ const (
 // dw.member the policy set — both endpoints of every changed edge — and the
 // pivot set — the head j of every changed edge w[i][j] — and lists the
 // pivot set in ascending order in dw.heads. It returns the policy set's
-// size.
-func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) int {
+// size and whether any edge appeared or disappeared (a cell went from
+// finite to Inf or back).
+func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) (dirty int, flipped bool) {
 	member := dw.member
 	clear(member)
 	for i := 0; i < k; i++ {
@@ -480,11 +493,11 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) int {
 			if a[j] != b[j] {
 				member[i] |= policyBit
 				member[j] |= policyBit | pivotBit
+				flipped = flipped || (a[j] < Inf) != (b[j] < Inf)
 			}
 		}
 	}
 	dw.heads = dw.heads[:0]
-	dirty := 0
 	for i, m := range member {
 		if m&pivotBit != 0 {
 			dw.heads = append(dw.heads, i)
@@ -493,7 +506,7 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) int {
 			dirty++
 		}
 	}
-	return dirty
+	return dirty, flipped
 }
 
 // markAffected walks the old successor trees towards destination j once and
@@ -579,23 +592,24 @@ func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64) (policy, pivot in
 // pivots would reach the same fixpoint. Settling order is smallest label,
 // ties to the smallest vertex id, so the first hops written are the
 // canonical minima. The unsettled sources sit in an indexed binary min-heap
-// on that same strict (label, id) order; labels only decrease, so each pop
-// is the (label, id) minimum of the unsettled set. col is j's pivot-bit
-// column as markAffected left it: its set bits are the affected sources,
-// and every other source is clean.
+// on that same strict (label, id) order, each entry carrying its label;
+// labels only decrease, so each pop is the (label, id) minimum of the
+// unsettled set. col is j's pivot-bit column as markAffected left it: its
+// set bits are the affected sources, and every other source is clean.
 func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64) {
-	pos, label, hop := dw.pos, dw.label, dw.hop
-	heap := dw.aff[:0]
+	pos, hop := dw.pos, dw.hop
+	heap := dw.heap[:0]
 	for x, word := range col {
 		for ; word != 0; word &= word - 1 {
-			heap = append(heap, x<<6|bits.TrailingZeros64(word))
+			heap = append(heap, settleEntry{v: int32(x<<6 | bits.TrailingZeros64(word))})
 		}
 	}
 	if len(heap) == 0 {
 		return
 	}
 	dist, succ := &dw.sp.dist, dw.sp.succ
-	for _, i := range heap {
+	for x := range heap {
+		i := int(heap[x].v)
 		row := w.Row(i)
 		best, bh := Inf, topology.Invalid
 		for _, h32 := range dw.adjOut[dw.adjOutOff[i]:dw.adjOutOff[i+1]] {
@@ -618,13 +632,13 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64) {
 				bh = topology.NodeID(h)
 			}
 		}
-		label[i], hop[i] = best, bh
+		heap[x].label, hop[i] = best, bh
 	}
-	heapInit(heap, pos, label)
+	heapInit(heap, pos)
 	for len(heap) > 0 {
-		var v int
-		v, heap = heapPop(heap, pos, label)
-		lv := label[v]
+		var top settleEntry
+		top, heap = heapPop(heap, pos)
+		v, lv := int(top.v), top.label
 		if lv == Inf {
 			// No clean-restricted route: reset to unreachable and let
 			// the pivot passes rediscover any path through the pivot set.
@@ -646,78 +660,86 @@ func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64) {
 			}
 			u := int(u32)
 			cand := w.At(u, v) + lv
-			if cand < label[u] {
-				label[u], hop[u] = cand, topology.NodeID(v)
-				siftUp(heap, pos, label, int(x))
-			} else if cand == label[u] && topology.NodeID(v) < hop[u] {
+			if lu := heap[x].label; cand < lu {
+				heap[x].label, hop[u] = cand, topology.NodeID(v)
+				siftUp(heap, pos, int(x))
+			} else if cand == lu && topology.NodeID(v) < hop[u] {
 				hop[u] = topology.NodeID(v)
 			}
 		}
 	}
 }
 
-// heapLess is the settle order: smaller label first, ties to the smaller
-// vertex id. It is strict and total, so the heap's minimum is unique.
-func heapLess(label []float64, a, b int) bool {
-	return label[a] < label[b] || (label[a] == label[b] && a < b)
+// settleEntry is one unsettled source in repairColumn's heap: its tentative
+// clean-restricted distance and its vertex id side by side, so that the
+// sift loops compare entries in place instead of indexing a label array.
+type settleEntry struct {
+	label float64
+	v     int32
 }
 
-// heapInit records every vertex's slot in pos and heap-orders the slice.
-func heapInit(heap []int, pos []int32, label []float64) {
-	for x, v := range heap {
-		pos[v] = int32(x)
+// less is the settle order: smaller label first, ties to the smaller vertex
+// id. It is strict and total, so the heap's minimum is unique.
+func (a settleEntry) less(b settleEntry) bool {
+	return a.label < b.label || (a.label == b.label && a.v < b.v)
+}
+
+// heapInit records every entry's slot in pos and heap-orders the slice.
+func heapInit(heap []settleEntry, pos []int32) {
+	for x, e := range heap {
+		pos[e.v] = int32(x)
 	}
 	for x := len(heap)/2 - 1; x >= 0; x-- {
-		siftDown(heap, pos, label, x)
+		siftDown(heap, pos, x)
 	}
 }
 
-// heapPop removes the minimum, marks it absent in pos, and returns it with
-// the shrunk heap.
-func heapPop(heap []int, pos []int32, label []float64) (int, []int) {
-	v := heap[0]
-	pos[v] = -1
+// heapPop removes the minimum, marks its vertex absent in pos, and returns
+// it with the shrunk heap.
+func heapPop(heap []settleEntry, pos []int32) (settleEntry, []settleEntry) {
+	top := heap[0]
+	pos[top.v] = -1
 	last := len(heap) - 1
 	heap[0] = heap[last]
 	heap = heap[:last]
 	if last > 0 {
-		siftDown(heap, pos, label, 0)
+		siftDown(heap, pos, 0)
 	}
-	return v, heap
+	return top, heap
 }
 
 // siftUp restores the heap order after the label of heap[x] decreased.
-func siftUp(heap []int, pos []int32, label []float64, x int) {
-	v := heap[x]
+func siftUp(heap []settleEntry, pos []int32, x int) {
+	e := heap[x]
 	for x > 0 {
 		p := (x - 1) / 2
 		u := heap[p]
-		if !heapLess(label, v, u) {
+		if !e.less(u) {
 			break
 		}
-		heap[x], pos[u] = u, int32(x)
+		heap[x], pos[u.v] = u, int32(x)
 		x = p
 	}
-	heap[x], pos[v] = v, int32(x)
+	heap[x], pos[e.v] = e, int32(x)
 }
 
 // siftDown restores the heap order below slot x.
-func siftDown(heap []int, pos []int32, label []float64, x int) {
-	v := heap[x]
+func siftDown(heap []settleEntry, pos []int32, x int) {
+	e := heap[x]
 	for {
 		c := 2*x + 1
 		if c >= len(heap) {
 			break
 		}
-		if r := c + 1; r < len(heap) && heapLess(label, heap[r], heap[c]) {
+		if r := c + 1; r < len(heap) && heap[r].less(heap[c]) {
 			c = r
 		}
 		u := heap[c]
-		if !heapLess(label, u, v) {
+		if !u.less(e) {
 			break
 		}
-		heap[x], pos[u] = u, int32(x)
+		heap[x], pos[u.v] = u, int32(x)
 		x = c
 	}
-	heap[x], pos[v] = v, int32(x)
+	heap[x], pos[e.v] = e, int32(x)
 }

@@ -521,12 +521,103 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 	}
 }
 
+// TestRepairAdjacencyFollowsEdgeSet pins the lifetime of the repair's
+// neighbour lists, which are rebuilt only when the finite-edge pattern may
+// have changed. On an 8x8 EAR mesh the repairs are separated by a link drop
+// and heal (the diff sees an edge appear or vanish), a node death and
+// revival (full passes that skip the diff) and a dirty-threshold bailout
+// that heals the link (a full pass after a diff that saw the flip). Lists
+// are built while the link is down and while the node is dead, and each
+// repair after an edge comes back drains a vertex on it, so the
+// destination's in-neighbour whose best route is the returned edge is
+// re-labelled: lists that missed the edge would give it a longer route.
+// Every step must match the full pass byte for byte and be the kind of
+// recompute its name says.
+func TestRepairAdjacencyFollowsEdgeSet(t *testing.T) {
+	mesh := topology.MustMesh(8, 8, topology.DefaultSpacingCM)
+	g := mesh.Graph.Clone()
+	dests := checkerboardDests(g)
+	state := fullState(g, 8)
+	var alg Algorithm = NewEAR()
+	// a-b is the link that drops and heals, d the node that dies and
+	// revives; far are four nodes apart from both, drained together past
+	// the dirty threshold (0.20·64 vertices).
+	const a, b, d = 27, 28, 45
+	far := []int{9, 14, 49, 54}
+	l, ok := g.Link(a, b)
+	if !ok {
+		t.Fatalf("no link %d-%d", a, b)
+	}
+	setLink := func(up bool) {
+		var err error
+		if up {
+			err = g.AddBiLink(a, b, l.LengthCM)
+		} else {
+			err = g.RemoveBiLink(a, b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		state.TopologyEpoch++
+	}
+	drain := func(n int) {
+		st := &state.Status[n]
+		st.BatteryLevel = (st.BatteryLevel + 7) % 8
+	}
+
+	dw, ref := NewDeltaWorkspace(), newFullWorkspace()
+	var dPrev, fPrev *Tables
+	step := func(what string, repaired bool) {
+		t.Helper()
+		before := dw.Stats().Incremental
+		dPlan := dw.ComputeInto(alg, state, dests, dPrev)
+		fPlan := ref.ComputeInto(alg, state, dests, fPrev)
+		assertPlansIdentical(t, dPlan, fPlan)
+		dPrev, fPrev = dPlan.Tables, fPlan.Tables
+		if got := dw.Stats().Incremental == before+1; got != repaired {
+			t.Fatalf("%s: repaired %v, want %v (%+v)", what, got, repaired, dw.Stats())
+		}
+	}
+
+	setLink(false)
+	step("first computation, link down", false)
+	drain(a)
+	step("drain with the link down: the first lists", true)
+	setLink(true)
+	step("heal the link", true)
+	drain(b)
+	step("drain the other end of the healed link", true)
+
+	state.Status[d].Alive = false
+	step("node death", false)
+	drain(d - 1)
+	step("drain beside the dead node", true)
+	setLink(false)
+	step("drop the link while the node is dead", true)
+	drain(a)
+	step("drain with the link down", true)
+	state.Status[d].Alive = true
+	step("node revival", false)
+	drain(d)
+	step("drain the revived node", true)
+
+	setLink(true)
+	for _, n := range far {
+		drain(n)
+	}
+	step("heal the link in a dirty-threshold bailout", false)
+	drain(a)
+	step("drain an end of the link the bailout healed", true)
+	assertNeverRepaired(t, ref)
+}
+
 // TestSettleHeapPopOrder pins the settle heap to the linear scan it
 // replaced: with heavily tied labels and random decrease-keys between pops,
 // every pop must be the (label, id) minimum of the unsettled set. With
 // strictly positive weights, equal-label vertices never relax each other,
 // so the repaired matrices cannot show the order among ties; this test is
-// what holds the id tie-break.
+// what holds the id tie-break. The scan reads the labels from its own
+// array, which every decrease-key updates alongside the heap entry.
 func TestSettleHeapPopOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const k = 64
@@ -536,18 +627,19 @@ func TestSettleHeapPopOrder(t *testing.T) {
 		for i := range pos {
 			pos[i] = -1
 		}
-		var heap, scan []int
+		var heap []settleEntry
+		var scan []int
 		for v := 0; v < k; v++ {
 			if rng.Intn(3) > 0 {
 				label[v] = float64(rng.Intn(6))
 				if rng.Intn(8) == 0 {
 					label[v] = Inf
 				}
-				heap = append(heap, v)
+				heap = append(heap, settleEntry{label: label[v], v: int32(v)})
 				scan = append(scan, v)
 			}
 		}
-		heapInit(heap, pos, label)
+		heapInit(heap, pos)
 		for len(heap) > 0 {
 			bi := 0
 			for x := 1; x < len(scan); x++ {
@@ -560,20 +652,27 @@ func TestSettleHeapPopOrder(t *testing.T) {
 			scan[bi] = scan[len(scan)-1]
 			scan = scan[:len(scan)-1]
 
-			var v int
-			v, heap = heapPop(heap, pos, label)
-			if v != want {
-				t.Fatalf("round %d: heap popped %d (label %g), scan picks %d (label %g)", round, v, label[v], want, label[want])
+			var top settleEntry
+			top, heap = heapPop(heap, pos)
+			v := int(top.v)
+			if v != want || top.label != label[want] {
+				t.Fatalf("round %d: heap popped %d (label %g), scan picks %d (label %g)", round, v, top.label, want, label[want])
 			}
 			if pos[v] != -1 {
 				t.Fatalf("round %d: popped vertex %d still has slot %d", round, v, pos[v])
+			}
+			for _, u := range scan {
+				if x := pos[u]; x < 0 || int(heap[x].v) != u || heap[x].label != label[u] {
+					t.Fatalf("round %d: vertex %d has slot %d, which does not hold it with label %g", round, u, x, label[u])
+				}
 			}
 			// Lower a few remaining labels, often onto an existing tie.
 			for d := 0; d < rng.Intn(4) && len(scan) > 0; d++ {
 				u := scan[rng.Intn(len(scan))]
 				if nl := label[v] + float64(rng.Intn(3)); nl < label[u] {
 					label[u] = nl
-					siftUp(heap, pos, label, int(pos[u]))
+					heap[pos[u]].label = nl
+					siftUp(heap, pos, int(pos[u]))
 				}
 			}
 		}
@@ -760,8 +859,9 @@ func benchDrain(b *testing.B, meshSize int, mode RecomputeMode) {
 
 // BenchmarkIncrementalRecompute measures the per-threshold-crossing recompute cost for the full pass vs the
 // incremental repair as the mesh grows. The full pass is capped at 32x32
-// (1024 nodes, ~1 s/op); 64x64 (4096 nodes) appears only under the
-// incremental column — that sweep was simply infeasible at O(K³).
+// (1024 nodes, about 0.25 s/op with the AVX2 min-plus kernel); 64x64 (4096
+// nodes) appears only under the incremental column, since a full pass
+// there costs 64 times as much at O(K³).
 func BenchmarkIncrementalRecompute(b *testing.B) {
 	for _, meshSize := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("full/%dx%d", meshSize, meshSize), func(b *testing.B) {

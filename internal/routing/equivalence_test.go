@@ -376,3 +376,203 @@ func TestDenseComputeMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// refPivotPass is pivotPass as Fig 5 spells it: one pivot's relaxation with
+// the j == n, j == i and d(n,j) = Inf cells skipped and both Invalid tests of
+// the tie-break written out.
+func refPivotPass(sp *ShortestPaths, n int) {
+	k := sp.n
+	distN := sp.dist.Row(n)[:k]
+	for i := 0; i < k; i++ {
+		if i == n {
+			continue
+		}
+		distI := sp.dist.Row(i)[:k]
+		din := distI[n]
+		if din == Inf {
+			continue
+		}
+		succI := sp.succ[i*k : (i+1)*k][:k]
+		sin := succI[n]
+		for j, dij := range distI {
+			dnj := distN[j]
+			if j == n || j == i || dnj == Inf {
+				continue
+			}
+			through := din + dnj
+			switch {
+			case through < dij:
+				distI[j] = through
+				succI[j] = sin
+			case through == dij && sin != topology.Invalid &&
+				(succI[j] == topology.Invalid || sin < succI[j]):
+				succI[j] = sin
+			}
+		}
+	}
+}
+
+// checkPivotPasses holds pivotPass to refPivotPass from sp's state: each
+// pivot of alone (every pivot when alone is nil) on a fresh copy, then every
+// pivot in ascending order on one running copy, comparing distance bits and
+// successors after each pass. sp is not modified.
+func checkPivotPasses(t testing.TB, sp *ShortestPaths, alone []int) {
+	t.Helper()
+	k := sp.n
+	var got, want ShortestPaths
+	same := func(what string, n int) {
+		t.Helper()
+		for x := range want.succ {
+			if math.Float64bits(got.dist.cells[x]) != math.Float64bits(want.dist.cells[x]) || got.succ[x] != want.succ[x] {
+				t.Fatalf("%s, pivot %d: (%d, %d) = dist %g succ %d, reference dist %g succ %d",
+					what, n, x/k, x%k, got.dist.cells[x], got.succ[x], want.dist.cells[x], want.succ[x])
+			}
+		}
+	}
+	if alone == nil {
+		for n := 0; n < k; n++ {
+			alone = append(alone, n)
+		}
+	}
+	for _, n := range alone {
+		got.copyFrom(sp)
+		want.copyFrom(sp)
+		got.pivotPass(n)
+		refPivotPass(&want, n)
+		same("single pass", n)
+	}
+	got.copyFrom(sp)
+	want.copyFrom(sp)
+	for n := 0; n < k; n++ {
+		got.pivotPass(n)
+		refPivotPass(&want, n)
+		same("ascending passes", n)
+	}
+}
+
+// halfRepair runs a repair on dw up to its pivot passes: the new weights of
+// state are diffed against dw's last ones, every destination is marked and
+// re-labelled, and dw.sp is left as the pivot passes would find it. It
+// reports whether the weights changed at all.
+func halfRepair(dw *DeltaWorkspace, alg Algorithm, state *SystemState) bool {
+	k := dw.sp.n
+	next := &dw.w[dw.cur^1]
+	alg.WeightsInto(next, state)
+	dw.grow(k)
+	if dirty, _ := dw.diffDirty(next, &dw.w[dw.cur], k); dirty == 0 {
+		return false
+	}
+	for j := 0; j < k; j++ {
+		dw.markAffected(j, k, dw.col(j, k))
+	}
+	dw.buildAdjacency(next, k)
+	for j := 0; j < k; j++ {
+		dw.repairColumn(j, k, next, dw.col(j, k))
+	}
+	return true
+}
+
+// TestPivotPassMatchesReference holds the one-branch pivot pass to Fig 5's
+// loop bit for bit on random EAR states of 4x4 to 16x16 meshes with dead
+// nodes and dropped links, at Q = 2 (exact sums, ties everywhere) and
+// Q = 21.3 (rounded sums). Each state is half-repaired after a few battery
+// crossings, with the pairs the re-labelling found no clean route for reset
+// to Inf and Invalid, and checked as it is and (up to 12x12) again with a
+// share of its other pairs reset the same way. Every pivot runs in the
+// ascending sequence; on 16x16 only the repair's own pivots and a few
+// others also run alone from the state, which keeps the race-detector run
+// short.
+func TestPivotPassMatchesReference(t *testing.T) {
+	invalid := 0 // Invalid successors across the half-repaired states
+	for _, meshSize := range []int{4, 6, 8, 12, 16} {
+		for _, q := range []float64{2, 21.3} {
+			t.Run(fmt.Sprintf("%dx%d/Q%g", meshSize, meshSize, q), func(t *testing.T) {
+				mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
+				g := mesh.Graph.Clone()
+				if _, _, err := topology.FailLinks(g, 0.1, uint64(meshSize)); err != nil {
+					t.Fatal(err)
+				}
+				k := g.NodeCount()
+				rng := rand.New(rand.NewSource(int64(meshSize)*10 + int64(q)))
+				var alg Algorithm = EAR{Params: EARParams{Q: q, Levels: 8}}
+				state := fullState(g, 8)
+				for n := range state.Status {
+					state.Status[n] = NodeStatus{Alive: rng.Intn(10) > 0, BatteryLevel: rng.Intn(8)}
+				}
+				dw := NewDeltaWorkspace()
+				dw.ComputeInto(alg, state, checkerboardDests(g), nil)
+
+				for h := 0; h < 1+meshSize/4; h++ {
+					st := &state.Status[rng.Intn(k)]
+					st.BatteryLevel = (st.BatteryLevel + 1 + rng.Intn(7)) % 8
+				}
+				if !halfRepair(dw, alg, state) {
+					t.Fatal("the battery crossings changed no weight")
+				}
+				for x, s := range dw.sp.succ {
+					if x/k != x%k && s == topology.Invalid {
+						invalid++
+					}
+				}
+				var alone []int
+				if meshSize == 16 {
+					alone = append(alone, dw.heads...)
+					for n := 0; n < 8; n++ {
+						alone = append(alone, rng.Intn(k))
+					}
+				}
+				checkPivotPasses(t, &dw.sp, alone)
+				if meshSize == 16 {
+					return
+				}
+
+				for x := range dw.sp.succ {
+					if x/k != x%k && rng.Intn(8) == 0 {
+						dw.sp.dist.cells[x], dw.sp.succ[x] = Inf, topology.Invalid
+					}
+				}
+				checkPivotPasses(t, &dw.sp, alone)
+			})
+		}
+	}
+	if invalid == 0 {
+		t.Fatal("no half-repaired state had an Invalid successor")
+	}
+}
+
+// FuzzPivotPass holds the one-branch pivot pass to Fig 5's loop on random
+// directed graphs of up to 12 vertices whose weights are small dyadic
+// rationals (so sums are exact and ties are common), with a fuzzed share of
+// the edges missing. The full pass's result is then disturbed the way a
+// half-finished repair leaves it: a fuzzed share of the off-diagonal pairs
+// is reset to Inf and Invalid or raised to a longer dyadic distance with an
+// arbitrary first hop. The seed corpus is in testdata/fuzz/FuzzPivotPass.
+func FuzzPivotPass(f *testing.F) {
+	f.Fuzz(func(t *testing.T, size, missing, disturbed uint8, seed uint64) {
+		k := 1 + int(size)%12
+		rng := rand.New(rand.NewSource(int64(seed)))
+		dyadic := func() float64 { return math.Ldexp(float64(1+rng.Intn(8)), rng.Intn(5)-2) }
+		w := NewMatrix(k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				if i != j && rng.Intn(256) >= int(missing) {
+					w.Set(i, j, dyadic())
+				}
+			}
+		}
+		var sp ShortestPaths
+		sp.ComputeFrom(&w)
+		for x := range sp.succ {
+			if x/k == x%k || rng.Intn(256) >= int(disturbed) {
+				continue
+			}
+			if rng.Intn(2) == 0 {
+				sp.dist.cells[x], sp.succ[x] = Inf, topology.Invalid
+			} else {
+				sp.dist.cells[x] += dyadic()
+				sp.succ[x] = topology.NodeID(rng.Intn(k+1) - 1)
+			}
+		}
+		checkPivotPasses(t, &sp, nil)
+	})
+}

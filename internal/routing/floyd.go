@@ -101,13 +101,28 @@ func (sp *ShortestPaths) copyFrom(src *ShortestPaths) {
 // after pivoting on any vertex set that contains the head of every changed
 // edge, the canonical fixpoint (true distances, minimum first hop among all
 // shortest paths) is restored, so the repair meets ComputeFrom's result.
+//
+// Fig 5's loop also skips j == n, j == i and d(n,j) = Inf. Under positive
+// weights (and a zero diagonal, which the repair never writes) each of those
+// cells is a no-op here, so the inner loop tests none of them:
+//
+//   - j == n: through = d(i,n) + 0 = d(i,j), a tie, and sin is succ(i,n)
+//     itself, so sin < succ(i,j) is false;
+//   - j == i: through = d(i,n) + d(n,i) > 0 = d(i,i), skipped;
+//   - d(n,j) = Inf: through = Inf, skipped against a finite d(i,j), and a
+//     tie with d(i,j) = Inf writes nothing because through < Inf fails.
+//
+// The one predicted branch is through > d(i,j). A tie then writes sin only
+// when it is the smaller hop: Invalid is −1, so uint(sin) < uint(succ(i,j))
+// is false for an Invalid sin and true against an Invalid succ(i,j), which
+// are exactly Fig 5's two Invalid tests. The rows i == n and d(i,n) = Inf
+// stay skipped: pivoting row n on itself would tie every cell and write n.
 func (sp *ShortestPaths) pivotPass(n int) {
 	k := sp.n
-	// Row n is never written while pivoting on n (the j == n and i == n
-	// cases are skipped), so hoisting the row slices out of the inner
-	// loop preserves the exact reference arithmetic. Every row is resliced
-	// to length k and the inner loop ranges over distI, which lets the
-	// compiler drop the bounds checks inside it.
+	// Row n is never written while pivoting on n, so hoisting it out of the
+	// inner loop preserves the exact reference arithmetic. Every row is
+	// resliced to length k and the inner loop ranges over distI, which lets
+	// the compiler drop the bounds checks inside it.
 	distN := sp.dist.Row(n)[:k]
 	for i := 0; i < k; i++ {
 		if i == n {
@@ -121,17 +136,14 @@ func (sp *ShortestPaths) pivotPass(n int) {
 		succI := sp.succ[i*k : (i+1)*k][:k]
 		sin := succI[n]
 		for j, dij := range distI {
-			dnj := distN[j]
-			if j == n || j == i || dnj == Inf {
+			through := din + distN[j]
+			if through > dij {
 				continue
 			}
-			through := din + dnj
-			switch {
-			case through < dij:
+			if through < dij {
 				distI[j] = through
 				succI[j] = sin
-			case through == dij && sin != topology.Invalid &&
-				(succI[j] == topology.Invalid || sin < succI[j]):
+			} else if through < Inf && uint(sin) < uint(succI[j]) {
 				succI[j] = sin
 			}
 		}

@@ -630,6 +630,30 @@ func BenchmarkAllPairs(b *testing.B) {
 	}
 }
 
+// BenchmarkPivotPass times one tie-breaking pivot pass, the repair's last
+// step, over a full pass's EAR distances; the pivot rotates through every
+// vertex. It must report 0 allocs/op.
+func BenchmarkPivotPass(b *testing.B) {
+	for _, size := range []int{8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", size, size), func(b *testing.B) {
+			mesh := topology.MustMesh(size, size, 1)
+			state := fullState(mesh.Graph, 8)
+			for n := range state.Status {
+				state.Status[n].BatteryLevel = 1 + n%7
+			}
+			w := weights(NewEAR(), state)
+			var sp ShortestPaths
+			sp.ComputeFrom(&w)
+			k := w.Dim()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.pivotPass(i % k)
+			}
+		})
+	}
+}
+
 // BenchmarkComputeIntoEAR8x8 is the steady-state controller path: all three
 // phases through a reused full-mode workspace. It must report 0 allocs/op.
 func BenchmarkComputeIntoEAR8x8(b *testing.B) {
