@@ -23,8 +23,8 @@ func TestSBoxKnownValues(t *testing.T) {
 		0x9a: 0xb8, 0xc9: 0xdd, 0xff: 0x16, 0xf0: 0x8c,
 	}
 	for in, want := range cases {
-		if got := SBox(in); got != want {
-			t.Errorf("SBox(%#02x) = %#02x, want %#02x", in, got, want)
+		if got := sbox[in]; got != want {
+			t.Errorf("sbox[%#02x] = %#02x, want %#02x", in, got, want)
 		}
 	}
 }
@@ -32,13 +32,13 @@ func TestSBoxKnownValues(t *testing.T) {
 func TestSBoxIsABijectionAndInverts(t *testing.T) {
 	seen := make(map[byte]bool)
 	for i := 0; i < 256; i++ {
-		s := SBox(byte(i))
+		s := sbox[i]
 		if seen[s] {
 			t.Fatalf("S-box value %#02x repeated", s)
 		}
 		seen[s] = true
-		if InvSBox(s) != byte(i) {
-			t.Fatalf("InvSBox(SBox(%#02x)) = %#02x", i, InvSBox(s))
+		if invSbox[s] != byte(i) {
+			t.Fatalf("invSbox[sbox[%#02x]] = %#02x", i, invSbox[s])
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("state round trip: got %x, want %x", got, block)
 	}
 	// Column-major layout check: byte 1 of the block is row 1, column 0.
-	if s.At(1, 0) != 0x11 || s.At(0, 1) != 0x44 {
-		t.Fatalf("state layout wrong: At(1,0)=%#02x At(0,1)=%#02x", s.At(1, 0), s.At(0, 1))
+	if s[Nb*0+1] != 0x11 || s[Nb*1+0] != 0x44 {
+		t.Fatalf("state layout wrong: row 1 column 0 = %#02x, row 0 column 1 = %#02x", s[Nb*0+1], s[Nb*1+0])
 	}
 	if _, err := LoadState(block[:5]); err == nil {
 		t.Fatal("short block accepted")
@@ -97,10 +97,11 @@ func TestShiftRowsExample(t *testing.T) {
 	var s State
 	for r := 0; r < 4; r++ {
 		for c := 0; c < Nb; c++ {
-			s.SetAt(r, c, byte(4*r+c))
+			s[Nb*c+r] = byte(4*r + c)
 		}
 	}
-	out := ShiftRows(s)
+	out := s
+	shiftRows(&out)
 	// Row 0 unchanged, row 1 rotated left by 1, etc.
 	wantRows := [4][4]byte{
 		{0, 1, 2, 3},
@@ -111,13 +112,14 @@ func TestShiftRowsExample(t *testing.T) {
 	var want State
 	for r := 0; r < 4; r++ {
 		for c := 0; c < Nb; c++ {
-			want.SetAt(r, c, wantRows[r][c])
+			want[Nb*c+r] = wantRows[r][c]
 		}
 	}
 	if out != want {
 		t.Fatalf("ShiftRows = %v, want %v", out, want)
 	}
-	if InvShiftRows(out) != s {
+	invShiftRows(&out)
+	if out != s {
 		t.Fatal("InvShiftRows does not invert ShiftRows")
 	}
 }
@@ -128,19 +130,16 @@ func TestOperationInverseProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if InvSubBytes(SubBytes(s)) != s {
-			return false
+		inverts := func(op, inv func(*State)) bool {
+			out := s
+			op(&out)
+			inv(&out)
+			return out == s
 		}
-		if InvShiftRows(ShiftRows(s)) != s {
-			return false
-		}
-		if InvMixColumns(MixColumns(s)) != s {
-			return false
-		}
-		if InvSubBytesShiftRows(SubBytesShiftRows(s)) != s {
-			return false
-		}
-		return true
+		return inverts(subBytes, invSubBytes) &&
+			inverts(shiftRows, invShiftRows) &&
+			inverts(mixColumns, invMixColumns) &&
+			inverts(subBytesShiftRows, invSubBytesShiftRows)
 	}
 	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -155,7 +154,10 @@ func TestAddRoundKeyIsItsOwnInverse(t *testing.T) {
 			return false
 		}
 		rk := ks.mustRoundKey(3)
-		return AddRoundKey(AddRoundKey(s, rk), rk) == s
+		out := s
+		addRoundKey(&out, rk)
+		addRoundKey(&out, rk)
+		return out == s
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -201,8 +203,8 @@ func TestKeyExpansionFIPSAppendixA1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ks.Words() != 44 {
-		t.Fatalf("expanded words = %d, want 44", ks.Words())
+	if len(ks.words) != 44 {
+		t.Fatalf("expanded words = %d, want 44", len(ks.words))
 	}
 	wantWords := map[int]string{
 		4:  "a0fafe17",
@@ -215,12 +217,6 @@ func TestKeyExpansionFIPSAppendixA1(t *testing.T) {
 		if hex.EncodeToString(got[:]) != want {
 			t.Errorf("w[%d] = %x, want %s", i, got, want)
 		}
-	}
-	if _, err := ks.RoundKey(-1); err == nil {
-		t.Error("RoundKey(-1) should fail")
-	}
-	if _, err := ks.RoundKey(11); err == nil {
-		t.Error("RoundKey(11) should fail for AES-128")
 	}
 }
 
@@ -271,15 +267,14 @@ func TestCipherFIPSVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ct, err := c.EncryptBlock(mustHex(t, tc.plaintext))
-			if err != nil {
+			ct, pt := make([]byte, BlockSize), make([]byte, BlockSize)
+			if err := c.Encrypt(ct, mustHex(t, tc.plaintext)); err != nil {
 				t.Fatal(err)
 			}
 			if hex.EncodeToString(ct) != tc.ciphertext {
 				t.Fatalf("ciphertext = %x, want %s", ct, tc.ciphertext)
 			}
-			pt, err := c.DecryptBlock(ct)
-			if err != nil {
+			if err := c.Decrypt(pt, ct); err != nil {
 				t.Fatal(err)
 			}
 			if hex.EncodeToString(pt) != tc.plaintext {
@@ -294,11 +289,15 @@ func TestCipherRejectsBadBlockSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.EncryptBlock(make([]byte, 15)); err == nil {
+	block := make([]byte, BlockSize)
+	if err := c.Encrypt(block, make([]byte, 15)); err == nil {
 		t.Error("short plaintext accepted")
 	}
-	if _, err := c.DecryptBlock(make([]byte, 17)); err == nil {
+	if err := c.Decrypt(block, make([]byte, 17)); err == nil {
 		t.Error("long ciphertext accepted")
+	}
+	if err := c.Encrypt(make([]byte, 15), block); err == nil {
+		t.Error("short destination accepted")
 	}
 }
 
@@ -308,12 +307,8 @@ func TestEncryptDecryptRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := c.EncryptBlock(block[:])
-		if err != nil {
-			return false
-		}
-		pt, err := c.DecryptBlock(ct)
-		if err != nil {
+		ct, pt := make([]byte, BlockSize), make([]byte, BlockSize)
+		if c.Encrypt(ct, block[:]) != nil || c.Decrypt(pt, ct) != nil {
 			return false
 		}
 		return bytes.Equal(pt, block[:]) && !bytes.Equal(ct, block[:])
@@ -329,12 +324,8 @@ func TestEncryptDecryptRoundTrip256Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ct, err := c.EncryptBlock(block[:])
-		if err != nil {
-			return false
-		}
-		pt, err := c.DecryptBlock(ct)
-		if err != nil {
+		ct, pt := make([]byte, BlockSize), make([]byte, BlockSize)
+		if c.Encrypt(ct, block[:]) != nil || c.Decrypt(pt, ct) != nil {
 			return false
 		}
 		return bytes.Equal(pt, block[:])
@@ -436,8 +427,8 @@ func TestPipelineMatchesReferenceCipher(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := c.EncryptBlock(block[:])
-		if err != nil {
+		want := make([]byte, BlockSize)
+		if c.Encrypt(want, block[:]) != nil {
 			return false
 		}
 		return bytes.Equal(got, want)
@@ -461,23 +452,18 @@ func TestPipelineStepwiseExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < p.NumSteps(); i++ {
-		if s, err = p.Apply(s, i); err != nil {
-			t.Fatalf("Apply(%d): %v", i, err)
+		if err := p.ApplyInPlace(&s, i); err != nil {
+			t.Fatalf("ApplyInPlace(%d): %v", i, err)
 		}
 	}
 	if s.String() != "3925841d02dc09fbdc118597196a0b32" {
 		t.Fatalf("stepwise ciphertext = %s, want FIPS example value", s)
 	}
-	if _, err := p.Apply(s, -1); err == nil {
-		t.Error("Apply(-1) should fail")
+	if err := p.ApplyInPlace(&s, -1); err == nil {
+		t.Error("ApplyInPlace(-1) should fail")
 	}
-	if _, err := p.Apply(s, p.NumSteps()); err == nil {
-		t.Error("Apply past end should fail")
-	}
-	steps := p.Steps()
-	steps[0].Kind = OpMixColumns
-	if p.steps[0].Kind == OpMixColumns {
-		t.Error("Steps() must return a copy")
+	if err := p.ApplyInPlace(&s, p.NumSteps()); err == nil {
+		t.Error("ApplyInPlace past end should fail")
 	}
 }
 
@@ -497,7 +483,7 @@ func BenchmarkEncryptBlock128(b *testing.B) {
 	block := make([]byte, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.EncryptBlock(block); err != nil {
+		if err := c.Encrypt(block, block); err != nil {
 			b.Fatal(err)
 		}
 	}

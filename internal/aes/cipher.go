@@ -2,9 +2,9 @@ package aes
 
 import "fmt"
 
-// Cipher is a reference AES block cipher for one expanded key. It is used
-// both directly (cmd/aescli, tests) and as the golden model the distributed
-// Pipeline execution in et_sim is verified against.
+// Cipher is a reference AES block cipher for one expanded key. cmd/aescli
+// encrypts and decrypts with it, and etsim -verify checks the ciphertexts
+// of the distributed Pipeline execution against it.
 type Cipher struct {
 	schedule *KeySchedule
 }
@@ -76,26 +76,6 @@ func (c *Cipher) decrypt(s *State) {
 	}
 	invSubBytesShiftRows(s)
 	addRoundKey(s, c.schedule.mustRoundKey(0))
-}
-
-// EncryptBlock encrypts a single 16-byte block into a fresh slice. Hot paths
-// should use Encrypt with a reused destination buffer instead.
-func (c *Cipher) EncryptBlock(plaintext []byte) ([]byte, error) {
-	out := make([]byte, BlockSize)
-	if err := c.Encrypt(out, plaintext); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecryptBlock decrypts a single 16-byte block into a fresh slice. Hot paths
-// should use Decrypt with a reused destination buffer instead.
-func (c *Cipher) DecryptBlock(ciphertext []byte) ([]byte, error) {
-	out := make([]byte, BlockSize)
-	if err := c.Decrypt(out, ciphertext); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // EncryptECB encrypts a multiple-of-16-bytes buffer block by block. It exists
@@ -226,13 +206,6 @@ func NewPipeline(key []byte) (*Pipeline, error) {
 	return &Pipeline{schedule: ks, steps: steps}, nil
 }
 
-// Steps returns the pipeline's operation sequence.
-func (p *Pipeline) Steps() []Step {
-	out := make([]Step, len(p.steps))
-	copy(out, p.steps)
-	return out
-}
-
 // NumSteps returns the number of operations in one job.
 func (p *Pipeline) NumSteps() int { return len(p.steps) }
 
@@ -257,14 +230,8 @@ func (p *Pipeline) ApplyInPlace(s *State, i int) error {
 	return nil
 }
 
-// Apply executes step index i on the given state and returns the new state.
-func (p *Pipeline) Apply(s State, i int) (State, error) {
-	err := p.ApplyInPlace(&s, i)
-	return s, err
-}
-
 // Run executes the whole pipeline on a 16-byte plaintext block and returns
-// the ciphertext. It must agree with Cipher.EncryptBlock for the same key.
+// the ciphertext. It must agree with Cipher.Encrypt for the same key.
 func (p *Pipeline) Run(plaintext []byte) ([]byte, error) {
 	s, err := LoadState(plaintext)
 	if err != nil {

@@ -34,8 +34,8 @@ func TestCTRKnownAnswer(t *testing.T) {
 	}
 	var counterBlock [16]byte
 	copy(counterBlock[:8], nonce)
-	keystream, err := cipher.EncryptBlock(counterBlock[:])
-	if err != nil {
+	keystream := make([]byte, BlockSize)
+	if err := cipher.Encrypt(keystream, counterBlock[:]); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, 16)

@@ -93,24 +93,10 @@ func (ks *KeySchedule) Size() KeySize { return ks.size }
 // Rounds returns the number of cipher rounds Nr.
 func (ks *KeySchedule) Rounds() int { return ks.size.Nr() }
 
-// Words returns the total number of expanded words, Nb*(Nr+1).
-func (ks *KeySchedule) Words() int { return len(ks.words) }
-
-// RoundKey returns the Nb words used by AddRoundKey in the given round,
-// 0 <= round <= Nr.
-func (ks *KeySchedule) RoundKey(round int) ([]Word, error) {
-	if round < 0 || round > ks.Rounds() {
-		return nil, fmt.Errorf("aes: round %d out of range 0..%d", round, ks.Rounds())
-	}
-	out := make([]Word, Nb)
-	copy(out, ks.words[round*Nb:(round+1)*Nb])
-	return out, nil
-}
-
-// mustRoundKey is RoundKey for internal callers that already validated the
-// round index. Unlike RoundKey it returns a slice aliasing the schedule
-// without copying, so the per-round hot path does not allocate; callers must
-// treat it as read-only.
+// mustRoundKey returns the Nb words AddRoundKey uses in the given round,
+// 0 <= round <= Nr; an index out of that range is a bug in the caller. The
+// slice aliases the schedule without copying, so the per-round hot path does
+// not allocate; callers must treat it as read-only.
 func (ks *KeySchedule) mustRoundKey(round int) []Word {
 	if round < 0 || round > ks.Rounds() {
 		panic(fmt.Sprintf("aes: round %d out of range 0..%d", round, ks.Rounds()))

@@ -7,8 +7,7 @@ package aes
 //
 // Each transformation operates in place on the flat 16-byte state — the
 // engine applies millions of them while jobs flow through the mesh, so the
-// hot path must not allocate. The exported value-in/value-out forms are thin
-// wrappers kept for callers and tests that want pure-function semantics.
+// hot path must not allocate.
 
 // subBytes applies the S-box to every byte of the state in place.
 func subBytes(s *State) {
@@ -102,32 +101,3 @@ func invSubBytesShiftRows(s *State) {
 	invShiftRows(s)
 	invSubBytes(s)
 }
-
-// SubBytes applies the S-box to every byte of the state (Module 1).
-func SubBytes(s State) State { subBytes(&s); return s }
-
-// InvSubBytes applies the inverse S-box to every byte of the state.
-func InvSubBytes(s State) State { invSubBytes(&s); return s }
-
-// ShiftRows cyclically shifts row r of the state left by r positions
-// (Module 1).
-func ShiftRows(s State) State { shiftRows(&s); return s }
-
-// InvShiftRows cyclically shifts row r of the state right by r positions.
-func InvShiftRows(s State) State { invShiftRows(&s); return s }
-
-// SubBytesShiftRows performs the combined operation of the paper's Module 1.
-func SubBytesShiftRows(s State) State { subBytesShiftRows(&s); return s }
-
-// InvSubBytesShiftRows reverses SubBytesShiftRows.
-func InvSubBytesShiftRows(s State) State { invSubBytesShiftRows(&s); return s }
-
-// MixColumns multiplies each column of the state by the fixed FIPS-197
-// polynomial (Module 2).
-func MixColumns(s State) State { mixColumns(&s); return s }
-
-// InvMixColumns multiplies each column by the inverse polynomial.
-func InvMixColumns(s State) State { invMixColumns(&s); return s }
-
-// AddRoundKey XORs one round key into the state (Module 3).
-func AddRoundKey(s State, roundKey []Word) State { addRoundKey(&s, roundKey); return s }

@@ -79,9 +79,3 @@ func initSboxes() {
 		invSbox[s] = byte(i)
 	}
 }
-
-// SBox returns the value of the AES S-box at index b.
-func SBox(b byte) byte { return sbox[b] }
-
-// InvSBox returns the value of the inverse AES S-box at index b.
-func InvSBox(b byte) byte { return invSbox[b] }

@@ -25,12 +25,6 @@ func LoadState(block []byte) (State, error) {
 	return s, nil
 }
 
-// At returns the byte in row r, column c of the FIPS-197 state array.
-func (s *State) At(r, c int) byte { return s[Nb*c+r] }
-
-// SetAt assigns the byte in row r, column c of the FIPS-197 state array.
-func (s *State) SetAt(r, c int, v byte) { s[Nb*c+r] = v }
-
 // Bytes serialises the state back into a 16-byte block. The state is already
 // stored in block order, so this is a plain array copy with no allocation.
 func (s State) Bytes() [BlockSize]byte { return [BlockSize]byte(s) }

@@ -108,28 +108,9 @@ func (a *Application) Module(id ModuleID) (Module, error) {
 	return a.Modules[id-1], nil
 }
 
-// MustModule is Module for callers that already validated the ID.
-func (a *Application) MustModule(id ModuleID) Module {
-	m, err := a.Module(id)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // OperationsPerJob returns the total number of operations per job
 // (the length of the flow, i.e. sum of f_i).
 func (a *Application) OperationsPerJob() int { return len(a.Flow) }
-
-// ComputationEnergyPerJobPJ returns sum_i f_i * E_i, the pure computation
-// energy of one job excluding all communication.
-func (a *Application) ComputationEnergyPerJobPJ() float64 {
-	var total float64
-	for _, m := range a.Modules {
-		total += float64(m.OpsPerJob) * m.EnergyPerOpPJ
-	}
-	return total
-}
 
 // PaperAESEnergies are the per-operation computation energies measured by the
 // authors for their 0.16 um Verilog implementations at 100 MHz (Sec 5.1.1).

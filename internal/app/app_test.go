@@ -2,7 +2,6 @@ package app
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/aes"
@@ -27,7 +26,7 @@ func TestAES128MatchesTable1(t *testing.T) {
 		ModuleAddRoundKey:       176.55,
 	}
 	for id, ops := range wantOps {
-		m := a.MustModule(id)
+		m := a.Modules[id-1]
 		if m.OpsPerJob != ops {
 			t.Errorf("module %d OpsPerJob = %d, want %d", id, m.OpsPerJob, ops)
 		}
@@ -37,10 +36,6 @@ func TestAES128MatchesTable1(t *testing.T) {
 	}
 	if a.OperationsPerJob() != 30 {
 		t.Errorf("OperationsPerJob = %d, want 30", a.OperationsPerJob())
-	}
-	// Sum f_i * E_i = 10*120.1 + 9*73.34 + 11*176.55 = 3803.11 pJ.
-	if got := a.ComputationEnergyPerJobPJ(); math.Abs(got-3803.11) > 1e-6 {
-		t.Errorf("ComputationEnergyPerJobPJ = %g, want 3803.11", got)
 	}
 	if a.PacketBits != DefaultPacketBits {
 		t.Errorf("PacketBits = %d, want %d", a.PacketBits, DefaultPacketBits)
@@ -82,11 +77,11 @@ func TestAESOtherKeySizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AES(%v): %v", tc.size, err)
 		}
-		if a.MustModule(1).OpsPerJob != tc.m1 ||
-			a.MustModule(2).OpsPerJob != tc.m2 ||
-			a.MustModule(3).OpsPerJob != tc.m3 {
+		if a.Modules[0].OpsPerJob != tc.m1 ||
+			a.Modules[1].OpsPerJob != tc.m2 ||
+			a.Modules[2].OpsPerJob != tc.m3 {
 			t.Errorf("%v ops = (%d,%d,%d), want (%d,%d,%d)", tc.size,
-				a.MustModule(1).OpsPerJob, a.MustModule(2).OpsPerJob, a.MustModule(3).OpsPerJob,
+				a.Modules[0].OpsPerJob, a.Modules[1].OpsPerJob, a.Modules[2].OpsPerJob,
 				tc.m1, tc.m2, tc.m3)
 		}
 	}
@@ -124,12 +119,6 @@ func TestModuleLookup(t *testing.T) {
 	if err != nil || m.Name != "MixColumns" {
 		t.Errorf("Module(2) = %+v, %v", m, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustModule(9) did not panic")
-		}
-	}()
-	a.MustModule(9)
 }
 
 func TestValidateCatchesInconsistencies(t *testing.T) {
@@ -177,13 +166,13 @@ func TestBuilderConstructsValidApplication(t *testing.T) {
 	if appl.NumModules() != 3 {
 		t.Fatalf("NumModules = %d, want 3", appl.NumModules())
 	}
-	if appl.MustModule(sample).OpsPerJob != 8 ||
-		appl.MustModule(feature).OpsPerJob != 8 ||
-		appl.MustModule(classify).OpsPerJob != 1 {
+	if appl.Modules[sample-1].OpsPerJob != 8 ||
+		appl.Modules[feature-1].OpsPerJob != 8 ||
+		appl.Modules[classify-1].OpsPerJob != 1 {
 		t.Errorf("ops per job = %d/%d/%d, want 8/8/1",
-			appl.MustModule(sample).OpsPerJob,
-			appl.MustModule(feature).OpsPerJob,
-			appl.MustModule(classify).OpsPerJob)
+			appl.Modules[sample-1].OpsPerJob,
+			appl.Modules[feature-1].OpsPerJob,
+			appl.Modules[classify-1].OpsPerJob)
 	}
 	if appl.OperationsPerJob() != 17 {
 		t.Errorf("OperationsPerJob = %d, want 17", appl.OperationsPerJob())
@@ -191,9 +180,13 @@ func TestBuilderConstructsValidApplication(t *testing.T) {
 	if appl.PacketBits != 128 {
 		t.Errorf("PacketBits = %d, want 128", appl.PacketBits)
 	}
-	want := 8*45.0 + 8*150.0 + 1*310.0
-	if got := appl.ComputationEnergyPerJobPJ(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ComputationEnergyPerJobPJ = %g, want %g", got, want)
+	if appl.Modules[sample-1].EnergyPerOpPJ != 45 ||
+		appl.Modules[feature-1].EnergyPerOpPJ != 150 ||
+		appl.Modules[classify-1].EnergyPerOpPJ != 310 {
+		t.Errorf("energies per op = %g/%g/%g, want 45/150/310",
+			appl.Modules[sample-1].EnergyPerOpPJ,
+			appl.Modules[feature-1].EnergyPerOpPJ,
+			appl.Modules[classify-1].EnergyPerOpPJ)
 	}
 }
 

@@ -237,7 +237,8 @@ func (p DischargeProfile) VoltageAt(depth float64) float64 {
 		if depth <= p[i].DepthOfDischarge {
 			a, b := p[i-1], p[i]
 			frac := (depth - a.DepthOfDischarge) / (b.DepthOfDischarge - a.DepthOfDischarge)
-			return a.Voltage + frac*(b.Voltage-a.Voltage)
+			// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+			return a.Voltage + float64(frac*(b.Voltage-a.Voltage))
 		}
 	}
 	return p[len(p)-1].Voltage
@@ -323,8 +324,9 @@ func (b *ThinFilm) Rest(cycles int64) {
 	heq := (b.available + b.bound) / (capAvailable + capBound)
 	newH1 := heq - diff*capBound/(capAvailable+capBound)
 	newH2 := heq + diff*capAvailable/(capAvailable+capBound)
-	b.available = newH1 * capAvailable
-	b.bound = newH2 * capBound
+	// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+	b.available = float64(newH1 * capAvailable)
+	b.bound = float64(newH2 * capBound)
 	if b.available > capAvailable {
 		b.bound += b.available - capAvailable
 		b.available = capAvailable

@@ -328,8 +328,8 @@ func TestCampaignResultRendering(t *testing.T) {
 		}
 	}
 	tbl := res.Table()
-	if tbl.NumRows() != len(metrics) {
-		t.Errorf("table has %d rows, want %d", tbl.NumRows(), len(metrics))
+	if len(tbl.Rows) != len(metrics) {
+		t.Errorf("table has %d rows, want %d", len(tbl.Rows), len(metrics))
 	}
 	out := tbl.Render()
 	for _, want := range []string{"3 replicates", "seed 1", "jobs completed", "±95% CI", "P99"} {

@@ -111,6 +111,18 @@ func compareReports(t *testing.T, frame int64, got, want FrameReport) {
 	}
 }
 
+// deliveredPJ sums the energy a pool's controller batteries have delivered
+// (0 for infinite-energy controllers).
+func deliveredPJ(p *tdma.Pool) float64 {
+	var sum float64
+	for _, c := range p.Controllers() {
+		if c.Battery != nil {
+			sum += c.Battery.DeliveredPJ()
+		}
+	}
+	return sum
+}
+
 // compareTables asserts the control plane serves exactly the reference's
 // tables: same per-node presence, next hops and module routes.
 func compareTables(t *testing.T, frame int64, deps Deps, cp *Sharded, tables *routing.Tables) {
@@ -163,6 +175,7 @@ func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, 
 		master[i] = routing.NodeStatus{Alive: true, BatteryLevel: levels - 1}
 	}
 	cur := fullState(deps.Graph, levels)
+	var spentPJ float64
 	for frame := int64(1); frame <= int64(frames); frame++ {
 		copy(cur.Status, master)
 		alive := aliveCount(cur)
@@ -177,8 +190,9 @@ func driveSequence(t *testing.T, deps Deps, cp *Sharded, ref *refEngineControl, 
 			return
 		}
 		compareTables(t, frame, deps, cp, ref.tables)
-		if cp.RecomputeCount(0) != 0 && cp.shards[0].pool.ConsumedPJ() <= 0 {
-			t.Fatalf("frame %d: recomputed but the pool consumed %g pJ", frame, cp.shards[0].pool.ConsumedPJ())
+		spentPJ += rep.ControllerPJ + rep.DownloadPJ
+		if cp.RecomputeCount(0) != 0 && spentPJ <= 0 {
+			t.Fatalf("frame %d: recomputed but the controllers spent %g pJ", frame, spentPJ)
 		}
 
 		// Evolve the master state: drift some batteries, occasionally kill a
@@ -259,12 +273,12 @@ func TestCentralizedKillWindow(t *testing.T) {
 				case winClose:
 					cp.FaultRegion(0, false)
 				}
-				consumed := cp.shards[0].pool.ConsumedPJ()
+				consumed := deliveredPJ(cp.shards[0].pool)
 				rep := cp.Frame(frame, snap)
 				if frame >= winOpen && frame < winClose {
 					compareReports(t, frame, rep, FrameReport{})
 					compareTables(t, frame, deps, cp, ref.tables)
-					if got := cp.shards[0].pool.ConsumedPJ(); got != consumed {
+					if got := deliveredPJ(cp.shards[0].pool); got != consumed {
 						t.Fatalf("frame %d: pool consumed %g pJ inside the kill window", frame, got-consumed)
 					}
 					continue
@@ -278,11 +292,11 @@ func TestCentralizedKillWindow(t *testing.T) {
 					t.Fatalf("restore frame reported %d deadlocks, want the 1 raised mid-window", rep.NewDeadlockReports)
 				}
 			}
-			if got, want := cp.shards[0].pool.ConsumedPJ(), ref.pool.ConsumedPJ(); got != want {
-				t.Fatalf("pool consumed %g pJ, reference %g", got, want)
-			}
 			if !finite {
 				return
+			}
+			if got, want := deliveredPJ(cp.shards[0].pool), deliveredPJ(ref.pool); got != want {
+				t.Fatalf("pool delivered %g pJ, reference %g", got, want)
 			}
 			planeCtrls := cp.shards[0].pool.Controllers()
 			for i, refCtrl := range ref.pool.Controllers() {

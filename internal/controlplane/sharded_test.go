@@ -151,7 +151,10 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 // of (frame index, reported state).
 func TestShardedDeterminism(t *testing.T) {
 	build := func() *Sharded {
-		s, err := New(Config{Kind: KindSharded, Shards: 3, StalenessFrames: 4}, testDeps(6, routing.NewEAR()))
+		deps := testDeps(6, routing.NewEAR())
+		// Inexhaustible batteries, so each region's spent energy is kept.
+		deps.ControllerBattery = battery.IdealFactory(1e12)
+		s, err := New(Config{Kind: KindSharded, Shards: 3, StalenessFrames: 4}, deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +178,7 @@ func TestShardedDeterminism(t *testing.T) {
 		if a.RecomputeCount(shard) != b.RecomputeCount(shard) {
 			t.Fatalf("shard %d recompute counts diverged: %d vs %d", shard, a.RecomputeCount(shard), b.RecomputeCount(shard))
 		}
-		if a.shards[shard].pool.ConsumedPJ() != b.shards[shard].pool.ConsumedPJ() {
+		if deliveredPJ(a.shards[shard].pool) != deliveredPJ(b.shards[shard].pool) {
 			t.Fatalf("shard %d consumed energy diverged", shard)
 		}
 	}

@@ -10,8 +10,6 @@
 // the 100 MHz system clock the paper's modules were characterised at.
 package energy
 
-import "math"
-
 // ClockFrequencyHz is the clock frequency at which all paper measurements
 // were taken (Sec 5.1.1 and 7.3).
 const ClockFrequencyHz = 100e6
@@ -66,7 +64,8 @@ func PerBitPJ(lengthCM float64) float64 {
 
 func interpolate(a, b linePoint, lengthCM float64) float64 {
 	frac := (lengthCM - a.lengthCM) / (b.lengthCM - a.lengthCM)
-	return a.pjPerBit + frac*(b.pjPerBit-a.pjPerBit)
+	// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+	return a.pjPerBit + float64(frac*(b.pjPerBit-a.pjPerBit))
 }
 
 // PacketEnergyPJ returns the energy, in picojoules, consumed to transmit a
@@ -90,15 +89,6 @@ const (
 	// MediumPJPerBit is the energy per bit transferred on the shared medium.
 	MediumPJPerBit float64 = 0.7
 )
-
-// SlotCycles returns the number of cycles one upload or download slot of the
-// given payload occupies on the shared medium: ceil(slotBits/MediumWidthBits).
-func SlotCycles(slotBits int) int {
-	if slotBits <= 0 {
-		return 0
-	}
-	return int(math.Ceil(float64(slotBits) / float64(MediumWidthBits)))
-}
 
 // SlotEnergyPJ returns the energy consumed by transferring one slot of the
 // given payload size on the shared medium.

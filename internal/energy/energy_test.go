@@ -94,15 +94,6 @@ func TestPacketEnergyScalesWithBits(t *testing.T) {
 }
 
 func TestSharedMediumSlotAccounting(t *testing.T) {
-	if got := SlotCycles(32); got != 16 {
-		t.Errorf("SlotCycles(32) = %d, want 16", got)
-	}
-	if got := SlotCycles(33); got != 17 {
-		t.Errorf("SlotCycles(33) = %d, want 17 (ceiling)", got)
-	}
-	if got := SlotCycles(0); got != 0 {
-		t.Errorf("SlotCycles(0) = %d, want 0", got)
-	}
 	if got := SlotEnergyPJ(10); !almostEqual(got, 10*MediumPJPerBit, 1e-9) {
 		t.Errorf("SlotEnergyPJ(10) = %g, want %g", got, 10*MediumPJPerBit)
 	}

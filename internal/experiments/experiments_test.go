@@ -50,7 +50,7 @@ func TestFig2CurveShape(t *testing.T) {
 			}
 		}
 	}
-	if tbl := Fig2Table(points); tbl.NumRows() != len(points) {
+	if tbl := Fig2Table(points); len(tbl.Rows) != len(points) {
 		t.Error("Fig2Table row count mismatch")
 	}
 	if Fig2(0) == nil {
@@ -288,7 +288,7 @@ func TestAblationEARWeight(t *testing.T) {
 	if byQ[1] >= byQ[2] {
 		t.Errorf("Q=1 (%d jobs) should underperform Q=2 (%d jobs)", byQ[1], byQ[2])
 	}
-	if tbl := AblationQTable(rows); tbl.NumRows() != len(rows) {
+	if tbl := AblationQTable(rows); len(tbl.Rows) != len(rows) {
 		t.Error("AblationQTable row count mismatch")
 	}
 }
@@ -312,7 +312,7 @@ func TestAblationMapping(t *testing.T) {
 		t.Errorf("checkerboard (%d) unexpectedly collapsed relative to row-major (%d)",
 			byName["checkerboard"], byName["row-major-blocks"])
 	}
-	if tbl := AblationMappingTable(rows); tbl.NumRows() != 4 {
+	if tbl := AblationMappingTable(rows); len(tbl.Rows) != 4 {
 		t.Error("AblationMappingTable row count mismatch")
 	}
 }
@@ -347,7 +347,7 @@ func TestAblationBattery(t *testing.T) {
 	if thinGap <= idealGap {
 		t.Errorf("thin-film gap %.1fx not wider than ideal gap %.1fx", thinGap, idealGap)
 	}
-	if tbl := AblationBatteryTable(rows); tbl.NumRows() != 4 {
+	if tbl := AblationBatteryTable(rows); len(tbl.Rows) != 4 {
 		t.Error("AblationBatteryTable row count mismatch")
 	}
 }
@@ -376,7 +376,7 @@ func TestAblationLinkFailures(t *testing.T) {
 		t.Errorf("damaged mesh (%d jobs) substantially outperformed the healthy mesh (%d jobs)",
 			rows[1].EARJobs, rows[0].EARJobs)
 	}
-	if tbl := AblationLinkTable(rows); tbl.NumRows() != 2 {
+	if tbl := AblationLinkTable(rows); len(tbl.Rows) != 2 {
 		t.Error("AblationLinkTable row count mismatch")
 	}
 	if _, err := AblationLinkFailures([]int{4}, []float64{1.5}); err == nil {
@@ -400,7 +400,7 @@ func TestAblationConcurrency(t *testing.T) {
 	if rows[0].DeadlockReports != 0 {
 		t.Errorf("single-job run reported %d deadlocks", rows[0].DeadlockReports)
 	}
-	if tbl := AblationConcurrencyTable(rows); tbl.NumRows() != 3 {
+	if tbl := AblationConcurrencyTable(rows); len(tbl.Rows) != 3 {
 		t.Error("AblationConcurrencyTable row count mismatch")
 	}
 }

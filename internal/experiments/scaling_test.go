@@ -40,8 +40,8 @@ func TestScalingDeterministicColumns(t *testing.T) {
 		t.Error("8x8 crossings never took the incremental path")
 	}
 	tbl := ScalingTable(rows)
-	if tbl.NumRows() != len(rows) {
-		t.Errorf("table has %d rows, want %d", tbl.NumRows(), len(rows))
+	if len(tbl.Rows) != len(rows) {
+		t.Errorf("table has %d rows, want %d", len(tbl.Rows), len(rows))
 	}
 	if !strings.Contains(tbl.Render(), "8x8") {
 		t.Error("rendered table is missing the 8x8 row")

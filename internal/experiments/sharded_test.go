@@ -39,7 +39,7 @@ func TestFig8ShardedGridShapeAndDefaults(t *testing.T) {
 		}
 	}
 	tbl := Fig8ShardedTable(rows)
-	if tbl.NumRows() != len(rows) {
+	if len(tbl.Rows) != len(rows) {
 		t.Error("Fig8ShardedTable row count mismatch")
 	}
 	if rendered := tbl.Render(); !strings.Contains(rendered, "inf") {

@@ -18,7 +18,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -594,22 +593,4 @@ func (r *Runtime) FrameStart(frame int64) []Event {
 		}
 	}
 	return r.events
-}
-
-// BrokenLinks returns the undirected links permanently broken by the wear
-// model so far, in a stable order (for summaries and tests).
-func (r *Runtime) BrokenLinks() []topology.Link {
-	var out []topology.Link
-	for i := range r.links {
-		if r.links[i].broken {
-			out = append(out, topology.Link{From: r.links[i].from, To: r.links[i].to, LengthCM: r.links[i].lengthCM})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].From != out[b].From {
-			return out[a].From < out[b].From
-		}
-		return out[a].To < out[b].To
-	})
-	return out
 }

@@ -305,11 +305,17 @@ func TestWearBreaksPreserveConnectivity(t *testing.T) {
 	if broken != 1 {
 		t.Fatalf("2x2 cycle broke %d links, want exactly 1 (more would partition)", broken)
 	}
-	if got := len(r.BrokenLinks()); got != 1 {
-		t.Fatalf("BrokenLinks reports %d, want 1", got)
+	marked := 0
+	for _, l := range r.links {
+		if l.broken {
+			marked++
+		}
 	}
-	if g.LinkCount() != 8-2 {
-		t.Fatalf("LinkCount = %d after one bidirectional break, want 6", g.LinkCount())
+	if marked != 1 {
+		t.Fatalf("%d links are marked broken, want 1", marked)
+	}
+	if len(g.Links()) != 8-2 {
+		t.Fatalf("%d links after one bidirectional break, want 6", len(g.Links()))
 	}
 }
 

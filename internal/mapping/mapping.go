@@ -67,18 +67,6 @@ func (m *Mapping) NodesFor(id app.ModuleID) []topology.NodeID {
 // Count returns n_i, the number of duplicates of module id.
 func (m *Mapping) Count(id app.ModuleID) int { return len(m.byModule[id]) }
 
-// Counts returns the duplicate count of every module present in the mapping.
-func (m *Mapping) Counts() map[app.ModuleID]int {
-	out := make(map[app.ModuleID]int, len(m.byModule))
-	for id, nodes := range m.byModule {
-		out[id] = len(nodes)
-	}
-	return out
-}
-
-// AssignedNodes returns the total number of nodes running some module.
-func (m *Mapping) AssignedNodes() int { return len(m.assign) }
-
 // Validate checks the mapping against an application and a node budget: every
 // module must have at least one duplicate, no node may run an unknown module,
 // and the number of assigned nodes must not exceed the budget (the paper's
@@ -234,7 +222,8 @@ func largestRemainderQuotas(weights []float64, total float64, k, p int) []int {
 	remainders := make([]float64, p)
 	used := 0
 	for i, w := range weights {
-		exact := w / total * float64(k)
+		// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+		exact := float64(w / total * float64(k))
 		quotas[i] = int(math.Floor(exact))
 		remainders[i] = exact - float64(quotas[i])
 		used += quotas[i]

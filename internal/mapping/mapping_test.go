@@ -17,7 +17,7 @@ func TestCheckerboardOn4x4MatchesFig3b(t *testing.T) {
 	}
 	// Paper Fig 3(b): 4 nodes of module 1, 4 of module 2, 8 of module 3.
 	if m.Count(1) != 4 || m.Count(2) != 4 || m.Count(3) != 8 {
-		t.Fatalf("counts = %v, want module1=4 module2=4 module3=8", m.Counts())
+		t.Fatalf("counts = %v, want module1=4 module2=4 module3=8", []int{m.Count(1), m.Count(2), m.Count(3)})
 	}
 	// Spot-check specific coordinates against the paper's figure:
 	// (1,1) both odd -> module 1; (2,2) both even -> module 2; (2,1) -> module 3.
@@ -28,7 +28,7 @@ func TestCheckerboardOn4x4MatchesFig3b(t *testing.T) {
 		{1, 1, 1}, {3, 3, 1}, {2, 2, 2}, {4, 4, 2}, {2, 1, 3}, {1, 2, 3}, {4, 3, 3},
 	}
 	for _, c := range checks {
-		id, ok := mesh.IDAt(c.x, c.y)
+		id, ok := mesh.NodeAt(topology.Coord{X: c.x, Y: c.y})
 		if !ok {
 			t.Fatalf("no node at (%d,%d)", c.x, c.y)
 		}
@@ -36,8 +36,8 @@ func TestCheckerboardOn4x4MatchesFig3b(t *testing.T) {
 			t.Errorf("node (%d,%d) mapped to module %d, want %d", c.x, c.y, got, c.want)
 		}
 	}
-	if m.AssignedNodes() != 16 {
-		t.Errorf("AssignedNodes = %d, want 16", m.AssignedNodes())
+	if len(m.assign) != 16 {
+		t.Errorf("assigned nodes = %d, want 16", len(m.assign))
 	}
 	if err := m.Validate(appl, 16); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -101,15 +101,15 @@ func TestProportionalFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.AssignedNodes() != 16 {
-		t.Fatalf("AssignedNodes = %d, want 16", m.AssignedNodes())
+	if len(m.assign) != 16 {
+		t.Fatalf("assigned nodes = %d, want 16", len(m.assign))
 	}
 	// Theorem 1 exact shares: 5.19, 3.75, 7.07 -> expect counts close to 5/4/7.
 	if m.Count(3) < m.Count(1) || m.Count(1) < m.Count(2) {
-		t.Errorf("counts %v do not follow weight ordering", m.Counts())
+		t.Errorf("counts %v do not follow weight ordering", []int{m.Count(1), m.Count(2), m.Count(3)})
 	}
 	if m.Count(1)+m.Count(2)+m.Count(3) != 16 {
-		t.Errorf("counts %v do not sum to 16", m.Counts())
+		t.Errorf("counts %v do not sum to 16", []int{m.Count(1), m.Count(2), m.Count(3)})
 	}
 	for id := app.ModuleID(1); id <= 3; id++ {
 		if m.Count(id) == 0 {
@@ -149,7 +149,7 @@ func TestProportionalInterleavesDuplicates(t *testing.T) {
 	for y := 1; y <= 4; y++ {
 		rowCounts := map[app.ModuleID]int{}
 		for x := 1; x <= 4; x++ {
-			id, _ := mesh.IDAt(x, y)
+			id, _ := mesh.NodeAt(topology.Coord{X: x, Y: y})
 			rowCounts[m.ModuleAt(id)]++
 		}
 		for mod, c := range rowCounts {
@@ -169,7 +169,7 @@ func TestRowMajorBlocksProportionalToOps(t *testing.T) {
 	}
 	// f = (10, 9, 11) over 16 nodes -> roughly 5/5/6.
 	if m.Count(1)+m.Count(2)+m.Count(3) != 16 {
-		t.Fatalf("counts %v do not sum to 16", m.Counts())
+		t.Fatalf("counts %v do not sum to 16", []int{m.Count(1), m.Count(2), m.Count(3)})
 	}
 	for id := app.ModuleID(1); id <= 3; id++ {
 		if m.Count(id) < 4 || m.Count(id) > 7 {
@@ -177,10 +177,10 @@ func TestRowMajorBlocksProportionalToOps(t *testing.T) {
 		}
 	}
 	// Row-major clustering: the first row must be homogeneous.
-	first, _ := mesh.IDAt(1, 1)
+	first, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
 	mod := m.ModuleAt(first)
 	for x := 2; x <= 4; x++ {
-		id, _ := mesh.IDAt(x, 1)
+		id, _ := mesh.NodeAt(topology.Coord{X: x, Y: 1})
 		if m.ModuleAt(id) != mod {
 			t.Errorf("row-major mapping is not clustered in the first row")
 		}
@@ -266,8 +266,8 @@ func TestUnassignedNodesAreIgnored(t *testing.T) {
 	m := New(map[topology.NodeID]app.ModuleID{
 		0: 1, 1: 2, 2: 3, 3: Unassigned,
 	})
-	if m.AssignedNodes() != 3 {
-		t.Fatalf("AssignedNodes = %d, want 3", m.AssignedNodes())
+	if len(m.assign) != 3 {
+		t.Fatalf("assigned nodes = %d, want 3", len(m.assign))
 	}
 	if m.ModuleAt(3) != Unassigned {
 		t.Errorf("node 3 module = %d, want Unassigned", m.ModuleAt(3))
@@ -391,8 +391,8 @@ func TestExplicitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map rejected valid assignment with a relay-only node: %v", err)
 	}
-	if m.AssignedNodes() != 3 {
-		t.Errorf("AssignedNodes = %d, want 3", m.AssignedNodes())
+	if len(m.assign) != 3 {
+		t.Errorf("assigned nodes = %d, want 3", len(m.assign))
 	}
 }
 

@@ -59,9 +59,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -114,16 +114,6 @@ func (c *Candidate) ModuleAt(n int) app.ModuleID { return c.assign[n] }
 // Count returns the number of duplicates of module m.
 func (c *Candidate) Count(m app.ModuleID) int { return c.counts[m] }
 
-// Feasible reports whether every module has at least one duplicate.
-func (c *Candidate) Feasible() bool {
-	for m := 1; m <= c.p; m++ {
-		if c.counts[m] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the placement in the canonical comma-separated form shared
 // with mapping.Explicit and scenario.Spec.Assignment.
 func (c *Candidate) String() string {

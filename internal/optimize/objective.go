@@ -130,7 +130,8 @@ func (o *Analytic) Evaluate(c *Candidate) (float64, error) {
 				sum += best
 				n++
 			}
-			commPJ += t * (float64(sum) / float64(n)) * o.commPJ
+			// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+			commPJ += float64(t * (float64(sum) / float64(n)) * o.commPJ)
 		}
 		h := o.compPJ[from] + commPJ
 		if jobs := o.batteryPJ * float64(c.counts[from]) / h; jobs < score {

@@ -92,11 +92,12 @@ func TestMovesKeepCandidatesFeasible(t *testing.T) {
 	for k := uint64(0); k < 5000; k++ {
 		w := k * moveWords
 		c.applyMove(stream.Word(w), stream.Word(w+1), stream.Word(w+2), stream.Word(w+3))
-		if !c.Feasible() {
-			t.Fatalf("move %d produced an infeasible candidate %s", k, c)
-		}
-		// The incrementally maintained counts must agree with the assignment.
+		// The incrementally maintained counts must agree with the
+		// assignment, and no module may lose its last duplicate.
 		for m := 1; m <= c.Modules(); m++ {
+			if c.Count(app.ModuleID(m)) == 0 {
+				t.Fatalf("move %d produced an infeasible candidate %s", k, c)
+			}
 			n := 0
 			for node := 0; node < c.Nodes(); node++ {
 				if int(c.ModuleAt(node)) == m {
@@ -122,8 +123,10 @@ func TestRandomizeIsFeasibleAndIndexAddressed(t *testing.T) {
 	if a.String() != b.String() {
 		t.Error("randomize is not a pure function of the stream")
 	}
-	if !a.Feasible() {
-		t.Errorf("randomized candidate infeasible: %s", a)
+	for m := 1; m <= a.Modules(); m++ {
+		if a.Count(app.ModuleID(m)) == 0 {
+			t.Errorf("randomized candidate infeasible: %s", a)
+		}
 	}
 	c := base.Clone()
 	c.randomize(campaign.Stream{Base: 8})

@@ -306,7 +306,8 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 			mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
 			k := mesh.Graph.NodeCount()
 			rng := rand.New(rand.NewSource(int64(k)))
-			w := NewMatrix(k)
+			var w Matrix
+			w.Reset(k)
 			randWeight := func() float64 { return float64(1+rng.Intn(64)) * 0.125 }
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
@@ -366,7 +367,8 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 			mesh := topology.MustMesh(tc.meshSize, tc.meshSize, topology.DefaultSpacingCM)
 			g := mesh.Graph
 			k := g.NodeCount()
-			w := NewMatrix(k)
+			var w Matrix
+			w.Reset(k)
 			links := g.Links()
 			for _, l := range links {
 				w.Set(int(l.From), int(l.To), 1)
@@ -397,10 +399,10 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 						// leaving the vertex the previous one entered.
 						v := topology.NodeID(rng.Intn(k))
 						for m := 0; m < moves; m++ {
-							out := g.OutLinks(v)
-							l := out[rng.Intn(len(out))]
-							nudge(l.From, l.To)
-							v = l.To
+							out := g.Neighbors(v)
+							to := out[rng.Intn(len(out))]
+							nudge(v, to)
+							v = to
 						}
 					} else {
 						for m := 0; m < moves; m++ {
@@ -439,7 +441,8 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 			mesh := topology.MustMesh(tc.meshSize, tc.meshSize, topology.DefaultSpacingCM)
 			g := mesh.Graph
 			k := g.NodeCount()
-			w := NewMatrix(k)
+			var w Matrix
+			w.Reset(k)
 			links := g.Links()
 			for _, l := range links {
 				w.Set(int(l.From), int(l.To), 1)
@@ -476,12 +479,16 @@ func TestDeltaPivotsOnChangedHeads(t *testing.T) {
 				switch {
 				case step == 0:
 				case step%3 == 1:
-					for _, l := range g.OutLinks(v) {
-						nudge(l)
+					for _, l := range links {
+						if l.From == v {
+							nudge(l)
+						}
 					}
 				case step%3 == 2:
-					for _, l := range g.InLinks(v) {
-						nudge(l)
+					for _, l := range links {
+						if l.To == v {
+							nudge(l)
+						}
 					}
 				default:
 					healed := map[topology.Link]bool{}

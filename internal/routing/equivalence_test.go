@@ -248,7 +248,8 @@ func FuzzComputeFromMatchesFloyd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size, missing uint8, seed uint64) {
 		k := 1 + int(size)%24
 		rng := rand.New(rand.NewSource(int64(seed)))
-		w := NewMatrix(k)
+		var w Matrix
+		w.Reset(k)
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
 				if i != j && rng.Intn(256) >= int(missing) {
@@ -552,7 +553,8 @@ func FuzzPivotPass(f *testing.F) {
 		k := 1 + int(size)%12
 		rng := rand.New(rand.NewSource(int64(seed)))
 		dyadic := func() float64 { return math.Ldexp(float64(1+rng.Intn(8)), rng.Intn(5)-2) }
-		w := NewMatrix(k)
+		var w Matrix
+		w.Reset(k)
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
 				if i != j && rng.Intn(256) >= int(missing) {

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // ShortestPaths is the result of phase 2: the all-pairs distance matrix D and
 // the successor matrix S, both stored flat for cache locality. Succ(i, j) is
@@ -163,59 +159,4 @@ func (sp *ShortestPaths) Dist(src, dst topology.NodeID) float64 {
 // topology.Invalid when dst is unreachable from src.
 func (sp *ShortestPaths) Succ(src, dst topology.NodeID) topology.NodeID {
 	return sp.succ[int(src)*sp.n+int(dst)]
-}
-
-// Reachable reports whether dst is reachable from src.
-func (sp *ShortestPaths) Reachable(src, dst topology.NodeID) bool {
-	return sp.Dist(src, dst) < Inf
-}
-
-// inRange reports whether both endpoints index valid nodes.
-func (sp *ShortestPaths) inRange(src, dst topology.NodeID) bool {
-	return int(src) >= 0 && int(src) < sp.n && int(dst) >= 0 && int(dst) < sp.n
-}
-
-// Path reconstructs the node sequence of a shortest path from src to dst
-// (inclusive of both endpoints) by following successors. It returns an error
-// if dst is unreachable or a successor loop is detected (which would indicate
-// a corrupted matrix).
-func (sp *ShortestPaths) Path(src, dst topology.NodeID) ([]topology.NodeID, error) {
-	if !sp.inRange(src, dst) {
-		return nil, fmt.Errorf("routing: path endpoints %d -> %d out of range", src, dst)
-	}
-	if !sp.Reachable(src, dst) {
-		return nil, fmt.Errorf("routing: node %d unreachable from %d", dst, src)
-	}
-	path := []topology.NodeID{src}
-	cur := src
-	for cur != dst {
-		next := sp.Succ(cur, dst)
-		if next == topology.Invalid {
-			return nil, fmt.Errorf("routing: missing successor from %d towards %d", cur, dst)
-		}
-		path = append(path, next)
-		cur = next
-		if len(path) > sp.n {
-			return nil, fmt.Errorf("routing: successor loop detected between %d and %d", src, dst)
-		}
-	}
-	return path, nil
-}
-
-// HopCount returns the number of hops on the shortest path from src to dst,
-// or -1 if unreachable. It walks the successor matrix directly and performs
-// no allocation.
-func (sp *ShortestPaths) HopCount(src, dst topology.NodeID) int {
-	if !sp.inRange(src, dst) || !sp.Reachable(src, dst) {
-		return -1
-	}
-	hops := 0
-	for cur := src; cur != dst; hops++ {
-		next := sp.Succ(cur, dst)
-		if next == topology.Invalid || hops >= sp.n {
-			return -1
-		}
-		cur = next
-	}
-	return hops
 }

@@ -259,7 +259,8 @@ func TestMarkAffectedMatchesSingleSetWalks(t *testing.T) {
 
 	// 0 → 1 → 2 → 3 ← 5 with vertex 4 isolated (it reaches nothing and
 	// nothing reaches it), and 2 → 6, 6 → 5 so that 6 reaches 3 through 5.
-	w := NewMatrix(7)
+	var w Matrix
+	w.Reset(7)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {5, 3}, {2, 6}, {6, 5}} {
 		w.Set(e[0], e[1], 1)
 	}
@@ -365,7 +366,9 @@ func TestRepairBailoutLeavesPhase2Untouched(t *testing.T) {
 	dw.affectedCrossover = budget(before + atLast)
 	got = dw.ComputeInto(alg, state, dests, dPrev)
 	assertPlansIdentical(t, got, ref.ComputeInto(alg, state, dests, fPrev))
-	want := DeltaStats{Full: 1, Incremental: 1, DirtyVertices: len(g.InLinks(topology.NodeID(last))) + 1, AffectedPairs: before + atLast, Pivots: 1}
+	// The dirty vertices are the drained node and its in-neighbours, which
+	// on the mesh are its neighbours.
+	want := DeltaStats{Full: 1, Incremental: 1, DirtyVertices: len(g.Neighbors(topology.NodeID(last))) + 1, AffectedPairs: before + atLast, Pivots: 1}
 	if s := dw.Stats(); s != want {
 		t.Fatalf("stats with the budget one column larger = %+v, want %+v", s, want)
 	}

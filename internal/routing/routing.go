@@ -94,14 +94,6 @@ type Matrix struct {
 	cells []float64
 }
 
-// NewMatrix allocates a KxK matrix filled with Inf off-diagonal and 0 on the
-// diagonal.
-func NewMatrix(k int) Matrix {
-	var m Matrix
-	m.Reset(k)
-	return m
-}
-
 // Reset re-initialises the matrix to KxK with Inf off-diagonal and 0 on the
 // diagonal, reusing the backing array when its capacity allows.
 func (m *Matrix) Reset(k int) {

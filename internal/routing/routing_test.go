@@ -28,9 +28,9 @@ func TestSDRWeightsMatchLinkLengths(t *testing.T) {
 	if w.Dim() != 9 {
 		t.Fatalf("weight matrix dimension = %d, want 9", w.Dim())
 	}
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
-	c, _ := mesh.IDAt(3, 3)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	c, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 3})
 	if w.At(int(a), int(b)) != 2.5 {
 		t.Errorf("adjacent weight = %g, want 2.5", w.At(int(a), int(b)))
 	}
@@ -45,8 +45,8 @@ func TestSDRWeightsMatchLinkLengths(t *testing.T) {
 func TestWeightsExcludeDeadNodes(t *testing.T) {
 	mesh := topology.MustMesh(2, 2, 1)
 	state := fullState(mesh.Graph, 8)
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
 	state.Status[b] = NodeStatus{Alive: false}
 	for _, alg := range []Algorithm{SDR{}, NewEAR()} {
 		w := weights(alg, state)
@@ -103,9 +103,9 @@ func TestEARPenaltyFunction(t *testing.T) {
 func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	mesh := topology.MustMesh(3, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
-	c, _ := mesh.IDAt(3, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	c, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	// Node b is nearly depleted.
 	state.Status[b] = NodeStatus{Alive: true, BatteryLevel: 1}
 	ear := NewEAR()
@@ -160,7 +160,8 @@ func TestAlgorithmNames(t *testing.T) {
 }
 
 func TestMatrixResetReusesStorage(t *testing.T) {
-	m := NewMatrix(4)
+	var m Matrix
+	m.Reset(4)
 	m.Set(1, 2, 42)
 	m.Reset(3)
 	if m.Dim() != 3 {
@@ -188,39 +189,17 @@ func TestAllPairsOnLineGraph(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
 	sp := allPairs(weights(SDR{}, state))
-	a, _ := mesh.IDAt(1, 1)
-	d, _ := mesh.IDAt(4, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	d, _ := mesh.NodeAt(topology.Coord{X: 4, Y: 1})
 	if sp.Dist(a, d) != 3 {
 		t.Errorf("distance end-to-end = %g, want 3", sp.Dist(a, d))
 	}
-	path, err := sp.Path(a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 4 || path[0] != a || path[3] != d {
-		t.Errorf("path = %v, want the 4-node line", path)
-	}
-	if sp.HopCount(a, d) != 3 {
-		t.Errorf("HopCount = %d, want 3", sp.HopCount(a, d))
-	}
-	if sp.HopCount(a, a) != 0 {
-		t.Errorf("HopCount(a,a) = %d, want 0", sp.HopCount(a, a))
-	}
-}
-
-func TestHopCountDoesNotAllocate(t *testing.T) {
-	mesh := topology.MustMesh(6, 6, 1)
-	state := fullState(mesh.Graph, 8)
-	sp := allPairs(weights(SDR{}, state))
-	a, _ := mesh.IDAt(1, 1)
-	d, _ := mesh.IDAt(6, 6)
-	allocs := testing.AllocsPerRun(100, func() {
-		if sp.HopCount(a, d) != 10 {
-			t.Fatal("wrong hop count")
+	for cur, hops := a, 0; cur != d; hops++ {
+		next, _ := mesh.NodeAt(topology.Coord{X: hops + 2, Y: 1})
+		if got := sp.Succ(cur, d); got != next {
+			t.Fatalf("Succ(%d, %d) = %d, want %d", cur, d, got, next)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("HopCount allocated %.1f times per call, want 0", allocs)
+		cur = next
 	}
 }
 
@@ -257,26 +236,17 @@ func TestAllPairsMatchesManhattanOnMesh(t *testing.T) {
 func TestAllPairsUnreachableAndDeadNodes(t *testing.T) {
 	mesh := topology.MustMesh(3, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
-	c, _ := mesh.IDAt(3, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	c, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	// Killing the middle node of a line disconnects the endpoints.
 	state.Status[b] = NodeStatus{Alive: false}
 	sp := allPairs(weights(SDR{}, state))
-	if sp.Reachable(a, c) {
+	if sp.Dist(a, c) != Inf {
 		t.Error("endpoints should be unreachable with the middle node dead")
 	}
-	if _, err := sp.Path(a, c); err == nil {
-		t.Error("Path across a dead node should fail")
-	}
-	if sp.HopCount(a, c) != -1 {
-		t.Errorf("HopCount unreachable = %d, want -1", sp.HopCount(a, c))
-	}
-	if _, err := sp.Path(a, topology.NodeID(99)); err == nil {
-		t.Error("Path with out-of-range destination should fail")
-	}
-	if sp.HopCount(a, topology.NodeID(99)) != -1 {
-		t.Error("HopCount with out-of-range destination should be -1")
+	if got := sp.Succ(a, c); got != topology.Invalid {
+		t.Errorf("Succ across a dead node = %d, want Invalid", got)
 	}
 }
 
@@ -310,20 +280,19 @@ func TestAllPairsPathDistanceConsistencyProperty(t *testing.T) {
 		mesh := topology.MustMesh(w, h, 1)
 		state := fullState(mesh.Graph, 8)
 		sp := allPairs(weights(SDR{}, state))
-		// The reconstructed path length must equal the reported distance.
+		// The length of the path the successors trace must equal the
+		// reported distance.
 		for _, from := range mesh.Nodes() {
 			for _, to := range mesh.Nodes() {
-				path, err := sp.Path(from.ID, to.ID)
-				if err != nil {
-					return false
-				}
 				var total float64
-				for i := 1; i < len(path); i++ {
-					l, ok := mesh.Link(path[i-1], path[i])
-					if !ok {
+				for cur, hops := from.ID, 0; cur != to.ID; hops++ {
+					next := sp.Succ(cur, to.ID)
+					l, ok := mesh.Link(cur, next)
+					if !ok || hops == mesh.Size() {
 						return false
 					}
 					total += l.LengthCM
+					cur = next
 				}
 				if math.Abs(total-sp.Dist(from.ID, to.ID)) > 1e-9 {
 					return false
@@ -340,10 +309,10 @@ func TestAllPairsPathDistanceConsistencyProperty(t *testing.T) {
 func TestBuildTablesPicksNearestDuplicate(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	n1, _ := mesh.IDAt(1, 1)
-	n2, _ := mesh.IDAt(2, 1)
-	n3, _ := mesh.IDAt(3, 1)
-	n4, _ := mesh.IDAt(4, 1)
+	n1, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	n2, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	n3, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
+	n4, _ := mesh.NodeAt(topology.Coord{X: 4, Y: 1})
 	dests := map[app.ModuleID][]topology.NodeID{1: {n1, n4}}
 	sp := allPairs(weights(SDR{}, state))
 	tables := BuildTables(state, sp, dests, nil)
@@ -375,7 +344,7 @@ func TestBuildTablesTieBreakIgnoresDuplicateOrder(t *testing.T) {
 	mesh := topology.MustMesh(5, 5, 1)
 	state := fullState(mesh.Graph, 8)
 	at := func(x, y int) topology.NodeID {
-		id, ok := mesh.IDAt(x, y)
+		id, ok := mesh.NodeAt(topology.Coord{X: x, Y: y})
 		if !ok {
 			t.Fatalf("no node at (%d,%d)", x, y)
 		}
@@ -416,9 +385,9 @@ func TestBuildTablesEARPrefersChargedDuplicate(t *testing.T) {
 	// smaller node ID.
 	mesh := topology.MustMesh(3, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	left, _ := mesh.IDAt(1, 1)
-	mid, _ := mesh.IDAt(2, 1)
-	right, _ := mesh.IDAt(3, 1)
+	left, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	mid, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	right, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	state.Status[left] = NodeStatus{Alive: true, BatteryLevel: 1}
 	state.Status[right] = NodeStatus{Alive: true, BatteryLevel: 7}
 	dests := map[app.ModuleID][]topology.NodeID{2: {left, right}}
@@ -439,9 +408,9 @@ func TestBuildTablesEARPrefersChargedDuplicate(t *testing.T) {
 func TestBuildTablesSkipsDeadDuplicates(t *testing.T) {
 	mesh := topology.MustMesh(3, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	left, _ := mesh.IDAt(1, 1)
-	mid, _ := mesh.IDAt(2, 1)
-	right, _ := mesh.IDAt(3, 1)
+	left, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	mid, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	right, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	state.Status[left] = NodeStatus{Alive: false}
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
 	plan := compute(SDR{}, state, dests, nil)
@@ -464,9 +433,9 @@ func TestBuildTablesDeadlockAvoidance(t *testing.T) {
 	// though it is equally far.
 	mesh := topology.MustMesh(3, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	left, _ := mesh.IDAt(1, 1)
-	mid, _ := mesh.IDAt(2, 1)
-	right, _ := mesh.IDAt(3, 1)
+	left, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	mid, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	right, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
 
 	first := compute(SDR{}, state, dests, nil)
@@ -489,8 +458,8 @@ func TestBuildTablesDeadlockFallbackWhenNoAlternative(t *testing.T) {
 	// invalid.
 	mesh := topology.MustMesh(2, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
 	dests := map[app.ModuleID][]topology.NodeID{1: {b}}
 	first := compute(SDR{}, state, dests, nil)
 	state.Status[a] = NodeStatus{Alive: true, BatteryLevel: 7, Deadlocked: true}
@@ -505,9 +474,9 @@ func TestTablesNextHopRelay(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
 	plan := compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
-	a, _ := mesh.IDAt(1, 1)
-	b, _ := mesh.IDAt(2, 1)
-	d, _ := mesh.IDAt(4, 1)
+	a, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
+	b, _ := mesh.NodeAt(topology.Coord{X: 2, Y: 1})
+	d, _ := mesh.NodeAt(topology.Coord{X: 4, Y: 1})
 	if got := plan.Tables.NextHop(a, d); got != b {
 		t.Errorf("NextHop(a, d) = %d, want %d", got, b)
 	}
@@ -522,7 +491,7 @@ func TestTablesNextHopRelay(t *testing.T) {
 	}
 
 	// Killing c leaves c dead and d alive but cut off from a.
-	c, _ := mesh.IDAt(3, 1)
+	c, _ := mesh.NodeAt(topology.Coord{X: 3, Y: 1})
 	state.Status[c] = NodeStatus{Alive: false}
 	plan = compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if got := plan.Tables.NextHop(a, b); got != b {
@@ -545,7 +514,7 @@ func TestTablesNextHopRelay(t *testing.T) {
 func TestBuildTablesSkipsDeadSources(t *testing.T) {
 	mesh := topology.MustMesh(2, 2, 1)
 	state := fullState(mesh.Graph, 8)
-	dead, _ := mesh.IDAt(1, 1)
+	dead, _ := mesh.NodeAt(topology.Coord{X: 1, Y: 1})
 	state.Status[dead] = NodeStatus{Alive: false}
 	plan := compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Tables.Has(dead) {

@@ -44,9 +44,6 @@ type Fingerprint [sha256.Size]byte
 // String returns the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// Short returns the first 16 hex digits, for logs and labels.
-func (f Fingerprint) Short() string { return f.String()[:16] }
-
 // canonicalSpec is the fixed-shape encoding target: Spec's exact field list,
 // so a Spec converts to it, with the identity fields hidden from the
 // encoding. Every simulation-relevant field is always present, in

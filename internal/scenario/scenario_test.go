@@ -60,7 +60,7 @@ func TestRegistryHasThePaperAndStressScenarios(t *testing.T) {
 	if len(All()) != len(names) {
 		t.Error("All() and Names() disagree")
 	}
-	if Table().NumRows() != len(names) {
+	if len(Table().Rows) != len(names) {
 		t.Error("Table() row count mismatch")
 	}
 }
@@ -327,10 +327,10 @@ func TestGroupedTablesCoverTheRegistry(t *testing.T) {
 	tables := GroupedTables()
 	total := 0
 	for _, tb := range tables {
-		if tb.NumRows() == 0 {
+		if len(tb.Rows) == 0 {
 			t.Error("GroupedTables rendered an empty group")
 		}
-		total += tb.NumRows()
+		total += len(tb.Rows)
 	}
 	if want := len(All()); total != want {
 		t.Errorf("grouped tables hold %d scenarios, registry has %d", total, want)

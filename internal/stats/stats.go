@@ -31,9 +31,6 @@ func (t *Table) AddRow(values ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.Rows) }
-
 // Format renders a single cell value: floats get a compact fixed-point
 // representation, everything else uses the default formatting.
 func Format(v interface{}) string {
@@ -153,43 +150,6 @@ func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: 
 // AddErr appends a point carrying a symmetric error bar of half-width err.
 func (s *Series) AddErr(x, y, err float64) {
 	s.Points = append(s.Points, Point{X: x, Y: y, Err: err})
-}
-
-// Ys returns the series' y values in order.
-func (s *Series) Ys() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Y
-	}
-	return out
-}
-
-// MinY and MaxY return the extreme y values (0 for an empty series).
-func (s *Series) MinY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	min := s.Points[0].Y
-	for _, p := range s.Points {
-		if p.Y < min {
-			min = p.Y
-		}
-	}
-	return min
-}
-
-// MaxY returns the largest y value (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	max := s.Points[0].Y
-	for _, p := range s.Points {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
 }
 
 // Chart is a collection of series sharing an x axis, with a simple ASCII

@@ -29,8 +29,8 @@ func TestTableRender(t *testing.T) {
 	tbl := NewTable("Table 2", "mesh", "J(EAR)", "J*", "ratio")
 	tbl.AddRow("4x4", 62.8, 131.42, "47.8%")
 	tbl.AddRow("8x8", 234.0, 525.69, "44.5%")
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tbl.NumRows())
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("table has %d rows, want 2", len(tbl.Rows))
 	}
 	out := tbl.Render()
 	for _, want := range []string{"Table 2", "mesh", "J(EAR)", "62.80", "525.69", "44.5%"} {
@@ -75,18 +75,11 @@ func TestTableCSV(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "EAR"}
-	if s.MinY() != 0 || s.MaxY() != 0 {
-		t.Error("empty series extremes should be 0")
-	}
 	s.Add(4, 60)
 	s.Add(5, 92)
 	s.Add(8, 234)
-	if s.MaxY() != 234 || s.MinY() != 60 {
-		t.Errorf("MinY/MaxY = %g/%g, want 60/234", s.MinY(), s.MaxY())
-	}
-	ys := s.Ys()
-	if len(ys) != 3 || ys[0] != 60 || ys[2] != 234 {
-		t.Errorf("Ys = %v", ys)
+	if len(s.Points) != 3 || s.Points[0] != (Point{X: 4, Y: 60}) || s.Points[2] != (Point{X: 8, Y: 234}) {
+		t.Errorf("Points = %v", s.Points)
 	}
 	if p, ok := s.lookupPoint(5); !ok || p.Y != 92 {
 		t.Errorf("lookupPoint(5) = %g, %v", p.Y, ok)

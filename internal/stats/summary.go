@@ -53,7 +53,8 @@ func (s *Summary) Observe(x float64) {
 	s.n++
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+	s.m2 += float64(delta * (x - s.mean))
 
 	s.q50.observe(x)
 	s.q90.observe(x)
@@ -207,12 +208,13 @@ func (e *p2Estimator) observe(x float64) {
 	}
 
 	// Desired marker positions for the current count.
-	np := float64(e.n-1)*e.p + 1
+	// float64() rounds each product, so arm64 cannot fuse it into an FMA.
+	np := float64(float64(e.n-1)*e.p) + 1
 	desired := [5]float64{
 		1,
-		1 + float64(e.n-1)*e.p/2,
+		1 + float64(float64(e.n-1)*e.p/2),
 		np,
-		1 + float64(e.n-1)*(1+e.p)/2,
+		1 + float64(float64(e.n-1)*(1+e.p)/2),
 		float64(e.n),
 	}
 
@@ -241,8 +243,9 @@ func (e *p2Estimator) parabolic(i int, sign float64) float64 {
 	num1 := e.pos[i] - e.pos[i-1] + sign
 	num2 := e.pos[i+1] - e.pos[i] - sign
 	den := e.pos[i+1] - e.pos[i-1]
-	return e.heights[i] + sign/den*(num1*(e.heights[i+1]-e.heights[i])/(e.pos[i+1]-e.pos[i])+
-		num2*(e.heights[i]-e.heights[i-1])/(e.pos[i]-e.pos[i-1]))
+	// float64() rounds the product, so arm64 cannot fuse it into an FMA.
+	return e.heights[i] + float64(sign/den*(num1*(e.heights[i+1]-e.heights[i])/(e.pos[i+1]-e.pos[i])+
+		num2*(e.heights[i]-e.heights[i-1])/(e.pos[i]-e.pos[i-1])))
 }
 
 // linear is the fallback height prediction when the parabolic one would

@@ -54,15 +54,6 @@ func UploadEnergyPerNodePJ() float64 { return energy.SlotEnergyPJ(statusBits) }
 // one node's routing update.
 func DownloadEnergyPerNodePJ() float64 { return energy.SlotEnergyPJ(routeBits) }
 
-// FrameLengthCycles returns the number of cycles the upload and download
-// phases of one frame occupy on the shared medium for a network of k nodes.
-// It must not exceed the frame period for the schedule to be feasible.
-func FrameLengthCycles(k int) int64 {
-	up := int64(energy.SlotCycles(statusBits)) * int64(k)
-	down := int64(energy.SlotCycles(routeBits)) * int64(k)
-	return up + down
-}
-
 // ControllerFrameEnergyPJ returns the energy the active controller consumes
 // during one frame: its bookkeeping activity plus, when recompute is true,
 // the routing-algorithm execution for a k-node network.
@@ -124,9 +115,6 @@ func (c *Controller) Rest(cycles int64) {
 type Pool struct {
 	controllers []*Controller
 	nextActive  int
-
-	// energy bookkeeping
-	consumedPJ float64
 }
 
 // NewPool creates a pool of n controllers. If factory is non-nil every
@@ -164,12 +152,9 @@ func (p *Pool) AliveCount() int {
 // AllDead reports whether every controller in the pool is dead.
 func (p *Pool) AllDead() bool { return p.AliveCount() == 0 }
 
-// ConsumedPJ returns the total energy drained from controller batteries (and
-// notionally from infinite-energy controllers) so far.
-func (p *Pool) ConsumedPJ() float64 { return p.consumedPJ }
-
-// Controllers returns the pool's controllers (shared, not copied) for
-// inspection by statistics code.
+// Controllers returns the pool's controllers (shared, not copied). No
+// program path calls it; tests drain and inspect controller batteries
+// through it.
 func (p *Pool) Controllers() []*Controller { return p.controllers }
 
 // Active returns the controller that will serve the next frame without
@@ -198,7 +183,6 @@ func (p *Pool) ServeFrame(activePJ float64) error {
 	if err != nil {
 		return err
 	}
-	p.consumedPJ += activePJ
 	// A controller that browns out mid-frame simply drops out; its remaining
 	// duties fail over to the next living controller at the next frame.
 	_ = active.Drain(activePJ)

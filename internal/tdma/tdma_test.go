@@ -73,12 +73,12 @@ func TestSlotEnergyAccounting(t *testing.T) {
 }
 
 func TestFrameLengthScalesWithNodesAndFitsPeriod(t *testing.T) {
-	l16 := FrameLengthCycles(16)
-	l64 := FrameLengthCycles(64)
-	if l64 != 4*l16 {
-		t.Errorf("frame length did not scale linearly: 16 nodes -> %d, 64 nodes -> %d", l16, l64)
+	// Each slot takes ceil(bits/MediumWidthBits) cycles on the shared
+	// medium, and every node has one upload and one download slot a frame.
+	slot := func(bits int) int64 {
+		return int64((bits + energy.MediumWidthBits - 1) / energy.MediumWidthBits)
 	}
-	if l64 > FramePeriodCycles {
+	if l64 := 64 * (slot(statusBits) + slot(routeBits)); l64 > FramePeriodCycles {
 		t.Errorf("frame of an 8x8 mesh (%d cycles) does not fit in the frame period (%d cycles)",
 			l64, FramePeriodCycles)
 	}
@@ -136,7 +136,7 @@ func TestNewPoolValidation(t *testing.T) {
 }
 
 func TestPoolRotatesActiveController(t *testing.T) {
-	pool, err := NewPool(3, nil)
+	pool, err := NewPool(3, battery.IdealFactory(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,10 @@ func TestPoolRotatesActiveController(t *testing.T) {
 			t.Fatalf("rotation order = %v, want %v", order, want)
 		}
 	}
-	if pool.ConsumedPJ() != 6*100 {
-		t.Errorf("ConsumedPJ = %g, want %g", pool.ConsumedPJ(), 6.0*100)
+	for _, c := range pool.Controllers() {
+		if got := c.Battery.DeliveredPJ(); got != 2*100 {
+			t.Errorf("controller %d delivered %g pJ, want %g", c.ID, got, 2*100.0)
+		}
 	}
 }
 
@@ -271,8 +273,11 @@ func TestPoolPartialDeathOrdering(t *testing.T) {
 		t.Fatalf("ErrAllControllersDead on frame %d, want 9", fatalFrame)
 	}
 	// Mid-death, the survivors must have kept the rotation going: frames 7-8
-	// were served by living controllers even though the pool was partial.
-	if pool.ConsumedPJ() != 9*100 {
-		t.Errorf("ConsumedPJ = %g, want %g", pool.ConsumedPJ(), 9*100.0)
+	// were served by living controllers even though the pool was partial,
+	// so every battery was drawn to its end.
+	for _, c := range pool.Controllers() {
+		if got := c.Battery.DeliveredPJ(); got != 250 {
+			t.Errorf("controller %d delivered %g pJ, want its whole 250", c.ID, got)
+		}
 	}
 }

@@ -20,7 +20,6 @@ func (g *Graph) RemoveLink(from, to NodeID) error {
 	}
 	delete(g.links, key)
 	g.out[from] = dropLink(g.out[from], from, to)
-	g.in[to] = dropLink(g.in[to], from, to)
 	g.sorted = dropLink(g.sorted, from, to)
 	return nil
 }

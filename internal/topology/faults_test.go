@@ -8,9 +8,9 @@ import (
 
 func TestRemoveLink(t *testing.T) {
 	m := MustMesh(3, 3, 1)
-	a, _ := m.IDAt(1, 1)
-	b, _ := m.IDAt(2, 1)
-	before := m.LinkCount()
+	a, _ := m.NodeAt(Coord{X: 1, Y: 1})
+	b, _ := m.NodeAt(Coord{X: 2, Y: 1})
+	before := len(m.Links())
 	if err := m.RemoveLink(a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +20,8 @@ func TestRemoveLink(t *testing.T) {
 	if _, ok := m.Link(b, a); !ok {
 		t.Fatal("reverse link should still exist after a one-way removal")
 	}
-	if m.LinkCount() != before-1 {
-		t.Fatalf("LinkCount = %d, want %d", m.LinkCount(), before-1)
+	if len(m.Links()) != before-1 {
+		t.Fatalf("%d links, want %d", len(m.Links()), before-1)
 	}
 	if err := m.RemoveLink(a, b); !errors.Is(err, ErrLinkNotFound) {
 		t.Fatalf("second removal error = %v, want ErrLinkNotFound", err)
@@ -39,8 +39,8 @@ func TestRemoveLink(t *testing.T) {
 
 func TestRemoveBiLink(t *testing.T) {
 	m := MustMesh(2, 2, 1)
-	a, _ := m.IDAt(1, 1)
-	b, _ := m.IDAt(2, 1)
+	a, _ := m.NodeAt(Coord{X: 1, Y: 1})
+	b, _ := m.NodeAt(Coord{X: 2, Y: 1})
 	if err := m.RemoveBiLink(a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRemoveBiLink(t *testing.T) {
 func TestFailLinksPreservesConnectivity(t *testing.T) {
 	for _, fraction := range []float64{0.1, 0.25, 0.4} {
 		m := MustMesh(6, 6, 1)
-		before := m.LinkCount()
+		before := len(m.Links())
 		removed, shortfall, err := FailLinks(m.Graph, fraction, 7)
 		if err != nil {
 			t.Fatalf("fraction %g: %v", fraction, err)
@@ -76,8 +76,8 @@ func TestFailLinksPreservesConnectivity(t *testing.T) {
 			t.Errorf("fraction %g: removed %d + shortfall %d != target %d",
 				fraction, len(removed), shortfall, target)
 		}
-		if m.LinkCount() != before-2*len(removed) {
-			t.Errorf("fraction %g: link count %d, want %d", fraction, m.LinkCount(), before-2*len(removed))
+		if len(m.Links()) != before-2*len(removed) {
+			t.Errorf("fraction %g: link count %d, want %d", fraction, len(m.Links()), before-2*len(removed))
 		}
 		if !m.Connected() {
 			t.Errorf("fraction %g: fault injection disconnected the mesh", fraction)
@@ -147,7 +147,7 @@ func TestFailLinksValidation(t *testing.T) {
 // silently delivering a fraction of the requested damage.
 func TestFailLinksNearSaturationReportsShortfall(t *testing.T) {
 	m := MustMesh(2, 8, 1)
-	undirected := m.LinkCount() / 2
+	undirected := len(m.Links()) / 2
 	removed, shortfall, err := FailLinks(m.Graph, 0.99, 3)
 	if err != nil {
 		t.Fatal(err)

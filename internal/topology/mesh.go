@@ -70,20 +70,11 @@ func MustMesh(width, height int, spacingCM float64) *Mesh {
 // "4x4 .. 8x8 mesh network" configurations evaluated in the paper.
 func NewSquareMesh(n int) (*Mesh, error) { return NewMesh(n, n, DefaultSpacingCM) }
 
-// Width returns the number of columns in the mesh.
-func (m *Mesh) Width() int { return m.width }
-
-// Height returns the number of rows in the mesh.
-func (m *Mesh) Height() int { return m.height }
-
 // SpacingCM returns the physical distance between adjacent nodes.
 func (m *Mesh) SpacingCM() float64 { return m.spacingCM }
 
 // Size returns the total number of nodes (the node budget K for this mesh).
 func (m *Mesh) Size() int { return m.width * m.height }
-
-// IDAt returns the node ID at mesh coordinate (x, y), both 1-based.
-func (m *Mesh) IDAt(x, y int) (NodeID, bool) { return m.NodeAt(Coord{X: x, Y: y}) }
 
 // String describes the mesh briefly, e.g. "4x4 mesh (1 cm spacing)".
 func (m *Mesh) String() string {

@@ -66,7 +66,6 @@ type Link struct {
 type Graph struct {
 	nodes   []Node
 	out     map[NodeID][]Link
-	in      map[NodeID][]Link
 	links   map[[2]NodeID]Link
 	byCoord map[Coord]NodeID
 	// sorted mirrors links ordered by (From, To). It is maintained
@@ -80,7 +79,6 @@ type Graph struct {
 func New() *Graph {
 	return &Graph{
 		out:     make(map[NodeID][]Link),
-		in:      make(map[NodeID][]Link),
 		links:   make(map[[2]NodeID]Link),
 		byCoord: make(map[Coord]NodeID),
 	}
@@ -107,16 +105,6 @@ func (g *Graph) AddNode(pos Coord) (NodeID, error) {
 	return id, nil
 }
 
-// MustAddNode is AddNode for construction code where a duplicate coordinate
-// is a programming error.
-func (g *Graph) MustAddNode(pos Coord) NodeID {
-	id, err := g.AddNode(pos)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // AddLink adds a directed link from one node to another with the given
 // physical length in centimetres.
 func (g *Graph) AddLink(from, to NodeID, lengthCM float64) error {
@@ -136,7 +124,6 @@ func (g *Graph) AddLink(from, to NodeID, lengthCM float64) error {
 	l := Link{From: from, To: to, LengthCM: lengthCM}
 	g.links[key] = l
 	g.out[from] = append(g.out[from], l)
-	g.in[to] = append(g.in[to], l)
 	idx := sort.Search(len(g.sorted), func(i int) bool {
 		if g.sorted[i].From != from {
 			return g.sorted[i].From > from
@@ -173,9 +160,6 @@ func (g *Graph) Clone() *Graph {
 	for id, ls := range g.out {
 		c.out[id] = append([]Link(nil), ls...)
 	}
-	for id, ls := range g.in {
-		c.in[id] = append([]Link(nil), ls...)
-	}
 	c.sorted = append([]Link(nil), g.sorted...)
 	return c
 }
@@ -185,9 +169,6 @@ func (g *Graph) Has(id NodeID) bool { return id >= 0 && int(id) < len(g.nodes) }
 
 // NodeCount returns the number of nodes in the graph.
 func (g *Graph) NodeCount() int { return len(g.nodes) }
-
-// LinkCount returns the number of directed links in the graph.
-func (g *Graph) LinkCount() int { return len(g.links) }
 
 // Nodes returns all nodes ordered by ID. The returned slice is a copy.
 func (g *Graph) Nodes() []Node {
@@ -233,22 +214,6 @@ func (g *Graph) Link(from, to NodeID) (Link, bool) {
 	return l, ok
 }
 
-// OutLinks returns the outgoing links of a node ordered by destination ID.
-func (g *Graph) OutLinks(id NodeID) []Link {
-	ls := make([]Link, len(g.out[id]))
-	copy(ls, g.out[id])
-	sort.Slice(ls, func(i, j int) bool { return ls[i].To < ls[j].To })
-	return ls
-}
-
-// InLinks returns the incoming links of a node ordered by source ID.
-func (g *Graph) InLinks(id NodeID) []Link {
-	ls := make([]Link, len(g.in[id]))
-	copy(ls, g.in[id])
-	sort.Slice(ls, func(i, j int) bool { return ls[i].From < ls[j].From })
-	return ls
-}
-
 // Neighbors returns the IDs of nodes reachable over one outgoing link,
 // ordered by ID.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
@@ -259,9 +224,6 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Degree returns the out-degree of a node.
-func (g *Graph) Degree(id NodeID) int { return len(g.out[id]) }
 
 // ConnectedFrom reports whether every node in the keep set is reachable from
 // the given source using only links whose endpoints are both in keep.

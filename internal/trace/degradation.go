@@ -126,10 +126,9 @@ func (d *Degradation) FrameProcessed(sim.FrameEvent) {
 // open.
 func (d *Degradation) JobsDegraded() int { return d.jobsDegraded }
 
-// FramesDegraded and FramesHealthy return the frame counts spent in each
-// state.
+// FramesDegraded returns the number of frames spent with at least one fault
+// window open.
 func (d *Degradation) FramesDegraded() int64 { return d.framesDegraded }
-func (d *Degradation) FramesHealthy() int64  { return d.framesHealthy }
 
 // Retention returns jobs completed per degraded frame over jobs completed per
 // healthy frame: the fraction of its healthy delivery rate the system keeps

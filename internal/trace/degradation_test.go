@@ -26,9 +26,6 @@ func TestDegradationKillWindowAtFrameZero(t *testing.T) {
 	if got := d.FramesDegraded(); got != 4 {
 		t.Errorf("FramesDegraded = %d, want 4 (frames 1..4)", got)
 	}
-	if got := d.FramesHealthy(); got != 1 {
-		t.Errorf("FramesHealthy = %d, want 1 (frame 5)", got)
-	}
 	if got := d.Recovery().Count(); got != 1 {
 		t.Fatalf("recovery samples = %d, want 1", got)
 	}
@@ -65,9 +62,6 @@ func TestDegradationOverlappingWindows(t *testing.T) {
 	if got := d.FramesDegraded(); got != 7 {
 		t.Errorf("FramesDegraded = %d, want 7 (frames 1..7; overlap counted once)", got)
 	}
-	if got := d.FramesHealthy(); got != 2 {
-		t.Errorf("FramesHealthy = %d, want 2 (frames 8..9)", got)
-	}
 	if got := d.Recovery().Count(); got != 2 {
 		t.Fatalf("recovery samples = %d, want 2", got)
 	}
@@ -96,9 +90,6 @@ func TestDegradationAdjacentWindows(t *testing.T) {
 
 	if got := d.FramesDegraded(); got != 4 {
 		t.Errorf("FramesDegraded = %d, want 4 (frames 1..4, continuous across the handover)", got)
-	}
-	if got := d.FramesHealthy(); got != 1 {
-		t.Errorf("FramesHealthy = %d, want 1", got)
 	}
 	if got := d.Recovery().Count(); got != 2 {
 		t.Fatalf("recovery samples = %d, want 2", got)

@@ -64,9 +64,6 @@ func (h *LatencyHistogram) JobLost(e sim.JobEvent) {
 	delete(h.injected, e.Job)
 }
 
-// Latencies returns every observed latency in completion order.
-func (h *LatencyHistogram) Latencies() []int64 { return h.latencies }
-
 // Mean returns the mean latency in cycles (0 with no observations).
 func (h *LatencyHistogram) Mean() float64 {
 	if len(h.latencies) == 0 {
