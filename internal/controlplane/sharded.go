@@ -3,6 +3,7 @@ package controlplane
 import (
 	"repro/internal/app"
 	"repro/internal/routing"
+	"repro/internal/runner"
 	"repro/internal/tdma"
 	"repro/internal/topology"
 )
@@ -48,7 +49,10 @@ type regionState struct {
 // freezes the whole mesh on its last-known-good tables.
 //
 // The whole schedule is a pure function of (frame index, reported state), so
-// sharded sweeps remain byte-identical at every worker count.
+// sharded sweeps remain byte-identical at every worker count. The regions
+// that recompute in a frame run their routing phases 2 and 3 concurrently
+// (see Frame); each owns its view, workspace and tables, so that changes no
+// byte either, at any GOMAXPROCS.
 type Sharded struct {
 	deps      Deps
 	kind      Kind // reported by Name
@@ -76,6 +80,15 @@ type Sharded struct {
 	// unblocks, so a later, distinct deadlock counts again — exactly the
 	// semantics the per-region comparison had without failover.
 	deadlockCounted []bool
+
+	// The recompute pass: pending lists, in shard order, the regions whose
+	// phase 1 ran this frame; team runs their phases 2 and 3 (recompute),
+	// and donors[w] is the last region participant w sent to a full pass
+	// this frame. handoffs counts the helpers that joined a pass.
+	pending  []int
+	team     *runner.Team
+	donors   []*routing.DeltaWorkspace
+	handoffs int
 }
 
 // New builds the control plane selected by cfg, validated against deps'
@@ -103,7 +116,10 @@ func New(cfg Config, deps Deps) (*Sharded, error) {
 		prevAdopt:       make([]int, shards),
 		ownedChanged:    make([]bool, shards),
 		deadlockCounted: make([]bool, k),
+		pending:         make([]int, 0, shards),
+		donors:          make([]*routing.DeltaWorkspace, shards),
 	}
+	s.team = runner.NewTeam(s.recompute)
 	for b := range s.shards {
 		pool, err := tdma.NewPool(deps.Controllers, deps.ControllerBattery)
 		if err != nil {
@@ -130,13 +146,22 @@ func New(cfg Config, deps Deps) (*Sharded, error) {
 func (s *Sharded) Name() string { return string(s.kind) }
 
 // Frame runs the controller side of one TDMA frame, called once per frame
-// after the upload phase: adopt the snapshot, decide recompute, rebuild
-// tables, account energy and liveness, for every living region in shard
-// order for determinism. snapshot is the engine-owned status report, which
-// the plane reads during the call and never retains, so the engine may refill
-// the same buffer every frame; each region counts the alive nodes it serves
-// from its own view of it. The report is a pure function of (frame
-// index, reported state) and the plane's own prior decisions.
+// after the upload phase, in two passes. The bookkeeping pass visits every
+// living region in shard order on the caller's goroutine: it refreshes the
+// region's view, counts deadlock reports, decides whether to recompute,
+// accounts energy and liveness, and runs phase 1 (the routing algorithm's
+// weights) for each region that recomputes — an Algorithm need not be safe
+// for concurrent use. The recompute pass then runs phases 2 and 3 of those
+// regions on the caller and on idle runner helpers (runner.Team). It cannot
+// change a byte: each region touches only its own view, workspace and
+// tables, and a region copies another's full pass only from the same
+// participant's earlier work, where it is complete and checked bit for bit.
+//
+// snapshot is the engine-owned status report, which the plane reads during
+// the call and never retains, so the engine may refill the same buffer
+// every frame; each region counts the alive nodes it serves from its own
+// view of it. The report is a pure function of (frame index, reported
+// state) and the plane's own prior decisions.
 func (s *Sharded) Frame(frame int64, snapshot *routing.SystemState) FrameReport {
 	var rep FrameReport
 	s.reassignOwners(&rep)
@@ -146,13 +171,7 @@ func (s *Sharded) Frame(frame int64, snapshot *routing.SystemState) FrameReport 
 	exchange := (frame-1)%int64(s.staleness) == 0
 	k := s.deps.Graph.NodeCount()
 	needLevels := s.deps.Algorithm.NeedsBatteryInfo()
-	// donor is the last region this frame whose recompute was a full pass.
-	// On an exchange frame every in-service region copies the whole
-	// snapshot, so their weights are usually bit-identical and the next
-	// region the policy sends to a full pass copies the donor's phase 2
-	// instead of rerunning it (DeltaWorkspace.ComputeShared checks the
-	// weights bit for bit).
-	var donor *routing.DeltaWorkspace
+	s.pending = s.pending[:0]
 
 	for b := range s.shards {
 		sh := &s.shards[b]
@@ -248,16 +267,14 @@ func (s *Sharded) Frame(frame int64, snapshot *routing.SystemState) FrameReport 
 		sh.pool.RestAll(tdma.FramePeriodCycles)
 
 		if changed || sh.tables == nil {
-			full := sh.ws.Stats().Full
-			plan := sh.ws.ComputeShared(s.deps.Algorithm, &sh.view, s.deps.Destinations, sh.tables, donor)
-			if sh.ws.Stats().Full > full {
-				donor = sh.ws
-			}
-			sh.tables = plan.Tables
-			s.adoptView(sh)
-			sh.recomputes++
+			sh.ws.Weigh(s.deps.Algorithm, &sh.view)
+			s.pending = append(s.pending, b)
 			rep.Recomputed = true
 		}
+	}
+	if len(s.pending) > 0 {
+		clear(s.donors)
+		s.handoffs += s.team.Run(len(s.pending))
 	}
 
 	// The Sec 7.3 system death: every region is battery-dead.
@@ -269,6 +286,24 @@ func (s *Sharded) Frame(frame int64, snapshot *routing.SystemState) FrameReport 
 		}
 	}
 	return rep
+}
+
+// recompute runs phases 2 and 3 for the i-th pending region as participant
+// worker of the recompute pass. On an exchange frame every in-service region
+// copies the whole snapshot, so their weights are usually bit-identical: a
+// region the policy sends to a full pass copies the phase 2 of the
+// participant's last full-pass region instead of rerunning it
+// (DeltaWorkspace.Recompute checks the weights bit for bit).
+func (s *Sharded) recompute(worker, i int) {
+	sh := &s.shards[s.pending[i]]
+	full := sh.ws.Stats().Full
+	plan := sh.ws.Recompute(&sh.view, s.deps.Destinations, sh.tables, s.donors[worker])
+	if sh.ws.Stats().Full > full {
+		s.donors[worker] = sh.ws
+	}
+	sh.tables = plan.Tables
+	s.adoptView(sh)
+	sh.recomputes++
 }
 
 // reassignOwners recomputes the shard-failover assignment as a pure function

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/routing"
@@ -11,9 +13,11 @@ import (
 )
 
 // This file pins exchange-frame phase-2 sharing (a region copying another
-// region's bit-identical full pass, DeltaWorkspace.ComputeShared) to plain
-// per-region recomputation: every region's tables must equal those of a
-// private workspace that sees the same views and is never offered a donor.
+// region's bit-identical full pass, the donor of DeltaWorkspace.Recompute)
+// to plain per-region recomputation: every region's tables must equal those
+// of a private workspace that sees the same views and is never offered a
+// donor. The regions of a frame recompute concurrently, so the trajectories
+// run at several GOMAXPROCS settings, which must agree byte for byte.
 
 // sharedPasses sums, across regions, the full decisions whose phase 2 was
 // copied from another region's bit-identical full pass (DeltaStats.Shared).
@@ -30,10 +34,11 @@ func sharedPasses(s *Sharded) int {
 // announced through TopologyEpoch and one region kill window. After every
 // frame, each region that recomputed is checked against its own donor-free
 // reference workspace. It returns the plane, so callers can inspect
-// sharedPasses, and the number of reference recomputes whose tables differ
-// from a full pass over the same view: nonzero only where the repair is
-// inexact, and only there can copying a repaired donor change a table.
-func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing.Algorithm, seed uint64, frames int) (*Sharded, int) {
+// sharedPasses, every frame's report, and the number of reference
+// recomputes whose tables differ from a full pass over the same view:
+// nonzero only where the repair is inexact, and only there can copying a
+// repaired donor change a table.
+func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing.Algorithm, seed uint64, frames int) (*Sharded, []FrameReport, int) {
 	t.Helper()
 	deps := testDeps(meshSize, alg)
 	s, err := New(Config{Kind: KindSharded, Shards: shards, StalenessFrames: staleness}, deps)
@@ -58,6 +63,7 @@ func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing
 	}
 	killed := shards - 1
 	inexact := 0
+	var reports []FrameReport
 	for f := 1; f <= frames; f++ {
 		// Sparse drains keep most per-region diffs under the crossover, so
 		// exchange frames mix repairs (a region that already saw a flip in
@@ -97,7 +103,7 @@ func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing
 		if shards > 1 && f == 2*frames/3 {
 			s.FaultRegion(killed, false)
 		}
-		s.Frame(int64(f), snap)
+		reports = append(reports, s.Frame(int64(f), snap))
 
 		for b := range s.shards {
 			if s.RecomputeCount(b) == seen[b] {
@@ -133,7 +139,7 @@ func sharedTrajectory(t *testing.T, meshSize, shards, staleness int, alg routing
 	if shared := sharedPasses(s); shared > full {
 		t.Fatalf("%d shared passes exceed %d full decisions", shared, full)
 	}
-	return s, inexact
+	return s, reports, inexact
 }
 
 // tablesDiff compares two table generations entry by entry — per-node
@@ -164,32 +170,194 @@ func tablesDiff(deps Deps, got, want *routing.Tables) string {
 	return ""
 }
 
+// setProcs sets GOMAXPROCS for the rest of the test.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // TestShardedSharedPhase2MatchesUnshared: at staleness 1 and 8, with the
 // default EAR Q and with Q = 21.3, sharing a full pass across regions
-// changes no table, and the shared path is taken. At Q = 21.3 weight sums
-// round, so repaired tables differ from full-pass tables; there the check
-// also shows that a repaired phase 2 is never handed on as a donor (a plane
-// that offered every recomputing region as donor, to a workspace that
+// changes no table, at GOMAXPROCS 1, 2 and 4, and the three settings give
+// identical frame reports, final tables, recompute counts and splits. At
+// GOMAXPROCS 1 one goroutine recomputes every region, so every full pass
+// after a frame's first is offered a donor and the shared path must be
+// taken; with more, a region is offered only its own participant's earlier
+// work, so how often it is taken depends on scheduling. At Q = 21.3 weight
+// sums round, so repaired tables differ from full-pass tables; there the
+// check also shows that a repaired phase 2 is never handed on as a donor (a
+// plane that offered every recomputing region as donor, to a workspace that
 // accepted any, fails seeds 1 and 2 at staleness 8).
 func TestShardedSharedPhase2MatchesUnshared(t *testing.T) {
 	for _, q := range []float64{2, 21.3} {
 		for _, staleness := range []int{1, 8} {
 			for seed := uint64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("Q=%g/staleness=%d/seed=%d", q, staleness, seed), func(t *testing.T) {
-					alg := routing.EAR{Params: routing.EARParams{Q: q, Levels: 8}}
-					s, inexact := sharedTrajectory(t, 8, 4, staleness, alg, seed, 48)
-					if sharedPasses(s) == 0 {
-						t.Fatal("no region ever copied another region's full pass")
-					}
-					if q == 2 && inexact != 0 {
-						t.Fatalf("%d repairs differ from the full pass at dyadic Q", inexact)
-					}
-					if q != 2 && inexact == 0 {
-						t.Fatal("every repair matched the full pass: the trajectory cannot tell a repaired donor from a full one")
+					var want *Sharded
+					var wantReports []FrameReport
+					for _, procs := range []int{1, 2, 4} {
+						t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+							setProcs(t, procs)
+							alg := routing.EAR{Params: routing.EARParams{Q: q, Levels: 8}}
+							s, reports, inexact := sharedTrajectory(t, 8, 4, staleness, alg, seed, 48)
+							if procs == 1 {
+								if sharedPasses(s) == 0 {
+									t.Fatal("no region ever copied another region's full pass")
+								}
+								want, wantReports = s, reports
+							} else if want != nil {
+								assertSamePlane(t, s, reports, want, wantReports)
+							}
+							if q == 2 && inexact != 0 {
+								t.Fatalf("%d repairs differ from the full pass at dyadic Q", inexact)
+							}
+							if q != 2 && inexact == 0 {
+								t.Fatal("every repair matched the full pass: the trajectory cannot tell a repaired donor from a full one")
+							}
+						})
 					}
 				})
 			}
 		}
+	}
+}
+
+// assertSamePlane fails unless two planes driven through the same
+// trajectory produced identical frame reports, and end with identical
+// tables, recompute counts and full/incremental split.
+func assertSamePlane(t *testing.T, got *Sharded, gotReports []FrameReport, want *Sharded, wantReports []FrameReport) {
+	t.Helper()
+	if !reflect.DeepEqual(gotReports, wantReports) {
+		t.Fatal("frame reports differ from GOMAXPROCS=1")
+	}
+	for b := range got.shards {
+		if diff := tablesDiff(got.deps, got.shards[b].tables, want.shards[b].tables); diff != "" {
+			t.Fatalf("region %d: %s", b, diff)
+		}
+		if g, w := got.RecomputeCount(b), want.RecomputeCount(b); g != w {
+			t.Fatalf("region %d: %d recomputes, want %d", b, g, w)
+		}
+	}
+	gf, gi := got.RecomputeSplit()
+	wf, wi := want.RecomputeSplit()
+	if gf != wf || gi != wi {
+		t.Fatalf("split %d/%d, want %d/%d", gf, gi, wf, wi)
+	}
+}
+
+// weighOrder wraps an Algorithm and records the state of every WeightsInto
+// call in a plain slice. It is not safe for concurrent use, like the
+// Algorithms the plane must serve, so a phase 1 that ran off the plane's
+// goroutine shows up under -race.
+type weighOrder struct {
+	routing.Algorithm
+	states []*routing.SystemState
+}
+
+func (w *weighOrder) WeightsInto(m *routing.Matrix, st *routing.SystemState) {
+	w.Algorithm.WeightsInto(m, st)
+	w.states = append(w.states, st)
+}
+
+// TestShardedPhaseOneInShardOrder: with several regions recomputing per
+// frame at GOMAXPROCS 2, the plane calls the Algorithm once per recomputing
+// region, in shard order, on its own goroutine.
+func TestShardedPhaseOneInShardOrder(t *testing.T) {
+	setProcs(t, 2)
+	alg := &weighOrder{Algorithm: routing.NewEAR()}
+	deps := testDeps(8, alg)
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 2}, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := func(st *routing.SystemState) int {
+		for b := range s.shards {
+			if st == &s.shards[b].view {
+				return b
+			}
+		}
+		return -1
+	}
+	snap := fullState(deps.Graph, 8)
+	counts := make([]int, len(s.shards))
+	for f := int64(1); f <= 64; f++ {
+		st := &snap.Status[int(f*11)%len(snap.Status)]
+		st.BatteryLevel = (st.BatteryLevel + 1) % 8
+		alg.states = alg.states[:0]
+		s.Frame(f, snap)
+		var want []int
+		for b := range s.shards {
+			if c := s.RecomputeCount(b); c != counts[b] {
+				counts[b] = c
+				want = append(want, b)
+			}
+		}
+		var got []int
+		for _, st := range alg.states {
+			got = append(got, region(st))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: WeightsInto for regions %v, want %v (the recomputing regions in shard order)", f, got, want)
+		}
+	}
+}
+
+// TestShardedConcurrentRecomputeZeroAllocs is the zero-allocation guard of
+// the concurrent recompute pass. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// which never hands off, so this counts runtime mallocs at GOMAXPROCS 2
+// over frames in which all four regions recompute, and checks that helpers
+// took part.
+func TestShardedConcurrentRecomputeZeroAllocs(t *testing.T) {
+	setProcs(t, 2)
+	deps := testDeps(8, routing.NewEAR())
+	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := fullState(deps.Graph, 8)
+	f := int64(0)
+	frame := func() {
+		f++
+		st := &snap.Status[int(f)%len(snap.Status)]
+		st.BatteryLevel = (st.BatteryLevel + 1) % 8
+		if rep := s.Frame(f, snap); !rep.Recomputed {
+			t.Fatalf("frame %d recomputed nothing", f)
+		}
+	}
+	// Warm up every buffer, and run until a helper has been started and
+	// has joined a pass. The warm-up is long because the runtime's own
+	// caches (threads, and wait records for parked goroutines) also fill
+	// over the first hand-offs.
+	for i := 0; i < 256 || (s.handoffs == 0 && i < 2000); i++ {
+		frame()
+	}
+	if s.handoffs == 0 {
+		t.Fatal("no helper joined a recompute pass during the warm-up")
+	}
+	const frames = 64
+	before := s.handoffs
+	recomputes := 0
+	for b := range s.shards {
+		recomputes -= s.RecomputeCount(b)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < frames; i++ {
+		frame()
+	}
+	runtime.ReadMemStats(&m1)
+	for b := range s.shards {
+		recomputes += s.RecomputeCount(b)
+	}
+	if recomputes != 4*frames {
+		t.Fatalf("%d region recomputes over %d frames, want %d", recomputes, frames, 4*frames)
+	}
+	if mallocs := m1.Mallocs - m0.Mallocs; mallocs != 0 {
+		t.Errorf("%d mallocs over %d concurrent recompute frames, want 0", mallocs, frames)
+	}
+	if s.handoffs == before {
+		t.Errorf("no helper joined any of the %d measured frames", frames)
 	}
 }
 
@@ -212,9 +380,11 @@ func FuzzShardedSharedPhase2(f *testing.F) {
 
 // BenchmarkShardedExchangeFullPass measures a sharded exchange frame on the
 // 8x8 mesh in which every region takes the full pass: staleness 1, and a
-// node's liveness toggles each frame, a change every region sees. Region 0
-// runs Floyd–Warshall and regions 1-3 copy its result, so this guards the
-// shared path's steady state at 0 allocs/op.
+// node's liveness toggles each frame, a change every region sees. Each
+// participant of the recompute pass runs Floyd–Warshall for its first
+// region and copies the result for the others: at GOMAXPROCS 1, region 0
+// runs it and regions 1-3 copy. This guards the shared path's steady state
+// at 0 allocs/op.
 func BenchmarkShardedExchangeFullPass(b *testing.B) {
 	deps := testDeps(8, routing.NewEAR())
 	s, err := New(Config{Kind: KindSharded, Shards: 4, StalenessFrames: 1}, deps)
@@ -239,7 +409,9 @@ func BenchmarkShardedExchangeFullPass(b *testing.B) {
 		frame(int64(i) + 4)
 	}
 	b.StopTimer()
-	if got, want := sharedPasses(s)-before, 3*b.N; got != want {
-		b.Fatalf("shared passes = %d over %d frames, want %d", got, b.N, want)
+	// At most one Floyd–Warshall per participant and frame.
+	participants := min(runtime.GOMAXPROCS(0), 4)
+	if got := sharedPasses(s) - before; got < (4-participants)*b.N || got > 3*b.N {
+		b.Fatalf("shared passes = %d over %d frames, want %d to %d", got, b.N, (4-participants)*b.N, 3*b.N)
 	}
 }

@@ -19,7 +19,7 @@ const (
 	RecomputeIncremental RecomputeMode = iota
 	// RecomputeFull always takes the full O(K³) pass: phase 1, then
 	// ShortestPaths.ComputeFrom (or a copy of a donor's bit-identical full
-	// pass, see ComputeShared), then phase 3. It is the reference the
+	// pass, see Recompute), then phase 3. It is the reference the
 	// equivalence tests, the scaling experiment and the CI byte-diff smoke
 	// hold the repair to.
 	RecomputeFull
@@ -37,7 +37,9 @@ func (m RecomputeMode) String() string {
 // and Incremental count policy decisions and, like the volume counters, are
 // pure functions of the snapshot sequence, so they are deterministic and may
 // appear in experiment tables. Shared also depends on which donors the
-// caller offered; it is host-side telemetry only.
+// caller offered, and so, where workspaces are recomputed concurrently and
+// each participant offers only its own earlier workspaces, on scheduling;
+// it is host-side telemetry only, read by no output.
 type DeltaStats struct {
 	// Full counts recomputations the policy sent to the full pass (first
 	// computation, forced mode, liveness change, or dirty set past the
@@ -45,7 +47,8 @@ type DeltaStats struct {
 	Full int
 	// Shared counts the Full decisions whose phase-2 result was copied
 	// from a donor's bit-identical full pass instead of recomputed; it is a
-	// subset of Full.
+	// subset of Full. Which decisions those are may differ from run to run
+	// of the same input when the caller recomputes concurrently.
 	Shared int
 	// Incremental counts recomputations repaired from the dirty set.
 	Incremental int
@@ -169,6 +172,8 @@ type DeltaWorkspace struct {
 	w        [2]Matrix
 	cur      int
 	havePrev bool
+	weighed  bool   // w[cur^1] holds phase-1 weights no Recompute has used
+	alg      string // name of the algorithm that built them
 
 	sp        ShortestPaths
 	spFull    bool // sp holds a full pass over w[cur] (a valid donor)
@@ -221,27 +226,44 @@ func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 
 // ComputeInto runs all three phases of the given algorithm on a system
 // snapshot, reusing the workspace's buffers, with phase 2 executed
-// incrementally when possible. destinations lists the duplicates S_i of
-// every module; prev is the previously downloaded tables (nil on the first
-// computation), whose routes are consulted for deadlock avoidance. When prev
-// came from an earlier ComputeInto on the same workspace the new tables are
-// written into the other internal buffer, so prev's routes stay intact.
+// incrementally when possible: Weigh, then Recompute without a donor.
+// destinations lists the duplicates S_i of every module; prev is the
+// previously downloaded tables (nil on the first computation), whose routes
+// are consulted for deadlock avoidance. When prev came from an earlier
+// ComputeInto on the same workspace the new tables are written into the
+// other internal buffer, so prev's routes stay intact.
 func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
-	return dw.ComputeShared(alg, state, destinations, prev, nil)
+	dw.Weigh(alg, state)
+	return dw.Recompute(state, destinations, prev, nil)
 }
 
-// ComputeShared is ComputeInto with a phase-2 donor. The recompute policy
-// is unchanged: the workspace builds its own weights and decides between
-// the repair and the full pass exactly as ComputeInto does. Only when it
-// decides on the full pass, and donor's last phase 2 was a full pass over
-// weights bit-identical to the new ones, does it copy donor's
-// distance/successor matrices (O(K²)) instead of rerunning Floyd–Warshall.
-// The full pass is a function of the weights alone, so the copy is exactly
-// what the pass would compute. Phase 3 always runs here, against this
-// workspace's own prev. donor may be nil; it is only read.
-func (dw *DeltaWorkspace) ComputeShared(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables, donor *DeltaWorkspace) *Plan {
+// Weigh runs phase 1: alg's edge weights for state, into the workspace's
+// next weight buffer, for the Recompute that must follow. It is the only
+// step that calls into alg, so a caller that owns several workspaces can
+// weigh them one after another on one goroutine (an Algorithm need not be
+// safe for concurrent use) and recompute them concurrently.
+func (dw *DeltaWorkspace) Weigh(alg Algorithm, state *SystemState) {
+	alg.WeightsInto(&dw.w[dw.cur^1], state)
+	dw.alg = alg.Name()
+	dw.weighed = true
+}
+
+// Recompute runs phases 2 and 3 over the weights of the preceding Weigh,
+// for the same state; see ComputeInto for destinations and prev. The
+// recompute policy decides between the repair and the full pass from the
+// weights alone. Only when it decides on the full pass, and donor's last
+// phase 2 was a full pass over weights bit-identical to the new ones, does
+// it copy donor's distance/successor matrices (O(K²)) instead of rerunning
+// Floyd–Warshall. The full pass is a function of the weights alone, so the
+// copy is exactly what the pass would compute. Phase 3 always runs here,
+// against this workspace's own prev. donor may be nil; it is only read, so
+// it must not be recomputing at the same time.
+func (dw *DeltaWorkspace) Recompute(state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables, donor *DeltaWorkspace) *Plan {
+	if !dw.weighed {
+		panic("routing: DeltaWorkspace.Recompute without a preceding Weigh")
+	}
+	dw.weighed = false
 	next := dw.cur ^ 1
-	alg.WeightsInto(&dw.w[next], state)
 	k := dw.w[next].Dim()
 
 	if dw.repair(k, state) {
@@ -266,7 +288,7 @@ func (dw *DeltaWorkspace) ComputeShared(alg Algorithm, state *SystemState, desti
 		out = &dw.tbl[1]
 	}
 	buildTablesInto(out, state, &dw.sp, destinations, &dw.dests, prev)
-	dw.plan = Plan{Algorithm: alg.Name(), Paths: &dw.sp, Tables: out}
+	dw.plan = Plan{Algorithm: dw.alg, Paths: &dw.sp, Tables: out}
 	return &dw.plan
 }
 

@@ -399,8 +399,8 @@ func TestDeltaRepairTieHeavy(t *testing.T) {
 						// leaving the vertex the previous one entered.
 						v := topology.NodeID(rng.Intn(k))
 						for m := 0; m < moves; m++ {
-							out := g.Neighbors(v)
-							to := out[rng.Intn(len(out))]
+							out := g.OutLinks(v)
+							to := out[rng.Intn(len(out))].To
 							nudge(v, to)
 							v = to
 						}
@@ -686,12 +686,12 @@ func TestSettleHeapPopOrder(t *testing.T) {
 	}
 }
 
-// TestComputeSharedCopiesOnlyFullPasses pins the donor rule: a full
+// TestRecomputeCopiesOnlyFullPasses pins Recompute's donor rule: a full
 // decision copies the donor's phase 2 only when the donor's last phase 2
 // was a full pass over bit-identical weights. At EAR Q = 21.3 weight sums
 // round, so a repaired donor would be detectable. Every plan must equal a
 // donor-free full pass over the same state.
-func TestComputeSharedCopiesOnlyFullPasses(t *testing.T) {
+func TestRecomputeCopiesOnlyFullPasses(t *testing.T) {
 	mesh := topology.MustMesh(8, 8, topology.DefaultSpacingCM)
 	dests := checkerboardDests(mesh.Graph)
 	var alg Algorithm = EAR{Params: EARParams{Q: 21.3, Levels: 8}}
@@ -706,7 +706,8 @@ func TestComputeSharedCopiesOnlyFullPasses(t *testing.T) {
 	runDonor := func() { donorPrev = donor.ComputeInto(alg, state, dests, donorPrev).Tables }
 	step := func(what string, offer *DeltaWorkspace, wantShared int) {
 		t.Helper()
-		got := recv.ComputeShared(alg, state, dests, recvPrev, offer)
+		recv.Weigh(alg, state)
+		got := recv.Recompute(state, dests, recvPrev, offer)
 		want := ref.ComputeInto(alg, state, dests, refPrev)
 		recvPrev, refPrev = got.Tables, want.Tables
 		assertPlansIdentical(t, got, want)
@@ -735,6 +736,23 @@ func TestComputeSharedCopiesOnlyFullPasses(t *testing.T) {
 	runDonor()
 	step("no donor", nil, 1)
 	step("full donor, same weights again", donor, 2)
+}
+
+// TestRecomputeNeedsWeigh: Recompute runs on the weights of the Weigh
+// before it, once. A second Recompute would diff the previous weights
+// against themselves, so it panics instead.
+func TestRecomputeNeedsWeigh(t *testing.T) {
+	mesh := topology.MustMesh(4, 4, topology.DefaultSpacingCM)
+	dests := checkerboardDests(mesh.Graph)
+	state := fullState(mesh.Graph, 8)
+	dw := NewDeltaWorkspace()
+	prev := dw.ComputeInto(NewEAR(), state, dests, nil).Tables
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Recompute after a used Weigh did not panic")
+		}
+	}()
+	dw.Recompute(state, dests, prev, nil)
 }
 
 // TestDeltaCrossoverPolicy pins the fallback triggers: an unchanged

@@ -368,7 +368,7 @@ func TestRepairBailoutLeavesPhase2Untouched(t *testing.T) {
 	assertPlansIdentical(t, got, ref.ComputeInto(alg, state, dests, fPrev))
 	// The dirty vertices are the drained node and its in-neighbours, which
 	// on the mesh are its neighbours.
-	want := DeltaStats{Full: 1, Incremental: 1, DirtyVertices: len(g.Neighbors(topology.NodeID(last))) + 1, AffectedPairs: before + atLast, Pivots: 1}
+	want := DeltaStats{Full: 1, Incremental: 1, DirtyVertices: len(g.OutLinks(topology.NodeID(last))) + 1, AffectedPairs: before + atLast, Pivots: 1}
 	if s := dw.Stats(); s != want {
 		t.Fatalf("stats with the budget one column larger = %+v, want %+v", s, want)
 	}

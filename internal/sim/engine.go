@@ -599,8 +599,9 @@ func (s *Simulator) resolveRoute(j *jobState) bool {
 
 // reachableDuplicate reports whether any living duplicate of the module is
 // reachable from the given node across living nodes only. It runs on the
-// simulator's reusable scratch buffers, so repeated routing failures do not
-// allocate.
+// simulator's reusable scratch buffers and reads the graph's out-link lists
+// in place (the answer does not depend on the visit order), so repeated
+// routing failures do not allocate.
 func (s *Simulator) reachableDuplicate(from topology.NodeID, module app.ModuleID) bool {
 	if s.nodes[from].down() {
 		return false
@@ -633,7 +634,8 @@ func (s *Simulator) reachableDuplicate(from topology.NodeID, module app.ModuleID
 	found := false
 	for head := 0; head < len(queue) && !found; head++ {
 		cur := queue[head]
-		for _, nb := range s.graph.Neighbors(cur) {
+		for _, l := range s.graph.OutLinks(cur) {
+			nb := l.To
 			if seen[nb] || s.nodes[nb].down() {
 				continue
 			}

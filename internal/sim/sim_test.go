@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/analytic"
@@ -550,4 +551,42 @@ func BenchmarkSimulate4x4EAR(b *testing.B) {
 		}
 		s.Run()
 	}
+}
+
+// TestReachableDuplicateRepeatedFailureZeroAlloc: the partition check that
+// follows a routing failure runs on the simulator's scratch buffers and the
+// graph's own out-link lists, so a job that keeps failing to route costs no
+// allocation per attempt, whether a duplicate is still reachable or the
+// source is cut off.
+func TestReachableDuplicateRepeatedFailureZeroAlloc(t *testing.T) {
+	s, err := New(defaultConfig(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A module with no duplicate on node 0, so the check must search.
+	from := topology.NodeID(0)
+	module := app.ModuleID(-1)
+	for m, dups := range s.destinations {
+		if !slices.Contains(dups, from) && (module < 0 || m < module) {
+			module = m
+		}
+	}
+	if module < 0 {
+		t.Fatal("every module has a duplicate on node 0")
+	}
+	check := func(want bool) {
+		t.Helper()
+		if got := s.reachableDuplicate(from, module); got != want {
+			t.Fatalf("reachableDuplicate = %v, want %v", got, want)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { s.reachableDuplicate(from, module) }); allocs != 0 {
+			t.Fatalf("reachableDuplicate (reachable %v) allocated %.1f times per call, want 0", want, allocs)
+		}
+	}
+	check(true)
+	// Crash every neighbour of node 0: it is cut off from every duplicate.
+	for _, l := range s.graph.OutLinks(from) {
+		s.nodes[l.To].crashed = true
+	}
+	check(false)
 }

@@ -30,9 +30,9 @@ func TestRemoveLink(t *testing.T) {
 		t.Fatalf("graph invalid after removal: %v", err)
 	}
 	// Neighbour lists must no longer mention the removed link.
-	for _, nb := range m.Neighbors(a) {
-		if nb == b {
-			t.Fatal("removed link still listed in Neighbors")
+	for _, l := range m.OutLinks(a) {
+		if l.To == b {
+			t.Fatal("removed link still listed in OutLinks")
 		}
 	}
 }

@@ -214,15 +214,11 @@ func (g *Graph) Link(from, to NodeID) (Link, bool) {
 	return l, ok
 }
 
-// Neighbors returns the IDs of nodes reachable over one outgoing link,
-// ordered by ID.
-func (g *Graph) Neighbors(id NodeID) []NodeID {
-	out := make([]NodeID, 0, len(g.out[id]))
-	for _, l := range g.out[id] {
-		out = append(out, l.To)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// OutLinks returns the node's outgoing links in the order they were added.
+// Like Links, the slice is shared with the graph: callers must not modify
+// it, and a link removal rewrites it in place. Reading it allocates nothing.
+func (g *Graph) OutLinks(id NodeID) []Link {
+	return g.out[id]
 }
 
 // ConnectedFrom reports whether every node in the keep set is reachable from

@@ -95,12 +95,16 @@ func TestNeighborsAndDegree(t *testing.T) {
 	if err := g.AddLink(a, b, 1); err != nil {
 		t.Fatal(err)
 	}
-	got := g.Neighbors(a)
-	if len(got) != 2 || got[0] != b || got[1] != c {
-		t.Fatalf("Neighbors(a) = %v, want [%d %d] sorted", got, b, c)
+	// OutLinks keeps the insertion order.
+	got := g.OutLinks(a)
+	if len(got) != 2 || got[0].To != c || got[1].To != b || got[0].From != a || got[1].From != a {
+		t.Fatalf("OutLinks(a) = %v, want a->%d then a->%d", got, c, b)
 	}
-	if got := g.Neighbors(b); len(got) != 0 {
-		t.Fatalf("Neighbors(b) = %v, want none", got)
+	if got := g.OutLinks(b); len(got) != 0 {
+		t.Fatalf("OutLinks(b) = %v, want none", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = g.OutLinks(a) }); allocs != 0 {
+		t.Fatalf("OutLinks allocated %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -175,13 +179,13 @@ func TestMeshConstruction4x4(t *testing.T) {
 	corner, _ := m.NodeAt(Coord{X: 1, Y: 1})
 	edge, _ := m.NodeAt(Coord{X: 2, Y: 1})
 	inner, _ := m.NodeAt(Coord{X: 2, Y: 2})
-	if d := len(m.Neighbors(corner)); d != 2 {
+	if d := len(m.OutLinks(corner)); d != 2 {
 		t.Errorf("corner degree = %d, want 2", d)
 	}
-	if d := len(m.Neighbors(edge)); d != 3 {
+	if d := len(m.OutLinks(edge)); d != 3 {
 		t.Errorf("edge degree = %d, want 3", d)
 	}
-	if d := len(m.Neighbors(inner)); d != 4 {
+	if d := len(m.OutLinks(inner)); d != 4 {
 		t.Errorf("inner degree = %d, want 4", d)
 	}
 }
@@ -258,7 +262,11 @@ func TestManhattanDistanceProperties(t *testing.T) {
 func TestMeshNeighborsAreManhattanAdjacent(t *testing.T) {
 	m := MustMesh(6, 4, 1)
 	for _, n := range m.Nodes() {
-		for _, nb := range m.Neighbors(n.ID) {
+		for _, l := range m.OutLinks(n.ID) {
+			nb := l.To
+			if l.From != n.ID {
+				t.Fatalf("out-link %v of node %d starts elsewhere", l, n.ID)
+			}
 			if d := n.Pos.Manhattan(m.Coordinate(nb)); d != 1 {
 				t.Fatalf("neighbor %v of %v at Manhattan distance %d, want 1",
 					m.Coordinate(nb), n.Pos, d)
