@@ -1,13 +1,13 @@
-// Command aescli encrypts or decrypts data with the library's from-scratch
-// AES implementation — the same module operations that et_sim distributes
+// Command aescli encrypts data with the library's from-scratch AES
+// implementation — the same module operations that et_sim distributes
 // across the e-textile mesh. It exists to demonstrate and sanity-check the
-// cipher substrate; it uses ECB block chaining and therefore must not be used
-// to protect real data.
+// cipher substrate; it encrypts each block on its own (ECB) and therefore
+// must not be used to protect real data. Like the paper's application, it
+// only encrypts.
 //
 // Examples:
 //
-//	echo -n "00112233445566778899aabbccddeeff" | aescli -key 000102030405060708090a0b0c0d0e0f -mode encrypt
-//	aescli -key 000102030405060708090a0b0c0d0e0f -mode decrypt -in 69c4e0d86a7b0430d8cdb78070b4c55a
+//	echo -n "00112233445566778899aabbccddeeff" | aescli -key 000102030405060708090a0b0c0d0e0f -mode encrypt   # FIPS-197 C.1: 69c4e0d8...
 //	aescli -key 000102030405060708090a0b0c0d0e0f -mode steps   # show the per-module job flow
 package main
 
@@ -26,10 +26,9 @@ import (
 
 func main() {
 	var (
-		keyHex   = flag.String("key", "", "key as hex (16, 24 or 32 bytes)")
-		mode     = flag.String("mode", "encrypt", "encrypt, decrypt, ctr or steps")
-		inHex    = flag.String("in", "", "input as hex (defaults to reading hex from stdin); encrypt/decrypt need a multiple of 16 bytes, ctr accepts any length")
-		nonceHex = flag.String("nonce", "0000000000000000", "8-byte nonce as hex for ctr mode")
+		keyHex = flag.String("key", "", "key as hex (16, 24 or 32 bytes)")
+		mode   = flag.String("mode", "encrypt", "encrypt or steps")
+		inHex  = flag.String("in", "", "plaintext as hex, a multiple of 16 bytes (defaults to reading hex from stdin)")
 	)
 	flag.Parse()
 
@@ -41,6 +40,9 @@ func main() {
 	if *mode == "steps" {
 		printSteps(key)
 		return
+	}
+	if *mode != "encrypt" {
+		fatal(fmt.Errorf("unknown mode %q (want encrypt or steps)", *mode))
 	}
 
 	input := strings.TrimSpace(*inHex)
@@ -61,20 +63,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var out []byte
-	switch *mode {
-	case "encrypt":
-		out, err = cipher.EncryptECB(data)
-	case "decrypt":
-		out, err = cipher.DecryptECB(data)
-	case "ctr":
-		var nonce []byte
-		if nonce, err = hex.DecodeString(*nonceHex); err == nil {
-			out, err = aes.EncryptCTR(key, nonce, data)
-		}
-	default:
-		err = fmt.Errorf("unknown mode %q (want encrypt, decrypt, ctr or steps)", *mode)
-	}
+	out, err := cipher.EncryptECB(data)
 	if err != nil {
 		fatal(err)
 	}

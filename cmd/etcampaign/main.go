@@ -12,8 +12,8 @@
 //	etcampaign -scenario degraded-fabric-mc -replications 1000 -workers 8
 //	etcampaign -scenario paper-default -seed 7 -csv
 //
-// The output is a pure function of (scenario, -replications, -seed): worker
-// count and batch size never change a digit.
+// The output is a pure function of (scenario, -replications, -seed): the
+// worker count never changes a digit.
 package main
 
 import (
@@ -32,7 +32,6 @@ func main() {
 		replications  = flag.Int("replications", 100, "number of independent replicates")
 		seed          = flag.Uint64("seed", 1, "campaign base seed; replicate i draws its scenario seeds from a SplitMix64 stream at this base")
 		workers       = flag.Int("workers", 0, "worker goroutines simulating replicates (0 = one per CPU, 1 = serial)")
-		batch         = flag.Int("batch", 0, "replicates simulated per batch (0 = default); bounds memory only, never changes results")
 		asCSV         = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	)
 	flag.Parse()
@@ -54,7 +53,6 @@ func main() {
 		Scenario:     spec,
 		Replications: *replications,
 		Seed:         *seed,
-		BatchSize:    *batch,
 	}, campaign.WithWorkers(*workers))
 	if err != nil {
 		fatal(err)

@@ -3,8 +3,8 @@ package aes
 import "fmt"
 
 // Cipher is a reference AES block cipher for one expanded key. cmd/aescli
-// encrypts and decrypts with it, and etsim -verify checks the ciphertexts
-// of the distributed Pipeline execution against it.
+// encrypts with it, and etsim -verify checks the ciphertexts of the
+// distributed Pipeline execution against it.
 type Cipher struct {
 	schedule *KeySchedule
 }
@@ -18,9 +18,6 @@ func NewCipher(key []byte) (*Cipher, error) {
 	}
 	return &Cipher{schedule: ks}, nil
 }
-
-// KeySize returns the cipher's key size.
-func (c *Cipher) KeySize() KeySize { return c.schedule.Size() }
 
 // Encrypt encrypts the 16-byte block src into dst without allocating. dst
 // and src must each be exactly BlockSize bytes and may overlap.
@@ -50,53 +47,16 @@ func (c *Cipher) encrypt(s *State) {
 	addRoundKey(s, c.schedule.mustRoundKey(nr))
 }
 
-// Decrypt decrypts the 16-byte block src into dst without allocating. dst
-// and src must each be exactly BlockSize bytes and may overlap.
-func (c *Cipher) Decrypt(dst, src []byte) error {
-	s, err := LoadState(src)
-	if err != nil {
-		return err
-	}
-	if len(dst) != BlockSize {
-		return fmt.Errorf("aes: destination must be %d bytes, got %d", BlockSize, len(dst))
-	}
-	c.decrypt(&s)
-	copy(dst, s[:])
-	return nil
-}
-
-// decrypt runs the inverse cipher rounds in place.
-func (c *Cipher) decrypt(s *State) {
-	nr := c.schedule.Rounds()
-	addRoundKey(s, c.schedule.mustRoundKey(nr))
-	for round := nr - 1; round >= 1; round-- {
-		invSubBytesShiftRows(s)
-		addRoundKey(s, c.schedule.mustRoundKey(round))
-		invMixColumns(s)
-	}
-	invSubBytesShiftRows(s)
-	addRoundKey(s, c.schedule.mustRoundKey(0))
-}
-
 // EncryptECB encrypts a multiple-of-16-bytes buffer block by block. It exists
 // for the aescli tool and for generating deterministic multi-block workloads;
 // ECB offers no semantic security and must not be used to protect real data.
 func (c *Cipher) EncryptECB(plaintext []byte) ([]byte, error) {
-	return c.ecb(plaintext, c.Encrypt)
-}
-
-// DecryptECB reverses EncryptECB.
-func (c *Cipher) DecryptECB(ciphertext []byte) ([]byte, error) {
-	return c.ecb(ciphertext, c.Decrypt)
-}
-
-func (c *Cipher) ecb(in []byte, f func(dst, src []byte) error) ([]byte, error) {
-	if len(in)%BlockSize != 0 {
-		return nil, fmt.Errorf("aes: input length %d is not a multiple of the block size", len(in))
+	if len(plaintext)%BlockSize != 0 {
+		return nil, fmt.Errorf("aes: input length %d is not a multiple of the block size", len(plaintext))
 	}
-	out := make([]byte, len(in))
-	for off := 0; off < len(in); off += BlockSize {
-		if err := f(out[off:off+BlockSize], in[off:off+BlockSize]); err != nil {
+	out := make([]byte, len(plaintext))
+	for off := 0; off < len(plaintext); off += BlockSize {
+		if err := c.Encrypt(out[off:off+BlockSize], plaintext[off:off+BlockSize]); err != nil {
 			return nil, err
 		}
 	}
@@ -228,20 +188,4 @@ func (p *Pipeline) ApplyInPlace(s *State, i int) error {
 		return fmt.Errorf("aes: unknown operation kind %d", step.Kind)
 	}
 	return nil
-}
-
-// Run executes the whole pipeline on a 16-byte plaintext block and returns
-// the ciphertext. It must agree with Cipher.Encrypt for the same key.
-func (p *Pipeline) Run(plaintext []byte) ([]byte, error) {
-	s, err := LoadState(plaintext)
-	if err != nil {
-		return nil, err
-	}
-	for i := range p.steps {
-		if err := p.ApplyInPlace(&s, i); err != nil {
-			return nil, err
-		}
-	}
-	out := s.Bytes()
-	return out[:], nil
 }

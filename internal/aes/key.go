@@ -18,9 +18,6 @@ func (k KeySize) Nk() int { return int(k) / 32 }
 // Nr returns the number of cipher rounds for this key size (10, 12 or 14).
 func (k KeySize) Nr() int { return k.Nk() + 6 }
 
-// Bytes returns the key length in bytes.
-func (k KeySize) Bytes() int { return int(k) / 8 }
-
 // Valid reports whether k is one of the three supported key sizes.
 func (k KeySize) Valid() bool { return k == Key128 || k == Key192 || k == Key256 }
 

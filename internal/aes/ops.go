@@ -16,13 +16,6 @@ func subBytes(s *State) {
 	}
 }
 
-// invSubBytes applies the inverse S-box to every byte of the state in place.
-func invSubBytes(s *State) {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
 // shiftRows cyclically shifts row r of the state left by r positions in
 // place. Row r element c lives at flat index 4*c+r.
 func shiftRows(s *State) {
@@ -30,20 +23,6 @@ func shiftRows(s *State) {
 		var row [Nb]byte
 		for c := 0; c < Nb; c++ {
 			row[c] = s[Nb*((c+r)%Nb)+r]
-		}
-		for c := 0; c < Nb; c++ {
-			s[Nb*c+r] = row[c]
-		}
-	}
-}
-
-// invShiftRows cyclically shifts row r of the state right by r positions in
-// place.
-func invShiftRows(s *State) {
-	for r := 1; r < 4; r++ {
-		var row [Nb]byte
-		for c := 0; c < Nb; c++ {
-			row[c] = s[Nb*((c+Nb-r)%Nb)+r]
 		}
 		for c := 0; c < Nb; c++ {
 			s[Nb*c+r] = row[c]
@@ -65,19 +44,6 @@ func mixColumns(s *State) {
 	}
 }
 
-// invMixColumns multiplies each column by the inverse polynomial
-// {0b}x^3 + {0d}x^2 + {09}x + {0e} in place.
-func invMixColumns(s *State) {
-	for c := 0; c < Nb; c++ {
-		col := s[Nb*c : Nb*c+4]
-		a0, a1, a2, a3 := col[0], col[1], col[2], col[3]
-		col[0] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09)
-		col[1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d)
-		col[2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b)
-		col[3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e)
-	}
-}
-
 // addRoundKey XORs one round key (Nb words of the expanded key schedule)
 // into the state in place.
 func addRoundKey(s *State, roundKey []Word) {
@@ -94,10 +60,4 @@ func addRoundKey(s *State, roundKey []Word) {
 func subBytesShiftRows(s *State) {
 	subBytes(s)
 	shiftRows(s)
-}
-
-// invSubBytesShiftRows reverses subBytesShiftRows in place.
-func invSubBytesShiftRows(s *State) {
-	invShiftRows(s)
-	invSubBytes(s)
 }

@@ -6,25 +6,24 @@
 //	Module 2: MixColumns
 //	Module 3: KeyExpansion / AddRoundKey
 //
-// Besides a conventional single-call block cipher (Encrypt/Decrypt for key
-// sizes 128, 192 and 256 bits), the package exposes the individual module
-// operations and a step-wise Pipeline so that et_sim can execute a real
-// encryption distributed across mesh nodes exactly as the e-textile platform
-// would, and verify the ciphertext against the reference implementation.
+// The package implements encryption only, which is all the paper's
+// application runs. Besides a conventional single-call block cipher
+// (Encrypt for key sizes 128, 192 and 256 bits), it exposes the individual
+// module operations and a step-wise Pipeline so that et_sim can execute a
+// real encryption distributed across mesh nodes exactly as the e-textile
+// platform would, and verify the ciphertext against the reference
+// implementation.
 package aes
 
 // The S-box is generated programmatically from its mathematical definition
 // (multiplicative inverse in GF(2^8) followed by an affine transform) rather
 // than transcribed, eliminating the risk of typos in a 256-entry table. The
-// generated tables are verified against FIPS-197 spot values in the tests.
+// generated table is verified against FIPS-197 spot values in the tests.
 
-var (
-	sbox    [256]byte
-	invSbox [256]byte
-)
+var sbox [256]byte
 
 func init() {
-	initSboxes()
+	initSbox()
 }
 
 // gmul multiplies two elements of GF(2^8) modulo the AES polynomial x^8 + x^4
@@ -72,10 +71,8 @@ func affine(b byte) byte {
 
 func rotl8(b byte, n uint) byte { return b<<n | b>>(8-n) }
 
-func initSboxes() {
+func initSbox() {
 	for i := 0; i < 256; i++ {
-		s := affine(ginv(byte(i)))
-		sbox[i] = s
-		invSbox[s] = byte(i)
+		sbox[i] = affine(ginv(byte(i)))
 	}
 }

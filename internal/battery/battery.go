@@ -69,8 +69,6 @@ type Battery interface {
 	// Rest advances the battery's internal clock by the given number of
 	// cycles during which no energy is drawn.
 	Rest(cycles int64)
-	// Voltage returns the present output voltage in volts.
-	Voltage() float64
 	// RemainingPJ returns the total energy still stored in the battery,
 	// whether or not it can actually be delivered before cutoff.
 	RemainingPJ() float64
@@ -117,17 +115,15 @@ func Level(b Battery, levels int) int {
 type Ideal struct {
 	nominal   float64
 	remaining float64
-	voltage   float64
 }
 
 // NewIdeal returns an ideal battery with the given nominal capacity in
-// picojoules. The output voltage is reported as 4.1 V (the thin-film plateau)
-// while alive and 0 V when depleted.
+// picojoules.
 func NewIdeal(nominalPJ float64) (*Ideal, error) {
 	if nominalPJ <= 0 {
 		return nil, fmt.Errorf("battery: nominal capacity must be positive, got %g", nominalPJ)
 	}
-	return &Ideal{nominal: nominalPJ, remaining: nominalPJ, voltage: 4.1}, nil
+	return &Ideal{nominal: nominalPJ, remaining: nominalPJ}, nil
 }
 
 // MustIdeal is NewIdeal with a panic on invalid capacity, for tests and
@@ -158,14 +154,6 @@ func (b *Ideal) Draw(amountPJ float64) error {
 
 // Rest implements Battery; an ideal battery has no time-dependent behaviour.
 func (b *Ideal) Rest(cycles int64) {}
-
-// Voltage implements Battery.
-func (b *Ideal) Voltage() float64 {
-	if b.Dead() {
-		return 0
-	}
-	return b.voltage
-}
 
 // RemainingPJ implements Battery.
 func (b *Ideal) RemainingPJ() float64 { return b.remaining }
@@ -274,7 +262,8 @@ func (b *ThinFilm) availableDepth() float64 {
 	return d
 }
 
-// Voltage implements Battery.
+// Voltage returns the present terminal voltage in volts, 0 once dead; Fig 2
+// samples it.
 func (b *ThinFilm) Voltage() float64 {
 	if b.dead {
 		return 0
@@ -362,15 +351,6 @@ func (b *ThinFilm) LevelFraction() float64 {
 		return 1
 	}
 	return frac
-}
-
-// WastedPJ returns the energy that can no longer be delivered because the
-// battery hit its cutoff (zero while the battery is alive).
-func (b *ThinFilm) WastedPJ() float64 {
-	if !b.dead {
-		return 0
-	}
-	return b.RemainingPJ()
 }
 
 // Dead implements Battery.

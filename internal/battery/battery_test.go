@@ -16,8 +16,8 @@ func TestIdealBatteryLifecycle(t *testing.T) {
 	if b.Dead() {
 		t.Fatal("fresh battery reported dead")
 	}
-	if b.Voltage() != 4.1 {
-		t.Fatalf("ideal voltage = %g, want 4.1", b.Voltage())
+	if b.LevelFraction() != 1 {
+		t.Fatalf("fresh ideal level = %g, want 1", b.LevelFraction())
 	}
 	for i := 0; i < 10; i++ {
 		if err := b.Draw(100); err != nil && i < 9 {
@@ -27,8 +27,8 @@ func TestIdealBatteryLifecycle(t *testing.T) {
 	if !b.Dead() {
 		t.Fatalf("battery should be dead after drawing its full capacity, remaining=%g", b.RemainingPJ())
 	}
-	if b.Voltage() != 0 {
-		t.Fatalf("dead ideal battery voltage = %g, want 0", b.Voltage())
+	if b.LevelFraction() != 0 {
+		t.Fatalf("dead ideal battery level = %g, want 0", b.LevelFraction())
 	}
 	if err := b.Draw(1); !errors.Is(err, ErrDead) {
 		t.Fatalf("draw on dead battery error = %v, want ErrDead", err)
@@ -184,8 +184,8 @@ func TestThinFilmFreshState(t *testing.T) {
 	if v := b.Voltage(); v < 4.0 || v > 4.3 {
 		t.Fatalf("fresh voltage = %g, want near 4.18", v)
 	}
-	if b.DeliveredPJ() != 0 || b.WastedPJ() != 0 {
-		t.Fatal("fresh battery should have delivered and wasted nothing")
+	if b.DeliveredPJ() != 0 {
+		t.Fatal("fresh battery should have delivered nothing")
 	}
 }
 
@@ -210,8 +210,8 @@ func TestThinFilmContinuousHammeringDeliversSmallFraction(t *testing.T) {
 	if frac < 0.05 {
 		t.Fatalf("hammered battery delivered only %.1f%% of nominal, model too aggressive", 100*frac)
 	}
-	if b.WastedPJ() <= 0 {
-		t.Fatal("a hammered battery must waste energy at cutoff")
+	if b.RemainingPJ() <= 0 {
+		t.Fatal("a hammered battery must strand energy at cutoff")
 	}
 }
 
@@ -318,9 +318,6 @@ func TestThinFilmDeadBatteryRejectsUse(t *testing.T) {
 	b.Rest(1_000_000)
 	if b.RemainingPJ() != remaining {
 		t.Fatal("dead battery must not recover")
-	}
-	if b.WastedPJ() != remaining {
-		t.Fatalf("WastedPJ = %g, want %g", b.WastedPJ(), remaining)
 	}
 }
 

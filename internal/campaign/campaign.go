@@ -39,12 +39,13 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultBatchSize is the number of replicates simulated per runner batch
-// when Spec.BatchSize is 0. It bounds peak memory (one sim.Result per batch
-// slot) and is deliberately independent of the worker count so that batch
-// boundaries — and therefore everything downstream — never depend on the
-// machine.
-const DefaultBatchSize = 64
+// batchSize is the number of replicates simulated per runner batch. It
+// bounds peak memory (one sim.Result per batch slot) and is deliberately
+// independent of the worker count so that batch boundaries — and therefore
+// everything downstream — never depend on the machine. The aggregates are
+// identical for every batch size because folding happens in global
+// replicate order.
+const batchSize = 64
 
 // Spec describes one Monte-Carlo campaign: a base scenario plus how many
 // times to re-draw it.
@@ -59,10 +60,6 @@ type Spec struct {
 	// Two campaigns with different seeds draw unrelated replicate sequences;
 	// the same seed reproduces the campaign exactly.
 	Seed uint64
-	// BatchSize overrides DefaultBatchSize (0 = default). It only bounds
-	// memory and scheduling granularity: the aggregates are identical for
-	// every batch size because folding happens in global replicate order.
-	BatchSize int
 }
 
 // Replicate returns the scenario spec of replicate i: the base scenario with
@@ -231,6 +228,11 @@ func (r *Result) Table() *stats.Table {
 // Errors from any replicate abort the campaign with the lowest failing
 // replicate's error (runner's schedule-independent error selection).
 func Run(sp Spec, opts ...Option) (*Result, error) {
+	return run(sp, batchSize, opts...)
+}
+
+// run is Run with batches of the given size.
+func run(sp Spec, batch int, opts ...Option) (*Result, error) {
 	if sp.Replications < 1 {
 		return nil, fmt.Errorf("campaign %s: replications must be >= 1, got %d",
 			sp.Scenario.Label(), sp.Replications)
@@ -259,10 +261,6 @@ func Run(sp Spec, opts ...Option) (*Result, error) {
 		return s.Simulate()
 	}
 
-	batch := sp.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
 	if batch > sp.Replications {
 		batch = sp.Replications
 	}

@@ -264,12 +264,12 @@ func TestCampaignVarianceAcrossSeededDraws(t *testing.T) {
 // identical aggregates.
 func TestCampaignBatchSizeInvariant(t *testing.T) {
 	base := scenario.Spec{Mesh: 4, Mapping: scenario.MappingRandom}
-	ref, err := Run(Spec{Scenario: base, Replications: 7, Seed: 2, BatchSize: 7}, WithWorkers(2))
+	ref, err := run(Spec{Scenario: base, Replications: 7, Seed: 2}, 7, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 2, 3, 64} {
-		res, err := Run(Spec{Scenario: base, Replications: 7, Seed: 2, BatchSize: batch}, WithWorkers(2))
+		res, err := run(Spec{Scenario: base, Replications: 7, Seed: 2}, batch, WithWorkers(2))
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}

@@ -18,10 +18,7 @@ const campaignDomain = "repro/campaign/v2\n"
 
 // canonicalCampaign is the fixed-shape encoding target for campaign specs.
 // The embedded scenario is its canonical encoding, so every scenario-level
-// normalization rule applies transitively. BatchSize is deliberately absent:
-// it only bounds memory and scheduling granularity, and the aggregates are
-// proven identical across batch sizes — two campaigns differing only there
-// are the same computation and must share a cache entry.
+// normalization rule applies transitively.
 type canonicalCampaign struct {
 	Scenario     json.RawMessage
 	Replications int

@@ -9,25 +9,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestCampaignFingerprintIgnoresBatchSize: batch size is a memory knob with
-// proven-identical aggregates, so it must not split the cache.
-func TestCampaignFingerprintIgnoresBatchSize(t *testing.T) {
-	base := Spec{Scenario: scenario.Spec{Mesh: 4}, Replications: 10, Seed: 7}
-	batched := base
-	batched.BatchSize = 3
-	fa, err := base.Fingerprint()
-	if err != nil {
-		t.Fatalf("base: %v", err)
-	}
-	fb, err := batched.Fingerprint()
-	if err != nil {
-		t.Fatalf("batched: %v", err)
-	}
-	if fa != fb {
-		t.Fatalf("batch size split the fingerprint: %s vs %s", fa, fb)
-	}
-}
-
 // TestCampaignFingerprintDistinguishes: every aggregate-relevant field must
 // move the fingerprint, including scenario-level changes through the nested
 // canonical encoding.
@@ -97,18 +78,22 @@ func TestCampaignGoldenFingerprint(t *testing.T) {
 // TestCampaignParseSpecJSON checks strict decoding: round trip, unknown fields
 // at the top level AND inside the nested scenario, trailing data.
 func TestCampaignParseSpecJSON(t *testing.T) {
-	good := []byte(`{"Scenario":{"Mesh":4,"Algorithm":"SDR"},"Replications":5,"Seed":9,"BatchSize":2}`)
+	good := []byte(`{"Scenario":{"Mesh":4,"Algorithm":"SDR"},"Replications":5,"Seed":9}`)
 	sp, err := ParseSpecJSON(good)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if sp.Scenario.Mesh != 4 || sp.Scenario.Algorithm != scenario.AlgorithmSDR ||
-		sp.Replications != 5 || sp.Seed != 9 || sp.BatchSize != 2 {
+		sp.Replications != 5 || sp.Seed != 9 {
 		t.Fatalf("round trip lost fields: %+v", sp)
 	}
 
 	if _, err := ParseSpecJSON([]byte(`{"Scenario":{"Mesh":4},"Replicationz":5}`)); err == nil {
 		t.Fatal("unknown top-level field accepted")
+	}
+	// The batch size is internal: a spec cannot set it.
+	if _, err := ParseSpecJSON([]byte(`{"Scenario":{"Mesh":4},"Replications":5,"BatchSize":2}`)); err == nil {
+		t.Fatal("BatchSize field accepted")
 	}
 	_, err = ParseSpecJSON([]byte(`{"Scenario":{"Mesh":4,"Allgorithm":"SDR"},"Replications":5}`))
 	if err == nil {

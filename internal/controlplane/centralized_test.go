@@ -111,14 +111,25 @@ func compareReports(t *testing.T, frame int64, got, want FrameReport) {
 	}
 }
 
-// deliveredPJ sums the energy a pool's controller batteries have delivered
-// (0 for infinite-energy controllers).
-func deliveredPJ(p *tdma.Pool) float64 {
+// recording wraps factory so that *built receives every battery it builds,
+// in build order: the tests read the controller batteries through it. A nil
+// factory (infinite-energy controllers) stays nil.
+func recording(factory battery.Factory, built *[]battery.Battery) battery.Factory {
+	if factory == nil {
+		return nil
+	}
+	return func() battery.Battery {
+		b := factory()
+		*built = append(*built, b)
+		return b
+	}
+}
+
+// deliveredPJ sums the energy the batteries have delivered.
+func deliveredPJ(bs []battery.Battery) float64 {
 	var sum float64
-	for _, c := range p.Controllers() {
-		if c.Battery != nil {
-			sum += c.Battery.DeliveredPJ()
-		}
+	for _, b := range bs {
+		sum += b.DeliveredPJ()
 	}
 	return sum
 }
@@ -256,8 +267,12 @@ func TestCentralizedKillWindow(t *testing.T) {
 				// 4x4 mesh they outlive the sequence.
 				deps.ControllerBattery = battery.DefaultThinFilmFactory()
 			}
+			var planeBats, refBats []battery.Battery
+			refDeps := deps
+			deps.ControllerBattery = recording(deps.ControllerBattery, &planeBats)
+			refDeps.ControllerBattery = recording(refDeps.ControllerBattery, &refBats)
 			cp := newDefaultPlane(t, deps)
-			ref := newRefEngineControl(t, deps)
+			ref := newRefEngineControl(t, refDeps)
 			snap := fullState(deps.Graph, 8)
 			stuck := topology.NodeID(7)
 			for frame := int64(1); frame <= frames; frame++ {
@@ -273,12 +288,12 @@ func TestCentralizedKillWindow(t *testing.T) {
 				case winClose:
 					cp.FaultRegion(0, false)
 				}
-				consumed := deliveredPJ(cp.shards[0].pool)
+				consumed := deliveredPJ(planeBats)
 				rep := cp.Frame(frame, snap)
 				if frame >= winOpen && frame < winClose {
 					compareReports(t, frame, rep, FrameReport{})
 					compareTables(t, frame, deps, cp, ref.tables)
-					if got := deliveredPJ(cp.shards[0].pool); got != consumed {
+					if got := deliveredPJ(planeBats); got != consumed {
 						t.Fatalf("frame %d: pool consumed %g pJ inside the kill window", frame, got-consumed)
 					}
 					continue
@@ -295,14 +310,16 @@ func TestCentralizedKillWindow(t *testing.T) {
 			if !finite {
 				return
 			}
-			if got, want := deliveredPJ(cp.shards[0].pool), deliveredPJ(ref.pool); got != want {
+			if len(planeBats) != deps.Controllers || len(refBats) != deps.Controllers {
+				t.Fatalf("built %d plane and %d reference batteries, want %d each", len(planeBats), len(refBats), deps.Controllers)
+			}
+			if got, want := deliveredPJ(planeBats), deliveredPJ(refBats); got != want {
 				t.Fatalf("pool delivered %g pJ, reference %g", got, want)
 			}
-			planeCtrls := cp.shards[0].pool.Controllers()
-			for i, refCtrl := range ref.pool.Controllers() {
-				got, want := planeCtrls[i].Battery, refCtrl.Battery
-				if got.Voltage() <= want.Voltage() {
-					t.Fatalf("controller %d at %.9f V did not rest through the window (reference %.9f V)", i, got.Voltage(), want.Voltage())
+			for i, refBat := range refBats {
+				got, want := planeBats[i].(*battery.ThinFilm).Voltage(), refBat.(*battery.ThinFilm).Voltage()
+				if got <= want {
+					t.Fatalf("controller %d at %.9f V did not rest through the window (reference %.9f V)", i, got, want)
 				}
 			}
 		})

@@ -115,7 +115,14 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	preDeath := s.NextHop(topology.NodeID(lo0), topology.NodeID(lo0+1))
 
 	// Exhaust region 0's only controller.
-	_ = s.shards[0].pool.Controllers()[0].Drain(2e12)
+	exhaust := func(region int) {
+		c, err := s.shards[region].pool.Active()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Drain(2e12)
+	}
+	exhaust(0)
 	snap.Status[5].BatteryLevel = 2 // visible change for every region
 	rep := s.Frame(2, snap)
 	if rep.ControllersDead {
@@ -136,7 +143,7 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 	}
 
 	// Exhaust region 1 as well: the next frame is the Sec 7.3 system death.
-	_ = s.shards[1].pool.Controllers()[0].Drain(2e12)
+	exhaust(1)
 	rep = s.Frame(3, snap)
 	if !rep.ControllersDead {
 		t.Fatal("plane did not report ControllersDead with every region exhausted")
@@ -150,17 +157,18 @@ func TestShardedRegionDeathFreezesTables(t *testing.T) {
 // must make identical decisions — the recompute schedule is a pure function
 // of (frame index, reported state).
 func TestShardedDeterminism(t *testing.T) {
-	build := func() *Sharded {
+	var batsA, batsB []battery.Battery
+	build := func(bats *[]battery.Battery) *Sharded {
 		deps := testDeps(6, routing.NewEAR())
-		// Inexhaustible batteries, so each region's spent energy is kept.
-		deps.ControllerBattery = battery.IdealFactory(1e12)
+		// Inexhaustible batteries, so each controller's spent energy is kept.
+		deps.ControllerBattery = recording(battery.IdealFactory(1e12), bats)
 		s, err := New(Config{Kind: KindSharded, Shards: 3, StalenessFrames: 4}, deps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	a, b := build(), build()
+	a, b := build(&batsA), build(&batsB)
 	snap := fullState(a.deps.Graph, 8)
 	for frame := int64(1); frame <= 50; frame++ {
 		st := &snap.Status[int(frame*7)%len(snap.Status)]
@@ -178,8 +186,13 @@ func TestShardedDeterminism(t *testing.T) {
 		if a.RecomputeCount(shard) != b.RecomputeCount(shard) {
 			t.Fatalf("shard %d recompute counts diverged: %d vs %d", shard, a.RecomputeCount(shard), b.RecomputeCount(shard))
 		}
-		if deliveredPJ(a.shards[shard].pool) != deliveredPJ(b.shards[shard].pool) {
-			t.Fatalf("shard %d consumed energy diverged", shard)
+	}
+	if len(batsA) != a.Shards() {
+		t.Fatalf("built %d controller batteries, want one per region (%d)", len(batsA), a.Shards())
+	}
+	for i := range batsA {
+		if batsA[i].DeliveredPJ() != batsB[i].DeliveredPJ() {
+			t.Fatalf("controller %d consumed energy diverged", i)
 		}
 	}
 }

@@ -39,9 +39,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -52,12 +49,6 @@ type Gauge struct {
 
 // Set replaces the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -100,15 +91,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.

@@ -102,31 +102,13 @@ func (c *Candidate) CopyFrom(o *Candidate) {
 	c.p = o.p
 }
 
-// Nodes returns the number of nodes the placement covers.
-func (c *Candidate) Nodes() int { return len(c.assign) }
-
-// Modules returns p, the number of application modules.
-func (c *Candidate) Modules() int { return c.p }
-
 // ModuleAt returns the module placed on node n.
 func (c *Candidate) ModuleAt(n int) app.ModuleID { return c.assign[n] }
-
-// Count returns the number of duplicates of module m.
-func (c *Candidate) Count(m app.ModuleID) int { return c.counts[m] }
 
 // String renders the placement in the canonical comma-separated form shared
 // with mapping.Explicit and scenario.Spec.Assignment.
 func (c *Candidate) String() string {
 	return mapping.Explicit{Assign: c.assign}.String()
-}
-
-// Explicit returns the placement as a replayable mapping strategy. The
-// returned strategy copies the assignment, so later moves on c do not mutate
-// it.
-func (c *Candidate) Explicit() mapping.Explicit {
-	assign := make([]app.ModuleID, len(c.assign))
-	copy(assign, c.assign)
-	return mapping.Explicit{Assign: assign}
 }
 
 // AppendKey appends the canonical byte encoding of the placement to dst and

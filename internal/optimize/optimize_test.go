@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/campaign"
 	"repro/internal/mapping"
 	"repro/internal/scenario"
@@ -60,25 +59,18 @@ func TestCandidateEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start.Nodes() != 16 || start.Modules() != 3 {
-		t.Fatalf("start candidate is %d nodes x %d modules, want 16x3", start.Nodes(), start.Modules())
+	if len(start.assign) != 16 || start.p != 3 {
+		t.Fatalf("start candidate is %d nodes x %d modules, want 16x3", len(start.assign), start.p)
 	}
 	// String round-trips through the canonical form, preserving counts.
-	back := parseCandidate(t, start.String(), start.Modules())
+	back := parseCandidate(t, start.String(), start.p)
 	if back.String() != start.String() {
 		t.Fatalf("assignment round trip changed: %s -> %s", start.String(), back.String())
 	}
 	for m := 1; m <= 3; m++ {
-		if back.Count(app.ModuleID(m)) != start.Count(app.ModuleID(m)) {
+		if back.counts[m] != start.counts[m] {
 			t.Errorf("module %d count changed in round trip", m)
 		}
-	}
-	// The explicit strategy copy is detached from later moves.
-	ex := start.Explicit()
-	before := ex.String()
-	start.applyMove(0, 1, 2, 3) // a swap
-	if ex.String() != before {
-		t.Error("Explicit() aliases the candidate's live assignment")
 	}
 }
 
@@ -94,18 +86,18 @@ func TestMovesKeepCandidatesFeasible(t *testing.T) {
 		c.applyMove(stream.Word(w), stream.Word(w+1), stream.Word(w+2), stream.Word(w+3))
 		// The incrementally maintained counts must agree with the
 		// assignment, and no module may lose its last duplicate.
-		for m := 1; m <= c.Modules(); m++ {
-			if c.Count(app.ModuleID(m)) == 0 {
+		for m := 1; m <= c.p; m++ {
+			if c.counts[m] == 0 {
 				t.Fatalf("move %d produced an infeasible candidate %s", k, c)
 			}
 			n := 0
-			for node := 0; node < c.Nodes(); node++ {
+			for node := 0; node < len(c.assign); node++ {
 				if int(c.ModuleAt(node)) == m {
 					n++
 				}
 			}
-			if n != c.Count(app.ModuleID(m)) {
-				t.Fatalf("after move %d: module %d count = %d, assignment has %d", k, m, c.Count(app.ModuleID(m)), n)
+			if n != c.counts[m] {
+				t.Fatalf("after move %d: module %d count = %d, assignment has %d", k, m, c.counts[m], n)
 			}
 		}
 	}
@@ -123,8 +115,8 @@ func TestRandomizeIsFeasibleAndIndexAddressed(t *testing.T) {
 	if a.String() != b.String() {
 		t.Error("randomize is not a pure function of the stream")
 	}
-	for m := 1; m <= a.Modules(); m++ {
-		if a.Count(app.ModuleID(m)) == 0 {
+	for m := 1; m <= a.p; m++ {
+		if a.counts[m] == 0 {
 			t.Errorf("randomized candidate infeasible: %s", a)
 		}
 	}

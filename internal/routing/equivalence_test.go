@@ -282,9 +282,6 @@ func comparePlan(t *testing.T, state *SystemState, destinations map[app.ModuleID
 			}
 		}
 	}
-	if plan.Tables.Len() != len(tables) {
-		t.Fatalf("tables for %d nodes, want %d", plan.Tables.Len(), len(tables))
-	}
 	for n := 0; n < k; n++ {
 		node := topology.NodeID(n)
 		ref, refHas := tables[node]

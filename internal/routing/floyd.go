@@ -146,9 +146,6 @@ func (sp *ShortestPaths) pivotPass(n int) {
 	}
 }
 
-// Dim returns the number of nodes the paths were computed over.
-func (sp *ShortestPaths) Dim() int { return sp.n }
-
 // Dist returns the shortest weighted distance from src to dst (Inf when
 // unreachable).
 func (sp *ShortestPaths) Dist(src, dst topology.NodeID) float64 {

@@ -70,20 +70,6 @@ func (ts *Tables) Has(node topology.NodeID) bool {
 	return ts != nil && int(node) >= 0 && int(node) < ts.nodes && ts.has[node]
 }
 
-// Len returns the number of nodes that received a routing table.
-func (ts *Tables) Len() int {
-	if ts == nil {
-		return 0
-	}
-	n := 0
-	for _, h := range ts.has {
-		if h {
-			n++
-		}
-	}
-	return n
-}
-
 // RouteTo returns the route downloaded to node for the given module, if any.
 func (ts *Tables) RouteTo(node topology.NodeID, id app.ModuleID) (Route, bool) {
 	if !ts.Has(node) || int(id) < 0 || int(id) >= ts.modules || !ts.known[id] {

@@ -120,9 +120,6 @@ func New(opts ...Option) *Pool {
 	return p
 }
 
-// Workers reports the configured worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // Run executes cell(i) for every i in [0, n), fanning the indices out over
 // the pool's workers. It blocks until every started cell has finished.
 //

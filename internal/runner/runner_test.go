@@ -14,21 +14,21 @@ import (
 
 func TestDefaults(t *testing.T) {
 	p := New()
-	if p.Workers() != DefaultWorkers() {
-		t.Errorf("Workers() = %d, want %d", p.Workers(), DefaultWorkers())
+	if p.workers != DefaultWorkers() {
+		t.Errorf("workers = %d, want %d", p.workers, DefaultWorkers())
 	}
 	if DefaultWorkers() != runtime.GOMAXPROCS(0) {
 		t.Errorf("DefaultWorkers() = %d, want GOMAXPROCS = %d", DefaultWorkers(), runtime.GOMAXPROCS(0))
 	}
 	for _, n := range []int{0, -3} {
-		if got := New(WithWorkers(n)).Workers(); got != DefaultWorkers() {
+		if got := New(WithWorkers(n)).workers; got != DefaultWorkers() {
 			t.Errorf("WithWorkers(%d) gave %d workers, want default %d", n, got, DefaultWorkers())
 		}
 	}
-	if got := New(WithWorkers(7)).Workers(); got != 7 {
+	if got := New(WithWorkers(7)).workers; got != 7 {
 		t.Errorf("WithWorkers(7) gave %d workers", got)
 	}
-	if got := New(nil, WithContext(nil)).Workers(); got != DefaultWorkers() {
+	if got := New(nil, WithContext(nil)).workers; got != DefaultWorkers() {
 		t.Errorf("nil option / nil context mishandled: %d workers", got)
 	}
 }

@@ -103,10 +103,6 @@ func New(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Store exposes the underlying cache (read-mostly: tests assert on its
-// counters).
-func (s *Server) Store() *store.Store { return s.store }
-
 // Handler returns the service's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/serve/store"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -26,6 +27,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// cacheStats reads the result store's counters from GET /stats.
+func cacheStats(t *testing.T, url string) store.Stats {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Cache
 }
 
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -105,7 +121,7 @@ func TestSimulateMatchesAcrossWorkerCounts(t *testing.T) {
 // serve-mixed workload (mesh 4/5 x EAR/SDR x 1/2 jobs), each submitted by 16
 // clients at once.
 func TestSimulateSingleFlight(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	var specs []string
 	for _, mesh := range []int{4, 5} {
 		for _, alg := range []string{"EAR", "SDR"} {
@@ -165,7 +181,7 @@ func TestSimulateSingleFlight(t *testing.T) {
 			t.Errorf("spec %s: %d submissions led a flight, want at most 1", specs[i], misses)
 		}
 	}
-	if st := s.Store().Stats(); st.Puts != uint64(len(specs)) {
+	if st := cacheStats(t, ts.URL); st.Puts != uint64(len(specs)) {
 		t.Fatalf("%d concurrent submissions over %d specs ran %d simulations, want %d",
 			len(specs)*clients, len(specs), st.Puts, len(specs))
 	}
@@ -210,7 +226,7 @@ func TestSimulateClientDisconnectCancelsRun(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := s.Store().Stats(); st.Puts != 0 {
+	if st := cacheStats(t, ts.URL); st.Puts != 0 {
 		t.Fatalf("aborted run was cached: %+v", st)
 	}
 }
@@ -218,7 +234,7 @@ func TestSimulateClientDisconnectCancelsRun(t *testing.T) {
 // TestSimulateRejectsBadSpecs: malformed JSON, unknown fields and invalid
 // configurations fail eagerly with 4xx — never a simulation.
 func TestSimulateRejectsBadSpecs(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		body string
 		want int
@@ -249,7 +265,7 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 			t.Errorf("%s: error body not structured: %s", c.body, body)
 		}
 	}
-	if st := s.Store().Stats(); st.Puts != 0 {
+	if st := cacheStats(t, ts.URL); st.Puts != 0 {
 		t.Fatalf("a rejected spec ran anyway: %+v", st)
 	}
 }
@@ -258,7 +274,7 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 // endpoint that accepts a spec, before Strategy builds the mesh, while every
 // registered scenario is still admitted.
 func TestMeshBoundOnEveryEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	for _, spec := range []string{`{"Mesh":65}`, `{"Mesh":100000}`} {
 		for _, req := range []struct{ path, body string }{
 			{"/simulate", spec},
@@ -272,7 +288,7 @@ func TestMeshBoundOnEveryEndpoint(t *testing.T) {
 			}
 		}
 	}
-	if st := s.Store().Stats(); st.Puts != 0 {
+	if st := cacheStats(t, ts.URL); st.Puts != 0 {
 		t.Fatalf("an oversized spec ran anyway: %+v", st)
 	}
 	for _, sp := range scenario.All() {
@@ -303,14 +319,19 @@ func TestCampaignEndpoint(t *testing.T) {
 			t.Fatalf("metric %s folded %d replicates, want 5", m.Name, m.Count)
 		}
 	}
-	// BatchSize is a memory knob: adding it must still hit the same entry.
+	// Another field order spells the same campaign: it hits the same entry.
 	r2, hot := post(t, ts.URL+"/campaign",
-		`{"Seed":11,"Replications":5,"BatchSize":2,"Scenario":{"Mesh":4}}`)
+		`{"Seed":11,"Replications":5,"Scenario":{"Mesh":4}}`)
 	if got := r2.Header.Get(HeaderCache); got != "hit" {
 		t.Fatalf("hot X-Cache = %q, want hit", got)
 	}
 	if !bytes.Equal(cold, hot) {
 		t.Fatal("campaign cache hit not byte-identical")
+	}
+	// The batch size is internal to the campaign runner, not a spec field.
+	if r3, body := post(t, ts.URL+"/campaign",
+		`{"Scenario":{"Mesh":4},"Replications":5,"Seed":11,"BatchSize":2}`); r3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("BatchSize field: %d %s, want 400", r3.StatusCode, body)
 	}
 }
 
@@ -430,7 +451,7 @@ func TestDiskCacheAcrossServers(t *testing.T) {
 	_, ts1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	_, cold := post(t, ts1.URL+"/simulate", smallSpec)
 
-	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	_, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	resp, warm := post(t, ts2.URL+"/simulate", smallSpec)
 	if got := resp.Header.Get(HeaderCache); got != "hit" {
 		t.Fatalf("restarted server X-Cache = %q, want hit", got)
@@ -438,7 +459,7 @@ func TestDiskCacheAcrossServers(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("disk-cached bytes differ from original compute")
 	}
-	st := s2.Store().Stats()
+	st := cacheStats(t, ts2.URL)
 	if st.DiskHits != 1 || st.Puts != 0 {
 		t.Fatalf("restart did not serve from disk: %+v", st)
 	}

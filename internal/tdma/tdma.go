@@ -135,9 +135,6 @@ func NewPool(n int, factory battery.Factory) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the total number of controllers in the pool.
-func (p *Pool) Size() int { return len(p.controllers) }
-
 // AliveCount returns the number of controllers that are still alive.
 func (p *Pool) AliveCount() int {
 	alive := 0
@@ -151,11 +148,6 @@ func (p *Pool) AliveCount() int {
 
 // AllDead reports whether every controller in the pool is dead.
 func (p *Pool) AllDead() bool { return p.AliveCount() == 0 }
-
-// Controllers returns the pool's controllers (shared, not copied). No
-// program path calls it; tests drain and inspect controller batteries
-// through it.
-func (p *Pool) Controllers() []*Controller { return p.controllers }
 
 // Active returns the controller that will serve the next frame without
 // advancing the rotation.

@@ -157,7 +157,7 @@ func TestPoolRotatesActiveController(t *testing.T) {
 			t.Fatalf("rotation order = %v, want %v", order, want)
 		}
 	}
-	for _, c := range pool.Controllers() {
+	for _, c := range pool.controllers {
 		if got := c.Battery.DeliveredPJ(); got != 2*100 {
 			t.Errorf("controller %d delivered %g pJ, want %g", c.ID, got, 2*100.0)
 		}
@@ -224,11 +224,8 @@ func TestPoolAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Size() != 5 || pool.AliveCount() != 5 || pool.AllDead() {
-		t.Fatalf("fresh pool state wrong: size=%d alive=%d", pool.Size(), pool.AliveCount())
-	}
-	if len(pool.Controllers()) != 5 {
-		t.Fatalf("Controllers() returned %d entries", len(pool.Controllers()))
+	if len(pool.controllers) != 5 || pool.AliveCount() != 5 || pool.AllDead() {
+		t.Fatalf("fresh pool state wrong: size=%d alive=%d", len(pool.controllers), pool.AliveCount())
 	}
 	pool.RestAll(1000) // must not panic with nil batteries
 }
@@ -275,7 +272,7 @@ func TestPoolPartialDeathOrdering(t *testing.T) {
 	// Mid-death, the survivors must have kept the rotation going: frames 7-8
 	// were served by living controllers even though the pool was partial,
 	// so every battery was drawn to its end.
-	for _, c := range pool.Controllers() {
+	for _, c := range pool.controllers {
 		if got := c.Battery.DeliveredPJ(); got != 250 {
 			t.Errorf("controller %d delivered %g pJ, want its whole 250", c.ID, got)
 		}

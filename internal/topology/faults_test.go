@@ -26,7 +26,7 @@ func TestRemoveLink(t *testing.T) {
 	if err := m.RemoveLink(a, b); !errors.Is(err, ErrLinkNotFound) {
 		t.Fatalf("second removal error = %v, want ErrLinkNotFound", err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := validate(m.Graph); err != nil {
 		t.Fatalf("graph invalid after removal: %v", err)
 	}
 	// Neighbour lists must no longer mention the removed link.
@@ -82,7 +82,7 @@ func TestFailLinksPreservesConnectivity(t *testing.T) {
 		if !m.Connected() {
 			t.Errorf("fraction %g: fault injection disconnected the mesh", fraction)
 		}
-		if err := m.Validate(); err != nil {
+		if err := validate(m.Graph); err != nil {
 			t.Errorf("fraction %g: %v", fraction, err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestFailLinksNearSaturationReportsShortfall(t *testing.T) {
 	if !m.Connected() {
 		t.Fatal("near-saturation fault injection disconnected the ladder")
 	}
-	if err := m.Validate(); err != nil {
+	if err := validate(m.Graph); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +179,7 @@ func TestFailLinksConnectivityProperty(t *testing.T) {
 		if _, _, err := FailLinks(m.Graph, fraction, uint64(seed)); err != nil {
 			return false
 		}
-		return m.Connected() && m.Validate() == nil
+		return m.Connected() && validate(m.Graph) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -177,14 +177,6 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
-// Node returns the node with the given ID.
-func (g *Graph) Node(id NodeID) (Node, error) {
-	if !g.Has(id) {
-		return Node{}, fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	return g.nodes[id], nil
-}
-
 // Coordinate returns the coordinate of a node. It panics on unknown IDs,
 // which indicates a programming error.
 func (g *Graph) Coordinate(id NodeID) Coord {
@@ -269,26 +261,4 @@ func (g *Graph) Connected() bool {
 		return true
 	}
 	return g.ConnectedFrom(g.nodes[0].ID, nil)
-}
-
-// Validate performs structural sanity checks and returns the first problem
-// found, or nil if the graph is well formed.
-func (g *Graph) Validate() error {
-	for _, n := range g.nodes {
-		if got, ok := g.byCoord[n.Pos]; !ok || got != n.ID {
-			return fmt.Errorf("topology: coordinate index out of sync at node %d", n.ID)
-		}
-	}
-	for key, l := range g.links {
-		if key[0] != l.From || key[1] != l.To {
-			return fmt.Errorf("topology: link index out of sync for %v", key)
-		}
-		if !g.Has(l.From) || !g.Has(l.To) {
-			return fmt.Errorf("topology: dangling link %d -> %d", l.From, l.To)
-		}
-		if l.LengthCM <= 0 {
-			return fmt.Errorf("topology: non-positive length on link %d -> %d", l.From, l.To)
-		}
-	}
-	return nil
 }

