@@ -12,10 +12,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -47,12 +47,13 @@ func main() {
 
 	input := strings.TrimSpace(*inHex)
 	if input == "" {
-		scanner := bufio.NewScanner(os.Stdin)
-		var b strings.Builder
-		for scanner.Scan() {
-			b.WriteString(strings.TrimSpace(scanner.Text()))
+		// Read stdin whole, so a hex line of any length arrives intact, and
+		// drop the whitespace between its lines or fields.
+		raw, err := io.ReadAll(os.Stdin)
+		if err != nil {
+			fatal(fmt.Errorf("reading stdin: %w", err))
 		}
-		input = b.String()
+		input = strings.Join(strings.Fields(string(raw)), "")
 	}
 	data, err := hex.DecodeString(input)
 	if err != nil {

@@ -3,8 +3,10 @@ package routing
 import (
 	"math"
 	"math/bits"
+	"runtime"
 
 	"repro/internal/app"
+	"repro/internal/runner"
 	"repro/internal/topology"
 )
 
@@ -115,6 +117,20 @@ const (
 // A DeltaWorkspace is not safe for concurrent use; give each goroutine its
 // own.
 //
+// On a graph of at least parallelMinNodes vertices the workspace splits the
+// repair's marking, its re-labelling, and its pivot passes over the non-head
+// rows fused with phase 3, into cells of eight destinations or eight rows,
+// and runs each of the three as one batch on a runner.Team it owns: the
+// caller plus whichever runner helpers are idle. A marking or re-labelling
+// cell writes only its own destinations' columns and its worker slot's
+// scratch. A row cell writes only its own rows and those nodes' routes,
+// and reads the head rows, which the caller finished before the batch. So
+// no cell reads what another cell of its batch writes, and every output is
+// the same whichever participant ran which cell. Below the switch the same
+// cells run in order on the caller. The weight diff, the adjacency build,
+// the pivot passes over the head rows, the full pass and phase 3's set-up
+// stay on the caller.
+//
 // Its phase 2 is a dynamic all-pairs shortest-path computation: it keeps
 // the previous weight matrix, diffs the new weights against it, and when
 // the change is small repairs the flat dist/succ arrays in place —
@@ -144,9 +160,11 @@ const (
 //     pivot-affected pairs of each destination with a Dijkstra pass whose
 //     intermediates avoid the pivot set, seeded from still-exact clean-pair
 //     distances (deterministic smallest-label/smallest-id settling order).
-//  3. Run Fig 5's tie-breaking Floyd–Warshall pivot pass (pivotPass) once
-//     per pivot-set vertex, in ascending vertex order, over the whole
-//     matrix.
+//  3. Run Fig 5's tie-breaking Floyd–Warshall pivot pass (pivotRow over
+//     every row) once per pivot-set vertex, in ascending vertex order, over
+//     the whole matrix: first over the head rows alone, keeping each
+//     head's row as its pass reads it, then, row by row together with
+//     phase 3, over every other row.
 //
 // Because the repaired matrices reach the same canonical fixpoint as the
 // full pass — true shortest distances, and for every pair the minimum first
@@ -184,20 +202,17 @@ type DeltaWorkspace struct {
 
 	// Repair scratch, sized once per dimension and reused (zero-alloc for
 	// a fixed topology; the adjacency arrays regrow only when the edge
-	// count does).
-	member    []uint8           // per vertex: policyBit | pivotBit set membership
-	heads     []int             // ascending pivot set
-	mark      []uint64          // per vertex: epoch<<2 | policyBit | pivotBit
-	epoch     uint64            // current marking epoch
-	cols      []uint64          // per destination: ⌈k/64⌉ words of pivot-affected sources
-	walk      []int             // successor-tree walk stack
-	heap      []settleEntry     // repairColumn's settle heap of unsettled sources
-	pos       []int32           // per vertex: slot in the settle heap, or -1
-	hop       []topology.NodeID // tentative canonical first hops
-	adjOut    []int32           // concatenated out-neighbour lists
-	adjOutOff []int32           // k+1 offsets into adjOut
-	adjIn     []int32           // concatenated in-neighbour lists
-	adjInOff  []int32           // k+1 offsets into adjIn
+	// count does, the per-worker scratch only when GOMAXPROCS does).
+	member    []uint8         // per vertex: policyBit | pivotBit set membership
+	heads     []int           // ascending pivot set
+	cols      []uint64        // per destination: ⌈k/64⌉ words of pivot-affected sources
+	counts    []int32         // per destination: policy-affected sources
+	pivotRows []float64       // per head, in heads order: its distance row as its pass reads it
+	scratch   []repairScratch // per Team worker slot: marking and re-labelling scratch
+	adjOut    []int32         // concatenated out-neighbour lists
+	adjOutOff []int32         // k+1 offsets into adjOut
+	adjIn     []int32         // concatenated in-neighbour lists
+	adjInOff  []int32         // k+1 offsets into adjIn
 	// adjValid records that the adjacency lists hold the finite-edge
 	// pattern of w[cur]. Weight changes that keep every edge finite (a
 	// battery crossing) leave the pattern alone, so the lists are rebuilt
@@ -205,7 +220,117 @@ type DeltaWorkspace struct {
 	// pass that ran without a diff.
 	adjValid bool
 
+	team     *runner.Team // runs batches at or above parallelMinNodes; made on first use
+	batch    batch        // the running batch, read by every cell
+	handoffs int          // helpers that joined a batch, for the tests
+
 	stats DeltaStats
+}
+
+// parallelMinNodes is the size switch: a workspace runs its batches on its
+// Team only on graphs of at least this many vertices, since below it waking
+// a helper for each of a repair's three batches costs about what the helper
+// saves. Measured with BenchmarkIncrementalRecompute at -cpu 1,2 with the
+// switch at 0 (one battery crossing per recompute, EAR, shared 2-CPU VM):
+// the time with two CPUs over the time with one, median of 11 to 13
+// rounds, was 1.09 at 8x8, 1.05 at 10x10, 1.02 at 12x12 (144 nodes), 0.85
+// at 14x14 (196 nodes) and 0.61 at 16x16.
+const parallelMinNodes = 196
+
+// repairScratch is one participant's marking and re-labelling scratch. Each
+// Team worker slot owns one, so cells that run at the same time never share
+// it.
+type repairScratch struct {
+	mark  []uint64          // per vertex: epoch<<2 | policyBit | pivotBit
+	epoch uint64            // current marking epoch
+	walk  []int             // successor-tree walk stack
+	heap  []settleEntry     // repairColumn's settle heap of unsettled sources
+	pos   []int32           // per vertex: slot in the settle heap, or -1
+	hop   []topology.NodeID // tentative canonical first hops
+}
+
+// grow sizes the scratch for dimension k.
+func (s *repairScratch) grow(k int) {
+	if cap(s.mark) >= k {
+		s.mark = s.mark[:k]
+		s.pos = s.pos[:k]
+		s.hop = s.hop[:k]
+		return
+	}
+	s.mark = make([]uint64, k)
+	s.epoch = 0
+	s.walk = make([]int, 0, k)
+	s.heap = make([]settleEntry, 0, k)
+	// Every repairColumn drains its heap, so pos is all -1 between calls.
+	s.pos = make([]int32, k)
+	for i := range s.pos {
+		s.pos[i] = -1
+	}
+	s.hop = make([]topology.NodeID, k)
+}
+
+// batchStep names the work of one batch's cells.
+type batchStep uint8
+
+const (
+	stepMark    batchStep = iota // markAffected for each destination
+	stepRelabel                  // repairColumn for each destination
+	stepRows                     // pivotOthers (if batch.pivot), then phase 3, for each row
+)
+
+// batch is what the cells of the running batch read besides the workspace.
+type batch struct {
+	step  batchStep
+	pivot bool         // stepRows: the repair's pivot passes over the non-head rows are pending
+	out   *Tables      // stepRows: the tables being filled
+	prev  *Tables      // stepRows: the previous tables
+	state *SystemState // stepRows: the snapshot
+}
+
+// runBatch runs b's cell over every block of eight destinations or eight
+// rows of the k-vertex phase 2: on the workspace's Team when k is at least
+// parallelMinNodes, else in order on the caller. Eight distances or eight
+// successors fill one 64-byte cache line, so cells write disjoint lines of
+// a row.
+func (dw *DeltaWorkspace) runBatch(b batch, k int) {
+	dw.batch = b
+	cells := (k + 7) / 8
+	if k < parallelMinNodes {
+		for c := 0; c < cells; c++ {
+			dw.cell(0, c)
+		}
+	} else {
+		if dw.team == nil {
+			dw.team = runner.NewTeam(dw.cell)
+		}
+		dw.handoffs += dw.team.Run(cells)
+	}
+	dw.batch = batch{}
+}
+
+// cell runs the current batch's step over cell c as the given Team worker.
+func (dw *DeltaWorkspace) cell(worker, c int) {
+	k := dw.sp.n
+	lo, hi := c*8, min(c*8+8, k)
+	b := &dw.batch
+	switch b.step {
+	case stepMark:
+		s := &dw.scratch[worker]
+		for j := lo; j < hi; j++ {
+			policy, _ := dw.markAffected(j, k, dw.col(j, k), s)
+			dw.counts[j] = int32(policy)
+		}
+	case stepRelabel:
+		s, w := &dw.scratch[worker], &dw.w[dw.cur^1]
+		for j := lo; j < hi; j++ {
+			dw.repairColumn(j, k, w, dw.col(j, k), s)
+		}
+	case stepRows:
+		if b.pivot {
+			dw.pivotOthers(lo, hi, k)
+		}
+		b.out.chooseRoutes(lo, hi, b.state, &dw.dests, b.prev)
+	}
 }
 
 // NewDeltaWorkspace returns an empty delta workspace in incremental mode
@@ -266,9 +391,11 @@ func (dw *DeltaWorkspace) Recompute(state *SystemState, destinations map[app.Mod
 	next := dw.cur ^ 1
 	k := dw.w[next].Dim()
 
+	pivot := false // the repair's passes over the non-head rows, run with phase 3
 	if dw.repair(k, state) {
 		dw.stats.Incremental++
 		dw.spFull = false
+		pivot = len(dw.heads) > 0
 	} else {
 		if donor.fullPassOver(&dw.w[next]) {
 			dw.sp.copyFrom(&donor.sp)
@@ -287,7 +414,8 @@ func (dw *DeltaWorkspace) Recompute(state *SystemState, destinations map[app.Mod
 	if prev == out {
 		out = &dw.tbl[1]
 	}
-	buildTablesInto(out, state, &dw.sp, destinations, &dw.dests, prev)
+	prepareTables(out, state, &dw.sp, destinations, &dw.dests)
+	dw.runBatch(batch{step: stepRows, pivot: pivot, out: out, prev: prev, state: state}, k)
 	dw.plan = Plan{Algorithm: dw.alg, Paths: &dw.sp, Tables: out}
 	return &dw.plan
 }
@@ -337,7 +465,10 @@ func (dw *DeltaWorkspace) aliveChanged(state *SystemState, k int) bool {
 
 // repair attempts the incremental phase-2 update against the new weights in
 // dw.w[dw.cur^1]. It returns false — leaving dist/succ untouched — when the
-// workspace must (or is configured to) run the full pass instead.
+// workspace must (or is configured to) run the full pass instead. On true,
+// when dw.heads is not empty, the pivot passes over every row but the head
+// rows are still to run: Recompute runs them row by row in phase 3's batch
+// (pivotOthers), since a row's routes read only that row.
 func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	// Node death (or revival) invalidates reachability wholesale: every
 	// column through the node changes at once, and the old successor trees
@@ -363,20 +494,23 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 		return true // weights unchanged: dist/succ are already the fixpoint
 	}
 
-	// Mark every destination before repairing any: the policy volume
-	// decides with an early bailout, and the walk is O(K) amortized per
-	// destination, so a bailout costs at most one O(K²) sweep before the
-	// full pass runs — noise against its K³ — and leaves dist/succ
-	// untouched. The same walk keeps each destination's pivot bits for the
-	// re-labelling.
+	// Mark every destination in one batch before repairing any, and judge
+	// the policy volume from the summed counts: the walk is O(K) amortized
+	// per destination, so a bailout costs one O(K²) sweep before the full
+	// pass runs — noise against its K³ — and leaves dist/succ untouched.
+	// The counts are non-negative, so the sum passes the budget exactly
+	// when some prefix of destinations would. The same walk keeps each
+	// destination's pivot bits for the re-labelling, which is a second
+	// batch: a re-labelling cell writes dist/succ, so it may start only
+	// once the bailout is ruled out.
+	dw.runBatch(batch{step: stepMark}, k)
 	budget := int(dw.affectedCrossover * float64(k) * float64(k))
 	total := 0
-	for j := 0; j < k; j++ {
-		policy, _ := dw.markAffected(j, k, dw.col(j, k))
-		total += policy
-		if total > budget {
-			return false
-		}
+	for _, c := range dw.counts {
+		total += int(c)
+	}
+	if total > budget {
+		return false
 	}
 	dw.stats.DirtyVertices += dirty
 	dw.stats.AffectedPairs += total
@@ -390,15 +524,52 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	}
 
 	// Re-label each destination column, then restore the fixpoint with one
-	// pivot pass per head in ascending order.
-	for j := 0; j < k; j++ {
-		dw.repairColumn(j, k, newW, dw.col(j, k))
-	}
-	for _, v := range dw.heads {
-		dw.sp.pivotPass(v)
-	}
+	// pivot pass per head in ascending order: over the head rows here, over
+	// the other rows in Recompute.
+	dw.runBatch(batch{step: stepRelabel}, k)
+	dw.pivotHeads(k)
 	dw.stats.Pivots += len(dw.heads)
 	return true
+}
+
+// pivotHeads runs every head's pivot pass, in ascending head order, over
+// the head rows alone, and keeps in dw.pivotRows each head's distance row as
+// its pass reads it, after the passes of the smaller heads. A pass writes
+// only the row it relaxes and reads only that row and the head's, so every
+// other row can then take all its passes on its own (pivotOthers), in the
+// same order and against the same head rows, and ends exactly as the
+// sequence of whole-matrix passes would leave it.
+func (dw *DeltaWorkspace) pivotHeads(k int) {
+	m := len(dw.heads)
+	if cap(dw.pivotRows) < m*k {
+		// The heads lie in the policy set, which a repair keeps within
+		// dirtyCrossover·k vertices, so one allocation serves every repair.
+		dw.pivotRows = make([]float64, max(m, int(dw.dirtyCrossover*float64(k)))*k)
+	}
+	dw.pivotRows = dw.pivotRows[:m*k]
+	for t, n := range dw.heads {
+		row := dw.pivotRows[t*k : (t+1)*k]
+		copy(row, dw.sp.dist.Row(n))
+		for _, h := range dw.heads {
+			if h != n {
+				dw.sp.pivotRow(h, n, row)
+			}
+		}
+	}
+}
+
+// pivotOthers runs every head's pivot pass, in ascending head order, over
+// the rows lo..hi−1 that are not head rows, against the head rows
+// pivotHeads kept. It writes only those rows.
+func (dw *DeltaWorkspace) pivotOthers(lo, hi, k int) {
+	for i := lo; i < hi; i++ {
+		if dw.member[i]&pivotBit != 0 {
+			continue
+		}
+		for t, n := range dw.heads {
+			dw.sp.pivotRow(i, n, dw.pivotRows[t*k:(t+1)*k])
+		}
+	}
 }
 
 // colWords is the length in words of one destination's pivot-bit column.
@@ -411,31 +582,32 @@ func (dw *DeltaWorkspace) col(j, k int) []uint64 {
 	return dw.cols[j*w : (j+1)*w]
 }
 
-// grow sizes the repair scratch for dimension k.
+// grow sizes the repair scratch for dimension k, with one repairScratch
+// per worker slot a batch can use: the caller's alone below
+// parallelMinNodes, one per GOMAXPROCS at or above it.
 func (dw *DeltaWorkspace) grow(k int) {
-	if cap(dw.mark) >= k {
+	slots := 1
+	if k >= parallelMinNodes {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	if len(dw.scratch) < slots {
+		dw.scratch = append(dw.scratch, make([]repairScratch, slots-len(dw.scratch))...)
+	}
+	for x := range dw.scratch[:slots] {
+		dw.scratch[x].grow(k)
+	}
+	if cap(dw.member) >= k {
 		dw.member = dw.member[:k]
-		dw.mark = dw.mark[:k]
 		dw.cols = dw.cols[:k*colWords(k)]
-		dw.pos = dw.pos[:k]
-		dw.hop = dw.hop[:k]
+		dw.counts = dw.counts[:k]
 		dw.adjOutOff = dw.adjOutOff[:k+1]
 		dw.adjInOff = dw.adjInOff[:k+1]
 		return
 	}
 	dw.member = make([]uint8, k)
-	dw.mark = make([]uint64, k)
-	dw.epoch = 0
 	dw.cols = make([]uint64, k*colWords(k))
-	dw.walk = make([]int, 0, k)
-	dw.heap = make([]settleEntry, 0, k)
+	dw.counts = make([]int32, k)
 	dw.heads = make([]int, 0, k)
-	// Every repairColumn drains its heap, so pos is all -1 between calls.
-	dw.pos = make([]int32, k)
-	for i := range dw.pos {
-		dw.pos[i] = -1
-	}
-	dw.hop = make([]topology.NodeID, k)
 	dw.adjOutOff = make([]int32, k+1)
 	dw.adjInOff = make([]int32, k+1)
 }
@@ -468,8 +640,8 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	}
 	dw.adjOut = dw.adjOut[:edges]
 	dw.adjIn = dw.adjIn[:edges]
-	// In-cursor per vertex; dw.walk is free at this point.
-	cur := dw.walk[:0]
+	// In-cursor per vertex; the caller's walk stack is free at this point.
+	cur := dw.scratch[0].walk[:0]
 	for j := 0; j < k; j++ {
 		cur = append(cur, int(dw.adjInOff[j]))
 	}
@@ -540,21 +712,21 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) (dirty int, flipp
 // vertices, since a pivot bit may lie further down. A destination in a set
 // passes that set's bit to every source, unreachable ones included: all of
 // a pivot-set destination's sources get both bits, and all of a policy-set
-// destination's the policy bit. The labels live in dw.mark, scoped to a
+// destination's the policy bit. The labels live in s.mark, scoped to a
 // fresh epoch per call; every vertex is labelled on return, j as clean.
 // col receives the pivot bits (bit i for source i), and the two counts are
-// returned.
-func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64) (policy, pivot int) {
-	dw.epoch++
-	e := dw.epoch << 2
-	mark, member := dw.mark, dw.member
+// returned. It reads only column j of succ.
+func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64, s *repairScratch) (policy, pivot int) {
+	s.epoch++
+	e := s.epoch << 2
+	mark, member := s.mark, dw.member
 	// j is not its own source, so it is labelled clean and never walked.
 	mark[j] = e
 	// Every path into a destination in a set touches that set, and so do
 	// the paths that do not exist: every source inherits j's membership.
 	base := e | uint64(member[j])
 	succ := dw.sp.succ
-	walk := dw.walk[:0]
+	walk := s.walk[:0]
 	for i := 0; i < k; i++ {
 		if mark[i] >= e {
 			continue
@@ -617,10 +789,11 @@ func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64) (policy, pivot in
 // on that same strict (label, id) order, each entry carrying its label;
 // labels only decrease, so each pop is the (label, id) minimum of the
 // unsettled set. col is j's pivot-bit column as markAffected left it: its
-// set bits are the affected sources, and every other source is clean.
-func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64) {
-	pos, hop := dw.pos, dw.hop
-	heap := dw.heap[:0]
+// set bits are the affected sources, and every other source is clean. It
+// reads and writes dist/succ only in column j; s is its scratch.
+func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix, col []uint64, s *repairScratch) {
+	pos, hop := s.pos, s.hop
+	heap := s.heap[:0]
 	for x, word := range col {
 		for ; word != 0; word &= word - 1 {
 			heap = append(heap, settleEntry{v: int32(x<<6 | bits.TrailingZeros64(word))})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/app"
@@ -113,6 +114,50 @@ func checkerboardDests(g *topology.Graph) map[app.ModuleID][]topology.NodeID {
 	return dests
 }
 
+// driftTrajectory sets up TestDeltaMatchesFullRecompute's trajectory for
+// one mesh size and algorithm: the mesh with a tenth of its links failed,
+// checkerboard duplicates and full batteries. Each call of step applies one
+// round: one to three battery drains, a death every fifth round and a
+// deadlock flip every third.
+func driftTrajectory(t *testing.T, meshSize int, alg Algorithm) (state *SystemState, dests map[app.ModuleID][]topology.NodeID, step func(round int)) {
+	t.Helper()
+	mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
+	if _, _, err := topology.FailLinks(mesh.Graph, 0.1, uint64(meshSize)); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(meshSize)*41 + int64(len(alg.Name()))))
+	state = fullState(mesh.Graph, 8)
+	step = func(round int) {
+		// Mostly battery drain; every few rounds a death or a deadlock
+		// flip.
+		for hit := 0; hit < 1+rng.Intn(3); hit++ {
+			st := &state.Status[rng.Intn(len(state.Status))]
+			if st.BatteryLevel > 0 {
+				st.BatteryLevel--
+			} else {
+				st.BatteryLevel = 7
+			}
+		}
+		if round%5 == 4 {
+			state.Status[rng.Intn(len(state.Status))].Alive = false
+		}
+		if round%3 == 2 {
+			st := &state.Status[rng.Intn(len(state.Status))]
+			st.Deadlocked = !st.Deadlocked
+		}
+	}
+	return state, checkerboardDests(mesh.Graph), step
+}
+
+// driftRounds is the length of driftTrajectory's runs: shorter on the big
+// meshes.
+func driftRounds(meshSize int) int {
+	if meshSize >= 12 {
+		return 8
+	}
+	return 24
+}
+
 // TestDeltaMatchesFullRecompute drives an incremental and a full-mode
 // DeltaWorkspace in lockstep — each chaining its own prev tables, exactly like a
 // controller — over meshes 4-16 with battery-drain trajectories, node
@@ -122,39 +167,13 @@ func TestDeltaMatchesFullRecompute(t *testing.T) {
 	for _, meshSize := range []int{4, 6, 8, 12, 16} {
 		for _, alg := range []Algorithm{SDR{}, NewEAR()} {
 			t.Run(fmt.Sprintf("%dx%d/%s", meshSize, meshSize, alg.Name()), func(t *testing.T) {
-				mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
-				if _, _, err := topology.FailLinks(mesh.Graph, 0.1, uint64(meshSize)); err != nil {
-					t.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(int64(meshSize)*41 + int64(len(alg.Name()))))
-				dests := checkerboardDests(mesh.Graph)
-				state := fullState(mesh.Graph, 8)
-
+				state, dests, step := driftTrajectory(t, meshSize, alg)
 				dw := NewDeltaWorkspace()
 				ws := newFullWorkspace()
 				var dPrev, fPrev *Tables
-				rounds := 24
-				if meshSize >= 12 {
-					rounds = 8
-				}
+				rounds := driftRounds(meshSize)
 				for round := 0; round < rounds; round++ {
-					// Mostly battery drain; every few rounds a death or a
-					// deadlock flip.
-					for hit := 0; hit < 1+rng.Intn(3); hit++ {
-						st := &state.Status[rng.Intn(len(state.Status))]
-						if st.BatteryLevel > 0 {
-							st.BatteryLevel--
-						} else {
-							st.BatteryLevel = 7
-						}
-					}
-					if round%5 == 4 {
-						state.Status[rng.Intn(len(state.Status))].Alive = false
-					}
-					if round%3 == 2 {
-						st := &state.Status[rng.Intn(len(state.Status))]
-						st.Deadlocked = !st.Deadlocked
-					}
+					step(round)
 					dPlan := dw.ComputeInto(alg, state, dests, dPrev)
 					fPlan := ws.ComputeInto(alg, state, dests, fPrev)
 					assertPlansIdentical(t, dPlan, fPlan)
@@ -856,6 +875,68 @@ func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, where a Team never hands
+	// off, so the 16x16 case (above parallelMinNodes) counts runtime
+	// mallocs at GOMAXPROCS 2 over 64 repairs, after warming up until a
+	// helper has joined a batch.
+	t.Run("incremental/16x16/procs-2", func(t *testing.T) {
+		setProcs(t, 2)
+		mesh := topology.MustMesh(16, 16, 1)
+		state := fullState(mesh.Graph, 8)
+		dests := checkerboardDests(mesh.Graph)
+		dw := NewDeltaWorkspace()
+		var alg Algorithm = NewEAR()
+		var prev *Tables
+		step := 0
+		repair := func() {
+			st := &state.Status[step%len(state.Status)]
+			st.BatteryLevel = (st.BatteryLevel + 1) % 8
+			if step%4 == 0 {
+				state.Status[9].Deadlocked = !state.Status[9].Deadlocked
+			}
+			step++
+			prev = dw.ComputeInto(alg, state, dests, prev).Tables
+		}
+		// The warm-up is long because the runtime's own caches (threads,
+		// and wait records for parked goroutines) also fill over the first
+		// hand-offs.
+		for i := 0; i < 256 || (dw.handoffs == 0 && i < 2000); i++ {
+			repair()
+		}
+		if dw.handoffs == 0 {
+			t.Fatal("no helper joined a batch during the warm-up")
+		}
+		// The runtime itself may still allocate once in a while (under
+		// -race a single malloc showed up in about one run of ten), while a
+		// cell that allocates does so in every window. So the guard fails
+		// only when three windows of 64 repairs all allocate.
+		const repairs = 64
+		before := dw.handoffs
+		var mallocs []uint64
+		for len(mallocs) < 3 {
+			repaired := dw.Stats().Incremental
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < repairs; i++ {
+				repair()
+			}
+			runtime.ReadMemStats(&m1)
+			if got := dw.Stats().Incremental - repaired; got != repairs {
+				t.Fatalf("%d of %d recomputes repaired, want all", got, repairs)
+			}
+			if m1.Mallocs == m0.Mallocs {
+				break
+			}
+			mallocs = append(mallocs, m1.Mallocs-m0.Mallocs)
+		}
+		if len(mallocs) == 3 {
+			t.Errorf("%v mallocs over three windows of %d repairs at GOMAXPROCS 2, want 0", mallocs, repairs)
+		}
+		if dw.handoffs == before {
+			t.Errorf("no helper joined any batch of the %d measured repairs", repairs)
+		}
+	})
 }
 
 // benchDrain drives one battery-threshold crossing per iteration through a
@@ -888,12 +969,12 @@ func benchDrain(b *testing.B, meshSize int, mode RecomputeMode) {
 // nodes) appears only under the incremental column, since a full pass
 // there costs 64 times as much at O(K³).
 func BenchmarkIncrementalRecompute(b *testing.B) {
-	for _, meshSize := range []int{8, 16, 32} {
+	for _, meshSize := range []int{8, 10, 12, 14, 16, 32} {
 		b.Run(fmt.Sprintf("full/%dx%d", meshSize, meshSize), func(b *testing.B) {
 			benchDrain(b, meshSize, RecomputeFull)
 		})
 	}
-	for _, meshSize := range []int{8, 16, 32, 64} {
+	for _, meshSize := range []int{8, 10, 12, 14, 16, 32, 64} {
 		b.Run(fmt.Sprintf("incremental/%dx%d", meshSize, meshSize), func(b *testing.B) {
 			benchDrain(b, meshSize, RecomputeIncremental)
 		})

@@ -410,6 +410,17 @@ func refPivotPass(sp *ShortestPaths, n int) {
 	}
 }
 
+// pivotPass is one whole pivot pass on n: pivotRow over every row but n,
+// which the pass reads and never writes.
+func (sp *ShortestPaths) pivotPass(n int) {
+	distN := sp.dist.Row(n)
+	for i := 0; i < sp.n; i++ {
+		if i != n {
+			sp.pivotRow(i, n, distN)
+		}
+	}
+}
+
 // checkPivotPasses holds pivotPass to refPivotPass from sp's state: each
 // pivot of alone (every pivot when alone is nil) on a fresh copy, then every
 // pivot in ascending order on one running copy, comparing distance bits and
@@ -460,12 +471,13 @@ func halfRepair(dw *DeltaWorkspace, alg Algorithm, state *SystemState) bool {
 	if dirty, _ := dw.diffDirty(next, &dw.w[dw.cur], k); dirty == 0 {
 		return false
 	}
+	s := &dw.scratch[0]
 	for j := 0; j < k; j++ {
-		dw.markAffected(j, k, dw.col(j, k))
+		dw.markAffected(j, k, dw.col(j, k), s)
 	}
 	dw.buildAdjacency(next, k)
 	for j := 0; j < k; j++ {
-		dw.repairColumn(j, k, next, dw.col(j, k))
+		dw.repairColumn(j, k, next, dw.col(j, k), s)
 	}
 	return true
 }

@@ -91,12 +91,16 @@ func (sp *ShortestPaths) copyFrom(src *ShortestPaths) {
 	sp.succ = append(sp.succ[:0], src.succ...)
 }
 
-// pivotPass relaxes every ordered pair through the single pivot n, with the
-// smaller-successor tie-breaking of Fig 5. It is the incremental repair's
-// last step (DeltaWorkspace runs it once per head of a changed edge):
-// after pivoting on any vertex set that contains the head of every changed
-// edge, the canonical fixpoint (true distances, minimum first hop among all
-// shortest paths) is restored, so the repair meets ComputeFrom's result.
+// pivotRow relaxes every pair (i, j) of row i through the single pivot
+// n ≠ i, with the smaller-successor tie-breaking of Fig 5; distN is row n's
+// distances as the pass on n reads them. A pivot pass is pivotRow
+// over every row but n, and row n does not change during it. It is the
+// incremental repair's last step (DeltaWorkspace runs one pass per head of
+// a changed edge, in ascending head order): after pivoting on any vertex
+// set that contains the head of every changed edge, the canonical fixpoint
+// (true distances, minimum first hop among all shortest paths) is
+// restored, so the repair meets ComputeFrom's result. pivotRow writes only
+// row i and reads only row i and distN.
 //
 // Fig 5's loop also skips j == n, j == i and d(n,j) = Inf. Under positive
 // weights (and a zero diagonal, which the repair never writes) each of those
@@ -111,37 +115,31 @@ func (sp *ShortestPaths) copyFrom(src *ShortestPaths) {
 // The one predicted branch is through > d(i,j). A tie then writes sin only
 // when it is the smaller hop: Invalid is −1, so uint(sin) < uint(succ(i,j))
 // is false for an Invalid sin and true against an Invalid succ(i,j), which
-// are exactly Fig 5's two Invalid tests. The rows i == n and d(i,n) = Inf
-// stay skipped: pivoting row n on itself would tie every cell and write n.
-func (sp *ShortestPaths) pivotPass(n int) {
+// are exactly Fig 5's two Invalid tests. A row with d(i,n) = Inf stays
+// skipped, and so must row n itself: pivoting it on itself would tie every
+// cell and write n.
+func (sp *ShortestPaths) pivotRow(i, n int, distN []float64) {
 	k := sp.n
-	// Row n is never written while pivoting on n, so hoisting it out of the
-	// inner loop preserves the exact reference arithmetic. Every row is
-	// resliced to length k and the inner loop ranges over distI, which lets
-	// the compiler drop the bounds checks inside it.
-	distN := sp.dist.Row(n)[:k]
-	for i := 0; i < k; i++ {
-		if i == n {
+	// The row is resliced to length k and the inner loop ranges over it,
+	// which lets the compiler drop the bounds checks inside it.
+	distI := sp.dist.Row(i)[:k]
+	din := distI[n]
+	if din == Inf {
+		return
+	}
+	distN = distN[:k]
+	succI := sp.succ[i*k : (i+1)*k][:k]
+	sin := succI[n]
+	for j, dij := range distI {
+		through := din + distN[j]
+		if through > dij {
 			continue
 		}
-		distI := sp.dist.Row(i)[:k]
-		din := distI[n]
-		if din == Inf {
-			continue
-		}
-		succI := sp.succ[i*k : (i+1)*k][:k]
-		sin := succI[n]
-		for j, dij := range distI {
-			through := din + distN[j]
-			if through > dij {
-				continue
-			}
-			if through < dij {
-				distI[j] = through
-				succI[j] = sin
-			} else if through < Inf && uint(sin) < uint(succI[j]) {
-				succI[j] = sin
-			}
+		if through < dij {
+			distI[j] = through
+			succI[j] = sin
+		} else if through < Inf && uint(sin) < uint(succI[j]) {
+			succI[j] = sin
 		}
 	}
 }

@@ -167,9 +167,11 @@ func checkMarks(t *testing.T, dw *DeltaWorkspace, policySet, pivotSet []bool) (p
 			t.Fatalf("vertex %d: pivot membership %v, want %v", v, got, want)
 		}
 	}
+	// The caller's scratch, worker slot 0, holds the labels.
+	s := &dw.scratch[0]
 	for j := 0; j < k; j++ {
 		col := dw.col(j, k)
-		policy, pivot := dw.markAffected(j, k, col)
+		policy, pivot := dw.markAffected(j, k, col, s)
 		wantPolicy := refAffected(dw.sp.succ, j, k, policySet)
 		wantPivot := refAffected(dw.sp.succ, j, k, pivotSet)
 		np, nq := 0, 0
@@ -180,10 +182,10 @@ func checkMarks(t *testing.T, dw *DeltaWorkspace, policySet, pivotSet []bool) (p
 				}
 				continue
 			}
-			if got := dw.mark[i]&policyBit != 0; got != wantPolicy[i] {
+			if got := s.mark[i]&policyBit != 0; got != wantPolicy[i] {
 				t.Fatalf("(%d, %d): policy label %v, want %v", i, j, got, wantPolicy[i])
 			}
-			if got := dw.mark[i]&pivotBit != 0; got != wantPivot[i] {
+			if got := s.mark[i]&pivotBit != 0; got != wantPivot[i] {
 				t.Fatalf("(%d, %d): pivot label %v, want %v", i, j, got, wantPivot[i])
 			}
 			if got := col[i>>6]>>(i&63)&1 != 0; got != wantPivot[i] {

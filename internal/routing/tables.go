@@ -151,17 +151,17 @@ func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.Mod
 	return ts
 }
 
-// buildTablesInto is the allocation-free phase-3 core shared by BuildTables
-// and ComputeInto; dests is its reused scratch. out must not alias prev;
-// out keeps sp for NextHop.
-//
-// Every row but a deadlocked one is one argmin per module over the module's
-// alive duplicates, reading only the distance row: the smallest distance
-// wins, ties go to the smaller duplicate ID (better's order, whatever the
-// list order), and an unreachable duplicate never wins. The successor is
-// read once, for the winner. A deadlocked row with a previous table goes
-// through deadlockedRoute instead.
+// buildTablesInto is the allocation-free phase-3 core of BuildTables:
+// prepareTables, then chooseRoutes over every node. dests is its reused
+// scratch. out must not alias prev; out keeps sp for NextHop.
 func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, dests *destSet, prev *Tables) {
+	prepareTables(out, state, sp, destinations, dests)
+	out.chooseRoutes(0, out.nodes, state, dests, prev)
+}
+
+// prepareTables fills dests from destinations and clears out for the
+// routes chooseRoutes selects over sp, marking the alive nodes.
+func prepareTables(out *Tables, state *SystemState, sp *ShortestPaths, destinations map[app.ModuleID][]topology.NodeID, dests *destSet) {
 	k := state.Graph.NodeCount()
 	dests.fill(destinations, state, k)
 	out.reset(k, len(dests.known), sp)
@@ -169,7 +169,22 @@ func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, destina
 	for n := 0; n < k; n++ {
 		out.has[n] = state.Alive(topology.NodeID(n))
 	}
-	for n := 0; n < k; n++ {
+}
+
+// chooseRoutes selects the routes of nodes lo..hi−1 into the tables that
+// prepareTables cleared. It writes only those nodes' route rows and reads
+// only their distance and successor rows, so disjoint node ranges may run
+// concurrently.
+//
+// Every row but a deadlocked one is one argmin per module over the module's
+// alive duplicates, reading only the distance row: the smallest distance
+// wins, ties go to the smaller duplicate ID (better's order, whatever the
+// list order), and an unreachable duplicate never wins. The successor is
+// read once, for the winner. A deadlocked row with a previous table goes
+// through deadlockedRoute instead.
+func (out *Tables) chooseRoutes(lo, hi int, state *SystemState, dests *destSet, prev *Tables) {
+	sp, k := out.sp, out.nodes
+	for n := lo; n < hi; n++ {
 		if !out.has[n] {
 			continue
 		}
