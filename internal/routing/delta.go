@@ -67,8 +67,10 @@ type DeltaStats struct {
 }
 
 // Crossover fractions of the policy set above which the workspace takes the
-// full pass. An incremental repair costs roughly (diff + one marking walk)
-// ≈ 2·K², plus an O(K²) adjacency build when an edge appeared or vanished,
+// full pass. An incremental repair costs roughly the diff (K² reads), plus
+// the marking descent (per destination, the changed vertices plus the
+// in-degree of every affected source), plus an O(K²) adjacency build on the
+// first repair after a full pass and two when an edge appeared or vanished,
 // plus one O(K²) pivot pass per head plus the affected re-labelling (a
 // heap-ordered Dijkstra per destination), while the full pass costs K
 // min-plus sweeps of the distance matrix plus an O(K²·deg) first-hop
@@ -76,18 +78,23 @@ type DeltaStats struct {
 // sits on both sides of the measured ratios. Measured with
 // BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR, shared 2-CPU
 // VM with AVX2; median over four rounds of the repair's time over the full
-// pass's, which took 3.5-3.8 ms with the AVX2 min-plus kernel): one drained
-// node repairs at 0.64x (dirty 0.02·K, affected 0.11·K²), two at 0.75x,
-// eight at 1.45x, sixteen at 2.6x (dirty 0.21·K, affected 0.66·K²) and
-// fifty-one at 4.1x (dirty 0.59·K), so at this size the repair breaks even
-// between two and eight drained nodes. Against the scalar min-plus loop,
-// which a host without AVX2 still runs (11-16 ms), break-even sat at about
-// thirty-two drained nodes (dirty 0.39·K, affected 0.88·K²), and against
-// the older full pass that relaxed successors in the same loop (18-28 ms)
-// at dirty ≈ 0.74·K. The defaults were set against those passes. Moving
-// them would move the full/incremental split that sim.Result reports, so
-// they stay; they are policy, not correctness — any threshold yields
-// byte-identical tables.
+// pass's, which took 1.9-2.2 ms with the AVX2 min-plus kernel): at
+// GOMAXPROCS 2, where both run their batches on the workspace's Team, one
+// drained node repairs at 0.26x (dirty 0.02·K, affected 0.11·K²), two at
+// 0.39x, eight at 0.88x, sixteen at 1.33x (dirty 0.21·K, affected
+// 0.66·K²), thirty-two at 2.2x and fifty-one at 2.3x (dirty 0.59·K); at
+// GOMAXPROCS 1 at 0.36x, 0.54x, 1.5x, 2.5x, 4.1x and 4.3x. So at this size
+// the repair breaks even between eight and sixteen drained nodes on two
+// CPUs and between two and eight on one. The K² successor walk that marked
+// before the descent read 0.38x, 0.47x, 0.93x, 1.4x and 2.4x (one, two,
+// eight, sixteen and fifty-one drained nodes, GOMAXPROCS 2) on the same
+// host. Against the scalar min-plus loop, which a host without AVX2 still
+// runs (11-16 ms), break-even sat at about thirty-two drained nodes (dirty
+// 0.39·K, affected 0.88·K²), and against the older full pass that relaxed
+// successors in the same loop (18-28 ms) at dirty ≈ 0.74·K. The defaults
+// were set against those passes. Moving them would move the
+// full/incremental split that sim.Result reports, so they stay; they are
+// policy, not correctness — any threshold yields byte-identical tables.
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60
@@ -152,10 +159,13 @@ const (
 //
 //  1. Mark, per destination j, every source i with two bits: whether its
 //     previous canonical path to j touches the policy set, and whether it
-//     touches the pivot set (one memoized walk of the old successor tree
-//     per destination labels both, O(K) amortized). The policy count
-//     decides, destination by destination, whether the repair goes on; the
-//     pivot bits are kept as one K-bit column per destination.
+//     touches the pivot set. Those sources are the subtrees of the set's
+//     vertices in j's old successor tree, so a descent from the changed
+//     vertices over the old edges' in-lists finds them (Ramalingam and
+//     Reps, J. Algorithms 1996), at a cost that grows with the affected
+//     pairs, not with K. The summed policy counts decide whether the
+//     repair goes on; the pivot bits are kept as one K-bit column per
+//     destination.
 //  2. Once every destination is marked within the budget, re-label the
 //     pivot-affected pairs of each destination with a Dijkstra pass whose
 //     intermediates avoid the pivot set, seeded from still-exact clean-pair
@@ -173,6 +183,9 @@ const (
 // repo's calibrations use dyadic lengths and penalties, so they are exact;
 // see DESIGN.md, "Performance architecture"). The repair costs
 // O(K² + |heads|·K² + Σ|affected|·K) against the full pass's O(K³).
+// The marking's labels follow the stored successors whatever they are, so
+// at every accepted Q, rounded sums included, the split and DeltaStats are
+// those of a walk along each stored path.
 //
 // The workspace falls back to the full pass automatically when there is no
 // previous computation, the node count changed, any node's liveness flag
@@ -205,6 +218,7 @@ type DeltaWorkspace struct {
 	// count does, the per-worker scratch only when GOMAXPROCS does).
 	member    []uint8         // per vertex: policyBit | pivotBit set membership
 	heads     []int           // ascending pivot set
+	tails     []int           // ascending policy set minus the pivot set
 	cols      []uint64        // per destination: ⌈k/64⌉ words of pivot-affected sources
 	counts    []int32         // per destination: policy-affected sources
 	pivotRows []float64       // per head, in heads order: its distance row as its pass reads it
@@ -241,25 +255,23 @@ const parallelMinNodes = 196
 // Team worker slot owns one, so cells that run at the same time never share
 // it.
 type repairScratch struct {
-	mark  []uint64          // per vertex: epoch<<2 | policyBit | pivotBit
-	epoch uint64            // current marking epoch
-	walk  []int             // successor-tree walk stack
-	heap  []settleEntry     // repairColumn's settle heap of unsettled sources
-	pos   []int32           // per vertex: slot in the settle heap, or -1
-	hop   []topology.NodeID // tentative canonical first hops
+	policyCol []uint64          // markAffected's policy labels: ⌈k/64⌉ words, bit i for source i
+	stack     []int32           // markAffected's descent stack (every vertex is pushed at most once)
+	heap      []settleEntry     // repairColumn's settle heap of unsettled sources
+	pos       []int32           // per vertex: slot in the settle heap, or -1
+	hop       []topology.NodeID // tentative canonical first hops
 }
 
 // grow sizes the scratch for dimension k.
 func (s *repairScratch) grow(k int) {
-	if cap(s.mark) >= k {
-		s.mark = s.mark[:k]
+	if cap(s.pos) >= k {
+		s.policyCol = s.policyCol[:colWords(k)]
 		s.pos = s.pos[:k]
 		s.hop = s.hop[:k]
 		return
 	}
-	s.mark = make([]uint64, k)
-	s.epoch = 0
-	s.walk = make([]int, 0, k)
+	s.policyCol = make([]uint64, colWords(k))
+	s.stack = make([]int32, 0, k)
 	s.heap = make([]settleEntry, 0, k)
 	// Every repairColumn drains its heap, so pos is all -1 between calls.
 	s.pos = make([]int32, k)
@@ -482,24 +494,30 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	dw.grow(k)
 	newW := &dw.w[dw.cur^1]
 	dirty, flipped := dw.diffDirty(newW, &dw.w[dw.cur], k)
-	if flipped {
-		// Whether the repair or the full pass follows, the lists no longer
-		// match the new weights.
-		dw.adjValid = false
-	}
 	if float64(dirty) > dw.dirtyCrossover*float64(k) {
+		// The full pass follows; if an edge flipped, the lists no longer
+		// match its weights.
+		dw.adjValid = dw.adjValid && !flipped
 		return false // dirty fraction past the crossover
 	}
 	if dirty == 0 {
 		return true // weights unchanged: dist/succ are already the fixpoint
 	}
 
+	// The marking descends the old successor trees through the in-lists,
+	// so they must hold the finite-edge pattern the old successors were
+	// chosen over: w[cur]'s. One O(K²) sweep builds them, once per pattern.
+	if !dw.adjValid {
+		dw.buildAdjacency(&dw.w[dw.cur], k)
+		dw.adjValid = true
+	}
+
 	// Mark every destination in one batch before repairing any, and judge
-	// the policy volume from the summed counts: the walk is O(K) amortized
-	// per destination, so a bailout costs one O(K²) sweep before the full
-	// pass runs — noise against its K³ — and leaves dist/succ untouched.
-	// The counts are non-negative, so the sum passes the budget exactly
-	// when some prefix of destinations would. The same walk keeps each
+	// the policy volume from the summed counts: the descent costs only the
+	// affected volume, so a bailout costs little before the full pass runs
+	// — noise against its K³ — and leaves dist/succ untouched. The counts
+	// are non-negative, so the sum passes the budget exactly when some
+	// prefix of destinations would. The same descent keeps each
 	// destination's pivot bits for the re-labelling, which is a second
 	// batch: a re-labelling cell writes dist/succ, so it may start only
 	// once the bailout is ruled out.
@@ -510,17 +528,19 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 		total += int(c)
 	}
 	if total > budget {
+		dw.adjValid = !flipped
 		return false
 	}
 	dw.stats.DirtyVertices += dirty
 	dw.stats.AffectedPairs += total
 
 	// The re-labelling touches only existing edges, so the Dijkstra passes
-	// run over neighbour lists instead of scanning whole matrix rows. One
-	// O(K²) sweep builds them, once per finite-edge pattern.
-	if !dw.adjValid {
+	// run over neighbour lists instead of scanning whole matrix rows. They
+	// must list the new weights' edges, so an edge that appeared or
+	// vanished costs a second build; the lists then match w[cur] again once
+	// Recompute makes the new weights current.
+	if flipped {
 		dw.buildAdjacency(newW, k)
-		dw.adjValid = true
 	}
 
 	// Re-label each destination column, then restore the fixpoint with one
@@ -608,6 +628,7 @@ func (dw *DeltaWorkspace) grow(k int) {
 	dw.cols = make([]uint64, k*colWords(k))
 	dw.counts = make([]int32, k)
 	dw.heads = make([]int, 0, k)
+	dw.tails = make([]int, 0, k)
 	dw.adjOutOff = make([]int32, k+1)
 	dw.adjInOff = make([]int32, k+1)
 }
@@ -640,10 +661,11 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	}
 	dw.adjOut = dw.adjOut[:edges]
 	dw.adjIn = dw.adjIn[:edges]
-	// In-cursor per vertex; the caller's walk stack is free at this point.
-	cur := dw.scratch[0].walk[:0]
+	// In-cursor per vertex; the caller's descent stack is free at this
+	// point.
+	cur := dw.scratch[0].stack[:0]
 	for j := 0; j < k; j++ {
-		cur = append(cur, int(dw.adjInOff[j]))
+		cur = append(cur, dw.adjInOff[j])
 	}
 	n := 0
 	for i := 0; i < k; i++ {
@@ -661,12 +683,8 @@ func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
 	dw.adjOutOff[k] = int32(n)
 }
 
-// Set-membership and marking labels: the low bits of dw.member (the vertex
-// is in the set) and of dw.mark (the vertex's previous canonical path to the
-// destination touches the set). The pivot set is a subset of the policy set,
-// so pivotBit never appears without policyBit in dw.member. pivotBit is bit
-// 0 and policyBit bit 1, which markAffected relies on when it shifts the
-// labels into column words and counts.
+// Set membership, the bits of dw.member. The pivot set is a subset of the
+// policy set, so pivotBit never appears without policyBit.
 const (
 	pivotBit  = 1 << iota // the head of a changed edge
 	policyBit             // an endpoint of a changed edge
@@ -675,9 +693,10 @@ const (
 // diffDirty compares the new and previous weight matrices and records in
 // dw.member the policy set — both endpoints of every changed edge — and the
 // pivot set — the head j of every changed edge w[i][j] — and lists the
-// pivot set in ascending order in dw.heads. It returns the policy set's
-// size and whether any edge appeared or disappeared (a cell went from
-// finite to Inf or back).
+// pivot set in ascending order in dw.heads and the policy-only vertices
+// (tails of changed edges and nothing more) in dw.tails. It returns the
+// policy set's size and whether any edge appeared or disappeared (a cell
+// went from finite to Inf or back).
 func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) (dirty int, flipped bool) {
 	member := dw.member
 	clear(member)
@@ -691,10 +710,13 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) (dirty int, flipp
 			}
 		}
 	}
-	dw.heads = dw.heads[:0]
+	dw.heads, dw.tails = dw.heads[:0], dw.tails[:0]
 	for i, m := range member {
-		if m&pivotBit != 0 {
+		switch m {
+		case policyBit | pivotBit:
 			dw.heads = append(dw.heads, i)
+		case policyBit:
+			dw.tails = append(dw.tails, i)
 		}
 		if m != 0 {
 			dirty++
@@ -703,76 +725,79 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) (dirty int, flipp
 	return dirty, flipped
 }
 
-// markAffected walks the old successor trees towards destination j once and
-// labels every source with policyBit when its previous canonical path to j
-// touches the policy set and with pivotBit when it touches the pivot set
-// (endpoints included). A vertex's label is its own membership OR'd with
-// its successor's, so the walk stops only at a memo hit, a pivot-set vertex
-// (which carries both bits) or the end of the path; it passes policy-only
-// vertices, since a pivot bit may lie further down. A destination in a set
-// passes that set's bit to every source, unreachable ones included: all of
-// a pivot-set destination's sources get both bits, and all of a policy-set
-// destination's the policy bit. The labels live in s.mark, scoped to a
-// fresh epoch per call; every vertex is labelled on return, j as clean.
-// col receives the pivot bits (bit i for source i), and the two counts are
-// returned. It reads only column j of succ.
+// markAffected labels, for destination j, every source whose previous
+// canonical path to j touches the pivot set (col, bit i for source i) and
+// every source whose path touches the policy set (s.policyCol), endpoints
+// included, and returns both counts. A path touches a set exactly when its
+// source lies in the subtree of a set vertex in j's old successor tree, so
+// each label is a descent from the set's vertices (descend). A destination
+// in a set passes that set's label to every source, unreachable ones
+// included: every source of a pivot-set destination gets both labels, and
+// every source of a policy-set destination the policy label. So j is no
+// root of a descent, and succ(j, j) = j makes it no vertex's child: it is
+// never labelled. The pivot set lies in the policy set, so the policy
+// labels start from the pivot labels and the descent goes on from the
+// policy-only vertices. It reads only column j of succ.
 func (dw *DeltaWorkspace) markAffected(j, k int, col []uint64, s *repairScratch) (policy, pivot int) {
-	s.epoch++
-	e := s.epoch << 2
-	mark, member := s.mark, dw.member
-	// j is not its own source, so it is labelled clean and never walked.
-	mark[j] = e
-	// Every path into a destination in a set touches that set, and so do
-	// the paths that do not exist: every source inherits j's membership.
-	base := e | uint64(member[j])
-	succ := dw.sp.succ
-	walk := s.walk[:0]
-	for i := 0; i < k; i++ {
-		if mark[i] >= e {
+	policyCol := s.policyCol
+	if dw.member[j]&pivotBit != 0 {
+		fillAllBut(col, j, k)
+		copy(policyCol, col)
+		return k - 1, k - 1
+	}
+	clear(col)
+	pivot = dw.descend(j, k, col, dw.heads, s)
+	if dw.member[j]&policyBit != 0 {
+		fillAllBut(policyCol, j, k)
+		return k - 1, pivot
+	}
+	copy(policyCol, col)
+	return pivot + dw.descend(j, k, policyCol, dw.tails, s), pivot
+}
+
+// descend sets in set the bit of every vertex in the subtrees of
+// destination j's old successor tree rooted at roots that set does not hold
+// yet, and returns how many bits it set. The children of v are the
+// in-neighbours u of v with succ(u, j) = v; the in-lists hold every such
+// edge, since they list the finite edges of the weights the old successors
+// were chosen over. A vertex already in set has its whole
+// subtree there, so the descent does not pass it. Every vertex is pushed
+// at most once, so the descent ends on any successor graph, and it costs
+// the roots plus the in-degree of every vertex it labels.
+func (dw *DeltaWorkspace) descend(j, k int, set []uint64, roots []int, s *repairScratch) (n int) {
+	succ, in, off := dw.sp.succ, dw.adjIn, dw.adjInOff
+	stack := s.stack[:0]
+	for _, r := range roots {
+		if set[r>>6]>>(r&63)&1 != 0 {
 			continue
 		}
-		v := i
-		var lab uint64
-		for {
-			if mark[v] >= e {
-				lab = mark[v] & (policyBit | pivotBit)
-				break
+		set[r>>6] |= 1 << (r & 63)
+		stack = append(stack, int32(r))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			n++
+			for _, u := range in[off[v]:off[v+1]] {
+				if succ[int(u)*k+j] != topology.NodeID(v) || set[u>>6]>>(u&63)&1 != 0 {
+					continue
+				}
+				set[u>>6] |= 1 << (u & 63)
+				stack = append(stack, u)
 			}
-			lab = uint64(member[v])
-			if lab&pivotBit != 0 {
-				mark[v] = base | lab
-				break
-			}
-			s := succ[v*k+j]
-			// Unreachable pairs stay pivot-clean: any newly appearing
-			// path uses a changed edge and so runs into its head — the
-			// destination (which labels every source) or an intermediate
-			// the pivot passes discover.
-			if s == topology.Invalid || int(s) == j {
-				mark[v] = base | lab
-				break
-			}
-			walk = append(walk, v)
-			v = int(s)
 		}
-		for x := len(walk) - 1; x >= 0; x-- {
-			u := walk[x]
-			lab |= uint64(member[u])
-			mark[u] = base | lab
-		}
-		walk = walk[:0]
 	}
-	for x := range col {
-		lo := x << 6
-		var word uint64
-		for b, m := range mark[lo:min(lo+64, k)] {
-			word |= (m & pivotBit) << b
-			policy += int(m >> 1 & 1)
-		}
-		col[x] = word
-		pivot += bits.OnesCount64(word)
+	return n
+}
+
+// fillAllBut sets in the k-bit set the bit of every vertex but j.
+func fillAllBut(set []uint64, j, k int) {
+	for x := range set {
+		set[x] = ^uint64(0)
 	}
-	return policy, pivot
+	if r := k & 63; r != 0 {
+		set[len(set)-1] = 1<<r - 1
+	}
+	set[j>>6] &^= 1 << (j & 63)
 }
 
 // repairColumn re-labels the affected sources of destination j with a

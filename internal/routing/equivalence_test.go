@@ -472,6 +472,9 @@ func halfRepair(dw *DeltaWorkspace, alg Algorithm, state *SystemState) bool {
 		return false
 	}
 	s := &dw.scratch[0]
+	// The marking descends the old successor trees over the old edges, the
+	// re-labelling relaxes the new ones.
+	dw.buildAdjacency(&dw.w[dw.cur], k)
 	for j := 0; j < k; j++ {
 		dw.markAffected(j, k, dw.col(j, k), s)
 	}

@@ -179,8 +179,8 @@ func DefaultEARParams() EARParams { return EARParams{Q: 2, Levels: 8} }
 // absorbs the lightly penalised lengths added to it in floating point (and
 // as Q nears zero, penalised edges weigh nearly or exactly nothing), so
 // distinct paths tie and the Floyd–Warshall tie-break can leave a cycle in
-// the successor matrix, which the incremental repair's successor walk never
-// leaves. At the bound the incremental and full passes were checked
+// the successor matrix, which a route along the successors never leaves. At
+// the bound the incremental and full passes were checked
 // byte-identical for Q = 16 and 23.7 (8 levels) and Q = 2 (33 levels) on
 // 8x8 to 12x12 meshes.
 const maxPenaltySpread = 1 << 32
