@@ -28,7 +28,7 @@ import (
 // "all" last.
 var experimentNames = []string{
 	"fig2", "fig7", "table2", "fig8", "fig7-mc", "fig8-mc", "fig8-sharded",
-	"degradation", "opt-gap", "scaling", "ablation-q", "ablation-mapping",
+	"degradation", "opt-gap", "ablation-q", "ablation-mapping",
 	"ablation-battery", "ablation-concurrency", "ablation-links", "all",
 }
 
@@ -49,13 +49,13 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "all",
 			"which experiment to run: "+strings.Join(experimentNames[:len(experimentNames)-1], ", ")+" or all")
-		sizesFlag     = flag.String("sizes", "4,5,6,7,8", "comma-separated square mesh sizes")
-		ctrlFlag      = flag.String("controllers", "1,2,4,7,10", "comma-separated controller counts for fig8")
-		shardsFlag    = flag.String("shards", "", "comma-separated shard counts for fig8-sharded (1 = centralized baseline; default 1,2,4)")
-		stalenessFlag = flag.String("staleness", "", "comma-separated summary-exchange periods in frames for fig8-sharded (default 1,8,32)")
-		shardCtrlFlag = flag.String("shard-controllers", "", "comma-separated per-pool controller counts for fig8-sharded (0 = one infinite-energy controller; default 0,2)")
-		ratesFlag     = flag.String("fault-rates", "", "comma-separated per-frame fault rates for degradation (0 = fault-free baseline; default 0,0.02,0.05,0.1)")
-		recoveryFlag  = flag.String("recovery-frames", "", "comma-separated fault recovery windows in frames for degradation (default 4,16)")
+		sizesFlag     = flag.String("sizes", joinAxis(experiments.PaperMeshSizes()), "comma-separated square mesh sizes")
+		ctrlFlag      = flag.String("controllers", joinAxis(experiments.PaperControllerCounts()), "comma-separated controller counts for fig8")
+		shardsFlag    = flag.String("shards", joinAxis(experiments.DefaultShardCounts()), "comma-separated shard counts for fig8-sharded (1 = centralized baseline)")
+		stalenessFlag = flag.String("staleness", joinAxis(experiments.DefaultStalenessBounds()), "comma-separated summary-exchange periods in frames for fig8-sharded")
+		shardCtrlFlag = flag.String("shard-controllers", joinAxis(experiments.DefaultShardedControllerCounts()), "comma-separated per-pool controller counts for fig8-sharded (0 = one infinite-energy controller)")
+		ratesFlag     = flag.String("fault-rates", joinAxis(experiments.DefaultFaultRates()), "comma-separated per-frame fault rates for degradation (0 = fault-free baseline)")
+		recoveryFlag  = flag.String("recovery-frames", joinAxis(experiments.DefaultRecoveryFrames()), "comma-separated fault recovery windows in frames for degradation")
 		asCSV         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers       = flag.Int("workers", 0, "worker goroutines per sweep (0 = one per CPU, 1 = serial)")
 		charts        = flag.Bool("charts", false, "also render ASCII charts for the figures")
@@ -63,7 +63,6 @@ func main() {
 		seed          = flag.Uint64("seed", 1, "base seed for the Monte-Carlo sweeps and the placement search")
 		budget        = flag.Int("budget", 60, "simulations per search restart for opt-gap")
 		restarts      = flag.Int("restarts", 4, "independent search restarts per opt-gap cell")
-		crossings     = flag.Int("crossings", experiments.DefaultScalingCrossings, "battery-level crossings measured per mesh size for scaling")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile    = flag.String("memprofile", "", "write a heap profile taken after the experiments to this file")
 		spansFile     = flag.String("spans", "", "record every sweep cell in the flight recorder and write Chrome trace-event JSON to this file (one lane per worker; open in chrome://tracing or Perfetto)")
@@ -118,35 +117,25 @@ func main() {
 		fatal(err)
 	}
 
-	shardCounts := experiments.DefaultShardCounts()
-	if *shardsFlag != "" {
-		if shardCounts, err = cli.ParseInts(*shardsFlag, "shard count"); err != nil {
-			fatal(err)
-		}
+	shardCounts, err := cli.ParseInts(*shardsFlag, "shard count")
+	if err != nil {
+		fatal(err)
 	}
-	stalenessBounds := experiments.DefaultStalenessBounds()
-	if *stalenessFlag != "" {
-		if stalenessBounds, err = cli.ParseInts(*stalenessFlag, "staleness bound"); err != nil {
-			fatal(err)
-		}
+	stalenessBounds, err := cli.ParseInts(*stalenessFlag, "staleness bound")
+	if err != nil {
+		fatal(err)
 	}
-	shardControllers := experiments.DefaultShardedControllerCounts()
-	if *shardCtrlFlag != "" {
-		if shardControllers, err = cli.ParseInts(*shardCtrlFlag, "per-pool controller count"); err != nil {
-			fatal(err)
-		}
+	shardControllers, err := cli.ParseInts(*shardCtrlFlag, "per-pool controller count")
+	if err != nil {
+		fatal(err)
 	}
-	faultRates := experiments.DefaultFaultRates()
-	if *ratesFlag != "" {
-		if faultRates, err = cli.ParseFloats(*ratesFlag, "fault rate"); err != nil {
-			fatal(err)
-		}
+	faultRates, err := cli.ParseFloats(*ratesFlag, "fault rate")
+	if err != nil {
+		fatal(err)
 	}
-	recoveryFrames := experiments.DefaultRecoveryFrames()
-	if *recoveryFlag != "" {
-		if recoveryFrames, err = cli.ParseInts(*recoveryFlag, "recovery window"); err != nil {
-			fatal(err)
-		}
+	recoveryFrames, err := cli.ParseInts(*recoveryFlag, "recovery window")
+	if err != nil {
+		fatal(err)
 	}
 
 	parallelism := experiments.WithWorkers(*workers)
@@ -253,21 +242,6 @@ func main() {
 			fmt.Println(experiments.DegradationChart(rows).Render(60))
 		}
 	}
-	// The scaling study times big-mesh recomputes serially (minutes at the
-	// 64x64 point), so it is opt-in like the Monte-Carlo sweeps; it also
-	// ignores -sizes' paper-oriented default in favour of its own axis
-	// unless -sizes was set explicitly.
-	if wantExplicit("scaling") {
-		scalingSizes := experiments.DefaultScalingSizes()
-		if sizesSet {
-			scalingSizes = sizes
-		}
-		rows, err := experiments.Scaling(scalingSizes, *crossings)
-		if err != nil {
-			fatal(err)
-		}
-		emit(experiments.ScalingTable(rows))
-	}
 	if wantExplicit("opt-gap") {
 		rows, err := experiments.OptGap(sizes, *budget, *restarts, *seed, parallelism)
 		if err != nil {
@@ -319,6 +293,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "spans: %d cells recorded, written to %s\n", spanLog.Len(), *spansFile)
 	}
+}
+
+// joinAxis renders a default axis as the comma-separated list its flag
+// parses, so each default is written once, in package experiments.
+func joinAxis[T int | float64](axis []T) string {
+	parts := make([]string, len(axis))
+	for i, v := range axis {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, ",")
 }
 
 func fatal(err error) {

@@ -30,7 +30,7 @@ func TestParseExperimentsAcceptsKnownNames(t *testing.T) {
 // TestParseExperimentsRejectsUnknownNames fails a list with any unknown name,
 // even next to a known one, and names the valid experiments in the error.
 func TestParseExperimentsRejectsUnknownNames(t *testing.T) {
-	for _, list := range []string{"bogus", "fig2,bogus", "bogus,fig2", "fig2,,fig7", "", "Fig2", " fig2"} {
+	for _, list := range []string{"bogus", "scaling", "fig2,bogus", "bogus,fig2", "fig2,,fig7", "", "Fig2", " fig2"} {
 		_, err := parseExperiments(list)
 		if err == nil {
 			t.Errorf("-experiment %q accepted", list)

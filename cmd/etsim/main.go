@@ -32,8 +32,10 @@
 // select the controller architecture (see internal/controlplane), both ad hoc
 // and as overrides on a named scenario. -recompute selects the controller's
 // phase-2 strategy (incremental dirty-set repair, the default, or the full
-// Floyd-Warshall pass); the two are byte-identical in every output, the knob
-// exists for equivalence checks and timing comparisons.
+// Floyd-Warshall pass); the two are byte-identical whenever path sums are
+// exact, which covers every registered scenario and every dyadic -ear-q, and
+// can differ at other Q. The knob exists for equivalence checks and timing
+// comparisons.
 package main
 
 import (
@@ -94,7 +96,7 @@ func newOptions() *options {
 	fs.StringVar(&o.planeName, "controlplane", "", "control-plane architecture: centralized (default) or sharded; overrides the scenario's when combined with -scenario")
 	fs.IntVar(&o.shards, "shards", 0, "number of regional controllers under -controlplane sharded (0 = default)")
 	fs.IntVar(&o.staleness, "staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
-	fs.StringVar(&o.recompute, "recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical either way; overrides the scenario's when combined with -scenario")
+	fs.StringVar(&o.recompute, "recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical whenever path sums are exact (every registered scenario, dyadic -ear-q); overrides the scenario's when combined with -scenario")
 	fs.StringVar(&o.faultSpec, "faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
 	fs.Uint64Var(&o.seed, "seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed for this run (cmd/etcampaign replicates a scenario over a seed stream)")
 	return o

@@ -108,8 +108,10 @@ type Config struct {
 	// Recompute selects the phase-2 strategy: "" or "incremental" repairs
 	// the shortest-path matrices from the dirty set with automatic full
 	// fallback, "full" always reruns the complete Floyd–Warshall pass.
-	// Both produce byte-identical tables; the knob exists as a baseline
-	// for equivalence checks and scaling measurements.
+	// Both produce byte-identical tables whenever path sums are exact
+	// (every registered scenario, every dyadic EAR Q); at other Q they can
+	// differ. The knob exists as a baseline for equivalence checks and
+	// timing comparisons.
 	Recompute string
 }
 

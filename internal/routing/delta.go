@@ -22,8 +22,9 @@ const (
 	// RecomputeFull always takes the full O(K³) pass: phase 1, then
 	// ShortestPaths.ComputeFrom (or a copy of a donor's bit-identical full
 	// pass, see Recompute), then phase 3. It is the reference the
-	// equivalence tests, the scaling experiment and the CI byte-diff smoke
-	// hold the repair to.
+	// equivalence tests and the CI byte-diff smoke hold the repair to; the
+	// two agree whenever path sums are exact, which covers every registered
+	// scenario and every dyadic EAR Q, and can differ at other Q.
 	RecomputeFull
 )
 

@@ -84,9 +84,6 @@ func assertPlansIdentical(t *testing.T, got, want *Plan) {
 	}
 	assertSuccMatchesReachability(t, gp)
 	assertSuccMatchesReachability(t, wp)
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Fatal("fingerprints diverged despite identical contents")
-	}
 }
 
 // assertSuccMatchesReachability asserts that every off-diagonal successor
@@ -940,8 +937,10 @@ func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // benchDrain drives one battery-threshold crossing per iteration through a
-// DeltaWorkspace in the given mode — the controller hot path the scaling
-// claim is about.
+// DeltaWorkspace in the given mode — the controller's steady-state hot path.
+// Beside the time it reports, from the workspace's DeltaStats over the timed
+// loop, the share of recomputes repaired and, per repair, the policy set as
+// a fraction of K and the affected pairs as a fraction of K².
 func benchDrain(b *testing.B, meshSize int, mode RecomputeMode) {
 	mesh := topology.MustMesh(meshSize, meshSize, 1)
 	state := fullState(mesh.Graph, 8)
@@ -954,12 +953,22 @@ func benchDrain(b *testing.B, meshSize int, mode RecomputeMode) {
 		state.Status[i].BatteryLevel = 6
 		prev = dw.ComputeInto(alg, state, dests, prev).Tables
 	}
+	before := dw.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := &state.Status[i%len(state.Status)]
 		st.BatteryLevel = (st.BatteryLevel + 1) % 8
 		prev = dw.ComputeInto(alg, state, dests, prev).Tables
+	}
+	b.StopTimer()
+	after := dw.Stats()
+	repairs := after.Incremental - before.Incremental
+	b.ReportMetric(float64(repairs)/float64(b.N), "repaired/op")
+	if repairs > 0 {
+		k := float64(len(state.Status))
+		b.ReportMetric(float64(after.DirtyVertices-before.DirtyVertices)/float64(repairs)/k, "dirty/K")
+		b.ReportMetric(float64(after.AffectedPairs-before.AffectedPairs)/float64(repairs)/(k*k), "affected/K^2")
 	}
 }
 

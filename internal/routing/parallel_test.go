@@ -10,8 +10,8 @@ import (
 )
 
 // This file holds a workspace's Team batches (see DeltaWorkspace) to the
-// one-goroutine run: the same plans, fingerprints and counters at every
-// GOMAXPROCS, and no allocation once a helper has joined.
+// one-goroutine run: the same plans and counters at every GOMAXPROCS, and
+// no allocation once a helper has joined.
 
 // setProcs sets GOMAXPROCS for the rest of the test and restores it after.
 func setProcs(t *testing.T, n int) {
@@ -21,10 +21,9 @@ func setProcs(t *testing.T, n int) {
 
 // lockstepProcs drives one incremental workspace per GOMAXPROCS setting in
 // procs over the same trajectory, each chaining its own prev tables, and
-// asserts after every round that each plan (assertPlansIdentical, which
-// also compares fingerprints) and each workspace's DeltaStats equal those
-// of the first setting. step applies round's change to state before the
-// workspaces recompute it.
+// asserts after every round that each plan (assertPlansIdentical) and each
+// workspace's DeltaStats equal those of the first setting. step applies
+// round's change to state before the workspaces recompute it.
 func lockstepProcs(t *testing.T, procs []int, alg Algorithm, state *SystemState, dests map[app.ModuleID][]topology.NodeID, rounds int, step func(round int)) []*DeltaWorkspace {
 	t.Helper()
 	old := runtime.GOMAXPROCS(0)

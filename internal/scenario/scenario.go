@@ -142,9 +142,10 @@ type Spec struct {
 	StalenessFrames int
 	// Recompute selects the controller's phase-2 strategy: "" or
 	// "incremental" (dirty-set repair with automatic full fallback) or
-	// "full" (always the complete Floyd–Warshall pass). The strategies are
-	// byte-identical in every output, so the knob only changes controller
-	// compute time.
+	// "full" (always the complete Floyd–Warshall pass). The strategies give
+	// byte-identical outputs whenever path sums are exact, which covers
+	// every registered scenario and every dyadic EARQ; at other Q they can
+	// differ until the repair handles rounded sums.
 	Recompute string
 	// FiniteControllers attaches thin-film batteries to the controllers
 	// (the Sec 7.3 scenario); false models the infinite-energy controller.
