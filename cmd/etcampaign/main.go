@@ -17,11 +17,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/campaign"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -49,11 +51,11 @@ func main() {
 			*scenarioName, len(scenario.Names())))
 	}
 
-	res, err := campaign.Run(campaign.Spec{
+	res, err := campaign.Run(context.Background(), runner.New(runner.WithWorkers(*workers)), campaign.Spec{
 		Scenario:     spec,
 		Replications: *replications,
 		Seed:         *seed,
-	}, campaign.WithWorkers(*workers))
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"repro/internal/optimize"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -73,19 +74,19 @@ func main() {
 		fatal(fmt.Errorf("unknown objective %q (want sim, analytic or campaign)", *objectiveName))
 	}
 
-	var opt optimize.Optimizer
+	var opt optimize.MultiRestart
 	switch *strategyName {
 	case "climb":
-		opt = optimize.MultiRestart{Inner: optimize.HillClimb{}, Restarts: *restarts, Workers: *workers}
+		opt = optimize.MultiRestart{Inner: optimize.Climb, Restarts: *restarts}
 	case "anneal":
-		opt = optimize.MultiRestart{Inner: optimize.Anneal{}, Restarts: *restarts, Workers: *workers}
+		opt = optimize.MultiRestart{Inner: optimize.Anneal, Restarts: *restarts}
 	case "restart":
-		opt = optimize.MultiRestart{Restarts: *restarts, Workers: *workers, RandomStarts: true}
+		opt = optimize.MultiRestart{Restarts: *restarts, RandomStarts: true}
 	default:
 		fatal(fmt.Errorf("unknown strategy %q (want climb, anneal or restart)", *strategyName))
 	}
 
-	rpt, err := opt.Optimize(optimize.Problem{
+	rpt, err := opt.Optimize(runner.New(runner.WithWorkers(*workers)), optimize.Problem{
 		Spec:      spec,
 		Objective: objective,
 		Budget:    *budget,

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/scenario"
@@ -19,8 +20,8 @@ func BenchmarkCampaign(b *testing.B) {
 	b.Run("run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(Spec{Scenario: base, Replications: replicates, Seed: 1},
-				WithWorkers(1)); err != nil {
+			if _, err := Run(context.Background(), newPool(1),
+				Spec{Scenario: base, Replications: replicates, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -84,33 +84,6 @@ func (sp Spec) Replicate(i int) scenario.Spec {
 	return rep
 }
 
-// Option configures how a campaign executes.
-type Option func(*config)
-
-type config struct {
-	workers int
-	ctx     context.Context
-}
-
-// WithWorkers sets the number of worker goroutines simulating replicates.
-// Values below 1 (and the default) select runner.DefaultWorkers();
-// WithWorkers(1) forces a serial run. The aggregates are identical for every
-// worker count.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
-// WithContext ties the campaign to a context: once cancelled, no new
-// replicates start and the in-flight ones abort at their next scheduling
-// boundary (via sim.Config.Cancel), so an abandoned campaign stops burning
-// CPU promptly. Run then returns the context's error. The aggregates of a
-// campaign that ran to completion are unaffected by the option.
-func WithContext(ctx context.Context) Option {
-	return func(c *config) {
-		if ctx != nil {
-			c.ctx = ctx
-		}
-	}
-}
-
 // Result holds a campaign's streaming aggregates: one stats.Summary per
 // reported metric, each folded over every replicate. No per-replicate data
 // is retained.
@@ -223,16 +196,20 @@ func (r *Result) Table() *stats.Table {
 
 // Run executes the campaign: Replications independent replicates of the base
 // scenario, seeded by the campaign's stream, simulated in fixed-size batches
-// over a runner pool and folded into a fresh Result in replicate order.
+// as cells of the caller's pool and folded into a fresh Result in replicate
+// order. The aggregates are identical for every pool size.
 //
 // Errors from any replicate abort the campaign with the lowest failing
-// replicate's error (runner's schedule-independent error selection).
-func Run(sp Spec, opts ...Option) (*Result, error) {
-	return run(sp, batchSize, opts...)
+// replicate's error (runner's schedule-independent error selection). Once
+// ctx is cancelled no new replicate starts and the in-flight ones abort at
+// their next scheduling boundary (via sim.Config.Cancel); Run then returns
+// the context's error, never a partial aggregate.
+func Run(ctx context.Context, pool *runner.Pool, sp Spec) (*Result, error) {
+	return run(ctx, pool, sp, batchSize)
 }
 
 // run is Run with batches of the given size.
-func run(sp Spec, batch int, opts ...Option) (*Result, error) {
+func run(ctx context.Context, pool *runner.Pool, sp Spec, batch int) (*Result, error) {
 	if sp.Replications < 1 {
 		return nil, fmt.Errorf("campaign %s: replications must be >= 1, got %d",
 			sp.Scenario.Label(), sp.Replications)
@@ -243,12 +220,6 @@ func run(sp Spec, batch int, opts ...Option) (*Result, error) {
 	if _, err := sp.Replicate(0).Strategy(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	cfg := config{ctx: context.Background()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pool := runner.New(runner.WithWorkers(cfg.workers), runner.WithContext(cfg.ctx))
-
 	// simulate runs one replicate, threading the campaign context into the
 	// engine's scheduling loop (the background context's nil Done channel
 	// leaves the run uncancellable).
@@ -257,7 +228,7 @@ func run(sp Spec, batch int, opts ...Option) (*Result, error) {
 		if err != nil {
 			return sim.Result{}, err
 		}
-		s.Run.Cancel = cfg.ctx.Done()
+		s.Run.Cancel = ctx.Done()
 		return s.Simulate()
 	}
 
@@ -275,6 +246,11 @@ func run(sp Spec, batch int, opts ...Option) (*Result, error) {
 		// Simulate the batch in parallel: each cell owns its simulator and
 		// writes its result at its batch slot, so the buffer needs no locks.
 		err := pool.Run(n, func(j int) error {
+			if err := ctx.Err(); err != nil {
+				// Cancelled before this replicate started: its error cancels
+				// the rest of the batch, so none of them is simulated.
+				return err
+			}
 			out, err := simulate(sp.Replicate(start + j))
 			if err != nil {
 				return fmt.Errorf("replicate %d: %w", start+j, err)
@@ -283,7 +259,7 @@ func run(sp Spec, batch int, opts ...Option) (*Result, error) {
 				// A truncated replicate must never be folded: abort the campaign
 				// with the context's error so callers cannot mistake a partial
 				// aggregate for a real one.
-				if err := cfg.ctx.Err(); err != nil {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
 				return fmt.Errorf("replicate %d: cancelled", start+j)

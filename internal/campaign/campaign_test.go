@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -192,7 +193,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal("paper-default not registered")
 	}
 	sp := Spec{Scenario: base, Replications: 100, Seed: 1}
-	ref, err := Run(sp, WithWorkers(1))
+	ref, err := Run(context.Background(), newPool(1), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("jobs aggregate folded %d replicates, want 100", ref.Jobs.Count())
 	}
 	for _, workers := range testWorkerCounts() {
-		res, err := Run(sp, WithWorkers(workers))
+		res, err := Run(context.Background(), newPool(workers), sp)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -227,7 +228,7 @@ func TestCampaignVarianceAcrossSeededDraws(t *testing.T) {
 		FailedLinkFraction: 0.1,
 	}
 	sp := Spec{Scenario: base, Replications: 16, Seed: 3}
-	ref, err := Run(sp, WithWorkers(1))
+	ref, err := Run(context.Background(), newPool(1), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestCampaignVarianceAcrossSeededDraws(t *testing.T) {
 		t.Errorf("CI95 = %g, want > 0", ref.Jobs.CI95())
 	}
 	for _, workers := range testWorkerCounts()[1:] {
-		res, err := Run(sp, WithWorkers(workers))
+		res, err := Run(context.Background(), newPool(workers), sp)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -250,7 +251,7 @@ func TestCampaignVarianceAcrossSeededDraws(t *testing.T) {
 		}
 	}
 	// A different campaign seed draws a different replicate sequence.
-	other, err := Run(Spec{Scenario: base, Replications: 16, Seed: 4}, WithWorkers(1))
+	other, err := Run(context.Background(), newPool(1), Spec{Scenario: base, Replications: 16, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +265,12 @@ func TestCampaignVarianceAcrossSeededDraws(t *testing.T) {
 // identical aggregates.
 func TestCampaignBatchSizeInvariant(t *testing.T) {
 	base := scenario.Spec{Mesh: 4, Mapping: scenario.MappingRandom}
-	ref, err := run(Spec{Scenario: base, Replications: 7, Seed: 2}, 7, WithWorkers(2))
+	ref, err := run(context.Background(), newPool(2), Spec{Scenario: base, Replications: 7, Seed: 2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 2, 3, 64} {
-		res, err := run(Spec{Scenario: base, Replications: 7, Seed: 2}, batch, WithWorkers(2))
+		res, err := run(context.Background(), newPool(2), Spec{Scenario: base, Replications: 7, Seed: 2}, batch)
 		if err != nil {
 			t.Fatalf("batch=%d: %v", batch, err)
 		}
@@ -283,13 +284,13 @@ func TestCampaignBatchSizeInvariant(t *testing.T) {
 }
 
 func TestCampaignErrors(t *testing.T) {
-	if _, err := Run(Spec{Scenario: scenario.Spec{Mesh: 4}}); err == nil {
+	if _, err := Run(context.Background(), newPool(0), Spec{Scenario: scenario.Spec{Mesh: 4}}); err == nil {
 		t.Error("zero replications accepted")
 	}
-	if _, err := Run(Spec{Scenario: scenario.Spec{Mesh: -1}, Replications: 2}); err == nil {
+	if _, err := Run(context.Background(), newPool(0), Spec{Scenario: scenario.Spec{Mesh: -1}, Replications: 2}); err == nil {
 		t.Error("invalid mesh accepted")
 	}
-	if _, err := Run(Spec{
+	if _, err := Run(context.Background(), newPool(0), Spec{
 		Scenario:     scenario.Spec{Mesh: 4, Algorithm: "nope"},
 		Replications: 2,
 	}); err == nil {
@@ -307,14 +308,14 @@ func TestCampaignContextCancelsRunningReplicate(t *testing.T) {
 	// One 12x12 replicate simulates for seconds; the cancellation lands
 	// mid-run.
 	time.AfterFunc(20*time.Millisecond, cancel)
-	res, err := Run(Spec{Scenario: scenario.Spec{Mesh: 12}, Replications: 1, Seed: 1}, WithContext(ctx))
+	res, err := Run(ctx, newPool(0), Spec{Scenario: scenario.Spec{Mesh: 12}, Replications: 1, Seed: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, %v; want context.Canceled", res, err)
 	}
 }
 
 func TestCampaignResultRendering(t *testing.T) {
-	res, err := Run(Spec{Scenario: scenario.Spec{Mesh: 4}, Replications: 3, Seed: 1}, WithWorkers(1))
+	res, err := Run(context.Background(), newPool(1), Spec{Scenario: scenario.Spec{Mesh: 4}, Replications: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +347,11 @@ func TestCampaignResultRendering(t *testing.T) {
 // payload-verification contract: verified scenarios surface their counters
 // as extra metrics and AnyPayloadMismatch reflects the replicates.
 func TestCampaignPayloadVerification(t *testing.T) {
-	res, err := Run(Spec{
+	res, err := Run(context.Background(), newPool(1), Spec{
 		Scenario:     scenario.Spec{Mesh: 4, VerifyPayload: true},
 		Replications: 2,
 		Seed:         1,
-	}, WithWorkers(1))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestCampaignReplicateReconstruction(t *testing.T) {
 		}
 		direct[i] = out
 	}
-	res, err := Run(sp, WithWorkers(4))
+	res, err := Run(context.Background(), newPool(4), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,3 +424,6 @@ func TestCampaignReplicateReconstruction(t *testing.T) {
 		t.Error("campaign aggregates differ from individually reconstructed replicates")
 	}
 }
+
+// newPool returns a runner pool of n workers (n < 1 selects the default).
+func newPool(n int) *runner.Pool { return runner.New(runner.WithWorkers(n)) }

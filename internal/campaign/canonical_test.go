@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -107,26 +108,26 @@ func TestCampaignParseSpecJSON(t *testing.T) {
 	}
 }
 
-// TestCampaignWithContextCancel: a cancelled campaign aborts with the
-// context's error instead of returning a partial aggregate.
+// TestCampaignWithContextCancel is the dispatch-promptness contract: under an
+// already-cancelled context no replicate may start, and Run returns the
+// context's error instead of a partial aggregate. One 64x64 replicate
+// simulates for many seconds, so a campaign that started any of its
+// replicates could not return before the deadline.
 func TestCampaignWithContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sp := Spec{Scenario: scenario.Spec{Mesh: 6}, Replications: 64, Seed: 1}
+	sp := Spec{Scenario: scenario.Spec{Mesh: 64}, Replications: 64, Seed: 1}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(sp, WithWorkers(2), WithContext(ctx))
+		_, err := Run(ctx, newPool(2), sp)
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled campaign returned a result")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 		}
-		if !strings.Contains(err.Error(), context.Canceled.Error()) {
-			t.Fatalf("cancelled campaign returned unrelated error: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled campaign did not abort promptly")
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled campaign simulated a replicate")
 	}
 }

@@ -9,19 +9,7 @@ package campaign
 // requirement, and any replicate's seeds can be recomputed in isolation
 // (which is how a single interesting draw is re-run under `etsim -seed`).
 
-// golden is the SplitMix64 state increment (2^64 / φ, odd).
-const golden = 0x9E3779B97F4A7C15
-
-// mix64 is the SplitMix64 output function: a bijective finalizer that turns
-// the weakly distributed state counter into a well-mixed 64-bit value.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
+import "repro/internal/splitmix"
 
 // Stream derives per-replicate seeds from one base seed. The zero value is a
 // valid stream (base seed 0).
@@ -69,7 +57,7 @@ func (s Stream) At(i int) Seeds {
 // subsystems (the placement optimizer's move streams) address the same
 // sequence directly.
 func (s Stream) Word(i uint64) uint64 {
-	return mix64(s.Base + (i+1)*golden)
+	return splitmix.Word(s.Base, i)
 }
 
 // Sub derives an independent child stream: child i's draws are unrelated to
@@ -80,8 +68,8 @@ func (s Stream) Word(i uint64) uint64 {
 // base seed.
 func (s Stream) Sub(i uint64) Stream {
 	// The child base is a fully mixed function of (Base, i): running the
-	// counter through mix64 before it becomes a base keeps child i's word
-	// sequence from ever aliasing child j's (a plain additive offset would
-	// make Sub(i).Word(k) collide with Sub(i+1).Word(k-1)).
-	return Stream{Base: mix64(mix64(s.Base^0xA5A5A5A5A5A5A5A5) + (i+1)*golden)}
+	// counter through the finalizer before it becomes a base keeps child i's
+	// word sequence from ever aliasing child j's (a plain additive offset
+	// would make Sub(i).Word(k) collide with Sub(i+1).Word(k-1)).
+	return Stream{Base: splitmix.Word(splitmix.Mix(s.Base^0xA5A5A5A5A5A5A5A5), i)}
 }

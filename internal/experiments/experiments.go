@@ -79,17 +79,6 @@ func newPool(opts []Option) *runner.Pool {
 	return runner.New(ropts...)
 }
 
-// workerCount resolves the configured worker budget of a sweep invocation
-// (0 = the runner default), for sweeps that hand their parallelism to an
-// inner layer instead of a pool of their own.
-func workerCount(opts []Option) int {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.workers
-}
-
 // ---------------------------------------------------------------------------
 // Fig 2: thin-film battery discharge curve
 // ---------------------------------------------------------------------------

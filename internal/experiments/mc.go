@@ -10,13 +10,14 @@ package experiments
 // which keeps the comparison's variance far below that of independent draws.
 //
 // Parallelism lives at the replicate level: cells run in sequence and each
-// cell's campaign fans its replicates out over the sweep's full worker
-// budget — replicates outnumber cells by an order of magnitude, so this is
-// where the parallelism is. Campaign aggregates are worker-independent by
+// cell's campaign runs its replicates as cells of the sweep's pool —
+// replicates outnumber cells by an order of magnitude, so this is where the
+// parallelism is. Campaign aggregates are worker-independent by
 // construction, so these sweeps inherit the determinism guarantee of the
 // rest of the package.
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/campaign"
@@ -48,24 +49,24 @@ func (r Fig7MCRow) MeanGain() float64 {
 // draws from the seed stream at the given base seed) and reports the
 // aggregate job counts with error bars.
 func Fig7MC(sizes []int, replications int, seed uint64, opts ...Option) ([]Fig7MCRow, error) {
-	workers := campaign.WithWorkers(workerCount(opts))
+	pool := newPool(opts)
 	rows := make([]Fig7MCRow, 0, len(sizes))
 	for _, n := range sizes {
-		ear, err := campaign.Run(campaign.Spec{
+		ear, err := campaign.Run(context.TODO(), pool, campaign.Spec{
 			Scenario:     scenario.Spec{Mesh: n, Mapping: scenario.MappingRandom},
 			Replications: replications,
 			Seed:         seed,
-		}, workers)
+		})
 		if err != nil {
 			return nil, err
 		}
-		sdr, err := campaign.Run(campaign.Spec{
+		sdr, err := campaign.Run(context.TODO(), pool, campaign.Spec{
 			Scenario: scenario.Spec{
 				Mesh: n, Algorithm: scenario.AlgorithmSDR, Mapping: scenario.MappingRandom,
 			},
 			Replications: replications,
 			Seed:         seed, // same stream: paired placements with the EAR campaign
-		}, workers)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -118,19 +119,19 @@ type Fig8MCRow struct {
 // base seed, so each replicate index places modules identically across the
 // whole grid.
 func Fig8MC(sizes, controllerCounts []int, replications int, seed uint64, opts ...Option) ([]Fig8MCRow, error) {
-	workers := campaign.WithWorkers(workerCount(opts))
+	pool := newPool(opts)
 	cells := runner.Grid(sizes, controllerCounts)
 	rows := make([]Fig8MCRow, 0, len(cells))
 	for _, cell := range cells {
 		n, ctrl := cell.A, cell.B
-		res, err := campaign.Run(campaign.Spec{
+		res, err := campaign.Run(context.TODO(), pool, campaign.Spec{
 			Scenario: scenario.Spec{
 				Mesh: n, Controllers: ctrl, FiniteControllers: true,
 				Mapping: scenario.MappingRandom,
 			},
 			Replications: replications,
 			Seed:         seed,
-		}, workers)
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // mcReplicates keeps the Monte-Carlo sweep tests fast while still leaving
@@ -113,5 +115,25 @@ func TestMCSweepsPropagateErrors(t *testing.T) {
 	}
 	if _, err := Fig8MC([]int{4}, []int{-3}, 2, 1); err == nil {
 		t.Error("Fig8MC accepted a negative controller count")
+	}
+}
+
+// TestReplicatedSweepsRecordSpans: the replicated sweeps run their
+// campaigns and searches on the sweep's own pool, so the flight recorder
+// attached with WithSpans sees their cells like any other sweep's.
+func TestReplicatedSweepsRecordSpans(t *testing.T) {
+	sweeps := map[string]func(Option) error{
+		"fig7-mc": func(o Option) error { _, err := Fig7MC([]int{4}, 2, 1, o); return err },
+		"fig8-mc": func(o Option) error { _, err := Fig8MC([]int{4}, []int{1}, 2, 1, o); return err },
+		"opt-gap": func(o Option) error { _, err := OptGap([]int{4}, 2, 2, 1, o); return err },
+	}
+	for name, run := range sweeps {
+		s := &trace.Spans{}
+		if err := run(Options(WithWorkers(2), WithSpans(s))); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Len() == 0 {
+			t.Errorf("%s recorded no span", name)
+		}
 	}
 }

@@ -9,7 +9,7 @@ package experiments
 // deterministic simulation, against J*.
 //
 // Like the Monte-Carlo sweeps, cells run in sequence and each cell's search
-// fans its restarts out over the sweep's worker budget: restarts outnumber
+// runs its restarts as cells of the sweep's pool: restarts outnumber
 // cells and each restart costs Budget simulations, so that is where the
 // parallelism is. The optimizer folds restart results in input order, so the
 // sweep inherits the package's determinism guarantee.
@@ -61,7 +61,7 @@ func (r OptGapRow) OptimizedFrac() float64 { return float64(r.OptimizedJobs) / r
 // restart placements are paired (common random numbers), exactly as in the
 // Monte-Carlo sweeps.
 func OptGap(sizes []int, budget, restarts int, seed uint64, opts ...Option) ([]OptGapRow, error) {
-	workers := workerCount(opts)
+	pool := newPool(opts)
 	rows := make([]OptGapRow, 0, 2*len(sizes))
 	for _, n := range sizes {
 		for _, alg := range []string{scenario.AlgorithmEAR, scenario.AlgorithmSDR} {
@@ -89,14 +89,12 @@ func OptGap(sizes []int, budget, restarts int, seed uint64, opts ...Option) ([]O
 			randomProblem := problem
 			randomProblem.Budget = 1
 			randomBest, err := optimize.MultiRestart{
-				Restarts: restarts, Workers: workers, RandomStarts: true,
-			}.Optimize(randomProblem)
+				Restarts: restarts, RandomStarts: true,
+			}.Optimize(pool, randomProblem)
 			if err != nil {
 				return nil, fmt.Errorf("opt-gap %s %dx%d random-best: %w", alg, n, n, err)
 			}
-			optimized, err := optimize.MultiRestart{
-				Restarts: restarts, Workers: workers,
-			}.Optimize(problem)
+			optimized, err := optimize.MultiRestart{Restarts: restarts}.Optimize(pool, problem)
 			if err != nil {
 				return nil, fmt.Errorf("opt-gap %s %dx%d search: %w", alg, n, n, err)
 			}

@@ -7,12 +7,11 @@
 //
 // Everything here is a pure function of (Spec, Seed, frame index, traversal
 // history): the schedule uses an index-addressed SplitMix64 draw per frame
-// (the same generator family as campaign.Stream, duplicated privately to
-// avoid an import cycle through scenario), no clocks, no shared state, no
-// dependence on goroutine scheduling. Two runs of the same scenario therefore
-// see byte-identical fault sequences at any worker count, which is what lets
-// chaos scenarios and degradation sweeps live inside the repo's determinism
-// contract. See DESIGN.md, "Fault-injection contract".
+// (internal/splitmix, the generator behind campaign.Stream), no clocks, no
+// shared state, no dependence on goroutine scheduling. Two runs of the same
+// scenario therefore see byte-identical fault sequences at any worker count,
+// which is what lets chaos scenarios and degradation sweeps live inside the
+// repo's determinism contract. See DESIGN.md, "Fault-injection contract".
 package faults
 
 import (
@@ -21,25 +20,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/splitmix"
 	"repro/internal/topology"
 )
-
-// golden is the SplitMix64 state increment (2^64 / φ, odd) and mix64 its
-// output finalizer; both match campaign.Stream so a Seed drawn from the
-// campaign's Transient channel behaves like any other stream consumer.
-const golden = 0x9E3779B97F4A7C15
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// word returns draw i of the seed's private stream.
-func word(seed, i uint64) uint64 { return mix64(seed + (i+1)*golden) }
 
 // u01 maps a 64-bit draw to the open unit interval (never exactly 0 or 1, so
 // it is safe inside a logarithm).
@@ -444,9 +427,9 @@ func New(spec Spec, g *topology.Graph, shards int) *Runtime {
 		scale := spec.WearMeanTraversals / math.Gamma(1+1/shape)
 		// The wear budgets live on their own sub-stream (seed XOR a fixed
 		// tag) so they never alias the per-frame draws.
-		wearSeed := mix64(spec.Seed ^ 0xC2B2AE3D27D4EB4F)
+		wearSeed := splitmix.Mix(spec.Seed ^ 0xC2B2AE3D27D4EB4F)
 		for i := range r.links {
-			u := u01(word(wearSeed, uint64(i)))
+			u := u01(splitmix.Word(wearSeed, uint64(i)))
 			r.links[i].wearBudget = scale * math.Pow(-math.Log(u), 1/shape)
 		}
 	}
@@ -548,7 +531,7 @@ func (r *Runtime) FrameStart(frame int64) []Event {
 
 	// --- fresh transient link fault --------------------------------------
 	base := uint64(frame) * 4
-	if r.spec.LinkRate > 0 && u01(word(r.spec.Seed, base)) < r.spec.LinkRate {
+	if r.spec.LinkRate > 0 && u01(splitmix.Word(r.spec.Seed, base)) < r.spec.LinkRate {
 		r.candidates = r.candidates[:0]
 		for i := range r.links {
 			if r.links[i].downUntil == 0 && !r.links[i].broken {
@@ -556,7 +539,7 @@ func (r *Runtime) FrameStart(frame int64) []Event {
 			}
 		}
 		if len(r.candidates) > 0 {
-			i := r.candidates[word(r.spec.Seed, base+1)%uint64(len(r.candidates))]
+			i := r.candidates[splitmix.Word(r.spec.Seed, base+1)%uint64(len(r.candidates))]
 			l := &r.links[i]
 			if err := r.graph.RemoveBiLink(l.from, l.to); err == nil {
 				l.downUntil = frame + r.spec.LinkRecoveryFrames
@@ -567,7 +550,7 @@ func (r *Runtime) FrameStart(frame int64) []Event {
 	}
 
 	// --- fresh node crash -------------------------------------------------
-	if r.spec.NodeRate > 0 && u01(word(r.spec.Seed, base+2)) < r.spec.NodeRate {
+	if r.spec.NodeRate > 0 && u01(splitmix.Word(r.spec.Seed, base+2)) < r.spec.NodeRate {
 		r.candidates = r.candidates[:0]
 		for n := range r.nodeDownUntil {
 			if r.nodeDownUntil[n] == 0 {
@@ -575,7 +558,7 @@ func (r *Runtime) FrameStart(frame int64) []Event {
 			}
 		}
 		if len(r.candidates) > 0 {
-			n := r.candidates[word(r.spec.Seed, base+3)%uint64(len(r.candidates))]
+			n := r.candidates[splitmix.Word(r.spec.Seed, base+3)%uint64(len(r.candidates))]
 			r.nodeDownUntil[n] = frame + r.spec.NodeRecoveryFrames
 			r.pendingRecoveries++
 			r.events = append(r.events, Event{Kind: NodeCrash, Node: topology.NodeID(n), RecoverAt: r.nodeDownUntil[n]})

@@ -47,7 +47,7 @@ func BenchmarkOptimize(b *testing.B) {
 		b.ReportAllocs()
 		evals := 0
 		for i := 0; i < b.N; i++ {
-			rpt, err := HillClimb{}.Optimize(p)
+			rpt, err := MultiRestart{Restarts: 1}.Optimize(workers(1), p)
 			if err != nil {
 				b.Fatal(err)
 			}

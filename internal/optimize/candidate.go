@@ -1,9 +1,9 @@
 // Package optimize searches the space of module→node placements for a
 // scenario. The paper fixes the mapping up front (the Sec 5.2 checkerboard)
 // and uses Theorem 1 only as an analytical yardstick; this package closes the
-// loop by treating the placement as a decision variable: a metaheuristic
-// search — greedy hill-climb, simulated annealing or multi-restart search —
-// walks the discrete space of dense module→node assignments, scoring each
+// loop by treating the placement as a decision variable: one multi-restart
+// search loop, greedy hill-climb or simulated annealing by its acceptance
+// rule, walks the discrete space of dense module→node assignments, scoring each
 // candidate with a pluggable Objective (the fast Theorem-1 surrogate, a
 // single et_sim run, or a replicated campaign mean for stochastic scenarios),
 // and the winning placement is exported as a mapping.Explicit assignment that
@@ -14,9 +14,9 @@
 //   - Determinism. Move k of restart r is a pure function of the problem's
 //     base seed: restarts derive index-addressed child streams from
 //     campaign.Stream and every move draws its words by index, never from
-//     shared generator state. Restarts fan out over runner.Pool with
-//     input-order folding, so the chosen placement is byte-identical at
-//     every worker count.
+//     shared generator state. Restarts run as cells of the caller's
+//     runner.Pool with input-order folding, so the chosen placement is
+//     byte-identical at every worker count.
 //   - Monotonicity. Every restart's best candidate scores at least as well
 //     as its start (hill-climb only accepts improvements; annealing tracks
 //     the incumbent best separately from the random walk), so searching can

@@ -1,12 +1,14 @@
 package optimize
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/analytic"
 	"repro/internal/app"
 	"repro/internal/campaign"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -192,6 +194,10 @@ type Campaign struct {
 	Seed uint64
 }
 
+// serial is the one-worker pool every Campaign evaluation runs its
+// replicates on.
+var serial = runner.New(runner.WithWorkers(1))
+
 // Name implements Objective.
 func (o Campaign) Name() string {
 	return fmt.Sprintf("campaign(r=%d)", o.replications())
@@ -220,11 +226,11 @@ func (o Campaign) Summary(c *Candidate) (stats.Summary, error) {
 	sp := o.Base
 	sp.Mapping = scenario.MappingExplicit
 	sp.Assignment = c.String()
-	res, err := campaign.Run(campaign.Spec{
+	res, err := campaign.Run(context.TODO(), serial, campaign.Spec{
 		Scenario:     sp,
 		Replications: o.replications(),
 		Seed:         o.Seed,
-	}, campaign.WithWorkers(1))
+	})
 	if err != nil {
 		return stats.Summary{}, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/mapping"
+	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -128,12 +129,12 @@ func TestRandomizeIsFeasibleAndIndexAddressed(t *testing.T) {
 }
 
 func TestRestartsNeverReturnWorseThanTheirStart(t *testing.T) {
-	for _, opt := range []Optimizer{
-		MultiRestart{Inner: HillClimb{}, Restarts: 6, Workers: 2},
-		MultiRestart{Inner: Anneal{}, Restarts: 6, Workers: 2},
-		MultiRestart{Inner: Anneal{}, Restarts: 6, Workers: 2, RandomStarts: true},
+	for _, opt := range []MultiRestart{
+		{Inner: Climb, Restarts: 6},
+		{Inner: Anneal, Restarts: 6},
+		{Inner: Anneal, Restarts: 6, RandomStarts: true},
 	} {
-		rpt, err := opt.Optimize(analyticProblem(t, 4, 150, 3))
+		rpt, err := opt.Optimize(workers(2), analyticProblem(t, 4, 150, 3))
 		if err != nil {
 			t.Fatalf("%s: %v", opt.Name(), err)
 		}
@@ -143,24 +144,19 @@ func TestRestartsNeverReturnWorseThanTheirStart(t *testing.T) {
 					opt.Name(), rep.Restart, rep.BestScore, rep.StartScore)
 			}
 		}
-		if rpt.BestScore < rpt.PerRestart[0].StartScore && !hasRandomStarts(opt) {
+		if rpt.BestScore < rpt.PerRestart[0].StartScore && !opt.RandomStarts {
 			t.Errorf("%s: overall best %g worse than the base mapping's %g", opt.Name(), rpt.BestScore, rpt.StartScore)
 		}
 	}
 }
 
-func hasRandomStarts(o Optimizer) bool {
-	m, ok := o.(MultiRestart)
-	return ok && m.RandomStarts
-}
-
 func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, inner := range []Optimizer{HillClimb{}, Anneal{}} {
+	for _, inner := range []Rule{Climb, Anneal} {
 		var ref *Report
 		for _, w := range counts {
-			opt := MultiRestart{Inner: inner, Restarts: 5, Workers: w}
-			rpt, err := opt.Optimize(analyticProblem(t, 4, 200, 1))
+			opt := MultiRestart{Inner: inner, Restarts: 5}
+			rpt, err := opt.Optimize(workers(w), analyticProblem(t, 4, 200, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,10 +166,10 @@ func TestOptimizerDeterministicAcrossWorkers(t *testing.T) {
 			}
 			if rpt.BestAssignment() != ref.BestAssignment() || rpt.BestScore != ref.BestScore ||
 				rpt.BestRestart != ref.BestRestart {
-				t.Errorf("%s: winner differs at %d workers", inner.Name(), w)
+				t.Errorf("%s: winner differs at %d workers", inner, w)
 			}
 			if !reflect.DeepEqual(rpt.PerRestart, ref.PerRestart) {
-				t.Errorf("%s: per-restart reports differ at %d workers", inner.Name(), w)
+				t.Errorf("%s: per-restart reports differ at %d workers", inner, w)
 			}
 		}
 	}
@@ -183,7 +179,7 @@ func TestSimObjectiveDeterministicAcrossWorkers(t *testing.T) {
 	sp := scenario.Spec{Mesh: 4}
 	var refTable string
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		rpt, err := MultiRestart{Inner: Anneal{}, Restarts: 2, Workers: w}.Optimize(Problem{
+		rpt, err := MultiRestart{Inner: Anneal, Restarts: 2}.Optimize(workers(w), Problem{
 			Spec:      sp,
 			Objective: Sim{Base: sp},
 			Budget:    8,
@@ -209,7 +205,7 @@ func TestSimSearchNeverFallsBehindCheckerboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpt, err := MultiRestart{Inner: HillClimb{}, Restarts: 2, Workers: 2}.Optimize(Problem{
+	rpt, err := MultiRestart{Restarts: 2}.Optimize(workers(2), Problem{
 		Spec:      sp,
 		Objective: Sim{Base: sp},
 		Budget:    12,
@@ -247,7 +243,7 @@ func TestCacheMakesRevisitsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := &countingObjective{inner: inner}
-	rpt, err := HillClimb{}.Optimize(Problem{Spec: sp, Objective: obj, Budget: 100, Seed: 5})
+	rpt, err := MultiRestart{Restarts: 1}.Optimize(workers(1), Problem{Spec: sp, Objective: obj, Budget: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,3 +337,6 @@ func TestHillClimbInnerLoopAllocFree(t *testing.T) {
 		t.Errorf("hill-climb inner loop allocates %.1f times per iteration in steady state", allocs)
 	}
 }
+
+// workers returns a runner pool of n workers.
+func workers(n int) *runner.Pool { return runner.New(runner.WithWorkers(n)) }

@@ -61,26 +61,6 @@ func (p *Problem) budget() int {
 	return p.Budget
 }
 
-// Optimizer is a placement-search strategy. All three implementations —
-// HillClimb, Anneal and MultiRestart — are deterministic: the report is a
-// pure function of (Problem, strategy parameters), independent of worker
-// count and scheduling.
-type Optimizer interface {
-	// Name identifies the strategy in reports.
-	Name() string
-	// Optimize runs the search and reports the best placement found.
-	Optimize(p Problem) (*Report, error)
-}
-
-// searcher is the single-restart search loop shared by MultiRestart:
-// HillClimb and Anneal implement it, MultiRestart fans it out.
-type searcher interface {
-	Optimizer
-	// search walks from start, drawing all randomness from the restart's
-	// stream, and returns the restart report plus the best candidate.
-	search(p *Problem, start *Candidate, stream campaign.Stream, restart int) (RestartReport, *Candidate, error)
-}
-
 // Sub-stream channels of one restart's stream. Keeping the channels disjoint
 // makes every random decision an index-addressed pure function of
 // (Problem.Seed, restart, index).
@@ -90,207 +70,79 @@ const (
 	chanStart  = 2 // random-start permutation draws
 )
 
-// ---------------------------------------------------------------------------
-// Greedy hill-climb
-// ---------------------------------------------------------------------------
+// Rule is the acceptance rule of a restart's walk, the only thing that
+// tells the search strategies apart.
+type Rule int
 
-// HillClimb is the greedy strategy: it proposes seed-stream moves and accepts
-// every strict improvement, keeping the incumbent otherwise. Simple, fast,
-// and the baseline the other strategies are measured against.
-type HillClimb struct{}
+const (
+	// Climb is the greedy hill-climb: it accepts every strict improvement
+	// and keeps the incumbent otherwise. Simple, fast, and the baseline the
+	// annealer is measured against.
+	Climb Rule = iota
+	// Anneal is simulated annealing with a deterministic geometric cooling
+	// schedule: proposal k is accepted when it does not worsen the incumbent
+	// or with probability exp(Δ/T_k), where T_k = T0·α^k. T0 is a tenth of
+	// the starting score (at least 1), which keeps the schedule meaningful
+	// across objectives of different scales, and α cools T0 by three decades
+	// over the proposal budget. The acceptance draws are pure functions of
+	// the restart's seed stream.
+	Anneal
+)
 
-// Name implements Optimizer.
-func (HillClimb) Name() string { return "climb" }
-
-// Optimize implements Optimizer: a single restart from the base scenario's
-// own mapping.
-func (h HillClimb) Optimize(p Problem) (*Report, error) {
-	return runRestarts(h.Name(), h, 1, 1, false, p)
+// String names the rule in reports.
+func (r Rule) String() string {
+	if r == Anneal {
+		return "anneal"
+	}
+	return "climb"
 }
 
-// search implements searcher.
-func (h HillClimb) search(p *Problem, start *Candidate, stream campaign.Stream, restart int) (RestartReport, *Candidate, error) {
-	moves := stream.Sub(chanMoves)
-	cache := newEvalCache(p.Objective)
-	cur, next := start.Clone(), start.Clone()
-
-	rep := RestartReport{Restart: restart, Start: start.String()}
-	curScore, _, err := cache.evaluate(cur)
-	if err != nil {
-		return rep, nil, err
+// accepts reports whether proposal k, scoring score against the incumbent's
+// cur at temperature temp, replaces the incumbent.
+func (r Rule) accepts(score, cur, temp float64, draws campaign.Stream, k uint64) bool {
+	if r == Climb {
+		return score > cur
 	}
-	rep.StartScore = curScore
-	rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Score: curScore})
-
-	budget := p.budget()
-	for k := uint64(0); rep.Proposals < budget*proposalFactor && cache.misses < budget; k++ {
-		rep.Proposals++
-		next.CopyFrom(cur)
-		w := k * moveWords
-		if !next.applyMove(moves.Word(w), moves.Word(w+1), moves.Word(w+2), moves.Word(w+3)) {
-			continue
-		}
-		score, _, err := cache.evaluate(next)
-		if err != nil {
-			return rep, nil, err
-		}
-		if score > curScore {
-			cur, next = next, cur
-			curScore = score
-			rep.Improvements++
-			rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Proposals: rep.Proposals, Score: curScore})
-		}
+	if score >= cur {
+		return true
 	}
-	rep.finish(cache, cur.String(), curScore)
-	return rep, cur, nil
+	// Uniform draw in [0,1) from the acceptance channel, addressed by the
+	// proposal index.
+	u := float64(draws.Word(k)>>11) / (1 << 53)
+	return u < math.Exp((score-cur)/temp)
 }
 
-// ---------------------------------------------------------------------------
-// Simulated annealing
-// ---------------------------------------------------------------------------
-
-// Anneal is simulated annealing with a deterministic geometric cooling
-// schedule: proposal k is accepted when it improves the incumbent or with
-// probability exp(Δ/T_k), where T_k = T0·α^k and both the temperature ladder
-// and the acceptance draws are pure functions of the restart's seed stream.
-// The best candidate is tracked separately from the random walk, so the
-// reported best is never worse than the start.
-type Anneal struct {
-	// T0 is the initial temperature in score units. 0 selects a default
-	// proportional to the starting score (a tenth of it, at least 1), which
-	// keeps the schedule meaningful across objectives of different scales.
-	T0 float64
-	// Alpha is the per-proposal geometric cooling factor in (0, 1). 0 selects
-	// the factor that cools T0 by three decades over the proposal budget.
-	Alpha float64
-}
-
-// Name implements Optimizer.
-func (Anneal) Name() string { return "anneal" }
-
-// Optimize implements Optimizer: a single restart from the base scenario's
-// own mapping.
-func (a Anneal) Optimize(p Problem) (*Report, error) {
-	return runRestarts(a.Name(), a, 1, 1, false, p)
-}
-
-// search implements searcher.
-func (a Anneal) search(p *Problem, start *Candidate, stream campaign.Stream, restart int) (RestartReport, *Candidate, error) {
-	moves, accept := stream.Sub(chanMoves), stream.Sub(chanAccept)
-	cache := newEvalCache(p.Objective)
-	cur, next, best := start.Clone(), start.Clone(), start.Clone()
-
-	rep := RestartReport{Restart: restart, Start: start.String()}
-	curScore, _, err := cache.evaluate(cur)
-	if err != nil {
-		return rep, nil, err
-	}
-	bestScore := curScore
-	rep.StartScore = curScore
-	rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Score: curScore})
-
-	budget := p.budget()
-	maxProposals := budget * proposalFactor
-	t0 := a.T0
-	if t0 <= 0 {
-		t0 = math.Max(1, 0.1*math.Abs(curScore))
-	}
-	alpha := a.Alpha
-	if alpha <= 0 || alpha >= 1 {
-		// Three decades of cooling across the proposal budget.
-		alpha = math.Exp(math.Log(1e-3) / float64(maxProposals))
-	}
-
-	temp := t0
-	for k := uint64(0); rep.Proposals < maxProposals && cache.misses < budget; k++ {
-		rep.Proposals++
-		temp *= alpha
-		next.CopyFrom(cur)
-		w := k * moveWords
-		if !next.applyMove(moves.Word(w), moves.Word(w+1), moves.Word(w+2), moves.Word(w+3)) {
-			continue
-		}
-		score, _, err := cache.evaluate(next)
-		if err != nil {
-			return rep, nil, err
-		}
-		accepted := score >= curScore
-		if !accepted {
-			// Uniform draw in [0,1) from the acceptance channel, addressed by
-			// the proposal index.
-			u := float64(accept.Word(k)>>11) / (1 << 53)
-			accepted = u < math.Exp((score-curScore)/temp)
-		}
-		if accepted {
-			cur, next = next, cur
-			curScore = score
-		}
-		if curScore > bestScore {
-			best.CopyFrom(cur)
-			bestScore = curScore
-			rep.Improvements++
-			rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Proposals: rep.Proposals, Score: bestScore})
-		}
-	}
-	rep.finish(cache, best.String(), bestScore)
-	return rep, best, nil
-}
-
-// ---------------------------------------------------------------------------
-// Multi-restart
-// ---------------------------------------------------------------------------
-
-// MultiRestart fans Restarts independent runs of an inner strategy out over a
-// runner.Pool. Restart 0 starts from the base scenario's own mapping (so the
-// search can never return a placement worse than the scenario's baseline);
-// every later restart starts from a random feasible placement drawn from its
-// own seed-stream channel. Results fold in restart order — ties prefer the
-// lower restart index — so the chosen placement is byte-identical at every
-// worker count.
+// MultiRestart is the placement search: Restarts independent walks under one
+// acceptance rule, run as cells of the caller's runner.Pool. Restart 0
+// starts from the base scenario's own mapping (so the search can never
+// return a placement worse than the scenario's baseline); every later
+// restart starts from a random feasible placement drawn from its own
+// seed-stream channel. Results fold in restart order — ties prefer the lower
+// restart index — so the report is a pure function of (Problem, MultiRestart),
+// byte-identical at every pool size.
 type MultiRestart struct {
-	// Inner is the per-restart strategy: HillClimb or Anneal (nil =
-	// HillClimb).
-	Inner Optimizer
+	// Inner is the per-restart acceptance rule (the zero value is Climb).
+	Inner Rule
 	// Restarts is the number of independent restarts (0 = DefaultRestarts).
 	Restarts int
-	// Workers is the number of restarts searched concurrently (0 = one per
-	// CPU, 1 = serial). Never changes the result.
-	Workers int
 	// RandomStarts makes restart 0 start from a random placement too,
 	// instead of the base scenario's mapping — the "best of N random
 	// placements" baseline of the opt-gap experiment.
 	RandomStarts bool
 }
 
-// Name implements Optimizer.
+// Name identifies the search in reports.
 func (m MultiRestart) Name() string {
-	return fmt.Sprintf("restart(%s)", m.inner().Name())
+	return fmt.Sprintf("restart(%s)", m.Inner)
 }
 
-func (m MultiRestart) inner() Optimizer {
-	if m.Inner == nil {
-		return HillClimb{}
-	}
-	return m.Inner
-}
-
-// Optimize implements Optimizer.
-func (m MultiRestart) Optimize(p Problem) (*Report, error) {
-	inner, ok := m.inner().(searcher)
-	if !ok {
-		return nil, fmt.Errorf("optimize: %s cannot be multi-restarted", m.inner().Name())
-	}
+// Optimize runs the search, one restart per cell of pool (nil selects
+// runner.New()'s defaults), and reports the best placement found.
+func (m MultiRestart) Optimize(pool *runner.Pool, p Problem) (*Report, error) {
 	restarts := m.Restarts
 	if restarts < 1 {
 		restarts = DefaultRestarts
 	}
-	return runRestarts(m.Name(), inner, restarts, m.Workers, m.RandomStarts, p)
-}
-
-// runRestarts is the shared execution core: it derives one child stream per
-// restart, fans the restarts out over a pool, and folds the reports in
-// restart order.
-func runRestarts(name string, s searcher, restarts, workers int, randomStarts bool, p Problem) (*Report, error) {
 	base, err := p.start()
 	if err != nil {
 		return nil, err
@@ -301,15 +153,14 @@ func runRestarts(name string, s searcher, restarts, workers int, randomStarts bo
 		rep  RestartReport
 		best *Candidate
 	}
-	pool := runner.New(runner.WithWorkers(workers))
 	outs, err := runner.Map(pool, make([]struct{}, restarts), func(r int, _ struct{}) (restartOut, error) {
 		stream := root.Sub(uint64(r))
 		start := base
-		if r > 0 || randomStarts {
+		if r > 0 || m.RandomStarts {
 			start = base.Clone()
 			start.randomize(stream.Sub(chanStart))
 		}
-		rep, best, err := s.search(&p, start, stream, r)
+		rep, best, err := m.search(&p, start, stream, r)
 		if err != nil {
 			return restartOut{}, fmt.Errorf("restart %d: %w", r, err)
 		}
@@ -320,7 +171,7 @@ func runRestarts(name string, s searcher, restarts, workers int, randomStarts bo
 	}
 
 	rpt := &Report{
-		Strategy:  name,
+		Strategy:  m.Name(),
 		Objective: p.Objective.Name(),
 		Budget:    p.budget(),
 		Seed:      p.Seed,
@@ -340,4 +191,54 @@ func runRestarts(name string, s searcher, restarts, workers int, randomStarts bo
 	}
 	rpt.StartScore = rpt.PerRestart[0].StartScore
 	return rpt, nil
+}
+
+// search is one restart: it walks from start, drawing all randomness from
+// the restart's stream, and returns the restart report plus the best
+// candidate. The best candidate is tracked apart from the walk, so the
+// reported best is never worse than the start.
+func (m MultiRestart) search(p *Problem, start *Candidate, stream campaign.Stream, restart int) (RestartReport, *Candidate, error) {
+	moves, accept := stream.Sub(chanMoves), stream.Sub(chanAccept)
+	cache := newEvalCache(p.Objective)
+	cur, next, best := start.Clone(), start.Clone(), start.Clone()
+
+	rep := RestartReport{Restart: restart, Start: start.String()}
+	curScore, _, err := cache.evaluate(cur)
+	if err != nil {
+		return rep, nil, err
+	}
+	bestScore := curScore
+	rep.StartScore = curScore
+	rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Score: curScore})
+
+	budget := p.budget()
+	maxProposals := budget * proposalFactor
+	// The annealing schedule of Anneal's doc; Climb never reads it.
+	temp := math.Max(1, 0.1*math.Abs(curScore))
+	alpha := math.Exp(math.Log(1e-3) / float64(maxProposals))
+	for k := uint64(0); rep.Proposals < maxProposals && cache.misses < budget; k++ {
+		rep.Proposals++
+		temp *= alpha
+		next.CopyFrom(cur)
+		w := k * moveWords
+		if !next.applyMove(moves.Word(w), moves.Word(w+1), moves.Word(w+2), moves.Word(w+3)) {
+			continue
+		}
+		score, _, err := cache.evaluate(next)
+		if err != nil {
+			return rep, nil, err
+		}
+		if m.Inner.accepts(score, curScore, temp, accept, k) {
+			cur, next = next, cur
+			curScore = score
+		}
+		if curScore > bestScore {
+			best.CopyFrom(cur)
+			bestScore = curScore
+			rep.Improvements++
+			rep.Trace = append(rep.Trace, TracePoint{Evals: cache.misses, Proposals: rep.Proposals, Score: bestScore})
+		}
+	}
+	rep.finish(cache, best.String(), bestScore)
+	return rep, best, nil
 }

@@ -45,7 +45,7 @@ func (r *RestartReport) finish(cache *evalCache, best string, bestScore float64)
 	r.CacheHits = cache.hits
 }
 
-// Report is the outcome of one Optimizer.Optimize run.
+// Report is the outcome of one MultiRestart.Optimize run.
 type Report struct {
 	// Strategy and Objective name what ran.
 	Strategy, Objective string

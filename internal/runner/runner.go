@@ -22,11 +22,13 @@
 //     carrying the cell index, the panic value and the stack trace, then
 //     treated like any other cell error. A panicking cell therefore cancels
 //     the sweep instead of killing the process.
-//   - An external context can cancel a run between cells via WithContext.
+//
+// A Pool has no context of its own: a caller that must stop early (a
+// campaign under a cancelled request, say) checks its context inside the
+// cell and returns the error, which cancels the run like any other failure.
 package runner
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -58,7 +60,6 @@ func (e *PanicError) Error() string {
 // including concurrently.
 type Pool struct {
 	workers int
-	ctx     context.Context
 	// obs, when set, receives one callback per executed cell (see
 	// WithCellObserver). Independent of obs, every cell's wall-clock
 	// duration feeds the process-global runner_pool_cell_seconds histogram.
@@ -86,17 +87,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithContext attaches a context to the pool. A run aborts (between cells)
-// once the context is cancelled, returning the context's error if no cell
-// failed first.
-func WithContext(ctx context.Context) Option {
-	return func(p *Pool) {
-		if ctx != nil {
-			p.ctx = ctx
-		}
-	}
-}
-
 // WithCellObserver attaches a per-cell timing callback to the pool — the
 // hook the flight recorder (trace.Spans.CellObserver) uses to lay a sweep's
 // cells out per worker in a Chrome trace.
@@ -108,10 +98,9 @@ func WithCellObserver(obs CellObserver) Option {
 // scheduler's GOMAXPROCS, i.e. one worker per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// New builds a pool. With no options it uses DefaultWorkers() workers and the
-// background context.
+// New builds a pool. With no options it uses DefaultWorkers() workers.
 func New(opts ...Option) *Pool {
-	p := &Pool{workers: DefaultWorkers(), ctx: context.Background()}
+	p := &Pool{workers: DefaultWorkers()}
 	for _, o := range opts {
 		if o != nil {
 			o(p)
@@ -130,7 +119,7 @@ func New(opts ...Option) *Pool {
 // *PanicError and handled the same way.
 func (p *Pool) Run(n int, cell func(i int) error) error {
 	if n <= 0 {
-		return p.ctx.Err()
+		return nil
 	}
 	workers := p.workers
 	if workers > n {
@@ -141,9 +130,6 @@ func (p *Pool) Run(n int, cell func(i int) error) error {
 		// semantics are identical because lowest-index-error-wins degenerates
 		// to first-error-wins when cells run in index order.
 		for i := 0; i < n; i++ {
-			if err := p.ctx.Err(); err != nil {
-				return err
-			}
 			if err := p.execCell(i, 0, cell); err != nil {
 				return err
 			}
@@ -151,12 +137,9 @@ func (p *Pool) Run(n int, cell func(i int) error) error {
 		return nil
 	}
 
-	ctx, cancel := context.WithCancel(p.ctx)
-	defer cancel()
-
 	var (
 		next     atomic.Int64
-		done     atomic.Int64
+		stopped  atomic.Bool
 		mu       sync.Mutex
 		firstIdx = n // lowest failing index seen so far; n means "none"
 		firstErr error
@@ -168,7 +151,7 @@ func (p *Pool) Run(n int, cell func(i int) error) error {
 			firstIdx, firstErr = i, err
 		}
 		mu.Unlock()
-		cancel()
+		stopped.Store(true)
 	}
 
 	wg.Add(workers)
@@ -177,28 +160,18 @@ func (p *Pool) Run(n int, cell func(i int) error) error {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+				if i >= n || stopped.Load() {
 					return
 				}
 				if err := p.execCell(i, worker, cell); err != nil {
 					fail(i, err)
 					return
 				}
-				done.Add(1)
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	if firstErr != nil {
-		return firstErr
-	}
-	if int(done.Load()) == n {
-		// Every cell completed: a cancellation that landed after the last
-		// cell is irrelevant, exactly as on the serial path.
-		return nil
-	}
-	return p.ctx.Err()
+	return firstErr
 }
 
 // execCell runs one cell with wall-clock timing: the duration always feeds

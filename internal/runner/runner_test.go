@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,8 +27,8 @@ func TestDefaults(t *testing.T) {
 	if got := New(WithWorkers(7)).workers; got != 7 {
 		t.Errorf("WithWorkers(7) gave %d workers", got)
 	}
-	if got := New(nil, WithContext(nil)).workers; got != DefaultWorkers() {
-		t.Errorf("nil option / nil context mishandled: %d workers", got)
+	if got := New(nil).workers; got != DefaultWorkers() {
+		t.Errorf("nil option mishandled: %d workers", got)
 	}
 }
 
@@ -204,57 +203,6 @@ func TestPanicBeatsHigherIndexError(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 0 {
 		t.Fatalf("got %v, want *PanicError for cell 0", err)
-	}
-}
-
-func TestContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	p := New(WithWorkers(2), WithContext(ctx))
-	err := p.Run(10_000, func(i int) error {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n > 100 {
-		t.Errorf("%d cells ran after cancellation", n)
-	}
-
-	// An already-cancelled context fails even the empty run.
-	if err := New(WithContext(ctx)).Run(0, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("empty run on cancelled context: got %v", err)
-	}
-	if err := New(WithContext(ctx), WithWorkers(1)).Run(3, func(int) error { return nil }); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial run on cancelled context: got %v", err)
-	}
-}
-
-func TestCancellationAfterLastCellReturnsNil(t *testing.T) {
-	// A cancellation that lands while (or after) the final cell completes
-	// must not discard a fully-computed result set, and serial and parallel
-	// runs must agree on that.
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
-		p := New(WithWorkers(workers), WithContext(ctx))
-		err := p.Run(4, func(int) error {
-			if ran.Add(1) == 4 {
-				cancel()
-			}
-			return nil
-		})
-		if err != nil {
-			t.Errorf("workers=%d: Run = %v after all cells completed, want nil", workers, err)
-		}
-		if ran.Load() != 4 {
-			t.Errorf("workers=%d: only %d cells ran", workers, ran.Load())
-		}
-		cancel()
 	}
 }
 

@@ -63,6 +63,9 @@ func admit(sp scenario.Spec) error {
 	return err
 }
 
+// serial is the one-worker pool every served campaign runs its replicates on.
+var serial = runner.New(runner.WithWorkers(1))
+
 // Config configures a Server.
 type Config struct {
 	// Workers is the number of simulations admitted concurrently (the
@@ -138,23 +141,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleSimulate serves POST /simulate: a strict scenario spec in, the
 // memoized sim.Result JSON out.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sp, err := scenario.ParseSpecJSON(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := admit(sp); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	fp, err := sp.Fingerprint()
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+	sp, fp, ok := readScenario(w, r)
+	if !ok {
 		return
 	}
 	s.serveCached(w, r, store.Key(fp), fp.String(), func(ctx context.Context) ([]byte, error) {
@@ -164,6 +152,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return json.Marshal(res)
 	})
+}
+
+// readScenario reads, parses, admits and fingerprints the scenario spec of a
+// request body. On failure it writes the response itself — 400 for an
+// unreadable or malformed body, 422 for a spec the service does not admit —
+// and reports false.
+func readScenario(w http.ResponseWriter, r *http.Request) (sp scenario.Spec, fp scenario.Fingerprint, ok bool) {
+	body, err := readBody(w, r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if sp, err = scenario.ParseSpecJSON(body); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err = admit(sp); err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	if fp, err = sp.Fingerprint(); err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	return sp, fp, true
 }
 
 // handleCampaign serves POST /campaign: a strict campaign spec in, the
@@ -200,7 +213,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			// One worker per campaign: the admission queue is the
 			// parallelism across requests, so a single campaign must not
 			// also fan out and oversubscribe the host.
-			res, err = campaign.Run(sp, campaign.WithWorkers(1), campaign.WithContext(ctx))
+			res, err = campaign.Run(ctx, serial, sp)
 			return err
 		})
 		if qerr != nil {
@@ -301,23 +314,8 @@ func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.O
 // bypass flight joining (each stream owns its run's events) but still
 // populate the store.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	sp, err := scenario.ParseSpecJSON(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := admit(sp); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	fp, err := sp.Fingerprint()
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+	sp, fp, ok := readScenario(w, r)
+	if !ok {
 		return
 	}
 	key := store.Key(fp)

@@ -213,52 +213,30 @@ func (g *Graph) OutLinks(id NodeID) []Link {
 	return g.out[id]
 }
 
-// ConnectedFrom reports whether every node in the keep set is reachable from
-// the given source using only links whose endpoints are both in keep.
-// A nil keep set means "all nodes".
-func (g *Graph) ConnectedFrom(src NodeID, keep map[NodeID]bool) bool {
-	if !g.Has(src) {
-		return false
-	}
-	allowed := func(id NodeID) bool {
-		if keep == nil {
-			return true
-		}
-		return keep[id]
-	}
-	if !allowed(src) {
-		return false
-	}
-	seen := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range g.out[cur] {
-			if !allowed(l.To) || seen[l.To] {
-				continue
-			}
-			seen[l.To] = true
-			queue = append(queue, l.To)
-		}
-	}
-	if keep == nil {
-		return len(seen) == len(g.nodes)
-	}
-	for id, ok := range keep {
-		if ok && !seen[id] {
-			return false
-		}
-	}
-	return true
-}
-
-// Connected reports whether the whole graph is strongly connected from node 0.
-// For the symmetric meshes used in the paper this is equivalent to full
-// strong connectivity.
+// Connected reports whether every node is reachable from node 0. For the
+// symmetric meshes used in the paper this is equivalent to full strong
+// connectivity.
 func (g *Graph) Connected() bool {
 	if len(g.nodes) == 0 {
 		return true
 	}
-	return g.ConnectedFrom(g.nodes[0].ID, nil)
+	seen := make([]bool, len(g.nodes))
+	seen[0] = true
+	queue := []NodeID{0}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, l := range g.out[cur] {
+			if !seen[l.To] {
+				seen[l.To] = true
+				queue = append(queue, l.To)
+			}
+		}
+	}
+	for _, ok := range seen {
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

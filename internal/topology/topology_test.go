@@ -126,8 +126,8 @@ func TestCoordinatePanicsOnUnknownNode(t *testing.T) {
 	g.Coordinate(3)
 }
 
-func TestConnectedFromRespectsKeepSet(t *testing.T) {
-	// a <-> b <-> c, where removing b disconnects a from c.
+func TestConnectedDetectsSplit(t *testing.T) {
+	// a <-> b <-> c, where removing b <-> c cuts c off.
 	g := New()
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
 	b, _ := g.AddNode(Coord{X: 1, Y: 0})
@@ -141,16 +141,14 @@ func TestConnectedFromRespectsKeepSet(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("line graph should be connected")
 	}
-	keep := map[NodeID]bool{a: true, c: true}
-	if g.ConnectedFrom(a, keep) {
-		t.Fatal("a and c should be disconnected once b is excluded")
+	if err := g.RemoveBiLink(b, c); err != nil {
+		t.Fatal(err)
 	}
-	keep[b] = true
-	if !g.ConnectedFrom(a, keep) {
-		t.Fatal("a, b, c should be connected when all are kept")
+	if g.Connected() {
+		t.Fatal("c is unreachable once b <-> c is removed")
 	}
-	if g.ConnectedFrom(a, map[NodeID]bool{b: true, c: true}) {
-		t.Fatal("source excluded from keep set must not be reported connected")
+	if !New().Connected() {
+		t.Fatal("the empty graph is connected")
 	}
 }
 
