@@ -137,3 +137,33 @@ func TestReplicatedSweepsRecordSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedSweepSpanNamesUnique runs etbench's `-experiment fig7-mc
+// -sizes 4 -replications 70 -workers 2` sweep, whose campaigns run in
+// batches of 64 and 6 replicates, so the pool restarts its cell indices
+// four times. Every recorded span must still have its own name, and the
+// table must not change with the recorder attached.
+func TestReplicatedSweepSpanNamesUnique(t *testing.T) {
+	plain, err := Fig7MC([]int{4}, 70, 1, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &trace.Spans{}
+	spanned, err := Fig7MC([]int{4}, 70, 1, Options(WithWorkers(2), WithSpans(s)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Fig7MCTable(spanned).Render(), Fig7MCTable(plain).Render(); got != want {
+		t.Errorf("table with spans:\n%s\nwithout:\n%s", got, want)
+	}
+	seen := map[string]bool{}
+	for _, sp := range s.Spans() {
+		if seen[sp.Name] {
+			t.Errorf("span name %q recorded twice", sp.Name)
+		}
+		seen[sp.Name] = true
+	}
+	if len(seen) != 140 {
+		t.Errorf("%d distinct span names, want 140 (2 algorithms x 70 replicates)", len(seen))
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/serve/store"
@@ -54,13 +55,13 @@ const MaxMesh = 64
 
 // admit validates a spec eagerly: a bad spec must fail now with a 4xx, not
 // after queueing behind admitted work. The mesh bound is checked before
-// Strategy builds the mesh.
-func admit(sp scenario.Spec) error {
+// Strategy builds the mesh. It returns the built strategy, which is the one
+// a cold /simulate or /simulate/stream request then runs.
+func admit(sp scenario.Spec) (*core.Strategy, error) {
 	if sp.Mesh > MaxMesh {
-		return fmt.Errorf("scenario %s: mesh size %d exceeds the service bound of %d", sp.Label(), sp.Mesh, MaxMesh)
+		return nil, fmt.Errorf("scenario %s: mesh size %d exceeds the service bound of %d", sp.Label(), sp.Mesh, MaxMesh)
 	}
-	_, err := sp.Strategy()
-	return err
+	return sp.Strategy()
 }
 
 // serial is the one-worker pool every served campaign runs its replicates on.
@@ -141,12 +142,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleSimulate serves POST /simulate: a strict scenario spec in, the
 // memoized sim.Result JSON out.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	sp, fp, ok := readScenario(w, r)
+	st, fp, ok := readScenario(w, r)
 	if !ok {
 		return
 	}
 	s.serveCached(w, r, store.Key(fp), fp.String(), func(ctx context.Context) ([]byte, error) {
-		res, err := s.runScenario(ctx, sp)
+		res, err := s.runScenario(ctx, st)
 		if err != nil {
 			return nil, err
 		}
@@ -155,20 +156,21 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // readScenario reads, parses, admits and fingerprints the scenario spec of a
-// request body. On failure it writes the response itself — 400 for an
-// unreadable or malformed body, 422 for a spec the service does not admit —
-// and reports false.
-func readScenario(w http.ResponseWriter, r *http.Request) (sp scenario.Spec, fp scenario.Fingerprint, ok bool) {
+// request body, and returns the strategy admission built. On failure it
+// writes the response itself — 400 for an unreadable or malformed body, 422
+// for a spec the service does not admit — and reports false.
+func readScenario(w http.ResponseWriter, r *http.Request) (st *core.Strategy, fp scenario.Fingerprint, ok bool) {
 	body, err := readBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if sp, err = scenario.ParseSpecJSON(body); err != nil {
+	sp, err := scenario.ParseSpecJSON(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err = admit(sp); err != nil {
+	if st, err = admit(sp); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -176,7 +178,7 @@ func readScenario(w http.ResponseWriter, r *http.Request) (sp scenario.Spec, fp 
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	return sp, fp, true
+	return st, fp, true
 }
 
 // handleCampaign serves POST /campaign: a strict campaign spec in, the
@@ -197,7 +199,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("campaign: replications must be >= 1, got %d", sp.Replications))
 		return
 	}
-	if err := admit(sp.Replicate(0)); err != nil {
+	if _, err := admit(sp.Replicate(0)); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -274,19 +276,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key store.K
 	}
 }
 
-// runScenario executes one scenario through the admission queue under ctx,
-// refusing to return a truncated result.
-func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.Observer) (sim.Result, error) {
+// runScenario executes an admitted strategy through the admission queue
+// under ctx, refusing to return a truncated result. It attaches the run's
+// cancellation and observers to st, so each strategy runs once.
+func (s *Server) runScenario(ctx context.Context, st *core.Strategy, obs ...sim.Observer) (sim.Result, error) {
 	var out sim.Result
 	// Every served simulation feeds the engine-phase histograms on /metrics.
 	// The observer is write-only telemetry, so the cached bytes stay
 	// byte-identical to an uninstrumented run.
 	obs = append(obs, trace.EngineMetrics{})
 	err := s.queue.Do(ctx, func(ctx context.Context) error {
-		st, err := sp.Strategy()
-		if err != nil {
-			return err
-		}
 		st.Run.Cancel = ctx.Done()
 		st.Run.Observers = obs
 		res, err := st.Simulate()
@@ -314,7 +313,7 @@ func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.O
 // bypass flight joining (each stream owns its run's events) but still
 // populate the store.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sp, fp, ok := readScenario(w, r)
+	st, fp, ok := readScenario(w, r)
 	if !ok {
 		return
 	}
@@ -348,7 +347,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// queue executes fn on its caller), so writing to w needs no locking
 	// and a slow client backpressures the simulation.
 	wire := &trace.Wire{Sink: func(e trace.WireEvent) { line(e) }}
-	res, err := s.runScenario(r.Context(), sp, wire)
+	res, err := s.runScenario(r.Context(), st, wire)
 	if err != nil {
 		// Mid-stream errors can only be reported in-band.
 		line(map[string]string{"type": "error", "error": err.Error()})

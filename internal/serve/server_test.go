@@ -292,7 +292,7 @@ func TestMeshBoundOnEveryEndpoint(t *testing.T) {
 		t.Fatalf("an oversized spec ran anyway: %+v", st)
 	}
 	for _, sp := range scenario.All() {
-		if err := admit(sp); err != nil {
+		if _, err := admit(sp); err != nil {
 			t.Errorf("registered scenario %s rejected: %v", sp.Name, err)
 		}
 	}

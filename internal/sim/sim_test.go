@@ -115,14 +115,14 @@ func TestSourceIsNodeOneOne(t *testing.T) {
 		}
 		return id
 	}
-	g := topology.New()
+	g := &topology.Graph{}
 	add(g, 2, 1)
 	oneOne := add(g, 1, 1)
 	if got := source(g); got != oneOne {
 		t.Errorf("source = %d, want node (1,1) = %d", got, oneOne)
 	}
 	// A graph without node (1,1) injects at its first node.
-	g = topology.New()
+	g = &topology.Graph{}
 	first := add(g, 5, 5)
 	add(g, 6, 5)
 	if got := source(g); got != first {

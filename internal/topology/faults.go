@@ -14,11 +14,9 @@ var ErrLinkNotFound = fmt.Errorf("topology: link not found")
 
 // RemoveLink deletes the directed link from -> to.
 func (g *Graph) RemoveLink(from, to NodeID) error {
-	key := [2]NodeID{from, to}
-	if _, ok := g.links[key]; !ok {
+	if _, ok := g.Link(from, to); !ok {
 		return fmt.Errorf("%w: %d -> %d", ErrLinkNotFound, from, to)
 	}
-	delete(g.links, key)
 	g.out[from] = dropLink(g.out[from], from, to)
 	g.sorted = dropLink(g.sorted, from, to)
 	return nil

@@ -29,32 +29,41 @@ func NewMesh(width, height int, spacingCM float64) (*Mesh, error) {
 	if spacingCM <= 0 {
 		return nil, fmt.Errorf("%w: %g cm", ErrBadLength, spacingCM)
 	}
-	m := &Mesh{Graph: New(), width: width, height: height, spacingCM: spacingCM}
+	// Node (x,y) has ID (y-1)*width + x-1, and its out-list is up, left,
+	// right, down: the order in which linking the rows top to bottom, each
+	// node to its right and lower neighbour, would add them. Those
+	// neighbours' IDs increase in the same order, so the out-lists laid
+	// end to end are already (From, To)-sorted.
+	n := width * height
+	g := &Graph{nodes: make([]Node, n), out: make([][]Link, n)}
+	slots := make([]Link, 4*n)
 	for y := 1; y <= height; y++ {
 		for x := 1; x <= width; x++ {
-			if _, err := m.AddNode(Coord{X: x, Y: y}); err != nil {
-				return nil, err
+			id := NodeID((y-1)*width + x - 1)
+			g.nodes[id] = Node{ID: id, Pos: Coord{X: x, Y: y}}
+			out := slots[4*id : 4*id : 4*id+4]
+			if y > 1 {
+				out = append(out, Link{From: id, To: id - NodeID(width), LengthCM: spacingCM})
 			}
-		}
-	}
-	for y := 1; y <= height; y++ {
-		for x := 1; x <= width; x++ {
-			id, _ := m.NodeAt(Coord{X: x, Y: y})
+			if x > 1 {
+				out = append(out, Link{From: id, To: id - 1, LengthCM: spacingCM})
+			}
 			if x < width {
-				right, _ := m.NodeAt(Coord{X: x + 1, Y: y})
-				if err := m.AddBiLink(id, right, spacingCM); err != nil {
-					return nil, err
-				}
+				out = append(out, Link{From: id, To: id + 1, LengthCM: spacingCM})
 			}
 			if y < height {
-				down, _ := m.NodeAt(Coord{X: x, Y: y + 1})
-				if err := m.AddBiLink(id, down, spacingCM); err != nil {
-					return nil, err
-				}
+				out = append(out, Link{From: id, To: id + NodeID(width), LengthCM: spacingCM})
 			}
+			g.out[id] = out
 		}
 	}
-	return m, nil
+	// Each of the (w-1)·h horizontal and w·(h-1) vertical neighbour pairs
+	// is two links.
+	g.sorted = make([]Link, 0, 2*((width-1)*height+width*(height-1)))
+	for _, out := range g.out {
+		g.sorted = append(g.sorted, out...)
+	}
+	return &Mesh{Graph: g, width: width, height: height, spacingCM: spacingCM}, nil
 }
 
 // MustMesh is NewMesh for construction code with statically valid arguments.

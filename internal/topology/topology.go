@@ -13,6 +13,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -61,27 +62,21 @@ type Link struct {
 	LengthCM float64
 }
 
-// Graph is a directed graph of nodes and links. The zero value is not usable;
-// construct graphs with New or NewMesh.
+// Graph is a directed graph of nodes and links, held in slices indexed by
+// NodeID: no lookup hashes. The zero value is an empty graph ready for
+// AddNode / AddLink calls; NewMesh builds the paper's platforms.
 type Graph struct {
-	nodes   []Node
-	out     map[NodeID][]Link
-	links   map[[2]NodeID]Link
-	byCoord map[Coord]NodeID
-	// sorted mirrors links ordered by (From, To). It is maintained
+	nodes []Node
+	// out[id] holds node id's outgoing links in the order they were added.
+	// Each out-list owns its capacity (NewMesh and Clone cut them from one
+	// backing array with 3-index slices), so an append never writes into a
+	// neighbour's slots.
+	out [][]Link
+	// sorted holds every link ordered by (From, To). It is maintained
 	// incrementally on every mutation so Links() — called by the routing
 	// phase-1 weight build on every controller recompute — is a zero-cost,
 	// allocation-free read.
 	sorted []Link
-}
-
-// New returns an empty graph ready for AddNode / AddLink calls.
-func New() *Graph {
-	return &Graph{
-		out:     make(map[NodeID][]Link),
-		links:   make(map[[2]NodeID]Link),
-		byCoord: make(map[Coord]NodeID),
-	}
 }
 
 // Errors returned by graph mutation and lookup operations.
@@ -96,12 +91,12 @@ var (
 // AddNode adds a node at the given coordinate and returns its ID.
 // Coordinates must be unique within a graph.
 func (g *Graph) AddNode(pos Coord) (NodeID, error) {
-	if _, ok := g.byCoord[pos]; ok {
+	if _, ok := g.NodeAt(pos); ok {
 		return Invalid, fmt.Errorf("%w: %v", ErrDuplicateCoord, pos)
 	}
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Pos: pos})
-	g.byCoord[pos] = id
+	g.out = append(g.out, nil)
 	return id, nil
 }
 
@@ -117,12 +112,10 @@ func (g *Graph) AddLink(from, to NodeID, lengthCM float64) error {
 	if lengthCM <= 0 {
 		return fmt.Errorf("%w: %g cm", ErrBadLength, lengthCM)
 	}
-	key := [2]NodeID{from, to}
-	if _, ok := g.links[key]; ok {
+	if _, ok := g.Link(from, to); ok {
 		return fmt.Errorf("%w: %d -> %d", ErrDuplicateLink, from, to)
 	}
 	l := Link{From: from, To: to, LengthCM: lengthCM}
-	g.links[key] = l
 	g.out[from] = append(g.out[from], l)
 	idx := sort.Search(len(g.sorted), func(i int) bool {
 		if g.sorted[i].From != from {
@@ -147,21 +140,23 @@ func (g *Graph) AddBiLink(a, b NodeID, lengthCM float64) error {
 
 // Clone returns a deep copy of the graph: mutations of the copy (link
 // removal, fault injection) never affect the original. Node IDs and
-// coordinates are preserved.
+// coordinates are preserved. The copy takes a fixed number of allocations:
+// its out-lists are cut from one backing array.
 func (g *Graph) Clone() *Graph {
-	c := New()
-	c.nodes = append(c.nodes, g.nodes...)
-	for pos, id := range g.byCoord {
-		c.byCoord[pos] = id
-	}
-	for key, l := range g.links {
-		c.links[key] = l
-	}
+	// Every link sits in exactly one out-list, so len(g.sorted) links fill
+	// the backing array.
+	backing := make([]Link, 0, len(g.sorted))
+	out := make([][]Link, len(g.out))
 	for id, ls := range g.out {
-		c.out[id] = append([]Link(nil), ls...)
+		start := len(backing)
+		backing = append(backing, ls...)
+		out[id] = backing[start:len(backing):len(backing)]
 	}
-	c.sorted = append([]Link(nil), g.sorted...)
-	return c
+	return &Graph{
+		nodes:  slices.Clone(g.nodes),
+		out:    out,
+		sorted: slices.Clone(g.sorted),
+	}
 }
 
 // Has reports whether the graph contains a node with the given ID.
@@ -186,10 +181,15 @@ func (g *Graph) Coordinate(id NodeID) Coord {
 	return g.nodes[id].Pos
 }
 
-// NodeAt returns the node occupying the given coordinate, if any.
+// NodeAt returns the node occupying the given coordinate, if any, or
+// Invalid and false. It scans the nodes: the program asks once per run.
 func (g *Graph) NodeAt(pos Coord) (NodeID, bool) {
-	id, ok := g.byCoord[pos]
-	return id, ok
+	for _, n := range g.nodes {
+		if n.Pos == pos {
+			return n.ID, true
+		}
+	}
+	return Invalid, false
 }
 
 // Links returns every directed link, ordered by (From, To). The returned
@@ -200,16 +200,27 @@ func (g *Graph) Links() []Link {
 	return g.sorted
 }
 
-// Link returns the directed link between two nodes if it exists.
+// Link returns the directed link between two nodes if it exists. It scans
+// from's out-list, at most four links on a mesh.
 func (g *Graph) Link(from, to NodeID) (Link, bool) {
-	l, ok := g.links[[2]NodeID{from, to}]
-	return l, ok
+	if g.Has(from) {
+		for _, l := range g.out[from] {
+			if l.To == to {
+				return l, true
+			}
+		}
+	}
+	return Link{}, false
 }
 
 // OutLinks returns the node's outgoing links in the order they were added.
 // Like Links, the slice is shared with the graph: callers must not modify
 // it, and a link removal rewrites it in place. Reading it allocates nothing.
+// It returns nil for an unknown node.
 func (g *Graph) OutLinks(id NodeID) []Link {
+	if !g.Has(id) {
+		return nil
+	}
 	return g.out[id]
 }
 

@@ -3,12 +3,13 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestAddNodeAssignsDenseIDs(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	for i := 0; i < 5; i++ {
 		id, err := g.AddNode(Coord{X: i, Y: 0})
 		if err != nil {
@@ -24,7 +25,7 @@ func TestAddNodeAssignsDenseIDs(t *testing.T) {
 }
 
 func TestAddNodeRejectsDuplicateCoordinate(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	if _, err := g.AddNode(Coord{X: 1, Y: 1}); err != nil {
 		t.Fatalf("first AddNode: %v", err)
 	}
@@ -34,7 +35,7 @@ func TestAddNodeRejectsDuplicateCoordinate(t *testing.T) {
 }
 
 func TestAddLinkValidation(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
 	b, _ := g.AddNode(Coord{X: 1, Y: 0})
 
@@ -68,7 +69,7 @@ func TestAddLinkValidation(t *testing.T) {
 }
 
 func TestAddBiLinkCreatesBothDirections(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
 	b, _ := g.AddNode(Coord{X: 1, Y: 0})
 	if err := g.AddBiLink(a, b, 2.5); err != nil {
@@ -86,7 +87,7 @@ func TestAddBiLinkCreatesBothDirections(t *testing.T) {
 }
 
 func TestNeighborsAndDegree(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
 	b, _ := g.AddNode(Coord{X: 1, Y: 0})
 	c, _ := g.AddNode(Coord{X: 2, Y: 0})
@@ -110,14 +111,17 @@ func TestNeighborsAndDegree(t *testing.T) {
 }
 
 func TestNodeLookupErrors(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	if g.Has(-1) || g.Has(0) {
 		t.Fatal("Has reported membership for nodes that do not exist")
+	}
+	if id, ok := MustMesh(3, 2, 1).NodeAt(Coord{X: 4, Y: 1}); ok || id != Invalid {
+		t.Fatalf("NodeAt outside the mesh = %d, %v, want Invalid, false", id, ok)
 	}
 }
 
 func TestCoordinatePanicsOnUnknownNode(t *testing.T) {
-	g := New()
+	g := &Graph{}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Coordinate did not panic for unknown node")
@@ -128,7 +132,7 @@ func TestCoordinatePanicsOnUnknownNode(t *testing.T) {
 
 func TestConnectedDetectsSplit(t *testing.T) {
 	// a <-> b <-> c, where removing b <-> c cuts c off.
-	g := New()
+	g := &Graph{}
 	a, _ := g.AddNode(Coord{X: 0, Y: 0})
 	b, _ := g.AddNode(Coord{X: 1, Y: 0})
 	c, _ := g.AddNode(Coord{X: 2, Y: 0})
@@ -147,7 +151,7 @@ func TestConnectedDetectsSplit(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("c is unreachable once b <-> c is removed")
 	}
-	if !New().Connected() {
+	if !(&Graph{}).Connected() {
 		t.Fatal("the empty graph is connected")
 	}
 }
@@ -302,7 +306,7 @@ func TestLinksAreSortedAndShared(t *testing.T) {
 	// Links() is a zero-alloc read of the incrementally maintained slice
 	// (callers must treat it as read-only), and the ordering invariant must
 	// survive mutation: removing and re-adding a link keeps the slice sorted
-	// and consistent with the link map.
+	// and consistent with the out-lists.
 	if allocs := testing.AllocsPerRun(10, func() { m.Links() }); allocs != 0 {
 		t.Errorf("Links() allocated %.1f times per call, want 0", allocs)
 	}
@@ -323,47 +327,97 @@ func TestLinksAreSortedAndShared(t *testing.T) {
 		}
 		got, ok := m.Link(l.From, l.To)
 		if !ok || got != l {
-			t.Fatalf("sorted slice entry %v disagrees with link map (%v, %v)", l, got, ok)
+			t.Fatalf("sorted slice entry %v disagrees with Link (%v, %v)", l, got, ok)
 		}
 	}
 }
 
 // validate checks the graph's structural invariants and returns the first
-// problem found, or nil if the graph is well formed.
+// problem found, or nil if the graph is well formed: one out-list per node,
+// unique coordinates, each out-list holding only its node's links without
+// duplicates, and the sorted slice holding exactly the out-lists' links in
+// strict (From, To) order.
 func validate(g *Graph) error {
-	for _, n := range g.nodes {
-		if got, ok := g.byCoord[n.Pos]; !ok || got != n.ID {
-			return fmt.Errorf("topology: coordinate index out of sync at node %d", n.ID)
+	if len(g.out) != len(g.nodes) {
+		return fmt.Errorf("topology: %d out-lists for %d nodes", len(g.out), len(g.nodes))
+	}
+	for i, n := range g.nodes {
+		if n.ID != NodeID(i) {
+			return fmt.Errorf("topology: node %d holds ID %d", i, n.ID)
+		}
+		for _, m := range g.nodes[:i] {
+			if m.Pos == n.Pos {
+				return fmt.Errorf("topology: nodes %d and %d share coordinate %v", m.ID, n.ID, n.Pos)
+			}
 		}
 	}
-	for key, l := range g.links {
-		if key[0] != l.From || key[1] != l.To {
-			return fmt.Errorf("topology: link index out of sync for %v", key)
+	for i := 1; i < len(g.sorted); i++ {
+		prev, cur := g.sorted[i-1], g.sorted[i]
+		if prev.From > cur.From || (prev.From == cur.From && prev.To >= cur.To) {
+			return fmt.Errorf("topology: sorted links out of order at index %d", i)
 		}
-		if !g.Has(l.From) || !g.Has(l.To) {
-			return fmt.Errorf("topology: dangling link %d -> %d", l.From, l.To)
+	}
+	total := 0
+	for id, ls := range g.out {
+		for i, l := range ls {
+			if l.From != NodeID(id) {
+				return fmt.Errorf("topology: out-list of node %d holds link %d -> %d", id, l.From, l.To)
+			}
+			if !g.Has(l.To) || l.To == l.From {
+				return fmt.Errorf("topology: dangling or self link %d -> %d", l.From, l.To)
+			}
+			if l.LengthCM <= 0 {
+				return fmt.Errorf("topology: non-positive length on link %d -> %d", l.From, l.To)
+			}
+			for _, p := range ls[:i] {
+				if p.To == l.To {
+					return fmt.Errorf("topology: duplicate link %d -> %d", l.From, l.To)
+				}
+			}
+			k := sort.Search(len(g.sorted), func(k int) bool {
+				s := g.sorted[k]
+				return s.From > l.From || (s.From == l.From && s.To >= l.To)
+			})
+			if k == len(g.sorted) || g.sorted[k] != l {
+				return fmt.Errorf("topology: sorted links disagree with the out-list on %d -> %d", l.From, l.To)
+			}
 		}
-		if l.LengthCM <= 0 {
-			return fmt.Errorf("topology: non-positive length on link %d -> %d", l.From, l.To)
-		}
+		total += len(ls)
+	}
+	if total != len(g.sorted) {
+		return fmt.Errorf("topology: %d sorted links for %d out-list links", len(g.sorted), total)
 	}
 	return nil
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	g := New()
-	a, _ := g.AddNode(Coord{X: 0, Y: 0})
-	b, _ := g.AddNode(Coord{X: 1, Y: 0})
-	if err := g.AddLink(a, b, 1); err != nil {
-		t.Fatal(err)
+	build := func() *Graph {
+		g := &Graph{}
+		a, _ := g.AddNode(Coord{X: 0, Y: 0})
+		b, _ := g.AddNode(Coord{X: 1, Y: 0})
+		if err := g.AddBiLink(a, b, 1); err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	if err := validate(g); err != nil {
+	if err := validate(build()); err != nil {
 		t.Fatalf("valid graph reported error: %v", err)
 	}
-	// Corrupt the link index deliberately.
-	g.links[[2]NodeID{a, b}] = Link{From: a, To: b, LengthCM: -1}
-	if err := validate(g); err == nil {
-		t.Fatal("Validate missed corrupted link length")
+	// Corrupt each structure deliberately.
+	corruptions := map[string]func(g *Graph){
+		"length":        func(g *Graph) { g.out[0][0].LengthCM = -1 },
+		"foreign link":  func(g *Graph) { g.out[1] = append(g.out[1], g.out[0][0]) },
+		"sorted order":  func(g *Graph) { g.sorted[0], g.sorted[1] = g.sorted[1], g.sorted[0] },
+		"sorted extra":  func(g *Graph) { g.sorted = g.sorted[:1] },
+		"out-list gone": func(g *Graph) { g.out = g.out[:1] },
+		"coordinate":    func(g *Graph) { g.nodes[1].Pos = g.nodes[0].Pos },
+	}
+	for name, corrupt := range corruptions {
+		g := build()
+		corrupt(g)
+		if err := validate(g); err == nil {
+			t.Errorf("validate missed the corrupted %s", name)
+		}
 	}
 }
 

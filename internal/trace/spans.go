@@ -29,12 +29,15 @@ type Spans struct {
 
 	mu    sync.Mutex
 	epoch time.Time // clock anchor for cell spans; first cell start seen
+	cells int       // cell spans recorded so far: the next cell span's number
 	spans []Span
 }
 
 // Span is one recorded interval on the flight recorder's clock.
 type Span struct {
 	// Name is the display name ("snapshot", "control-full", "cell 17", ...).
+	// Cell spans are numbered in recording order, so their names are unique
+	// within a recorder even when it sees many pool runs.
 	Name string
 	// Cat is the trace-event category: "engine" for phase spans, "runner"
 	// for worker cell spans.
@@ -44,6 +47,9 @@ type Span struct {
 	TID int
 	// Frame is the engine frame the span belongs to, or -1 for cell spans.
 	Frame int64
+	// Index is a cell span's input index within its pool run (the traces
+	// show it as the "index" argument), or -1 for engine spans.
+	Index int
 	// StartNS and DurationNS are nanoseconds on the recorder's clock.
 	StartNS    int64
 	DurationNS int64
@@ -64,6 +70,7 @@ func (s *Spans) PhaseSpan(e sim.PhaseSpanEvent) {
 		Cat:        "engine",
 		TID:        engineTID,
 		Frame:      e.Frame,
+		Index:      -1,
 		StartNS:    e.StartNS,
 		DurationNS: e.DurationNS,
 	})
@@ -73,6 +80,8 @@ func (s *Spans) PhaseSpan(e sim.PhaseSpanEvent) {
 // CellObserver returns a callback with the runner's cell-observer shape
 // (runner.WithCellObserver) that records one span per executed cell, one
 // virtual thread per worker. The first cell start seen anchors the clock.
+// A pool's input indices restart at 0 on every run, so a span is named
+// after the recorder's running cell count and carries the index apart.
 func (s *Spans) CellObserver() func(index, worker int, start time.Time, d time.Duration) {
 	return func(index, worker int, start time.Time, d time.Duration) {
 		s.mu.Lock()
@@ -86,13 +95,15 @@ func (s *Spans) CellObserver() func(index, worker int, start time.Time, d time.D
 			ts = 0
 		}
 		s.spans = append(s.spans, Span{
-			Name:       fmt.Sprintf("cell %d", index),
+			Name:       fmt.Sprintf("cell %d", s.cells),
 			Cat:        "runner",
 			TID:        cellTIDBase + worker,
 			Frame:      -1,
+			Index:      index,
 			StartNS:    ts,
 			DurationNS: d.Nanoseconds(),
 		})
+		s.cells++
 		s.mu.Unlock()
 	}
 }
@@ -187,8 +198,11 @@ func (s *Spans) WriteChromeTrace(w io.Writer) error {
 			TS:   float64(sp.StartNS) / 1e3,
 			Dur:  float64(sp.DurationNS) / 1e3,
 		}
-		if sp.Frame >= 0 {
+		switch {
+		case sp.Frame >= 0:
 			ev.Args = map[string]int64{"frame": sp.Frame}
+		case sp.Index >= 0:
+			ev.Args = map[string]int64{"index": int64(sp.Index)}
 		}
 		events = append(events, ev)
 	}

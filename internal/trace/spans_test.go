@@ -110,13 +110,18 @@ func TestSpansCellObserver(t *testing.T) {
 	epoch := time.Now()
 	cell(0, 1, epoch, 5*time.Millisecond)
 	cell(7, 0, epoch.Add(2*time.Millisecond), time.Millisecond)
-	cell(3, 0, epoch.Add(-time.Millisecond), time.Millisecond) // earlier than the anchor: clamped
+	cell(0, 0, epoch.Add(-time.Millisecond), time.Millisecond) // a second pool run; earlier than the anchor: clamped
 	spans := rec.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	if spans[0].Name != "cell 0" || spans[0].Cat != "runner" || spans[0].TID != 101 || spans[0].Frame != -1 {
+	if spans[0].Name != "cell 0" || spans[0].Cat != "runner" || spans[0].TID != 101 || spans[0].Frame != -1 || spans[0].Index != 0 {
 		t.Errorf("cell span = %+v", spans[0])
+	}
+	// Names follow the recorder's count, not the pool-run index, which
+	// repeats across runs.
+	if spans[1].Name != "cell 1" || spans[1].Index != 7 || spans[2].Name != "cell 2" || spans[2].Index != 0 {
+		t.Errorf("cell spans = %+v, %+v; want cell 1 (index 7), cell 2 (index 0)", spans[1], spans[2])
 	}
 	if spans[1].StartNS != (2 * time.Millisecond).Nanoseconds() {
 		t.Errorf("second span start = %d, want 2ms after anchor", spans[1].StartNS)
@@ -135,6 +140,9 @@ func TestSpansCellObserver(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != 3 {
 		t.Fatalf("cell-only trace has %d events, want 3 (no frame containers)", len(doc.TraceEvents))
+	}
+	if got := doc.TraceEvents[1].Args["index"]; got != 7 {
+		t.Errorf("second cell event's index argument = %d, want 7", got)
 	}
 }
 
