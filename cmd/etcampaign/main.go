@@ -39,7 +39,9 @@ func main() {
 	flag.Parse()
 
 	if *listScenarios {
-		fmt.Print(scenario.Table().Render())
+		for _, t := range scenario.GroupedTables() {
+			fmt.Print(t.Render())
+		}
 		return
 	}
 	if *scenarioName == "" {

@@ -25,6 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 
 	"repro/internal/optimize"
 	"repro/internal/runner"
@@ -49,7 +51,9 @@ func main() {
 	flag.Parse()
 
 	if *listScenarios {
-		fmt.Print(scenario.Table().Render())
+		for _, t := range scenario.GroupedTables() {
+			fmt.Print(t.Render())
+		}
 		return
 	}
 	spec, ok := scenario.Lookup(*scenarioName)
@@ -97,7 +101,8 @@ func main() {
 	}
 
 	if *emitSpec {
-		emitSpecLiteral(spec, rpt)
+		fmt.Print(specLiteral(optimized(spec, rpt.BestAssignment(), fmt.Sprintf(
+			"optimized placement of %s (score %s, seed %d)", spec.Name, stats.Format(rpt.BestScore), rpt.Seed))))
 		return
 	}
 
@@ -169,55 +174,42 @@ func printPlacementGrid(spec scenario.Spec, rpt *optimize.Report) {
 	fmt.Println()
 }
 
-// emitSpecLiteral prints the winner as a ready-to-register scenario.Spec:
-// the base scenario with its mapping fields replaced by the searched
-// placement. Every non-default field of the base spec is carried over — the
-// emitted scenario must reproduce exactly the configuration the placement
-// was optimized for (fault pattern, controllers, offered load, ...), or the
-// replayed score would silently diverge from the search's.
-func emitSpecLiteral(spec scenario.Spec, rpt *optimize.Report) {
-	fmt.Printf("scenario.Spec{\n")
-	fmt.Printf("\tName:        %q,\n", spec.Name+"-optimized")
-	fmt.Printf("\tDescription: \"optimized placement of %s (score %s, seed %d)\",\n",
-		spec.Name, stats.Format(rpt.BestScore), rpt.Seed)
-	fmt.Printf("\tMesh:        %d,\n", spec.Mesh)
-	if spec.Algorithm != "" {
-		fmt.Printf("\tAlgorithm:   %q,\n", spec.Algorithm)
+// optimized returns the base spec with its placement replaced by the
+// searched assignment, ready to register. Every other field of the base spec
+// is kept: the emitted scenario must reproduce exactly the configuration the
+// placement was optimized for (fault pattern, control plane, offered load,
+// ...), or the replayed score would silently diverge from the search's.
+func optimized(spec scenario.Spec, assignment, description string) scenario.Spec {
+	out := spec
+	out.Name = spec.Name + "-optimized"
+	out.Group = scenario.GroupOptimized
+	out.Description = description
+	out.Mapping = scenario.MappingExplicit
+	out.MappingSeed = 0 // read only by the random mapping
+	out.Assignment = assignment
+	return out
+}
+
+// specLiteral renders a spec as a scenario.Spec composite literal of its
+// non-zero fields, in declaration order, so a field added to Spec is carried
+// over without touching this code.
+func specLiteral(sp scenario.Spec) string {
+	var b strings.Builder
+	b.WriteString("scenario.Spec{\n")
+	v := reflect.ValueOf(sp)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.IsZero() {
+			continue
+		}
+		if f.Kind() == reflect.String {
+			fmt.Fprintf(&b, "\t%s: %q,\n", v.Type().Field(i).Name, f.String())
+		} else {
+			fmt.Fprintf(&b, "\t%s: %v,\n", v.Type().Field(i).Name, f.Interface())
+		}
 	}
-	if spec.EARQ != 0 {
-		fmt.Printf("\tEARQ:        %g,\n", spec.EARQ)
-	}
-	if spec.BatteryLevels != 0 {
-		fmt.Printf("\tBatteryLevels: %d,\n", spec.BatteryLevels)
-	}
-	if spec.Battery != "" {
-		fmt.Printf("\tBattery:     %q,\n", spec.Battery)
-	}
-	fmt.Printf("\tMapping:     scenario.MappingExplicit,\n")
-	fmt.Printf("\tAssignment:  %q,\n", rpt.BestAssignment())
-	if spec.Controllers != 0 {
-		fmt.Printf("\tControllers: %d,\n", spec.Controllers)
-	}
-	if spec.FiniteControllers {
-		fmt.Printf("\tFiniteControllers: true,\n")
-	}
-	if spec.ConcurrentJobs != 0 {
-		fmt.Printf("\tConcurrentJobs: %d,\n", spec.ConcurrentJobs)
-	}
-	if spec.FailedLinkFraction != 0 {
-		fmt.Printf("\tFailedLinkFraction: %g,\n", spec.FailedLinkFraction)
-		fmt.Printf("\tFailedLinkSeed:     %d,\n", spec.FailedLinkSeed)
-	}
-	if spec.VerifyPayload {
-		fmt.Printf("\tVerifyPayload: true,\n")
-	}
-	if spec.CollectNodeStats {
-		fmt.Printf("\tCollectNodeStats: true,\n")
-	}
-	if spec.MaxCycles != 0 {
-		fmt.Printf("\tMaxCycles:   %d,\n", spec.MaxCycles)
-	}
-	fmt.Printf("}\n")
+	b.WriteString("}\n")
+	return b.String()
 }
 
 func fatal(err error) {

@@ -74,8 +74,8 @@ func (sp Spec) Replicate(i int) scenario.Spec {
 	if rep.Faults != "" {
 		// Re-seed the runtime fault schedule from the Transient channel, so a
 		// chaos campaign draws an independent schedule per replicate. A
-		// malformed clause string is left as-is; it fails in Strategy with the
-		// proper parse error.
+		// malformed clause string is left as-is; it fails in Normalized with
+		// the proper parse error.
 		if fsp, err := faults.ParseSpec(rep.Faults); err == nil {
 			fsp.Seed = seeds.Transient
 			rep.Faults = fsp.String()
@@ -214,10 +214,9 @@ func run(ctx context.Context, pool *runner.Pool, sp Spec, batch int) (*Result, e
 		return nil, fmt.Errorf("campaign %s: replications must be >= 1, got %d",
 			sp.Scenario.Label(), sp.Replications)
 	}
-	// Materialise replicate 0 once up front so configuration errors (bad
-	// mesh, unknown algorithm) surface immediately instead of from inside
-	// a worker.
-	if _, err := sp.Replicate(0).Strategy(); err != nil {
+	// Check replicate 0 up front so configuration errors (bad mesh, unknown
+	// algorithm) surface immediately instead of from inside a worker.
+	if _, err := sp.Replicate(0).Normalized(); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	// simulate runs one replicate, threading the campaign context into the

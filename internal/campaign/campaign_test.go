@@ -141,7 +141,7 @@ func TestReplicateReseedsFaultSchedule(t *testing.T) {
 	if got := noFaults.Replicate(3).Faults; got != "" {
 		t.Errorf("empty schedule became %q", got)
 	}
-	// Malformed schedules pass through for Strategy to reject.
+	// Malformed schedules pass through for Normalized (and so Strategy) to reject.
 	malformed := sp
 	malformed.Scenario.Faults = "link=broken"
 	if got := malformed.Replicate(3).Faults; got != "link=broken" {

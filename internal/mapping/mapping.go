@@ -347,30 +347,43 @@ func ParseExplicit(s string) (Explicit, error) {
 	return e, nil
 }
 
-// Map implements Strategy: the assignment must cover exactly the graph's
-// nodes, reference only the application's modules, and place every module at
-// least once (enforced by Mapping.Validate).
-func (e Explicit) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
-	if len(e.Assign) != g.NodeCount() {
-		return nil, fmt.Errorf("mapping: explicit assignment covers %d nodes, graph has %d",
-			len(e.Assign), g.NodeCount())
+// Validate checks the assignment as a placement of a on a platform of k
+// nodes: it must cover exactly the k nodes, reference only the application's
+// modules, and place every module at least once. It is Map's whole check,
+// which reads nothing of the graph but its node count.
+func (e Explicit) Validate(k int, a *app.Application) error {
+	if len(e.Assign) != k {
+		return fmt.Errorf("mapping: explicit assignment covers %d nodes, graph has %d", len(e.Assign), k)
 	}
-	assign := make(map[topology.NodeID]app.ModuleID, len(e.Assign))
+	placed := make([]bool, a.NumModules()+1)
 	for n, mod := range e.Assign {
 		if mod == Unassigned {
 			continue
 		}
 		if int(mod) < 1 || int(mod) > a.NumModules() {
-			return nil, fmt.Errorf("mapping: node %d assigned to unknown module %d (application has %d)",
+			return fmt.Errorf("mapping: node %d assigned to unknown module %d (application has %d)",
 				n, mod, a.NumModules())
 		}
-		assign[topology.NodeID(n)] = mod
+		placed[mod] = true
 	}
-	m := New(assign)
-	if err := m.Validate(a, g.NodeCount()); err != nil {
+	for _, mod := range a.Modules {
+		if !placed[mod.ID] {
+			return fmt.Errorf("mapping: module %d (%s) has no duplicates", mod.ID, mod.Name)
+		}
+	}
+	return nil
+}
+
+// Map implements Strategy, placing the modules Validate admits.
+func (e Explicit) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
+	if err := e.Validate(g.NodeCount(), a); err != nil {
 		return nil, err
 	}
-	return m, nil
+	assign := make(map[topology.NodeID]app.ModuleID, len(e.Assign))
+	for n, mod := range e.Assign {
+		assign[topology.NodeID(n)] = mod
+	}
+	return New(assign), nil
 }
 
 // Random assigns modules uniformly at random (with every module guaranteed at

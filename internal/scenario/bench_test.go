@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkStrategy measures Spec.Strategy, the build every etserve request
-// pays at admission, cache hits included. The 4x4 and 5x5 cases are the
-// eight hot specs of the serve-mixed benchmark workload; 16x16 and 64x64
-// show how the mesh build scales.
+// BenchmarkStrategy measures Spec.Strategy, the build every simulation run
+// starts with (etserve builds one only for a cold run). The 4x4 and 5x5
+// cases are the eight hot specs of the serve-mixed benchmark workload; 16x16
+// and 64x64 show how the mesh build scales.
 func BenchmarkStrategy(b *testing.B) {
 	type bench struct {
 		name string

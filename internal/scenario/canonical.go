@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
+	"repro/internal/app"
 	"repro/internal/controlplane"
 	"repro/internal/faults"
 	"repro/internal/mapping"
@@ -21,6 +23,10 @@ import (
 //     clearing fields their configuration ignores) encode to the same bytes
 //     and therefore the same fingerprint, even if one spelled the defaults
 //     out and the other left them zero.
+//   - Only a spec Strategy can build has an encoding. Normalizing is where a
+//     spec is checked, so a spec Strategy rejects (SDR with a negative
+//     BatteryLevels, say, which clearing the inert field would otherwise
+//     turn into the plain SDR spec) never shares a valid spec's cache key.
 //   - The identity fields (Name, Description, Group) are display metadata and
 //     never enter the encoding: registering the same configuration under two
 //     names yields one cache entry.
@@ -79,14 +85,50 @@ type canonicalSpec struct {
 	MaxCycles          int64
 }
 
-// Normalized returns the spec with every defaultable field filled in and
-// every field its configuration ignores cleared, so that semantically
-// identical specs become structurally identical. The identity fields are
-// preserved untouched. Normalizing does not validate: a spec whose values are
-// out of range normalizes fine and still fails in Strategy. Only text fields
-// with a canonical spelling (Faults, an explicit Assignment) must parse.
+// Normalized checks the spec and returns it with every defaultable field
+// filled in and every field its configuration ignores cleared, so that
+// semantically identical specs become structurally identical. The identity
+// fields are preserved untouched. It accepts exactly the specs Strategy
+// builds: an out-of-range value, an unknown name, or a fault schedule or
+// placement that does not parse or does not fit the platform is an error,
+// so a fingerprint always names a runnable spec.
 func (sp Spec) Normalized() (Spec, error) {
+	n, _, err := sp.normalize()
+	return n, err
+}
+
+// parsed holds a normalized spec's text fields in parsed form, so Strategy
+// parses each once.
+type parsed struct {
+	schedule  faults.Spec
+	placement mapping.Explicit
+}
+
+// normalize is the one place a spec is checked. It range-checks the raw
+// spec, fills defaults and clears inert fields, canonicalises the text
+// fields, then checks the normalized spec against the platform it names.
+func (sp Spec) normalize() (Spec, parsed, error) {
+	fail := func(err error) (Spec, parsed, error) {
+		return Spec{}, parsed{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+	}
+	switch {
+	case sp.Mesh < 1:
+		return fail(fmt.Errorf("mesh size must be at least 1, got %d", sp.Mesh))
+	case sp.Controllers < 0:
+		return fail(fmt.Errorf("controller count must be non-negative (0 defaults to 1), got %d", sp.Controllers))
+	case sp.ConcurrentJobs < 0:
+		return fail(fmt.Errorf("concurrent job count must be non-negative (0 defaults to 1), got %d", sp.ConcurrentJobs))
+	case sp.BatteryLevels < 0:
+		return fail(fmt.Errorf("battery level count must be non-negative (0 = algorithm default), got %d", sp.BatteryLevels))
+	case sp.MaxCycles < 0:
+		return fail(fmt.Errorf("max cycles must be non-negative (0 = run to system death), got %d", sp.MaxCycles))
+	case !(sp.FailedLinkFraction >= 0 && sp.FailedLinkFraction < 1):
+		// The negated range test also rejects NaN.
+		return fail(fmt.Errorf("failed link fraction must be in [0,1), got %g", sp.FailedLinkFraction))
+	}
+
 	n := sp
+	var p parsed
 	if n.Algorithm == "" {
 		n.Algorithm = AlgorithmEAR
 	}
@@ -120,18 +162,19 @@ func (sp Spec) Normalized() (Spec, error) {
 	} else {
 		ex, err := mapping.ParseExplicit(n.Assignment)
 		if err != nil {
-			return Spec{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+			return fail(err)
 		}
 		// String() drops the spaces, signs and leading zeros ParseExplicit
 		// accepts, so two spellings of one placement agree.
 		n.Assignment = ex.String()
+		p.placement = ex
 	}
 	if n.Controllers == 0 {
 		n.Controllers = 1
 	}
 	kind, err := controlplane.ParseKind(n.ControlPlane)
 	if err != nil {
-		return Spec{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+		return fail(err)
 	}
 	n.ControlPlane = string(kind)
 	if kind == controlplane.KindSharded {
@@ -144,7 +187,7 @@ func (sp Spec) Normalized() (Spec, error) {
 	}
 	mode, err := controlplane.ParseRecompute(n.Recompute)
 	if err != nil {
-		return Spec{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+		return fail(err)
 	}
 	n.Recompute = mode.String()
 	if n.ConcurrentJobs == 0 {
@@ -154,15 +197,44 @@ func (sp Spec) Normalized() (Spec, error) {
 		n.FailedLinkSeed = 0
 	}
 	if n.Faults != "" {
-		fsp, err := faults.ParseSpec(n.Faults)
-		if err != nil {
-			return Spec{}, fmt.Errorf("scenario %s: %w", sp.Label(), err)
+		if p.schedule, err = faults.ParseSpec(n.Faults); err != nil {
+			return fail(err)
 		}
 		// String() is the clause form's canonical spelling (fixed clause
 		// order, no redundant fields), so two spellings of one schedule agree.
-		n.Faults = fsp.String()
+		n.Faults = p.schedule.String()
 	}
-	return n, nil
+
+	switch n.Algorithm {
+	case AlgorithmEAR:
+		if err := n.earParams().Validate(); err != nil {
+			return fail(err)
+		}
+	case AlgorithmSDR:
+	default:
+		return Spec{}, parsed{}, fmt.Errorf("scenario: unknown algorithm %q (want %s or %s)",
+			n.Algorithm, AlgorithmEAR, AlgorithmSDR)
+	}
+	if n.Battery != BatteryThinFilm && n.Battery != BatteryIdeal {
+		return fail(fmt.Errorf("unknown battery model %q (want %s or %s)", n.Battery, BatteryThinFilm, BatteryIdeal))
+	}
+	control := n.control()
+	if err := control.Validate(n.Mesh * n.Mesh); err != nil {
+		return fail(err)
+	}
+	if err := p.schedule.Validate(control.ShardCount()); err != nil {
+		return fail(err)
+	}
+	switch n.Mapping {
+	case MappingCheckerboard, MappingProportional, MappingRowMajor, MappingRandom:
+	case MappingExplicit:
+		if err := p.placement.Validate(n.Mesh*n.Mesh, app.AES128()); err != nil {
+			return fail(err)
+		}
+	default:
+		return fail(fmt.Errorf("unknown mapping %q (want one of: %s)", n.Mapping, strings.Join(MappingNames(), ", ")))
+	}
+	return n, p, nil
 }
 
 // CanonicalJSON returns the spec's canonical byte encoding: the normalized

@@ -8,8 +8,11 @@ import (
 // FuzzParseSpecJSON checks the canonical encoding on client-supplied JSON:
 // for every spec ParseSpecJSON accepts and Normalized can canonicalise, the
 // canonical JSON is itself a spec document whose canonical form is the same
-// bytes, and whose fingerprint is the same cache key. The seed corpus lives
-// in testdata/fuzz; plain `go test` replays it.
+// bytes, and whose fingerprint is the same cache key. It also checks that a
+// fingerprint implies a runnable spec: Strategy builds every spec that
+// canonicalises (up to 8x8, to keep each input fast), so etserve can admit a
+// spec by fingerprinting it. The seed corpus lives in testdata/fuzz; plain
+// `go test` replays it.
 func FuzzParseSpecJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := ParseSpecJSON(data)
@@ -19,6 +22,11 @@ func FuzzParseSpecJSON(f *testing.F) {
 		canon, err := sp.CanonicalJSON()
 		if err != nil {
 			return
+		}
+		if sp.Mesh <= 8 {
+			if _, err := sp.Strategy(); err != nil {
+				t.Fatalf("%s canonicalises to %s, but Strategy rejects it: %v", data, canon, err)
+			}
 		}
 		back, err := ParseSpecJSON(canon)
 		if err != nil {

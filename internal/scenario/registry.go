@@ -106,15 +106,6 @@ func Infos() []Info {
 	return infos
 }
 
-// Table renders the whole registry as one flat stats table.
-func Table() *stats.Table {
-	t := stats.NewTable("Registered scenarios", "name", "mesh", "algorithm", "description")
-	for _, sp := range All() {
-		t.AddRow(sp.Name, fmt.Sprintf("%dx%d", sp.Mesh, sp.Mesh), displayAlgorithm(sp), sp.Description)
-	}
-	return t
-}
-
 // The built-in group names, in listing order. GroupedTables appends any
 // group registered by applications after these, and the unnamed group last.
 const (
@@ -129,7 +120,7 @@ const (
 )
 
 // GroupedTables renders the registry as one stats table per scenario group
-// (the body of `etsim -list-scenarios`): built-in groups first in their
+// (the body of every CLI's `-list-scenarios`): built-in groups first in their
 // canonical order, then application-registered groups in first-seen order,
 // then scenarios without a group under "other".
 func GroupedTables() []*stats.Table {

@@ -15,13 +15,11 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/app"
 	"repro/internal/battery"
 	"repro/internal/controlplane"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/mapping"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -103,12 +101,12 @@ type Spec struct {
 	// AlgorithmSDR.
 	Algorithm string
 	// EARQ overrides the EAR battery-weighting base Q (0 = paper default).
-	// Strategy rejects values routing.EARParams.Validate does not accept:
+	// Normalized rejects values routing.EARParams.Validate does not accept:
 	// negative or non-finite ones, and those that spread the penalties past
 	// 2^32.
 	EARQ float64
 	// BatteryLevels overrides the battery quantisation level count
-	// (0 = algorithm default; negative values are rejected by Strategy).
+	// (0 = algorithm default; negative values are rejected by Normalized).
 	BatteryLevels int
 	// Battery is the node battery model: BatteryThinFilm (default) or
 	// BatteryIdeal.
@@ -125,7 +123,7 @@ type Spec struct {
 	Assignment string
 	// Controllers is the number of redundant controllers. 0 defaults to 1 (a
 	// single controller, the paper's setup); negative values are rejected
-	// eagerly by Strategy. Under ControlPlane "sharded" this is the
+	// by Normalized. Under ControlPlane "sharded" this is the
 	// controller count per regional pool.
 	Controllers int
 	// ControlPlane selects the controller architecture: "" or "centralized"
@@ -151,7 +149,7 @@ type Spec struct {
 	// (the Sec 7.3 scenario); false models the infinite-energy controller.
 	FiniteControllers bool
 	// ConcurrentJobs is the number of jobs kept in flight (0 = 1; negative
-	// values are rejected eagerly by Strategy).
+	// values are rejected by Normalized).
 	ConcurrentJobs int
 	// FailedLinkFraction removes that fraction of the interconnects before
 	// the run (wear-and-tear); it must lie in [0,1). FailedLinkSeed selects
@@ -171,7 +169,7 @@ type Spec struct {
 	// CollectNodeStats enables per-node statistics in the result.
 	CollectNodeStats bool
 	// MaxCycles bounds the simulated time (0 = run to system death;
-	// negative values are rejected by Strategy).
+	// negative values are rejected by Normalized).
 	MaxCycles int64
 }
 
@@ -188,98 +186,40 @@ func (sp Spec) Label() string {
 	return fmt.Sprintf("%s-%dx%d", alg, sp.Mesh, sp.Mesh)
 }
 
-// algorithm materialises the routing algorithm of a normalized spec.
-func (sp Spec) algorithm() (routing.Algorithm, error) {
-	switch sp.Algorithm {
-	case AlgorithmEAR:
-		params := routing.EARParams{Q: sp.EARQ, Levels: sp.BatteryLevels}
-		if err := params.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-		}
-		return routing.EAR{Params: params}, nil
-	case AlgorithmSDR:
-		return routing.SDR{}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown algorithm %q (want %s or %s)",
-			sp.Algorithm, AlgorithmEAR, AlgorithmSDR)
-	}
+// earParams returns the EAR parameters of a normalized spec.
+func (sp Spec) earParams() routing.EARParams {
+	return routing.EARParams{Q: sp.EARQ, Levels: sp.BatteryLevels}
 }
 
-// Strategy materialises the spec into a runnable core.Strategy, rejecting
-// out-of-range values up front. Every value is read from the normalized
-// spec, so a run is by construction the one its fingerprint names. Callers
-// attach observers or a cancel channel, or swap the platform's App or
-// Mapper, by writing the returned strategy's fields.
-func (sp Spec) Strategy() (*core.Strategy, error) {
-	if sp.Mesh < 1 {
-		return nil, fmt.Errorf("scenario %s: mesh size must be at least 1, got %d", sp.Label(), sp.Mesh)
-	}
-	if sp.Controllers < 0 {
-		return nil, fmt.Errorf("scenario %s: controller count must be non-negative (0 defaults to 1), got %d",
-			sp.Label(), sp.Controllers)
-	}
-	if sp.ConcurrentJobs < 0 {
-		return nil, fmt.Errorf("scenario %s: concurrent job count must be non-negative (0 defaults to 1), got %d",
-			sp.Label(), sp.ConcurrentJobs)
-	}
-	if sp.BatteryLevels < 0 {
-		return nil, fmt.Errorf("scenario %s: battery level count must be non-negative (0 = algorithm default), got %d",
-			sp.Label(), sp.BatteryLevels)
-	}
-	if sp.MaxCycles < 0 {
-		return nil, fmt.Errorf("scenario %s: max cycles must be non-negative (0 = run to system death), got %d",
-			sp.Label(), sp.MaxCycles)
-	}
-	// The negated range test also rejects NaN.
-	if !(sp.FailedLinkFraction >= 0 && sp.FailedLinkFraction < 1) {
-		return nil, fmt.Errorf("scenario %s: failed link fraction must be in [0,1), got %g",
-			sp.Label(), sp.FailedLinkFraction)
-	}
+// control returns the control-plane configuration of a normalized spec.
+func (sp Spec) control() controlplane.Config {
+	return controlplane.Config{Kind: controlplane.Kind(sp.ControlPlane), Shards: sp.Shards,
+		StalenessFrames: sp.StalenessFrames, Recompute: sp.Recompute}
+}
 
-	n, err := sp.Normalized()
+// Strategy materialises the spec into a runnable core.Strategy. It accepts
+// exactly the specs Normalized accepts, and it reads every value from the
+// normalized spec, so a run is by construction the one its fingerprint
+// names. Callers attach observers or a cancel channel, or swap the
+// platform's App or Mapper, by writing the returned strategy's fields.
+func (sp Spec) Strategy() (*core.Strategy, error) {
+	n, p, err := sp.normalize()
 	if err != nil {
 		return nil, err
 	}
-	alg, err := n.algorithm()
-	if err != nil {
-		return nil, err
-	}
+	var alg routing.Algorithm = routing.SDR{}
 	// Nodes quantise their battery reports to EAR's levels; SDR reads no
 	// levels, and its runs report at the EAR default.
-	levels := n.BatteryLevels
-	if n.Algorithm == AlgorithmSDR {
-		levels = routing.DefaultEARParams().Levels
+	levels := routing.DefaultEARParams().Levels
+	if n.Algorithm == AlgorithmEAR {
+		alg = routing.EAR{Params: n.earParams()}
+		levels = n.BatteryLevels
 	}
-
 	var nodeBattery battery.Factory
-	switch n.Battery {
-	case BatteryThinFilm:
-		nodeBattery = battery.DefaultThinFilmFactory()
-	case BatteryIdeal:
+	if n.Battery == BatteryIdeal {
 		nodeBattery = battery.IdealFactory(battery.DefaultNominalPJ)
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown battery model %q (want %s or %s)",
-			sp.Label(), n.Battery, BatteryThinFilm, BatteryIdeal)
-	}
-
-	control := controlplane.Config{Kind: controlplane.Kind(n.ControlPlane), Shards: n.Shards,
-		StalenessFrames: n.StalenessFrames, Recompute: n.Recompute}
-	// Validate the control-plane configuration eagerly, like every other spec
-	// error, instead of at materialisation time inside a worker.
-	if err := control.Validate(n.Mesh * n.Mesh); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-	}
-	var schedule faults.Spec
-	if n.Faults != "" {
-		if schedule, err = faults.ParseSpec(n.Faults); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-		}
-		// Validate the schedule against the control plane's shard count
-		// eagerly, like every other spec error, instead of at materialisation
-		// time inside a worker.
-		if err := schedule.Validate(control.ShardCount()); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-		}
+	} else {
+		nodeBattery = battery.DefaultThinFilmFactory()
 	}
 
 	mesh, err := topology.NewSquareMesh(n.Mesh)
@@ -296,8 +236,8 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 			Algorithm:        alg,
 			NodeBattery:      nodeBattery,
 			Controllers:      n.Controllers,
-			Control:          control,
-			Faults:           schedule,
+			Control:          n.control(),
+			Faults:           p.schedule,
 			BatteryLevels:    levels,
 			ConcurrentJobs:   n.ConcurrentJobs,
 			MaxCycles:        n.MaxCycles,
@@ -312,8 +252,6 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 	}
 
 	switch n.Mapping {
-	case MappingCheckerboard:
-		// The paper's mapping, set above.
 	case MappingProportional:
 		bound, err := s.UpperBound()
 		if err != nil {
@@ -325,20 +263,7 @@ func (sp Spec) Strategy() (*core.Strategy, error) {
 	case MappingRandom:
 		s.Mapper = mapping.Random{Seed: n.MappingSeed}
 	case MappingExplicit:
-		ex, err := mapping.ParseExplicit(n.Assignment)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-		}
-		// Validate the assignment against the platform eagerly so a bad
-		// placement fails here, like every other spec error, instead of at
-		// materialisation time inside a worker.
-		if _, err := ex.Map(s.Mesh.Graph, s.Run.App); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", sp.Label(), err)
-		}
-		s.Mapper = ex
-	default:
-		return nil, fmt.Errorf("scenario %s: unknown mapping %q (want one of: %s)",
-			sp.Label(), n.Mapping, strings.Join(MappingNames(), ", "))
+		s.Mapper = p.placement
 	}
 	return s, nil
 }

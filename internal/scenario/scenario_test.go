@@ -60,8 +60,12 @@ func TestRegistryHasThePaperAndStressScenarios(t *testing.T) {
 	if len(All()) != len(names) {
 		t.Error("All() and Names() disagree")
 	}
-	if len(Table().Rows) != len(names) {
-		t.Error("Table() row count mismatch")
+	rows := 0
+	for _, table := range GroupedTables() {
+		rows += len(table.Rows)
+	}
+	if rows != len(names) {
+		t.Errorf("GroupedTables() lists %d scenarios, want %d", rows, len(names))
 	}
 }
 

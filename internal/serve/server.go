@@ -7,10 +7,13 @@
 // The service leans entirely on the repo's determinism contract: a result is
 // a pure function of its canonical spec, so the cache needs no invalidation
 // and a cache hit is byte-identical to a cold recompute. Three layers
-// compose:
+// compose behind one admission check:
 //
-//		request → fingerprint → store (hit?) → flight group (join?) → queue → sim
+//		request → fingerprint (admit?) → store (hit?) → flight group (join?) → queue → strategy → sim
 //
+//	  - The fingerprint admits the spec: scenario.Spec.Normalized accepts
+//	    exactly the specs Strategy builds, so every other spec gets a 422
+//	    here, and a hit or a join never builds a strategy.
 //	  - The store answers repeats across time (and across restarts, with a
 //	    disk layer).
 //	  - The flight group answers repeats in flight: N concurrent identical
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/serve/store"
@@ -47,21 +49,18 @@ import (
 const MaxSpecBytes = 1 << 20
 
 // MaxMesh bounds the mesh size the service admits. The controller's dense
-// all-pairs matrices grow with the fourth power of the mesh size, and
-// validating a spec already builds its mesh, so an unbounded request could
-// exhaust memory before it is even queued. 64 is the largest registered
-// scenario (big-mesh-64); the CLIs keep unbounded meshes.
+// all-pairs matrices grow with the fourth power of the mesh size, so an
+// unbounded request could exhaust memory once it runs. 64 is the largest
+// registered scenario (big-mesh-64); the CLIs keep unbounded meshes.
 const MaxMesh = 64
 
-// admit validates a spec eagerly: a bad spec must fail now with a 4xx, not
-// after queueing behind admitted work. The mesh bound is checked before
-// Strategy builds the mesh. It returns the built strategy, which is the one
-// a cold /simulate or /simulate/stream request then runs.
-func admit(sp scenario.Spec) (*core.Strategy, error) {
+// boundMesh rejects a spec past MaxMesh. It runs before the spec is
+// fingerprinted, so an oversized spec is answered without normalizing it.
+func boundMesh(sp scenario.Spec) error {
 	if sp.Mesh > MaxMesh {
-		return nil, fmt.Errorf("scenario %s: mesh size %d exceeds the service bound of %d", sp.Label(), sp.Mesh, MaxMesh)
+		return fmt.Errorf("scenario %s: mesh size %d exceeds the service bound of %d", sp.Label(), sp.Mesh, MaxMesh)
 	}
-	return sp.Strategy()
+	return nil
 }
 
 // serial is the one-worker pool every served campaign runs its replicates on.
@@ -142,12 +141,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleSimulate serves POST /simulate: a strict scenario spec in, the
 // memoized sim.Result JSON out.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	st, fp, ok := readScenario(w, r)
+	sp, fp, ok := readScenario(w, r)
 	if !ok {
 		return
 	}
 	s.serveCached(w, r, store.Key(fp), fp.String(), func(ctx context.Context) ([]byte, error) {
-		res, err := s.runScenario(ctx, st)
+		res, err := s.runScenario(ctx, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -155,57 +154,57 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// readScenario reads, parses, admits and fingerprints the scenario spec of a
-// request body, and returns the strategy admission built. On failure it
-// writes the response itself — 400 for an unreadable or malformed body, 422
-// for a spec the service does not admit — and reports false.
-func readScenario(w http.ResponseWriter, r *http.Request) (st *core.Strategy, fp scenario.Fingerprint, ok bool) {
+// readScenario reads, parses and fingerprints the scenario spec of a request
+// body. On failure it writes the response itself — 400 for an unreadable or
+// malformed body, 422 for a spec the service does not admit (past MaxMesh,
+// or one Normalized rejects, so it has no fingerprint) — and reports false.
+func readScenario(w http.ResponseWriter, r *http.Request) (sp scenario.Spec, fp scenario.Fingerprint, ok bool) {
 	body, err := readBody(w, r)
+	if err == nil {
+		sp, err = scenario.ParseSpecJSON(body)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sp, err := scenario.ParseSpecJSON(body)
+	if err = boundMesh(sp); err == nil {
+		fp, err = sp.Fingerprint()
+	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if st, err = admit(sp); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	if fp, err = sp.Fingerprint(); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	return st, fp, true
+	return sp, fp, true
 }
 
-// handleCampaign serves POST /campaign: a strict campaign spec in, the
-// memoized aggregate summary out.
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
+// readCampaign is readScenario for a campaign spec, which also needs at
+// least one replicate.
+func readCampaign(w http.ResponseWriter, r *http.Request) (sp campaign.Spec, fp scenario.Fingerprint, ok bool) {
 	body, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
+	if err == nil {
+		sp, err = campaign.ParseSpecJSON(body)
 	}
-	sp, err := campaign.ParseSpecJSON(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if sp.Replications < 1 {
-		httpError(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("campaign: replications must be >= 1, got %d", sp.Replications))
-		return
+		err = fmt.Errorf("campaign: replications must be >= 1, got %d", sp.Replications)
+	} else if err = boundMesh(sp.Scenario); err == nil {
+		fp, err = sp.Fingerprint()
 	}
-	if _, err := admit(sp.Replicate(0)); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	fp, err := sp.Fingerprint()
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	return sp, fp, true
+}
+
+// handleCampaign serves POST /campaign: a strict campaign spec in, the
+// memoized aggregate summary out.
+func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
+	sp, fp, ok := readCampaign(w, r)
+	if !ok {
 		return
 	}
 	s.serveCached(w, r, store.Key(fp), fp.String(), func(ctx context.Context) ([]byte, error) {
@@ -276,16 +275,20 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key store.K
 	}
 }
 
-// runScenario executes an admitted strategy through the admission queue
-// under ctx, refusing to return a truncated result. It attaches the run's
-// cancellation and observers to st, so each strategy runs once.
-func (s *Server) runScenario(ctx context.Context, st *core.Strategy, obs ...sim.Observer) (sim.Result, error) {
+// runScenario builds and runs an admitted spec through the admission queue
+// under ctx, refusing to return a truncated result. Only a cold run builds a
+// strategy, and it does so once it holds a queue slot.
+func (s *Server) runScenario(ctx context.Context, sp scenario.Spec, obs ...sim.Observer) (sim.Result, error) {
 	var out sim.Result
 	// Every served simulation feeds the engine-phase histograms on /metrics.
 	// The observer is write-only telemetry, so the cached bytes stay
 	// byte-identical to an uninstrumented run.
 	obs = append(obs, trace.EngineMetrics{})
 	err := s.queue.Do(ctx, func(ctx context.Context) error {
+		st, err := sp.Strategy()
+		if err != nil {
+			return err
+		}
 		st.Run.Cancel = ctx.Done()
 		st.Run.Observers = obs
 		res, err := st.Simulate()
@@ -313,7 +316,7 @@ func (s *Server) runScenario(ctx context.Context, st *core.Strategy, obs ...sim.
 // bypass flight joining (each stream owns its run's events) but still
 // populate the store.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	st, fp, ok := readScenario(w, r)
+	sp, fp, ok := readScenario(w, r)
 	if !ok {
 		return
 	}
@@ -347,7 +350,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// queue executes fn on its caller), so writing to w needs no locking
 	// and a slow client backpressures the simulation.
 	wire := &trace.Wire{Sink: func(e trace.WireEvent) { line(e) }}
-	res, err := s.runScenario(r.Context(), st, wire)
+	res, err := s.runScenario(r.Context(), sp, wire)
 	if err != nil {
 		// Mid-stream errors can only be reported in-band.
 		line(map[string]string{"type": "error", "error": err.Error()})

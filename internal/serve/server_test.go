@@ -248,7 +248,7 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 		{`{"Mesh":4,"EARQ":1e-20}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"EARQ":-1}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"EARQ":1e10}`, http.StatusUnprocessableEntity},
-		// Out-of-range values Strategy rejects before anything is queued; a
+		// Out-of-range values the fingerprint rejects before anything is queued; a
 		// run that fails inside the worker would answer 500.
 		{`{"Mesh":4,"FailedLinkFraction":1.5}`, http.StatusUnprocessableEntity},
 		{`{"Mesh":4,"FailedLinkFraction":-0.2}`, http.StatusUnprocessableEntity},
@@ -270,9 +270,42 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestInvalidSpecNeverAliasesACachedOne: SDR ignores BatteryLevels, so a
+// normalization that only cleared the field would give the invalid spec
+// below the fingerprint of the plain SDR spec and serve it that cached
+// result. It must get a 422 on every endpoint, with nothing run.
+func TestInvalidSpecNeverAliasesACachedOne(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const valid = `{"Mesh":4,"Algorithm":"SDR"}`
+	const invalid = `{"Mesh":4,"Algorithm":"SDR","BatteryLevels":-1}`
+	for _, req := range []struct{ path, body string }{
+		{"/simulate", valid},
+		{"/campaign", `{"Scenario":` + valid + `,"Replications":1}`},
+	} {
+		if resp, body := post(t, ts.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d (%s)", req.path, req.body, resp.StatusCode, body)
+		}
+	}
+	puts := cacheStats(t, ts.URL).Puts
+	for _, req := range []struct{ path, body string }{
+		{"/simulate", invalid},
+		{"/simulate/stream", invalid},
+		{"/campaign", `{"Scenario":` + invalid + `,"Replications":1}`},
+	} {
+		resp, body := post(t, ts.URL+req.path, req.body)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s %s: status %d (%s), want %d",
+				req.path, req.body, resp.StatusCode, body, http.StatusUnprocessableEntity)
+		}
+	}
+	if got := cacheStats(t, ts.URL).Puts; got != puts {
+		t.Fatalf("an invalid spec ran: Puts %d, want %d", got, puts)
+	}
+}
+
 // TestMeshBoundOnEveryEndpoint: a mesh past MaxMesh gets a 422 on every
-// endpoint that accepts a spec, before Strategy builds the mesh, while every
-// registered scenario is still admitted.
+// endpoint that accepts a spec, while every registered scenario is still
+// admitted, as a scenario and as a campaign.
 func TestMeshBoundOnEveryEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, spec := range []string{`{"Mesh":65}`, `{"Mesh":100000}`} {
@@ -292,8 +325,18 @@ func TestMeshBoundOnEveryEndpoint(t *testing.T) {
 		t.Fatalf("an oversized spec ran anyway: %+v", st)
 	}
 	for _, sp := range scenario.All() {
-		if _, err := admit(sp); err != nil {
-			t.Errorf("registered scenario %s rejected: %v", sp.Name, err)
+		body, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		if _, _, ok := readScenario(w, httptest.NewRequest("POST", "/simulate", bytes.NewReader(body))); !ok {
+			t.Errorf("registered scenario %s rejected: %s", sp.Name, w.Body)
+		}
+		body = fmt.Appendf(nil, `{"Scenario":%s,"Replications":2}`, body)
+		w = httptest.NewRecorder()
+		if _, _, ok := readCampaign(w, httptest.NewRequest("POST", "/campaign", bytes.NewReader(body))); !ok {
+			t.Errorf("registered scenario %s rejected as a campaign: %s", sp.Name, w.Body)
 		}
 	}
 }
