@@ -26,66 +26,80 @@ import (
 // idle computationally but still relay packets.
 const Unassigned app.ModuleID = 0
 
-// Mapping is an immutable assignment of modules to nodes.
+// Mapping is an immutable placement of modules on the nodes of a graph:
+// assign[n] is the module of node n (Unassigned for a relay-only node), and
+// byModule[m] lists the nodes of module m in ascending ID order.
 type Mapping struct {
-	assign   map[topology.NodeID]app.ModuleID
-	byModule map[app.ModuleID][]topology.NodeID
+	assign   []app.ModuleID
+	byModule [][]topology.NodeID
 }
 
-// New builds a Mapping from a node→module assignment. Nodes missing from the
-// map are treated as unassigned.
-func New(assign map[topology.NodeID]app.ModuleID) *Mapping {
-	m := &Mapping{
-		assign:   make(map[topology.NodeID]app.ModuleID, len(assign)),
-		byModule: make(map[app.ModuleID][]topology.NodeID),
+// newMapping checks assign as a placement of a on k nodes and builds the
+// Mapping over it, which takes ownership of the slice. Every strategy returns
+// through it, so a Mapping always passes the one placement check.
+func newMapping(assign []app.ModuleID, k int, a *app.Application) (*Mapping, error) {
+	if err := validate(assign, k, a); err != nil {
+		return nil, err
 	}
-	for node, mod := range assign {
+	byModule := make([][]topology.NodeID, a.NumModules()+1)
+	for n, mod := range assign {
+		if mod != Unassigned {
+			byModule[mod] = append(byModule[mod], topology.NodeID(n))
+		}
+	}
+	return &Mapping{assign: assign, byModule: byModule}, nil
+}
+
+// validate is the placement check: assign must cover exactly k nodes,
+// reference only a's modules, and place every module at least once.
+func validate(assign []app.ModuleID, k int, a *app.Application) error {
+	if len(assign) != k {
+		return fmt.Errorf("mapping: explicit assignment covers %d nodes, graph has %d", len(assign), k)
+	}
+	placed := make([]bool, a.NumModules()+1)
+	for n, mod := range assign {
 		if mod == Unassigned {
 			continue
 		}
-		m.assign[node] = mod
-		m.byModule[mod] = append(m.byModule[mod], node)
+		if int(mod) < 1 || int(mod) > a.NumModules() {
+			return fmt.Errorf("mapping: node %d assigned to unknown module %d (application has %d)",
+				n, mod, a.NumModules())
+		}
+		placed[mod] = true
 	}
-	for mod := range m.byModule {
-		nodes := m.byModule[mod]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	for _, mod := range a.Modules {
+		if !placed[mod.ID] {
+			return fmt.Errorf("mapping: module %d (%s) has no duplicates", mod.ID, mod.Name)
+		}
 	}
-	return m
+	return nil
 }
 
-// ModuleAt returns the module assigned to a node, or Unassigned.
-func (m *Mapping) ModuleAt(node topology.NodeID) app.ModuleID { return m.assign[node] }
+// ModuleAt returns the module assigned to a node, or Unassigned for a node
+// outside the mapping.
+func (m *Mapping) ModuleAt(node topology.NodeID) app.ModuleID {
+	if node < 0 || int(node) >= len(m.assign) {
+		return Unassigned
+	}
+	return m.assign[node]
+}
 
 // NodesFor returns S_i, the set of nodes running module id, sorted by ID.
 func (m *Mapping) NodesFor(id app.ModuleID) []topology.NodeID {
-	nodes := m.byModule[id]
+	var nodes []topology.NodeID
+	if id > Unassigned && int(id) < len(m.byModule) {
+		nodes = m.byModule[id]
+	}
 	out := make([]topology.NodeID, len(nodes))
 	copy(out, nodes)
 	return out
 }
 
-// Count returns n_i, the number of duplicates of module id.
-func (m *Mapping) Count(id app.ModuleID) int { return len(m.byModule[id]) }
-
-// Validate checks the mapping against an application and a node budget: every
-// module must have at least one duplicate, no node may run an unknown module,
-// and the number of assigned nodes must not exceed the budget (the paper's
-// first constraint, sum n_i <= K).
-func (m *Mapping) Validate(a *app.Application, nodeBudget int) error {
-	if len(m.assign) > nodeBudget {
-		return fmt.Errorf("mapping: %d assigned nodes exceed the node budget %d", len(m.assign), nodeBudget)
-	}
-	for node, mod := range m.assign {
-		if int(mod) < 1 || int(mod) > a.NumModules() {
-			return fmt.Errorf("mapping: node %d assigned to unknown module %d", node, mod)
-		}
-	}
-	for _, mod := range a.Modules {
-		if m.Count(mod.ID) == 0 {
-			return fmt.Errorf("mapping: module %d (%s) has no duplicates", mod.ID, mod.Name)
-		}
-	}
-	return nil
+// Validate checks the mapping as a placement of a on a graph of k nodes, the
+// check the strategy ran when it built the mapping: a configuration may pair
+// it with another graph or application.
+func (m *Mapping) Validate(a *app.Application, k int) error {
+	return validate(m.assign, k, a)
 }
 
 // Strategy produces a Mapping for an application on a graph.
@@ -118,7 +132,7 @@ func (Checkerboard) Map(g *topology.Graph, a *app.Application) (*Mapping, error)
 	if g.NodeCount() < a.NumModules() {
 		return nil, fmt.Errorf("%w: %d nodes for %d modules", ErrTooFewNodes, g.NodeCount(), a.NumModules())
 	}
-	assign := make(map[topology.NodeID]app.ModuleID, g.NodeCount())
+	assign := make([]app.ModuleID, g.NodeCount())
 	for _, n := range g.Nodes() {
 		sum := mod2(n.Pos.X) + mod2(n.Pos.Y)
 		switch sum {
@@ -130,11 +144,7 @@ func (Checkerboard) Map(g *topology.Graph, a *app.Application) (*Mapping, error)
 			assign[n.ID] = 3
 		}
 	}
-	m := New(assign)
-	if err := m.Validate(a, g.NodeCount()); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMapping(assign, g.NodeCount(), a)
 }
 
 func mod2(x int) int {
@@ -180,16 +190,9 @@ func (p Proportional) Map(g *topology.Graph, a *app.Application) (*Mapping, erro
 
 	// Error diffusion: walk the nodes in row-major order and at each node pick
 	// the module with the largest remaining deficit relative to its quota.
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Pos.Y != nodes[j].Pos.Y {
-			return nodes[i].Pos.Y < nodes[j].Pos.Y
-		}
-		return nodes[i].Pos.X < nodes[j].Pos.X
-	})
 	assigned := make([]int, pMods)
-	assign := make(map[topology.NodeID]app.ModuleID, k)
-	for _, n := range nodes {
+	assign := make([]app.ModuleID, k)
+	for _, n := range rowMajorNodes(g) {
 		best := -1
 		bestDeficit := math.Inf(-1)
 		for i := 0; i < pMods; i++ {
@@ -208,11 +211,20 @@ func (p Proportional) Map(g *topology.Graph, a *app.Application) (*Mapping, erro
 		assign[n.ID] = app.ModuleID(best + 1)
 		assigned[best]++
 	}
-	m := New(assign)
-	if err := m.Validate(a, k); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMapping(assign, k, a)
+}
+
+// rowMajorNodes returns g's nodes in row-major order: by row (Y), then by
+// column (X).
+func rowMajorNodes(g *topology.Graph) []topology.Node {
+	nodes := g.Nodes()
+	sort.Slice(nodes, func(i, j int) bool {
+		if nodes[i].Pos.Y != nodes[j].Pos.Y {
+			return nodes[i].Pos.Y < nodes[j].Pos.Y
+		}
+		return nodes[i].Pos.X < nodes[j].Pos.X
+	})
+	return nodes
 }
 
 // largestRemainderQuotas apportions k nodes to p modules proportionally to
@@ -278,14 +290,8 @@ func (RowMajor) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
 		total += weights[i]
 	}
 	quotas := largestRemainderQuotas(weights, total, k, pMods)
-	nodes := g.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].Pos.Y != nodes[j].Pos.Y {
-			return nodes[i].Pos.Y < nodes[j].Pos.Y
-		}
-		return nodes[i].Pos.X < nodes[j].Pos.X
-	})
-	assign := make(map[topology.NodeID]app.ModuleID, k)
+	nodes := rowMajorNodes(g)
+	assign := make([]app.ModuleID, k)
 	idx := 0
 	for modIdx, q := range quotas {
 		for c := 0; c < q && idx < len(nodes); c++ {
@@ -293,11 +299,7 @@ func (RowMajor) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
 			idx++
 		}
 	}
-	m := New(assign)
-	if err := m.Validate(a, k); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMapping(assign, k, a)
 }
 
 // Explicit is a dense, assignment-backed strategy: Assign[n] names the module
@@ -349,41 +351,16 @@ func ParseExplicit(s string) (Explicit, error) {
 
 // Validate checks the assignment as a placement of a on a platform of k
 // nodes: it must cover exactly the k nodes, reference only the application's
-// modules, and place every module at least once. It is Map's whole check,
-// which reads nothing of the graph but its node count.
+// modules, and place every module at least once. It is the check every
+// strategy's Mapping passes, which reads nothing of the graph but its node
+// count.
 func (e Explicit) Validate(k int, a *app.Application) error {
-	if len(e.Assign) != k {
-		return fmt.Errorf("mapping: explicit assignment covers %d nodes, graph has %d", len(e.Assign), k)
-	}
-	placed := make([]bool, a.NumModules()+1)
-	for n, mod := range e.Assign {
-		if mod == Unassigned {
-			continue
-		}
-		if int(mod) < 1 || int(mod) > a.NumModules() {
-			return fmt.Errorf("mapping: node %d assigned to unknown module %d (application has %d)",
-				n, mod, a.NumModules())
-		}
-		placed[mod] = true
-	}
-	for _, mod := range a.Modules {
-		if !placed[mod.ID] {
-			return fmt.Errorf("mapping: module %d (%s) has no duplicates", mod.ID, mod.Name)
-		}
-	}
-	return nil
+	return validate(e.Assign, k, a)
 }
 
 // Map implements Strategy, placing the modules Validate admits.
 func (e Explicit) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
-	if err := e.Validate(g.NodeCount(), a); err != nil {
-		return nil, err
-	}
-	assign := make(map[topology.NodeID]app.ModuleID, len(e.Assign))
-	for n, mod := range e.Assign {
-		assign[topology.NodeID(n)] = mod
-	}
-	return New(assign), nil
+	return newMapping(append([]app.ModuleID(nil), e.Assign...), g.NodeCount(), a)
 }
 
 // Random assigns modules uniformly at random (with every module guaranteed at
@@ -409,10 +386,9 @@ func (r Random) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
 		state = state*6364136223846793005 + 1442695040888963407
 		return int((state >> 33) % uint64(n))
 	}
-	nodes := g.Nodes()
-	assign := make(map[topology.NodeID]app.ModuleID, k)
+	assign := make([]app.ModuleID, k)
 	// Guarantee one duplicate of each module on distinct random nodes first.
-	perm := make([]int, len(nodes))
+	perm := make([]int, k)
 	for i := range perm {
 		perm[i] = i
 	}
@@ -421,14 +397,10 @@ func (r Random) Map(g *topology.Graph, a *app.Application) (*Mapping, error) {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	for modIdx := 0; modIdx < pMods; modIdx++ {
-		assign[nodes[perm[modIdx]].ID] = app.ModuleID(modIdx + 1)
+		assign[perm[modIdx]] = app.ModuleID(modIdx + 1)
 	}
-	for _, idx := range perm[pMods:] {
-		assign[nodes[idx].ID] = app.ModuleID(next(pMods) + 1)
+	for _, n := range perm[pMods:] {
+		assign[n] = app.ModuleID(next(pMods) + 1)
 	}
-	m := New(assign)
-	if err := m.Validate(a, k); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return newMapping(assign, k, a)
 }

@@ -16,8 +16,8 @@ func TestCheckerboardOn4x4MatchesFig3b(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Paper Fig 3(b): 4 nodes of module 1, 4 of module 2, 8 of module 3.
-	if m.Count(1) != 4 || m.Count(2) != 4 || m.Count(3) != 8 {
-		t.Fatalf("counts = %v, want module1=4 module2=4 module3=8", []int{m.Count(1), m.Count(2), m.Count(3)})
+	if len(m.NodesFor(1)) != 4 || len(m.NodesFor(2)) != 4 || len(m.NodesFor(3)) != 8 {
+		t.Fatalf("counts = %v, want module1=4 module2=4 module3=8", []int{len(m.NodesFor(1)), len(m.NodesFor(2)), len(m.NodesFor(3))})
 	}
 	// Spot-check specific coordinates against the paper's figure:
 	// (1,1) both odd -> module 1; (2,2) both even -> module 2; (2,1) -> module 3.
@@ -36,8 +36,8 @@ func TestCheckerboardOn4x4MatchesFig3b(t *testing.T) {
 			t.Errorf("node (%d,%d) mapped to module %d, want %d", c.x, c.y, got, c.want)
 		}
 	}
-	if len(m.assign) != 16 {
-		t.Errorf("assigned nodes = %d, want 16", len(m.assign))
+	if assignedNodes(m) != 16 {
+		t.Errorf("assigned nodes = %d, want 16", assignedNodes(m))
 	}
 	if err := m.Validate(appl, 16); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -53,8 +53,8 @@ func TestCheckerboardModule3GetsHalfTheNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Count(3) != n*n/2 {
-			t.Errorf("%dx%d: module 3 count = %d, want %d", n, n, m.Count(3), n*n/2)
+		if len(m.NodesFor(3)) != n*n/2 {
+			t.Errorf("%dx%d: module 3 count = %d, want %d", n, n, len(m.NodesFor(3)), n*n/2)
 		}
 	}
 }
@@ -81,11 +81,11 @@ func TestCheckerboardOddMeshStillCoversAllModules(t *testing.T) {
 			t.Fatalf("%dx%d: %v", n, n, err)
 		}
 		for id := app.ModuleID(1); id <= 3; id++ {
-			if m.Count(id) == 0 {
+			if len(m.NodesFor(id)) == 0 {
 				t.Errorf("%dx%d: module %d has no duplicates", n, n, id)
 			}
 		}
-		total := m.Count(1) + m.Count(2) + m.Count(3)
+		total := len(m.NodesFor(1)) + len(m.NodesFor(2)) + len(m.NodesFor(3))
 		if total != n*n {
 			t.Errorf("%dx%d: assigned %d nodes, want %d", n, n, total, n*n)
 		}
@@ -101,18 +101,18 @@ func TestProportionalFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.assign) != 16 {
-		t.Fatalf("assigned nodes = %d, want 16", len(m.assign))
+	if assignedNodes(m) != 16 {
+		t.Fatalf("assigned nodes = %d, want 16", assignedNodes(m))
 	}
 	// Theorem 1 exact shares: 5.19, 3.75, 7.07 -> expect counts close to 5/4/7.
-	if m.Count(3) < m.Count(1) || m.Count(1) < m.Count(2) {
-		t.Errorf("counts %v do not follow weight ordering", []int{m.Count(1), m.Count(2), m.Count(3)})
+	if len(m.NodesFor(3)) < len(m.NodesFor(1)) || len(m.NodesFor(1)) < len(m.NodesFor(2)) {
+		t.Errorf("counts %v do not follow weight ordering", []int{len(m.NodesFor(1)), len(m.NodesFor(2)), len(m.NodesFor(3))})
 	}
-	if m.Count(1)+m.Count(2)+m.Count(3) != 16 {
-		t.Errorf("counts %v do not sum to 16", []int{m.Count(1), m.Count(2), m.Count(3)})
+	if len(m.NodesFor(1))+len(m.NodesFor(2))+len(m.NodesFor(3)) != 16 {
+		t.Errorf("counts %v do not sum to 16", []int{len(m.NodesFor(1)), len(m.NodesFor(2)), len(m.NodesFor(3))})
 	}
 	for id := app.ModuleID(1); id <= 3; id++ {
-		if m.Count(id) == 0 {
+		if len(m.NodesFor(id)) == 0 {
 			t.Errorf("module %d has zero duplicates", id)
 		}
 	}
@@ -168,12 +168,12 @@ func TestRowMajorBlocksProportionalToOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// f = (10, 9, 11) over 16 nodes -> roughly 5/5/6.
-	if m.Count(1)+m.Count(2)+m.Count(3) != 16 {
-		t.Fatalf("counts %v do not sum to 16", []int{m.Count(1), m.Count(2), m.Count(3)})
+	if len(m.NodesFor(1))+len(m.NodesFor(2))+len(m.NodesFor(3)) != 16 {
+		t.Fatalf("counts %v do not sum to 16", []int{len(m.NodesFor(1)), len(m.NodesFor(2)), len(m.NodesFor(3))})
 	}
 	for id := app.ModuleID(1); id <= 3; id++ {
-		if m.Count(id) < 4 || m.Count(id) > 7 {
-			t.Errorf("module %d count = %d, want between 4 and 7", id, m.Count(id))
+		if len(m.NodesFor(id)) < 4 || len(m.NodesFor(id)) > 7 {
+			t.Errorf("module %d count = %d, want between 4 and 7", id, len(m.NodesFor(id)))
 		}
 	}
 	// Row-major clustering: the first row must be homogeneous.
@@ -219,7 +219,7 @@ func TestRandomMappingIsDeterministicPerSeed(t *testing.T) {
 		t.Error("different seeds produced identical mappings (suspicious)")
 	}
 	for id := app.ModuleID(1); id <= 3; id++ {
-		if m1.Count(id) == 0 {
+		if len(m1.NodesFor(id)) == 0 {
 			t.Errorf("module %d has no duplicates under random mapping", id)
 		}
 	}
@@ -247,38 +247,61 @@ func TestMappingValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(appl, 15); err == nil {
-		t.Error("mapping exceeding the node budget accepted")
+	if err := m.Validate(appl, 16); err != nil {
+		t.Errorf("Validate on the mapping's own graph: %v", err)
 	}
-	// A mapping missing one module must fail validation.
-	partial := New(map[topology.NodeID]app.ModuleID{0: 1, 1: 2})
-	if err := partial.Validate(appl, 16); err == nil {
+	if err := m.Validate(appl, 15); err == nil {
+		t.Error("mapping validated against a graph of another node count")
+	}
+	// A mapping built for a 5x5 graph names nodes a 4x4 graph does not have.
+	big := make([]app.ModuleID, 25)
+	big[22], big[23], big[24] = 1, 2, 3
+	m, err = Explicit{Assign: big}.Map(topology.MustMesh(5, 5, 1).Graph, appl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(appl, 16); err == nil {
+		t.Error("mapping naming nodes 22..24 accepted for a 16-node graph")
+	}
+	// The constructor rejects a placement missing a module or naming an
+	// unknown one.
+	if _, err := newMapping([]app.ModuleID{1, 2, 0, 0}, 4, appl); err == nil {
 		t.Error("mapping without module 3 accepted")
 	}
-	// Unknown module IDs must fail validation.
-	bogus := New(map[topology.NodeID]app.ModuleID{0: 1, 1: 2, 2: 3, 3: 9})
-	if err := bogus.Validate(appl, 16); err == nil {
+	if _, err := newMapping([]app.ModuleID{1, 2, 3, 9}, 4, appl); err == nil {
 		t.Error("mapping with unknown module accepted")
+	}
+	if _, err := newMapping([]app.ModuleID{1, 2, 3}, 4, appl); err == nil {
+		t.Error("mapping covering 3 of 4 nodes accepted")
 	}
 }
 
 func TestUnassignedNodesAreIgnored(t *testing.T) {
-	m := New(map[topology.NodeID]app.ModuleID{
-		0: 1, 1: 2, 2: 3, 3: Unassigned,
-	})
-	if len(m.assign) != 3 {
-		t.Fatalf("assigned nodes = %d, want 3", len(m.assign))
+	m, err := newMapping([]app.ModuleID{1, 2, 3, Unassigned}, 4, app.AES128())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if assignedNodes(m) != 3 {
+		t.Fatalf("assigned nodes = %d, want 3", assignedNodes(m))
 	}
 	if m.ModuleAt(3) != Unassigned {
 		t.Errorf("node 3 module = %d, want Unassigned", m.ModuleAt(3))
 	}
-	if m.ModuleAt(99) != Unassigned {
-		t.Errorf("unknown node module = %d, want Unassigned", m.ModuleAt(99))
+	if m.ModuleAt(99) != Unassigned || m.ModuleAt(-1) != Unassigned {
+		t.Errorf("unknown node modules = %d, %d, want Unassigned", m.ModuleAt(99), m.ModuleAt(-1))
+	}
+	if len(m.NodesFor(Unassigned)) != 0 {
+		t.Errorf("NodesFor(Unassigned) = %v, want none", m.NodesFor(Unassigned))
 	}
 }
 
 func TestNodesForReturnsSortedCopy(t *testing.T) {
-	m := New(map[topology.NodeID]app.ModuleID{5: 1, 2: 1, 9: 1, 3: 2})
+	assign := make([]app.ModuleID, 10)
+	assign[9], assign[2], assign[5], assign[3], assign[0] = 1, 1, 1, 2, 3
+	m, err := newMapping(assign, 10, app.AES128())
+	if err != nil {
+		t.Fatal(err)
+	}
 	nodes := m.NodesFor(1)
 	want := []topology.NodeID{2, 5, 9}
 	if len(nodes) != 3 {
@@ -296,6 +319,17 @@ func TestNodesForReturnsSortedCopy(t *testing.T) {
 	if len(m.NodesFor(9)) != 0 {
 		t.Fatal("NodesFor of unknown module should be empty")
 	}
+}
+
+// assignedNodes counts the nodes that run a module.
+func assignedNodes(m *Mapping) int {
+	n := 0
+	for _, mod := range m.assign {
+		if mod != Unassigned {
+			n++
+		}
+	}
+	return n
 }
 
 func TestAllStrategiesSatisfyBudgetProperty(t *testing.T) {
@@ -316,10 +350,10 @@ func TestAllStrategiesSatisfyBudgetProperty(t *testing.T) {
 		}
 		total := 0
 		for id := app.ModuleID(1); id <= 3; id++ {
-			if m.Count(id) == 0 {
+			if len(m.NodesFor(id)) == 0 {
 				return false
 			}
-			total += m.Count(id)
+			total += len(m.NodesFor(id))
 		}
 		return total <= mesh.Size() && m.Validate(appl, mesh.Size()) == nil
 	}
@@ -391,8 +425,14 @@ func TestExplicitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map rejected valid assignment with a relay-only node: %v", err)
 	}
-	if len(m.assign) != 3 {
-		t.Errorf("assigned nodes = %d, want 3", len(m.assign))
+	if assignedNodes(m) != 3 {
+		t.Errorf("assigned nodes = %d, want 3", assignedNodes(m))
+	}
+	// The mapping owns its assignment: editing the strategy's slice later
+	// does not move it.
+	ok[0] = 3
+	if m.ModuleAt(0) != Unassigned {
+		t.Errorf("node 0 module = %d after editing the Explicit slice, want Unassigned", m.ModuleAt(0))
 	}
 }
 

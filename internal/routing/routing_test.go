@@ -336,8 +336,8 @@ func TestBuildTablesPicksNearestDuplicate(t *testing.T) {
 }
 
 // TestBuildTablesTieBreakIgnoresDuplicateOrder feeds BuildTables the same
-// duplicates in several orders (mapping.New sorts its lists, but the map
-// form need not be sorted): an equidistant tie must go to the smaller ID, a
+// duplicates in several orders (a mapping's lists are ascending, but a
+// caller's need not be): an equidistant tie must go to the smaller ID, a
 // dead duplicate must be skipped however close it is, and a source hosting
 // the module must route to itself at distance 0.
 func TestBuildTablesTieBreakIgnoresDuplicateOrder(t *testing.T) {

@@ -98,6 +98,24 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 	}
 }
 
+// TestNewRejectsPlacementOutsideGraph pairs a 4x4 configuration with a
+// placement made for a 5x5 graph whose three modules sit on nodes 22..24,
+// which the 4x4 graph does not have. New must reject it: a placement that
+// passed validation used to reach Run and index past the node table.
+func TestNewRejectsPlacementOutsideGraph(t *testing.T) {
+	cfg := defaultConfig(t, 4)
+	assign := make([]app.ModuleID, 25)
+	assign[22], assign[23], assign[24] = 1, 2, 3
+	m, err := mapping.Explicit{Assign: assign}.Map(topology.MustMesh(5, 5, topology.DefaultSpacingCM).Graph, cfg.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mapping = m
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted a placement naming nodes outside the 16-node graph")
+	}
+}
+
 func TestConfigHopCycles(t *testing.T) {
 	cfg := defaultConfig(t, 4)
 	// 261-bit packets over an 8-bit-wide link take ceil(261/8) = 33 cycles.
