@@ -93,7 +93,7 @@ func buildApplication(spec string, packetBits int) (*app.Application, error) {
 	if spec == "" {
 		a := app.AES128()
 		a.PacketBits = packetBits
-		return a, nil
+		return a, a.Validate()
 	}
 	b := app.NewBuilder("custom").PacketBits(packetBits)
 	var flows []struct {

@@ -22,7 +22,7 @@ import (
 
 // Errors returned by bound computations.
 var (
-	ErrBadBudget     = errors.New("analytic: battery and node budgets must be positive")
+	ErrBadBudget     = errors.New("analytic: battery budget must be positive and finite, node budget positive")
 	ErrBadCommEnergy = errors.New("analytic: communication energies must be non-negative, one per module")
 )
 
@@ -83,7 +83,7 @@ type Bound struct {
 // (initial capacity of each battery, in pJ), node budget K and per-module
 // communication energies c_i.
 func UpperBound(a *app.Application, batteryBudgetPJ float64, nodeBudget int, commPerOpPJ []float64) (Bound, error) {
-	if batteryBudgetPJ <= 0 || nodeBudget <= 0 {
+	if !(batteryBudgetPJ > 0) || math.IsInf(batteryBudgetPJ, 1) || nodeBudget <= 0 {
 		return Bound{}, fmt.Errorf("%w: B = %g, K = %d", ErrBadBudget, batteryBudgetPJ, nodeBudget)
 	}
 	h, err := NormalizedEnergies(a, commPerOpPJ)
@@ -94,8 +94,8 @@ func UpperBound(a *app.Application, batteryBudgetPJ float64, nodeBudget int, com
 	for _, hi := range h {
 		sum += hi
 	}
-	if sum <= 0 {
-		return Bound{}, fmt.Errorf("analytic: total normalized energy is not positive (%g)", sum)
+	if !(sum > 0) || math.IsInf(sum, 1) {
+		return Bound{}, fmt.Errorf("analytic: total normalized energy is not positive and finite (%g)", sum)
 	}
 	dups := make([]float64, len(h))
 	for i, hi := range h {
@@ -113,8 +113,12 @@ func UpperBound(a *app.Application, batteryBudgetPJ float64, nodeBudget int, com
 // MeshUpperBound is a convenience wrapper that evaluates Theorem 1 for a
 // homogeneous mesh: every communication act is assumed to cross one link of
 // hopLengthCM centimetres (the ideal strategy's minimum), which is how the
-// paper's Table 2 column J* is obtained.
+// paper's Table 2 column J* is obtained. The hop length must be positive
+// and finite: a hop of no length would drop the communication term.
 func MeshUpperBound(a *app.Application, hopLengthCM float64, batteryBudgetPJ float64, nodeBudget int) (Bound, error) {
+	if !(hopLengthCM > 0) || math.IsInf(hopLengthCM, 1) {
+		return Bound{}, fmt.Errorf("analytic: hop length must be positive and finite, got %g cm", hopLengthCM)
+	}
 	c := CommunicationEnergyPerOp(a, hopLengthCM)
 	return UpperBound(a, batteryBudgetPJ, nodeBudget, UniformCommEnergies(a, c))
 }

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,30 @@ func TestUpperBoundValidation(t *testing.T) {
 	}
 	if _, err := UpperBound(a, 1000, 16, []float64{1}); err == nil {
 		t.Error("wrong-length comm energies accepted")
+	}
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := UpperBound(a, b, 16, c); !errors.Is(err, ErrBadBudget) {
+			t.Errorf("battery budget %g: err = %v, want ErrBadBudget", b, err)
+		}
+	}
+	// An application that skipped validation cannot smuggle a NaN or an
+	// infinite energy into the bound.
+	for _, e := range []float64{math.NaN(), math.Inf(1)} {
+		bad := *a
+		bad.Modules = append([]app.Module(nil), a.Modules...)
+		bad.Modules[0].EnergyPerOpPJ = e
+		if _, err := UpperBound(&bad, 1000, 16, c); err == nil {
+			t.Errorf("module energy %g accepted", e)
+		}
+	}
+}
+
+func TestMeshUpperBoundRejectsBadHopLength(t *testing.T) {
+	a := app.AES128()
+	for _, h := range []float64{0, -2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := MeshUpperBound(a, h, battery.DefaultNominalPJ, 16); err == nil {
+			t.Errorf("hop length %g accepted", h)
+		}
 	}
 }
 

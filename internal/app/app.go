@@ -12,6 +12,7 @@ package app
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/aes"
 )
@@ -54,7 +55,7 @@ var (
 	ErrBadModuleID   = errors.New("app: module IDs must be 1..p in order")
 	ErrBadOpCount    = errors.New("app: flow operation counts disagree with OpsPerJob")
 	ErrBadFlow       = errors.New("app: flow references an unknown module")
-	ErrBadEnergy     = errors.New("app: module energy must be positive")
+	ErrBadEnergy     = errors.New("app: module energy must be positive and finite")
 	ErrBadPacketBits = errors.New("app: packet size must be positive")
 	ErrEmptyFlow     = errors.New("app: flow must contain at least one operation")
 )
@@ -74,7 +75,7 @@ func (a *Application) Validate() error {
 		if m.ID != ModuleID(i+1) {
 			return fmt.Errorf("%w: Modules[%d].ID = %d", ErrBadModuleID, i, m.ID)
 		}
-		if m.EnergyPerOpPJ <= 0 {
+		if !(m.EnergyPerOpPJ > 0) || math.IsInf(m.EnergyPerOpPJ, 1) {
 			return fmt.Errorf("%w: module %d has E = %g", ErrBadEnergy, m.ID, m.EnergyPerOpPJ)
 		}
 		if m.OpsPerJob <= 0 {

@@ -2,6 +2,7 @@ package app
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/aes"
@@ -134,6 +135,8 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 		{"bad module id", func(a *Application) { a.Modules[1].ID = 7 }, ErrBadModuleID},
 		{"zero energy", func(a *Application) { a.Modules[0].EnergyPerOpPJ = 0 }, ErrBadEnergy},
 		{"negative energy", func(a *Application) { a.Modules[0].EnergyPerOpPJ = -3 }, ErrBadEnergy},
+		{"NaN energy", func(a *Application) { a.Modules[0].EnergyPerOpPJ = math.NaN() }, ErrBadEnergy},
+		{"infinite energy", func(a *Application) { a.Modules[1].EnergyPerOpPJ = math.Inf(1) }, ErrBadEnergy},
 		{"zero ops", func(a *Application) { a.Modules[2].OpsPerJob = 0 }, ErrBadOpCount},
 		{"flow unknown module", func(a *Application) { a.Flow[5] = 9 }, ErrBadFlow},
 		{"flow count mismatch", func(a *Application) { a.Flow[1] = ModuleAddRoundKey }, ErrBadOpCount},
