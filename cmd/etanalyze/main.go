@@ -65,6 +65,9 @@ func main() {
 
 // analyseMesh renders the full Theorem-1 report for one mesh size.
 func analyseMesh(application *app.Application, spacing, batteryPJ float64, meshSize int) (string, error) {
+	if meshSize < 1 {
+		return "", fmt.Errorf("mesh size must be at least 1, got %d", meshSize)
+	}
 	k := meshSize * meshSize
 	bound, err := analytic.MeshUpperBound(application, spacing, batteryPJ, k)
 	if err != nil {

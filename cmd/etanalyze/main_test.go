@@ -34,12 +34,18 @@ func TestRejectsImpossibleInputs(t *testing.T) {
 		{topology.DefaultSpacingCM, math.NaN()},
 		{topology.DefaultSpacingCM, math.Inf(1)},
 		{topology.DefaultSpacingCM, 0},
+		{topology.DefaultSpacingCM, 1e308},
 		{0, battery.DefaultNominalPJ},
 		{-2, battery.DefaultNominalPJ},
 		{math.NaN(), battery.DefaultNominalPJ},
 	} {
 		if _, err := analyseMesh(aes, c.spacing, c.battery, 4); err == nil {
 			t.Errorf("-spacing %g -battery %g accepted", c.spacing, c.battery)
+		}
+	}
+	for _, n := range []int{0, -3} {
+		if _, err := analyseMesh(aes, topology.DefaultSpacingCM, battery.DefaultNominalPJ, n); err == nil {
+			t.Errorf("-mesh %d accepted", n)
 		}
 	}
 	if _, err := analyseMesh(aes, topology.DefaultSpacingCM, battery.DefaultNominalPJ, 4); err != nil {

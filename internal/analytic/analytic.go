@@ -97,12 +97,16 @@ func UpperBound(a *app.Application, batteryBudgetPJ float64, nodeBudget int, com
 	if !(sum > 0) || math.IsInf(sum, 1) {
 		return Bound{}, fmt.Errorf("analytic: total normalized energy is not positive and finite (%g)", sum)
 	}
+	jobs := batteryBudgetPJ * float64(nodeBudget) / sum
+	if math.IsInf(jobs, 1) {
+		return Bound{}, fmt.Errorf("%w: J* overflows at B = %g, K = %d", ErrBadBudget, batteryBudgetPJ, nodeBudget)
+	}
 	dups := make([]float64, len(h))
 	for i, hi := range h {
 		dups[i] = hi / sum * float64(nodeBudget)
 	}
 	return Bound{
-		Jobs:               batteryBudgetPJ * float64(nodeBudget) / sum,
+		Jobs:               jobs,
 		OptimalDuplicates:  dups,
 		NormalizedEnergies: h,
 		BatteryBudgetPJ:    batteryBudgetPJ,

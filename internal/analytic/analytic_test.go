@@ -120,7 +120,8 @@ func TestUpperBoundValidation(t *testing.T) {
 	if _, err := UpperBound(a, 1000, 16, []float64{1}); err == nil {
 		t.Error("wrong-length comm energies accepted")
 	}
-	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// 1e308 is finite, but J* = B*K/sum H_i overflows.
+	for _, b := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e308} {
 		if _, err := UpperBound(a, b, 16, c); !errors.Is(err, ErrBadBudget) {
 			t.Errorf("battery budget %g: err = %v, want ErrBadBudget", b, err)
 		}

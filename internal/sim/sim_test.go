@@ -69,6 +69,15 @@ func TestDefaultConfigIsValid(t *testing.T) {
 
 func TestConfigValidationCatchesBadFields(t *testing.T) {
 	base := defaultConfig(t, 4)
+	// A placement made for a 5x5 graph, its three modules on nodes 22..24,
+	// which the 4x4 graph does not have: it used to pass validation and make
+	// Run index past the node table.
+	assign := make([]app.ModuleID, 25)
+	assign[22], assign[23], assign[24] = 1, 2, 3
+	outside, err := mapping.Explicit{Assign: assign}.Map(topology.MustMesh(5, 5, topology.DefaultSpacingCM).Graph, base.App)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -76,6 +85,7 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 		{"nil graph", func(c *Config) { c.Graph = nil }},
 		{"nil app", func(c *Config) { c.App = nil }},
 		{"nil mapping", func(c *Config) { c.Mapping = nil }},
+		{"placement outside the graph", func(c *Config) { c.Mapping = outside }},
 		{"nil algorithm", func(c *Config) { c.Algorithm = nil }},
 		{"zero EAR", func(c *Config) { c.Algorithm = routing.EAR{} }},
 		{"zero EAR Q", func(c *Config) { c.Algorithm = routing.EAR{Params: routing.EARParams{Q: 0, Levels: 8}} }},
@@ -95,24 +105,6 @@ func TestConfigValidationCatchesBadFields(t *testing.T) {
 				t.Errorf("New accepted config with %s", tc.name)
 			}
 		})
-	}
-}
-
-// TestNewRejectsPlacementOutsideGraph pairs a 4x4 configuration with a
-// placement made for a 5x5 graph whose three modules sit on nodes 22..24,
-// which the 4x4 graph does not have. New must reject it: a placement that
-// passed validation used to reach Run and index past the node table.
-func TestNewRejectsPlacementOutsideGraph(t *testing.T) {
-	cfg := defaultConfig(t, 4)
-	assign := make([]app.ModuleID, 25)
-	assign[22], assign[23], assign[24] = 1, 2, 3
-	m, err := mapping.Explicit{Assign: assign}.Map(topology.MustMesh(5, 5, topology.DefaultSpacingCM).Graph, cfg.App)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Mapping = m
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted a placement naming nodes outside the 16-node graph")
 	}
 }
 
