@@ -114,7 +114,8 @@ func (o *options) parse(args []string) error {
 
 // spec translates the parsed flags into the scenario to run: the named
 // scenario, or one built from the ad-hoc flags, with the run-shaping and
-// override flags applied on top. Values are validated later, by
+// override flags applied on top. A zero override keeps the spec's value;
+// any other value, a negative one included, is validated later, by
 // Spec.Strategy, exactly as for any other spec.
 func (o *options) spec() (scenario.Spec, error) {
 	var spec scenario.Spec
@@ -160,7 +161,7 @@ func (o *options) spec() (scenario.Spec, error) {
 	if o.perNode {
 		spec.CollectNodeStats = true
 	}
-	if o.maxCycles > 0 {
+	if o.maxCycles != 0 {
 		spec.MaxCycles = o.maxCycles
 	}
 	if o.mappingName != "" {
@@ -173,10 +174,10 @@ func (o *options) spec() (scenario.Spec, error) {
 		// plane's defaults; -shards/-staleness re-set them explicitly.
 		spec.ControlPlane, spec.Shards, spec.StalenessFrames = o.planeName, 0, 0
 	}
-	if o.shards > 0 {
+	if o.shards != 0 {
 		spec.Shards = o.shards
 	}
-	if o.staleness > 0 {
+	if o.staleness != 0 {
 		spec.StalenessFrames = o.staleness
 	}
 	if o.recompute != "" {

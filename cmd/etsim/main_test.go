@@ -81,6 +81,12 @@ func TestFlagsToSpec(t *testing.T) {
 		}, everyFlag},
 		{"named with plane override", []string{"-scenario", "paper-default", "-controlplane", "sharded", "-shards", "2"}, shardedDefault},
 		{"named with mapping and seed", []string{"-scenario", "paper-default", "-mapping", "rowmajor", "-seed", "9"}, mapped},
+		{"zero max cycles keeps the scenario's", []string{"-scenario", "big-mesh-16", "-max-cycles", "0"}, registered(t, "big-mesh-16")},
+		{"sharded defaults", []string{"-mesh", "8", "-controlplane", "sharded"}, scenario.Spec{Mesh: 8, ControlPlane: "sharded"}},
+		{"sharded defaults spelled out", []string{"-mesh", "8", "-controlplane", "sharded", "-shards", "4", "-staleness", "1"},
+			scenario.Spec{Mesh: 8, ControlPlane: "sharded"}},
+		{"defaults spelled out", []string{"-mesh", "4", "-controllers", "1", "-jobs", "1", "-ear-q", "2", "-recompute", "incremental"},
+			registered(t, "paper-default")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := parseSpec(t, tc.args...)
@@ -122,6 +128,10 @@ func TestFlagsRejected(t *testing.T) {
 		{[]string{"-shards", "4"}, "sharded control plane"},
 		{[]string{"-controlplane", "mesh"}, "unknown control plane"},
 		{[]string{"-recompute", "eager"}, "unknown recompute strategy"},
+		{[]string{"-max-cycles", "-5"}, "max cycles must be non-negative"},
+		{[]string{"-shards", "-3"}, "shard count must be non-negative"},
+		{[]string{"-controlplane", "sharded", "-shards", "-3"}, "shard count must be non-negative"},
+		{[]string{"-controlplane", "sharded", "-staleness", "-2"}, "staleness bound must be non-negative"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			sp, err := parseSpec(t, tc.args...)

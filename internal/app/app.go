@@ -58,6 +58,8 @@ var (
 	ErrBadEnergy     = errors.New("app: module energy must be positive and finite")
 	ErrBadPacketBits = errors.New("app: packet size must be positive")
 	ErrEmptyFlow     = errors.New("app: flow must contain at least one operation")
+
+	errNoOps = errors.New("app: operation count must be positive")
 )
 
 // Validate checks internal consistency of the application description.
@@ -79,7 +81,7 @@ func (a *Application) Validate() error {
 			return fmt.Errorf("%w: module %d has E = %g", ErrBadEnergy, m.ID, m.EnergyPerOpPJ)
 		}
 		if m.OpsPerJob <= 0 {
-			return fmt.Errorf("%w: module %d has f = %d", ErrBadOpCount, m.ID, m.OpsPerJob)
+			return fmt.Errorf("%w: module %d has f = %d", errNoOps, m.ID, m.OpsPerJob)
 		}
 	}
 	counts := make(map[ModuleID]int)

@@ -137,7 +137,8 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 		{"negative energy", func(a *Application) { a.Modules[0].EnergyPerOpPJ = -3 }, ErrBadEnergy},
 		{"NaN energy", func(a *Application) { a.Modules[0].EnergyPerOpPJ = math.NaN() }, ErrBadEnergy},
 		{"infinite energy", func(a *Application) { a.Modules[1].EnergyPerOpPJ = math.Inf(1) }, ErrBadEnergy},
-		{"zero ops", func(a *Application) { a.Modules[2].OpsPerJob = 0 }, ErrBadOpCount},
+		{"zero ops", func(a *Application) { a.Modules[2].OpsPerJob = 0 }, errNoOps},
+		{"negative ops", func(a *Application) { a.Modules[0].OpsPerJob = -4 }, errNoOps},
 		{"flow unknown module", func(a *Application) { a.Flow[5] = 9 }, ErrBadFlow},
 		{"flow count mismatch", func(a *Application) { a.Flow[1] = ModuleAddRoundKey }, ErrBadOpCount},
 	}

@@ -1,76 +1,11 @@
 package scenario
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-// TestNoFaultTrajectoryPins pins the fault-free trajectories of both control
-// planes to exact values. The fault subsystem threads through the engine's
-// frame loop, routing dead-end handling and both planes, so this is the
-// regression guard for the PR's core promise: an empty schedule reproduces
-// the pre-fault-subsystem outputs byte for byte. If a change shifts any of
-// these numbers, it changed the fault-free simulation — not just the fault
-// path — and needs a fresh justification.
-func TestNoFaultTrajectoryPins(t *testing.T) {
-	pins := []struct {
-		name       string
-		jobs, lost int
-		lifetime   int64
-		frames     int64
-		recomputes int
-		deadlocks  int
-		reason     sim.DeathReason
-	}{
-		{"paper-default", 71, 4, 102201, 100, 99, 0, sim.DeathModuleExtinct},
-		{"sharded-8x8", 331, 21, 495345, 484, 473, 3, sim.DeathUnreachable},
-		{"sharded-finite-controllers", 18, 1, 40960, 41, 20, 0, sim.DeathControllersDead},
-	}
-	for _, pin := range pins {
-		spec, ok := Lookup(pin.name)
-		if !ok {
-			t.Fatalf("%s not registered", pin.name)
-		}
-		res, err := spec.Simulate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.JobsCompleted != pin.jobs || res.JobsLost != pin.lost ||
-			res.LifetimeCycles != pin.lifetime || res.Frames != pin.frames ||
-			res.RoutingRecomputes != pin.recomputes || res.DeadlockReports != pin.deadlocks ||
-			res.Reason != pin.reason {
-			t.Errorf("%s trajectory moved: jobs=%d lost=%d life=%d frames=%d recomputes=%d deadlocks=%d reason=%s, want jobs=%d lost=%d life=%d frames=%d recomputes=%d deadlocks=%d reason=%s",
-				pin.name, res.JobsCompleted, res.JobsLost, res.LifetimeCycles, res.Frames, res.RoutingRecomputes, res.DeadlockReports, res.Reason,
-				pin.jobs, pin.lost, pin.lifetime, pin.frames, pin.recomputes, pin.deadlocks, pin.reason)
-		}
-		if res.FaultsInjected != 0 || res.FaultsRecovered != 0 || res.RegionFailovers != 0 {
-			t.Errorf("%s: fault counters nonzero without a schedule: %+v", pin.name, res)
-		}
-	}
-}
-
-// TestSeedOnlyScheduleIsByteIdentical: a schedule carrying only a seed can
-// never fire, so the engine must not even enable the subsystem — the result
-// is identical in every field, not merely statistically close.
-func TestSeedOnlyScheduleIsByteIdentical(t *testing.T) {
-	base := Spec{Mesh: 5}
-	ref, err := base.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded := base
-	seeded.Faults = "seed=12345"
-	got, err := seeded.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("seed-only schedule changed the run:\n%+v\nvs\n%+v", got, ref)
-	}
-}
 
 // TestChaosScenariosExerciseTheFaultChannels runs the cheap chaos scenarios
 // and checks each actually drives the channel it advertises.

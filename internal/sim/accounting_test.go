@@ -3,6 +3,7 @@ package sim_test
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/battery"
@@ -30,41 +31,52 @@ func conserved(t *testing.T, what string, got, want, scale float64) {
 	}
 }
 
-// TestEnergyConservation checks three accounting identities on every
-// registered scenario (big-mesh-64 aside, for time): the node batteries'
-// delivered plus remaining energy is their initial charge; what they
-// delivered is the result's node-side energy, with brown-out losses in
-// AbortedPJ; and the per-node statistics sum to the result's totals. The
-// controller side (download and controller energy) is paid by the control
-// plane's pools, never by a node battery, so it appears in none of them.
+// TestEnergyConservation runs every pinned scenario with per-node statistics
+// on (etsim's -v) at GOMAXPROCS 4, and checks that run in two subtests:
+//   - energy: three accounting identities hold. The node batteries'
+//     delivered plus remaining energy is their initial charge; what they
+//     delivered is the result's node-side energy, with brown-out losses in
+//     AbortedPJ; and the per-node statistics sum to the result's totals. The
+//     controller side (download and controller energy) is paid by the
+//     control plane's pools, never by a node battery, so it appears in none
+//     of them.
+//   - procs: the same spec at GOMAXPROCS 1 gives the same result bytes. A
+//     sharded plane's regions, and one workspace's repair and phase-3 cells
+//     on graphs above its size switch, run concurrently only with more than
+//     one CPU.
+//
+// The test sets GOMAXPROCS, so it does not run in parallel.
 func TestEnergyConservation(t *testing.T) {
-	for _, sp := range scenario.All() {
-		if sp.Name == "big-mesh-64" {
-			continue
-		}
-		sp := sp
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, sp := range pinnedScenarios() {
+		sp.CollectNodeStats = true
 		t.Run(sp.Name, func(t *testing.T) {
-			sp.CollectNodeStats = true
 			res := simulate(t, sp)
-			if len(res.Nodes) != res.MeshNodes {
-				t.Fatalf("%d node stats for %d nodes", len(res.Nodes), res.MeshNodes)
-			}
-			var delivered, remaining, comp, comm, ctrl float64
-			for _, n := range res.Nodes {
-				delivered += n.DeliveredPJ
-				remaining += n.RemainingPJ
-				comp += n.ComputationPJ
-				comm += n.CommunicationPJ
-				ctrl += n.ControlPJ
-			}
-			e := res.Energy
-			charge := float64(res.MeshNodes) * battery.DefaultNominalPJ
-			conserved(t, "delivered + remaining vs initial charge", delivered+remaining, charge, charge)
-			conserved(t, "delivered - useful node energy vs aborted",
-				delivered-(e.ComputationPJ+e.CommunicationPJ+e.ControlUploadPJ), e.AbortedPJ, delivered)
-			conserved(t, "per-node computation", comp, e.ComputationPJ, e.ComputationPJ)
-			conserved(t, "per-node communication", comm, e.CommunicationPJ, e.CommunicationPJ)
-			conserved(t, "per-node control", ctrl, e.ControlUploadPJ, e.ControlUploadPJ)
+			t.Run("energy", func(t *testing.T) {
+				if len(res.Nodes) != res.MeshNodes {
+					t.Fatalf("%d node stats for %d nodes", len(res.Nodes), res.MeshNodes)
+				}
+				var delivered, remaining, comp, comm, ctrl float64
+				for _, n := range res.Nodes {
+					delivered += n.DeliveredPJ
+					remaining += n.RemainingPJ
+					comp += n.ComputationPJ
+					comm += n.CommunicationPJ
+					ctrl += n.ControlPJ
+				}
+				e := res.Energy
+				charge := float64(res.MeshNodes) * battery.DefaultNominalPJ
+				conserved(t, "delivered + remaining vs initial charge", delivered+remaining, charge, charge)
+				conserved(t, "delivered - useful node energy vs aborted",
+					delivered-(e.ComputationPJ+e.CommunicationPJ+e.ControlUploadPJ), e.AbortedPJ, delivered)
+				conserved(t, "per-node computation", comp, e.ComputationPJ, e.ComputationPJ)
+				conserved(t, "per-node communication", comm, e.CommunicationPJ, e.CommunicationPJ)
+				conserved(t, "per-node control", ctrl, e.ControlUploadPJ, e.ControlUploadPJ)
+			})
+			t.Run("procs", func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				sameJSON(t, "GOMAXPROCS 1 against 4", simulate(t, sp), res)
+			})
 		})
 	}
 }

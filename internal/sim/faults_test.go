@@ -7,10 +7,9 @@ import (
 	"repro/internal/faults"
 )
 
-// TestFaultFreeScheduleIsByteIdentical is the engine-level half of the PR's
-// core promise: a schedule that can never fire (only a seed, no channels)
-// must leave the simulator on the exact trajectory it had before the fault
-// subsystem existed — every Result field identical, not statistically close.
+// TestFaultFreeScheduleIsByteIdentical: a schedule that can never fire (only
+// a seed, no channels) must leave the simulator on the exact trajectory it
+// takes without one, every Result field identical, not statistically close.
 func TestFaultFreeScheduleIsByteIdentical(t *testing.T) {
 	cfg := defaultConfig(t, 4)
 	ref, err := runOnce(cfg)
@@ -31,31 +30,20 @@ func TestFaultFreeScheduleIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineFaultDeterminism runs a chaotic configuration — all three
-// stochastic channels live — twice from the same spec and demands identical
-// results. The schedule is a pure function of (spec, seed) and the engine
-// applies it at frame boundaries only, so there is nowhere for divergence to
-// creep in.
+// TestEngineFaultDeterminism runs a chaotic configuration (all three
+// stochastic channels live) and checks that the fault seed feeds the draws:
+// another seed takes another trajectory. That two runs of one spec agree is
+// TestEnergyConservation's procs subtest, on every registered chaos scenario.
 func TestEngineFaultDeterminism(t *testing.T) {
 	cfg := chaoticConfig(t)
 	a, err := runOnce(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runOnce(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same config diverged:\n%+v\nvs\n%+v", a, b)
-	}
 	if a.FaultsInjected == 0 || a.FaultsRecovered == 0 {
 		t.Fatalf("chaotic config injected %d / recovered %d faults; the test exercises nothing",
 			a.FaultsInjected, a.FaultsRecovered)
 	}
-
-	// A different seed must take a different trajectory (otherwise the seed
-	// is not actually feeding the draws).
 	other := cfg
 	other.Faults.Seed++
 	c, err := runOnce(other)

@@ -45,22 +45,6 @@ func TestShardedSimulationRunsAndReportsShards(t *testing.T) {
 	}
 }
 
-// TestShardedSimulationIsDeterministic: two identical sharded runs must agree
-// exactly, per the control-plane determinism contract.
-func TestShardedSimulationIsDeterministic(t *testing.T) {
-	a := run(t, 5, sharded(3, 4))
-	b := run(t, 5, sharded(3, 4))
-	if a.JobsCompleted != b.JobsCompleted || a.LifetimeCycles != b.LifetimeCycles ||
-		a.RoutingRecomputes != b.RoutingRecomputes || a.Energy != b.Energy {
-		t.Fatalf("sharded runs diverged:\n%+v\n%+v", a, b)
-	}
-	for i := range a.ShardRecomputes {
-		if a.ShardRecomputes[i] != b.ShardRecomputes[i] {
-			t.Fatalf("shard %d recompute counts diverged: %d vs %d", i, a.ShardRecomputes[i], b.ShardRecomputes[i])
-		}
-	}
-}
-
 // TestShardedFiniteControllersDie covers the Sec 7.3 death under the sharded
 // plane: with one battery-powered controller per region the run must end in
 // DeathControllersDead once every region's pool is exhausted.
